@@ -49,7 +49,7 @@ def run_incast(controlled: bool) -> dict:
     def client(thread, va):
         # Async burst: every client keeps a deep window of 4KB writes in
         # flight — the incast pattern the CN-side control exists for.
-        from repro.transport.clib_transport import RequestFailedError
+        from repro.transport.clib_transport import RequestFailed
         outstanding = []
         for index in range(OPS_PER_CLIENT):
             offset = (index * 64 * KB) % (8 * MB - SIZE)
@@ -61,13 +61,13 @@ def run_incast(controlled: bool) -> dict:
                 try:
                     yield from thread.rpoll([first])
                     latencies.append(cluster.env.now - first_start)
-                except RequestFailedError:
+                except RequestFailed:
                     failures[0] += 1
         for start, handle in outstanding:
             try:
                 yield from thread.rpoll([handle])
                 latencies.append(cluster.env.now - start)
-            except RequestFailedError:
+            except RequestFailed:
                 failures[0] += 1
 
     procs = [cluster.env.process(client(thread, va))

@@ -25,8 +25,12 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Union
+
+from repro.verify.scenarios import QOS_SHAPED, QOS_UNSHAPED, RACK_RECOVERY
 
 REPO_ROOT = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))
@@ -96,215 +100,224 @@ def record(section: str, name: str, metrics: dict) -> None:
         handle.write("\n")
 
 
-def validate_engine_section(data: dict) -> list[str]:
-    """Schema-check the ``engine`` section of a BENCH_perf.json payload.
+# -- BENCH_perf.json schema: one table, one validator ----------------------------
 
-    Returns a list of problems (empty when the section is well-formed).
-    Every engine cell must carry positive wall-clock and event-rate
-    fields; the ``rack_echo_*`` cells additionally pin the cross-mode
-    contract — all engine modes dispatch the same number of events.
-    """
-    problems: list[str] = []
-    engine = data.get("engine")
-    if not engine:
-        return ["no 'engine' section"]
-    for name, cell in engine.items():
-        for key in ("wall_s", "events", "events_per_sec"):
-            if not isinstance(cell.get(key), (int, float)) or cell[key] <= 0:
-                problems.append(f"{name}: bad {key!r}: {cell.get(key)!r}")
-    rack = {name: cell for name, cell in engine.items()
-            if name.startswith("rack_echo_")}
-    if rack:
-        events = {cell["events"] for cell in rack.values()}
-        if len(events) != 1:
-            problems.append(f"rack_echo modes dispatched different event "
-                            f"counts: { {n: c['events'] for n, c in rack.items()} }")
-        parallel = engine.get("rack_echo_parallel")
-        if parallel is not None:
-            for key in ("windows", "projected_speedup", "cpu_cores"):
-                if key not in parallel:
-                    problems.append(f"rack_echo_parallel missing {key!r}")
+
+def _number(cell: dict, key: str):
+    value = cell.get(key)
+    return value if isinstance(value, (int, float)) else None
+
+
+def _engine_modes_agree(cells: dict) -> list[str]:
+    """The cross-mode contract: every ``rack_echo_*`` engine mode
+    dispatches the same number of events."""
+    events = {name: cell.get("events") for name, cell in cells.items()
+              if name.startswith("rack_echo_")}
+    if len(set(events.values())) > 1:
+        return [f"rack_echo modes dispatched different event counts: {events}"]
+    return []
+
+
+def _rack_tail_recovers(cells: dict) -> list[str]:
+    """Cells that ran a membership script must clear the scenario's
+    rebalance-quality bar (declared on the rack scenario)."""
+    problems = []
+    for name, cell in cells.items():
+        if cell.get("scenario") is None:
+            continue
+        ratio = _number(cell, "recovery_ratio")
+        failure = (f"bad 'recovery_ratio': {ratio!r}"
+                   if ratio is None or ratio <= 0
+                   else RACK_RECOVERY.failure(ratio))
+        if failure:
+            problems.append(f"{name}: {failure}")
     return problems
 
 
-def validate_rack_section(data: dict) -> list[str]:
-    """Schema-check the ``rack`` section of a BENCH_perf.json payload.
-
-    Every cell is one rack YCSB run: the sweep coordinates (boards,
-    tors, clients, ops), positive throughput numbers, and the tail
-    split around the membership event.  Cells that ran a membership
-    scenario must additionally clear the rebalance-quality bar: the
-    post-event p99 within 1.5x of the pre-event p99.
-    """
-    problems: list[str] = []
-    rack = data.get("rack")
-    if not rack:
-        return ["no 'rack' section"]
-    for name, cell in rack.items():
-        for key in ("boards", "tors", "clients", "ops",
-                    "sim_ops_per_sec", "events_per_sec", "wall_s",
-                    "pre_p99_us", "post_p99_us"):
-            if not isinstance(cell.get(key), (int, float)) or cell[key] <= 0:
-                problems.append(f"{name}: bad {key!r}: {cell.get(key)!r}")
-        if not isinstance(cell.get("migrations"), int) \
-                or cell["migrations"] < 0:
-            problems.append(f"{name}: bad 'migrations': "
-                            f"{cell.get('migrations')!r}")
-        scenario = cell.get("scenario")
-        if scenario is not None:
-            ratio = cell.get("recovery_ratio")
-            if not isinstance(ratio, (int, float)) or ratio <= 0:
-                problems.append(f"{name}: bad 'recovery_ratio': {ratio!r}")
-            elif ratio > 1.5:
-                problems.append(
-                    f"{name}: post-event p99 is {ratio}x the pre-event "
-                    "p99 (bar: 1.5x)")
-    return problems
-
-
-def validate_cache_section(data: dict) -> list[str]:
-    """Schema-check the ``cache`` section of a BENCH_perf.json payload.
-
-    Every cell must carry the sweep coordinates plus positive off/on
-    simulated throughputs, a positive speedup, and a hit rate in [0, 1];
-    at least one cell must clear the acceptance bar (>= 2x simulated
-    ops/sec at >= 90% hit rate — the reason the subsystem exists).
-    """
-    problems: list[str] = []
-    cache = data.get("cache")
-    if not cache:
-        return ["no 'cache' section"]
-    for name, cell in cache.items():
-        for key in ("sim_ops_per_sec_off", "sim_ops_per_sec_on",
-                    "speedup", "ops"):
-            if not isinstance(cell.get(key), (int, float)) or cell[key] <= 0:
-                problems.append(f"{name}: bad {key!r}: {cell.get(key)!r}")
-        hit_rate = cell.get("hit_rate")
-        if not isinstance(hit_rate, (int, float)) or not 0 <= hit_rate <= 1:
-            problems.append(f"{name}: bad 'hit_rate': {hit_rate!r}")
-        if cell.get("policy") not in ("through", "back"):
-            problems.append(f"{name}: bad 'policy': {cell.get('policy')!r}")
-    if not any(isinstance(c.get("speedup"), (int, float))
-               and isinstance(c.get("hit_rate"), (int, float))
-               and c["speedup"] >= 2.0 and c["hit_rate"] >= 0.9
-               for c in cache.values()):
+def _cache_acceptance(cells: dict) -> list[str]:
+    """At least one cell clears >= 2x simulated ops/sec at >= 90% hit
+    rate — the reason the subsystem exists."""
+    problems = [f"{name}: bad 'policy': {cell.get('policy')!r}"
+                for name, cell in cells.items()
+                if cell.get("policy") not in ("through", "back")]
+    if not any((_number(cell, "speedup") or 0) >= 2.0
+               and (_number(cell, "hit_rate") or 0) >= 0.9
+               for cell in cells.values()):
         problems.append("no cache cell clears the acceptance bar "
                         "(speedup >= 2.0 at hit_rate >= 0.9)")
     return problems
 
 
-def validate_cxl_section(data: dict) -> list[str]:
-    """Schema-check the ``cxl`` section of a BENCH_perf.json payload.
-
-    The section carries the three-way trade-off the CXL backend exists
-    to demonstrate, as committed numbers:
-
-    * ``subline_read.*`` — cache-line loads skip RPC framing, so the
-      CXL 64B hot read must beat Clio's;
-    * ``pooled_churn.*`` — write-heavy churn on a shared pool pays
-      coherence (back-invalidation ping-pong), so CXL's churn tail must
-      *lose* to Clio's coherence-free RPC writes;
-    * ``noisy_neighbor.*`` — per-tenant egress shaping holds the victim
-      p99 inflation to <= 1.5x; removing it lets the same aggressors
-      inflate the tail >= 2x.
-    """
-    problems: list[str] = []
-    cxl = data.get("cxl")
-    if not cxl:
-        return ["no 'cxl' section"]
-    for name, cell in cxl.items():
-        if name.startswith("subline_read."):
-            keys = ("ops", "read_p50_ns", "read_p99_ns")
-        elif name.startswith("pooled_churn."):
-            keys = ("clients", "ops", "write_p50_ns", "write_p99_ns")
-        elif name.startswith("noisy_neighbor."):
-            keys = ("victim_base_p99_ns", "victim_noisy_p99_ns",
-                    "inflation", "aggressor_ops")
-        else:
-            problems.append(f"unknown cxl cell {name!r}")
-            continue
-        for key in keys + ("wall_s", "events"):
-            if not isinstance(cell.get(key), (int, float)) or cell[key] <= 0:
-                problems.append(f"{name}: bad {key!r}: {cell.get(key)!r}")
-
-    def cell(name, key):
-        value = cxl.get(name, {}).get(key)
-        return value if isinstance(value, (int, float)) else None
-
-    cxl_read = cell("subline_read.cxl", "read_p50_ns")
-    clio_read = cell("subline_read.clio", "read_p50_ns")
-    if cxl_read is None or clio_read is None:
-        problems.append("missing subline_read.{cxl,clio} cells")
-    elif not cxl_read < clio_read:
-        problems.append(f"CXL sub-line read ({cxl_read} ns) does not beat "
-                        f"Clio ({clio_read} ns)")
-    cxl_churn = cell("pooled_churn.cxl", "write_p99_ns")
-    clio_churn = cell("pooled_churn.clio", "write_p99_ns")
-    if cxl_churn is None or clio_churn is None:
-        problems.append("missing pooled_churn.{cxl,clio} cells")
-    elif not cxl_churn > clio_churn:
-        problems.append(f"CXL pooled churn p99 ({cxl_churn} ns) should "
-                        f"lose to Clio ({clio_churn} ns) but does not")
-    shaped = cell("noisy_neighbor.shaped", "inflation")
-    unshaped = cell("noisy_neighbor.unshaped", "inflation")
-    if shaped is None or unshaped is None:
-        problems.append("missing noisy_neighbor.{shaped,unshaped} cells")
-    else:
-        if shaped > 1.5:
-            problems.append(f"shaped victim p99 inflation {shaped}x "
-                            "exceeds the 1.5x isolation bar")
-        if unshaped < 2.0:
-            problems.append(f"unshaped victim p99 inflation {unshaped}x "
-                            "under 2x: the scenario exerts no pressure")
+def _cxl_tradeoffs(cells: dict) -> list[str]:
+    """The three-way trade-off the CXL backend exists to demonstrate:
+    cache-line loads skip RPC framing, so the CXL 64B hot read beats
+    Clio's; write-heavy churn on a shared pool pays coherence, so CXL's
+    churn tail *loses* to Clio's; and the noisy-neighbor cells clear the
+    QoS scenarios' isolation bars."""
+    problems = []
+    for prefix, key, cxl_wins in (("subline_read", "read_p50_ns", True),
+                                  ("pooled_churn", "write_p99_ns", False)):
+        cxl, clio = (_number(cells.get(f"{prefix}.{side}", {}), key)
+                     for side in ("cxl", "clio"))
+        if cxl is None or clio is None:
+            problems.append(f"missing {prefix}.{{cxl,clio}} cells")
+        elif cxl == clio or (cxl < clio) != cxl_wins:
+            problems.append(
+                f"{prefix}: CXL {key} {cxl} vs Clio {clio} — CXL should "
+                + ("beat Clio" if cxl_wins else "lose to Clio"))
+    for side, bar in (("shaped", QOS_SHAPED), ("unshaped", QOS_UNSHAPED)):
+        inflation = _number(cells.get(f"noisy_neighbor.{side}", {}),
+                            "inflation")
+        failure = ("cell missing" if inflation is None
+                   else bar.failure(inflation))
+        if failure:
+            problems.append(f"noisy_neighbor.{side}: {failure}")
     return problems
 
 
-def validate_alloc_section(data: dict) -> list[str]:
-    """Schema-check the ``alloc`` section of a BENCH_perf.json payload.
-
-    Every churn cell carries the scenario/strategy coordinates, op
-    counts, simulated allocation-latency percentiles, retry counts, a
-    slow-crossing count, and a fragmentation ratio in [0, 1].  The
-    acceptance bars: for some scenario the arena cell's slow-path
-    crossings must be at most half the freelist cell's, some buddy cell
-    must report an external-fragmentation ratio, and the default
-    freelist cell must pin a determinism fingerprint.
-    """
-    problems: list[str] = []
-    alloc = data.get("alloc")
-    if not alloc:
-        return ["no 'alloc' section"]
-    churn = {name: cell for name, cell in alloc.items()
-             if isinstance(cell, dict) and "strategy" in cell}
-    for name, cell in churn.items():
-        for key in ("ops", "alloc_p50_us", "alloc_p99_us"):
-            if not isinstance(cell.get(key), (int, float)) or cell[key] <= 0:
-                problems.append(f"{name}: bad {key!r}: {cell.get(key)!r}")
-        for key in ("retries", "slow_crossings", "failed"):
-            if not isinstance(cell.get(key), int) or cell[key] < 0:
-                problems.append(f"{name}: bad {key!r}: {cell.get(key)!r}")
-        frag = cell.get("fragmentation")
-        if not isinstance(frag, (int, float)) or not 0 <= frag <= 1:
-            problems.append(f"{name}: bad 'fragmentation': {frag!r}")
+def _alloc_acceptance(cells: dict) -> list[str]:
+    """For some scenario the arena cell's slow-path crossings are at
+    most half the freelist cell's, some buddy cell reports a
+    fragmentation ratio, and a freelist cell pins a fingerprint."""
     by_pair = {(cell.get("scenario"), cell.get("strategy")): cell
-               for cell in churn.values()}
-    arena_win = any(
-        (scenario, "arena") in by_pair
-        and by_pair[(scenario, "arena")]["slow_crossings"] * 2
-        <= cell["slow_crossings"]
-        for (scenario, strategy), cell in by_pair.items()
-        if strategy == "freelist")
-    if not arena_win:
+               for cell in cells.values()}
+    problems = []
+    if not any((scenario, "arena") in by_pair
+               and by_pair[(scenario, "arena")]["slow_crossings"] * 2
+               <= cell["slow_crossings"]
+               for (scenario, strategy), cell in by_pair.items()
+               if strategy == "freelist"):
         problems.append("no scenario shows arena slow-path crossings at "
                         "<= half the freelist's (acceptance bar: 2x cut)")
     if not any(cell.get("strategy") == "buddy"
-               and isinstance(cell.get("fragmentation"), (int, float))
-               for cell in churn.values()):
+               and _number(cell, "fragmentation") is not None
+               for cell in cells.values()):
         problems.append("no buddy cell reports an external-fragmentation "
                         "ratio")
     if not any(cell.get("strategy") == "freelist"
                and isinstance(cell.get("fingerprint"), str)
                and len(cell["fingerprint"]) >= 16
-               for cell in churn.values()):
+               for cell in cells.values()):
         problems.append("no freelist cell pins a determinism fingerprint")
     return problems
+
+
+def _batch_series(cells: dict) -> list[str]:
+    """Every batch cell is a non-empty sweep of batch size -> positive
+    off/on simulated throughputs and speedup."""
+    problems = []
+    for name, cell in cells.items():
+        if cell.get("kind") not in ("read", "write"):
+            problems.append(f"{name}: bad 'kind': {cell.get('kind')!r}")
+        series = cell.get("series")
+        if not series:
+            problems.append(f"{name}: empty sweep series")
+            continue
+        for batch_size, point in series.items():
+            if int(batch_size) < 1:
+                problems.append(f"{name}: bad batch size {batch_size!r}")
+            problems.extend(
+                f"{name}[{batch_size}]: bad {key!r}: {point.get(key)!r}"
+                for key in ("sim_ops_per_sec_off", "sim_ops_per_sec_on",
+                            "speedup") if not (_number(point, key) or 0) > 0)
+    return problems
+
+
+@dataclass(frozen=True)
+class Section:
+    """Schema of one BENCH_perf.json section.
+
+    Key specs are tuples applying to every cell, or ``{cell-name prefix:
+    keys}`` dicts (a cell matching no prefix is a problem).
+    """
+
+    positive: Union[tuple, dict] = ()   # numbers > 0
+    counts: tuple = ()                  # ints >= 0
+    unit: tuple = ()                    # numbers in [0, 1]
+    bars: tuple = ()                    # cells -> problems
+    #: Which entries of the section are cells (alloc also holds scalars).
+    is_cell: Callable[[object], bool] = lambda cell: True
+
+
+SECTIONS = {
+    "engine": Section(positive=("wall_s", "events", "events_per_sec"),
+                      bars=(_engine_modes_agree,)),
+    "rack": Section(
+        positive=("boards", "tors", "clients", "ops", "sim_ops_per_sec",
+                  "events_per_sec", "wall_s", "pre_p99_us", "post_p99_us"),
+        counts=("migrations",), bars=(_rack_tail_recovers,)),
+    "cache": Section(
+        positive=("sim_ops_per_sec_off", "sim_ops_per_sec_on", "speedup",
+                  "ops"),
+        unit=("hit_rate",), bars=(_cache_acceptance,)),
+    "cxl": Section(
+        positive={
+            "subline_read.": ("ops", "read_p50_ns", "read_p99_ns",
+                              "wall_s", "events"),
+            "pooled_churn.": ("clients", "ops", "write_p50_ns",
+                              "write_p99_ns", "wall_s", "events"),
+            "noisy_neighbor.": ("victim_base_p99_ns", "victim_noisy_p99_ns",
+                                "inflation", "aggressor_ops", "wall_s",
+                                "events"),
+        },
+        bars=(_cxl_tradeoffs,)),
+    "alloc": Section(
+        positive=("ops", "alloc_p50_us", "alloc_p99_us"),
+        counts=("retries", "slow_crossings", "failed"),
+        unit=("fragmentation",), bars=(_alloc_acceptance,),
+        is_cell=lambda cell: isinstance(cell, dict) and "strategy" in cell),
+    "batch": Section(positive=("op_size", "ops"), bars=(_batch_series,)),
+}
+
+
+def validate_section(data: dict, name: str) -> list[str]:
+    """Schema-check section ``name`` of a BENCH_perf.json payload;
+    returns the problems (empty when the section is well-formed)."""
+    spec = SECTIONS[name]
+    if not data.get(name):
+        return [f"no {name!r} section"]
+    cells = {cell_name: cell for cell_name, cell in data[name].items()
+             if spec.is_cell(cell)}
+    problems: list[str] = []
+    for cell_name, cell in cells.items():
+        positive = spec.positive
+        if isinstance(positive, dict):
+            positive = next((keys for prefix, keys in positive.items()
+                             if cell_name.startswith(prefix)), None)
+            if positive is None:
+                problems.append(f"unknown {name} cell {cell_name!r}")
+                continue
+        checks = ((positive, lambda v: v > 0),
+                  (spec.counts, lambda v: isinstance(v, int) and v >= 0),
+                  (spec.unit, lambda v: 0 <= v <= 1))
+        for keys, ok in checks:
+            for key in keys:
+                value = _number(cell, key)
+                if value is None or not ok(value):
+                    problems.append(
+                        f"{cell_name}: bad {key!r}: {cell.get(key)!r}")
+    for bar in spec.bars:
+        problems.extend(bar(cells))
+    return problems
+
+
+def main(argv: list[str]) -> int:
+    """``perf_common.py validate SECTION...`` — CI's schema check."""
+    if len(argv) < 2 or argv[0] != "validate":
+        print(f"usage: perf_common.py validate {{{','.join(SECTIONS)}}}...")
+        return 2
+    with open(BENCH_FILE) as handle:
+        data = json.load(handle)
+    failed = 0
+    for name in argv[1:]:
+        problems = validate_section(data, name)
+        for problem in problems:
+            print(f"BENCH_perf.json {name}: {problem}")
+        if not problems:
+            print(f"BENCH_perf.json {name} section OK: {sorted(data[name])}")
+        failed += bool(problems)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -17,7 +17,7 @@ What is on trial:
 All comparisons are over *simulated* time and deterministic counters,
 so the asserted bars are safe on shared CI runners.  Results land in
 ``BENCH_perf.json`` under the ``alloc`` section (schema-checked by
-``perf_common.validate_alloc_section``).  Set ``REPRO_BENCH_TINY=1``
+``perf_common.validate_section``).  Set ``REPRO_BENCH_TINY=1``
 (the CI alloc-smoke job does) to shrink the workload.
 """
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 import time
 
-from perf_common import record, validate_alloc_section
+from perf_common import record, validate_section
 
 from repro.workloads.churn import run_churn
 
@@ -104,5 +104,5 @@ def test_alloc_section_schema_validates():
 
     with open(BENCH_FILE) as handle:
         data = json.load(handle)
-    problems = validate_alloc_section(data)
+    problems = validate_section(data, "alloc")
     assert not problems, problems

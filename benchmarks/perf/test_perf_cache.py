@@ -15,7 +15,7 @@ round trip per set, and cross-CN sharing turns writes into recall
 traffic — the sweep shows the crossover, not a free lunch.
 
 Results land in ``BENCH_perf.json`` under the ``cache`` section
-(schema-checked by ``perf_common.validate_cache_section``).  Set
+(schema-checked by ``perf_common.validate_section``).  Set
 ``REPRO_BENCH_TINY=1`` (the CI bench-smoke job does) to shrink the grid.
 """
 

@@ -1,27 +1,18 @@
 """Partitioned-engine throughput: the 8-board packet-echo rack.
 
-One model, four engine modes, identical event streams:
+One model, two engine modes, identical event streams:
 
 * ``rack_echo_flat``        — the global-heap :class:`Environment`;
 * ``rack_echo_partitioned`` — the single-process partitioned scheduler
   (must dispatch exactly the same events — it is bit-identical by
-  construction);
-* ``rack_echo_parallel``    — the conservative-window executor.  The
-  committed number is the *critical-path projection* (``workers=0``):
-  the same windowed schedule runs in-process, each partition's window is
-  timed separately, and the projected wall is the sum of per-window
-  maxima — the standard PDES bound, independent of how many cores the
-  measuring machine happens to have.  A measured forked run is recorded
-  alongside (``rack_echo_forked``) and only asserted on when the machine
-  actually has cores to parallelize over.
+  construction).
 
 The model: 8 nodes, each a client+board pair in its own partition.
 Client ``i`` keeps ``INFLIGHT`` echo slots against board ``(i+3) % 8``;
 every hop crosses a channel with the link propagation delay as its
 lookahead, and the board charges a service delay per request.  Three
 events per round trip (request delivery, service completion, reply
-delivery) — all pure callbacks, so the same structure runs unchanged in
-forked workers.
+delivery) — all pure callbacks.
 """
 
 from __future__ import annotations
@@ -34,10 +25,10 @@ from perf_common import (
     best_of,
     record,
     run_timed,
-    validate_engine_section,
+    validate_section,
 )
 
-from repro.sim import Environment, ParallelExecutor, PartitionedEnvironment
+from repro.sim import Environment, PartitionedEnvironment
 
 TINY = bool(os.environ.get("REPRO_BENCH_TINY"))
 
@@ -61,7 +52,7 @@ def _run_and_count(env, done) -> dict:
     The kickoff sends are scheduled at build time, before the timed
     region, but dispatched inside it — and every event this model
     schedules fires before the deadline, so the final sequence counter
-    is the dispatch count (matching ``ParallelExecutor.events``).
+    is the dispatch count.
     """
     metrics = run_timed(env, lambda: env.run(until=DEADLINE_NS))
     assert sum(done) == NODES * INFLIGHT
@@ -167,72 +158,9 @@ def test_perf_rack_echo_partitioned():
     assert metrics["events_per_sec"] > 20_000
 
 
-def test_perf_rack_echo_parallel():
-    cores = os.cpu_count() or 1
-
-    # Serial reference: the flat engine on this machine, right now.
-    env, done = build_flat()
-    serial = _run_and_count(env, done)
-
-    # Critical-path projection (workers=0): deterministic windowed
-    # schedule, projected wall = sum over windows of the slowest
-    # partition's dispatch time.
-    env, done = build_partitioned()
-    executor = ParallelExecutor(env, workers=0)
-    stats = executor.run(DEADLINE_NS)
-    assert sum(done) == NODES * INFLIGHT
-    assert stats["events"] == serial["events"] == EXPECTED_EVENTS
-
-    projected = stats["events"] / stats["projected_wall_s"]
-    speedup = (projected / serial["events_per_sec"]
-               if serial["events_per_sec"] else 0.0)
-    metrics = {
-        "wall_s": stats["wall_s"],
-        "projected_wall_s": stats["projected_wall_s"],
-        "events": stats["events"],
-        "events_per_sec": round(projected),
-        "serial_events_per_sec": serial["events_per_sec"],
-        "projected_speedup": round(speedup, 2),
-        "windows": stats["windows"],
-        "null_messages": stats["null_messages"],
-        "channel_messages": stats["channel_messages"],
-        "lookahead_ns": stats["lookahead_ns"],
-        "cpu_cores": cores,
-    }
-    record("engine", "rack_echo_parallel", metrics)
-    print(f"rack_echo_parallel: {metrics}")
-    # The acceptance bar: >= 2x the serial engine on the 8-board rack.
-    # The projection is the per-window critical path over 8 balanced
-    # partitions, so this holds on any machine; the forked test below
-    # checks measured wall clock where cores exist to back it.
-    assert speedup >= 2.0, f"projected speedup {speedup:.2f} < 2.0"
-
-    # Measured forked run: honest wall clock, asserted only where the
-    # hardware can parallelize (CI and dev laptops; not 1-core boxes).
-    env, _done = build_partitioned()
-    executor = ParallelExecutor(env)
-    forked = executor.run(DEADLINE_NS)
-    assert forked["events"] == EXPECTED_EVENTS
-    measured = {
-        "wall_s": forked["wall_s"],
-        "events": forked["events"],
-        "events_per_sec": round(forked["events"] / forked["wall_s"])
-        if forked["wall_s"] else 0,
-        "workers": forked["workers"],
-        "windows": forked["windows"],
-        "cpu_cores": cores,
-    }
-    record("engine", "rack_echo_forked", measured)
-    print(f"rack_echo_forked: {measured}")
-    if cores >= 4:
-        assert measured["events_per_sec"] > serial["events_per_sec"], \
-            "forked executor slower than the serial engine on a " \
-            f"{cores}-core machine"
-
-
 def test_bench_engine_schema():
     """The committed BENCH_perf.json engine section stays well-formed."""
     with open(BENCH_FILE) as handle:
         data = json.load(handle)
-    problems = validate_engine_section(data)
+    problems = validate_section(data, "engine")
     assert not problems, problems

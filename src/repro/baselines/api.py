@@ -33,7 +33,6 @@ from __future__ import annotations
 import abc
 import enum
 import itertools
-import warnings
 from typing import Optional
 
 from repro.params import ClioParams, DEFAULT_PARAMS
@@ -479,12 +478,3 @@ def create_backend(name: str, params: Optional[ClioParams] = None,
         raise ValueError(
             f"unknown backend {name!r}; expected one of {BACKEND_NAMES}")
     return cls(params=params, seed=seed)
-
-
-def warn_direct_kwarg(cls_name: str, kwarg: str) -> None:
-    """Deprecation shim for per-backend constructor setup kwargs."""
-    warnings.warn(
-        f"{cls_name}({kwarg}=...) is deprecated; set "
-        f"ClioParams.backend.{kwarg} (repro.params.BackendParams) and use "
-        "repro.baselines.create_backend() instead",
-        DeprecationWarning, stacklevel=3)

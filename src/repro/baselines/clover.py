@@ -27,25 +27,14 @@ class CloverStore:
     VALUE_SLOT = 1 << 10   # fixed slot per version (1 KB values in YCSB)
 
     def __init__(self, env: Environment, params: ClioParams,
-                 rng: Optional[RandomStream] = None,
-                 dram_capacity: Optional[int] = None):
-        if dram_capacity is not None:
-            from repro.baselines.api import warn_direct_kwarg
-            warn_direct_kwarg("CloverStore", "dram_capacity")
+                 rng: Optional[RandomStream] = None):
         self.env = env
         self.params = params
         self.clover = params.clover
         self.rng = rng or RandomStream(0, "clover")
-        # The substrate is plain RDMA to raw memory.  The capacity was
-        # already resolved against BackendParams here, so silence the
-        # inner constructor's deprecation shim.
-        import warnings as _warnings
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", DeprecationWarning)
-            self.rdma_node = RDMAMemoryNode(
-                env, params,
-                rng=(rng or RandomStream(0, "clover")).fork("rdma"),
-                dram_capacity=dram_capacity)
+        # The substrate is plain RDMA to raw memory.
+        self.rdma_node = RDMAMemoryNode(
+            env, params, rng=(rng or RandomStream(0, "clover")).fork("rdma"))
         self._setup_done = False
         self._qp = None
         self._region = None
@@ -58,17 +47,13 @@ class CloverStore:
         # Energy accounting: CN-side management cycles.
         self.cn_mgmt_busy_ns = 0
 
-    def setup(self, capacity_slots: Optional[int] = None):
+    def setup(self):
         """Process-generator: register the backing region (pinned — PDM
         systems require physical pinning, one of the paper's criticisms).
 
-        The slot count comes from ``ClioParams.backend.capacity_slots``;
-        passing it here directly is deprecated.
+        The slot count comes from ``ClioParams.backend.capacity_slots``.
         """
-        if capacity_slots is not None:
-            from repro.baselines.api import warn_direct_kwarg
-            warn_direct_kwarg("CloverStore.setup", "capacity_slots")
-        slots = capacity_slots or self.params.backend.capacity_slots
+        slots = self.params.backend.capacity_slots
         self._qp = self.rdma_node.create_qp()
         self._region = yield from self.rdma_node.register_mr(
             slots * self.VALUE_SLOT, pinned=True)

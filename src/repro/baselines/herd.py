@@ -28,25 +28,17 @@ class HERDServer:
 
     def __init__(self, env: Environment, params: ClioParams,
                  on_bluefield: bool = False,
-                 rng: Optional[RandomStream] = None,
-                 dram_capacity: Optional[int] = None,
-                 server_cores: Optional[int] = None):
-        from repro.baselines.api import warn_direct_kwarg
-        if dram_capacity is not None:
-            warn_direct_kwarg("HERDServer", "dram_capacity")
-        if server_cores is not None:
-            warn_direct_kwarg("HERDServer", "server_cores")
+                 rng: Optional[RandomStream] = None):
         self.env = env
         self.params = params
         self.herd = params.herd
         self.on_bluefield = on_bluefield
         self.rng = rng or RandomStream(0, "herd")
-        capacity = (dram_capacity or params.backend.dram_capacity
+        capacity = (params.backend.dram_capacity
                     or params.cboard.dram_capacity)
         self.dram = DRAM(capacity, access_ns=100,
                          bandwidth_bps=params.cboard.dram_bandwidth_bps)
-        self._cores = Resource(env, capacity=server_cores
-                               or params.backend.server_cores
+        self._cores = Resource(env, capacity=params.backend.server_cores
                                or params.herd.server_cores)
         self._index: dict[bytes, int] = {}
         self._next_slot = 0

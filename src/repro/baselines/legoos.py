@@ -21,16 +21,12 @@ class LegoOSMemoryNode:
     """Software virtual-memory MN over an RDMA-like network."""
 
     def __init__(self, env: Environment, params: ClioParams,
-                 rng: Optional[RandomStream] = None,
-                 dram_capacity: Optional[int] = None):
-        if dram_capacity is not None:
-            from repro.baselines.api import warn_direct_kwarg
-            warn_direct_kwarg("LegoOSMemoryNode", "dram_capacity")
+                 rng: Optional[RandomStream] = None):
         self.env = env
         self.params = params
         self.lego = params.legoos
         self.rng = rng or RandomStream(0, "legoos")
-        capacity = (dram_capacity or params.backend.dram_capacity
+        capacity = (params.backend.dram_capacity
                     or params.cboard.dram_capacity)
         self.dram = DRAM(capacity, access_ns=100,
                          bandwidth_bps=params.cboard.dram_bandwidth_bps)

@@ -82,16 +82,12 @@ class RDMAMemoryNode:
     _qp_ids = itertools.count(1)
 
     def __init__(self, env: Environment, params: ClioParams,
-                 rng: Optional[RandomStream] = None,
-                 dram_capacity: Optional[int] = None):
-        if dram_capacity is not None:
-            from repro.baselines.api import warn_direct_kwarg
-            warn_direct_kwarg("RDMAMemoryNode", "dram_capacity")
+                 rng: Optional[RandomStream] = None):
         self.env = env
         self.params = params
         self.rdma = params.rdma
         self.rng = rng or RandomStream(0, "rdma")
-        capacity = (dram_capacity or params.backend.dram_capacity
+        capacity = (params.backend.dram_capacity
                     or params.cboard.dram_capacity)
         self.dram = DRAM(capacity, access_ns=100,
                          bandwidth_bps=params.cboard.dram_bandwidth_bps)

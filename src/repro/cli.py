@@ -237,57 +237,66 @@ def cmd_alloc(args) -> int:
     return 0
 
 
+def _determinism_problems(args, scenario, result, what: str = "") -> list:
+    """--check-determinism: rerun on the *other* engine — the
+    single-process partitioned scheduler must match the flat engine bit
+    for bit."""
+    from repro.verify import same_on_other_engine
+
+    if not args.check_determinism:
+        return []
+    if same_on_other_engine(scenario, result, seed=args.seed,
+                            partitioned=args.pdes):
+        print(f"determinism: flat and partitioned {what}fingerprints "
+              "bit-identical")
+        return []
+    return [f"partitioned/flat engines disagree on the same-seed {what}"
+            "fingerprint"]
+
+
+def _verdict(problems: list, label: str, all_clear: str) -> int:
+    """Print every problem (exit 1) or the all-clear line (exit 0)."""
+    for problem in problems:
+        print(f"{label}: {problem}")
+    if not problems:
+        print(all_clear)
+    return 1 if problems else 0
+
+
 def _cmd_alloc_churn(args) -> int:
     """Fragmentation/churn scenario across allocation strategies."""
-    from repro.workloads.churn import CHURN_SCENARIOS, run_churn
+    from repro.verify import ALLOC_STRATEGIES, run_scenario, scenario
+    from repro.workloads.churn import CHURN_SCENARIOS
 
-    scenario = args.churn
-    if scenario not in CHURN_SCENARIOS:
-        raise SystemExit(f"unknown churn scenario {scenario!r}; choose from "
-                         f"{sorted(CHURN_SCENARIOS)}")
-    strategies = ([args.strategy] if args.strategy
-                  else ["freelist", "slab", "buddy", "arena"])
-    policies = [args.va_policy] if args.va_policy else ["first-fit"]
-    rows = []
-    failures = 0
-    fingerprints = {}
-    for strategy in strategies:
-        for policy in policies:
-            report = run_churn(scenario, pa_strategy=strategy,
-                               va_policy=policy, seed=args.seed,
-                               ops=args.ops, partitioned=args.pdes)
-            summary = report.summary()
-            failures += len(report.violations)
-            fingerprints[(strategy, policy)] = report.fingerprint()
-            rows.append([
-                strategy, policy, summary["ops"], summary["failed"],
-                round(summary["alloc_p50_us"], 1),
-                round(summary["alloc_p99_us"], 1),
-                summary["retries"], summary["retry_max"],
-                summary["slow_crossings"], summary["fragmentation"],
-                len(report.violations), summary["fingerprint"][:12],
-            ])
+    if args.churn not in CHURN_SCENARIOS:
+        raise SystemExit(f"unknown churn scenario {args.churn!r}; choose "
+                         f"from {sorted(CHURN_SCENARIOS)}")
+    strategies = [args.strategy] if args.strategy else ALLOC_STRATEGIES
+    policy = args.va_policy or "first-fit"
+    points = [scenario(f"alloc-{strategy}", mix=args.churn, va_policy=policy,
+                       ops=args.ops, verify=False)
+              for strategy in strategies]
+    results = [run_scenario(point, seed=args.seed, partitioned=args.pdes)
+               for point in points]
     print(render_table(
-        f"churn scenario '{scenario}' (seed {args.seed}"
+        f"churn scenario '{args.churn}' (seed {args.seed}"
         + (", pdes" if args.pdes else "") + ")",
         ["strategy", "va policy", "ops", "failed", "p50 us", "p99 us",
          "retries", "retry max", "crossings", "frag", "violations",
-         "fingerprint"], rows))
-    if args.check_determinism:
-        for (strategy, policy), fingerprint in fingerprints.items():
-            rerun = run_churn(scenario, pa_strategy=strategy,
-                              va_policy=policy, seed=args.seed,
-                              ops=args.ops, partitioned=not args.pdes)
-            tag = f"{strategy}/{policy}"
-            if rerun.fingerprint() != fingerprint:
-                print(f"DETERMINISM VIOLATION: {tag} diverges across engines")
-                failures += 1
-            else:
-                print(f"determinism ok: {tag} matches on the other engine")
-    if failures:
-        print(f"{failures} problem(s) detected")
-        return 1
-    return 0
+         "fingerprint"],
+        [[strategy, policy, r.extras["ops"], r.extras["failed"],
+          round(r.extras["alloc_p50_us"], 1),
+          round(r.extras["alloc_p99_us"], 1), r.extras["retries"],
+          r.extras["retry_max"], r.extras["slow_crossings"],
+          r.extras["fragmentation"], len(r.violations),
+          r.extras["fingerprint"][:12]]
+         for strategy, r in zip(strategies, results)]))
+    problems = []
+    for strategy, point, result in zip(strategies, points, results):
+        problems += result.problems() + _determinism_problems(
+            args, point, result, f"{strategy}/{policy} ")
+    return _verdict(problems, "VIOLATION",
+                    f"churn: {len(results)} strategies clean")
 
 
 def cmd_ycsb(args) -> int:
@@ -328,27 +337,29 @@ def cmd_ycsb(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    from repro.faults.scenarios import SCENARIOS, run_chaos
+    from repro.faults.scenarios import SCENARIOS
+    from repro.verify import run_scenario, scenario
 
     if args.scenario not in SCENARIOS:
         raise SystemExit(f"unknown scenario {args.scenario!r}; "
                          f"choose from {sorted(SCENARIOS)}")
-    cached = "back" if args.cache else None
-    kwargs = dict(ops_per_worker=args.ops, cached=cached, verify=args.cache)
+    sizes = dict(ops=args.ops, verify=args.cache)
     if args.cache:
-        # A small shared region keeps the workers on each other's lines.
-        kwargs["region_bytes"] = 64 * 1024
-    report = run_chaos(args.scenario, seed=args.seed,
-                       partitioned=args.pdes, **kwargs)
-    problems = report.check_invariants()
+        # Write-back, and a small shared region to keep the workers on
+        # each other's lines.
+        sizes.update(cached="back", region_bytes=64 * KB)
+    point = scenario("chaos", schedule=args.scenario, **sizes)
+    result = run_scenario(point, seed=args.seed, partitioned=args.pdes)
+    report = result.extras["chaos"]
+    problems = result.problems()
     failures = sorted({op.status for op in report.ops if op.status != "ok"})
-    rows = [[report.scenario, "yes" if report.finished else "NO",
-             report.completed_ops, report.failed_ops,
-             ",".join(failures) or "-", len(report.faults)]]
     print(render_table(
         f"chaos: {args.scenario} (seed {args.seed})",
         ["scenario", "finished", "ops ok", "ops failed", "failure kinds",
-         "faults applied"], rows))
+         "faults applied"],
+        [[report.scenario, "yes" if report.finished else "NO",
+          report.completed_ops, report.failed_ops,
+          ",".join(failures) or "-", len(report.faults)]]))
     tput = report.phase_throughput()
     if tput is not None:
         print(render_table(
@@ -358,169 +369,68 @@ def cmd_chaos(args) -> int:
               f"{tput['recovery_ratio']:.1%}"]]))
     if report.cache_counters is not None:
         directory = report.cache_counters["dir"]
-        hits = sum(c["hits"] for n, c in report.cache_counters.items()
-                   if n != "dir")
-        misses = sum(c["misses"] for n, c in report.cache_counters.items()
-                     if n != "dir")
+        nodes = [c for n, c in report.cache_counters.items() if n != "dir"]
         print(render_table(
             "cache coherence under faults",
             ["hits", "misses", "recalls", "downgrades", "inval retries",
              "flush retries"],
-            [[hits, misses, directory["recalls"], directory["downgrades"],
+            [[sum(c["hits"] for c in nodes), sum(c["misses"] for c in nodes),
+              directory["recalls"], directory["downgrades"],
               directory["inval_retries"],
-              sum(c["flush_retries"] for n, c in
-                  report.cache_counters.items() if n != "dir")]]))
-    if args.check_determinism:
-        # Rerun on the *other* engine too: the single-process partitioned
-        # scheduler must match the flat engine bit for bit.
-        repeat = run_chaos(args.scenario, seed=args.seed,
-                           partitioned=not args.pdes, **kwargs)
-        if repeat.fingerprint() != report.fingerprint():
-            problems.append("partitioned/flat engines disagree on the "
-                            "same-seed fingerprint")
-        else:
-            print("determinism: flat and partitioned fingerprints "
-                  "bit-identical")
-    if problems:
-        for problem in problems:
-            print(f"INVARIANT VIOLATED: {problem}")
-        return 1
-    print("invariants: all hold")
-    return 0
+              sum(c["flush_retries"] for c in nodes)]]))
+    problems += _determinism_problems(args, point, result)
+    return _verdict(problems, "INVARIANT VIOLATED", "invariants: all hold")
 
 
 def cmd_verify(args) -> int:
     """Run the correctness-checking stack end to end (docs/correctness.md).
 
-    Four passes: the MN atomic unit under multi-CN contention with a
-    crash mid-run (linearizability + invariants), Clio-KV get/put under
-    a YCSB-A-style mix with a crash (linearizability), a YCSB-A data mix
-    over batched rread/rwrite (shadow oracle + linearizability with the
-    adaptive batcher on), and a verified chaos scenario (shadow oracle +
-    invariant sweeps).  Exit 1 on any violation, with the offending
-    telemetry spans printed for context.
+    A loop over the suites table: the ``core`` rows (sync unit, Clio-KV,
+    batched YCSB) and the ``chaos`` row always run; ``cache``, ``alloc``,
+    ``rack`` and ``qos`` add their rows when named.  Exit 1 on any
+    violation or failed bar, with the offending telemetry spans printed
+    for context.
     """
-    from repro.verify import (
-        run_batched_ycsb,
-        run_cached_ycsb,
-        run_kv_linearizability,
-        run_sync_linearizability,
-        run_verified_chaos,
-        spans_near,
-    )
+    from repro.verify import SUITES, run_scenario, spans_near
 
+    unknown = sorted(set(args.suites) - set(SUITES))
+    if unknown:
+        raise SystemExit(f"unknown suites {unknown}; "
+                         f"choose from {', '.join(SUITES)}")
+    sizes = argparse.Namespace(ops=args.ops, clients=args.clients,
+                               crash=not args.no_crash, chaos=args.scenario)
     failures: list[str] = []
     rows = []
-
-    def audit(result):
-        status = "ok" if result.ok else "VIOLATED"
-        if result.lin is not None and result.lin.ok is None:
-            status = "undecided"
-        rows.append([result.name, result.history_len,
-                     "yes" if (result.lin and result.lin.ok) else
-                     ("n/a" if result.lin is None else "NO"),
-                     result.report.get("read_mismatches", 0),
-                     len(result.violations), status])
-        for problem in result.problems():
-            failures.append(problem)
-            at_ns = None
-            for violation in result.violations:
-                at_ns = violation.at_ns
-                break
-            if at_ns is not None:
-                failures.extend(spans_near(result.tracer, at_ns))
-
-    sync_result = run_sync_linearizability(
-        seed=args.seed, num_clients=args.clients,
-        ops_per_client=args.ops, crash=not args.no_crash,
-        partitioned=args.pdes)
-    audit(sync_result)
-    kv_result = run_kv_linearizability(
-        seed=args.seed, ops_per_client=args.ops, crash=not args.no_crash,
-        partitioned=args.pdes)
-    audit(kv_result)
-    batched_result = run_batched_ycsb(
-        seed=args.seed, num_clients=args.clients, ops_per_client=args.ops,
-        partitioned=args.pdes)
-    audit(batched_result)
-    if args.cache:
-        # The coherence acceptance passes: plain write-through, then the
-        # two hard histories — crash and migration while lines are
-        # cached and dirty (docs/caching.md).
-        audit(run_cached_ycsb(seed=args.seed, ops_per_client=args.ops,
-                              policy="through", partitioned=args.pdes))
-        audit(run_cached_ycsb(seed=args.seed, ops_per_client=args.ops,
-                              policy="back", crash=not args.no_crash,
-                              partitioned=args.pdes))
-        audit(run_cached_ycsb(seed=args.seed, ops_per_client=args.ops,
-                              policy="back", migrate=True,
-                              partitioned=args.pdes))
-
-    if getattr(args, "alloc", False):
-        # The allocator acceptance rows: the mixed-size churn scenario
-        # through every PA strategy with the oracle and per-metadata-op
-        # invariant sweeps (PA conservation, double-map, strategy audit).
-        from repro.verify import ALLOC_STRATEGIES, run_alloc_churn
-        for strategy in ALLOC_STRATEGIES:
-            audit(run_alloc_churn(scenario="small-large-mix",
-                                  pa_strategy=strategy,
-                                  seed=args.seed, ops=args.ops * 2,
-                                  partitioned=args.pdes))
-
-    if getattr(args, "rack", False):
-        # The rack acceptance rows: a graceful drain and a crash landing
-        # mid-migration, both under the zipfian YCSB with the oracle and
-        # the sync-word linearizability check attached.
-        from repro.verify import run_rack_ycsb
-        for scenario in ("drain", "crash-mid-migration"):
-            audit(run_rack_ycsb(
-                seed=args.seed, boards=args.rack_boards,
-                clients=args.rack_clients, ops_per_client=args.ops,
-                scenario=scenario, partitioned=args.pdes))
-
-    if getattr(args, "qos", False):
-        # The multi-tenant acceptance rows: the noisy-neighbor scenario
-        # shaped and unshaped, with the oracle and invariant sweeps on.
-        # Shaped must hold the victim's p99 inflation to <= 1.5x; the
-        # unshaped row documents the leak QoS closes (>= 2x).
-        from repro.verify import run_qos_noisy_neighbor
-        for shaping in (True, False):
-            result = run_qos_noisy_neighbor(
-                seed=args.seed, shaping=shaping, partitioned=args.pdes)
-            audit(result)
-            inflation = result.extras["victim_p99_inflation"]
-            if shaping and inflation > 1.5:
-                failures.append(
-                    f"{result.name}: victim p99 inflated {inflation:.2f}x "
-                    "with shaping on (bar: <= 1.5x)")
-            if not shaping and inflation < 2.0:
-                failures.append(
-                    f"{result.name}: victim p99 inflated only "
-                    f"{inflation:.2f}x unshaped — the scenario no longer "
-                    "congests the shared egress (expected >= 2x)")
-
-    chaos = run_verified_chaos(args.scenario, seed=args.seed or 1234,
-                               ops_per_worker=args.ops * 10,
-                               partitioned=args.pdes)
-    chaos_problems = chaos.check_invariants()
-    verification = chaos.verification or {}
-    rows.append([f"chaos:{args.scenario}", len(chaos.ops),
-                 "n/a", verification.get("read_mismatches", 0),
-                 verification.get("invariant_violations", 0),
-                 "ok" if not chaos_problems else "VIOLATED"])
-    failures.extend(chaos_problems)
-
+    for suite, build in SUITES.items():
+        if suite not in ("core", "chaos", *args.suites):
+            continue
+        for point in build(sizes):
+            result = run_scenario(point, seed=args.seed,
+                                  partitioned=args.pdes)
+            if result.violations:
+                # Runs are deterministic: replay traced for span context.
+                result = run_scenario(point, seed=args.seed,
+                                      partitioned=args.pdes, trace=True)
+            problems = result.problems()
+            status = "VIOLATED" if problems else "ok"
+            if result.lin is not None and result.lin.ok is None:
+                status = "undecided"
+            rows.append([result.name, result.history_len,
+                         "yes" if (result.lin and result.lin.ok) else
+                         ("n/a" if result.lin is None else "NO"),
+                         result.report.get("read_mismatches", 0),
+                         len(result.violations), status])
+            for problem in problems:
+                failures.append(problem)
+                if result.violations:
+                    failures.extend(spans_near(result.tracer,
+                                               result.violations[0].at_ns))
     print(render_table(
         f"repro verify (seed {args.seed})",
         ["workload", "history ops", "linearizable", "read mismatches",
          "invariant violations", "verdict"], rows))
-    if failures:
-        for failure in failures:
-            print(f"VIOLATION: {failure}")
-        return 1
-    print("verification: oracle clean, invariants hold, "
-          "histories linearizable")
-    return 0
+    return _verdict(failures, "VIOLATION", "verification: oracle clean, "
+                    "invariants hold, histories linearizable")
 
 
 def cmd_rack(args) -> int:
@@ -528,59 +438,38 @@ def cmd_rack(args) -> int:
     event mid-traffic, and report throughput plus tail recovery.
 
     Exit 1 if the oracle, invariants, or the linearizability check flag
-    anything, or if the post-event p99 fails to recover to within 1.5x
-    of the pre-event p99 (the rebalance-quality bar).
+    anything, or if the post-event p99 misses the scenario's recovery
+    bar (the rebalance-quality bar).
     """
-    from repro.verify import RACK_SCENARIOS, run_rack_ycsb
+    from repro.verify import RACK_SCENARIOS, run_scenario, scenario
 
-    scenario = None if args.scenario in ("none", "") else args.scenario
-    if scenario is not None and scenario not in RACK_SCENARIOS:
+    script = None if args.scenario in ("none", "") else args.scenario
+    if script is not None and script not in RACK_SCENARIOS:
         raise SystemExit(f"unknown rack scenario {args.scenario!r}; "
                          f"choose from {sorted(RACK_SCENARIOS)} or 'none'")
-    result = run_rack_ycsb(
-        seed=args.seed, boards=args.boards, tors=args.tors,
-        clients=args.clients, ops_per_client=args.ops,
-        scenario=scenario, partitioned=args.pdes)
+    point = scenario("rack", boards=args.boards, tors=args.tors,
+                     clients=args.clients, ops=args.ops, script=script)
+    result = run_scenario(point, seed=args.seed, partitioned=args.pdes)
     extras = result.extras
-    pre_p99 = extras["pre_p99_ns"]
-    post_p99 = extras["post_p99_ns"]
-    recovery = (post_p99 / pre_p99) if pre_p99 else 0.0
-    elapsed_s = extras["event_done_ns"] / 1e9 if extras["event_done_ns"] \
-        else result.report.get("now_ns", 0) / 1e9
-    ops_per_s = extras["ops_ok"] / elapsed_s if elapsed_s else 0.0
+    span_s = extras["span_ns"] / 1e9
+    ops_per_s = extras["ops_ok"] / span_s if span_s else 0.0
     print(render_table(
         f"rack: {args.boards} boards / {args.tors} ToRs, "
-        f"{args.clients} clients, scenario {scenario or 'none'} "
+        f"{args.clients} clients, scenario {script or 'none'} "
         f"(seed {args.seed})",
         ["ops ok", "ops attempted", "sim Mops/s", "p99 pre (ns)",
          "p99 post (ns)", "recovery", "migrations", "evictions", "epoch"],
         [[extras["ops_ok"], extras["ops_attempted"],
-          f"{ops_per_s / 1e6:.2f}", pre_p99, post_p99,
-          f"{recovery:.2f}x" if pre_p99 else "n/a",
+          f"{ops_per_s / 1e6:.2f}", extras["pre_p99_ns"],
+          extras["post_p99_ns"],
+          f"{extras['recovery_ratio']:.2f}x" if extras["pre_p99_ns"]
+          else "n/a",
           extras["migrations"], extras["evictions"], extras["epoch"]]]))
-    problems = result.problems()
-    if scenario is not None and pre_p99 and post_p99 and recovery > 1.5:
-        problems.append(
-            f"post-event p99 {post_p99}ns is {recovery:.2f}x the "
-            f"pre-event p99 {pre_p99}ns (bar: 1.5x)")
-    if args.check_determinism:
-        repeat = run_rack_ycsb(
-            seed=args.seed, boards=args.boards, tors=args.tors,
-            clients=args.clients, ops_per_client=args.ops,
-            scenario=scenario, partitioned=not args.pdes)
-        if repeat.extras["fingerprint"] != extras["fingerprint"]:
-            problems.append("partitioned/flat engines disagree on the "
-                            "same-seed rack fingerprint")
-        else:
-            print("determinism: flat and partitioned rack fingerprints "
-                  "bit-identical")
-    if problems:
-        for problem in problems:
-            print(f"VIOLATION: {problem}")
-        return 1
-    print("rack: oracle clean, history linearizable"
-          + (", tail recovered" if scenario is not None else ""))
-    return 0
+    problems = result.problems() + _determinism_problems(args, point, result,
+                                                         "rack ")
+    return _verdict(problems, "VIOLATION",
+                    "rack: oracle clean, history linearizable"
+                    + (", tail recovered" if script is not None else ""))
 
 
 def cmd_metrics(args) -> int:
@@ -635,6 +524,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="wrap the run in cProfile and print the top-25 "
                              "cumulative entries (perf work starts from data)")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Engine options, declared once and shared by every command that
+    # runs scenarios.
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument("--pdes", action="store_true",
+                        help="run on the single-process partitioned "
+                             "engine (one event wheel per board/CN/ToR)")
+    determinism = argparse.ArgumentParser(add_help=False)
+    determinism.add_argument("--check-determinism", action="store_true",
+                             help="rerun on the other engine (flat vs "
+                                  "partitioned) and compare fingerprints "
+                                  "bit-for-bit")
 
     latency = sub.add_parser("latency", help="Clio latency distribution")
     latency.add_argument("--size", default="16")
@@ -662,8 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
     compare.set_defaults(func=cmd_compare)
 
     alloc = sub.add_parser(
-        "alloc", help="allocation cost comparison, or --churn for the "
-                      "strategy/fragmentation scenario suite")
+        "alloc", parents=[engine, determinism],
+        help="allocation cost comparison, or --churn for the "
+             "strategy/fragmentation scenario suite")
     alloc.add_argument("--size", default="64MB")
     alloc.add_argument("--churn", default=None,
                        help="run a churn scenario across PA strategies: "
@@ -677,11 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "next-fit, best-fit, jump)")
     alloc.add_argument("--ops", type=int, default=None,
                        help="override the scenario's allocation count")
-    alloc.add_argument("--pdes", action="store_true",
-                       help="run --churn on the partitioned engine")
-    alloc.add_argument("--check-determinism", action="store_true",
-                       help="rerun each --churn row on the other engine "
-                            "and compare fingerprints bit-for-bit")
     alloc.set_defaults(func=cmd_alloc)
 
     ycsb = sub.add_parser("ycsb", help="Clio-KV under YCSB")
@@ -690,19 +586,13 @@ def build_parser() -> argparse.ArgumentParser:
     ycsb.add_argument("--ops", type=int, default=500)
     ycsb.set_defaults(func=cmd_ycsb)
 
-    chaos = sub.add_parser("chaos", help="fault-injection scenario")
+    chaos = sub.add_parser("chaos", parents=[engine, determinism],
+                           help="fault-injection scenario")
     chaos.add_argument("--scenario", default="board-crash",
                        help="board-crash, link-flap, slowpath-stall, "
                             "loss-burst, or random")
     chaos.add_argument("--ops", type=int, default=1200,
                        help="operations per worker")
-    chaos.add_argument("--check-determinism", action="store_true",
-                       help="rerun on the other engine (flat vs "
-                            "partitioned) and compare fingerprints "
-                            "bit-for-bit")
-    chaos.add_argument("--pdes", action="store_true",
-                       help="run on the single-process partitioned "
-                            "engine (one event wheel per board/CN)")
     chaos.add_argument("--cache", action="store_true",
                        help="run with the CN hot-page cache on "
                             "(write-back, one shared region) so faults "
@@ -710,8 +600,12 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.set_defaults(func=cmd_chaos)
 
     verify = sub.add_parser(
-        "verify", help="runtime correctness checks: oracle, invariants, "
-                       "linearizability (docs/correctness.md)")
+        "verify", parents=[engine],
+        help="runtime correctness checks: oracle, invariants, "
+             "linearizability (docs/correctness.md)")
+    verify.add_argument("suites", nargs="*", metavar="SUITE",
+                        help="extra suites to run beside the core and "
+                             "chaos rows: cache, alloc, rack, qos")
     verify.add_argument("--ops", type=int, default=30,
                         help="atomic/KV ops per client (chaos runs 10x)")
     verify.add_argument("--clients", type=int, default=3,
@@ -720,34 +614,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="chaos scenario to run under the oracle")
     verify.add_argument("--no-crash", action="store_true",
                         help="skip the mid-run board crash/restart")
-    verify.add_argument("--pdes", action="store_true",
-                        help="run every pass on the single-process "
-                             "partitioned engine")
-    verify.add_argument("--cache", action="store_true",
-                        help="add the cached-YCSB passes: write-through, "
-                             "write-back + crash, write-back + migration")
-    verify.add_argument("--alloc", action="store_true",
-                        help="add the allocator passes: the mixed-size "
-                             "churn scenario through every PA strategy "
-                             "under the oracle + invariant sweeps")
-    verify.add_argument("--rack", action="store_true",
-                        help="add the rack passes: zipfian YCSB over the "
-                             "sharded tier with a drain and a "
-                             "crash-mid-migration")
-    verify.add_argument("--rack-boards", type=int, default=8,
-                        help="boards in the rack passes (default: 8)")
-    verify.add_argument("--rack-clients", type=int, default=64,
-                        help="zipfian clients in the rack passes "
-                             "(default: 64)")
-    verify.add_argument("--qos", action="store_true",
-                        help="add the multi-tenant passes: the "
-                             "noisy-neighbor scenario shaped (victim "
-                             "p99 inflation <= 1.5x) and unshaped")
     verify.set_defaults(func=cmd_verify)
 
     rack = sub.add_parser(
-        "rack", help="sharded rack tier: zipfian YCSB with live "
-                     "migration and elastic membership")
+        "rack", parents=[engine, determinism],
+        help="sharded rack tier: zipfian YCSB with live migration and "
+             "elastic membership")
     rack.add_argument("--boards", type=int, default=16,
                       help="CBoards in service (default: 16)")
     rack.add_argument("--tors", type=int, default=2,
@@ -759,12 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     rack.add_argument("--scenario", default="drain",
                       help="membership event mid-traffic: drain, add, "
                            "crash-mid-migration, evict, or none")
-    rack.add_argument("--pdes", action="store_true",
-                      help="run on the partitioned engine (one event "
-                           "wheel per ToR plus the spine)")
-    rack.add_argument("--check-determinism", action="store_true",
-                      help="rerun on the other engine and compare the "
-                           "op-log fingerprints bit-for-bit")
     rack.set_defaults(func=cmd_rack)
 
     metrics = sub.add_parser(

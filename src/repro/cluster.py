@@ -182,12 +182,6 @@ class ClioCluster:
         if self.health is not None:
             self.health.stop()
 
-    def start_health_monitor(self, interval_ns: int = 100_000,
-                             miss_threshold: int = 3):
-        """Deprecated alias for :meth:`enable_health_monitor`."""
-        return self.enable_health_monitor(interval_ns=interval_ns,
-                                          miss_threshold=miss_threshold)
-
     # -- tracing ------------------------------------------------------------------
 
     def enable_tracing(self, max_records: int = 1_000_000) -> Tracer:

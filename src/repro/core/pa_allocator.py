@@ -121,49 +121,6 @@ class PAAllocator:
         out["used_pages"] = self.used_pages
         return out
 
-    @property
-    def _free(self) -> "_FreeListView":
-        """Back-compat view of the freelist strategy's deque.
-
-        Mutations go through the view so the strategy's double-free
-        shadow set stays consistent.  Only meaningful for the default
-        strategy; other strategies have no single free list.
-        """
-        strategy = self.strategy
-        if not hasattr(strategy, "_free"):
-            raise AttributeError(
-                f"strategy {strategy.name!r} has no flat free list")
-        return _FreeListView(strategy)
-
-
-class _FreeListView:
-    """Deque-like window onto :class:`FreeListStrategy` internals."""
-
-    def __init__(self, strategy: PAStrategy):
-        self._strategy = strategy
-
-    def __len__(self) -> int:
-        return len(self._strategy._free)
-
-    def __iter__(self):
-        return iter(self._strategy._free)
-
-    def __contains__(self, ppn: int) -> bool:
-        return ppn in self._strategy._free_set
-
-    def append(self, ppn: int) -> None:
-        self._strategy._free.append(ppn)
-        self._strategy._free_set.add(ppn)
-
-    def remove(self, ppn: int) -> None:
-        self._strategy._free.remove(ppn)
-        self._strategy._free_set.discard(ppn)
-
-    def popleft(self) -> int:
-        ppn = self._strategy._free.popleft()
-        self._strategy._free_set.discard(ppn)
-        return ppn
-
 
 class AsyncBuffer:
     """Bounded buffer of pre-reserved free PPNs, refilled by the ARM.

@@ -9,7 +9,7 @@ a crashed board keeps receiving (and dropping) traffic until the monitor
 notices.
 
 The monitor is deterministic: fixed interval, no RNG, and it is off by
-default (``ClioCluster.start_health_monitor`` opts in), so a no-fault
+default (``ClioCluster.enable_health_monitor`` opts in), so a no-fault
 run's event sequence is untouched.
 """
 

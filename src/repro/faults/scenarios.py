@@ -1,8 +1,10 @@
 """Canned chaos scenarios: a workload plus a fault schedule plus checks.
 
-The harness runs a YCSB-style read/write mix on every CN while a
-:class:`~repro.faults.injector.FaultInjector` replays a schedule against
-the cluster, then audits the wreckage:
+A chaos run is a :class:`~repro.verify.runner.Scenario` like any other:
+the :class:`ChaosMix` workload (a YCSB-style read/write mix on every CN)
+under one of the fault :data:`SCENARIOS` scripts, executed by
+:func:`~repro.verify.runner.run_scenario`.  :func:`run_chaos` returns the
+run's :class:`ChaosReport`, which audits the wreckage:
 
 * **liveness** — every worker finished before the deadline (no hangs);
 * **typed completion** — every operation either succeeded or raised a
@@ -21,18 +23,19 @@ depend on how many processes earlier tests created.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.clib.client import RemoteAccessError
-from repro.cluster import ClioCluster
-from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
-from repro.params import MB, MS, US, ClioParams
-from repro.sim.rng import RandomStream
+from repro.params import MB, MS, US
 from repro.transport.clib_transport import RequestFailed
-
-#: PID base for chaos workers; far from anything the global counter issues.
-_CHAOS_PID_BASE = 9001
+from repro.verify.runner import (
+    Scenario,
+    Script,
+    Workload,
+    crash_board,
+    run_scenario,
+)
 
 
 @dataclass(frozen=True)
@@ -152,223 +155,178 @@ class ChaosReport:
         }
 
 
-def _chaos_params() -> ClioParams:
-    """Prototype params with failure timeouts shrunk to chaos scale.
+# -- fault scripts -------------------------------------------------------------
 
-    The default 100 ms backoff ceiling is right for production but makes
-    a 5 ms chaos window spend its whole budget in one retry sleep; the
-    cap stays (satellite: bounded retransmission), just smaller.
-    """
-    from dataclasses import replace
-    params = ClioParams.prototype()
-    return replace(params, clib=replace(params.clib, timeout_ns=20 * US,
-                                        slow_timeout_ns=1 * MS,
-                                        max_retries=3))
-
-
-# -- scenario definitions ------------------------------------------------------
-
-def _schedule_board_crash(seed: int) -> tuple[FaultSchedule, tuple[int, int]]:
-    crash, restart = 1 * MS, int(2.5 * MS)
-    schedule = FaultSchedule().crash_board(crash, "mn0",
-                                           restart_after_ns=restart - crash)
-    return schedule, (crash, restart)
-
-
-def _schedule_link_flap(seed: int):
-    schedule = (FaultSchedule()
-                .link_down(1 * MS, "cn1", duration_ns=1 * MS)
-                .link_down(3 * MS, "cn1", duration_ns=500 * US))
-    return schedule, None
-
-
-def _schedule_slowpath_stall(seed: int):
-    schedule = FaultSchedule().stall_slowpath(500 * US, "mn0", 300 * US)
-    return schedule, None
-
-
-def _schedule_loss_burst(seed: int):
-    schedule = (FaultSchedule()
-                .loss_burst(1 * MS, "cn0", 1 * MS, rate=0.3)
-                .corruption_burst(2 * MS, "cn1", 500 * US, rate=0.2))
-    return schedule, None
-
-
-def _schedule_random(seed: int):
-    schedule = FaultSchedule.random(seed, duration_ns=4 * MS,
-                                    boards=["mn0"], nodes=["cn0", "cn1"])
-    return schedule, None
-
-
-SCENARIOS: dict[str, Callable] = {
-    "board-crash": _schedule_board_crash,
-    "link-flap": _schedule_link_flap,
-    "slowpath-stall": _schedule_slowpath_stall,
-    "loss-burst": _schedule_loss_burst,
-    "random": _schedule_random,
+SCENARIOS: dict[str, Script] = {
+    "board-crash": crash_board(1 * MS, 1_500 * US),
+    "link-flap": Script("link-flap", faults=lambda seed: (
+        FaultSchedule()
+        .link_down(1 * MS, "cn1", duration_ns=1 * MS)
+        .link_down(3 * MS, "cn1", duration_ns=500 * US))),
+    "slowpath-stall": Script("slowpath-stall", faults=lambda seed: (
+        FaultSchedule().stall_slowpath(500 * US, "mn0", 300 * US))),
+    "loss-burst": Script("loss-burst", faults=lambda seed: (
+        FaultSchedule()
+        .loss_burst(1 * MS, "cn0", 1 * MS, rate=0.3)
+        .corruption_burst(2 * MS, "cn1", 500 * US, rate=0.2))),
+    "random": Script("random", faults=lambda seed: FaultSchedule.random(
+        seed, duration_ns=4 * MS, boards=["mn0"], nodes=["cn0", "cn1"])),
 }
 
 
-# -- the harness ---------------------------------------------------------------
+# -- the workload --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ChaosMix(Workload):
+    """YCSB-A-style mix: each worker does ``ops`` 64-byte reads/writes at
+    seeded offsets in its own region, tolerating typed failures and
+    recording every op.
+
+    With the caching layer on — and so coherence traffic actually
+    crosses CNs — the workload flips from per-worker regions to ONE
+    shared region (worker 0 allocates, everyone hammers it under the same
+    PID).  The faults then land while lines are cached (and dirty, under
+    write-back): recalls race crashes, invalidations ride flapping links.
+    """
+
+    schedule: str
+    ops: int
+    region_bytes: int
+    rng_name = "faults/chaos"
+    #: PID base for chaos workers; far from anything the global counter
+    #: issues.
+    PID_BASE = 9001
+    IO_BYTES = 64
+
+    def clients(self, ctx):
+        ctx.region_ready = ctx.env.event()
+        return super().clients(ctx)
+
+    def client(self, ctx, index: int):
+        env, io_bytes = ctx.env, self.IO_BYTES
+        shared = ctx.cluster.cache_dir is not None
+        thread = ctx.cluster.cn(index).process(
+            "mn0", pid=self.PID_BASE + (0 if shared else index)).thread()
+        wrng = ctx.rng.fork(f"worker{index}")
+        if shared and index > 0:
+            yield ctx.region_ready
+            va = ctx.shared_va
+        else:
+            va = yield from thread.ralloc(self.region_bytes)
+            if shared:
+                ctx.shared_va = va
+                ctx.region_ready.succeed()
+        payload = bytes((index + 1,)) * io_bytes
+        span = self.region_bytes - io_bytes
+        for op_index in range(self.ops):
+            offset = (wrng.uniform_int(0, span // io_bytes)) * io_bytes
+            is_read = wrng.uniform() < 0.5
+            started = env.now
+            status = "ok"
+            try:
+                if is_read:
+                    yield from thread.rread(va + offset, io_bytes)
+                else:
+                    yield from thread.rwrite(va + offset, payload)
+            except RequestFailed:
+                status = "request_failed"
+            except RemoteAccessError:
+                status = "remote_error"
+            ctx.history.append(OpRecord(
+                index, op_index, "read" if is_read else "write", started,
+                env.now, status))
+
+    def summarize(self, ctx):
+        cluster = ctx.cluster
+        report = ChaosReport(
+            scenario=self.schedule, seed=ctx.seed, finished=ctx.finished,
+            now_ns=ctx.env.now,
+            ops=sorted(ctx.history, key=lambda o: (o.worker, o.index)),
+            faults=sum((injector.applied_fingerprint()
+                        for injector in ctx.injectors), ()),
+            cn_counters={
+                node.name: {
+                    "requests_issued": node.transport.requests_issued,
+                    "requests_completed": node.transport.requests_completed,
+                    "requests_failed": node.transport.requests_failed,
+                    "total_retries": node.transport.total_retries,
+                } for node in cluster.cns
+            },
+            board_counters={board.name: board.stats()
+                            for board in cluster.mns},
+            crash_window=next((script.window
+                               for script in ctx.scenario.scripts
+                               if script.window is not None), None),
+        )
+        if cluster.cache_dir is not None:
+            counters = {
+                node.name: {
+                    "hits": node.cache.hits, "misses": node.cache.misses,
+                    "evictions": node.cache.evictions,
+                    "invalidations": node.cache.invalidations,
+                    "writebacks": node.cache.writebacks,
+                    "flush_retries": node.cache.flush_retries,
+                } for node in cluster.cns
+            }
+            directory = cluster.cache_dir
+            counters["dir"] = {
+                "requests_served": directory.requests_served,
+                "fills": directory.fills,
+                "write_txns": directory.write_txns,
+                "recalls": directory.recalls,
+                "downgrades": directory.downgrades,
+                "invals_sent": directory.invals_sent,
+                "inval_retries": directory.inval_retries,
+            }
+            report.cache_counters = counters
+        ctx.findings.extend(report.check_invariants())
+        return {"chaos": report, "fingerprint": report.fingerprint()}, []
+
+
+def chaos_scenario(schedule: str = "board-crash", ops: int = 1200,
+                   region_bytes: int = 4 * MB, verify: bool = True,
+                   cached: Optional[str] = None) -> Scenario:
+    """The chaos mix on two CNs under the named fault script.
+
+    ``cached="through"`` / ``cached="back"`` opts every CN into the
+    hot-page cache (and the workload into one shared region).
+    """
+    if schedule not in SCENARIOS:
+        raise ValueError(f"unknown scenario {schedule!r}; "
+                         f"pick one of {sorted(SCENARIOS)}")
+    layers = ()
+    if cached is not None:
+        layers = (("caching", dict(policy=cached, capacity_lines=64)),)
+    return Scenario(
+        f"chaos:{schedule}", ChaosMix(schedule, ops, region_bytes),
+        cluster=dict(num_cns=2, mn_capacity=256 * MB), layers=layers,
+        scripts=(SCENARIOS[schedule],), deadline_ns=200 * MS, verify=verify)
+
 
 def run_chaos(scenario: str = "board-crash", seed: int = 1234,
-              ops_per_worker: int = 1200, num_cns: int = 2,
-              region_bytes: int = 4 * MB, io_bytes: int = 64,
-              read_fraction: float = 0.5,
-              deadline_ns: int = 200 * MS,
-              params: Optional[ClioParams] = None,
-              schedule: Optional[FaultSchedule] = None,
-              verify: bool = False,
-              cached: Optional[str] = None,
+              ops_per_worker: int = 1200, region_bytes: int = 4 * MB,
+              verify: bool = False, cached: Optional[str] = None,
               partitioned: bool = False) -> ChaosReport:
     """Run one chaos scenario end to end and return its report.
-
-    ``schedule`` overrides the canned one (scenario then only names the
-    report).  The workload is a YCSB-A-style mix: each worker does
-    ``ops_per_worker`` reads/writes of ``io_bytes`` at seeded offsets in
-    its own region, tolerating typed failures and recording every op.
 
     With ``verify=True`` the full checking stack (shadow oracle +
     invariant sweeps) rides along; checking is passive, so the report's
     fingerprint is bit-identical either way, and its findings land in
     ``report.verification`` (audited by ``check_invariants``).
-
-    ``partitioned=True`` runs the same scenario on the partitioned
-    engine (one event wheel per board/CN plus the switch tier); the
-    single-process partitioned scheduler is bit-identical to the flat
-    engine, so the report fingerprint must not change.
-
-    ``cached="through"`` / ``cached="back"`` opts every CN into the
-    hot-page cache — and, so coherence traffic actually crosses CNs,
-    flips the workload from per-worker regions to ONE shared region
-    (worker 0 allocates, everyone hammers it under the same PID).  The
-    faults then land while lines are cached (and dirty, under
-    write-back): recalls race crashes, invalidations ride flapping
-    links.  Per-CN and directory counters land in
-    ``report.cache_counters``.
+    ``partitioned=True`` runs on the partitioned engine; the fingerprint
+    must not change.  Per-CN and directory counters of a ``cached`` run
+    land in ``report.cache_counters``.
     """
-    if scenario not in SCENARIOS and schedule is None:
-        raise ValueError(f"unknown scenario {scenario!r}; "
-                         f"pick one of {sorted(SCENARIOS)}")
-    crash_window = None
-    if schedule is None:
-        schedule, crash_window = SCENARIOS[scenario](seed)
-
-    cluster = ClioCluster(params=params or _chaos_params(), seed=seed,
-                          num_cns=num_cns, mn_capacity=256 * MB,
-                          partitioned=partitioned)
-    verifier = cluster.enable_verification() if verify else None
-    if cached is not None:
-        cluster.enable_caching(policy=cached, capacity_lines=64)
-    injector = FaultInjector(cluster, schedule)
-    env = cluster.env
-    records: list[OpRecord] = []
-    done_events = [env.event() for _ in range(num_cns)]
-    rng = RandomStream(seed, "faults/chaos")
-    # Cached runs share one region (see docstring); worker 0 allocates
-    # and signals the rest through `region_ready`.
-    region_ready = env.event()
-    shared_region = {}
-
-    def worker(index: int):
-        pid = (_CHAOS_PID_BASE if cached is not None
-               else _CHAOS_PID_BASE + index)
-        thread = cluster.cn(index).process("mn0", pid=pid).thread()
-        wrng = rng.fork(f"worker{index}")
-        try:
-            if cached is not None and index > 0:
-                yield region_ready
-                va = shared_region["va"]
-            else:
-                va = yield from thread.ralloc(region_bytes)
-                if cached is not None:
-                    shared_region["va"] = va
-                    region_ready.succeed()
-            payload = bytes((index + 1,)) * io_bytes
-            span = region_bytes - io_bytes
-            for op_index in range(ops_per_worker):
-                offset = (wrng.uniform_int(0, span // io_bytes)) * io_bytes
-                is_read = wrng.uniform() < read_fraction
-                op = "read" if is_read else "write"
-                started = env.now
-                status = "ok"
-                try:
-                    if is_read:
-                        yield from thread.rread(va + offset, io_bytes)
-                    else:
-                        yield from thread.rwrite(va + offset, payload)
-                except RequestFailed:
-                    status = "request_failed"
-                except RemoteAccessError:
-                    status = "remote_error"
-                records.append(OpRecord(index, op_index, op, started,
-                                        env.now, status))
-        finally:
-            done_events[index].succeed()
-
-    for index in range(num_cns):
-        env.process(worker(index))
-    injector.arm()
-
-    # run(until=deadline), NOT until=event: a hung worker must surface as
-    # `finished=False`, not as a wall-clock hang (background MN processes
-    # keep the queue alive forever).
-    all_done = env.all_of(done_events)
-    cluster.run(until=deadline_ns)
-    finished = all_done.triggered
-
-    report = ChaosReport(
-        scenario=scenario, seed=seed, finished=finished, now_ns=env.now,
-        ops=sorted(records, key=lambda o: (o.worker, o.index)),
-        faults=injector.applied_fingerprint(),
-        cn_counters={
-            node.name: {
-                "requests_issued": node.transport.requests_issued,
-                "requests_completed": node.transport.requests_completed,
-                "requests_failed": node.transport.requests_failed,
-                "total_retries": node.transport.total_retries,
-            } for node in cluster.cns
-        },
-        board_counters={board.name: board.stats() for board in cluster.mns},
-        crash_window=crash_window,
-    )
-    if verifier is not None:
-        verifier.sweep()
-        report.verification = verifier.report()
-    if cached is not None:
-        counters = {
-            node.name: {
-                "hits": node.cache.hits, "misses": node.cache.misses,
-                "evictions": node.cache.evictions,
-                "invalidations": node.cache.invalidations,
-                "writebacks": node.cache.writebacks,
-                "flush_retries": node.cache.flush_retries,
-            } for node in cluster.cns
-        }
-        directory = cluster.cache_dir
-        counters["dir"] = {
-            "requests_served": directory.requests_served,
-            "fills": directory.fills,
-            "write_txns": directory.write_txns,
-            "recalls": directory.recalls,
-            "downgrades": directory.downgrades,
-            "invals_sent": directory.invals_sent,
-            "inval_retries": directory.inval_retries,
-        }
-        report.cache_counters = counters
+    result = run_scenario(
+        chaos_scenario(scenario, ops=ops_per_worker,
+                       region_bytes=region_bytes, verify=verify,
+                       cached=cached),
+        seed=seed, partitioned=partitioned)
+    report = result.extras["chaos"]
+    if verify:
+        report.verification = result.report
     return report
-
-
-# -- rack-scale chaos -----------------------------------------------------------
-#
-# Rack membership events (drains, joins, crashes mid-migration, lease-expiry
-# evictions) are chaos in the same spirit as the schedules above, but they
-# need the sharded tier — a controller, a ring, and the membership state
-# machine — which the flat chaos harness deliberately does not build.  The
-# verify harness owns that assembly, so rack chaos delegates to it and this
-# module just names the scenarios alongside the classic ones.
-
-from repro.verify.harness import RACK_SCENARIOS  # noqa: E402  (re-export)
 
 
 def run_rack_chaos(scenario: str = "drain", seed: int = 1234,
@@ -378,16 +336,16 @@ def run_rack_chaos(scenario: str = "drain", seed: int = 1234,
     """Run one rack membership-chaos scenario; returns a
     :class:`~repro.verify.harness.VerifyRunResult`.
 
-    The workload is the rack zipfian YCSB with the full checking stack
-    attached (shadow oracle, linearizability on the sync word), and the
-    named membership event fired mid-traffic.  Scenarios are
-    ``RACK_SCENARIOS``: ``"drain"``, ``"add"``, ``"crash-mid-migration"``,
-    ``"evict"``.
+    Rack membership events (drains, joins, crashes mid-migration,
+    lease-expiry evictions) are chaos in the same spirit as the schedules
+    above, over the rack zipfian YCSB with the full checking stack
+    attached.  Scenarios are ``repro.verify.RACK_SCENARIOS``.
     """
-    from repro.verify.harness import run_rack_ycsb
+    from repro.verify.scenarios import RACK_SCENARIOS, rack_ycsb
     if scenario not in RACK_SCENARIOS:
         raise ValueError(f"unknown rack scenario {scenario!r}; "
                          f"pick one of {sorted(RACK_SCENARIOS)}")
-    return run_rack_ycsb(seed=seed, boards=boards, tors=tors,
-                         clients=clients, ops_per_client=ops_per_client,
-                         scenario=scenario, partitioned=partitioned)
+    return run_scenario(
+        rack_ycsb(boards=boards, tors=tors, clients=clients,
+                  ops=ops_per_client, script=scenario),
+        seed=seed, partitioned=partitioned)

@@ -441,8 +441,7 @@ class BackendParams:
     used to be scattered across ``benchmarks/`` (``dram_capacity=...``,
     ``on_bluefield=...``, ``capacity_slots=...``) fold into this block,
     so an experiment swaps backends by swapping ``ClioParams.backend``
-    and nothing else.  Direct constructor kwargs still work but are
-    deprecated (they warn).
+    and nothing else.
     """
 
     name: str = "clio"                     # default comparison subject

@@ -19,7 +19,6 @@ from repro.sim.core import (
     SimulationError,
     Timeout,
 )
-from repro.sim.parallel import ParallelExecutor
 from repro.sim.partition import Channel, Partition, PartitionedEnvironment
 from repro.sim.resources import Container, Resource, Store
 from repro.sim.rng import RandomStream
@@ -33,7 +32,6 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
-    "ParallelExecutor",
     "Partition",
     "PartitionedEnvironment",
     "Process",

@@ -7,25 +7,17 @@ wheel, and cross-partition interactions flow over declared *lookahead
 edges* — link propagation delays in ``repro.net`` — which bound how far
 one partition's present can reach into another's future.
 
-Two execution modes share this structure:
-
-* **Single-process** (:meth:`PartitionedEnvironment.run`): one scheduler
-  dispatches the globally minimal ``(time, priority, seq)`` key across all
-  wheels.  The sequence counter is shared, so the dispatch order is
-  *bit-identical* to the flat engine's single heap — same timestamps, same
-  tie-breaks, same RNG draw order — while each wheel stays small and runs
-  of same-partition events drain without rescanning the others.
-
-* **Parallel** (:class:`~repro.sim.parallel.ParallelExecutor`): partitions
-  advance concurrently inside conservative lookahead windows, exchanging
-  cross-partition messages only at window barriers.  That mode requires
-  the model to route all cross-partition traffic through :class:`Channel`
-  objects with picklable payloads.
+One scheduler (:meth:`PartitionedEnvironment.run`) dispatches the globally
+minimal ``(time, priority, seq)`` key across all wheels.  The sequence
+counter is shared, so the dispatch order is *bit-identical* to the flat
+engine's single heap — same timestamps, same tie-breaks, same RNG draw
+order — while each wheel stays small and runs of same-partition events
+drain without rescanning the others.
 
 Determinism contract
 --------------------
-Events carry globally ordered ``(time, priority, seq)`` keys.  In
-single-process mode ``seq`` comes from one shared counter, so any two
+Events carry globally ordered ``(time, priority, seq)`` keys.  ``seq``
+comes from one shared counter, so any two
 events — same partition or not — compare exactly as they would in the flat
 engine.  The drain loop only ever dispatches the global minimum: it picks
 the wheel with the smallest head key, caches the runner-up head as a
@@ -47,7 +39,6 @@ from typing import Any, Callable, Optional
 
 from repro.sim.core import (
     _TIMEOUT_POOL_MAX,
-    Callback,
     Environment,
     Event,
     SimulationError,
@@ -66,7 +57,7 @@ class Partition(Environment):
     """
 
     __slots__ = ("parent", "name", "index", "events_dispatched",
-                 "events_scheduled", "cross_events_in", "_outbox")
+                 "events_scheduled", "cross_events_in")
 
     def __init__(self, parent: "PartitionedEnvironment", name: str,
                  index: int):
@@ -77,7 +68,6 @@ class Partition(Environment):
         self.events_dispatched = 0      # dispatched from this wheel
         self.events_scheduled = 0       # pushed onto this wheel
         self.cross_events_in = 0        # pushed while another LP was active
-        self._outbox: Optional[list] = None   # parallel-worker message buffer
 
     @property
     def now(self) -> int:
@@ -109,17 +99,6 @@ class Partition(Environment):
             elif entry < bound:
                 parent._bound_violated = True
 
-    def schedule_at(self, when: int, fn: Callable[[], None]) -> None:
-        """Schedule ``fn()`` at absolute time ``when`` on this wheel.
-
-        Used by the parallel executor to inject cross-partition messages
-        at their (future) fire time; ``when`` must not be in the past.
-        """
-        if when < self.parent._now:
-            raise ValueError(f"schedule_at({when}) is in the past "
-                             f"(now={self.parent._now})")
-        Callback(self, when - self.parent._now, fn)
-
     def pending(self) -> int:
         """Events currently queued on this partition's wheel."""
         return len(self._queue)
@@ -131,40 +110,6 @@ class Partition(Environment):
         partition is not still ticking.
         """
         return not self._queue
-
-    def run_window(self, horizon: int, outbox: Optional[list] = None) -> int:
-        """Dispatch every local event strictly before ``horizon``.
-
-        The parallel executor's per-window worker loop: only this wheel is
-        touched, cross-partition sends land in ``outbox`` (see
-        :meth:`Channel.send`), and the count of dispatched events is
-        returned.  Safe only when no other partition is being driven in
-        this process at the same time.
-        """
-        self._outbox = outbox
-        parent = self.parent
-        queue = self._queue
-        pool = self._timeout_pool
-        count = 0
-        try:
-            while queue and queue[0][0] < horizon:
-                when, _prio, _seq, event = heappop(queue)
-                parent._now = when
-                callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    raise event._exception  # type: ignore[misc]
-                count += 1
-                if (type(event) is Timeout
-                        and len(pool) < _TIMEOUT_POOL_MAX
-                        and getrefcount(event) == 2):
-                    event._value = None
-                    pool.append(event)
-        finally:
-            self._outbox = None
-            self.events_dispatched += count
-        return count
 
     def step(self) -> None:
         raise SimulationError(
@@ -190,18 +135,14 @@ class Partition(Environment):
 
 
 class Channel:
-    """A declared cross-partition edge carrying picklable payloads.
+    """A declared cross-partition edge.
 
-    In single-process mode :meth:`send` schedules the registered handler
-    directly on the destination wheel — one :class:`Callback`-shaped event,
-    exactly what a flat model would have scheduled.  Under the parallel
-    executor the sending partition is in a different OS process from the
-    receiver, so the message ``(fire_time, channel_id, payload)`` lands in
-    the window outbox instead and crosses at the next barrier.
+    :meth:`send` schedules the registered handler directly on the
+    destination wheel — one callback event, exactly what a flat model
+    would have scheduled.
 
     ``lookahead_ns`` is the conservative promise: every send is delivered
-    at least that far in the receiver's future, which is what lets the
-    executor run partitions concurrently inside a lookahead window.
+    at least that far in the receiver's future.
     """
 
     __slots__ = ("parent", "cid", "src", "dst", "handler", "lookahead_ns",
@@ -222,8 +163,7 @@ class Channel:
         """Deliver ``payload`` to the destination handler after ``delay``.
 
         ``delay`` defaults to the channel's lookahead and must never be
-        smaller — that would break the conservative bound the parallel
-        executor synchronizes on.
+        smaller — that would break the declared conservative bound.
         """
         if delay is None:
             delay = self.lookahead_ns
@@ -232,11 +172,7 @@ class Channel:
                 f"channel {self.src.name}->{self.dst.name}: delay {delay} "
                 f"below declared lookahead {self.lookahead_ns}")
         self.messages += 1
-        outbox = self.src._outbox
-        if outbox is not None:
-            outbox.append((self.parent._now + delay, self.cid, payload))
-        else:
-            self.dst.schedule_callback(delay, partial(self.handler, payload))
+        self.dst.schedule_callback(delay, partial(self.handler, payload))
 
 
 class PartitionedEnvironment(Environment):
@@ -306,7 +242,7 @@ class PartitionedEnvironment(Environment):
         return dict(self._edges)
 
     def min_lookahead(self) -> Optional[int]:
-        """The tightest declared edge — the parallel window width."""
+        """The tightest declared edge."""
         return min(self._edges.values()) if self._edges else None
 
     def open_channel(self, src: Partition, dst: Partition,

@@ -18,7 +18,6 @@ from repro.transport.congestion import (
 from repro.transport.ordering import DependencyTracker, OrderingScope
 from repro.transport.clib_transport import (
     RequestFailed,
-    RequestFailedError,
     RequestOutcome,
     Transport,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "IncastController",
     "OrderingScope",
     "RequestFailed",
-    "RequestFailedError",
     "RequestOutcome",
     "StaticWindowController",
     "TimelyController",

@@ -57,10 +57,6 @@ class RequestFailed(Exception):
         self.reason = reason
 
 
-#: Backwards-compatible alias (pre-fault-subsystem name).
-RequestFailedError = RequestFailed
-
-
 @dataclass(slots=True)
 class RequestOutcome:
     """A completed request: response body plus transport telemetry."""

@@ -12,25 +12,13 @@ Three layers, attached together by
 * :mod:`repro.verify.linearize` — a Wing–Gong linearizability checker
   applied to the MN atomic unit and Clio-KV histories.
 
-``docs/correctness.md`` describes the layers and the `repro verify`
-CLI entry point.
+Canned workloads are declarative :class:`Scenario` values executed by
+the one :func:`run_scenario` loop (:mod:`repro.verify.runner`); the
+registry is :mod:`repro.verify.scenarios`.  ``docs/correctness.md``
+describes the layers, the registry and the `repro verify` CLI.
 """
 
-from repro.verify.harness import (
-    ALLOC_STRATEGIES,
-    RACK_SCENARIOS,
-    ClusterVerifier,
-    VerifyRunResult,
-    run_alloc_churn,
-    run_batched_ycsb,
-    run_cached_ycsb,
-    run_kv_linearizability,
-    run_qos_noisy_neighbor,
-    run_rack_ycsb,
-    run_sync_linearizability,
-    run_verified_chaos,
-    spans_near,
-)
+from repro.verify.harness import ClusterVerifier, VerifyRunResult, spans_near
 from repro.verify.invariants import (
     Violation,
     check_board,
@@ -51,33 +39,53 @@ from repro.verify.oracle import (
     ReadMismatch,
     ShadowOracle,
 )
+from repro.verify.runner import (
+    Bar,
+    Scenario,
+    Script,
+    Workload,
+    oplog_digest,
+    p99,
+    run_scenario,
+    same_on_other_engine,
+)
+from repro.verify.scenarios import (
+    ALLOC_STRATEGIES,
+    RACK_SCENARIOS,
+    SCENARIOS,
+    SUITES,
+    scenario,
+)
 
 __all__ = [
-    "AtomicWordModel",
-    "ClusterVerifier",
     "ALLOC_STRATEGIES",
-    "RACK_SCENARIOS",
+    "AtomicWordModel",
+    "Bar",
+    "ClusterVerifier",
     "EpochViolation",
     "HistoryOp",
     "KVModel",
     "LinearizeResult",
     "OpToken",
+    "RACK_SCENARIOS",
     "ReadMismatch",
+    "SCENARIOS",
+    "SUITES",
+    "Scenario",
+    "Script",
     "ShadowOracle",
     "VerifyRunResult",
     "Violation",
+    "Workload",
     "check_board",
     "check_cluster",
     "check_history",
     "check_transport",
+    "oplog_digest",
+    "p99",
     "quick_check_board",
-    "run_alloc_churn",
-    "run_batched_ycsb",
-    "run_cached_ycsb",
-    "run_kv_linearizability",
-    "run_qos_noisy_neighbor",
-    "run_rack_ycsb",
-    "run_sync_linearizability",
-    "run_verified_chaos",
+    "run_scenario",
+    "same_on_other_engine",
+    "scenario",
     "spans_near",
 ]

@@ -1,5 +1,6 @@
 """ClusterVerifier: wires oracle + invariants + history capture into a
-cluster, plus canned verification workloads for the CLI and tests.
+cluster, plus the result type every scenario run returns
+(:mod:`repro.verify.runner` executes scenarios).
 
 Attachment follows the telemetry pattern exactly: components carry a
 ``verifier`` attribute that is ``None`` by default and every hook sits
@@ -12,23 +13,16 @@ existing callbacks — so even then the simulated timeline is unchanged
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Optional
 
-from repro.params import MB, MS, US, ClioParams
 from repro.verify.invariants import (
     Violation,
     check_board,
     check_cluster,
     quick_check_board,
 )
-from repro.verify.linearize import (
-    AtomicWordModel,
-    HistoryOp,
-    KVModel,
-    LinearizeResult,
-    check_history,
-)
+from repro.verify.linearize import HistoryOp, LinearizeResult
 from repro.verify.oracle import ShadowOracle
 
 
@@ -188,12 +182,6 @@ class ClusterVerifier:
         self._record(found)
         return found
 
-    def check_atomic_histories(self, max_states: int = 500_000) -> dict:
-        """Run the linearizability checker on every captured word."""
-        return {key: check_history(history, AtomicWordModel,
-                                   max_states=max_states)
-                for key, history in self.atomic_histories.items()}
-
     @property
     def ok(self) -> bool:
         return self.oracle.ok and self.total_violations == 0
@@ -236,12 +224,9 @@ def spans_near(tracer, at_ns: int, window_ns: int = 3000,
     return hits
 
 
-# -- canned verification workloads ---------------------------------------------
-
-
 @dataclass
 class VerifyRunResult:
-    """Outcome of one verification workload."""
+    """Outcome of one scenario run."""
 
     name: str
     lin: Optional[LinearizeResult]
@@ -251,8 +236,12 @@ class VerifyRunResult:
     tracer: object = None
     notes: list = field(default_factory=list)
     #: Workload-specific structured results (fingerprints, latency
-    #: percentiles, ...) — absent for the older harnesses.
+    #: percentiles, ...).
     extras: dict = field(default_factory=dict)
+    #: Failed acceptance bars and workload-level audit failures (a hung
+    #: worker, unbalanced counters): reported by :meth:`problems`, but
+    #: not part of :attr:`ok`, which is the checkers' verdict alone.
+    findings: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -275,1017 +264,5 @@ class VerifyRunResult:
                    self.report.get("mismatch_details", []))
         out.extend(f"{self.name}: {e}" for e in
                    self.report.get("epoch_details", []))
+        out.extend(f"{self.name}: {f}" for f in self.findings)
         return out
-
-
-def _verify_params() -> ClioParams:
-    """Chaos-scale failure timeouts (see faults.scenarios._chaos_params)."""
-    params = ClioParams.prototype()
-    return replace(params, clib=replace(params.clib, timeout_ns=20 * US,
-                                        slow_timeout_ns=1 * MS,
-                                        max_retries=3))
-
-
-#: Shared-word PID for the sync-unit harness; clients on every CN open a
-#: process with this PID so they address the same RAS.
-_SYNC_PID = 7701
-_KV_PID_BASE = 8801
-
-
-def run_sync_linearizability(seed: int = 0, num_clients: int = 3,
-                             ops_per_client: int = 30, crash: bool = True,
-                             mutate: Optional[Callable] = None,
-                             trace: bool = True,
-                             deadline_ns: int = 50 * MS,
-                             partitioned: bool = False) -> VerifyRunResult:
-    """Hammer one atomic word from ``num_clients`` CNs; check the history.
-
-    With ``crash=True`` the board crashes mid-run for 200 us — long
-    enough that every attempt of an op in flight at the crash expires
-    against the dark port (20/40/80/160 us backoff), so no acknowledged
-    op can be a silent pre-crash double-execution; those ops fail and
-    enter the history as indeterminate.  ``mutate(cluster)`` runs after
-    the verifier attaches — the seeded-bug tests use it to break the
-    machinery and prove the checkers can fail.
-    """
-    from repro.cluster import ClioCluster
-    from repro.core.sync import AtomicOp
-    from repro.faults.injector import FaultInjector
-    from repro.faults.schedule import FaultSchedule
-    from repro.sim.rng import RandomStream
-    from repro.transport.clib_transport import RequestFailed
-    from repro.clib.client import RemoteAccessError
-
-    cluster = ClioCluster(params=_verify_params(), seed=seed,
-                          num_cns=num_clients, mn_capacity=64 * MB,
-                          partitioned=partitioned)
-    verifier = cluster.enable_verification()
-    if trace:
-        cluster.enable_tracing()
-    if mutate is not None:
-        mutate(cluster)
-    env = cluster.env
-    rng = RandomStream(seed, "verify/sync")
-
-    threads = [cluster.cn(i).process("mn0", pid=_SYNC_PID).thread()
-               for i in range(num_clients)]
-
-    # Client 0 allocates the shared page; the word starts zeroed.
-    setup = {}
-
-    def setup_proc():
-        va = yield from threads[0].ralloc(4096)
-        setup["va"] = va
-
-    cluster.run(until=env.process(setup_proc()))
-    word_va = setup["va"]
-
-    done_events = [env.event() for _ in range(num_clients)]
-
-    def client(index: int):
-        thread = threads[index]
-        crng = rng.fork(f"client{index}")
-        try:
-            for _ in range(ops_per_client):
-                roll = crng.uniform()
-                if roll < 0.40:
-                    op = AtomicOp(kind="faa",
-                                  value=crng.uniform_int(1, 3))
-                elif roll < 0.65:
-                    op = AtomicOp(kind="cas",
-                                  expected=crng.uniform_int(0, 3),
-                                  value=crng.uniform_int(0, 3))
-                elif roll < 0.85:
-                    op = AtomicOp(kind="tas")
-                else:
-                    op = AtomicOp(kind="store",
-                                  value=crng.uniform_int(0, 3))
-                try:
-                    yield from thread._atomic(word_va, op)
-                except (RequestFailed, RemoteAccessError):
-                    pass
-                yield env.timeout(crng.uniform_int(50, 800))
-        finally:
-            done_events[index].succeed()
-
-    for index in range(num_clients):
-        env.process(client(index))
-    if crash:
-        injector = FaultInjector(cluster, FaultSchedule().crash_board(
-            60 * US, "mn0", restart_after_ns=200 * US))
-        injector.arm()
-
-    all_done = env.all_of(done_events)
-    cluster.run(until=deadline_ns)
-    notes = [] if all_done.triggered else ["workload hit the deadline"]
-    if crash:
-        notes.append("board-crash window 60us..260us spanned the run")
-
-    history = verifier.atomic_histories.get(("mn0", _SYNC_PID, word_va), [])
-    lin = check_history(history, AtomicWordModel)
-    verifier.sweep()
-    return VerifyRunResult(name="sync-unit", lin=lin,
-                           history_len=len(history),
-                           violations=list(verifier.violations),
-                           report=verifier.report(),
-                           tracer=cluster.tracer, notes=notes)
-
-
-def run_kv_linearizability(seed: int = 0, num_clients: int = 2,
-                           ops_per_client: int = 30, crash: bool = True,
-                           keys: int = 6, trace: bool = True,
-                           deadline_ns: int = 100 * MS,
-                           partitioned: bool = False) -> VerifyRunResult:
-    """Clio-KV get/put under a YCSB-A-style 50/50 mix; check the history.
-
-    Values are fixed-width so every post-load put is an in-place update:
-    Clio-KV's growing-update path (unlink old, link new) is only
-    read-committed, while in-place updates are single-write atomic and
-    the whole workload is linearizable.  The harness records the history
-    itself (KV ops ride OFFLOAD packets, which the CLib data hooks do
-    not see): a failed put is kept as indeterminate — a crash may have
-    eaten the response after the mutation applied — and a failed get is
-    dropped (reads have no effect).
-    """
-    from repro.apps.kv_store import ClioKV, register_kv_offload
-    from repro.cluster import ClioCluster
-    from repro.faults.injector import FaultInjector
-    from repro.faults.schedule import FaultSchedule
-    from repro.sim.rng import RandomStream
-    from repro.transport.clib_transport import RequestFailed
-    from repro.clib.client import RemoteAccessError
-
-    cluster = ClioCluster(params=_verify_params(), seed=seed,
-                          num_cns=num_clients, mn_capacity=128 * MB,
-                          partitioned=partitioned)
-    verifier = cluster.enable_verification()
-    if trace:
-        cluster.enable_tracing()
-    env = cluster.env
-    rng = RandomStream(seed, "verify/kv")
-    register_kv_offload(cluster.mn.extend_path)
-
-    kvs = [ClioKV(cluster.cn(i).process("mn0", pid=_KV_PID_BASE + i).thread())
-           for i in range(num_clients)]
-    key_names = [f"key{k:02d}".encode() for k in range(keys)]
-    history: list[HistoryOp] = []
-
-    def value_bytes(client: int, sequence: int) -> bytes:
-        return (client * 1_000_000 + sequence).to_bytes(8, "little")
-
-    def load():
-        # Single-client load phase: every key exists before contention.
-        for k, key in enumerate(key_names):
-            start = env.now
-            yield from kvs[0].put(key, value_bytes(0, k))
-            history.append(HistoryOp(
-                client="load", action=("put", key, value_bytes(0, k)),
-                result="ok", start_ns=start, end_ns=env.now))
-
-    cluster.run(until=env.process(load()))
-
-    done_events = [env.event() for _ in range(num_clients)]
-
-    def client(index: int):
-        kv = kvs[index]
-        crng = rng.fork(f"kv{index}")
-        label = f"cn{index}"
-        try:
-            for op_index in range(ops_per_client):
-                key = key_names[crng.uniform_int(0, keys - 1)]
-                start = env.now
-                if crng.uniform() < 0.5:
-                    try:
-                        value = yield from kv.get(key)
-                    except (RequestFailed, RemoteAccessError):
-                        continue     # reads have no effect: drop
-                    history.append(HistoryOp(
-                        client=label, action=("get", key), result=value,
-                        start_ns=start, end_ns=env.now))
-                else:
-                    payload = value_bytes(index + 1, op_index)
-                    action = ("put", key, payload)
-                    try:
-                        yield from kv.put(key, payload)
-                    except (RequestFailed, RemoteAccessError):
-                        history.append(HistoryOp(
-                            client=label, action=action,
-                            start_ns=start, completed=False))
-                        continue
-                    history.append(HistoryOp(
-                        client=label, action=action, result="ok",
-                        start_ns=start, end_ns=env.now))
-                yield env.timeout(crng.uniform_int(100, 2000))
-        finally:
-            done_events[index].succeed()
-
-    for index in range(num_clients):
-        env.process(client(index))
-    if crash:
-        injector = FaultInjector(cluster, FaultSchedule().crash_board(
-            150 * US, "mn0", restart_after_ns=500 * US))
-        injector.arm()
-
-    all_done = env.all_of(done_events)
-    cluster.run(until=deadline_ns)
-    notes = [] if all_done.triggered else ["workload hit the deadline"]
-    if crash:
-        notes.append("board-crash window 150us..650us spanned the run")
-
-    lin = check_history(history, KVModel)
-    verifier.sweep()
-    return VerifyRunResult(name="clio-kv", lin=lin,
-                           history_len=len(history),
-                           violations=list(verifier.violations),
-                           report=verifier.report(),
-                           tracer=cluster.tracer, notes=notes)
-
-
-#: PID range for the batched-YCSB harness (pinned: PIDs feed the PT hash).
-_BATCH_PID_BASE = 9901
-
-
-def run_batched_ycsb(seed: int = 0, num_clients: int = 2,
-                     ops_per_client: int = 80, keys: int = 64,
-                     value_size: int = 64, batch_max_ops: int = 8,
-                     window_ns: int = 400, trace: bool = True,
-                     deadline_ns: int = 100 * MS,
-                     partitioned: bool = False) -> VerifyRunResult:
-    """YCSB-A over raw rread/rwrite with per-thread batching enabled.
-
-    The repro.batch acceptance workload: every client opts into the
-    adaptive batcher, so the 50/50 get/set mix rides multi-op frames,
-    and all three checking layers must stay clean over the batched
-    histories — the oracle audits every batched read against shadow
-    memory, quick/board invariants run per request, and a shared atomic
-    word (bumped between batches) feeds the linearizability checker.
-    Clients use byte-granular ordering so independent keys in one 4 MB
-    page actually coalesce instead of serializing on false conflicts.
-    """
-    from repro.cluster import ClioCluster
-    from repro.sim.rng import RandomStream
-    from repro.workloads.ycsb import YCSB_WORKLOADS, YCSBWorkload
-    from repro.transport.clib_transport import RequestFailed
-    from repro.clib.client import RemoteAccessError
-
-    cluster = ClioCluster(params=_verify_params(), seed=seed,
-                          num_cns=num_clients, mn_capacity=128 * MB,
-                          partitioned=partitioned)
-    verifier = cluster.enable_verification()
-    if trace:
-        cluster.enable_tracing()
-    env = cluster.env
-    rng = RandomStream(seed, "verify/batched-ycsb")
-
-    threads = [
-        cluster.cn(i).process("mn0", pid=_BATCH_PID_BASE + i)
-        .thread(ordering_granularity="byte")
-        for i in range(num_clients)
-    ]
-    sync_threads = [cluster.cn(i).process("mn0", pid=_SYNC_PID).thread()
-                    for i in range(num_clients)]
-
-    setup = {}
-
-    def setup_proc():
-        # Per-client data regions plus the shared word for the linearizer.
-        regions = []
-        for thread in threads:
-            va = yield from thread.ralloc(keys * value_size)
-            regions.append(va)
-        setup["regions"] = regions
-        setup["word"] = yield from sync_threads[0].ralloc(4096)
-
-    cluster.run(until=env.process(setup_proc()))
-    regions, word_va = setup["regions"], setup["word"]
-    done_events = [env.event() for _ in range(num_clients)]
-    batch_stats = {"frames": 0, "subops": 0}
-
-    def client(index: int):
-        thread = threads[index]
-        region = regions[index]
-        workload = YCSBWorkload(YCSB_WORKLOADS["A"],
-                                rng.fork(f"client{index}"),
-                                num_keys=keys, value_size=value_size)
-        batcher = thread.enable_batching(max_ops=batch_max_ops,
-                                         window_ns=window_ns)
-        inflight = []
-        try:
-            for serial, op in enumerate(workload.operations(ops_per_client)):
-                key_index = int(op[1][4:])
-                va = region + key_index * value_size
-                if op[0] == "set":
-                    handle = yield from thread.rwrite_async(va, op[2])
-                else:
-                    handle = yield from thread.rread_async(va, value_size)
-                inflight.append(handle)
-                if len(inflight) >= 2 * batch_max_ops:
-                    completions = yield from thread.rpoll(inflight)
-                    inflight = []
-                    for completion in completions:
-                        completion.result   # no faults here: all must land
-                if serial % 8 == 7:
-                    # Contended sync between batches: linearizer food.
-                    try:
-                        yield from sync_threads[index].rfaa(word_va, 1)
-                    except (RequestFailed, RemoteAccessError):
-                        pass
-            thread._flush_batches()
-            completions = yield from thread.rpoll(inflight)
-            for completion in completions:
-                completion.result
-        finally:
-            batch_stats["frames"] += batcher.frames_issued
-            batch_stats["subops"] += batcher.subops_batched
-            done_events[index].succeed()
-
-    for index in range(num_clients):
-        env.process(client(index))
-    all_done = env.all_of(done_events)
-    cluster.run(until=deadline_ns)
-    notes = [] if all_done.triggered else ["workload hit the deadline"]
-    notes.append(f"batched {batch_stats['subops']} sub-ops into "
-                 f"{batch_stats['frames']} frames")
-
-    history = verifier.atomic_histories.get(("mn0", _SYNC_PID, word_va), [])
-    lin = check_history(history, AtomicWordModel)
-    verifier.sweep()
-    return VerifyRunResult(name="batched-ycsb-a", lin=lin,
-                           history_len=len(history),
-                           violations=list(verifier.violations),
-                           report=verifier.report(),
-                           tracer=cluster.tracer, notes=notes)
-
-
-#: Shared-region PID for the cached-YCSB harness: every client opens the
-#: SAME pid so their key ranges overlap and coherence traffic actually
-#: crosses CNs (fills steal ownership, writes recall sharers).
-_CACHE_PID = 9601
-
-
-def run_cached_ycsb(seed: int = 0, num_clients: int = 2,
-                    ops_per_client: int = 80, keys: int = 64,
-                    value_size: int = 64, policy: str = "through",
-                    line_bytes: int = 512, capacity_lines: int = 8,
-                    crash: bool = False, migrate: bool = False,
-                    trace: bool = True, deadline_ns: int = 100 * MS,
-                    partitioned: bool = False) -> VerifyRunResult:
-    """YCSB-A over ONE shared cached region; all three checkers run.
-
-    The repro.cache acceptance workload: every client maps the same PID
-    and the same key range, so the zipf-hot keys ping-pong between CN
-    caches — fills, recalls, downgrades, evictions (capacity is set well
-    below the working set) all fire while the shadow oracle audits every
-    byte and a shared atomic word feeds the linearizability checker.
-
-    ``crash=True`` crashes the board mid-run while lines are cached (and
-    dirty, under ``policy="back"``): in-flight uncached ops fail typed,
-    local hits keep serving from CN DRAM, and flushes retry until the
-    board restarts.  ``migrate=True`` runs a two-MN cluster under a
-    :class:`~repro.distributed.controller.GlobalController` and migrates
-    the region at ~1.5 ms; the directory freeze must recall every cached
-    line (flushing dirty data to the *source*) before the copy, and
-    clients refresh the lease when the old board rejects them.
-    """
-    from repro.cluster import ClioCluster
-    from repro.sim.rng import RandomStream
-    from repro.workloads.ycsb import YCSB_WORKLOADS, YCSBWorkload
-    from repro.transport.clib_transport import RequestFailed
-    from repro.clib.client import RemoteAccessError
-
-    cluster = ClioCluster(params=_verify_params(), seed=seed,
-                          num_cns=num_clients, num_mns=2 if migrate else 1,
-                          mn_capacity=128 * MB, partitioned=partitioned)
-    verifier = cluster.enable_verification()
-    cluster.enable_caching(policy=policy, line_bytes=line_bytes,
-                           capacity_lines=capacity_lines)
-    if trace:
-        cluster.enable_tracing()
-    env = cluster.env
-    rng = RandomStream(seed, "verify/cached-ycsb")
-
-    controller = None
-    lease = None
-    if migrate:
-        from repro.distributed.controller import GlobalController
-        controller = GlobalController(env, cluster.mns)
-        controller.verifier = verifier
-        controller.cache_directory = cluster.cache_dir
-        # One data thread per (CN, board): clients re-resolve the lease
-        # before every op and pick the thread bound to its current home.
-        threads = [{board.name:
-                    cluster.cn(i).process(board.name, pid=_CACHE_PID)
-                    .thread() for board in cluster.mns}
-                   for i in range(num_clients)]
-    else:
-        threads = [{"mn0": cluster.cn(i).process("mn0", pid=_CACHE_PID)
-                    .thread()} for i in range(num_clients)]
-    sync_threads = [cluster.cn(i).process("mn0", pid=_SYNC_PID).thread()
-                    for i in range(num_clients)]
-
-    setup = {}
-
-    def setup_proc():
-        if migrate:
-            got = yield from controller.allocate(_CACHE_PID,
-                                                 keys * value_size)
-            # The controller allocates board-side (no CLib thread, so no
-            # alloc_done hook fires); clear the shadow region by hand.
-            verifier.oracle.region_cleared(got.mn, _CACHE_PID, got.va,
-                                           got.size)
-            setup["lease"] = got
-        else:
-            setup["va"] = yield from threads[0]["mn0"].ralloc(
-                keys * value_size)
-        setup["word"] = yield from sync_threads[0].ralloc(4096)
-
-    cluster.run(until=env.process(setup_proc()))
-    if migrate:
-        lease = setup["lease"]
-    word_va = setup["word"]
-    done_events = [env.event() for _ in range(num_clients)]
-    tolerated = {"count": 0}
-
-    def client(index: int):
-        workload = YCSBWorkload(YCSB_WORKLOADS["A"],
-                                rng.fork(f"client{index}"),
-                                num_keys=keys, value_size=value_size)
-        try:
-            for serial, op in enumerate(workload.operations(ops_per_client)):
-                key_index = int(op[1][4:])
-                if migrate:
-                    thread = threads[index][lease.mn]
-                    va = lease.va + key_index * value_size
-                else:
-                    thread = threads[index]["mn0"]
-                    va = setup["va"] + key_index * value_size
-                try:
-                    if op[0] == "set":
-                        yield from thread.rwrite(va, op[2])
-                    else:
-                        yield from thread.rread(va, value_size)
-                except (RequestFailed, RemoteAccessError):
-                    tolerated["count"] += 1
-                if serial % 8 == 7:
-                    # Contended word between cached ops: linearizer food
-                    # (and it exercises the atomic write-guard path).
-                    try:
-                        yield from sync_threads[index].rfaa(word_va, 1)
-                    except (RequestFailed, RemoteAccessError):
-                        tolerated["count"] += 1
-                yield env.timeout(100 + 37 * index)
-        finally:
-            done_events[index].succeed()
-
-    for index in range(num_clients):
-        env.process(client(index))
-    if crash:
-        from repro.faults.injector import FaultInjector
-        from repro.faults.schedule import FaultSchedule
-        injector = FaultInjector(cluster, FaultSchedule().crash_board(
-            150 * US, "mn0", restart_after_ns=500 * US))
-        injector.arm()
-    if migrate:
-        def mover():
-            yield env.timeout(1_500 * US)
-            target = "mn1" if lease.mn == "mn0" else "mn0"
-            yield from controller._migrate(lease, target)
-        env.process(mover())
-
-    all_done = env.all_of(done_events)
-    cluster.run(until=deadline_ns)
-    notes = [] if all_done.triggered else ["workload hit the deadline"]
-    hits = sum(node.cache.hits for node in cluster.cns)
-    misses = sum(node.cache.misses for node in cluster.cns)
-    writebacks = sum(node.cache.writebacks for node in cluster.cns)
-    invals = sum(node.cache.invalidations for node in cluster.cns)
-    notes.append(f"cache[{policy}]: {hits} hits / {misses} misses, "
-                 f"{invals} invalidations, {writebacks} writebacks")
-    if tolerated["count"]:
-        notes.append(f"{tolerated['count']} ops failed typed (tolerated)")
-    if crash:
-        notes.append("board-crash window 150us..650us spanned the run")
-    if migrate and controller.migrations:
-        notes.append(f"region migrated to {lease.mn} at ~1.5ms mid-run")
-
-    # Drain: flush every dirty line and depart the directory, so the
-    # final sweep sees a cluster with no cached state outstanding.
-    drains = cluster.disable_caching(drain=True)
-    if drains:
-        env.run(until=deadline_ns + 1 * MS)
-        if not all(process.triggered for process in drains):
-            notes.append("cache drain did not settle before the deadline")
-
-    history = verifier.atomic_histories.get(("mn0", _SYNC_PID, word_va), [])
-    lin = check_history(history, AtomicWordModel)
-    verifier.sweep()
-    name = "cached-ycsb-a[%s%s%s]" % (policy, "+crash" if crash else "",
-                                      "+migrate" if migrate else "")
-    return VerifyRunResult(name=name, lin=lin, history_len=len(history),
-                           violations=list(verifier.violations),
-                           report=verifier.report(),
-                           tracer=cluster.tracer, notes=notes)
-
-
-#: Shared-region PID for the rack harness: every client on every CN maps
-#: the same PID, so region VAs are valid from any CN toward any board.
-_RACK_PID = 7401
-
-#: Membership scenarios run_rack_ycsb understands (None = steady state).
-RACK_SCENARIOS = ("drain", "add", "crash-mid-migration", "evict")
-
-
-def run_rack_ycsb(seed: int = 0, boards: int = 8, tors: int = 2,
-                  num_cns: int = 4, clients: int = 1024,
-                  ops_per_client: int = 4, regions_per_board: int = 2,
-                  value_size: int = 64, theta: float = 0.99,
-                  scenario: Optional[str] = None,
-                  trace: bool = False, deadline_ns: int = 60 * MS,
-                  partitioned: bool = False) -> VerifyRunResult:
-    """Zipfian YCSB against a sharded rack while membership churns.
-
-    The rack acceptance workload: ``clients`` generator processes spread
-    over ``num_cns`` CNs hammer ``boards * regions_per_board`` regions
-    (zipf-hot, so traffic concentrates) that the rack tier placed via the
-    shard ring, while a scenario event reshapes membership mid-run:
-
-    * ``"drain"`` — a board drains under traffic (batched rate-limited
-      live migrations; its write-fenced regions briefly reject writes);
-    * ``"add"`` — a spare joins and the rebalancer pulls arcs over;
-    * ``"crash-mid-migration"`` — the board crashes while its own drain
-      is copying regions out, the in-flight migrations abort and roll
-      back, and the drain is retried after the board recovers;
-    * ``"evict"`` — the board crashes for good; after its lease expires
-      the membership sweep re-shards its regions zero-filled.
-
-    All three checking layers run throughout: the shadow oracle audits
-    every byte across migrations and evictions, board invariants hold,
-    and a shared atomic word on a board no scenario touches feeds the
-    linearizability checker.  Per-op latencies are recorded so callers
-    can compare tail latency before and after the membership event, and
-    ``extras["fingerprint"]`` digests the full op history — same seed,
-    flat and partitioned engines must produce the same digest.
-    """
-    from hashlib import blake2b
-
-    from repro.cluster import ClioCluster
-    from repro.distributed.controller import LeaseLost
-    from repro.rack import DrainError, RackConfig
-    from repro.sim.rng import RandomStream
-    from repro.workloads.zipf import ZipfTable, zipfian_keys
-    from repro.transport.clib_transport import RequestFailed
-    from repro.clib.client import RemoteAccessError
-
-    if scenario is not None and scenario not in RACK_SCENARIOS:
-        raise ValueError(f"unknown rack scenario {scenario!r} "
-                         f"(choose from {RACK_SCENARIOS})")
-    page = 64 * 1024
-    num_regions = boards * regions_per_board
-    config = RackConfig(boards=boards, tors=tors,
-                        spares=1 if scenario == "add" else 0,
-                        lease_expiry_ns=400 * US)
-    cluster = ClioCluster(params=_verify_params(), seed=seed,
-                          num_cns=num_cns, rack=config, page_size=page,
-                          mn_capacity=2 * num_regions * page + 4 * MB,
-                          partitioned=partitioned)
-    cluster.rack.start()
-    verifier = cluster.enable_verification()
-    cluster.rack.controller.verifier = verifier
-    if trace:
-        cluster.enable_tracing()
-    env = cluster.env
-    rng = RandomStream(seed, "verify/rack")
-    controller = cluster.rack.controller
-    membership = cluster.rack.membership
-
-    # One data thread per (CN, board) — clients re-resolve the lease
-    # before every op and use the thread bound to its current home.
-    # Spares included: regions migrate onto them mid-run.
-    threads = [{board.name:
-                cluster.cn(i).process(board.name, pid=_RACK_PID).thread()
-                for board in cluster.mns}
-               for i in range(num_cns)]
-    sync_threads = [cluster.cn(i).process("mn0", pid=_SYNC_PID).thread()
-                    for i in range(num_cns)]
-
-    setup = {}
-
-    def setup_proc():
-        region_ids = []
-        for _ in range(num_regions):
-            lease = yield from controller.allocate(_RACK_PID, page)
-            # Controller allocations are board-side (no CLib alloc hook
-            # fires); clear the shadow region by hand.
-            verifier.oracle.region_cleared(lease.mn, _RACK_PID, lease.va,
-                                           lease.size)
-            region_ids.append(lease.region_id)
-        setup["region_ids"] = region_ids
-        setup["word"] = yield from sync_threads[0].ralloc(4096)
-
-    cluster.run(until=env.process(setup_proc()))
-    region_ids, word_va = setup["region_ids"], setup["word"]
-    slots = page // value_size
-
-    done_events = [env.event() for _ in range(clients)]
-    ztable = ZipfTable(num_regions, theta)
-    #: (client, serial, kind, ok, start_ns, end_ns) per attempted op.
-    op_log: list[tuple] = []
-    tolerated = {"count": 0}
-
-    # Staggered starts spread arrivals over ~2x the membership-event
-    # time at any client count, so traffic straddles the event instead
-    # of bursting at t=0 and finishing before anything happens.
-    stagger_ns = max(200, 600_000 // clients)
-    # Sync-word cadence: every 16th op at scale, but never less than one
-    # atomic per client, so the linearizability history is never empty.
-    sync_every = min(16, ops_per_client)
-
-    def client(index: int):
-        crng = rng.fork(f"rack{index}")
-        cn_index = index % num_cns
-        keys = zipfian_keys(crng, num_regions, theta, table=ztable)
-        try:
-            yield env.timeout(stagger_ns * index
-                              + crng.uniform_int(0, stagger_ns - 1))
-            for serial in range(ops_per_client):
-                region_id = region_ids[next(keys)]
-                slot = crng.uniform_int(0, slots - 1)
-                kind = "set" if crng.uniform() < 0.5 else "get"
-                payload = ((index << 20) | serial).to_bytes(
-                    value_size, "little") if kind == "set" else None
-                start = env.now
-                ok = False
-                for attempt in range(8):
-                    try:
-                        lease = controller.lookup(region_id)
-                    except LeaseLost:
-                        # Board believed dead: back off, then refresh.
-                        yield env.timeout(30 * US + attempt * 20 * US)
-                        continue
-                    thread = threads[cn_index][lease.mn]
-                    va = lease.va + slot * value_size
-                    try:
-                        if kind == "set":
-                            yield from thread.rwrite(va, payload)
-                        else:
-                            yield from thread.rread(va, value_size)
-                        ok = True
-                        break
-                    except (RequestFailed, RemoteAccessError):
-                        # Stale lease, fenced write, or dark board:
-                        # refresh the lease and retry.
-                        yield env.timeout(10 * US + attempt * 10 * US)
-                op_log.append((index, serial, kind, ok, start, env.now))
-                if not ok:
-                    tolerated["count"] += 1
-                if serial % sync_every == sync_every - 1:
-                    try:
-                        yield from sync_threads[cn_index].rfaa(word_va, 1)
-                    except (RequestFailed, RemoteAccessError):
-                        pass
-                yield env.timeout(crng.uniform_int(200, 2_000))
-        finally:
-            done_events[index].succeed()
-
-    for index in range(clients):
-        env.process(client(index))
-
-    # Scenario driver: every event targets mn1 (never mn0, which hosts
-    # the linearizer word, so its history has a single stable home).
-    event_at = 300 * US                  # relative to the end of setup
-    event_abs = env.now + event_at       # absolute sim time of the event
-    scenario_notes: list[str] = []
-    event_done = {"ns": event_abs}  # when the membership op settled
-
-    def driver():
-        yield env.timeout(event_at)
-        if scenario == "drain":
-            yield from membership.drain_board("mn1")
-            scenario_notes.append(
-                f"drained mn1 at {event_abs}ns "
-                f"({controller.migrations} migrations)")
-        elif scenario == "add":
-            spare = cluster.rack.spare(0)
-            moved = yield from membership.add_board(spare)
-            scenario_notes.append(
-                f"added {spare.name} at {event_abs}ns, rebalanced {moved}")
-        elif scenario == "crash-mid-migration":
-            def doomed_drain():
-                # This drain is *expected* to fail: the board dies under
-                # it, its in-flight copies abort, and regions remain.
-                try:
-                    yield from membership.drain_board("mn1")
-                except DrainError:
-                    pass
-            drain_proc = env.process(doomed_drain())
-            yield env.timeout(30 * US)   # let the first copies start
-            cluster.board("mn1").crash()
-            yield env.timeout(300 * US)
-            cluster.board("mn1").restart()
-            yield drain_proc
-            # Health must re-trust the board before the retry can read it.
-            while not cluster.health.is_alive("mn1"):
-                yield env.timeout(50 * US)
-            if "mn1" in controller._boards and controller.regions_on("mn1"):
-                yield from membership.drain_board("mn1")
-            scenario_notes.append(
-                f"mn1 crashed mid-drain ({controller.aborted_migrations} "
-                f"aborted), drain completed after restart")
-        elif scenario == "evict":
-            cluster.board("mn1").crash()
-            scenario_notes.append(
-                f"mn1 crashed at {event_abs}ns, never restarted "
-                "(lease-expiry eviction)")
-            # Recovery point = the sweep's eviction, not the crash.
-            while membership.evictions == 0:
-                yield env.timeout(50 * US)
-        event_done["ns"] = env.now
-
-    if scenario is not None:
-        env.process(driver())
-
-    all_done = env.all_of(done_events)
-    cluster.run(until=deadline_ns)
-    notes = [] if all_done.triggered else ["workload hit the deadline"]
-    notes.extend(scenario_notes)
-    if tolerated["count"]:
-        notes.append(f"{tolerated['count']} ops failed typed (tolerated)")
-
-    # Latency split around the membership event, for recovery checks.
-    def p99(samples: list[int]) -> int:
-        if not samples:
-            return 0
-        ordered = sorted(samples)
-        return ordered[min(len(ordered) - 1, (len(ordered) * 99) // 100)]
-
-    pre = [end - start for _, _, _, ok, start, end in op_log
-           if ok and end <= event_abs]
-    post = [end - start for _, _, _, ok, start, end in op_log
-            if ok and start >= event_done["ns"]]
-    digest = blake2b(digest_size=16)
-    for record in op_log:
-        digest.update(repr(record).encode())
-    extras = {
-        "fingerprint": digest.hexdigest(),
-        "ops_attempted": len(op_log),
-        "ops_ok": sum(1 for r in op_log if r[3]),
-        "pre_p99_ns": p99(pre),
-        "post_p99_ns": p99(post),
-        "event_at_ns": event_abs,
-        "event_done_ns": event_done["ns"],
-        "migrations": controller.migrations,
-        "aborted_migrations": controller.aborted_migrations,
-        "evictions": membership.evictions,
-        "epoch": membership.epoch,
-        "placement": tuple(sorted(
-            (region_id, lease.mn)
-            for region_id, lease in controller._leases.items())),
-        # Engine-side counters, for the perf suite.
-        "sim_now_ns": env.now,
-        "events": env._seq,
-    }
-    notes.append(f"{extras['ops_ok']}/{extras['ops_attempted']} ops ok, "
-                 f"p99 {extras['pre_p99_ns']}ns pre / "
-                 f"{extras['post_p99_ns']}ns post event")
-
-    history = verifier.atomic_histories.get(("mn0", _SYNC_PID, word_va), [])
-    lin = check_history(history, AtomicWordModel)
-    verifier.sweep()
-    name = "rack-ycsb" + (f"[{scenario}]" if scenario else "")
-    return VerifyRunResult(name=name, lin=lin, history_len=len(history),
-                           violations=list(verifier.violations),
-                           report=verifier.report(),
-                           tracer=cluster.tracer, notes=notes,
-                           extras=extras)
-
-
-def run_verified_chaos(scenario: str = "board-crash",
-                       seed: int = 1234, **kwargs):
-    """One chaos scenario with the full verifier attached."""
-    from repro.faults.scenarios import run_chaos
-    return run_chaos(scenario, seed=seed, verify=True, **kwargs)
-
-
-#: PA strategies the allocator passes iterate over.
-ALLOC_STRATEGIES = ("freelist", "slab", "buddy", "arena")
-
-
-def run_alloc_churn(scenario: str = "small-large-mix",
-                    pa_strategy: str = "freelist",
-                    va_policy: str = "first-fit",
-                    seed: int = 0, ops: Optional[int] = None,
-                    partitioned: bool = False) -> VerifyRunResult:
-    """One fragmentation/churn scenario with the full checking stack on.
-
-    Every alloc/free triggers a complete board invariant sweep (PA
-    conservation, double-map, free-while-mapped, plus the strategy's own
-    ``check()`` audit), the shadow oracle mirrors every byte written, and
-    ``extras["fingerprint"]`` digests the allocation history — the same
-    seed must produce the same digest flat and partitioned, verified or
-    not.
-    """
-    from repro.workloads.churn import run_churn
-
-    report = run_churn(scenario, pa_strategy=pa_strategy,
-                       va_policy=va_policy, seed=seed, ops=ops,
-                       partitioned=partitioned, verify=True)
-    extras = dict(report.summary())
-    extras["sim_now_ns"] = report.now_ns
-    extras["events"] = report.events
-    notes = [
-        f"{report.ops_ok}/{report.ops_attempted} allocs ok, "
-        f"{report.frees} frees, {report.retries_total} VA retries, "
-        f"{report.slow_crossings} slow-path crossings, "
-        f"frag {report.fragmentation:.3f} (peak {report.fragmentation_peak:.3f})",
-    ]
-    name = f"alloc-churn[{report.scenario}/{pa_strategy}/{va_policy}]"
-    return VerifyRunResult(name=name, lin=None,
-                           history_len=report.ops_attempted + report.frees,
-                           violations=list(report.violations),
-                           report=report.verification,
-                           notes=notes, extras=extras)
-
-
-#: Tenant PIDs for the QoS harness: victim and aggressors address
-#: disjoint regions, so the shadow oracle audits them independently.
-_QOS_PID = 9901
-
-
-def run_qos_noisy_neighbor(seed: int = 0, shaping: bool = True,
-                           aggressors: int = 4, aggressor_pages: int = 8,
-                           victim_ops: int = 400,
-                           aggressor_write_bytes: int = 2048,
-                           victim_share: float = 0.7,
-                           trace: bool = False,
-                           deadline_ns: int = 400 * MS,
-                           partitioned: bool = False) -> VerifyRunResult:
-    """Noisy-neighbor isolation under the full checking stack.
-
-    One victim tenant (cn0) issues 64-byte reads against mn0 while an
-    aggressor tenant (cn1..cnN) floods the same board with page-strided
-    pipelined writes — each aggressor keeps ``2 * aggressor_pages``
-    async writes in flight across distinct pages, so the dependency
-    tracker never serializes them and the incast actually builds a
-    standing queue on mn0's downlink.  The victim's read p99 is measured
-    alone (phase A) and under fire (phase B):
-
-    * ``shaping=False``: the aggressor burst parks on the shared egress
-      serializer and victim p99 inflates several-fold — the congestion
-      leak QoS exists to close;
-    * ``shaping=True``: per-tenant GCRA shaping at the switch holds the
-      victim's inflation to ~1.4x (the acceptance bar is <= 1.5x) while
-      the aggressor queues in its own FIFO.
-
-    The shadow oracle audits every byte both tenants move, board
-    invariants sweep at the end, and ``extras["fingerprint"]`` digests
-    the victim's op log plus per-aggressor completion counts — the same
-    seed must produce the same digest flat and partitioned, shaped or
-    not (shaping changes *timing*, which the digest includes, but flat
-    vs partitioned must agree bit-for-bit at equal shaping).
-    """
-    from hashlib import blake2b
-
-    from repro.cluster import ClioCluster
-    from repro.params import QoSParams, TenantConfig
-
-    aggressor_clients = tuple(f"cn{i + 1}" for i in range(aggressors))
-    qos = QoSParams(tenants=(
-        TenantConfig(name="victim", clients=("cn0",), share=victim_share),
-        TenantConfig(name="aggressor", clients=aggressor_clients,
-                     share=round(1.0 - victim_share, 6)),
-    ))
-    params = replace(ClioParams.prototype(), qos=qos)
-    cluster = ClioCluster(params=params, seed=seed,
-                          num_cns=1 + aggressors,
-                          mn_capacity=max(256 * MB,
-                                          2 * aggressors * aggressor_pages
-                                          * params.cboard.default_page_size),
-                          partitioned=partitioned)
-    verifier = cluster.enable_verification()
-    if shaping:
-        cluster.enable_qos()
-    if trace:
-        cluster.enable_tracing()
-    env = cluster.env
-    page = cluster.mn.page_spec.page_size
-
-    victim_thread = cluster.cn(0).process("mn0", pid=_QOS_PID).thread()
-    aggressor_threads = [cluster.cn(i + 1).process("mn0", pid=_QOS_PID)
-                         .thread() for i in range(aggressors)]
-
-    # Prime every page both tenants touch, so phase latencies are
-    # fault-free (first-touch faults would dominate the percentiles).
-    setup = {"aggressor_vas": []}
-
-    def setup_proc():
-        setup["victim_va"] = yield from victim_thread.ralloc(page)
-        yield from victim_thread.rwrite(setup["victim_va"], b"\0" * 64)
-        for thread in aggressor_threads:
-            va = yield from thread.ralloc(aggressor_pages * page)
-            for offset in range(0, aggressor_pages * page, page):
-                yield from thread.rwrite(va + offset, b"\0" * 64)
-            setup["aggressor_vas"].append(va)
-
-    cluster.run(until=env.process(setup_proc()))
-    victim_va = setup["victim_va"]
-
-    state = {"victim_baseline_done": False, "armed": 0, "done": False}
-    base_lat: list[int] = []
-    noisy_lat: list[int] = []
-    aggressor_issued = [0] * aggressors
-    done_events = [env.event() for _ in range(1 + aggressors)]
-
-    def victim():
-        try:
-            for _ in range(victim_ops):
-                start = env.now
-                yield from victim_thread.rread(victim_va, 64)
-                base_lat.append(env.now - start)
-            state["victim_baseline_done"] = True
-            while state["armed"] < aggressors:
-                yield env.timeout(1_000)
-            for _ in range(victim_ops):
-                start = env.now
-                yield from victim_thread.rread(victim_va, 64)
-                noisy_lat.append(env.now - start)
-        finally:
-            state["done"] = True
-            done_events[0].succeed()
-
-    def aggressor(index: int):
-        thread = aggressor_threads[index]
-        va = setup["aggressor_vas"][index]
-        payload = b"\xa5" * aggressor_write_bytes
-        window: list = []
-        try:
-            while not state["victim_baseline_done"]:
-                yield env.timeout(1_000)
-            state["armed"] += 1
-            serial = 0
-            while not state["done"]:
-                offset = (serial % aggressor_pages) * page
-                handle = yield from thread.rwrite_async(va + offset, payload)
-                window.append(handle)
-                serial += 1
-                aggressor_issued[index] = serial
-                if len(window) >= 2 * aggressor_pages:
-                    yield from thread.rpoll([window.pop(0)])
-            if window:
-                yield from thread.rpoll(window)
-        finally:
-            done_events[1 + index].succeed()
-
-    env.process(victim())
-    for index in range(aggressors):
-        env.process(aggressor(index))
-
-    all_done = env.all_of(done_events)
-    cluster.run(until=deadline_ns)
-    notes = [] if all_done.triggered else ["workload hit the deadline"]
-
-    def p99(samples: list[int]) -> int:
-        if not samples:
-            return 0
-        ordered = sorted(samples)
-        return ordered[min(len(ordered) - 1, (len(ordered) * 99) // 100)]
-
-    base_p99 = p99(base_lat)
-    noisy_p99 = p99(noisy_lat)
-    inflation = (noisy_p99 / base_p99) if base_p99 else 0.0
-    digest = blake2b(digest_size=16)
-    for latency in base_lat:
-        digest.update(b"b%d" % latency)
-    for latency in noisy_lat:
-        digest.update(b"n%d" % latency)
-    for issued in aggressor_issued:
-        digest.update(b"a%d" % issued)
-    shaper_stats = {node: shaper.stats()
-                    for node, shaper in cluster.qos_shapers.items()}
-    extras = {
-        "fingerprint": digest.hexdigest(),
-        "victim_base_p99_ns": base_p99,
-        "victim_noisy_p99_ns": noisy_p99,
-        "victim_p99_inflation": round(inflation, 3),
-        "aggressor_ops": sum(aggressor_issued),
-        "shaping": shaping,
-        "shapers": shaper_stats,
-        "sim_now_ns": env.now,
-        "events": env._seq,
-    }
-    notes.append(
-        f"victim p99 {base_p99}ns alone -> {noisy_p99}ns under fire "
-        f"({inflation:.2f}x, shaping {'on' if shaping else 'off'}); "
-        f"{sum(aggressor_issued)} aggressor writes")
-    if shaping:
-        shaped = sum(stats["tenants"]["aggressor"]["shaped"]
-                     for stats in shaper_stats.values())
-        notes.append(f"{shaped} aggressor packets shaped at the switch")
-
-    verifier.sweep()
-    name = "qos-noisy-neighbor[%s]" % ("shaped" if shaping else "unshaped")
-    return VerifyRunResult(name=name, lin=None,
-                           history_len=len(base_lat) + len(noisy_lat),
-                           violations=list(verifier.violations),
-                           report=verifier.report(),
-                           tracer=cluster.tracer, notes=notes,
-                           extras=extras)

@@ -1,6 +1,6 @@
 """Churn-under-oracle: every strategy survives the full checking stack.
 
-``run_alloc_churn`` runs the mixed-size churn scenario with the shadow
+The ``alloc-*`` scenarios run the mixed-size churn mix with the shadow
 oracle attached and an invariant sweep after every metadata operation —
 so a strategy that leaks, double-accounts, or hands out a mapped page
 fails here even if the workload completes.  Each strategy must also be
@@ -10,15 +10,14 @@ partitioned PDES engine included.
 
 import pytest
 
-from repro.verify import ALLOC_STRATEGIES, run_alloc_churn
+from repro.verify import ALLOC_STRATEGIES, run_scenario, scenario
 
 OPS = 60  # enough to cycle arenas/slabs/buddy splits, small enough for CI
 
 
 @pytest.mark.parametrize("strategy", ALLOC_STRATEGIES)
 def test_churn_verified_clean(strategy):
-    result = run_alloc_churn(scenario="small-large-mix", pa_strategy=strategy,
-                             seed=11, ops=OPS)
+    result = run_scenario(scenario(f"alloc-{strategy}", ops=OPS), seed=11)
     assert result.ok, result.problems()
     assert result.extras["ops"] == OPS
     assert result.extras["failed"] == 0
@@ -27,24 +26,21 @@ def test_churn_verified_clean(strategy):
 
 @pytest.mark.parametrize("strategy", ALLOC_STRATEGIES)
 def test_churn_same_seed_bit_identical(strategy):
-    a = run_alloc_churn(scenario="small-churn", pa_strategy=strategy,
-                        seed=3, ops=OPS)
-    b = run_alloc_churn(scenario="small-churn", pa_strategy=strategy,
-                        seed=3, ops=OPS)
+    point = scenario(f"alloc-{strategy}", mix="small-churn", ops=OPS)
+    a = run_scenario(point, seed=3)
+    b = run_scenario(point, seed=3)
     assert a.ok and b.ok, (a.problems(), b.problems())
     assert a.extras["fingerprint"] == b.extras["fingerprint"]
     assert a.extras["sim_now_ns"] == b.extras["sim_now_ns"]
-    c = run_alloc_churn(scenario="small-churn", pa_strategy=strategy,
-                        seed=4, ops=OPS)
+    c = run_scenario(point, seed=4)
     assert c.extras["fingerprint"] != a.extras["fingerprint"]
 
 
 @pytest.mark.parametrize("strategy", ALLOC_STRATEGIES)
 def test_churn_flat_matches_partitioned(strategy):
-    flat = run_alloc_churn(scenario="small-large-mix", pa_strategy=strategy,
-                           seed=7, ops=OPS, partitioned=False)
-    pdes = run_alloc_churn(scenario="small-large-mix", pa_strategy=strategy,
-                           seed=7, ops=OPS, partitioned=True)
+    point = scenario(f"alloc-{strategy}", ops=OPS)
+    flat = run_scenario(point, seed=7, partitioned=False)
+    pdes = run_scenario(point, seed=7, partitioned=True)
     assert flat.ok and pdes.ok, (flat.problems(), pdes.problems())
     assert flat.extras["fingerprint"] == pdes.extras["fingerprint"]
     assert flat.extras["sim_now_ns"] == pdes.extras["sim_now_ns"]
@@ -53,6 +49,6 @@ def test_churn_flat_matches_partitioned(strategy):
 @pytest.mark.parametrize("policy", ["first-fit", "next-fit", "best-fit",
                                     "jump"])
 def test_retry_storm_verified_clean_per_policy(policy):
-    result = run_alloc_churn(scenario="retry-storm", pa_strategy="freelist",
-                             va_policy=policy, seed=2, ops=30)
+    result = run_scenario(scenario("alloc-freelist", mix="retry-storm",
+                                   va_policy=policy, ops=30), seed=2)
     assert result.ok, result.problems()

@@ -128,7 +128,7 @@ def test_out_of_bounds_read_raises():
     backend.run_process(app())
 
 
-# -- BackendParams routing and the deprecated direct-kwarg paths --------------
+# -- BackendParams routing ------------------------------------------------------
 
 
 def test_backend_params_route_capacity():
@@ -139,34 +139,6 @@ def test_backend_params_route_capacity():
         warnings.simplefilter("error", DeprecationWarning)
         backend = create_backend("herd", params=small)
     assert backend.server.dram.capacity == 64 * MB
-
-
-def test_direct_kwargs_warn_but_work():
-    from repro.baselines.herd import HERDServer
-    from repro.baselines.legoos import LegoOSMemoryNode
-    from repro.baselines.rdma import RDMAMemoryNode
-    from repro.sim import Environment
-
-    params = ClioParams.prototype()
-    with pytest.warns(DeprecationWarning, match="dram_capacity"):
-        node = RDMAMemoryNode(Environment(), params, dram_capacity=32 * MB)
-    assert node.dram.capacity == 32 * MB
-    with pytest.warns(DeprecationWarning, match="dram_capacity"):
-        LegoOSMemoryNode(Environment(), params, dram_capacity=32 * MB)
-    with pytest.warns(DeprecationWarning, match="server_cores"):
-        HERDServer(Environment(), params, server_cores=2)
-
-
-def test_clover_setup_kwarg_warns():
-    from repro.baselines.clover import CloverStore
-    from repro.sim import Environment
-
-    env = Environment()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        store = CloverStore(env, ClioParams.prototype())
-    with pytest.warns(DeprecationWarning, match="capacity_slots"):
-        env.run(until=env.process(store.setup(capacity_slots=1 << 10)))
 
 
 def test_legacy_classes_importable_from_package():

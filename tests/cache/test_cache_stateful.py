@@ -32,7 +32,7 @@ from repro.params import KB, MB, US
 from repro.transport.clib_transport import RequestFailed
 from tests.cache.test_cache import _PID  # shared pinned harness PID
 
-from repro.verify.harness import _verify_params
+from repro.verify.runner import verify_params
 
 REGION = 8 * KB        # 16 lines of 512 B
 LINE = 512
@@ -45,7 +45,7 @@ class CacheCoherenceMachine(RuleBasedStateMachine):
     @initialize(policy=st.sampled_from(["through", "back"]),
                 seed=st.integers(min_value=0, max_value=2 ** 16))
     def setup(self, policy, seed):
-        self.cluster = ClioCluster(params=_verify_params(), seed=seed,
+        self.cluster = ClioCluster(params=verify_params(), seed=seed,
                                    num_cns=2, mn_capacity=64 * MB)
         self.verifier = self.cluster.enable_verification()
         self.cluster.enable_caching(policy=policy, line_bytes=LINE,

@@ -76,7 +76,7 @@ def test_board_quarantine_via_mat():
     """Installing a DROP rule on a live board silences that PID."""
     from repro.clib.client import RemoteAccessError
     from repro.cluster import ClioCluster
-    from repro.transport.clib_transport import RequestFailedError
+    from repro.transport.clib_transport import RequestFailed
 
     cluster = ClioCluster(mn_capacity=256 * MB)
     good = cluster.cn(0).process("mn0").thread()
@@ -96,7 +96,7 @@ def test_board_quarantine_via_mat():
         try:
             yield from bad.rwrite(va_bad, b"dropped")
             outcome["bad"] = "succeeded"
-        except RequestFailedError:
+        except RequestFailed:
             outcome["bad"] = "failed"
 
     cluster.run(until=cluster.env.process(app()))

@@ -90,7 +90,8 @@ def test_free_recycles_and_zeroes_pages():
     response = run(env, slow.handle_alloc(pid=1, size=PAGE))
     vpn = response.va // PAGE
     table.set_present(1, vpn, ppn=3)
-    pa._free.remove(3)
+    pa.strategy._free.remove(3)
+    pa.strategy._free_set.discard(3)
     dram.write(3 * PAGE + 10, b"secret")
     tlb.insert(1, vpn, 3, Permission.READ_WRITE)
 
@@ -98,7 +99,7 @@ def test_free_recycles_and_zeroes_pages():
     assert free_response.ok and free_response.freed_pages == 1
     assert dram.read(3 * PAGE + 10, 6) == bytes(6)   # zeroed (R5)
     assert tlb.lookup(1, vpn) is None                # shot down
-    assert 3 in pa._free
+    assert pa.is_free(3)
 
 
 def test_free_unknown_va_fails_gracefully():

@@ -121,7 +121,7 @@ def test_stall_gate_parks_slow_path_work():
 
 def test_health_monitor_detects_crash_with_lag_and_recovery():
     cluster = make_cluster()
-    health = cluster.start_health_monitor(interval_ns=50 * US,
+    health = cluster.enable_health_monitor(interval_ns=50 * US,
                                           miss_threshold=3)
     schedule = FaultSchedule().crash_board(60 * US, "mn0",
                                            restart_after_ns=400 * US)

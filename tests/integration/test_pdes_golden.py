@@ -29,10 +29,10 @@ def test_partitioned_cluster_reports_engine_shape():
     per-CN wheels did the dispatching and the switch tier has lookahead
     edges to every node."""
     from repro.cluster import ClioCluster
-    from repro.faults.scenarios import _chaos_params
+    from repro.verify.runner import verify_params
 
     MB = 1 << 20
-    cluster = ClioCluster(params=_chaos_params(), seed=1, num_cns=2,
+    cluster = ClioCluster(params=verify_params(), seed=1, num_cns=2,
                           mn_capacity=256 * MB, partitioned=True)
     report = cluster.partition_report()
     assert set(report["partitions"]) == {"switch", "mn0", "cn0", "cn1"}

@@ -186,7 +186,7 @@ def test_fault_spans_cover_crash_and_stall():
 def test_health_monitor_emits_belief_instants():
     cluster = ClioCluster(seed=5, mn_capacity=256 * MB)
     tracer = cluster.enable_tracing()
-    cluster.start_health_monitor(interval_ns=10_000, miss_threshold=2)
+    cluster.enable_health_monitor(interval_ns=10_000, miss_threshold=2)
     cluster.mn.crash()
     cluster.run(until=100_000)
     cluster.mn.restart()

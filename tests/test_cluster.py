@@ -100,9 +100,9 @@ def test_board_accessor_by_name():
 
 def test_health_monitor_opt_in_and_reported():
     cluster = ClioCluster(num_mns=2, mn_capacity=64 * MB)
-    health = cluster.start_health_monitor(interval_ns=10_000,
-                                          miss_threshold=2)
-    assert cluster.start_health_monitor() is health   # idempotent
+    health = cluster.enable_health_monitor(interval_ns=10_000,
+                                           miss_threshold=2)
+    assert cluster.enable_health_monitor() is health   # idempotent
     cluster.board("mn1").crash()
     cluster.run(until=100_000)
     report = cluster.report()
@@ -111,12 +111,10 @@ def test_health_monitor_opt_in_and_reported():
 
 
 def test_opt_in_subsystems_share_the_enable_disable_surface():
-    """Every opt-in subsystem: enable_*() returns the handle, idempotent;
-    the deprecated start_health_monitor alias stays wired to it."""
+    """Every opt-in subsystem: enable_*() returns the handle, idempotent."""
     cluster = ClioCluster(num_mns=1, mn_capacity=64 * MB)
     health = cluster.enable_health_monitor(interval_ns=10_000)
     assert cluster.enable_health_monitor() is health
-    assert cluster.start_health_monitor() is health   # deprecated alias
     tracer = cluster.enable_tracing()
     assert cluster.enable_tracing() is tracer
     verifier = cluster.enable_verification()

@@ -9,7 +9,7 @@ from repro.core.addr import Permission
 from repro.core.pipeline import Status
 from repro.net.packet import PacketType
 from repro.params import ClioParams, NetworkParams
-from repro.transport.clib_transport import RequestFailed, RequestFailedError
+from repro.transport.clib_transport import RequestFailed
 
 MB = 1 << 20
 
@@ -116,7 +116,7 @@ def test_total_loss_raises_request_failed():
         try:
             yield from transport.request("mn0", PacketType.READ, pid=1,
                                          va=4 * MB, size=4)
-        except RequestFailedError as exc:
+        except RequestFailed as exc:
             failures.append(exc)
 
     cluster.run(until=cluster.env.process(driver()))
@@ -146,8 +146,6 @@ def test_request_failed_carries_typed_metadata():
     assert exc.va == 4 * MB
     assert exc.attempts == cluster.params.clib.max_retries + 1
     assert exc.reason == "timeout"
-    # The typed error and the legacy alias are the same class.
-    assert RequestFailed is RequestFailedError
 
 
 def test_attempts_hard_capped_and_counted():
@@ -222,7 +220,7 @@ def test_stale_response_after_timeout_is_dropped():
             outcome = yield from transport.request("mn0", PacketType.READ,
                                                    pid=1, va=4 * MB, size=4)
             outcomes.append(outcome)
-        except RequestFailedError:
+        except RequestFailed:
             outcomes.append(None)
 
     cluster.run(until=cluster.env.process(driver()))

@@ -12,17 +12,17 @@ Two properties ride on the noisy-neighbor harness scenario:
 
 import pytest
 
-from repro.verify import run_qos_noisy_neighbor
+from repro.verify import run_scenario, scenario
 
 
 @pytest.fixture(scope="module")
 def shaped():
-    return run_qos_noisy_neighbor(seed=7, shaping=True)
+    return run_scenario(scenario("qos-shaped"), seed=7)
 
 
 @pytest.fixture(scope="module")
 def unshaped():
-    return run_qos_noisy_neighbor(seed=7, shaping=False)
+    return run_scenario(scenario("qos-unshaped"), seed=7)
 
 
 def test_oracle_and_invariants_clean(shaped, unshaped):
@@ -49,8 +49,8 @@ def test_unshaped_run_has_no_shapers(unshaped):
 
 
 def test_flat_matches_partitioned(shaped):
-    partitioned = run_qos_noisy_neighbor(seed=7, shaping=True,
-                                         partitioned=True)
+    partitioned = run_scenario(scenario("qos-shaped"), seed=7,
+                               partitioned=True)
     assert partitioned.extras["fingerprint"] == shaped.extras["fingerprint"]
     assert partitioned.ok
 

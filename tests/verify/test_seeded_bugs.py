@@ -15,7 +15,8 @@ from repro.verify import (
     AtomicWordModel,
     HistoryOp,
     check_history,
-    run_sync_linearizability,
+    run_scenario,
+    scenario,
 )
 
 
@@ -30,14 +31,13 @@ def test_mutated_atomic_unit_capacity_detected():
         unit = cluster.mn.atomic_unit
         unit._unit = Resource(cluster.env, capacity=2)
 
-    result = run_sync_linearizability(seed=0, crash=False, trace=False,
-                                      mutate=mutate)
+    result = run_scenario(scenario("sync"), seed=0, mutate=mutate)
     assert not result.ok
     assert any(v.invariant == "sync-mutual-exclusion"
                for v in result.violations), result.problems()
 
     # Control: the unmutated run is clean.
-    clean = run_sync_linearizability(seed=0, crash=False, trace=False)
+    clean = run_scenario(scenario("sync"), seed=0)
     assert clean.ok, clean.problems()
 
 
