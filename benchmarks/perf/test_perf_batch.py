@@ -1,4 +1,4 @@
-"""The repro.batch sweep: simulated throughput, batching on vs off.
+"""The repro.clib.batch sweep: simulated throughput, batching on vs off.
 
 Sweeps batch size (1 -> 64) x op size (16 B -> 4 KB) and reports
 *simulated* ops/sec — operations per simulated nanosecond, a

@@ -2,12 +2,9 @@
 
 from repro.analysis.report import render_series, render_table
 from repro.analysis.stats import LatencyRecorder, cdf_points, percentile, rate_gbps
-from repro.analysis.trace import TraceCollector, TraceEvent
 
 __all__ = [
     "LatencyRecorder",
-    "TraceCollector",
-    "TraceEvent",
     "cdf_points",
     "percentile",
     "rate_gbps",

@@ -23,10 +23,11 @@ a shared clean copy.  Flushes retry unboundedly across board crashes
 rejection (region freed) abandons the bytes and counts
 ``flush_failures``.
 
-The shadow-oracle hooks mirror the uncached client exactly, with one
-deliberate rule: *flush* writes bypass the oracle — they re-materialize
-bytes whose write was already recorded as committed, which is
-idempotent.  Hit tokens open at serve time (a ~300ns window), and miss
+Every MN data access is the uncached client's own ``checked_access``
+and every op settles through its ``settle``, so the shadow oracle sees
+cached ops exactly like direct ones, with one deliberate rule: *flush*
+writes bypass the oracle — they re-materialize bytes whose write was
+already recorded as committed, which is idempotent.  Hit tokens open at serve time (a ~300ns window), and miss
 tokens open only after directory admission, so a fill that waited out a
 board crash behind a write transaction cannot trip the oracle's
 zero-retry epoch-fence rule.
@@ -40,7 +41,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.cache.directory import DIRECTORY_NODE, CacheReq
-from repro.clib.client import RemoteAccessError
+from repro.clib.client import (RemoteAccessError, check_reply,
+                               checked_access, open_window, settle)
 from repro.core.cboard import ResponseBody
 from repro.core.pipeline import Status
 from repro.net.packet import ClioHeader, Packet, PacketType
@@ -347,14 +349,14 @@ class PageCache:
                 yield self.env.timeout(backoff)
                 backoff = min(backoff * 2, self.params.clib.slow_timeout_ns)
                 continue
-            status = (outcome.body.status if outcome.body is not None
-                      else Status.INVALID_VA)
             line.dirty = False
-            if status is Status.OK:
-                self.writebacks += 1
-                return True
-            self.flush_failures += 1
-            return False
+            try:
+                check_reply(outcome, "flush({:#x})", line_va)
+            except RemoteAccessError:
+                self.flush_failures += 1
+                return False
+            self.writebacks += 1
+            return True
 
     # -- invalidation (directory -> CN) ---------------------------------------------------
 
@@ -444,21 +446,17 @@ class PageCache:
             if self._lines.get(key) is not line or line.state == FILLING:
                 self._unlock_line(line)
                 continue
-            verifier = self.node.verifier
-            token = (verifier.read_begin(thread, va, size)
-                     if verifier is not None else None)
+            token = open_window(thread, False, va, size)
             yield self.env.timeout(self.hit_ns)
             offset = va - key[2]
             data = bytes(line.data[offset:offset + size])
             self._touch(key, line)
             self._unlock_line(line)
             self.hits += 1
-            if token is not None:
-                verifier.read_checked(token, data, 0)
+            settle(thread, False, token, data)
             return data
 
     def _miss(self, thread, key: tuple, va: int, size: int):
-        verifier = self.node.verifier
         self.misses += 1
         line = _Line(key, fill_event=self.env.event())
         self._lines[key] = line       # FILLING placeholder
@@ -475,32 +473,19 @@ class PageCache:
                 # Our own node owns this line dirty (a local write raced
                 # us): the MN's bytes are stale.  Re-examine locally.
                 return _RETRY
-            token = (verifier.read_begin(thread, va, size)
-                     if verifier is not None else None)
-            try:
-                mn_out = yield from self.transport.request(
-                    key[0], PacketType.READ, pid=key[1], va=key[2],
-                    size=self.line_bytes)
-                status = (mn_out.body.status if mn_out.body is not None
-                          else Status.INVALID_VA)
-                if status is not Status.OK:
-                    raise RemoteAccessError(status, f"rread({va:#x}, {size})")
-            except BaseException:
-                if token is not None:
-                    verifier.read_failed(token)
-                raise
-            buf = bytearray(mn_out.data)
+            # The oracle window opens only now, after directory admission,
+            # and covers the bytes asked for, not the whole line fetched.
+            buf = bytearray((yield from checked_access(
+                thread, False, key[2], self.line_bytes,
+                retries=outcome.retries, window=(va, size))))
             offset = va - key[2]
             data = bytes(buf[offset:offset + size])
-            retries = outcome.retries + mn_out.retries
             if not line.poisoned and self._lines.get(key) is line:
                 line.data = buf
                 line.state = SHARED
                 self._install(key, line)
                 installed = True
                 self.fills += 1
-            if token is not None:
-                verifier.read_checked(token, data, retries)
             if installed:
                 yield from self._enforce_capacity()
             return data
@@ -518,33 +503,16 @@ class PageCache:
     def _bypass_read(self, thread, va: int, size: int):
         """Multi-line read: go to the MN, syncing dirty owners first
         (write-back) so the MN holds current bytes."""
-        verifier = self.node.verifier
-        extra_retries = 0
+        retries = 0
         if self.policy == "back":
             keys = self._range_keys(thread.process.mn, thread.process.pid,
                                     va, size)
             sync_out = yield from self._dir_request(CacheReq(
                 "sync", thread.process.pid, thread.process.mn, keys=keys,
                 drops=self._take_drops()))
-            extra_retries = sync_out.retries
-        token = (verifier.read_begin(thread, va, size)
-                 if verifier is not None else None)
-        try:
-            outcome = yield from self.transport.request(
-                thread.process.mn, PacketType.READ, pid=thread.process.pid,
-                va=va, size=size)
-            status = (outcome.body.status if outcome.body is not None
-                      else Status.INVALID_VA)
-            if status is not Status.OK:
-                raise RemoteAccessError(status, f"rread({va:#x}, {size})")
-        except BaseException:
-            if token is not None:
-                verifier.read_failed(token)
-            raise
-        if token is not None:
-            verifier.read_checked(token, outcome.data,
-                                  extra_retries + outcome.retries)
-        return outcome.data
+            retries = sync_out.retries
+        return (yield from checked_access(thread, False, va, size,
+                                          retries=retries))
 
     # -- write path -----------------------------------------------------------------------
 
@@ -569,7 +537,6 @@ class PageCache:
             yield from self._write_back(thread, key, va, data)
 
     def _write_through(self, thread, key: tuple, va: int, data: bytes):
-        verifier = self.node.verifier
         txn_id = next(self._txn_ids)
         try:
             dir_out = yield from self._dir_request(CacheReq(
@@ -580,21 +547,11 @@ class PageCache:
             # response: always send the matching wend.
             self._spawn_wend(txn_id, key[1], key[0])
             raise
-        token = (verifier.write_begin(thread, va, data)
-                 if verifier is not None else None)
         try:
             try:
-                outcome = yield from self.transport.request(
-                    key[0], PacketType.WRITE, pid=key[1], va=va,
-                    size=len(data), data=bytes(data))
-                status = (outcome.body.status if outcome.body is not None
-                          else Status.INVALID_VA)
-                if status is not Status.OK:
-                    raise RemoteAccessError(
-                        status, f"rwrite({va:#x}, {len(data)})")
+                yield from checked_access(thread, True, va, len(data), data,
+                                          retries=dir_out.retries)
             except BaseException:
-                if token is not None:
-                    verifier.write_failed(token)
                 # The write may have applied without the ack: our local
                 # copy can no longer be trusted.
                 yield from self._discard_local(key)
@@ -611,20 +568,16 @@ class PageCache:
                         self._touch(key, line)
                     self._unlock_line(line)
             self.write_throughs += 1
-            if token is not None:
-                verifier.write_acked(token, dir_out.retries + outcome.retries)
         finally:
             self._spawn_wend(txn_id, key[1], key[0])
 
     def _write_back(self, thread, key: tuple, va: int, data: bytes):
-        verifier = self.node.verifier
         line = self._lines.get(key)
         if line is not None and line.state == MODIFIED:
             yield from self._lock_line(line)
             if self._lines.get(key) is line and line.state == MODIFIED:
                 # Owner hit: commit locally, zero network round trips.
-                token = (verifier.write_begin(thread, va, data)
-                         if verifier is not None else None)
+                token = open_window(thread, True, va, len(data), data)
                 yield self.env.timeout(self.hit_ns)
                 offset = va - key[2]
                 line.data[offset:offset + len(data)] = data
@@ -632,8 +585,7 @@ class PageCache:
                 self._touch(key, line)
                 self._unlock_line(line)
                 self.write_hits += 1
-                if token is not None:
-                    verifier.write_acked(token, 0)
+                settle(thread, True, token)
                 return
             self._unlock_line(line)
         txn_id = next(self._txn_ids)
@@ -652,15 +604,13 @@ class PageCache:
 
     def _write_back_commit(self, thread, key: tuple, va: int, data: bytes,
                            dir_retries: int):
-        verifier = self.node.verifier
         line = self._lines.get(key)
         if line is not None and line.state in (SHARED, MODIFIED):
             yield from self._lock_line(line)
             if self._lines.get(key) is line \
                     and line.state in (SHARED, MODIFIED):
                 # Upgrade in place: we already hold current bytes.
-                token = (verifier.write_begin(thread, va, data)
-                         if verifier is not None else None)
+                token = open_window(thread, True, va, len(data), data)
                 yield self.env.timeout(self.hit_ns)
                 offset = va - key[2]
                 line.data[offset:offset + len(data)] = data
@@ -669,31 +619,21 @@ class PageCache:
                 self._touch(key, line)
                 self._unlock_line(line)
                 self.write_hits += 1
-                if token is not None:
-                    verifier.write_acked(token, dir_retries)
+                settle(thread, True, token, retries=dir_retries)
                 return
             self._unlock_line(line)
         offset = va - key[2]
         if offset == 0 and len(data) == self.line_bytes:
             buf = bytearray(data)      # full-line write: nothing to fetch
-            mn_retries = 0
         else:
             # Fetch-on-write: merge into the current line image.  The MN
             # holds current bytes (any previous owner was recalled and
-            # flushed by our wbegin).
-            mn_out = yield from self.transport.request(
-                key[0], PacketType.READ, pid=key[1], va=key[2],
-                size=self.line_bytes)
-            status = (mn_out.body.status if mn_out.body is not None
-                      else Status.INVALID_VA)
-            if status is not Status.OK:
-                raise RemoteAccessError(
-                    status, f"rwrite({va:#x}, {len(data)}) fill")
-            buf = bytearray(mn_out.data)
+            # flushed by our wbegin).  No oracle window: the write's own
+            # opens below, at the local commit.
+            buf = bytearray((yield from checked_access(
+                thread, False, key[2], self.line_bytes, checked=False)))
             buf[offset:offset + len(data)] = data
-            mn_retries = mn_out.retries
-        token = (verifier.write_begin(thread, va, data)
-                 if verifier is not None else None)
+        token = open_window(thread, True, va, len(data), data)
         yield self.env.timeout(self.hit_ns)
         existing = self._lines.get(key)
         if existing is not None and existing.state == FILLING:
@@ -704,8 +644,7 @@ class PageCache:
         new_line.dirty = True
         self._install(key, new_line)
         self.write_fills += 1
-        if token is not None:
-            verifier.write_acked(token, dir_retries + mn_retries)
+        settle(thread, True, token, retries=dir_retries)
         yield from self._enforce_capacity()
 
     def _discard_local(self, key: tuple):
@@ -748,27 +687,10 @@ class PageCache:
         self._spawn_wend(guard.txn_id, guard.pid, guard.mn)
 
     def _bypass_write(self, thread, va: int, data: bytes):
-        verifier = self.node.verifier
         guard = yield from self.write_guard(thread, va, len(data))
-        token = (verifier.write_begin(thread, va, data)
-                 if verifier is not None else None)
         try:
-            try:
-                outcome = yield from self.transport.request(
-                    thread.process.mn, PacketType.WRITE,
-                    pid=thread.process.pid, va=va, size=len(data),
-                    data=bytes(data))
-                status = (outcome.body.status if outcome.body is not None
-                          else Status.INVALID_VA)
-                if status is not Status.OK:
-                    raise RemoteAccessError(
-                        status, f"rwrite({va:#x}, {len(data)})")
-            except BaseException:
-                if token is not None:
-                    verifier.write_failed(token)
-                raise
-            if token is not None:
-                verifier.write_acked(token, guard.retries + outcome.retries)
+            yield from checked_access(thread, True, va, len(data), data,
+                                      retries=guard.retries)
         finally:
             self.guard_end(guard)
 

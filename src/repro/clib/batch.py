@@ -1,4 +1,4 @@
-"""Per-thread request batching: the CLib half of repro.batch.
+"""Per-thread request batching: the CLib half of multi-op frames.
 
 Small remote ops pay a full Clio header and a congestion-window slot
 each; a :class:`ThreadBatcher` coalesces ops issued within a time/count
@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.clib.client import RemoteAccessError, settle
+from repro.core.pipeline import Status
 from repro.net.packet import BatchSubOp, PacketType
 from repro.sim import Event
 
@@ -26,7 +28,7 @@ from repro.sim import Event
 class _PendingOp:
     """One submitted op waiting for (or riding) a frame."""
 
-    kind: str                     # "read" or "write"
+    is_write: bool
     va: int
     size: int
     data: Optional[bytes]
@@ -35,67 +37,44 @@ class _PendingOp:
     vtoken: Any                   # verifier token (None when disabled)
 
 
-def _subop_cost(net, kind: str, size: int) -> int:
+def _subop_cost(net, is_write: bool, size: int) -> int:
     """Wire bytes one sub-op adds to a frame."""
-    return net.subop_header_bytes + (size if kind == "write" else 0)
+    return net.subop_header_bytes + (size if is_write else 0)
 
 
 def _issue_frame(thread, ops: list[_PendingOp]):
     """Process-generator: one frame on the wire, fan the ack back out.
 
     The transport treats the frame as a single request (one ID, one
-    retransmission unit); this generator distributes the per-sub-op
-    statuses to each op's completion event and verifier token.
+    retransmission unit); this generator settles every rider with its
+    own sub-op status — or, when the whole frame failed (retries
+    exhausted), with that failure, the same way a lone op would.
     """
     process = thread.process
-    transport = process.node.transport
-    verifier = process.node.verifier
     sub_ops = tuple(
-        BatchSubOp(op=PacketType.WRITE if op.kind == "write"
-                   else PacketType.READ,
+        BatchSubOp(op=PacketType.WRITE if op.is_write else PacketType.READ,
                    va=op.va, size=op.size, data=op.data)
         for op in ops)
     try:
-        outcome = yield from transport.request_batch(
+        outcome = yield from process.node.transport.request_batch(
             process.mn, process.pid, sub_ops)
     except BaseException as exc:
-        # Whole-frame failure (retries exhausted): every rider fails the
-        # same way a lone op would — writes become oracle "ghosts".
         for op in ops:
-            if verifier is not None and op.vtoken is not None:
-                if op.kind == "write":
-                    verifier.write_failed(op.vtoken)
-                else:
-                    verifier.read_failed(op.vtoken)
-            op.completion.fail(exc)
-            if not op.done.triggered:
-                op.done.succeed()
+            settle(thread, op.is_write, op.vtoken, error=exc,
+                   completion=op.completion, done=op.done)
         return
-    from repro.clib.client import RemoteAccessError
-    from repro.core.pipeline import Status
     offset = 0
     for op, status in zip(ops, outcome.statuses):
-        part = None
-        if op.kind == "read" and status is Status.OK:
+        part = error = None
+        if status is not Status.OK:
+            kind = "write" if op.is_write else "read"
+            error = RemoteAccessError(
+                status, f"r{kind}({op.va:#x}, {op.size})")
+        elif not op.is_write:
             part = outcome.data[offset:offset + op.size]
             offset += op.size
-        if verifier is not None and op.vtoken is not None:
-            if status is Status.OK:
-                if op.kind == "write":
-                    verifier.write_acked(op.vtoken, outcome.retries)
-                else:
-                    verifier.read_checked(op.vtoken, part, outcome.retries)
-            elif op.kind == "write":
-                verifier.write_failed(op.vtoken)
-            else:
-                verifier.read_failed(op.vtoken)
-        if status is Status.OK:
-            op.completion.succeed(part)
-        else:
-            op.completion.fail(RemoteAccessError(
-                status, f"batched {op.kind}({op.va:#x}, {op.size})"))
-        if not op.done.triggered:
-            op.done.succeed()
+        settle(thread, op.is_write, op.vtoken, part, outcome.retries, error,
+               op.completion, op.done)
 
 
 class ThreadBatcher:
@@ -137,20 +116,19 @@ class ThreadBatcher:
         self.frames_issued = 0
         self.subops_batched = 0
 
-    def admits(self, kind: str, size: int) -> bool:
+    def admits(self, is_write: bool, size: int) -> bool:
         """True when an op of this shape can ride a frame at all."""
-        return _subop_cost(self._net, kind, size) <= self.max_frame_bytes
+        return _subop_cost(self._net, is_write, size) <= self.max_frame_bytes
 
-    def submit(self, kind: str, va: int, size: int, data: Optional[bytes],
+    def submit(self, is_write: bool, va: int, size: int, data: Optional[bytes],
                done: Event, vtoken: Any) -> Event:
         """Queue one op; returns the event that fulfils its handle."""
-        cost = _subop_cost(self._net, kind, size)
+        cost = _subop_cost(self._net, is_write, size)
         if self._pending and self._pending_bytes + cost > self.max_frame_bytes:
             self.flush()
         completion = self.env.event()
-        self._pending.append(_PendingOp(kind=kind, va=va, size=size,
-                                        data=data, done=done,
-                                        completion=completion, vtoken=vtoken))
+        self._pending.append(_PendingOp(is_write, va, size, data, done,
+                                        completion, vtoken))
         self._pending_bytes += cost
         if len(self._pending) >= self.max_ops:
             self.flush()
@@ -176,73 +154,35 @@ class ThreadBatcher:
         self.env.process(_issue_frame(self.thread, frame))
 
 
-def issue_vector(thread, kind: str, specs):
+def issue_vector(thread, is_write: bool, specs):
     """Process-generator shared by rreadv_async/rwritev_async.
 
     ``specs`` is a list of (va, size, data) triples.  Each op goes
-    through dependency admission in list order; batchable ops are
-    greedily chunked into MTU-sized frames, oversized ops fall back to
-    the classic per-op path.  Every frame (and fallback op) is in flight
-    concurrently when this returns — the pipelined issue the paper's
-    async API exists for.  Returns one AsyncHandle per op, in order.
+    through the thread's one admit-and-route step in list order, with a
+    private batcher as the frame sink: ops that fit are greedily chunked
+    into MTU-sized frames, the rest take the classic per-op (or cached)
+    route.  Every frame and lone op is in flight concurrently when this
+    returns — the pipelined issue the paper's async API exists for.
+    Returns one AsyncHandle per op, in order.
     """
-    from repro.clib.handles import AsyncHandle
-    params = thread.process.node.params
-    net = params.network
     batcher = thread.batcher
-    if batcher is not None:
-        max_ops = batcher.max_ops
-        budget = batcher.max_frame_bytes
-    else:
-        max_ops = params.clib.batch_max_ops
-        budget = net.mtu
-    handles: list[AsyncHandle] = []
-    chunk: list[_PendingOp] = []
-    chunk_bytes = 0
-
-    def seal():
-        nonlocal chunk, chunk_bytes
-        if chunk:
-            thread.env.process(_issue_frame(thread, chunk))
-            chunk = []
-            chunk_bytes = 0
-
-    is_write = kind == "write"
+    frames = ThreadBatcher(
+        thread, max_ops=batcher.max_ops if batcher else None,
+        max_frame_bytes=batcher.max_frame_bytes if batcher else None)
+    # The caller's list *is* the batch: no window timer, the chunks are
+    # flushed explicitly.
+    frames._timer_armed = True
+    handles = []
     for va, size, data in specs:
-        thread.ops_issued += 1
-        if chunk and thread.tracker.conflicts(va, size, is_write=is_write):
+        if frames._pending and thread.tracker.conflicts(va, size,
+                                                        is_write=is_write):
             # The conflict may be with an op in the unsent chunk, whose
-            # completion needs the chunk on the wire: seal before waiting
+            # completion needs the chunk on the wire: flush before waiting
             # (ops conflicting within a vector serialize, frame by frame,
             # exactly like the classic per-op async path).
-            seal()
-        yield from thread.tracker.wait_for_conflicts(va, size,
-                                                     is_write=is_write)
-        done = thread.tracker.register(va, size, is_write=is_write)
-        verifier = thread.process.node.verifier
-        if verifier is None:
-            vtoken = None
-        elif is_write:
-            vtoken = verifier.write_begin(thread, va, data)
-        else:
-            vtoken = verifier.read_begin(thread, va, size)
-        cost = _subop_cost(net, kind, size)
-        if cost > budget:
-            # Too big for any frame: classic per-op issue (the existing
-            # path already fragments large writes at the MTU).
-            packet_type = PacketType.WRITE if is_write else PacketType.READ
-            process = thread.env.process(thread._async_op(
-                packet_type, va, size, data, done, vtoken=vtoken))
-            handles.append(AsyncHandle(thread.env, process, kind))
-            continue
-        if chunk and (len(chunk) >= max_ops
-                      or chunk_bytes + cost > budget):
-            seal()
-        completion = thread.env.event()
-        chunk.append(_PendingOp(kind=kind, va=va, size=size, data=data,
-                                done=done, completion=completion,
-                                vtoken=vtoken))
-        chunk_bytes += cost
-        handles.append(AsyncHandle(thread.env, completion, kind))
-    seal()
+            frames.flush()
+        handle = yield from thread._issue_async(is_write, va, size, data,
+                                                frames)
+        handles.append(handle)
+    frames.flush()
     return handles

@@ -20,7 +20,7 @@ from repro.core.sync import AtomicOp, AtomicResult
 from repro.net.packet import PacketType
 from repro.params import ClioParams
 from repro.sim import Environment
-from repro.transport.clib_transport import RequestOutcome, Transport
+from repro.transport.clib_transport import Transport
 from repro.transport.ordering import DependencyTracker
 
 #: Global PID source — "a unique global PID across all CNs" (section 3.1).
@@ -33,6 +33,104 @@ class RemoteAccessError(Exception):
     def __init__(self, status: Status, message: str):
         super().__init__(f"{message}: {status.value}")
         self.status = status
+
+
+def check_reply(outcome, what: str, *args):
+    """Raise :class:`RemoteAccessError` unless the MN answered OK.
+
+    The one place a reply becomes a typed failure: a response without a
+    body reads as a bad VA.  ``what.format(*args)`` names the op in the
+    error and is only built on the failure path.
+    """
+    body = outcome.body
+    status = body.status if body is not None else Status.INVALID_VA
+    if status is not Status.OK:
+        raise RemoteAccessError(status, what.format(*args))
+
+
+def open_window(thread, is_write: bool, va: int, size: int,
+                data: Optional[bytes] = None):
+    """Open the shadow oracle's window on one data op; returns its token
+    (None while verification is off)."""
+    verifier = thread.process.node.verifier
+    if verifier is None:
+        return None
+    if is_write:
+        return verifier.write_begin(thread, va, data)
+    return verifier.read_begin(thread, va, size)
+
+
+def settle(thread, is_write: bool, token, data: Optional[bytes] = None,
+           retries: int = 0, error: Optional[BaseException] = None,
+           completion=None, done=None) -> None:
+    """Settle one data op, the same way on every route.
+
+    Closes the op's oracle window (``token``) with the verdict — a read
+    is checked against the shadow, a write commits, and a failed or
+    rejected write stays acceptable as a "ghost": it may have applied at
+    the MN even though the client saw an error (a crash can eat the ack
+    after the data landed).  Frame riders also get their handle's
+    ``completion`` fulfilled and their tracker slot ``done`` released.
+    """
+    verifier = thread.process.node.verifier
+    if token is not None and verifier is not None:
+        if error is not None:
+            if is_write:
+                verifier.write_failed(token)
+            else:
+                verifier.read_failed(token)
+        elif is_write:
+            verifier.write_acked(token, retries)
+        else:
+            verifier.read_checked(token, data, retries)
+    if completion is not None:
+        if error is None:
+            completion.succeed(data)
+        else:
+            completion.fail(error)
+    if done is not None and not done.triggered:
+        done.succeed()
+
+
+def checked_access(thread, is_write: bool, va: int, size: int,
+                   data: Optional[bytes] = None, token=None,
+                   retries: int = 0, window: Optional[tuple] = None,
+                   checked: bool = True):
+    """Process-generator: one checked MN data access; returns the bytes
+    read (None for a write).
+
+    Every data op that reaches the MN as its own request runs this —
+    direct sync and async ops, and the cache's fills, bypasses and
+    write-throughs: open the op's oracle window (unless the caller holds
+    ``token`` since admission), issue the request, turn a rejection into
+    :class:`RemoteAccessError`, and settle the window with ``retries``
+    (what the caller already spent, e.g. at the cache directory) plus
+    the request's own.  ``window=(va, size)`` narrows a read's oracle
+    window to the bytes the application asked for when the request
+    fetches more (a line fill); ``checked=False`` opens none (a fetch
+    on behalf of a write whose window opens at its local commit).
+    """
+    process = thread.process
+    node = process.node
+    if checked and token is None and node.verifier is not None:
+        token = open_window(thread, is_write, *(window or (va, size)), data)
+    try:
+        outcome = yield from node.transport.request(
+            process.mn, PacketType.WRITE if is_write else PacketType.READ,
+            pid=process.pid, va=va, size=size, data=data)
+        check_reply(outcome, "r{}({:#x}, {})",
+                    "write" if is_write else "read", va, size)
+    except BaseException as exc:
+        if token is not None:
+            settle(thread, is_write, token, error=exc)
+        raise
+    if token is not None:
+        seen = outcome.data
+        if window is not None:
+            start = window[0] - va
+            seen = seen[start:start + window[1]]
+        settle(thread, is_write, token, seen, retries + outcome.retries)
+    return outcome.data
 
 
 class ComputeNode:
@@ -99,7 +197,7 @@ class ClioThread:
         self._tracker = DependencyTracker(self.env, process.page_spec,
                                           granularity=ordering_granularity)
         self.ops_issued = 0
-        # Adaptive request batching (repro.batch): None = off (default);
+        # Adaptive request batching (repro.clib.batch): None = off (default);
         # enable_batching installs a ThreadBatcher that coalesces small
         # async data ops into multi-op frames.
         self._batcher = None
@@ -119,7 +217,7 @@ class ClioThread:
         """The thread's ThreadBatcher, or None when batching is off."""
         return self._batcher
 
-    # -- request batching (repro.batch, opt-in) ---------------------------------------
+    # -- request batching (repro.clib.batch, opt-in) ---------------------------------------
 
     def enable_batching(self, max_ops: Optional[int] = None,
                         window_ns: Optional[int] = None,
@@ -151,20 +249,6 @@ class ClioThread:
         if self._batcher is not None:
             self._batcher.flush()
 
-    def _check(self, outcome: RequestOutcome, what: str) -> RequestOutcome:
-        status = outcome.body.status if outcome.body is not None else Status.INVALID_VA
-        if status is not Status.OK:
-            raise RemoteAccessError(status, what)
-        return outcome
-
-    def _data_request(self, packet_type: PacketType, va: int, size: int,
-                      data: Optional[bytes]):
-        process = self.process
-        outcome = yield from self._transport.request(
-            process.mn, packet_type, pid=process.pid, va=va, size=size,
-            data=data)
-        return outcome
-
     # -- metadata (slow path) ---------------------------------------------------------
 
     def ralloc(self, size: int,
@@ -172,19 +256,75 @@ class ClioThread:
                fixed_va: Optional[int] = None):
         """Process-generator: allocate ``size`` bytes in the RAS, return VA."""
         self.ops_issued += 1
+        process = self.process
         outcome = yield from self._transport.request(
-            self.process.mn, PacketType.ALLOC, pid=self.process.pid,
+            process.mn, PacketType.ALLOC, pid=process.pid,
             payload=(size, permission, fixed_va))
-        self._check(outcome, f"ralloc({size})")
-        verifier = self.process.node.verifier
+        check_reply(outcome, "ralloc({})", size)
+        grant = outcome.body.value
+        verifier = process.node.verifier
         if verifier is not None:
-            verifier.alloc_done(self, outcome.body.value.va,
-                                outcome.body.value.size)
-        cache = self.process.node.cache
+            verifier.alloc_done(self, grant.va, grant.size)
+        cache = process.node.cache
         if cache is not None:
-            cache.note_alloc(self.process.mn, self.process.pid,
-                             outcome.body.value.va, outcome.body.value.size)
-        return outcome.body.value.va
+            cache.note_alloc(process.mn, process.pid, grant.va, grant.size)
+        return grant.va
+
+    def ralloc_async(self, size: int,
+                     permission: Permission = Permission.READ_WRITE):
+        """Process-generator: issue a non-blocking ralloc, return a handle.
+
+        The handle's result is the allocated VA.  A fresh allocation can
+        conflict with nothing in flight, so issuing never blocks: the
+        handle simply runs :meth:`ralloc` in the background.
+        """
+        process = self.env.process(self.ralloc(size, permission))
+        return AsyncHandle(self.env, process, "alloc")
+        # Unreachable yield: keeps this a generator like every other
+        # async API, so call sites uniformly use `yield from`.
+        yield  # pragma: no cover
+
+    def _free(self, va: int):
+        """Process-generator: the one body behind rfree/rfree_async.
+
+        The caller has already ordered the free against this thread's
+        in-flight accesses (sync: drained them; async: registered the
+        free as a write over the freed range).
+        """
+        process = self.process
+        page_size = process.page_spec.page_size
+        cache = process.node.cache
+        if cache is not None and not cache.enabled:
+            cache = None
+        guard = None
+        try:
+            if cache is not None:
+                # Recall every cached line of the allocation *before* the
+                # MN frees it, holding the directory locks across the free
+                # so no new fill can resurrect a dead line.  When the
+                # allocation size wasn't observed (region handed over out
+                # of band), the recall happens after the free using the
+                # freed page count.
+                known = cache.allocation_size(process.mn, process.pid, va)
+                if known:
+                    guard = yield from cache.write_guard(self, va, known)
+            outcome = yield from self._transport.request(
+                process.mn, PacketType.FREE, pid=process.pid, va=va)
+            check_reply(outcome, "rfree({:#x})", va)
+            freed_pages = outcome.body.value.freed_pages
+            if cache is not None:
+                cache.forget_alloc(process.mn, process.pid, va)
+                if guard is None and freed_pages:
+                    late = yield from cache.write_guard(
+                        self, va, freed_pages * page_size)
+                    cache.guard_end(late)
+            verifier = process.node.verifier
+            if verifier is not None:
+                verifier.free_done(self, va, freed_pages * page_size)
+            return freed_pages
+        finally:
+            if guard is not None:
+                cache.guard_end(guard)
 
     def rfree(self, va: int):
         """Process-generator: free an allocation.
@@ -196,71 +336,7 @@ class ClioThread:
         self.ops_issued += 1
         self._flush_batches()
         yield from self._tracker.drain()
-        cache = self.process.node.cache
-        guard = None
-        if cache is not None and cache.enabled:
-            # Recall every cached line of the allocation *before* the MN
-            # frees it, holding the directory locks across the free so no
-            # new fill can resurrect a dead line.  When the allocation
-            # size wasn't observed (region handed over out of band), the
-            # recall happens after the free using the freed page count.
-            known = cache.allocation_size(self.process.mn, self.process.pid,
-                                          va)
-            if known:
-                guard = yield from cache.write_guard(self, va, known)
-        try:
-            outcome = yield from self._transport.request(
-                self.process.mn, PacketType.FREE, pid=self.process.pid, va=va)
-            self._check(outcome, f"rfree({va:#x})")
-            freed_pages = outcome.body.value.freed_pages
-            if cache is not None and cache.enabled:
-                cache.forget_alloc(self.process.mn, self.process.pid, va)
-                if guard is None and freed_pages:
-                    late = yield from cache.write_guard(
-                        self, va,
-                        freed_pages * self.process.page_spec.page_size)
-                    cache.guard_end(late)
-            verifier = self.process.node.verifier
-            if verifier is not None:
-                verifier.free_done(
-                    self, va, freed_pages * self.process.page_spec.page_size)
-            return freed_pages
-        finally:
-            if guard is not None:
-                cache.guard_end(guard)
-
-    # -- asynchronous metadata (section 3.1 offers both versions) ---------------------
-
-    def ralloc_async(self, size: int,
-                     permission: Permission = Permission.READ_WRITE):
-        """Process-generator: issue a non-blocking ralloc, return a handle.
-
-        The handle's result is the allocated VA.  A fresh allocation can
-        conflict with nothing in flight, so issuing never blocks.
-        """
-        self.ops_issued += 1
-
-        def runner():
-            outcome = yield from self._transport.request(
-                self.process.mn, PacketType.ALLOC, pid=self.process.pid,
-                payload=(size, permission, None))
-            self._check(outcome, f"async ralloc({size})")
-            verifier = self.process.node.verifier
-            if verifier is not None:
-                verifier.alloc_done(self, outcome.body.value.va,
-                                    outcome.body.value.size)
-            cache = self.process.node.cache
-            if cache is not None:
-                cache.note_alloc(self.process.mn, self.process.pid,
-                                 outcome.body.value.va,
-                                 outcome.body.value.size)
-            return outcome.body.value.va
-
-        process = self.env.process(runner())
-        return AsyncHandle(self.env, process, "alloc")
-        # Unreachable yield: keeps this a generator like every other
-        # async API, so call sites uniformly use `yield from`.
-        yield  # pragma: no cover
+        return (yield from self._free(va))
 
     def rfree_async(self, va: int, size_hint: int = 0):
         """Process-generator: issue a non-blocking rfree, return a handle.
@@ -275,53 +351,32 @@ class ClioThread:
         span = max(size_hint, 1)
         yield from self._tracker.wait_for_conflicts(va, span, is_write=True)
         done = self._tracker.register(va, span, is_write=True)
-
-        def runner():
-            try:
-                outcome = yield from self._transport.request(
-                    self.process.mn, PacketType.FREE, pid=self.process.pid,
-                    va=va)
-                self._check(outcome, f"async rfree({va:#x})")
-                freed_pages = outcome.body.value.freed_pages
-                verifier = self.process.node.verifier
-                if verifier is not None:
-                    verifier.free_done(
-                        self, va,
-                        freed_pages * self.process.page_spec.page_size)
-                return freed_pages
-            finally:
-                if not done.triggered:
-                    done.succeed()
-
-        process = self.env.process(runner())
+        process = self.env.process(self._async_op(self._free(va), done))
         return AsyncHandle(self.env, process, "free")
 
-    # -- synchronous data path ----------------------------------------------------------
+    # -- data path: admit -> route -> checked access -> settle ---------------------------
+
+    def _route(self, is_write: bool, va: int, size: int,
+               data: Optional[bytes], token=None):
+        """The generator that serves one admitted data op.
+
+        Route selection, sync and async alike: the CN cache when caching
+        is on (it opens the op's oracle windows itself), else one direct
+        :func:`checked_access`.  A plain function, so a sync op that
+        ``yield from``s the result pays no extra generator frame.
+        """
+        cache = self.process.node.cache
+        if cache is not None and cache.enabled:
+            if is_write:
+                return cache.write(self, va, data)
+            return cache.read(self, va, size)
+        return checked_access(self, is_write, va, size, data, token)
 
     def rread(self, va: int, size: int):
         """Process-generator: blocking read; returns the bytes."""
         self.ops_issued += 1
         yield from self._tracker.wait_for_conflicts(va, size, is_write=False)
-        cache = self.process.node.cache
-        if cache is not None and cache.enabled:
-            # The cache owns the oracle tokens for cached ops (hit windows
-            # open at serve time; miss windows after directory admission).
-            data = yield from cache.read(self, va, size)
-            return data
-        verifier = self.process.node.verifier
-        token = (verifier.read_begin(self, va, size)
-                 if verifier is not None else None)
-        try:
-            outcome = yield from self._data_request(PacketType.READ, va,
-                                                    size, None)
-            self._check(outcome, f"rread({va:#x}, {size})")
-        except BaseException:
-            if token is not None:
-                verifier.read_failed(token)
-            raise
-        if token is not None:
-            verifier.read_checked(token, outcome.data, outcome.retries)
-        return outcome.data
+        return (yield from self._route(False, va, size, None))
 
     def rwrite(self, va: int, data: bytes):
         """Process-generator: blocking write."""
@@ -329,124 +384,60 @@ class ClioThread:
             raise ValueError("rwrite needs a non-empty payload")
         self.ops_issued += 1
         yield from self._tracker.wait_for_conflicts(va, len(data), is_write=True)
+        yield from self._route(True, va, len(data), bytes(data))
+
+    def _issue_async(self, is_write: bool, va: int, size: int,
+                     data: Optional[bytes] = None, frames=None):
+        """Process-generator: admit one async data op, route it, return
+        its :class:`AsyncHandle`.
+
+        Admission blocks only while a WAR/RAW/WAW conflict with an
+        in-flight request of this thread drains (section 4.5), then takes
+        a tracker slot.  Routes, first match wins: caching on -> the
+        cache; ``frames`` (the thread's batcher, or a vector's chunker)
+        admits the op's shape -> it rides a multi-op frame; else one
+        direct checked access.  Direct and frame ops open their oracle
+        window here, at admission; cached ops leave that to the cache.
+        """
+        self.ops_issued += 1
+        tracker = self._tracker
+        yield from tracker.wait_for_conflicts(va, size, is_write=is_write)
+        done = tracker.register(va, size, is_write=is_write)
+        kind = "write" if is_write else "read"
         cache = self.process.node.cache
-        if cache is not None and cache.enabled:
-            yield from cache.write(self, va, bytes(data))
-            return
-        verifier = self.process.node.verifier
-        token = (verifier.write_begin(self, va, data)
-                 if verifier is not None else None)
-        try:
-            outcome = yield from self._data_request(
-                PacketType.WRITE, va, len(data), bytes(data))
-            self._check(outcome, f"rwrite({va:#x}, {len(data)})")
-        except BaseException:
-            # A failed or rejected write may still have applied at the MN
-            # (a crash can eat the ack after the data landed): the oracle
-            # keeps its bytes as acceptable "ghost" values.
-            if token is not None:
-                verifier.write_failed(token)
-            raise
-        if token is not None:
-            verifier.write_acked(token, outcome.retries)
+        token = None
+        if cache is None or not cache.enabled:
+            token = open_window(self, is_write, va, size, data)
+            if frames is not None and frames.admits(is_write, size):
+                return AsyncHandle(
+                    self.env,
+                    frames.submit(is_write, va, size, data, done, token),
+                    kind)
+        process = self.env.process(
+            self._async_op(self._route(is_write, va, size, data, token), done))
+        return AsyncHandle(self.env, process, kind)
 
-    # -- asynchronous data path ------------------------------------------------------------
-
-    def _async_op(self, packet_type: PacketType, va: int, size: int,
-                  data: Optional[bytes], done, vtoken=None):
-        verifier = (self.process.node.verifier
-                    if vtoken is not None else None)
+    def _async_op(self, op, done):
+        """Process body of an async op that rides no frame (a routed data
+        op, or a free): run its generator, then release the tracker slot
+        however it ended."""
         try:
-            try:
-                outcome = yield from self._data_request(packet_type, va,
-                                                        size, data)
-                self._check(
-                    outcome,
-                    f"async {packet_type.value}({va:#x}, {size})")
-            except BaseException:
-                if verifier is not None:
-                    if packet_type is PacketType.WRITE:
-                        verifier.write_failed(vtoken)
-                    else:
-                        verifier.read_failed(vtoken)
-                raise
-            if verifier is not None:
-                if packet_type is PacketType.WRITE:
-                    verifier.write_acked(vtoken, outcome.retries)
-                else:
-                    verifier.read_checked(vtoken, outcome.data,
-                                          outcome.retries)
-            return outcome.data
-        finally:
-            if not done.triggered:
-                done.succeed()
-
-    def _cached_async(self, cache, kind: str, va: int, size: int,
-                      data: Optional[bytes], done):
-        """Run one async data op through the cache, releasing the
-        dependency tracker on completion (tokens live in the cache)."""
-        try:
-            if kind == "read":
-                result = yield from cache.read(self, va, size)
-            else:
-                result = yield from cache.write(self, va, data)
-            return result
+            return (yield from op)
         finally:
             if not done.triggered:
                 done.succeed()
 
     def rread_async(self, va: int, size: int):
-        """Process-generator: issue a non-blocking read, return a handle.
-
-        Issuing blocks only while a WAR/RAW/WAW conflict with an in-flight
-        request of this thread drains (section 4.5).
-        """
-        self.ops_issued += 1
-        yield from self._tracker.wait_for_conflicts(va, size, is_write=False)
-        done = self._tracker.register(va, size, is_write=False)
-        cache = self.process.node.cache
-        if cache is not None and cache.enabled:
-            process = self.env.process(
-                self._cached_async(cache, "read", va, size, None, done))
-            return AsyncHandle(self.env, process, "read")
-        verifier = self.process.node.verifier
-        vtoken = (verifier.read_begin(self, va, size)
-                  if verifier is not None else None)
-        batcher = self._batcher
-        if batcher is not None and batcher.admits("read", size):
-            completion = batcher.submit("read", va, size, None, done, vtoken)
-            return AsyncHandle(self.env, completion, "read")
-        process = self.env.process(
-            self._async_op(PacketType.READ, va, size, None, done,
-                           vtoken=vtoken))
-        return AsyncHandle(self.env, process, "read")
+        """Process-generator: issue a non-blocking read, return a handle."""
+        return (yield from self._issue_async(False, va, size,
+                                             frames=self._batcher))
 
     def rwrite_async(self, va: int, data: bytes):
         """Process-generator: issue a non-blocking write, return a handle."""
         if not data:
             raise ValueError("rwrite needs a non-empty payload")
-        self.ops_issued += 1
-        size = len(data)
-        yield from self._tracker.wait_for_conflicts(va, size, is_write=True)
-        done = self._tracker.register(va, size, is_write=True)
-        cache = self.process.node.cache
-        if cache is not None and cache.enabled:
-            process = self.env.process(
-                self._cached_async(cache, "write", va, size, bytes(data),
-                                   done))
-            return AsyncHandle(self.env, process, "write")
-        verifier = self.process.node.verifier
-        vtoken = (verifier.write_begin(self, va, data)
-                  if verifier is not None else None)
-        batcher = self._batcher
-        if batcher is not None and batcher.admits("write", size):
-            completion = batcher.submit("write", va, size, bytes(data),
-                                        done, vtoken)
-            return AsyncHandle(self.env, completion, "write")
-        process = self.env.process(
-            self._async_op(PacketType.WRITE, va, size, bytes(data), done,
-                           vtoken=vtoken))
-        return AsyncHandle(self.env, process, "write")
+        return (yield from self._issue_async(True, va, len(data), bytes(data),
+                                             frames=self._batcher))
 
     # -- vector data path (scatter/gather) ---------------------------------------------
 
@@ -460,19 +451,9 @@ class ClioThread:
         """
         if not ops:
             raise ValueError("rreadv needs at least one (va, size) op")
-        cache = self.process.node.cache
-        if cache is not None and cache.enabled:
-            # Caching and multi-op frames are mutually exclusive: a frame
-            # would bypass the line store.  Each op takes the cached path.
-            handles = []
-            for va, size in ops:
-                handle = yield from self.rread_async(va, size)
-                handles.append(handle)
-            return handles
         from repro.clib.batch import issue_vector
-        handles = yield from issue_vector(
-            self, "read", [(va, size, None) for va, size in ops])
-        return handles
+        return (yield from issue_vector(
+            self, False, [(va, size, None) for va, size in ops]))
 
     def rwritev_async(self, ops: Sequence[tuple[int, bytes]]):
         """Process-generator: gather-write ``[(va, data), ...]``; see
@@ -482,18 +463,9 @@ class ClioThread:
         for _va, data in ops:
             if not data:
                 raise ValueError("rwritev needs non-empty payloads")
-        cache = self.process.node.cache
-        if cache is not None and cache.enabled:
-            handles = []
-            for va, data in ops:
-                handle = yield from self.rwrite_async(va, data)
-                handles.append(handle)
-            return handles
         from repro.clib.batch import issue_vector
-        handles = yield from issue_vector(
-            self, "write",
-            [(va, len(data), bytes(data)) for va, data in ops])
-        return handles
+        return (yield from issue_vector(
+            self, True, [(va, len(data), bytes(data)) for va, data in ops]))
 
     def rreadv(self, ops: Sequence[tuple[int, int]]):
         """Process-generator: blocking scatter read; returns the per-op
@@ -552,7 +524,7 @@ class ClioThread:
                     verifier.atomic_failed(token, maybe_applied=True)
                 raise
             try:
-                self._check(outcome, f"atomic {op.kind}({va:#x})")
+                check_reply(outcome, "atomic {}({:#x})", op.kind, va)
             except RemoteAccessError:
                 # The MN answered with a rejection: the op never executed.
                 if token is not None:
@@ -600,7 +572,7 @@ class ClioThread:
         self.ops_issued += 1
         outcome = yield from self._transport.request(
             self.process.mn, PacketType.FENCE, pid=self.process.pid)
-        self._check(outcome, "rfence")
+        check_reply(outcome, "rfence")
 
     def rfaa(self, va: int, delta: int):
         """Process-generator: fetch-and-add; returns the old value."""
@@ -621,7 +593,7 @@ class ClioThread:
         outcome = yield from self._transport.request(
             self.process.mn, PacketType.OFFLOAD, pid=self.process.pid,
             payload=(name, args))
-        self._check(outcome, f"offload {name}")
+        check_reply(outcome, "offload {}", name)
         result = outcome.body.value
         if not result.ok:
             raise RemoteAccessError(Status.INVALID_VA,

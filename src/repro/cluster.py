@@ -319,9 +319,7 @@ class ClioCluster:
             if isinstance(qos, tuple):
                 qos = QoSParams(tenants=qos)
             self.params = _replace(self.params, qos=qos)
-        switches = (self.topology.tor_switches
-                    if hasattr(self.topology, "tor_switches")
-                    else [self.topology.switch])
+        switches = self.topology.switches
         if self.qos_shapers:
             for node, shaper in self.qos_shapers.items():
                 for switch in switches:
@@ -349,9 +347,7 @@ class ClioCluster:
 
     def disable_qos(self) -> None:
         """Stop shaping (stats kept; held packets still drain)."""
-        switches = (self.topology.tor_switches
-                    if hasattr(self.topology, "tor_switches")
-                    else [self.topology.switch])
+        switches = self.topology.switches
         for node in self.qos_shapers:
             for switch in switches:
                 switch.remove_shaper(node)

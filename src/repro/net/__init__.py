@@ -10,7 +10,7 @@ inflation, incast visible as switch-queue growth.
 from repro.net.gbn import GBNReceiver, GBNSender, connection_state_bytes
 from repro.net.link import Link
 from repro.net.packet import ClioHeader, Packet, PacketType, fragment_payload
-from repro.net.rack import RackSwitch, RackTopology, SpineSwitch
+from repro.net.rack import RackTopology, SpineSwitch
 from repro.net.switch import Switch, Topology
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "Link",
     "Packet",
     "PacketType",
-    "RackSwitch",
     "RackTopology",
     "SpineSwitch",
     "Switch",

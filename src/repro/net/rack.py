@@ -42,37 +42,6 @@ from repro.telemetry.metrics import MetricsRegistry
 _TRAILING_DIGITS = re.compile(r"(\d+)$")
 
 
-class RackSwitch(Switch):
-    """ToR switch with a default route up to the spine.
-
-    A destination without a local downlink is not unroutable here — it
-    lives under another ToR, so the packet goes up the spine uplink.
-    """
-
-    def __init__(self, env: Environment, forward_ns: int,
-                 registry: Optional[MetricsRegistry] = None,
-                 scope: str = "rack.tor"):
-        super().__init__(env, forward_ns, registry=registry, scope=scope)
-        self.spine_uplink: Optional[Link] = None
-
-    def _forward(self, packet: Packet) -> None:
-        downlink = self._downlinks.get(packet.header.dst)
-        if downlink is None:
-            if self.spine_uplink is None:
-                self.unroutable += 1
-                return
-            self.packets_forwarded += 1
-            self.spine_uplink.send(packet)
-            return
-        self.packets_forwarded += 1
-        if self._shapers:
-            shaper = self._shapers.get(packet.header.dst)
-            if shaper is not None:
-                shaper.send(packet)
-                return
-        downlink.send(packet)
-
-
 class SpineSwitch(Switch):
     """Spine: routes each destination down the link to its ToR."""
 
@@ -131,13 +100,16 @@ class RackTopology:
                       else params.switch_rate_bps)
         self.spine = SpineSwitch(self._spine_env, spine_forward,
                                  registry=self.registry)
-        self.tor_switches: list[RackSwitch] = []
+        #: The ToRs, i.e. the switches nodes attach to.  A destination
+        #: without a local downlink lives under another ToR, so each ToR's
+        #: default route is its uplink to the spine.
+        self.switches: list[Switch] = []
         self._spine_downlinks: list[Link] = []   # spine -> ToR i
         for i in range(tors):
             tor_env = self._tor_envs[i]
-            tor = RackSwitch(tor_env, params.switch_forward_ns,
-                             registry=self.registry, scope=f"rack.tor{i}")
-            tor.spine_uplink = Link(
+            tor = Switch(tor_env, params.switch_forward_ns,
+                         registry=self.registry, scope=f"rack.tor{i}")
+            tor.default_route = Link(
                 tor_env, f"tor{i}->spine", spine_rate,
                 params.propagation_ns, deliver=self.spine.ingress,
                 rng=self.rng.fork(f"up/tor{i}"),
@@ -153,7 +125,7 @@ class RackTopology:
                 corruption_rate=params.corruption_rate,
                 jitter_ns=params.jitter_ns, registry=self.registry,
                 deliver_env=tor_env)
-            self.tor_switches.append(tor)
+            self.switches.append(tor)
             self._spine_downlinks.append(down)
             self._declare_lookahead(tor_env, self._spine_env)
         self._uplinks: dict[str, Link] = {}
@@ -184,7 +156,7 @@ class RackTopology:
         if node_env is None:
             node_env = self.env
         index = self.tor_index(name)
-        tor = self.tor_switches[index]
+        tor = self.switches[index]
         tor_env = self._tor_envs[index]
         self._receivers[name] = receive
         self._node_tor[name] = index
@@ -251,8 +223,8 @@ class RackTopology:
     def fabric_links(self) -> list[Link]:
         """ToR<->spine links, ToR order, up before down."""
         links = []
-        for i, tor in enumerate(self.tor_switches):
-            links.append(tor.spine_uplink)
+        for i, tor in enumerate(self.switches):
+            links.append(tor.default_route)
             links.append(self._spine_downlinks[i])
         return links
 
@@ -280,5 +252,5 @@ class RackTopology:
         """Forwarding counters for each tier (diagnostics)."""
         return {
             "spine": self.spine.stats(),
-            "tors": [tor.stats() for tor in self.tor_switches],
+            "tors": [tor.stats() for tor in self.switches],
         }

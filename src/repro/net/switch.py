@@ -30,6 +30,9 @@ class Switch:
         self.env = env
         self.forward_ns = forward_ns
         self._downlinks: dict[str, Link] = {}
+        # Where packets for unattached destinations go: a rack ToR's spine
+        # uplink.  None (the star's lone switch) counts them unroutable.
+        self.default_route: Optional[Link] = None
         # Per-egress shapers (repro.net.qos), installed by enable_qos;
         # empty on a QoS-off cluster, where _forward never consults one.
         self._shapers: dict[str, object] = {}
@@ -79,10 +82,13 @@ class Switch:
     def _forward(self, packet: Packet) -> None:
         downlink = self._downlinks.get(packet.header.dst)
         if downlink is None:
-            self.unroutable += 1
-            return
+            downlink = self.default_route
+            if downlink is None:
+                self.unroutable += 1
+                return
         self.packets_forwarded += 1
         if self._shapers:
+            # Shapers only ever sit in front of attached nodes' egress.
             shaper = self._shapers.get(packet.header.dst)
             if shaper is not None:
                 shaper.send(packet)
@@ -118,6 +124,8 @@ class Topology:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.switch = Switch(env, params.switch_forward_ns,
                              registry=self.registry)
+        #: The switches nodes attach to (same accessor on RackTopology).
+        self.switches = [self.switch]
         self._uplinks: dict[str, Link] = {}
         self._receivers: dict[str, Deliver] = {}
 

@@ -184,7 +184,7 @@ class CLibParams:
     # Incast control
     iwnd_bytes: int = 256 * KB             # max outstanding expected response bytes
 
-    # Request batching (repro.batch) — opt-in per thread and therefore
+    # Request batching (repro.clib.batch) — opt-in per thread and therefore
     # inert by default: nothing reads these unless a thread calls
     # ``enable_batching`` or issues a vector op.
     batch_max_ops: int = 16                # sub-ops coalesced per frame

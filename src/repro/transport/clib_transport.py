@@ -335,7 +335,7 @@ class Transport:
 
     def request_batch(self, mn: str, pid: int, sub_ops,
                       timeout_ns: Optional[int] = None):
-        """Process-generator: issue one multi-op frame (repro.batch).
+        """Process-generator: issue one multi-op frame (repro.clib.batch).
 
         The frame is a single fast-path request on the wire: one request
         ID, one congestion-window slot, one retransmission unit (whole

@@ -1,6 +1,6 @@
 """repro.cache unit + golden tests: line states, coherence, eviction.
 
-The cached data path gets the same golden treatment as repro.batch:
+The cached data path gets the same golden treatment as repro.clib.batch:
 ``GOLDEN_CACHED`` pins a two-CN write-back run bit-for-bit, and the
 cache-off invariance tests prove that merely having the subsystem in
 the tree (even enabled-then-disabled in the same process) leaves the
@@ -9,7 +9,9 @@ pinned uncached goldens untouched.
 
 import pytest
 
+from repro.clib.client import RemoteAccessError
 from repro.cluster import ClioCluster
+from repro.core.pipeline import Status
 from repro.params import KB, MB
 
 from tests.faults.test_chaos import GOLDEN_NO_FAULT, no_fault_fingerprint
@@ -300,21 +302,40 @@ def test_atomic_sees_cached_dirty_word():
     assert int.from_bytes(out["read"], "little") == 42
 
 
-def test_rfree_recalls_cached_lines():
+@pytest.mark.parametrize("free", ["rfree", "rfree_async"])
+def test_rfree_recalls_cached_lines(free):
+    """Sync and async free share one body: both recall the allocation's
+    cached lines before the MN frees it, so no CN serves dead bytes."""
     cluster = make_cached_cluster(policy="back")
+    verifier = cluster.enable_verification()
     t0, t1 = shared_threads(cluster)
     va = alloc_region(cluster, t0)
+    out = {}
 
     def app():
         yield from t0.rwrite(va, b"F" * 64)
         yield from t1.rread(va, 64)
-        yield from t0.rfree(va)
+        out["cached"] = yield from t0.rread(va, 64)
+        if free == "rfree":
+            yield from t0.rfree(va)
+        else:
+            handle = yield from t0.rfree_async(va, size_hint=64 * KB)
+            (completion,) = yield from t0.rpoll([handle])
+            assert completion.ok
+        out["tracked"] = dict(cluster.cache_dir._lines)
+        with pytest.raises(RemoteAccessError) as excinfo:
+            yield from t0.rread(va, 64)
+        out["status"] = excinfo.value.status
 
     run_app(cluster, app())
+    assert out["cached"] == b"F" * 64
+    assert out["status"] is Status.INVALID_VA
     # Freeing the region recalled every cached copy; nothing tracked.
-    assert cluster.cache_dir._lines == {}
+    assert out["tracked"] == {}
+    assert cluster.cn(0).cache.allocation_size("mn0", _PID, va) == 0
     assert (cluster.cn(0).cache.invalidations
             + cluster.cn(1).cache.invalidations) >= 2
+    assert verifier.ok, verifier.report()
 
 
 # -- enable/disable + departure ------------------------------------------------

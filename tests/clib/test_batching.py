@@ -1,6 +1,6 @@
 """The batched data path: vector ops, the adaptive batcher, determinism.
 
-Covers the repro.batch acceptance bar from the CLib side:
+Covers the repro.clib.batch acceptance bar from the CLib side:
 
 * ``rwritev``/``rreadv`` scatter/gather correctness, including per-op
   rejection statuses inside an otherwise-successful frame;
@@ -23,7 +23,7 @@ from repro.core.pipeline import Status
 MB = 1 << 20
 
 #: Golden fingerprint of the canonical *batched* workload (new key: this
-#: run did not exist before repro.batch).  Same seed + params must stay
+#: run did not exist before repro.clib.batch).  Same seed + params must stay
 #: bit-identical; move it only with a deliberate re-pin.
 GOLDEN_BATCHED = (125245, (120527, 125245), 86, 512,
                   (43, 43), (256, 256), (0, 0))

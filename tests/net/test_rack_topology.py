@@ -66,8 +66,8 @@ def test_cross_tor_path_keeps_per_link_fifo():
     assert [rid for rid, _ in inboxes["mn1"]] == list(range(10))
     # The path really went up the spine.
     assert topo.spine.packets_forwarded == 10
-    assert topo.tor_switches[0].packets_forwarded == 10
-    assert topo.tor_switches[1].packets_forwarded == 10
+    assert topo.switches[0].packets_forwarded == 10
+    assert topo.switches[1].packets_forwarded == 10
 
 
 def test_same_tor_traffic_bypasses_the_spine():
@@ -78,7 +78,7 @@ def test_same_tor_traffic_bypasses_the_spine():
     env.run()
     assert [rid for rid, _ in inboxes["mn0"]] == list(range(5))
     assert topo.spine.packets_forwarded == 0
-    assert topo.tor_switches[1].packets_forwarded == 0
+    assert topo.switches[1].packets_forwarded == 0
 
 
 def test_cross_tor_costs_two_more_forwarding_hops():
@@ -112,7 +112,7 @@ def test_incast_queues_on_destination_tor_downlink():
 def test_unroutable_packets_count_instead_of_crashing():
     env = Environment()
     topo, _ = build_rack(env)
-    topo.tor_switches[0].ingress(make_packet("cn0", "ghost", 1))
+    topo.switches[0].ingress(make_packet("cn0", "ghost", 1))
     env.run()
     assert topo.spine.unroutable == 1
 

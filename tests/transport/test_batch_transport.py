@@ -1,6 +1,6 @@
 """Transport-level behaviour of multi-op BATCH frames.
 
-Satellite coverage for repro.batch: a frame is ONE transport request —
+Satellite coverage for repro.clib.batch: a frame is ONE transport request —
 one ID, one congestion-window slot, one retransmission unit — so every
 pre-existing accounting invariant must hold verbatim with batching on,
 including under forced retransmission (a repro.faults loss burst):
