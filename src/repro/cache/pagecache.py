@@ -475,9 +475,11 @@ class PageCache:
                 return _RETRY
             # The oracle window opens only now, after directory admission,
             # and covers the bytes asked for, not the whole line fetched.
-            buf = bytearray((yield from checked_access(
-                thread, False, key[2], self.line_bytes,
-                retries=outcome.retries, window=(va, size))))
+            token = open_window(thread, False, va, size)
+            mn_out = yield from checked_access(
+                thread, False, key[2], self.line_bytes, token=token,
+                hold=True)
+            buf = bytearray(mn_out.data)
             offset = va - key[2]
             data = bytes(buf[offset:offset + size])
             if not line.poisoned and self._lines.get(key) is line:
@@ -486,6 +488,8 @@ class PageCache:
                 self._install(key, line)
                 installed = True
                 self.fills += 1
+            settle(thread, False, token, data,
+                   outcome.retries + mn_out.retries)
             if installed:
                 yield from self._enforce_capacity()
             return data
@@ -547,10 +551,14 @@ class PageCache:
             # response: always send the matching wend.
             self._spawn_wend(txn_id, key[1], key[0])
             raise
+        # The window stays open across the local line update below: until
+        # that lands a concurrent local hit may still legally read the old
+        # bytes, so the write must not commit in the oracle at the MN ack.
+        token = open_window(thread, True, va, len(data), data)
         try:
             try:
-                yield from checked_access(thread, True, va, len(data), data,
-                                          retries=dir_out.retries)
+                mn_out = yield from checked_access(
+                    thread, True, va, len(data), data, token=token, hold=True)
             except BaseException:
                 # The write may have applied without the ack: our local
                 # copy can no longer be trusted.
@@ -568,6 +576,8 @@ class PageCache:
                         self._touch(key, line)
                     self._unlock_line(line)
             self.write_throughs += 1
+            settle(thread, True, token,
+                   retries=dir_out.retries + mn_out.retries)
         finally:
             self._spawn_wend(txn_id, key[1], key[0])
 
@@ -625,14 +635,17 @@ class PageCache:
         offset = va - key[2]
         if offset == 0 and len(data) == self.line_bytes:
             buf = bytearray(data)      # full-line write: nothing to fetch
+            retries = dir_retries
         else:
             # Fetch-on-write: merge into the current line image.  The MN
             # holds current bytes (any previous owner was recalled and
-            # flushed by our wbegin).  No oracle window: the write's own
-            # opens below, at the local commit.
-            buf = bytearray((yield from checked_access(
-                thread, False, key[2], self.line_bytes, checked=False)))
+            # flushed by our wbegin).  Held without a window: the write's
+            # own opens below, at the local commit.
+            mn_out = yield from checked_access(
+                thread, False, key[2], self.line_bytes, hold=True)
+            buf = bytearray(mn_out.data)
             buf[offset:offset + len(data)] = data
+            retries = dir_retries + mn_out.retries
         token = open_window(thread, True, va, len(data), data)
         yield self.env.timeout(self.hit_ns)
         existing = self._lines.get(key)
@@ -644,7 +657,7 @@ class PageCache:
         new_line.dirty = True
         self._install(key, new_line)
         self.write_fills += 1
-        settle(thread, True, token, retries=dir_retries)
+        settle(thread, True, token, retries=retries)
         yield from self._enforce_capacity()
 
     def _discard_local(self, key: tuple):

@@ -87,12 +87,13 @@ class ThreadBatcher:
       frame is flushed first, the op starts a new one;
     * otherwise a timer flushes whatever accumulated ``window_ns`` after
       the first op of the frame arrived (0 = coalesce only ops issued at
-      the same instant).
+      the same instant).  ``timed=False`` drops the timer: the caller
+      flushes explicitly (a vector op, whose list *is* the batch).
     """
 
     def __init__(self, thread, max_ops: Optional[int] = None,
                  window_ns: Optional[int] = None,
-                 max_frame_bytes: Optional[int] = None):
+                 max_frame_bytes: Optional[int] = None, timed: bool = True):
         params = thread.process.node.params
         clib = params.clib
         net = params.network
@@ -112,9 +113,14 @@ class ThreadBatcher:
         self._net = net
         self._pending: list[_PendingOp] = []
         self._pending_bytes = 0
-        self._timer_armed = False
+        self._timer_armed = not timed    # never arms when untimed
         self.frames_issued = 0
         self.subops_batched = 0
+
+    @property
+    def pending_ops(self) -> int:
+        """Ops submitted but not yet flushed onto the wire."""
+        return len(self._pending)
 
     def admits(self, is_write: bool, size: int) -> bool:
         """True when an op of this shape can ride a frame at all."""
@@ -168,14 +174,12 @@ def issue_vector(thread, is_write: bool, specs):
     batcher = thread.batcher
     frames = ThreadBatcher(
         thread, max_ops=batcher.max_ops if batcher else None,
-        max_frame_bytes=batcher.max_frame_bytes if batcher else None)
-    # The caller's list *is* the batch: no window timer, the chunks are
-    # flushed explicitly.
-    frames._timer_armed = True
+        max_frame_bytes=batcher.max_frame_bytes if batcher else None,
+        timed=False)
     handles = []
     for va, size, data in specs:
-        if frames._pending and thread.tracker.conflicts(va, size,
-                                                        is_write=is_write):
+        if frames.pending_ops and thread.tracker.conflicts(
+                va, size, is_write=is_write):
             # The conflict may be with an op in the unsent chunk, whose
             # completion needs the chunk on the wire: flush before waiting
             # (ops conflicting within a vector serialize, frame by frame,

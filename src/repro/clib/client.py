@@ -94,26 +94,28 @@ def settle(thread, is_write: bool, token, data: Optional[bytes] = None,
 
 def checked_access(thread, is_write: bool, va: int, size: int,
                    data: Optional[bytes] = None, token=None,
-                   retries: int = 0, window: Optional[tuple] = None,
-                   checked: bool = True):
+                   retries: int = 0, hold: bool = False):
     """Process-generator: one checked MN data access; returns the bytes
     read (None for a write).
 
     Every data op that reaches the MN as its own request runs this —
-    direct sync and async ops, and the cache's fills, bypasses and
-    write-throughs: open the op's oracle window (unless the caller holds
-    ``token`` since admission), issue the request, turn a rejection into
-    :class:`RemoteAccessError`, and settle the window with ``retries``
-    (what the caller already spent, e.g. at the cache directory) plus
-    the request's own.  ``window=(va, size)`` narrows a read's oracle
-    window to the bytes the application asked for when the request
-    fetches more (a line fill); ``checked=False`` opens none (a fetch
-    on behalf of a write whose window opens at its local commit).
+    direct sync and async ops, and the cache's fills, bypasses, fetches
+    and write-throughs: open the op's oracle window (unless the caller
+    holds ``token`` since admission), issue the request, turn a rejection
+    into :class:`RemoteAccessError`, and settle the window with
+    ``retries`` (what the caller already spent, e.g. at the cache
+    directory) plus the request's own.
+
+    ``hold=True`` is for a caller with more to do inside the op's window
+    before it may close (the cache installs or updates its line first):
+    no window is opened here, a failure still fails the caller's
+    ``token``, and on success the reply outcome (data and retries) is
+    returned unsettled, for the caller's own :func:`settle`.
     """
     process = thread.process
     node = process.node
-    if checked and token is None and node.verifier is not None:
-        token = open_window(thread, is_write, *(window or (va, size)), data)
+    if token is None and not hold and node.verifier is not None:
+        token = open_window(thread, is_write, va, size, data)
     try:
         outcome = yield from node.transport.request(
             process.mn, PacketType.WRITE if is_write else PacketType.READ,
@@ -124,12 +126,11 @@ def checked_access(thread, is_write: bool, va: int, size: int,
         if token is not None:
             settle(thread, is_write, token, error=exc)
         raise
+    if hold:
+        return outcome
     if token is not None:
-        seen = outcome.data
-        if window is not None:
-            start = window[0] - va
-            seen = seen[start:start + window[1]]
-        settle(thread, is_write, token, seen, retries + outcome.retries)
+        settle(thread, is_write, token, outcome.data,
+               retries + outcome.retries)
     return outcome.data
 
 

@@ -122,6 +122,47 @@ def test_write_through_invalidates_other_sharers():
     assert cluster.cache_dir.recalls >= 1
 
 
+def test_write_through_commits_after_local_line_update():
+    """Three threads of one CN on one cached line: two readers keep the
+    line lock busy with local hits while a third writes through.  The
+    write's MN ack lands with a reader queued on the lock ahead of the
+    writer; that reader opens its window after the ack and still reads
+    the old bytes, which is legal — the rwrite has not returned.  The
+    oracle must therefore commit the write only once the local copy is
+    updated, not at the MN ack."""
+    cluster = make_cached_cluster(policy="through", num_cns=1)
+    verifier = cluster.enable_verification()
+    process = cluster.cn(0).process("mn0", pid=_PID)
+    writer, reader1, reader2 = (process.thread() for _ in range(3))
+    va = alloc_region(cluster, writer)
+    env = cluster.env
+    out = {"writing": True}
+
+    def setup():
+        yield from writer.rwrite(va, b"A" * 64)
+        yield from writer.rread(va, 64)        # line cached on cn0
+
+    def read_loop(thread):
+        while out["writing"]:
+            data = yield from thread.rread(va, 64)
+            assert data in (b"A" * 64, b"B" * 64)
+        out[thread.label] = yield from thread.rread(va, 64)
+
+    def app():
+        yield from setup()
+        readers = [env.process(read_loop(t)) for t in (reader1, reader2)]
+        yield from writer.rwrite(va, b"B" * 64)
+        out["writing"] = False
+        for reader in readers:
+            yield reader
+
+    run_app(cluster, app())
+    assert cluster.cn(0).cache.write_throughs == 2
+    assert cluster.cn(0).cache.hits > 4        # the readers did overlap it
+    assert out[reader1.label] == out[reader2.label] == b"B" * 64
+    assert verifier.ok, verifier.report()
+
+
 # -- write-back ----------------------------------------------------------------
 
 
