@@ -23,8 +23,9 @@ a shared clean copy.  Flushes retry unboundedly across board crashes
 rejection (region freed) abandons the bytes and counts
 ``flush_failures``.
 
-Every MN data access is the uncached client's own ``checked_access``
-and every op settles through its ``settle``, so the shadow oracle sees
+Every MN data access is the uncached client's own ``mn_request`` (via
+``checked_access`` when nothing happens inside the window) and every op
+settles through its ``settle``, so the shadow oracle sees
 cached ops exactly like direct ones, with one deliberate rule: *flush*
 writes bypass the oracle — they re-materialize bytes whose write was
 already recorded as committed, which is idempotent.  Hit tokens open at serve time (a ~300ns window), and miss
@@ -42,7 +43,8 @@ from typing import Optional
 
 from repro.cache.directory import DIRECTORY_NODE, CacheReq
 from repro.clib.client import (RemoteAccessError, check_reply,
-                               checked_access, open_window, settle)
+                               checked_access, mn_request, open_window,
+                               settle)
 from repro.core.cboard import ResponseBody
 from repro.core.pipeline import Status
 from repro.net.packet import ClioHeader, Packet, PacketType
@@ -63,7 +65,7 @@ class _Line:
     """One cached line plus its local FIFO lock."""
 
     __slots__ = ("key", "data", "state", "dirty", "fill_event", "poisoned",
-                 "ref", "locked", "waiters")
+                 "locked", "waiters")
 
     def __init__(self, key: tuple, fill_event=None):
         self.key = key
@@ -72,7 +74,6 @@ class _Line:
         self.dirty = False
         self.fill_event = fill_event
         self.poisoned = False
-        self.ref = False              # CLOCK reference bit
         self.locked = False
         self.waiters: deque = deque()
 
@@ -100,14 +101,10 @@ class PageCache:
         self.line_bytes = cacheparams.line_bytes
         self.capacity_lines = cacheparams.capacity_lines
         self.policy = cacheparams.policy
-        self.eviction = cacheparams.eviction
         self.hit_ns = cacheparams.hit_ns
         self.enabled = True
         self._lines: dict[tuple, _Line] = {}
         self._lru: OrderedDict = OrderedDict()     # resident keys, LRU order
-        self._ring: list = []                      # resident keys, CLOCK order
-        self._ring_set: set = set()
-        self._hand = 0
         self._txn_ids = itertools.count(1)
         self._pending_drops: set = set()
         self._allocs: dict[tuple, int] = {}        # (mn, pid, va) -> size
@@ -159,7 +156,7 @@ class PageCache:
         metrics.gauge("hit_rate", "hits / (hits + misses)",
                       fn=lambda: self.hits / max(1, self.hits + self.misses))
         metrics.gauge("lines", "resident lines",
-                      fn=lambda: self._resident_count())
+                      fn=lambda: len(self._lru))
 
     def stats(self) -> dict:
         return self._stats.snapshot()
@@ -208,41 +205,21 @@ class PageCache:
 
     # -- residency bookkeeping -------------------------------------------------------
 
-    def _resident_count(self) -> int:
-        return len(self._lru) if self.eviction == "lru" else len(self._ring)
-
     def _install(self, key: tuple, line: _Line) -> None:
         self._lines[key] = line
-        if self.eviction == "lru":
-            self._lru[key] = None
-            self._lru.move_to_end(key)
-        elif key not in self._ring_set:
-            self._ring.append(key)
-            self._ring_set.add(key)
-        line.ref = True
+        self._lru[key] = None
+        self._lru.move_to_end(key)
 
-    def _touch(self, key: tuple, line: _Line) -> None:
-        if self.eviction == "lru":
-            if key in self._lru:
-                self._lru.move_to_end(key)
-        else:
-            line.ref = True
+    def _touch(self, key: tuple) -> None:
+        if key in self._lru:
+            self._lru.move_to_end(key)
 
     def _remove_line(self, key: tuple, line: _Line,
                      note_drop: bool = True) -> None:
         """Drop a resident line.  Caller holds the line lock and has
         verified identity."""
         del self._lines[key]
-        if self.eviction == "lru":
-            self._lru.pop(key, None)
-        elif key in self._ring_set:
-            index = self._ring.index(key)
-            del self._ring[index]
-            self._ring_set.discard(key)
-            if index < self._hand:
-                self._hand -= 1
-            if self._ring and self._hand >= len(self._ring):
-                self._hand = 0
+        self._lru.pop(key, None)
         if note_drop:
             self._pending_drops.add(key)
 
@@ -254,30 +231,15 @@ class PageCache:
         return drops
 
     def _pick_victim(self) -> Optional[tuple]:
-        if self.eviction == "lru":
-            for key in self._lru:
-                line = self._lines.get(key)
-                if line is not None and line.state != FILLING \
-                        and not line.locked:
-                    return key
-            return None
-        scanned = 0
-        limit = 2 * len(self._ring)
-        while self._ring and scanned < limit:
-            key = self._ring[self._hand]
+        for key in self._lru:
             line = self._lines.get(key)
-            self._hand = (self._hand + 1) % len(self._ring)
-            scanned += 1
-            if line is None or line.state == FILLING or line.locked:
-                continue
-            if line.ref:
-                line.ref = False
-                continue
-            return key
+            if line is not None and line.state != FILLING \
+                    and not line.locked:
+                return key
         return None
 
     def _enforce_capacity(self):
-        while self._resident_count() > self.capacity_lines:
+        while len(self._lru) > self.capacity_lines:
             victim = self._pick_victim()
             if victim is None:
                 return
@@ -450,7 +412,7 @@ class PageCache:
             yield self.env.timeout(self.hit_ns)
             offset = va - key[2]
             data = bytes(line.data[offset:offset + size])
-            self._touch(key, line)
+            self._touch(key)
             self._unlock_line(line)
             self.hits += 1
             settle(thread, False, token, data)
@@ -476,9 +438,8 @@ class PageCache:
             # The oracle window opens only now, after directory admission,
             # and covers the bytes asked for, not the whole line fetched.
             token = open_window(thread, False, va, size)
-            mn_out = yield from checked_access(
-                thread, False, key[2], self.line_bytes, token=token,
-                hold=True)
+            mn_out = yield from mn_request(
+                thread, False, key[2], self.line_bytes, token=token)
             buf = bytearray(mn_out.data)
             offset = va - key[2]
             data = bytes(buf[offset:offset + size])
@@ -557,8 +518,8 @@ class PageCache:
         token = open_window(thread, True, va, len(data), data)
         try:
             try:
-                mn_out = yield from checked_access(
-                    thread, True, va, len(data), data, token=token, hold=True)
+                mn_out = yield from mn_request(
+                    thread, True, va, len(data), data, token)
             except BaseException:
                 # The write may have applied without the ack: our local
                 # copy can no longer be trusted.
@@ -573,7 +534,7 @@ class PageCache:
                     if self._lines.get(key) is line and line.state == SHARED:
                         offset = va - key[2]
                         line.data[offset:offset + len(data)] = data
-                        self._touch(key, line)
+                        self._touch(key)
                     self._unlock_line(line)
             self.write_throughs += 1
             settle(thread, True, token,
@@ -592,7 +553,7 @@ class PageCache:
                 offset = va - key[2]
                 line.data[offset:offset + len(data)] = data
                 line.dirty = True
-                self._touch(key, line)
+                self._touch(key)
                 self._unlock_line(line)
                 self.write_hits += 1
                 settle(thread, True, token)
@@ -626,7 +587,7 @@ class PageCache:
                 line.data[offset:offset + len(data)] = data
                 line.state = MODIFIED
                 line.dirty = True
-                self._touch(key, line)
+                self._touch(key)
                 self._unlock_line(line)
                 self.write_hits += 1
                 settle(thread, True, token, retries=dir_retries)
@@ -639,10 +600,10 @@ class PageCache:
         else:
             # Fetch-on-write: merge into the current line image.  The MN
             # holds current bytes (any previous owner was recalled and
-            # flushed by our wbegin).  Held without a window: the write's
-            # own opens below, at the local commit.
-            mn_out = yield from checked_access(
-                thread, False, key[2], self.line_bytes, hold=True)
+            # flushed by our wbegin).  No window: the write's own opens
+            # below, at the local commit.
+            mn_out = yield from mn_request(
+                thread, False, key[2], self.line_bytes)
             buf = bytearray(mn_out.data)
             buf[offset:offset + len(data)] = data
             retries = dir_retries + mn_out.retries

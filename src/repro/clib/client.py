@@ -92,32 +92,20 @@ def settle(thread, is_write: bool, token, data: Optional[bytes] = None,
         done.succeed()
 
 
-def checked_access(thread, is_write: bool, va: int, size: int,
-                   data: Optional[bytes] = None, token=None,
-                   retries: int = 0, hold: bool = False):
-    """Process-generator: one checked MN data access; returns the bytes
-    read (None for a write).
+def mn_request(thread, is_write: bool, va: int, size: int,
+               data: Optional[bytes] = None, token=None):
+    """Process-generator: one MN data request; returns the reply outcome
+    (data and retries), unsettled.
 
-    Every data op that reaches the MN as its own request runs this —
-    direct sync and async ops, and the cache's fills, bypasses, fetches
-    and write-throughs: open the op's oracle window (unless the caller
-    holds ``token`` since admission), issue the request, turn a rejection
-    into :class:`RemoteAccessError`, and settle the window with
-    ``retries`` (what the caller already spent, e.g. at the cache
-    directory) plus the request's own.
-
-    ``hold=True`` is for a caller with more to do inside the op's window
-    before it may close (the cache installs or updates its line first):
-    no window is opened here, a failure still fails the caller's
-    ``token``, and on success the reply outcome (data and retries) is
-    returned unsettled, for the caller's own :func:`settle`.
+    Issues the request and turns a rejection into
+    :class:`RemoteAccessError`; a failure fails the caller's oracle
+    window ``token`` before propagating.  Success leaves the window to
+    the caller's own :func:`settle` — the cache has a line to install or
+    update inside it first.
     """
     process = thread.process
-    node = process.node
-    if token is None and not hold and node.verifier is not None:
-        token = open_window(thread, is_write, va, size, data)
     try:
-        outcome = yield from node.transport.request(
+        outcome = yield from process.node.transport.request(
             process.mn, PacketType.WRITE if is_write else PacketType.READ,
             pid=process.pid, va=va, size=size, data=data)
         check_reply(outcome, "r{}({:#x}, {})",
@@ -126,8 +114,25 @@ def checked_access(thread, is_write: bool, va: int, size: int,
         if token is not None:
             settle(thread, is_write, token, error=exc)
         raise
-    if hold:
-        return outcome
+    return outcome
+
+
+def checked_access(thread, is_write: bool, va: int, size: int,
+                   data: Optional[bytes] = None, token=None,
+                   retries: int = 0):
+    """Process-generator: one checked MN data access; returns the bytes
+    read (None for a write).
+
+    Every data op that reaches the MN as its own request and has nothing
+    else to do inside its window runs this — direct sync and async ops,
+    and the cache's bypasses: open the op's oracle window (unless the
+    caller holds ``token`` since admission), :func:`mn_request`, and
+    settle the window with ``retries`` (what the caller already spent,
+    e.g. at the cache directory) plus the request's own.
+    """
+    if token is None:
+        token = open_window(thread, is_write, va, size, data)
+    outcome = yield from mn_request(thread, is_write, va, size, data, token)
     if token is not None:
         settle(thread, is_write, token, outcome.data,
                retries + outcome.retries)

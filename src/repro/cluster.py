@@ -241,28 +241,34 @@ class ClioCluster:
 
     def enable_caching(self, policy: Optional[str] = None,
                        line_bytes: Optional[int] = None,
-                       capacity_lines: Optional[int] = None,
-                       eviction: Optional[str] = None):
+                       capacity_lines: Optional[int] = None):
         """Opt the cluster into CN-side coherent hot-page caching.
 
         Builds the cache directory (a ``cachedir`` node on the switch
         tier) and one :class:`~repro.cache.PageCache` per CN, then routes
         every CLib data op through the cache.  Keyword overrides default
         to :class:`~repro.params.CacheParams` in ``self.params``.
-        Idempotent: a second call returns the existing directory.
+        Idempotent: a second call re-enables the existing caches and
+        returns the existing directory; overrides that differ from the
+        installed configuration raise :class:`ValueError`.
         """
-        if self.cache_dir is not None:
-            for node in self.cns:
-                if node.cache is not None:
-                    node.cache.enabled = True
-            return self.cache_dir
         from dataclasses import replace
 
         from repro.cache import CacheDirectory, PageCache
         overrides = {name: value for name, value in (
             ("policy", policy), ("line_bytes", line_bytes),
-            ("capacity_lines", capacity_lines), ("eviction", eviction))
+            ("capacity_lines", capacity_lines))
             if value is not None}
+        if self.cache_dir is not None:
+            installed = self.cns[0].cache.cacheparams
+            if replace(installed, **overrides) != installed:
+                raise ValueError(
+                    f"caching is already enabled with {installed}; "
+                    f"cannot reconfigure it with {overrides}")
+            for node in self.cns:
+                if node.cache is not None:
+                    node.cache.enabled = True
+            return self.cache_dir
         cacheparams = replace(self.params.cache, **overrides)
         for board in self.mns:
             if board.page_spec.page_size % cacheparams.line_bytes:
@@ -309,7 +315,8 @@ class ClioCluster:
         egress port (by default each MN downlink — the port incast
         congests); packets from nodes in no tenant bypass shaping.
         Returns the ``{node: shaper}`` mapping.  Idempotent: a second
-        call reinstalls the existing shapers.
+        call reinstalls the existing shapers; a ``qos`` that differs from
+        the one they were built from raises :class:`ValueError`.
         """
         from dataclasses import replace as _replace
 
@@ -318,6 +325,10 @@ class ClioCluster:
         if qos is not None:
             if isinstance(qos, tuple):
                 qos = QoSParams(tenants=qos)
+            if self.qos_shapers and qos != self.params.qos:
+                raise ValueError(
+                    f"QoS shapers are already built from {self.params.qos}; "
+                    f"cannot reconfigure them with {qos}")
             self.params = _replace(self.params, qos=qos)
         switches = self.topology.switches
         if self.qos_shapers:

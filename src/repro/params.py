@@ -226,7 +226,6 @@ class CacheParams:
 
     line_bytes: int = 4 * KB               # cache-line granularity
     capacity_lines: int = 1024             # per-CN line capacity
-    eviction: str = "lru"                  # "lru" | "clock"
     policy: str = "through"                # "through" | "back"
     hit_ns: int = 300                      # local DRAM access on a hit
     dir_process_ns: int = 500              # directory per-request processing
@@ -242,9 +241,6 @@ class CacheParams:
         if self.capacity_lines < 2:
             raise ValueError(
                 f"capacity_lines must be >= 2, got {self.capacity_lines}")
-        if self.eviction not in ("lru", "clock"):
-            raise ValueError(
-                f"eviction must be 'lru' or 'clock', got {self.eviction!r}")
         if self.policy not in ("through", "back"):
             raise ValueError(
                 f"policy must be 'through' or 'back', got {self.policy!r}")

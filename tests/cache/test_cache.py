@@ -20,12 +20,12 @@ _PID = 9602
 
 
 def make_cached_cluster(policy="through", num_cns=2, num_mns=1,
-                        capacity_lines=8, line_bytes=512, eviction="lru",
-                        seed=0, partitioned=False):
+                        capacity_lines=8, line_bytes=512, seed=0,
+                        partitioned=False):
     cluster = ClioCluster(seed=seed, num_cns=num_cns, num_mns=num_mns,
                           mn_capacity=256 * MB, partitioned=partitioned)
     cluster.enable_caching(policy=policy, line_bytes=line_bytes,
-                           capacity_lines=capacity_lines, eviction=eviction)
+                           capacity_lines=capacity_lines)
     return cluster
 
 
@@ -228,7 +228,7 @@ def test_write_back_ownership_ping_pong():
 
 
 def test_lru_eviction_picks_coldest_line():
-    cluster = make_cached_cluster(capacity_lines=2, eviction="lru")
+    cluster = make_cached_cluster(capacity_lines=2)
     thread, _ = shared_threads(cluster)
     va = alloc_region(cluster, thread)
     cache = cluster.cn(0).cache
@@ -246,25 +246,6 @@ def test_lru_eviction_picks_coldest_line():
     assert ("mn0", _PID, va) in resident
     assert ("mn0", _PID, va + line) not in resident
     assert ("mn0", _PID, va + 2 * line) in resident
-
-
-def test_clock_eviction_respects_reference_bit():
-    cluster = make_cached_cluster(capacity_lines=2, eviction="clock")
-    thread, _ = shared_threads(cluster)
-    va = alloc_region(cluster, thread)
-    cache = cluster.cn(0).cache
-    line = cache.line_bytes
-    out = {}
-
-    def app():
-        yield from thread.rwrite(va, b"A" * 8)
-        yield from thread.rread(va + line, 8)
-        yield from thread.rread(va + 2 * line, 8)    # forces an eviction
-        out["read"] = yield from thread.rread(va, 8)
-
-    run_app(cluster, app())
-    assert cache.evictions >= 1
-    assert out["read"] in (b"A" * 8,)
 
 
 def test_dirty_eviction_flushes_before_drop():

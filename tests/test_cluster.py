@@ -137,3 +137,29 @@ def test_disable_health_monitor_stops_sweeps_and_restarts():
     assert cluster.enable_health_monitor() is health   # re-arms the sweep
     cluster.run(until=400_000)
     assert health.heartbeats > beats
+
+
+def test_enable_qos_rejects_a_different_second_configuration():
+    from repro.params import TenantConfig
+
+    tenants = (TenantConfig("a", clients=("cn0",), share=0.5),)
+    cluster = ClioCluster(num_cns=2, mn_capacity=64 * MB)
+    shapers = cluster.enable_qos(tenants)
+    installed = cluster.params.qos
+    assert cluster.enable_qos() is shapers            # idempotent
+    assert cluster.enable_qos(tenants) is shapers     # same config again
+    with pytest.raises(ValueError, match="already built"):
+        cluster.enable_qos((TenantConfig("b", clients=("cn1",), share=0.2),))
+    assert cluster.params.qos == installed
+
+
+def test_enable_caching_rejects_different_second_overrides():
+    cluster = ClioCluster(num_cns=2, mn_capacity=64 * MB)
+    directory = cluster.enable_caching(policy="back", line_bytes=512)
+    assert cluster.enable_caching() is directory      # idempotent
+    assert cluster.enable_caching(policy="back") is directory
+    with pytest.raises(ValueError, match="already enabled"):
+        cluster.enable_caching(policy="through")
+    with pytest.raises(ValueError, match="already enabled"):
+        cluster.enable_caching(line_bytes=1024)
+    assert cluster.cn(0).cache.policy == "back"
