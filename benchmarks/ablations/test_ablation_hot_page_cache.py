@@ -15,6 +15,7 @@ free lunch.
 """
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -22,6 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from bench_common import KB, MB, make_cluster, run_app
 
 from repro.analysis.report import render_table
+from repro.params import CacheParams, ClioParams
 from repro.sim.rng import RandomStream, ZipfTable
 from repro.workloads import zipfian_keys
 
@@ -39,11 +41,13 @@ SEED = 0
 
 def run_cell(hot_lines: int, write_frac: float, policy=None):
     """(simulated ops/sec, hit rate); ``policy=None`` is cache-off."""
-    cluster = make_cluster(num_cns=NUM_CLIENTS, mn_capacity=256 * MB,
-                           seed=SEED)
+    params = ClioParams.prototype()
     if policy is not None:
-        cluster.enable_caching(policy=policy, line_bytes=LINE,
-                               capacity_lines=CAPACITY_LINES)
+        params = replace(params, cache=CacheParams(
+            policy=policy, line_bytes=LINE, capacity_lines=CAPACITY_LINES))
+    cluster = make_cluster(num_cns=NUM_CLIENTS, mn_capacity=256 * MB,
+                           seed=SEED, params=params,
+                           layers=("caching",) if policy is not None else ())
     env = cluster.env
     num_keys = hot_lines * LINE // IO
     table = ZipfTable(num_keys, 0.99)

@@ -37,10 +37,11 @@ def run_app(cluster: ClioCluster, generator):
 
 
 def make_cluster(num_cns: int = 1, mn_capacity: int = 1 * GB,
-                 page_size=None, params=None, seed: int = 0) -> ClioCluster:
+                 page_size=None, params=None, seed: int = 0,
+                 layers: tuple = ()) -> ClioCluster:
     return ClioCluster(params=params or ClioParams.prototype(), seed=seed,
                        num_cns=num_cns, mn_capacity=mn_capacity,
-                       page_size=page_size)
+                       page_size=page_size, layers=layers)
 
 
 def clio_primed_thread(cluster: ClioCluster, region_bytes: int = 4 * MB,

@@ -23,8 +23,8 @@ def breakdown_for(size: int, write: bool, force_tlb_miss: bool) -> dict:
     telemetry spans carry the same per-stage decomposition in their args,
     so the tracer is the benchmark's only data source.
     """
-    cluster = make_cluster(mn_capacity=1 << 30)
-    tracer = cluster.enable_tracing()
+    cluster = make_cluster(mn_capacity=1 << 30, layers=("tracing",))
+    tracer = cluster.tracer
     board = cluster.mn
     tlb_entries = board.tlb.capacity
     page = board.page_spec.page_size

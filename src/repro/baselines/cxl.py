@@ -24,11 +24,14 @@ What the model keeps, because the comparison turns on it:
   a snoop.  Write-heavy sharing ping-pongs lines and erases the latency
   advantage — the churn benchmark pins this directionally.
 * **Pooling needs QoS.** The pool is multi-tenant: per-tenant capacity
-  quotas (:class:`CXLQuotaExceeded` on breach) and per-tenant bandwidth
-  reservations at the pool port.  Shaping off shares one port serializer
-  (one tenant's burst queues everyone); shaping on gives each tenant a
-  private serializer at ``share x port_rate`` — congestion isolation by
-  construction, at the cost of work conservation.
+  quotas (a :class:`~repro.distributed.tenancy.TenantLedger`, the same
+  accounting the global controller uses;
+  :class:`~repro.distributed.tenancy.TenantQuotaExceeded` on breach) and
+  per-tenant bandwidth reservations at the pool port.  ``shaping=False``
+  shares one port serializer (one tenant's burst queues everyone);
+  ``shaping=True`` gives each tenant a private serializer at ``share x
+  port_rate`` — congestion isolation by construction, at the cost of
+  work conservation.
 
 Determinism: the model is pure integer arithmetic over seeded state (no
 RNG at all), so same-seed runs are bit-identical and the conformance
@@ -43,16 +46,13 @@ from typing import Optional
 
 from repro.baselines.api import BackendCapability, MemoryBackend
 from repro.core.memory import DRAM
-from repro.params import ClioParams, SEC, TenantConfig
+from repro.distributed.tenancy import TenantLedger
+from repro.params import ClioParams, SEC
 from repro.sim import Environment
 
 
 class CXLError(Exception):
     """Base error of the CXL pool model."""
-
-
-class CXLQuotaExceeded(CXLError):
-    """A tenant asked for capacity beyond its quota."""
 
 
 class CXLAccessError(CXLError):
@@ -113,7 +113,7 @@ class CXLPool:
 
     def __init__(self, env: Environment, params: ClioParams,
                  capacity: Optional[int] = None, registry=None,
-                 scope: str = "cxl"):
+                 scope: str = "cxl", shaping: bool = False):
         self.env = env
         self.params = params
         self.cxl = params.cxl
@@ -130,12 +130,14 @@ class CXLPool:
         # Port serializers (absolute ns timestamps).
         self._port_free_at = 0
         self._tenant_free_at: dict[str, int] = {}
-        self.shaping = False
+        #: Give each tenant a private serializer at its reserved rate.
+        self.shaping = shaping
         # Tenancy: quotas/shares from params.qos; hosts default to the
         # catch-all tenant with full share and no quota.
-        self._tenants: dict[str, TenantConfig] = {
-            tenant.name: tenant for tenant in params.qos.tenants}
-        self._usage: dict[str, int] = {}
+        self._shares = {tenant.name: tenant.share
+                        for tenant in params.qos.tenants}
+        self.tenants = TenantLedger(params.qos, registry,
+                                    scope=f"{scope}.tenant")
         self._hosts: dict[str, CXLHost] = {}
         # Counters (also exported through the metrics registry).
         self.loads = 0
@@ -165,8 +167,8 @@ class CXLPool:
         pool.counter("port_wait_ns", "total wait for the pool port",
                      unit="ns", fn=lambda: self.port_wait_ns)
         pool.gauge("used_bytes", "allocated device capacity",
-                   unit="bytes", fn=lambda: sum(self._usage.values()))
-        for name in self._tenants:
+                   unit="bytes", fn=self.tenants.total)
+        for name in self._shares:
             tenant_scope = registry.scope(f"{scope}.tenant.{name}")
             tenant_scope.counter(
                 "bytes_moved", "payload bytes moved for this tenant",
@@ -176,10 +178,6 @@ class CXLPool:
                 "port_wait_ns", "port wait attributed to this tenant",
                 unit="ns",
                 fn=lambda name=name: self._tenant_wait_ns.get(name, 0))
-            tenant_scope.gauge(
-                "used_bytes", "capacity allocated to this tenant",
-                unit="bytes",
-                fn=lambda name=name: self._usage.get(name, 0))
 
     def host(self, name: str, tenant: str = "default") -> CXLHost:
         """Attach (or look up) a host under ``tenant``."""
@@ -194,25 +192,7 @@ class CXLPool:
         self._hosts[name] = host
         return host
 
-    def enable_shaping(self) -> None:
-        """Give each tenant a private serializer at its reserved rate."""
-        self.shaping = True
-
-    def disable_shaping(self) -> None:
-        self.shaping = False
-
-    def tenant_usage(self, tenant: str) -> int:
-        return self._usage.get(tenant, 0)
-
     # -- capacity -------------------------------------------------------------------
-
-    def _quota_of(self, tenant: str) -> Optional[int]:
-        config = self._tenants.get(tenant)
-        return config.quota_bytes if config is not None else None
-
-    def _share_of(self, tenant: str) -> float:
-        config = self._tenants.get(tenant)
-        return config.share if config is not None else 1.0
 
     def _carve(self, size: int) -> int:
         for index, (base, range_size) in enumerate(self._free_ranges):
@@ -237,14 +217,9 @@ class CXLPool:
         # Round to whole lines: the HDM decoder maps line-aligned windows.
         line = self.cxl.line_bytes
         size = -(-size // line) * line
-        quota = self._quota_of(host.tenant)
-        used = self._usage.get(host.tenant, 0)
-        if quota is not None and used + size > quota:
-            raise CXLQuotaExceeded(
-                f"tenant {host.tenant!r}: {used + size} bytes would exceed "
-                f"quota of {quota}")
+        self.tenants.check(host.tenant, size)
         base = self._carve(size)
-        self._usage[host.tenant] = used + size
+        self.tenants.charge(host.tenant, size)
         # Programming an HDM decoder entry is a slow config-space write.
         yield self.env.timeout(self.cxl.hdm_program_ns)
         region = HDMRegion(region_id=next(self._region_ids), host=host.name,
@@ -255,8 +230,7 @@ class CXLPool:
     def _free(self, host: CXLHost, region: HDMRegion):
         if self._regions.pop(region.region_id, None) is None:
             raise CXLError(f"region {region.region_id} not allocated")
-        self._usage[region.tenant] = max(
-            0, self._usage.get(region.tenant, 0) - region.size)
+        self.tenants.credit(region.tenant, region.size)
         self._free_ranges.append((region.base_pa, region.size))
         line = self.cxl.line_bytes
         first = region.base_pa // line
@@ -270,7 +244,7 @@ class CXLPool:
     def _line_wire_ns(self, tenant: str) -> int:
         rate = self.cxl.port_rate_bps
         if self.shaping:
-            rate = max(1, int(rate * self._share_of(tenant)))
+            rate = max(1, int(rate * self._shares.get(tenant, 1.0)))
         return max(1, (self.cxl.line_bytes * 8 * SEC) // rate)
 
     def _coherence_ns(self, host: CXLHost, first: int, last: int,

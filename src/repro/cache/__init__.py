@@ -7,9 +7,10 @@ recall ("drop your copy, flushing first if dirty") and downgrade
 ("flush and fall back to shared") messages delivered over the simulated
 fabric with real latency, loss, and retransmission.
 
-Everything here is inert until :meth:`repro.cluster.ClioCluster.enable_caching`
-is called: a cache-off run schedules zero extra events and stays
-bit-identical to the pre-cache goldens.
+None of this exists unless the cluster is built with the layer
+(``ClioCluster(layers=("caching",))``, configured by
+:class:`~repro.params.CacheParams`): a cache-off run schedules zero extra
+events and stays bit-identical to the pre-cache goldens.
 
 See docs/caching.md for the protocol walkthrough.
 """

@@ -106,15 +106,13 @@ class CacheDirectory:
     DONE_MEMORY = 8192
 
     def __init__(self, env: Environment, topology, params: ClioParams,
-                 cacheparams=None,
                  registry: Optional[MetricsRegistry] = None):
         self.env = env
         self.name = DIRECTORY_NODE
         self.topology = topology
         self.params = params
         self._net = params.network
-        self._cacheparams = (cacheparams if cacheparams is not None
-                             else params.cache)
+        self._cacheparams = params.cache
         self._inval_timeout_ns = params.clib.timeout_ns
         self._inval_timeout_cap = params.clib.slow_timeout_ns
         self._lines: dict[tuple, _Entry] = {}

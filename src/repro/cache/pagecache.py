@@ -1,10 +1,11 @@
 """CN-local hot-page cache: line store, interception, and coherence.
 
 One :class:`PageCache` per ComputeNode.  ``ClioThread`` data ops route
-through :meth:`read` / :meth:`write` when caching is enabled; everything
-that fits inside one cache line is served locally when possible, with
-the line state machine below; larger accesses, atomics, and frees take
-guarded bypass paths that keep the cached copies coherent.
+through :meth:`read` / :meth:`write` on a cluster built with the caching
+layer; everything that fits inside one cache line is served locally
+when possible, with the line state machine below; larger accesses,
+atomics, and frees take guarded bypass paths that keep the cached copies
+coherent.
 
 Line states (per ``(mn, pid, line_va)`` key):
 
@@ -48,7 +49,6 @@ from repro.clib.client import (RemoteAccessError, check_reply,
 from repro.core.cboard import ResponseBody
 from repro.core.pipeline import Status
 from repro.net.packet import ClioHeader, Packet, PacketType
-from repro.params import CacheParams
 from repro.telemetry.metrics import MetricsRegistry, StatsView
 from repro.telemetry.spans import Tracer
 from repro.transport.clib_transport import RequestFailed
@@ -91,18 +91,16 @@ class _Guard:
 class PageCache:
     """The per-CN cache: local line store + directory client."""
 
-    def __init__(self, node, cacheparams: CacheParams,
-                 registry: Optional[MetricsRegistry] = None):
+    def __init__(self, node, registry: Optional[MetricsRegistry] = None):
         self.node = node
         self.env = node.env
         self.transport = node.transport
         self.params = node.params
-        self.cacheparams = cacheparams
+        self.cacheparams = cacheparams = node.params.cache
         self.line_bytes = cacheparams.line_bytes
         self.capacity_lines = cacheparams.capacity_lines
         self.policy = cacheparams.policy
         self.hit_ns = cacheparams.hit_ns
-        self.enabled = True
         self._lines: dict[tuple, _Line] = {}
         self._lru: OrderedDict = OrderedDict()     # resident keys, LRU order
         self._txn_ids = itertools.count(1)
@@ -668,13 +666,14 @@ class PageCache:
         finally:
             self.guard_end(guard)
 
-    # -- departure / disable ------------------------------------------------------------------
+    # -- departure -----------------------------------------------------------------------------
 
     def shutdown(self):
-        """Process-generator: flush and drop every line, then tell the
-        directory this CN departed.  Used by ``disable_caching`` and CN
-        teardown; the cache keeps answering coherence messages after."""
-        self.enabled = False
+        """Process-generator: CN departure.  Detach from the node (its
+        ops take the uncached path from here on), flush and drop every
+        line, then tell the directory this CN departed.  The cache keeps
+        answering coherence messages after."""
+        self.node.cache = None
         for key in list(self._lines):
             line = self._lines.get(key)
             if line is None:

@@ -476,8 +476,8 @@ def cmd_metrics(args) -> int:
     from repro.telemetry import render_dashboard, write_chrome_trace
 
     cluster = ClioCluster(params=_profile(args.profile), seed=args.seed,
-                          mn_capacity=1 * GB)
-    tracer = cluster.enable_tracing()
+                          mn_capacity=1 * GB, layers=("tracing",))
+    tracer = cluster.tracer
     if args.interval_us:
         cluster.metrics.start_sampling(cluster.env,
                                        args.interval_us * 1000)

@@ -4,8 +4,9 @@ Small remote ops pay a full Clio header and a congestion-window slot
 each; a :class:`ThreadBatcher` coalesces ops issued within a time/count
 window into one multi-op BATCH frame so the header, the CLib per-request
 overhead, and the window slot amortize across the batch.  Batching is
-strictly opt-in (``ClioThread.enable_batching``): with it off, no code
-in this module runs and event sequences stay bit-identical.
+strictly opt-in per thread (``ClioThread.enable_batching``, or a vector
+op): with it off, no code in this module runs and event sequences stay
+bit-identical.
 
 The explicit vector ops (``rreadv``/``rwritev``) reuse the same frame
 machinery without the adaptive window: the caller's list *is* the batch,
@@ -83,8 +84,10 @@ class ThreadBatcher:
     Flush policy (adaptive window):
 
     * a frame fills to ``max_ops`` sub-ops → flushed immediately;
-    * adding an op would overflow the frame byte budget → the pending
-      frame is flushed first, the op starts a new one;
+    * adding an op would overflow the frame byte budget (one MTU:
+      descriptors + write payloads must fit one link-layer packet, so a
+      frame never needs request fragmentation) → the pending frame is
+      flushed first, the op starts a new one;
     * otherwise a timer flushes whatever accumulated ``window_ns`` after
       the first op of the frame arrived (0 = coalesce only ops issued at
       the same instant).  ``timed=False`` drops the timer: the caller
@@ -92,25 +95,17 @@ class ThreadBatcher:
     """
 
     def __init__(self, thread, max_ops: Optional[int] = None,
-                 window_ns: Optional[int] = None,
-                 max_frame_bytes: Optional[int] = None, timed: bool = True):
+                 window_ns: Optional[int] = None, timed: bool = True):
         params = thread.process.node.params
         clib = params.clib
-        net = params.network
         self.thread = thread
         self.env = thread.env
         self.max_ops = max_ops if max_ops is not None else clib.batch_max_ops
         self.window_ns = (window_ns if window_ns is not None
                           else clib.batch_window_ns)
-        # Frame payload budget: descriptors + write payloads must fit one
-        # link-layer packet, so a frame never needs request fragmentation.
-        self.max_frame_bytes = (max_frame_bytes if max_frame_bytes is not None
-                                else net.mtu)
         if self.max_ops < 1:
             raise ValueError(f"max_ops must be >= 1, got {self.max_ops}")
-        if self.max_frame_bytes < net.subop_header_bytes + 1:
-            raise ValueError("max_frame_bytes below one sub-op descriptor")
-        self._net = net
+        self._net = params.network
         self._pending: list[_PendingOp] = []
         self._pending_bytes = 0
         self._timer_armed = not timed    # never arms when untimed
@@ -124,13 +119,13 @@ class ThreadBatcher:
 
     def admits(self, is_write: bool, size: int) -> bool:
         """True when an op of this shape can ride a frame at all."""
-        return _subop_cost(self._net, is_write, size) <= self.max_frame_bytes
+        return _subop_cost(self._net, is_write, size) <= self._net.mtu
 
     def submit(self, is_write: bool, va: int, size: int, data: Optional[bytes],
                done: Event, vtoken: Any) -> Event:
         """Queue one op; returns the event that fulfils its handle."""
         cost = _subop_cost(self._net, is_write, size)
-        if self._pending and self._pending_bytes + cost > self.max_frame_bytes:
+        if self._pending and self._pending_bytes + cost > self._net.mtu:
             self.flush()
         completion = self.env.event()
         self._pending.append(_PendingOp(is_write, va, size, data, done,
@@ -173,9 +168,7 @@ def issue_vector(thread, is_write: bool, specs):
     """
     batcher = thread.batcher
     frames = ThreadBatcher(
-        thread, max_ops=batcher.max_ops if batcher else None,
-        max_frame_bytes=batcher.max_frame_bytes if batcher else None,
-        timed=False)
+        thread, max_ops=batcher.max_ops if batcher else None, timed=False)
     handles = []
     for va, size, data in specs:
         if frames.pending_ops and thread.tracker.conflicts(

@@ -155,9 +155,8 @@ class ComputeNode:
         # Runtime correctness checking (repro.verify); None = disabled,
         # and every hook below sits behind a single `is not None` check.
         self.verifier = None
-        # Hot-page cache (repro.cache); None = disabled.  Data ops check
-        # `cache is not None and cache.enabled` and otherwise take the
-        # exact pre-cache path.
+        # Hot-page cache (repro.cache); None = no caching layer (or this
+        # CN departed it), and data ops take the exact pre-cache path.
         self.cache = None
 
     def process(self, mn: str, page_size: Optional[int] = None,
@@ -226,8 +225,7 @@ class ClioThread:
     # -- request batching (repro.clib.batch, opt-in) ---------------------------------------
 
     def enable_batching(self, max_ops: Optional[int] = None,
-                        window_ns: Optional[int] = None,
-                        max_frame_bytes: Optional[int] = None):
+                        window_ns: Optional[int] = None):
         """Opt this thread into adaptive request batching.
 
         Async data ops (``rread_async``/``rwrite_async``) issued within
@@ -240,8 +238,7 @@ class ClioThread:
         if self._batcher is None:
             from repro.clib.batch import ThreadBatcher
             self._batcher = ThreadBatcher(self, max_ops=max_ops,
-                                          window_ns=window_ns,
-                                          max_frame_bytes=max_frame_bytes)
+                                          window_ns=window_ns)
         return self._batcher
 
     def disable_batching(self) -> None:
@@ -300,8 +297,6 @@ class ClioThread:
         process = self.process
         page_size = process.page_spec.page_size
         cache = process.node.cache
-        if cache is not None and not cache.enabled:
-            cache = None
         guard = None
         try:
             if cache is not None:
@@ -372,7 +367,7 @@ class ClioThread:
         ``yield from``s the result pays no extra generator frame.
         """
         cache = self.process.node.cache
-        if cache is not None and cache.enabled:
+        if cache is not None:
             if is_write:
                 return cache.write(self, va, data)
             return cache.read(self, va, size)
@@ -412,7 +407,7 @@ class ClioThread:
         kind = "write" if is_write else "read"
         cache = self.process.node.cache
         token = None
-        if cache is None or not cache.enabled:
+        if cache is None:
             token = open_window(self, is_write, va, size, data)
             if frames is not None and frames.admits(is_write, size):
                 return AsyncHandle(
@@ -510,7 +505,7 @@ class ClioThread:
         self.ops_issued += 1
         cache = self.process.node.cache
         guard = None
-        if cache is not None and cache.enabled:
+        if cache is not None:
             # Atomics execute at the MN; recall every cached copy of the
             # word's line — including our own — for the duration, so no
             # CN serves a pre-atomic value from its cache afterwards.

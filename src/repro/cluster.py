@@ -2,10 +2,15 @@
 
 This is the entry point most examples and benchmarks use::
 
-    cluster = ClioCluster(num_cns=2)
+    cluster = ClioCluster(num_cns=2, layers=("verification",))
     thread = cluster.cn(0).process("mn0").thread()
     ...
-    cluster.run()
+    cluster.run(until=...)
+
+A cluster is a value built once.  Like a CBoard's virtual-memory system
+and network stack (paper section 4), its subsystems are fixed when it is
+built: ``layers=`` names the opt-in ones and ``ClioParams`` configures
+them; nothing is switched on, off or reconfigured mid-run.
 """
 
 from __future__ import annotations
@@ -25,6 +30,13 @@ from repro.telemetry.spans import Tracer
 class ClioCluster:
     """A star cluster: ``num_cns`` compute nodes and ``num_mns`` CBoards.
 
+    ``layers`` lists the opt-in subsystems to build, by name, in any
+    order: ``"health"`` (heartbeat board-health beliefs),
+    ``"verification"`` (oracle + invariants), ``"caching"`` (CN hot-page
+    cache, configured by ``params.cache``), ``"qos"`` (per-tenant egress
+    shaping, configured by ``params.qos``) and ``"tracing"`` (span
+    recording).  A rack cluster (``rack=``) always includes ``"health"``.
+
     With ``partitioned=True`` the cluster is built on the partitioned
     engine: every CBoard and CN owns its own event wheel (logical
     process), the switch tier owns another, and link propagation delays
@@ -35,24 +47,18 @@ class ClioCluster:
     """
 
     def __init__(self, params: Optional[ClioParams] = None, seed: int = 0,
-                 num_cns: int = 1, num_mns: int = 1,
+                 num_cns: int = 1, num_mns: Optional[int] = None,
                  mn_capacity: Optional[int] = None,
                  page_size: Optional[int] = None,
                  partitioned: bool = False,
                  rack=None,
-                 alloc=None):
-        if num_cns < 1 or num_mns < 1:
-            raise ValueError("need at least one CN and one MN")
+                 layers: tuple = ()):
         self.params = params or ClioParams.prototype()
-        if alloc is not None:
-            # Strategy shorthand: a PA-strategy name or a full AllocParams.
-            from dataclasses import replace as _replace
-
-            from repro.params import AllocParams
-            if isinstance(alloc, str):
-                alloc = AllocParams(pa_strategy=alloc)
-            self.params = _replace(self.params, alloc=alloc)
         self.partitioned = partitioned
+        if (len(set(layers)) != len(layers)
+                or not set(layers) <= set(self._LAYERS)):
+            raise ValueError(f"layers must be distinct names from "
+                             f"{tuple(self._LAYERS)}, got {layers!r}")
         rack_config = None
         if rack is not None:
             from repro.rack import RackConfig
@@ -60,8 +66,22 @@ class ClioCluster:
                            else rack)
             # The rack config owns the board count: in-service boards
             # plus the pre-cabled spares membership can add later.
-            num_mns = rack_config.boards + rack_config.spares
-        self.rack_config = rack_config
+            rack_boards = rack_config.boards + rack_config.spares
+            if num_mns not in (None, rack_boards):
+                raise ValueError(
+                    f"num_mns={num_mns} disagrees with the rack config's "
+                    f"{rack_boards} boards (in service + spares)")
+            num_mns = rack_boards
+            # Rack placement and eviction are belief-driven, so a rack
+            # tier always runs over the heartbeat monitor.
+            layers = ("health", *layers)
+        elif num_mns is None:
+            num_mns = 1
+        if num_cns < 1 or num_mns < 1:
+            raise ValueError("need at least one CN and one MN")
+        # Flat, every switch tier shares the one environment (the
+        # topology's default); partitioned, each gets its own wheel.
+        tor_envs = spine_env = None
         if partitioned:
             self.env: Environment = PartitionedEnvironment()
             if rack_config is not None:
@@ -72,11 +92,7 @@ class ClioCluster:
             else:
                 switch_env = self.env.partition("switch")
         else:
-            self.env = Environment()
-            switch_env = self.env
-            if rack_config is not None:
-                tor_envs = [self.env] * rack_config.tors
-                spine_env = self.env
+            self.env = switch_env = Environment()
         self.rng = RandomStream(seed, "cluster")
         # One shared metrics namespace for the whole cluster; components
         # register themselves under their own prefixes at construction.
@@ -86,9 +102,7 @@ class ClioCluster:
             self.topology = RackTopology(
                 self.env, self.params.network, tors=rack_config.tors,
                 rng=self.rng.fork("net"), registry=self.metrics,
-                tor_envs=tor_envs, spine_env=spine_env,
-                spine_rate_bps=rack_config.spine_rate_bps,
-                spine_forward_ns=rack_config.spine_forward_ns)
+                tor_envs=tor_envs, spine_env=spine_env)
         else:
             self.topology = Topology(switch_env, self.params.network,
                                      rng=self.rng.fork("net"),
@@ -117,21 +131,20 @@ class ClioCluster:
         if rack_config is not None:
             from repro.rack import RackTier
             self.rack = RackTier(self, rack_config)
-        # Heartbeat health tracking is opt-in: its periodic sweep adds
-        # events, so no-fault runs stay bit-identical unless asked for.
+        # The opt-in layers.  Off, a layer does not exist: no component
+        # holds a handle to it, no event is scheduled for it and no RNG
+        # is drawn, so a bare run stays bit-identical to the goldens.
+        # They are built here and only here, in table order whatever
+        # order ``layers`` lists them in, then handed out in one place.
         self.health = None
-        # Span tracing is likewise opt-in (recording is passive — no
-        # events, no RNG — but the record buffer costs memory).
-        self.tracer = None
-        # Runtime correctness checking is opt-in the same way.
         self.verifier = None
-        # Hot-page caching (repro.cache) is opt-in the same way: off, the
-        # directory node doesn't exist and no op is intercepted.
         self.cache_dir = None
-        # Multi-tenant egress shaping (repro.net.qos) is opt-in the same
-        # way: off, the switch consults no shaper and schedules nothing.
         self.qos_shapers: dict[str, object] = {}
-        self._switch_env = switch_env
+        self.tracer = None
+        for name, build in self._LAYERS.items():
+            if name in layers:
+                build(self)
+        self._wire()
 
     def _register_partition_metrics(self) -> None:
         """Expose per-partition engine counters as fn-backed metrics."""
@@ -152,60 +165,83 @@ class ClioCluster:
             return None
         return self.env.partition_stats()
 
-    # -- health monitoring ----------------------------------------------------------
-    #
-    # Every opt-in subsystem follows the same surface: ``enable_*()``
-    # returns the subsystem handle (idempotent), ``disable_*()`` detaches
-    # it while keeping whatever it recorded.
+    # -- the opt-in layers ----------------------------------------------------------
 
-    def enable_health_monitor(self, interval_ns: int = 100_000,
-                              miss_threshold: int = 3):
-        """Opt into heartbeat-based board health tracking.
-
-        Returns the :class:`~repro.faults.health.HealthMonitor`; pass it
-        to a :class:`~repro.distributed.controller.GlobalController` so
-        placement avoids boards believed dead.  Idempotent: a second
-        call returns the existing monitor.
-        """
-        if self.health is None:
-            from repro.faults.health import HealthMonitor
-            self.health = HealthMonitor(self.env, self.mns,
-                                        interval_ns=interval_ns,
-                                        miss_threshold=miss_threshold,
-                                        registry=self.metrics)
-            self.health.tracer = self.tracer
+    def _build_health(self) -> None:
+        """Heartbeat board-health tracking (:mod:`repro.faults.health`):
+        the one layer that schedules events of its own, a sweep every
+        100 us from time zero."""
+        from repro.faults.health import HealthMonitor
+        self.health = HealthMonitor(self.env, self.mns, registry=self.metrics)
         self.health.start()
-        return self.health
 
-    def disable_health_monitor(self) -> None:
-        """Stop the heartbeat sweep (beliefs and transitions are kept)."""
-        if self.health is not None:
-            self.health.stop()
+    def _build_verification(self) -> None:
+        """Oracle + invariants + history capture (:mod:`repro.verify`).
+        Passive like tracing: hooks record and inspect state inside
+        existing callbacks (``tests/verify/test_chaos_oracle.py``)."""
+        from repro.verify import ClusterVerifier
+        self.verifier = ClusterVerifier(self)
 
-    # -- tracing ------------------------------------------------------------------
+    def _build_caching(self) -> None:
+        """CN-side coherent hot-page caching (:mod:`repro.cache`) from
+        ``params.cache``: the directory (a ``cachedir`` node on the
+        switch tier) and one PageCache per CN, which every CLib data op
+        then routes through."""
+        from repro.cache import CacheDirectory, PageCache
+        line_bytes = self.params.cache.line_bytes
+        page_size = self.mn.page_spec.page_size
+        if page_size % line_bytes:
+            raise ValueError(f"cache line_bytes ({line_bytes}) must divide "
+                             f"the boards' page size ({page_size})")
+        # The directory lives with the (first) ToR switch.
+        self.cache_dir = CacheDirectory(self.topology.switches[0].env,
+                                        self.topology, self.params,
+                                        registry=self.metrics)
+        for node in self.cns:
+            node.cache = PageCache(node, registry=self.metrics)
 
-    def enable_tracing(self, max_records: int = 1_000_000) -> Tracer:
-        """Attach a :class:`~repro.telemetry.spans.Tracer` everywhere.
+    def _build_qos(self) -> None:
+        """Per-tenant egress shaping (:mod:`repro.net.qos`) from
+        ``params.qos``: one EgressShaper in front of every MN downlink,
+        the port incast congests.  Packets from nodes in no tenant
+        bypass shaping."""
+        from repro.net.qos import EgressShaper
+        config = self.params.qos
+        if not config.tenants:
+            raise ValueError('the "qos" layer needs at least one '
+                             "TenantConfig in params.qos.tenants")
+        for board in self.mns:
+            for switch in self.topology.switches:
+                downlink = switch._downlinks.get(board.name)
+                if downlink is None:
+                    continue
+                shaper = EgressShaper(
+                    switch.env, board.name, downlink, config,
+                    port_rate_bps=downlink.rate_bps, registry=self.metrics)
+                switch.install_shaper(board.name, shaper)
+                self.qos_shapers[board.name] = shaper
 
-        Recording never schedules events and never draws RNG, so a traced
-        run produces bit-identical simulated timestamps to an untraced
-        one (``tests/telemetry/test_zero_cost.py`` proves it).  Idempotent:
-        a second call returns the existing tracer.
-        """
-        if self.tracer is None:
-            self._set_tracer(Tracer(self.env, max_records=max_records))
-        return self.tracer
+    def _build_tracing(self) -> None:
+        """Span recording (:mod:`repro.telemetry.spans`): never schedules
+        an event or draws RNG, so a traced run keeps an untraced one's
+        timestamps (``tests/telemetry/test_zero_cost.py``)."""
+        self.tracer = Tracer(self.env)
 
-    def disable_tracing(self) -> None:
-        """Detach the tracer from every component (records are kept)."""
-        self._set_tracer(None)
+    #: Layer name -> builder, in build order (the order every golden
+    #: was recorded under).
+    _LAYERS = {"health": _build_health, "verification": _build_verification,
+               "caching": _build_caching, "qos": _build_qos,
+               "tracing": _build_tracing}
 
-    def _set_tracer(self, tracer) -> None:
-        self.tracer = tracer
+    def _wire(self) -> None:
+        """Hand every layer's handle to the components that consult it."""
+        tracer, verifier = self.tracer, self.verifier
         for board in self.mns:
             board.set_tracer(tracer)
+            board.verifier = board.slow_path.verifier = verifier
         for node in self.cns:
             node.transport.tracer = tracer
+            node.verifier = verifier
             if node.cache is not None:
                 node.cache.tracer = tracer
         self.topology.set_tracer(tracer)
@@ -213,155 +249,25 @@ class ClioCluster:
             self.health.tracer = tracer
         if self.cache_dir is not None:
             self.cache_dir.tracer = tracer
+        if self.rack is not None:
+            controller = self.rack.controller
+            controller.health = self.rack.membership.health = self.health
+            controller.verifier = verifier
+            controller.cache_directory = self.cache_dir
 
-    # -- verification -------------------------------------------------------------
+    def enable_tracing(self) -> Tracer:
+        """Attach the tracer to a cluster built without ``"tracing"``.
 
-    def enable_verification(self, quick_checks: bool = True):
-        """Attach a :class:`~repro.verify.ClusterVerifier` everywhere.
-
-        Like tracing, checking is passive — hooks record and inspect
-        state synchronously inside existing callbacks, scheduling no
-        events and drawing no RNG — so a verified run keeps bit-identical
-        simulated timestamps (``tests/verify/test_chaos_oracle.py`` pins
-        it).  Idempotent: a second call returns the existing verifier.
+        The one late attach: the tracer is passive (see
+        :meth:`_build_tracing`), so turning it on after warm-up — as
+        ``benchmarks/e2e`` does to keep set-up spans out of its buffer —
+        cannot move the simulation.  Every other layer is fixed at
+        construction.  Idempotent.
         """
-        if self.verifier is None:
-            from repro.verify import ClusterVerifier
-            self.verifier = ClusterVerifier(self, quick_checks=quick_checks)
-            self.verifier.attach()
-        return self.verifier
-
-    def disable_verification(self) -> None:
-        """Detach the verifier from every component (records are kept)."""
-        if self.verifier is not None:
-            self.verifier.detach()
-            self.verifier = None
-
-    # -- hot-page caching (repro.cache) -------------------------------------------
-
-    def enable_caching(self, policy: Optional[str] = None,
-                       line_bytes: Optional[int] = None,
-                       capacity_lines: Optional[int] = None):
-        """Opt the cluster into CN-side coherent hot-page caching.
-
-        Builds the cache directory (a ``cachedir`` node on the switch
-        tier) and one :class:`~repro.cache.PageCache` per CN, then routes
-        every CLib data op through the cache.  Keyword overrides default
-        to :class:`~repro.params.CacheParams` in ``self.params``.
-        Idempotent: a second call re-enables the existing caches and
-        returns the existing directory; overrides that differ from the
-        installed configuration raise :class:`ValueError`.
-        """
-        from dataclasses import replace
-
-        from repro.cache import CacheDirectory, PageCache
-        overrides = {name: value for name, value in (
-            ("policy", policy), ("line_bytes", line_bytes),
-            ("capacity_lines", capacity_lines))
-            if value is not None}
-        if self.cache_dir is not None:
-            installed = self.cns[0].cache.cacheparams
-            if replace(installed, **overrides) != installed:
-                raise ValueError(
-                    f"caching is already enabled with {installed}; "
-                    f"cannot reconfigure it with {overrides}")
-            for node in self.cns:
-                if node.cache is not None:
-                    node.cache.enabled = True
-            return self.cache_dir
-        cacheparams = replace(self.params.cache, **overrides)
-        for board in self.mns:
-            if board.page_spec.page_size % cacheparams.line_bytes:
-                raise ValueError(
-                    f"cache line_bytes ({cacheparams.line_bytes}) must "
-                    f"divide {board.name}'s page size "
-                    f"({board.page_spec.page_size})")
-        self.cache_dir = CacheDirectory(self._switch_env, self.topology,
-                                        self.params, cacheparams=cacheparams,
-                                        registry=self.metrics)
-        self.cache_dir.tracer = self.tracer
-        for node in self.cns:
-            node.cache = PageCache(node, cacheparams, registry=self.metrics)
-            node.cache.tracer = self.tracer
-        return self.cache_dir
-
-    def disable_caching(self, drain: bool = True) -> list:
-        """Turn op interception off on every CN.
-
-        With ``drain=True`` (default) each cache also flushes its dirty
-        lines and departs the directory in the background; the returned
-        simulation processes complete when that settles (``run`` past
-        them before trusting uncached reads under the write-back policy).
-        Caches keep answering coherence messages either way.
-        """
-        processes = []
-        for node in self.cns:
-            if node.cache is None:
-                continue
-            node.cache.enabled = False
-            if drain:
-                processes.append(self.env.process(node.cache.shutdown()))
-        return processes
-
-    # -- multi-tenant QoS (repro.net.qos) ------------------------------------------
-
-    def enable_qos(self, qos=None):
-        """Opt into per-tenant egress shaping at the switch.
-
-        ``qos`` overrides ``self.params.qos``: pass a
-        :class:`~repro.params.QoSParams`, or a tuple of
-        :class:`~repro.params.TenantConfig` as shorthand.  Installs one
-        :class:`~repro.net.qos.EgressShaper` in front of every shaped
-        egress port (by default each MN downlink — the port incast
-        congests); packets from nodes in no tenant bypass shaping.
-        Returns the ``{node: shaper}`` mapping.  Idempotent: a second
-        call reinstalls the existing shapers; a ``qos`` that differs from
-        the one they were built from raises :class:`ValueError`.
-        """
-        from dataclasses import replace as _replace
-
-        from repro.net.qos import EgressShaper
-        from repro.params import QoSParams
-        if qos is not None:
-            if isinstance(qos, tuple):
-                qos = QoSParams(tenants=qos)
-            if self.qos_shapers and qos != self.params.qos:
-                raise ValueError(
-                    f"QoS shapers are already built from {self.params.qos}; "
-                    f"cannot reconfigure them with {qos}")
-            self.params = _replace(self.params, qos=qos)
-        switches = self.topology.switches
-        if self.qos_shapers:
-            for node, shaper in self.qos_shapers.items():
-                for switch in switches:
-                    if node in switch._downlinks:
-                        switch.install_shaper(node, shaper)
-            return self.qos_shapers
-        config = self.params.qos
-        if not config.tenants:
-            raise ValueError(
-                "enable_qos needs at least one TenantConfig "
-                "(ClioParams.qos.tenants or the qos= argument)")
-        if config.shape_mn_egress:
-            for board in self.mns:
-                for switch in switches:
-                    downlink = switch._downlinks.get(board.name)
-                    if downlink is None:
-                        continue
-                    shaper = EgressShaper(
-                        switch.env, board.name, downlink, config,
-                        port_rate_bps=downlink.rate_bps,
-                        registry=self.metrics)
-                    switch.install_shaper(board.name, shaper)
-                    self.qos_shapers[board.name] = shaper
-        return self.qos_shapers
-
-    def disable_qos(self) -> None:
-        """Stop shaping (stats kept; held packets still drain)."""
-        switches = self.topology.switches
-        for node in self.qos_shapers:
-            for switch in switches:
-                switch.remove_shaper(node)
+        if self.tracer is None:
+            self._build_tracing()
+            self._wire()
+        return self.tracer
 
     def board(self, name: str) -> CBoard:
         """Memory node by name (fault schedules address boards by name)."""

@@ -5,28 +5,27 @@ Placement follows the LegoOS two-level split: the controller only decides
 hot); everything fine-grained — translation, faults, permissions — stays
 on the individual CBoards, unchanged.
 
-Two placement paths coexist:
+Placement is one walk over a preference order (:meth:`_pick`): the first
+live, non-draining board in the order with room for the region wins.
+What differs is only where the order comes from:
 
-* **Legacy** (no shard ring): least-utilized live board.  The ordering is
-  maintained incrementally — a lazy min-heap of ``(utilization, index)``
-  entries revalidated against cached page-table counts — so an allocation
-  costs O(changed · log n) instead of the former O(n log n) full re-sort,
-  which matters at 64 boards.
-* **Sharded** (``shard=`` a :class:`~repro.rack.shard.ShardRing`): the
-  region id hashes onto the ring and the preference walk (home, then
-  successors) picks the first live board with capacity.  Any placement
-  away from the home lands in the ring's override directory, which is how
-  the rack membership layer later finds strays to rebalance.
+* with a shard ring (``shard=`` a :class:`~repro.rack.shard.ShardRing`,
+  the rack tier) the region id hashes onto the ring and the order is the
+  ring's preference walk — home, then clockwise successors.  Any
+  placement away from the home lands in the ring's override directory,
+  which is how the rack membership layer later finds strays to rebalance;
+* without one (a handful of boards) the order is least-utilized first,
+  registration order breaking ties.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from heapq import heappush, heappop
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from repro.core.cboard import CBoard
+from repro.distributed.tenancy import PlacementError, TenantLedger
 from repro.sim import Environment
 
 #: Controller bookkeeping cost per request (it is off the data path).
@@ -57,29 +56,6 @@ class _BoardState:
     board: CBoard
     index: int                         # registration order (tie-break)
     regions: set = field(default_factory=set)
-    cached_entries: int = -1           # page-table count behind the heap
-
-
-class PlacementError(Exception):
-    """No MN can host the requested region."""
-
-
-class TenantQuotaExceeded(PlacementError):
-    """The tenant's capacity quota cannot cover the requested region.
-
-    A subclass of :class:`PlacementError` so quota-unaware callers keep
-    working, but typed so a tenant-aware CN can tell "the pool is full"
-    apart from "you hit your own ceiling — free something first".
-    """
-
-    def __init__(self, tenant: str, requested: int, used: int, quota: int):
-        super().__init__(
-            f"tenant {tenant!r} quota exceeded: {requested} bytes requested,"
-            f" {used}/{quota} bytes already in use")
-        self.tenant = tenant
-        self.requested = requested
-        self.used = used
-        self.quota = quota
 
 
 class LeaseLost(Exception):
@@ -109,10 +85,15 @@ class GlobalController:
     backed by one raise :class:`LeaseLost` — the typed signal a CN uses
     to tell "retry later" apart from "the region never existed".
 
-    With a ``shard`` ring attached, placement delegates to the ring's
+    With a ``shard`` ring attached, placement follows the ring's
     preference walk (see module docstring) and the controller keeps the
     ring's override directory in sync on every placement, migration, and
     free.
+
+    Capacity QoS: every allocation is charged to a tenant on the
+    :class:`~repro.distributed.tenancy.TenantLedger` ``tenants``, whose
+    quota table comes from ``qos`` (a :class:`~repro.params.QoSParams`;
+    ``None`` = nobody is capped).
     """
 
     def __init__(self, env: Environment, boards: list[CBoard],
@@ -133,7 +114,6 @@ class GlobalController:
         # process.
         self._region_ids = itertools.count(1)
         self._boards: dict[str, _BoardState] = {}
-        self._util_heap: list[tuple[float, int, str]] = []
         self._leases: dict[int, RegionLease] = {}
         for board in boards:
             self.add_board(board)
@@ -150,31 +130,16 @@ class GlobalController:
         # Cache coherence (repro.cache); when set, migration and free
         # recall every cached copy of the region before touching it.
         self.cache_directory = None
-        # Capacity QoS: with a QoSParams attached, allocations are
-        # charged to tenants and a tenant with quota_bytes set is
-        # rejected (typed) once its page-rounded footprint would pass
-        # the ceiling.  Tenants outside the config — including the
-        # implicit "default" — are accounted but never capped.
-        self.qos = qos
-        self._quotas: dict[str, Optional[int]] = {}
-        if qos is not None:
-            for tenant in qos.tenants:
-                self._quotas[tenant.name] = tenant.quota_bytes
-        self._tenant_usage: dict[str, int] = {}
-        self.quota_rejections = 0
+        self.tenants = TenantLedger(qos, registry)
         if registry is not None:
             self._register_tenant_metrics(registry)
 
     def _register_tenant_metrics(self, registry) -> None:
-        scope = registry.scope("tenant")
-        scope.counter("quota_rejections",
-                      "allocations refused by a tenant quota",
-                      fn=lambda: self.quota_rejections)
-        for name, quota in self._quotas.items():
+        registry.scope("tenant").counter(
+            "quota_rejections", "allocations refused by a tenant quota",
+            fn=lambda: self.tenants.rejections)
+        for name, quota in self.tenants.quotas.items():
             tenant_scope = registry.scope(f"tenant.{name}")
-            tenant_scope.gauge("used_bytes", "capacity charged to the tenant",
-                              unit="bytes",
-                              fn=lambda n=name: self._tenant_usage.get(n, 0))
             tenant_scope.gauge("quota_bytes",
                               "capacity ceiling (0 = uncapped)",
                               unit="bytes",
@@ -183,10 +148,6 @@ class GlobalController:
                               fn=lambda n=name: sum(
                                   1 for lease in self._leases.values()
                                   if lease.tenant == n))
-
-    def tenant_usage(self, tenant: str) -> int:
-        """Bytes currently charged to ``tenant`` (page-rounded)."""
-        return self._tenant_usage.get(tenant, 0)
 
     # -- board registry ----------------------------------------------------------------
 
@@ -200,7 +161,6 @@ class GlobalController:
             raise ValueError(f"board {board.name!r} already registered")
         state = _BoardState(board, index=len(self._boards))
         self._boards[board.name] = state
-        self._note_utilization(board.name)
         if self.shard is not None and board.name not in self.shard:
             self.shard.add_board(board.name)
             self._refresh_shard_directory()
@@ -217,7 +177,6 @@ class GlobalController:
         if self.shard is not None and name in self.shard:
             self.shard.remove_board(name)
             self._refresh_shard_directory()
-        # Stale heap entries for the departed board are skipped lazily.
 
     def _refresh_shard_directory(self) -> None:
         """Recompute the ring's override directory after an arc move."""
@@ -245,27 +204,6 @@ class GlobalController:
         board = self._boards[name].board
         return board.page_table.entry_count / board.page_table.physical_pages
 
-    def _note_utilization(self, name: str) -> None:
-        """Refresh one board's heap entry if its page table changed."""
-        state = self._boards[name]
-        entries = state.board.page_table.entry_count
-        if entries != state.cached_entries:
-            state.cached_entries = entries
-            heappush(self._util_heap,
-                     (entries / state.board.page_table.physical_pages,
-                      state.index, name))
-
-    def _refresh_utilizations(self) -> None:
-        """Cheap O(n) staleness sweep: integer compares, no sorting.
-
-        Boards change behind the controller's back (direct slow-path
-        allocations, crashes that rebuild page tables), so pick time
-        reconciles the cached counts; only *changed* boards pay the
-        O(log n) heap push.
-        """
-        for name in self._boards:
-            self._note_utilization(name)
-
     def _fits(self, name: str, size: int) -> bool:
         board = self._boards[name].board
         pages_needed = board.page_spec.page_count(size)
@@ -273,50 +211,30 @@ class GlobalController:
                       - board.page_table.entry_count)
         return pages_needed <= free_slots
 
-    def _pick_board(self, size: int, exclude: Optional[str] = None,
-                    below_threshold: bool = False) -> Optional[str]:
-        """Least-utilized live board that can still host ``size`` bytes.
+    def _order(self, key: int) -> Iterable[str]:
+        """Preference order for region ``key``: the ring's walk when
+        sharded, else least-utilized first (registration order breaking
+        ties).  Read off the page tables at pick time, because boards
+        change behind the controller's back (direct slow-path
+        allocations, crashes that rebuild page tables)."""
+        if self.shard is not None:
+            return self.shard.preference(key)
+        return sorted(self._boards, key=lambda name: (
+            self._utilization(name), self._boards[name].index))
 
-        Incrementally maintained: pops the lazy heap in (utilization,
-        registration) order — identical to the former stable full sort —
-        skipping entries whose cached count went stale, and pushes every
-        still-valid entry back for the next pick.
-        """
-        self._refresh_utilizations()
-        heap = self._util_heap
-        valid: list[tuple[float, int, str]] = []
-        chosen = None
-        while heap:
-            entry = heappop(heap)
-            util, _index, name = entry
-            state = self._boards.get(name)
-            if state is None:
-                continue            # board deregistered: drop the entry
-            expected = (state.cached_entries
-                        / state.board.page_table.physical_pages)
-            if util != expected:
-                continue            # superseded by a fresher entry
-            valid.append(entry)
-            if name == exclude or name in self.draining:
-                continue
-            if not self._alive(name):
-                continue
-            if below_threshold and util >= self.pressure_threshold:
-                continue
-            if self._fits(name, size):
-                chosen = name
-                break
-        for entry in valid:
-            heappush(heap, entry)
-        return chosen
-
-    def _pick_sharded(self, key: int, size: int,
-                      exclude: Optional[str] = None) -> Optional[str]:
-        """Ring preference walk: home first, then clockwise successors."""
-        for name in self.shard.preference(key):
+    def _pick(self, order: Iterable[str], size: int,
+              exclude: Optional[str] = None,
+              below_threshold: bool = False) -> Optional[str]:
+        """First board in ``order`` that is registered, live, not
+        draining, not ``exclude`` and can still host ``size`` bytes —
+        and, with ``below_threshold``, is not itself under pressure."""
+        for name in order:
             if name == exclude or name not in self._boards:
                 continue
             if name in self.draining or not self._alive(name):
+                continue
+            if (below_threshold
+                    and self._utilization(name) >= self.pressure_threshold):
                 continue
             if self._fits(name, size):
                 return name
@@ -333,16 +251,9 @@ class GlobalController:
         Usage is charged at the board's page-rounded grant.
         """
         yield self.env.timeout(CONTROLLER_NS)
-        quota = self._quotas.get(tenant)
-        used = self._tenant_usage.get(tenant, 0)
-        if quota is not None and used + size > quota:
-            self.quota_rejections += 1
-            raise TenantQuotaExceeded(tenant, size, used, quota)
+        self.tenants.check(tenant, size)
         region_id = next(self._region_ids)
-        if self.shard is not None:
-            name = self._pick_sharded(region_id, size)
-        else:
-            name = self._pick_board(size)
+        name = self._pick(self._order(region_id), size)
         if name is None:
             raise PlacementError(f"no MN can host {size} bytes")
         state = self._boards[name]
@@ -354,9 +265,8 @@ class GlobalController:
                             va=response.va, size=response.size, pid=pid,
                             tenant=tenant)
         self._leases[lease.region_id] = lease
-        self._tenant_usage[tenant] = used + response.size
+        self.tenants.charge(tenant, response.size)
         state.regions.add(lease.region_id)
-        self._note_utilization(name)
         if self.shard is not None:
             self.shard.record_placement(region_id, name)
         return lease
@@ -392,14 +302,12 @@ class GlobalController:
                 frozen = yield from self.cache_directory.freeze_region(
                     lease.pid, lease.mn, lease.va, lease.size)
             del self._leases[region_id]
-            remaining = self._tenant_usage.get(lease.tenant, 0) - lease.size
-            self._tenant_usage[lease.tenant] = max(0, remaining)
+            self.tenants.credit(lease.tenant, lease.size)
             state = self._boards[lease.mn]
             state.regions.discard(region_id)
             if self.shard is not None:
                 self.shard.clear_override(region_id)
             yield from state.board.slow_path.handle_free(lease.pid, lease.va)
-            self._note_utilization(lease.mn)
         finally:
             self._freeing.discard(region_id)
             if frozen is not None:
@@ -462,10 +370,13 @@ class GlobalController:
         return moved
 
     def _pick_target(self, exclude: str, size: int,
-                     key: Optional[int] = None) -> Optional[str]:
-        if self.shard is not None and key is not None:
-            return self._pick_sharded(key, size, exclude=exclude)
-        return self._pick_board(size, exclude=exclude, below_threshold=True)
+                     key: int) -> Optional[str]:
+        """Where to migrate region ``key`` off ``exclude``.  Ring-less,
+        a target must itself be below the pressure threshold (or the
+        move just relocates the pressure); on the ring the walk decides
+        and any successor with room will do."""
+        return self._pick(self._order(key), size, exclude=exclude,
+                          below_threshold=self.shard is None)
 
     def migrate_region(self, region_id: int, target: str):
         """Process-generator: move one region by id; True on success.
@@ -500,11 +411,8 @@ class GlobalController:
         yield self.env.timeout(CONTROLLER_NS)
         if self._leases.get(region_id) is not lease:
             return None
-        if self.shard is not None:
-            target = self._pick_sharded(region_id, lease.size,
-                                        exclude=lease.mn)
-        else:
-            target = self._pick_board(lease.size, exclude=lease.mn)
+        target = self._pick(self._order(region_id), lease.size,
+                            exclude=lease.mn)
         if target is None:
             return None
         target_state = self._boards[target]
@@ -513,7 +421,6 @@ class GlobalController:
         if not response.ok:
             self.failed_migrations += 1
             return None
-        self._note_utilization(target)
         old_mn, old_va = lease.mn, lease.va
         old_state = self._boards.get(old_mn)
         if old_state is not None:
@@ -561,7 +468,6 @@ class GlobalController:
             if not response.ok:
                 self.failed_migrations += 1
                 return False
-            self._note_utilization(target)
             if self.cache_directory is not None:
                 # Recall every cached copy first: dirty lines flush to the
                 # *source* board (the keys still name it), so the copy
@@ -592,7 +498,6 @@ class GlobalController:
                     # table serves it again after the restart.
                     yield from target_state.board.slow_path.handle_free(
                         lease.pid, response.va)
-                    self._note_utilization(target)
                     self.aborted_migrations += 1
                     return False
                 chunk = min(page, lease.size - offset)
@@ -605,7 +510,6 @@ class GlobalController:
                 offset += chunk
             yield from source_state.board.slow_path.handle_free(
                 lease.pid, lease.va)
-            self._note_utilization(lease.mn)
             source_state.regions.discard(region_id)
             target_state.regions.add(region_id)
             old_mn, old_va = lease.mn, lease.va

@@ -8,9 +8,10 @@ consecutive misses, giving failure *detection latency* its real shape:
 a crashed board keeps receiving (and dropping) traffic until the monitor
 notices.
 
-The monitor is deterministic: fixed interval, no RNG, and it is off by
-default (``ClioCluster.enable_health_monitor`` opts in), so a no-fault
-run's event sequence is untouched.
+The monitor is deterministic: fixed interval, no RNG, and it exists only
+on a cluster built with the ``"health"`` layer
+(``ClioCluster(layers=("health",))``; a rack cluster always has it), so
+a bare run's event sequence is untouched.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ class HealthMonitor:
         self._believed_alive = {board.name: True for board in self._boards}
         self.transitions: list[HealthTransition] = []
         self.heartbeats = 0
-        self._started = False
-        self._armed = False    # a sweep callback is scheduled
         self.tracer = None
         self.metrics = (registry if registry is not None
                         else MetricsRegistry()).scope("health")
@@ -64,27 +63,11 @@ class HealthMonitor:
         })
 
     def start(self) -> None:
-        """Begin the periodic heartbeat sweep (idempotent)."""
-        if self._started:
-            return
-        self._started = True
-        if not self._armed:
-            self._armed = True
-            self.env.schedule_callback(self.interval_ns, self._sweep)
-
-    def stop(self) -> None:
-        """Stop sweeping (idempotent); beliefs and history are kept.
-
-        The already-scheduled callback still fires once but does nothing
-        and does not re-arm, so no further sweeps (or events) occur —
-        unless ``start`` re-enables the monitor first.
-        """
-        self._started = False
+        """Begin the periodic heartbeat sweep; it runs for the rest of
+        the simulation."""
+        self.env.schedule_callback(self.interval_ns, self._sweep)
 
     def _sweep(self) -> None:
-        if not self._started:
-            self._armed = False
-            return
         for board in self._boards:
             name = board.name
             if board.alive:

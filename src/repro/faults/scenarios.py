@@ -22,12 +22,12 @@ depend on how many processes earlier tests created.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.clib.client import RemoteAccessError
 from repro.faults.schedule import FaultSchedule
-from repro.params import MB, MS, US
+from repro.params import MB, MS, US, CacheParams
 from repro.transport.clib_transport import RequestFailed
 from repro.verify.runner import (
     Scenario,
@@ -35,6 +35,7 @@ from repro.verify.runner import (
     Workload,
     crash_board,
     run_scenario,
+    verify_params,
 )
 
 
@@ -295,12 +296,14 @@ def chaos_scenario(schedule: str = "board-crash", ops: int = 1200,
     if schedule not in SCENARIOS:
         raise ValueError(f"unknown scenario {schedule!r}; "
                          f"pick one of {sorted(SCENARIOS)}")
-    layers = ()
+    params = verify_params()
     if cached is not None:
-        layers = (("caching", dict(policy=cached, capacity_lines=64)),)
+        params = replace(params, cache=CacheParams(policy=cached,
+                                                   capacity_lines=64))
     return Scenario(
         f"chaos:{schedule}", ChaosMix(schedule, ops, region_bytes),
-        cluster=dict(num_cns=2, mn_capacity=256 * MB), layers=layers,
+        cluster=dict(num_cns=2, mn_capacity=256 * MB), params=params,
+        layers=("caching",) if cached is not None else (),
         scripts=(SCENARIOS[schedule],), deadline_ns=200 * MS, verify=verify)
 
 

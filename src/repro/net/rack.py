@@ -79,9 +79,7 @@ class RackTopology:
                  rng: Optional[RandomStream] = None,
                  registry: Optional[MetricsRegistry] = None,
                  tor_envs: Optional[list[Environment]] = None,
-                 spine_env: Optional[Environment] = None,
-                 spine_rate_bps: Optional[int] = None,
-                 spine_forward_ns: Optional[int] = None):
+                 spine_env: Optional[Environment] = None):
         if tors < 1:
             raise ValueError(f"need at least one ToR, got {tors}")
         if tor_envs is not None and len(tor_envs) != tors:
@@ -94,11 +92,8 @@ class RackTopology:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._tor_envs = tor_envs or [env] * tors
         self._spine_env = spine_env if spine_env is not None else env
-        spine_forward = (spine_forward_ns if spine_forward_ns is not None
-                         else params.switch_forward_ns)
-        spine_rate = (spine_rate_bps if spine_rate_bps is not None
-                      else params.switch_rate_bps)
-        self.spine = SpineSwitch(self._spine_env, spine_forward,
+        spine_rate = params.switch_rate_bps
+        self.spine = SpineSwitch(self._spine_env, params.switch_forward_ns,
                                  registry=self.registry)
         #: The ToRs, i.e. the switches nodes attach to.  A destination
         #: without a local downlink lives under another ToR, so each ToR's

@@ -33,8 +33,8 @@ class Switch:
         # Where packets for unattached destinations go: a rack ToR's spine
         # uplink.  None (the star's lone switch) counts them unroutable.
         self.default_route: Optional[Link] = None
-        # Per-egress shapers (repro.net.qos), installed by enable_qos;
-        # empty on a QoS-off cluster, where _forward never consults one.
+        # Per-egress shapers (repro.net.qos), installed by the cluster's
+        # "qos" layer; empty otherwise, and _forward never consults one.
         self._shapers: dict[str, object] = {}
         self.packets_forwarded = 0
         self.unroutable = 0
@@ -67,9 +67,6 @@ class Switch:
         if node not in self._downlinks:
             raise KeyError(f"node {node!r} not attached")
         self._shapers[node] = shaper
-
-    def remove_shaper(self, node: str) -> None:
-        self._shapers.pop(node, None)
 
     def shaper_for(self, node: str):
         return self._shapers.get(node)

@@ -219,9 +219,9 @@ class CLibParams:
 class CacheParams:
     """CN-local DRAM hot-page cache (repro.cache) — opt-in, inert by default.
 
-    Nothing reads these unless ``ClioCluster.enable_caching()`` is called;
-    a cache-off run schedules zero extra events and stays bit-identical to
-    the pre-cache goldens.
+    Nothing reads these unless the cluster is built with the layer
+    (``ClioCluster(layers=("caching",))``); a cache-off run schedules zero
+    extra events and stays bit-identical to the pre-cache goldens.
     """
 
     line_bytes: int = 4 * KB               # cache-line granularity
@@ -332,10 +332,12 @@ class TenantConfig:
 class QoSParams:
     """Multi-tenant isolation knobs — opt-in, inert by default.
 
-    Nothing reads these unless ``ClioCluster.enable_qos()`` is called
-    (or the CXL pool is built with tenants): a QoS-off run installs no
-    shaper, schedules zero extra events, and stays bit-identical to the
-    pre-QoS goldens.
+    ``tenants`` is the one tenant table: the ``"qos"`` cluster layer
+    (``ClioCluster(layers=("qos",))``) builds an egress shaper in front
+    of every MN downlink from it, and the capacity ledgers of the rack's
+    global controller and the CXL pool take their quotas from it.  With
+    no tenants (the default) nothing is shaped or capped, no extra event
+    is scheduled, and runs stay bit-identical to the pre-QoS goldens.
 
     ``burst_bytes`` is the token-bucket depth per tenant at a shaped
     egress queue: how far a tenant may exceed its reserved rate before
@@ -347,7 +349,6 @@ class QoSParams:
 
     tenants: tuple = ()
     burst_bytes: int = 3 * KB              # ~2 MTU-sized packets
-    shape_mn_egress: bool = True           # shape switch->MN downlinks
 
     def __post_init__(self) -> None:
         if self.burst_bytes <= 0:

@@ -27,7 +27,6 @@ generation number tests and metrics use to observe membership churn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.distributed.controller import GlobalController
 from repro.rack.shard import ShardRing
@@ -58,8 +57,6 @@ class RackConfig:
     migration_pause_ns: int = 50_000
     #: Membership sweep cadence (health-belief polling).
     sweep_interval_ns: int = 100_000
-    spine_rate_bps: Optional[int] = None
-    spine_forward_ns: Optional[int] = None
 
     def __post_init__(self):
         if self.boards < 1:

@@ -22,23 +22,15 @@ class RackTier:
     def __init__(self, cluster, config: RackConfig):
         self.cluster = cluster
         self.config = config
-        if len(cluster.mns) < config.boards + config.spares:
-            raise ValueError(
-                f"cluster has {len(cluster.mns)} boards, rack config needs "
-                f"{config.boards} in service + {config.spares} spares")
         self.ring = ShardRing(vnodes=config.vnodes)
-        in_service = cluster.mns[:config.boards]
-        qos = getattr(cluster.params, "qos", None)
         self.controller = GlobalController(
-            cluster.env, in_service,
+            cluster.env, cluster.mns[:config.boards],
             pressure_threshold=config.pressure_threshold,
-            shard=self.ring,
-            qos=qos if qos is not None and qos.tenants else None,
+            shard=self.ring, qos=cluster.params.qos,
             registry=cluster.metrics)
         self.membership = RackMembership(
             cluster.env, self.controller, self.ring, config)
         self._register_metrics(cluster.metrics)
-        self._started = False
 
     def _register_metrics(self, registry) -> None:
         scope = registry.scope("rack")
@@ -59,26 +51,17 @@ class RackTier:
         scope.counter("ring_membership_changes",
                       fn=lambda: self.ring.membership_changes)
 
-    def start(self, interval_ns: int = 100_000,
-              miss_threshold: int = 3) -> None:
-        """Wire health beliefs in and start the membership sweep.
+    def start(self) -> None:
+        """Start the membership sweep (idempotent).
 
-        The rack tier always runs with the health monitor: placement
-        must skip dark boards and the eviction sweep is belief-driven.
-        Idempotent.
+        The sweep is belief-driven — it evicts boards the cluster's
+        health monitor (always present on a rack cluster, and sweeping
+        since construction) has believed dead past the lease expiry.
         """
-        if self._started:
-            return
-        health = self.cluster.enable_health_monitor(
-            interval_ns=interval_ns, miss_threshold=miss_threshold)
-        self.controller.health = health
-        self.membership.health = health
         self.membership.start()
-        self._started = True
 
     def stop(self) -> None:
         self.membership.stop()
-        self._started = False
 
     # -- conveniences -------------------------------------------------------------
 

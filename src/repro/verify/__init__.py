@@ -1,7 +1,7 @@
 """repro.verify: opt-in runtime correctness checking.
 
-Three layers, attached together by
-:meth:`repro.cluster.ClioCluster.enable_verification`:
+Three layers, built together on a cluster constructed with
+``ClioCluster(layers=("verification",))``:
 
 * :mod:`repro.verify.oracle` — a shadow-memory mirror of every
   acknowledged write, checking every completed read (retransmission-

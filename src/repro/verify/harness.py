@@ -27,43 +27,22 @@ from repro.verify.oracle import ShadowOracle
 
 
 class ClusterVerifier:
-    """Attaches the three checking layers to a live ClioCluster."""
+    """The three checking layers over one ClioCluster, which builds it
+    (``layers=("verification",)``) and hands it to its components."""
 
     MAX_VIOLATIONS = 400
 
-    def __init__(self, cluster, quick_checks: bool = True):
+    def __init__(self, cluster):
         self.cluster = cluster
-        self.quick_checks = quick_checks
         self.oracle = ShadowOracle(cluster.env)
         self.violations: list[Violation] = []
         self.total_violations = 0
         self._seen: set = set()
         #: (mn, pid, va) -> [HistoryOp] for the linearizability checker.
         self.atomic_histories: dict = {}
-        self._atomic_meta: dict = {}   # token op_id -> HistoryOp placeholder
-        self._slowpath_board: dict = {}
+        self._slowpath_board = {id(board.slow_path): board
+                                for board in cluster.mns}
         self.sweeps = 0
-        self._attached = False
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def attach(self) -> "ClusterVerifier":
-        for board in self.cluster.mns:
-            board.verifier = self
-            board.slow_path.verifier = self
-            self._slowpath_board[id(board.slow_path)] = board
-        for node in self.cluster.cns:
-            node.verifier = self
-        self._attached = True
-        return self
-
-    def detach(self) -> None:
-        for board in self.cluster.mns:
-            board.verifier = None
-            board.slow_path.verifier = None
-        for node in self.cluster.cns:
-            node.verifier = None
-        self._attached = False
 
     # -- violation recording ---------------------------------------------------
 
@@ -141,10 +120,9 @@ class ClusterVerifier:
     # -- board-side hooks -------------------------------------------------------
 
     def on_board_request(self, board) -> None:
-        if self.quick_checks:
-            problems = quick_check_board(board)
-            if problems:
-                self._record(problems)
+        problems = quick_check_board(board)
+        if problems:
+            self._record(problems)
 
     def on_board_crash(self, board) -> None:
         self.oracle.on_board_crash(board.name)

@@ -26,7 +26,7 @@ hook or a sweep must find:
 
 ``check_board``/``check_transport`` are the full sweeps;
 ``quick_check_board`` is the O(1) subset cheap enough to run on every
-request when a verifier is attached with ``quick_checks=True``.
+request whenever a verifier is attached.
 """
 
 from __future__ import annotations

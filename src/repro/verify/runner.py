@@ -140,8 +140,11 @@ class Scenario:
     workload: Workload
     #: ClioCluster keyword arguments: the cluster's shape.
     cluster: dict = field(default_factory=dict)
+    #: Carries the layers' configuration too (``params.cache``,
+    #: ``params.qos``).
     params: ClioParams = field(default_factory=verify_params)
-    #: ``(("caching", {...}), ("qos", {...}))`` -> ``cluster.enable_*``.
+    #: ClioCluster layer names, e.g. ``("caching", "qos")``; the runner
+    #: adds ``"verification"`` / ``"tracing"`` per ``verify`` / ``trace``.
     layers: tuple = ()
     scripts: tuple = ()
     #: Linearizer target: ``"word"`` (the shared atomic word the runner
@@ -185,28 +188,29 @@ def run_scenario(scenario: Scenario, *, seed: int, partitioned: bool = False,
     if workload.run_external is not None:
         return workload.run_external(scenario, seed, partitioned)
 
+    layers = scenario.layers
+    if scenario.verify:
+        layers += ("verification",)
+    if trace:
+        layers += ("tracing",)
     cluster = ClioCluster(params=scenario.params, seed=seed,
-                          partitioned=partitioned, **scenario.cluster)
+                          partitioned=partitioned, layers=layers,
+                          **scenario.cluster)
     if cluster.rack is not None:
         cluster.rack.start()
-    verifier = cluster.enable_verification() if scenario.verify else None
-    for layer, kwargs in scenario.layers:
-        getattr(cluster, f"enable_{layer}")(**kwargs)
-    if trace:
-        cluster.enable_tracing()
+    verifier = cluster.verifier
     if mutate is not None:
         mutate(cluster)
     env = cluster.env
 
     # A multi-board cluster needs someone to place regions: the rack's
-    # controller, or a plain one over the boards.
+    # controller (wired by the cluster), or a plain one over the boards.
     controller = None
     if cluster.rack is not None:
         controller = cluster.rack.controller
     elif len(cluster.mns) > 1:
         from repro.distributed.controller import GlobalController
         controller = GlobalController(env, cluster.mns)
-    if controller is not None:
         controller.verifier = verifier
         controller.cache_directory = cluster.cache_dir
 
@@ -307,11 +311,10 @@ def _drain_caches(cluster, deadline_ns: int) -> list[str]:
              f"{sum(c.misses for c in caches)} misses, "
              f"{sum(c.invalidations for c in caches)} invalidations, "
              f"{sum(c.writebacks for c in caches)} writebacks"]
-    drains = cluster.disable_caching(drain=True)
-    if drains:
-        cluster.env.run(until=deadline_ns + 1 * MS)
-        if not all(process.triggered for process in drains):
-            notes.append("cache drain did not settle before the deadline")
+    drains = [cluster.env.process(cache.shutdown()) for cache in caches]
+    cluster.env.run(until=deadline_ns + 1 * MS)
+    if not all(process.triggered for process in drains):
+        notes.append("cache drain did not settle before the deadline")
     return notes
 
 

@@ -18,7 +18,8 @@ from types import SimpleNamespace
 from typing import Optional
 
 from repro.alloc.pa_strategies import PA_STRATEGIES
-from repro.params import MB, MS, US, ClioParams, QoSParams, TenantConfig
+from repro.params import (MB, MS, US, CacheParams, ClioParams, QoSParams,
+                          TenantConfig)
 from repro.verify.harness import VerifyRunResult
 from repro.verify.linearize import HistoryOp
 from repro.verify.runner import (
@@ -30,6 +31,7 @@ from repro.verify.runner import (
     crash_board,
     oplog_digest,
     p99,
+    verify_params,
 )
 
 # -- workloads -------------------------------------------------------------------
@@ -679,22 +681,24 @@ def batched_ycsb(clients: int = 2, ops: int = 80):
 
 
 #: One tenant per CN, equal shares: the QoS layer for two-CN scenarios.
-_PER_CN_TENANTS = tuple(TenantConfig(name=f"t{i}", clients=(f"cn{i}",),
-                                     share=0.5) for i in range(2))
+_PER_CN_QOS = QoSParams(tenants=tuple(
+    TenantConfig(name=f"t{i}", clients=(f"cn{i}",), share=0.5)
+    for i in range(2)))
 
 
 def cached_ycsb(ops: int = 80, policy: str = "through", crash: bool = False,
                 migrate: bool = False, qos: bool = False):
     """Shared-region YCSB-A with the caching layer on (capacity well
     below the working set, so evictions fire)."""
-    layers = (("caching", dict(policy=policy, line_bytes=512,
-                               capacity_lines=8)),)
+    params = replace(verify_params(), cache=CacheParams(
+        policy=policy, line_bytes=512, capacity_lines=8))
     if qos:
-        layers += (("qos", dict(qos=_PER_CN_TENANTS)),)
+        params = replace(params, qos=_PER_CN_QOS)
     return Scenario(
         "cached-ycsb-a" + _tags(policy, qos and "qos", crash and "crash",
                                 migrate and "migrate"),
-        SharedYcsb(ops), target="word", layers=layers,
+        SharedYcsb(ops), target="word", params=params,
+        layers=("caching", "qos") if qos else ("caching",),
         cluster=dict(num_cns=2, num_mns=2 if migrate else 1,
                      mn_capacity=128 * MB),
         scripts=((CRASH,) if crash else ()) + ((MIGRATE,) if migrate else ()))
@@ -738,7 +742,7 @@ def qos_noisy_neighbor(shaping: bool = True):
         cluster=dict(num_cns=1 + workload.AGGRESSORS, mn_capacity=max(
             256 * MB, 2 * workload.AGGRESSORS * workload.PAGES
             * params.cboard.default_page_size)),
-        layers=(("qos", {}),) if shaping else (),
+        layers=("qos",) if shaping else (),
         bars=(QOS_SHAPED if shaping else QOS_UNSHAPED,))
 
 

@@ -26,10 +26,10 @@ golden tests pin).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.params import KB, MB
+from repro.params import KB, MB, AllocParams, ClioParams
 from repro.sim.rng import RandomStream
 
 #: Processes 6001.. host the churn mix; 7001.. host retry-storm ballast.
@@ -170,16 +170,16 @@ def run_churn(scenario: str | ChurnScenario = "small-churn", *,
     """
     from repro.cluster import ClioCluster
     from repro.clib.client import RemoteAccessError
-    from repro.params import AllocParams
 
     spec = (scenario if isinstance(scenario, ChurnScenario)
             else CHURN_SCENARIOS[scenario])
     total_ops = ops if ops is not None else spec.ops
-    alloc = AllocParams(pa_strategy=pa_strategy, va_policy=va_policy)
-    cluster = ClioCluster(seed=seed, mn_capacity=mn_capacity,
+    params = replace(ClioParams.prototype(), alloc=AllocParams(
+        pa_strategy=pa_strategy, va_policy=va_policy))
+    cluster = ClioCluster(params=params, seed=seed, mn_capacity=mn_capacity,
                           page_size=page_size, partitioned=partitioned,
-                          alloc=alloc)
-    verifier = cluster.enable_verification() if verify else None
+                          layers=("verification",) if verify else ())
+    verifier = cluster.verifier
     board = cluster.mn
     report = ChurnReport(scenario=spec.name, pa_strategy=pa_strategy,
                          va_policy=va_policy, seed=seed,
@@ -276,7 +276,6 @@ def run_churn(scenario: str | ChurnScenario = "small-churn", *,
     if verifier is not None:
         report.violations = list(verifier.violations)
         report.verification = verifier.report()
-        cluster.disable_verification()
     else:
         # Always run one final invariant sweep: cheap, strategy-aware.
         from repro.verify.invariants import check_board

@@ -6,8 +6,10 @@ strategy state and asserts the invariant sweep reports the matching
 ``alloc-*`` violation — with a clean control run alongside.
 """
 
+from dataclasses import replace
+
 from repro.cluster import ClioCluster
-from repro.params import KB, MB
+from repro.params import KB, MB, AllocParams, ClioParams
 from repro.verify import check_board
 
 PID = 4242
@@ -17,8 +19,10 @@ def make_board(strategy):
     # 64 KB pages => 1024 pages, so the pool stays deep behind the
     # async buffer's reservations and every strategy has free state
     # worth corrupting.
-    cluster = ClioCluster(num_cns=1, mn_capacity=64 * MB, seed=1,
-                          page_size=64 * KB, alloc=strategy)
+    params = replace(ClioParams.prototype(),
+                     alloc=AllocParams(pa_strategy=strategy))
+    cluster = ClioCluster(params=params, num_cns=1, mn_capacity=64 * MB,
+                          seed=1, page_size=64 * KB)
     board = cluster.mn
 
     def app():

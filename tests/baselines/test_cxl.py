@@ -13,15 +13,15 @@ from repro.baselines.cxl import (
     CXLBackend,
     CXLError,
     CXLPool,
-    CXLQuotaExceeded,
 )
+from repro.distributed.tenancy import TenantQuotaExceeded
 from repro.params import SEC, ClioParams, CXLParams, QoSParams, TenantConfig
 from repro.sim import Environment
 
 MB = 1 << 20
 
 
-def make_pool(qos=None, cxl=None, capacity=64 * MB):
+def make_pool(qos=None, cxl=None, capacity=64 * MB, shaping=False):
     params = ClioParams.prototype()
     from dataclasses import replace
     if qos is not None:
@@ -29,7 +29,7 @@ def make_pool(qos=None, cxl=None, capacity=64 * MB):
     if cxl is not None:
         params = replace(params, cxl=cxl)
     env = Environment()
-    return env, CXLPool(env, params, capacity=capacity)
+    return env, CXLPool(env, params, capacity=capacity, shaping=shaping)
 
 
 def run(env, generator):
@@ -238,7 +238,7 @@ def test_quota_rejects_over_allocation():
 
     def app():
         region = yield from host.alloc(768 * 1024)
-        with pytest.raises(CXLQuotaExceeded, match="gold"):
+        with pytest.raises(TenantQuotaExceeded, match="gold"):
             yield from host.alloc(512 * 1024)
         yield from host.free(region)
         # Freed capacity is creditable again.
@@ -246,7 +246,8 @@ def test_quota_rejects_over_allocation():
         yield from host.free(again)
 
     run(env, app())
-    assert pool.tenant_usage("gold") == 0
+    assert pool.tenants.usage("gold") == 0
+    assert pool.tenants.rejections == 1
 
 
 def test_unquotaed_tenant_is_uncapped():
@@ -273,9 +274,7 @@ def test_shaping_isolates_port_serialization():
     reserved (smaller) rate."""
 
     def contention(shaped):
-        env, pool = make_pool(qos=TENANTS)
-        if shaped:
-            pool.enable_shaping()
+        env, pool = make_pool(qos=TENANTS, shaping=shaped)
         gold = pool.host("h0", tenant="gold")
         noisy = pool.host("h1", tenant="best-effort")
         out = {}

@@ -3,30 +3,38 @@
 The cached data path gets the same golden treatment as repro.clib.batch:
 ``GOLDEN_CACHED`` pins a two-CN write-back run bit-for-bit, and the
 cache-off invariance tests prove that merely having the subsystem in
-the tree (even enabled-then-disabled in the same process) leaves the
+the tree (even built on another cluster in the same process) leaves the
 pinned uncached goldens untouched.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.clib.client import RemoteAccessError
 from repro.cluster import ClioCluster
 from repro.core.pipeline import Status
-from repro.params import KB, MB
+from repro.params import KB, MB, CacheParams, ClioParams
 
 from tests.faults.test_chaos import GOLDEN_NO_FAULT, no_fault_fingerprint
 
 _PID = 9602
 
 
+def cached_params(**cache) -> ClioParams:
+    """Prototype params with ``CacheParams(**cache)``."""
+    return replace(ClioParams.prototype(), cache=CacheParams(**cache))
+
+
 def make_cached_cluster(policy="through", num_cns=2, num_mns=1,
                         capacity_lines=8, line_bytes=512, seed=0,
-                        partitioned=False):
-    cluster = ClioCluster(seed=seed, num_cns=num_cns, num_mns=num_mns,
-                          mn_capacity=256 * MB, partitioned=partitioned)
-    cluster.enable_caching(policy=policy, line_bytes=line_bytes,
-                           capacity_lines=capacity_lines)
-    return cluster
+                        partitioned=False, layers=()):
+    """A cluster with the caching layer on (plus any extra ``layers``)."""
+    return ClioCluster(
+        params=cached_params(policy=policy, line_bytes=line_bytes,
+                             capacity_lines=capacity_lines),
+        seed=seed, num_cns=num_cns, num_mns=num_mns, mn_capacity=256 * MB,
+        partitioned=partitioned, layers=("caching", *layers))
 
 
 def run_app(cluster, generator):
@@ -130,8 +138,9 @@ def test_write_through_commits_after_local_line_update():
     the old bytes, which is legal — the rwrite has not returned.  The
     oracle must therefore commit the write only once the local copy is
     updated, not at the MN ack."""
-    cluster = make_cached_cluster(policy="through", num_cns=1)
-    verifier = cluster.enable_verification()
+    cluster = make_cached_cluster(policy="through", num_cns=1,
+                                  layers=("verification",))
+    verifier = cluster.verifier
     process = cluster.cn(0).process("mn0", pid=_PID)
     writer, reader1, reader2 = (process.thread() for _ in range(3))
     va = alloc_region(cluster, writer)
@@ -328,8 +337,8 @@ def test_atomic_sees_cached_dirty_word():
 def test_rfree_recalls_cached_lines(free):
     """Sync and async free share one body: both recall the allocation's
     cached lines before the MN frees it, so no CN serves dead bytes."""
-    cluster = make_cached_cluster(policy="back")
-    verifier = cluster.enable_verification()
+    cluster = make_cached_cluster(policy="back", layers=("verification",))
+    verifier = cluster.verifier
     t0, t1 = shared_threads(cluster)
     va = alloc_region(cluster, t0)
     out = {}
@@ -360,10 +369,12 @@ def test_rfree_recalls_cached_lines(free):
     assert verifier.ok, verifier.report()
 
 
-# -- enable/disable + departure ------------------------------------------------
+# -- construction + departure --------------------------------------------------
 
 
-def test_disable_caching_drains_dirty_lines():
+def test_shutdown_drains_dirty_lines_and_departs():
+    """CN departure: ``shutdown()`` flushes every dirty line, tells the
+    directory, and detaches the cache from its node."""
     cluster = make_cached_cluster(policy="back")
     t0, t1 = shared_threads(cluster)
     va = alloc_region(cluster, t0)
@@ -373,34 +384,31 @@ def test_disable_caching_drains_dirty_lines():
         yield from t0.rwrite(va, b"G" * 64)
 
     run_app(cluster, app())
-    drains = cluster.disable_caching(drain=True)
-    cluster.run_all(drains)
-    assert cluster.cn(0).cache.writebacks == 1
+    caches = [node.cache for node in cluster.cns]
+    cluster.run_all([cluster.env.process(cache.shutdown())
+                     for cache in caches])
+    assert caches[0].writebacks == 1
     assert cluster.cache_dir._lines == {}
+    assert [node.cache for node in cluster.cns] == [None, None]
 
     def check():
-        # Interception is off: this read goes straight to the MN, and
+        # Both CNs departed: this read goes straight to the MN, and
         # the flush above means the MN already has the bytes.
         out["read"] = yield from t1.rread(va, 64)
 
     run_app(cluster, check())
     assert out["read"] == b"G" * 64
-
-
-def test_enable_caching_is_idempotent():
-    cluster = make_cached_cluster()
-    first = cluster.cache_dir
-    assert cluster.enable_caching() is first
-    cluster.disable_caching(drain=False)
-    assert cluster.cn(0).cache.enabled is False
-    cluster.enable_caching()
-    assert cluster.cn(0).cache.enabled is True
+    assert caches[1].misses == 0
 
 
 def test_line_bytes_must_divide_page_size():
-    cluster = ClioCluster(seed=0, mn_capacity=256 * MB)
-    with pytest.raises(ValueError):
-        cluster.enable_caching(line_bytes=3 * KB)
+    with pytest.raises(ValueError, match="divide"):
+        ClioCluster(params=cached_params(line_bytes=128 * KB),
+                    mn_capacity=256 * MB, page_size=64 * KB,
+                    layers=("caching",))
+    # The same params are fine while the layer stays off.
+    ClioCluster(params=cached_params(line_bytes=128 * KB),
+                mn_capacity=256 * MB, page_size=64 * KB)
 
 
 def test_migration_recalls_cached_lines():

@@ -16,6 +16,8 @@ the *other* CN recalls/downgrades whatever the victim cached.  The
 deterministic profile (tests/conftest.py) keeps CI reproducible.
 """
 
+from dataclasses import replace
+
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -28,7 +30,7 @@ from hypothesis.stateful import (
 
 from repro.clib.client import RemoteAccessError
 from repro.cluster import ClioCluster
-from repro.params import KB, MB, US
+from repro.params import KB, MB, US, CacheParams
 from repro.transport.clib_transport import RequestFailed
 from tests.cache.test_cache import _PID  # shared pinned harness PID
 
@@ -45,11 +47,12 @@ class CacheCoherenceMachine(RuleBasedStateMachine):
     @initialize(policy=st.sampled_from(["through", "back"]),
                 seed=st.integers(min_value=0, max_value=2 ** 16))
     def setup(self, policy, seed):
-        self.cluster = ClioCluster(params=verify_params(), seed=seed,
-                                   num_cns=2, mn_capacity=64 * MB)
-        self.verifier = self.cluster.enable_verification()
-        self.cluster.enable_caching(policy=policy, line_bytes=LINE,
-                                    capacity_lines=4)
+        params = replace(verify_params(), cache=CacheParams(
+            policy=policy, line_bytes=LINE, capacity_lines=4))
+        self.cluster = ClioCluster(params=params, seed=seed, num_cns=2,
+                                   mn_capacity=64 * MB,
+                                   layers=("verification", "caching"))
+        self.verifier = self.cluster.verifier
         self.env = self.cluster.env
         self.threads = [
             self.cluster.cn(i).process("mn0", pid=_PID).thread()

@@ -9,12 +9,14 @@ window in the shadow oracle, no dependency-tracker slot, a typed failure
 and a clean verifier.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.clib.client import RemoteAccessError
 from repro.clib.handles import Completion
 from repro.cluster import ClioCluster
-from repro.params import KB, MB
+from repro.params import KB, MB, CacheParams, ClioParams
 from repro.transport.clib_transport import RequestFailed
 
 LINE = 512
@@ -132,10 +134,14 @@ EXPECTED = {"ok": "ok", "rejected": "invalid_va",
 
 @pytest.mark.parametrize("policy,route,outcome", CASES)
 def test_every_route_settles_alike(policy, route, outcome):
-    cluster = ClioCluster(seed=3, mn_capacity=256 * MB)
-    verifier = cluster.enable_verification()
+    params = ClioParams.prototype()
     if policy is not None:
-        cluster.enable_caching(policy=policy, line_bytes=LINE)
+        params = replace(params, cache=CacheParams(policy=policy,
+                                                   line_bytes=LINE))
+    cluster = ClioCluster(
+        params=params, seed=3, mn_capacity=256 * MB,
+        layers=("verification",) + (("caching",) if policy else ()))
+    verifier = cluster.verifier
     thread = cluster.cn(0).process("mn0", pid=_PID).thread(
         ordering_granularity="byte")
     out = {}

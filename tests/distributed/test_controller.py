@@ -453,47 +453,28 @@ def test_migration_fences_concurrent_writes_and_loses_no_data():
     assert result["final"] == result["expected"]
 
 
-# -- incremental pick ordering -------------------------------------------------------
+# -- pick ordering ---------------------------------------------------------------
 
 
-def _linear_scan_pick(controller, size, exclude=None,
-                      below_threshold=False):
-    """The former O(n log n) reference: stable sort by (util, index)."""
-    ordered = sorted(
-        controller._boards.values(),
-        key=lambda s: (controller._utilization(s.board.name), s.index))
-    for state in ordered:
-        name = state.board.name
-        if name == exclude or name in controller.draining:
-            continue
-        if not controller._alive(name):
-            continue
-        if (below_threshold and controller._utilization(name)
-                >= controller.pressure_threshold):
-            continue
-        if controller._fits(name, size):
-            return name
-    return None
-
-
-def test_heap_pick_matches_linear_scan_under_churn():
-    """The lazy heap must pick exactly what the old full sort picked,
-    through allocations, frees, external (behind-the-back) allocations,
-    draining marks, and board churn."""
+def test_pick_under_churn_matches_recorded_placements():
+    """The ring-less order — least-utilized first, registration order
+    breaking ties, read off the page tables at pick time — through
+    allocations, frees, external (behind-the-back) allocations, draining
+    marks and board churn.  The board names were recorded from the lazy
+    heap this walk replaced: placements must not move."""
     cluster = ClioCluster(num_cns=1, num_mns=4, mn_capacity=64 * MB)
     controller = GlobalController(cluster.env, cluster.mns)
-    env = cluster.env
+    placed = []
 
     def app():
         regions = []
         for step in range(14):
             size = (4 + (step % 3) * 8) * MB
-            expected = _linear_scan_pick(controller, size)
             lease = yield from controller.allocate(777, size)
-            assert lease.mn == expected, (step, lease.mn, expected)
+            placed.append(lease.mn)
             regions.append(lease.region_id)
             if step == 5:
-                # External ballast the heap cannot have observed.
+                # External ballast the controller never saw happen.
                 yield from cluster.board("mn2").slow_path.handle_alloc(
                     pid=55, size=16 * MB)
             if step == 9:
@@ -503,12 +484,23 @@ def test_heap_pick_matches_linear_scan_under_churn():
                 yield from controller.free(regions.pop(0))
             if step == 12:
                 yield from controller.free(regions.pop(0))
-        # Exclusion and threshold variants agree too.
-        for size in (4 * MB, 12 * MB):
-            assert (controller._pick_board(size, exclude="mn1")
-                    == _linear_scan_pick(controller, size, exclude="mn1"))
-            assert (controller._pick_board(size, below_threshold=True)
-                    == _linear_scan_pick(controller, size,
-                                         below_threshold=True))
 
-    cluster.run(until=env.process(app()))
+    cluster.run(until=cluster.env.process(app()))
+    assert placed == ["mn0", "mn1", "mn2", "mn3", "mn0", "mn3", "mn1",
+                      "mn0", "mn1", "mn3", "mn3", "mn1", "mn0", "mn0"]
+    # End state: mn2 at 9/16 pages, mn0 and mn3 tied at 10/16, mn1 at 11/16.
+    order = controller._order(0)
+    assert order == ["mn2", "mn0", "mn3", "mn1"]
+
+    def pick(size, **kwargs):
+        return controller._pick(order, size, **kwargs)
+
+    assert pick(4 * MB) == pick(4 * MB, exclude="mn1") == "mn2"
+    assert pick(4 * MB, exclude="mn2") == "mn0"      # the tie: registration
+    assert pick(24 * MB, exclude="mn2") == "mn0"
+    assert pick(40 * MB) is None                     # fits nowhere
+    assert pick(4 * MB, below_threshold=True) == "mn2"
+    controller.pressure_threshold = 0.6              # only mn2 is below
+    assert pick(4 * MB, exclude="mn2", below_threshold=True) is None
+    controller.pressure_threshold = 0.5
+    assert pick(4 * MB, below_threshold=True) is None

@@ -15,12 +15,13 @@ MB = 1 << 20
 
 
 def make_platform(threshold=0.5):
-    cluster = ClioCluster(num_cns=1, num_mns=2, mn_capacity=64 * MB)
-    verifier = cluster.enable_verification()
+    cluster = ClioCluster(num_cns=1, num_mns=2, mn_capacity=64 * MB,
+                          layers=("verification",))
+    verifier = cluster.verifier
     controller = GlobalController(cluster.env, cluster.mns,
                                   pressure_threshold=threshold)
     # The controller is built outside the cluster, so it is wired by hand
-    # (enable_verification only reaches components the cluster owns).
+    # (the cluster only wires the components it owns).
     controller.verifier = verifier
     space = DistributedAddressSpace(cluster.cn(0), controller, pid=777)
     return cluster, controller, space, verifier

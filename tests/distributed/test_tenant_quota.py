@@ -3,10 +3,8 @@
 import pytest
 
 from repro.cluster import ClioCluster
-from repro.distributed.controller import (
-    GlobalController,
-    TenantQuotaExceeded,
-)
+from repro.distributed.controller import GlobalController
+from repro.distributed.tenancy import TenantQuotaExceeded
 from repro.params import ClioParams, QoSParams, TenantConfig
 
 MB = 1 << 20
@@ -55,8 +53,8 @@ def test_quota_rejects_and_frees_credit_back():
         yield from controller.free(lease.region_id)
 
     run(cluster, app())
-    assert controller.quota_rejections == 1
-    assert controller.tenant_usage("gold") == 0
+    assert controller.tenants.rejections == 1
+    assert controller.tenants.usage("gold") == 0
 
 
 def test_usage_charged_at_page_rounded_grant():
@@ -69,7 +67,7 @@ def test_usage_charged_at_page_rounded_grant():
 
     lease = run(cluster, app())
     assert lease.size == page
-    assert controller.tenant_usage("bronze") == page
+    assert controller.tenants.usage("bronze") == page
 
 
 def test_unknown_tenant_is_accounted_but_uncapped():
@@ -81,7 +79,7 @@ def test_unknown_tenant_is_accounted_but_uncapped():
 
     lease = run(cluster, app())
     assert lease.tenant == "default"
-    assert controller.tenant_usage("default") == 64 * MB
+    assert controller.tenants.usage("default") == 64 * MB
 
 
 def test_quota_is_typed_placement_error():
@@ -99,7 +97,7 @@ def test_no_qos_means_no_quotas():
 
     lease = run(cluster, app())
     assert lease.tenant == "gold"
-    assert controller.tenant_usage("gold") == 64 * MB
+    assert controller.tenants.usage("gold") == 64 * MB
 
 
 def test_tenant_metrics_exported():
@@ -135,4 +133,21 @@ def test_migration_keeps_tenant_charge():
         yield from controller.free(lease.region_id)
 
     run(cluster, app())
-    assert controller.tenant_usage("gold") == 0
+    assert controller.tenants.usage("gold") == 0
+
+
+def test_concurrent_allocations_are_both_charged():
+    """Two allocations of one tenant in flight together: the second to
+    finish must add to the first's charge, not overwrite it with a
+    total computed before either landed."""
+    cluster, controller = make()
+    env = cluster.env
+
+    def app():
+        both = [env.process(controller.allocate(1, 4 * MB, tenant="bronze"))
+                for _ in range(2)]
+        yield env.all_of(both)
+
+    run(cluster, app())
+    assert controller.tenants.usage("bronze") == 8 * MB
+    assert controller.tenants.total() == 8 * MB

@@ -120,9 +120,11 @@ def test_stall_gate_parks_slow_path_work():
 
 
 def test_health_monitor_detects_crash_with_lag_and_recovery():
+    from repro.faults.health import HealthMonitor
     cluster = make_cluster()
-    health = cluster.enable_health_monitor(interval_ns=50 * US,
-                                          miss_threshold=3)
+    health = HealthMonitor(cluster.env, cluster.mns, interval_ns=50 * US,
+                           miss_threshold=3)
+    health.start()
     schedule = FaultSchedule().crash_board(60 * US, "mn0",
                                            restart_after_ns=400 * US)
     FaultInjector(cluster, schedule).arm()

@@ -157,44 +157,47 @@ def test_tenant_of_lookup():
 # -- cluster wiring -----------------------------------------------------------
 
 
-def test_enable_qos_installs_and_disable_removes():
+def qos_cluster(layers=("qos",), **shape):
+    from dataclasses import replace
+
     from repro.cluster import ClioCluster
     from repro.params import ClioParams
 
-    cluster = ClioCluster(params=ClioParams.prototype(), seed=0,
-                          num_cns=2, mn_capacity=64 * (1 << 20))
-    shapers = cluster.enable_qos(qos=QOS)
-    assert set(shapers) == {"mn0"}
+    return ClioCluster(params=replace(ClioParams.prototype(), qos=QOS),
+                       seed=0, mn_capacity=64 * (1 << 20), layers=layers,
+                       **shape)
+
+
+def test_qos_layer_installs_a_shaper_per_mn_downlink():
+    cluster = qos_cluster(num_cns=2, num_mns=2)
+    assert set(cluster.qos_shapers) == {"mn0", "mn1"}
     switch = cluster.topology.switch
-    assert switch.shaper_for("mn0") is shapers["mn0"]
-    # Idempotent: a second call reinstalls the same shapers.
-    assert cluster.enable_qos() is shapers
-    cluster.disable_qos()
-    assert switch.shaper_for("mn0") is None
+    for name, shaper in cluster.qos_shapers.items():
+        assert switch.shaper_for(name) is shaper
+        assert shaper.qos is QOS
+    assert switch.shaper_for("cn0") is None
+    # Tenants in params alone build nothing: the layer is the opt-in.
+    bare = qos_cluster(layers=(), num_cns=2)
+    assert bare.qos_shapers == {}
+    assert bare.topology.switch.shaper_for("mn0") is None
 
 
 def test_enable_qos_requires_tenants():
     from repro.cluster import ClioCluster
     from repro.params import ClioParams
 
-    cluster = ClioCluster(params=ClioParams.prototype(), seed=0,
-                          mn_capacity=64 * (1 << 20))
     with pytest.raises(ValueError, match="TenantConfig"):
-        cluster.enable_qos()
+        ClioCluster(params=ClioParams.prototype(), seed=0,
+                    mn_capacity=64 * (1 << 20), layers=("qos",))
 
 
 def test_switch_exposes_per_egress_queue_depth():
     """The satellite fix: every attached egress queue has a depth gauge
     under the switch's scope, shaper backlog included."""
-    from repro.cluster import ClioCluster
-    from repro.params import ClioParams
-
-    cluster = ClioCluster(params=ClioParams.prototype(), seed=0,
-                          num_cns=2, mn_capacity=64 * (1 << 20))
+    cluster = qos_cluster(num_cns=2)
     snapshot = cluster.metrics.snapshot()
     for node in ("cn0", "cn1", "mn0"):
         assert f"switch.tor.queue.{node}.depth" in snapshot
-    cluster.enable_qos(qos=QOS)
     shaper = cluster.qos_shapers["mn0"]
     for uid in range(16):
         shaper.send(packet("cn1", uid=uid))

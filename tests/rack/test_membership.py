@@ -136,7 +136,7 @@ def test_added_spare_takes_load_via_rebalance():
 
 def test_eviction_after_lease_expiry_then_rejoin_wipes_orphans():
     cluster, tier = make_rack(boards=4)
-    tier.start(interval_ns=50 * US, miss_threshold=2)
+    tier.start()
     controller, membership = tier.controller, tier.membership
     threads = threads_for(cluster)
     env = cluster.env

@@ -79,20 +79,23 @@ def test_summary_aggregates_by_name():
 # -- cluster wiring ---------------------------------------------------------------
 
 
-def test_enable_tracing_is_idempotent_and_detachable():
-    cluster = ClioCluster(mn_capacity=256 * MB)
-    assert cluster.tracer is None
-    assert cluster.cn(0).transport.tracer is None
-    tracer = cluster.enable_tracing()
-    assert cluster.enable_tracing() is tracer
-    assert cluster.cn(0).transport.tracer is tracer
-    assert cluster.mn.tracer is tracer
-    assert cluster.mn.fast_path.tracer is tracer
-    assert cluster.mn.slow_path.tracer is tracer
-    assert cluster.topology.uplink("cn0").tracer is tracer
-    cluster.disable_tracing()
-    assert cluster.cn(0).transport.tracer is None
-    assert cluster.mn.fast_path.tracer is None
+def test_tracing_reaches_every_component():
+    """``layers=("tracing",)`` and the late ``enable_tracing()`` attach
+    run the same wiring."""
+    late = ClioCluster(mn_capacity=256 * MB)
+    assert late.tracer is None
+    assert late.cn(0).transport.tracer is None
+    assert late.mn.fast_path.tracer is None
+    late.enable_tracing()
+    for cluster in (late, ClioCluster(mn_capacity=256 * MB,
+                                      layers=("tracing",))):
+        tracer = cluster.tracer
+        assert cluster.enable_tracing() is tracer         # idempotent
+        assert cluster.cn(0).transport.tracer is tracer
+        assert cluster.mn.tracer is tracer
+        assert cluster.mn.fast_path.tracer is tracer
+        assert cluster.mn.slow_path.tracer is tracer
+        assert cluster.topology.uplink("cn0").tracer is tracer
 
 
 def test_request_lifecycle_spans():
@@ -184,13 +187,13 @@ def test_fault_spans_cover_crash_and_stall():
 
 
 def test_health_monitor_emits_belief_instants():
-    cluster = ClioCluster(seed=5, mn_capacity=256 * MB)
-    tracer = cluster.enable_tracing()
-    cluster.enable_health_monitor(interval_ns=10_000, miss_threshold=2)
+    cluster = ClioCluster(seed=5, mn_capacity=256 * MB,
+                          layers=("health", "tracing"))
+    tracer = cluster.tracer
     cluster.mn.crash()
-    cluster.run(until=100_000)
+    cluster.run(until=350_000)      # three missed 100 us heartbeats
     cluster.mn.restart()
-    cluster.run(until=200_000)
+    cluster.run(until=450_000)
     downs = tracer.find_instants("board_down", category="health")
     ups = tracer.find_instants("board_up", category="health")
     assert len(downs) == 1 and downs[0].track == "mn0"

@@ -1,9 +1,13 @@
 """Tests for the ClioCluster assembly helper."""
 
+from dataclasses import replace
+from itertools import permutations
+
 import pytest
 
 from repro.cluster import ClioCluster
-from repro.params import ClioParams
+from repro.params import CacheParams, ClioParams, QoSParams, TenantConfig
+from repro.verify import oplog_digest
 
 MB = 1 << 20
 
@@ -99,67 +103,141 @@ def test_board_accessor_by_name():
 
 
 def test_health_monitor_opt_in_and_reported():
-    cluster = ClioCluster(num_mns=2, mn_capacity=64 * MB)
-    health = cluster.enable_health_monitor(interval_ns=10_000,
-                                           miss_threshold=2)
-    assert cluster.enable_health_monitor() is health   # idempotent
+    cluster = ClioCluster(num_mns=2, mn_capacity=64 * MB,
+                          layers=("health",))
     cluster.board("mn1").crash()
-    cluster.run(until=100_000)
+    cluster.run(until=350_000)      # three missed 100 us heartbeats
     report = cluster.report()
     assert report["health"]["dead_boards"] == ["mn1"]
     assert report["boards"]["mn1"]["alive"] is False
 
 
-def test_opt_in_subsystems_share_the_enable_disable_surface():
-    """Every opt-in subsystem: enable_*() returns the handle, idempotent."""
-    cluster = ClioCluster(num_mns=1, mn_capacity=64 * MB)
-    health = cluster.enable_health_monitor(interval_ns=10_000)
-    assert cluster.enable_health_monitor() is health
-    tracer = cluster.enable_tracing()
-    assert cluster.enable_tracing() is tracer
-    verifier = cluster.enable_verification()
-    assert cluster.enable_verification() is verifier
-    cluster.disable_tracing()
-    assert cluster.tracer is None
-    cluster.disable_verification()
-    assert cluster.verifier is None
+# -- layers: built once, in one order, from params alone ---------------------------
+
+LAYERS = ("health", "verification", "caching", "qos", "tracing")
+
+LAYER_PARAMS = replace(
+    ClioParams.prototype(),
+    cache=CacheParams(policy="back", line_bytes=512, capacity_lines=8),
+    qos=QoSParams(tenants=tuple(
+        TenantConfig(f"t{i}", clients=(f"cn{i}",), share=0.5)
+        for i in range(2))))
 
 
-def test_disable_health_monitor_stops_sweeps_and_restarts():
-    cluster = ClioCluster(num_mns=1, mn_capacity=64 * MB)
-    health = cluster.enable_health_monitor(interval_ns=10_000)
-    cluster.run(until=100_000)
-    beats = health.heartbeats
-    assert beats > 0
-    cluster.disable_health_monitor()
-    cluster.run(until=300_000)
-    assert health.heartbeats == beats   # no sweeps while disabled
-    assert cluster.enable_health_monitor() is health   # re-arms the sweep
-    cluster.run(until=400_000)
-    assert health.heartbeats > beats
+def mixed_run(layers, seed=11):
+    """A short two-CN mix (sync + async reads/writes on one shared
+    region, a contended atomic) -> ``(env.now, env._seq, oplog digest)``."""
+    cluster = ClioCluster(params=LAYER_PARAMS, seed=seed, num_cns=2,
+                          mn_capacity=64 * MB, layers=layers)
+    env = cluster.env
+    threads = [node.process("mn0", pid=5150).thread() for node in cluster.cns]
+    log = []
+    ready = env.event()
+
+    def client(index):
+        thread = threads[index]
+        if index == 0:
+            ready.succeed((yield from thread.ralloc(64 << 10)))
+        va = yield ready
+        for op in range(24):
+            offset = ((op * 7919 + index * 104729) % (8 << 10)) // 64 * 64
+            if (op + index) % 3 == 0:
+                yield from thread.rwrite(va + offset, bytes([op + 1]) * 64)
+                log.append((index, op, "w", env.now))
+            elif op % 5 == 0:
+                handle = yield from thread.rread_async(va + offset, 64)
+                data = (yield from thread.rpoll([handle]))[0].result
+                log.append((index, op, "ra", env.now, data))
+            else:
+                data = yield from thread.rread(va + offset, 64)
+                log.append((index, op, "r", env.now, data))
+            if op % 8 == 7:
+                result = yield from thread.rfaa(va + (32 << 10), 1)
+                log.append((index, op, "faa", env.now, result))
+
+    cluster.run_all([env.process(client(i)) for i in range(2)])
+    if cluster.verifier is not None:
+        assert cluster.verifier.ok, cluster.verifier.report()
+    return env.now, env._seq, oplog_digest(log)
 
 
-def test_enable_qos_rejects_a_different_second_configuration():
-    from repro.params import TenantConfig
-
-    tenants = (TenantConfig("a", clients=("cn0",), share=0.5),)
-    cluster = ClioCluster(num_cns=2, mn_capacity=64 * MB)
-    shapers = cluster.enable_qos(tenants)
-    installed = cluster.params.qos
-    assert cluster.enable_qos() is shapers            # idempotent
-    assert cluster.enable_qos(tenants) is shapers     # same config again
-    with pytest.raises(ValueError, match="already built"):
-        cluster.enable_qos((TenantConfig("b", clients=("cn1",), share=0.2),))
-    assert cluster.params.qos == installed
+@pytest.fixture(scope="module")
+def table_order_run():
+    return mixed_run(LAYERS)
 
 
-def test_enable_caching_rejects_different_second_overrides():
-    cluster = ClioCluster(num_cns=2, mn_capacity=64 * MB)
-    directory = cluster.enable_caching(policy="back", line_bytes=512)
-    assert cluster.enable_caching() is directory      # idempotent
-    assert cluster.enable_caching(policy="back") is directory
-    with pytest.raises(ValueError, match="already enabled"):
-        cluster.enable_caching(policy="through")
-    with pytest.raises(ValueError, match="already enabled"):
-        cluster.enable_caching(line_bytes=1024)
-    assert cluster.cn(0).cache.policy == "back"
+@pytest.mark.parametrize("layers", list(permutations(LAYERS)),
+                         ids="-".join)
+def test_layer_listing_order_does_not_matter(layers, table_order_run):
+    assert mixed_run(layers) == table_order_run
+
+
+def test_traced_and_verified_builds_match_the_bare_one(table_order_run):
+    """Passivity: tracing and verification schedule nothing and draw no
+    RNG, on a bare cluster and on top of the layers that do."""
+    assert mixed_run(("health", "caching", "qos")) == table_order_run
+    assert mixed_run(("verification", "tracing")) == mixed_run(())
+    # ...whereas the caching layer does change the run it is part of.
+    assert mixed_run(("caching",)) != mixed_run(())
+
+
+def test_layers_hand_their_handles_to_every_component():
+    cluster = ClioCluster(params=LAYER_PARAMS, num_cns=2, mn_capacity=64 * MB,
+                          rack=2, layers=LAYERS)
+    controller = cluster.rack.controller
+    assert controller.health is cluster.rack.membership.health is cluster.health
+    assert controller.verifier is cluster.mn.verifier is cluster.verifier
+    assert controller.cache_directory is cluster.cache_dir is not None
+    assert cluster.health.tracer is cluster.cache_dir.tracer is cluster.tracer
+    assert [node.cache.tracer for node in cluster.cns] == [cluster.tracer] * 2
+    bare = ClioCluster(mn_capacity=64 * MB)
+    assert (bare.health, bare.verifier, bare.cache_dir, bare.tracer,
+            bare.qos_shapers, bare.cn(0).cache) == (None,) * 4 + ({}, None)
+
+
+@pytest.mark.parametrize("layers", [("cacheing",), ("qos", "tracing", "qos"),
+                                    "qos"])
+def test_unknown_or_duplicate_layer_names_are_rejected(layers):
+    with pytest.raises(ValueError, match="health.*verification.*caching"):
+        ClioCluster(params=LAYER_PARAMS, num_cns=2, mn_capacity=64 * MB,
+                    layers=layers)
+
+
+def test_explicit_num_mns_must_agree_with_the_rack():
+    from repro.rack import RackConfig
+
+    with pytest.raises(ValueError, match="num_mns=3"):
+        ClioCluster(num_mns=3, mn_capacity=64 * MB,
+                    rack=RackConfig(boards=8))
+    cluster = ClioCluster(num_mns=5, mn_capacity=64 * MB,
+                          rack=RackConfig(boards=4, spares=1))
+    assert len(cluster.mns) == 5
+    assert len(ClioCluster(mn_capacity=64 * MB, rack=2).mns) == 2
+
+
+def test_qos_layer_on_a_rack_shapes_every_downlink_and_caps_the_controller():
+    """One tenant table, read once: the shapers and the rack
+    controller's quotas cannot disagree."""
+    from repro.distributed.tenancy import TenantQuotaExceeded
+    from repro.rack import RackConfig
+
+    qos = QoSParams(tenants=(TenantConfig("a", clients=("cn0",), share=0.5,
+                                          quota_bytes=1 * MB),))
+    cluster = ClioCluster(params=replace(ClioParams.prototype(), qos=qos),
+                          mn_capacity=64 * MB, rack=RackConfig(boards=2),
+                          layers=("qos",))
+    assert set(cluster.qos_shapers) == {"mn0", "mn1"}
+    for name, shaper in cluster.qos_shapers.items():
+        tor = next(switch for switch in cluster.topology.switches
+                   if name in switch._downlinks)
+        assert tor.shaper_for(name) is shaper
+    controller = cluster.rack.controller
+    assert controller.tenants.quotas == {"a": 1 * MB}
+
+    def app():
+        with pytest.raises(TenantQuotaExceeded):
+            yield from controller.allocate(1, 4 * MB, tenant="a")
+        yield from controller.allocate(1, 4 * MB, tenant="b")    # uncapped
+
+    cluster.run(until=cluster.env.process(app()))
+    assert controller.tenants.rejections == 1

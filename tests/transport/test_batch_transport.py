@@ -99,8 +99,8 @@ def test_batch_counters_conserved_clean_run():
 def test_batch_counters_conserved_under_loss_burst():
     """Retransmitted frames must not double-count or leak window slots."""
     cluster = ClioCluster(params=_retry_params(), seed=11, num_cns=2,
-                          mn_capacity=256 * MB)
-    verifier = cluster.enable_verification()
+                          mn_capacity=256 * MB, layers=("verification",))
+    verifier = cluster.verifier
     schedule = (FaultSchedule()
                 .loss_burst(15 * US, "cn0", 400 * US, rate=0.4)
                 .loss_burst(40 * US, "mn0", 200 * US, rate=0.3))

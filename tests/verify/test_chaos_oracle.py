@@ -50,8 +50,8 @@ def test_verification_is_passive(scenario):
 def test_verified_no_fault_run_matches_golden_fingerprint():
     # Same workload as tests/faults/test_chaos.py, but with the verifier
     # attached: the golden fingerprint must still hold bit-for-bit.
-    cluster = ClioCluster(seed=1234, num_cns=2, mn_capacity=256 * MB)
-    cluster.enable_verification()
+    cluster = ClioCluster(seed=1234, num_cns=2, mn_capacity=256 * MB,
+                          layers=("verification",))
     # no_fault_fingerprint builds its own cluster; replay its workload
     # here against the verified one by reusing the helper's core loop.
     from repro.core.addr import Permission
@@ -98,13 +98,17 @@ def test_unverified_report_has_no_verification_block():
     assert report.check_invariants() == []
 
 
-def test_enable_verification_is_idempotent_and_detachable():
-    cluster = ClioCluster(num_cns=1, mn_capacity=64 * MB)
-    verifier = cluster.enable_verification()
-    assert cluster.enable_verification() is verifier
-    assert cluster.mn.verifier is verifier
-    assert cluster.cn(0).verifier is verifier
-    cluster.disable_verification()
-    assert cluster.verifier is None
-    assert cluster.mn.verifier is None
-    assert cluster.cn(0).verifier is None
+def test_verification_layer_reaches_every_component():
+    cluster = ClioCluster(num_cns=2, mn_capacity=64 * MB, rack=2,
+                          layers=("verification",))
+    verifier = cluster.verifier
+    for board in cluster.mns:
+        assert board.verifier is verifier
+        assert board.slow_path.verifier is verifier
+    assert [node.verifier for node in cluster.cns] == [verifier, verifier]
+    assert cluster.rack.controller.verifier is verifier
+    bare = ClioCluster(num_cns=1, mn_capacity=64 * MB)
+    assert bare.verifier is None
+    assert bare.mn.verifier is None
+    assert bare.mn.slow_path.verifier is None
+    assert bare.cn(0).verifier is None

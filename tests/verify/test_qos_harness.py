@@ -59,7 +59,7 @@ def test_flat_matches_partitioned(shaped):
 
 
 def test_configured_qos_keeps_no_fault_golden():
-    """A cluster whose params carry tenants (but never enable_qos) must
+    """A cluster whose params carry tenants (but no "qos" layer) must
     reproduce the pre-QoS golden bit-for-bit: configuration alone
     schedules no events and draws no RNG."""
     from dataclasses import replace

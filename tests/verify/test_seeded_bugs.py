@@ -47,8 +47,9 @@ def test_dram_corruption_detected_by_oracle():
     No write acknowledged the new bytes, so the next read must trip the
     shadow oracle with the corrupted values.
     """
-    cluster = ClioCluster(num_cns=1, mn_capacity=64 * MB, seed=7)
-    verifier = cluster.enable_verification()
+    cluster = ClioCluster(num_cns=1, mn_capacity=64 * MB, seed=7,
+                          layers=("verification",))
+    verifier = cluster.verifier
     env = cluster.env
     board = cluster.mn
 
@@ -84,8 +85,9 @@ def test_broken_epoch_fencing_detected_end_to_end():
 
     def run(seeded_bug):
         cluster = ClioCluster(params=params, num_cns=1,
-                              mn_capacity=64 * MB, seed=3)
-        verifier = cluster.enable_verification()
+                              mn_capacity=64 * MB, seed=3,
+                              layers=("verification",))
+        verifier = cluster.verifier
         env = cluster.env
         board = cluster.mn
 
