@@ -323,7 +323,9 @@ class CBoard:
         path = self.mat.classify(packet.header)
         if path is Path.DROP:
             return
-        self.env.process(self._handle(packet, path, self._epoch))
+        # Nobody waits on a handler and this is the delivery event's last
+        # act, so it starts inline: no Initialize, no completion event.
+        self.env.spawn(self._handle(packet, path, self._epoch))
 
     def _send_nack(self, header: ClioHeader, epoch: Optional[int] = None) -> None:
         if epoch is not None and epoch != self._epoch:

@@ -81,8 +81,24 @@ class DRAM:
             pos += take
 
     def zero(self, pa: int, size: int) -> None:
-        """Clear a range (used when recycling freed physical pages)."""
-        self.write(pa, bytes(size))
+        """Clear a range (used when recycling freed physical pages).
+
+        Counts as one write of ``size`` bytes but materialises nothing: a
+        chunk the range covers whole is dropped (a missing chunk reads as
+        zeros) and an edge chunk is cleared only if it already exists.
+        """
+        self._check_range(pa, size)
+        self.writes += 1
+        self.bytes_written += size
+        pos = 0
+        while pos < size:
+            chunk_idx, offset = divmod(pa + pos, self.CHUNK)
+            take = min(size - pos, self.CHUNK - offset)
+            if take == self.CHUNK:
+                self._chunks.pop(chunk_idx, None)
+            elif chunk_idx in self._chunks:
+                self._chunks[chunk_idx][offset:offset + take] = bytes(take)
+            pos += take
 
     # -- timing ---------------------------------------------------------------
 

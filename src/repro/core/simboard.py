@@ -131,7 +131,7 @@ class SimBoard:
     # -- request handling --------------------------------------------------------------------
 
     def receive(self, packet: Packet) -> None:
-        self.env.process(self._handle(packet))
+        self.env.spawn(self._handle(packet))
 
     def _handle(self, packet: Packet):
         header = packet.header

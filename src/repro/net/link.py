@@ -65,8 +65,12 @@ class Link:
         self.corruption_rate = corruption_rate
         self.jitter_ns = jitter_ns
         self.up = True                          # fault injection: link state
-        self._free_at = 0                       # serializer busy until here
-        self._completions: deque[int] = deque()  # transmit-complete times
+        # Transmit-complete times of the packets still serializing or
+        # queued as of the last send; the tail is when the serializer
+        # frees up.  Pruned at send, so it is bounded by the backlog.
+        self._completions: deque[int] = deque()
+        # wire bytes -> serialization ns; at most header + MTU keys.
+        self._transmit_cache: dict[int, int] = {}
         self.packets_sent = 0
         self.packets_dropped = 0
         self.packets_dropped_down = 0
@@ -112,23 +116,29 @@ class Link:
                 self.tracer.instant("drop:down", "net", self.name,
                                     args={"dst": packet.header.dst})
             return
-        env = self.env
-        now = env.now
-        start = self._free_at
-        if start < now:
-            start = now
-        done = start + self.transmit_ns(packet.wire_bytes)
-        self._free_at = done
-        self._completions.append(done)
+        now = self.env.now
+        wire_bytes = packet.wire_bytes
+        transmit = self._transmit_cache.get(wire_bytes)
+        if transmit is None:
+            transmit = self._transmit_cache[wire_bytes] = self.transmit_ns(
+                wire_bytes)
+        completions = self._completions
+        while completions and completions[0] <= now:
+            completions.popleft()
+        done = (completions[-1] if completions else now) + transmit
+        completions.append(done)
         self.packets_sent += 1
-        self.bytes_sent += packet.wire_bytes
-        if self.rng.chance(self.loss_rate):
+        self.bytes_sent += wire_bytes
+        # chance() draws nothing at rate <= 0, so skipping the call there
+        # leaves the stream where it was.
+        rng = self.rng
+        if self.loss_rate > 0.0 and rng.chance(self.loss_rate):
             self.packets_dropped += 1
             if self.tracer is not None:
                 self.tracer.instant("drop:loss", "net", self.name,
                                     args={"dst": packet.header.dst})
             return
-        if self.rng.chance(self.corruption_rate):
+        if self.corruption_rate > 0.0 and rng.chance(self.corruption_rate):
             self.packets_corrupted += 1
             packet.corrupt = True
             if self.tracer is not None:
@@ -136,17 +146,22 @@ class Link:
                                     args={"dst": packet.header.dst})
         delay = done - now + self.propagation_ns
         if self.jitter_ns:
-            delay += self.rng.uniform_int(0, self.jitter_ns)
+            # rng.uniform_int(0, jitter_ns), inlined: the getrandbits
+            # rejection loop Random.randint runs — the same draws.
+            span = self.jitter_ns + 1
+            bits = span.bit_length()
+            getrandbits = rng._rng.getrandbits
+            jitter = getrandbits(bits)
+            while jitter >= span:
+                jitter = getrandbits(bits)
+            delay += jitter
         self.deliver_env.schedule_callback(delay, partial(self.deliver, packet))
 
     @property
     def queue_depth(self) -> int:
         """Packets waiting behind the one currently serializing."""
-        completions = self._completions
         now = self.env.now
-        while completions and completions[0] <= now:
-            completions.popleft()
-        return len(completions) - 1 if completions else 0
+        return max(0, sum(done > now for done in self._completions) - 1)
 
     def transmit_ns(self, wire_bytes: int) -> int:
         return max(1, (wire_bytes * 8 * SEC) // self.rate_bps)

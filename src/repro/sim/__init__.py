@@ -11,7 +11,6 @@ by insertion order and all randomness flows through seeded
 from repro.sim.core import (
     AllOf,
     AnyOf,
-    Callback,
     Environment,
     Event,
     Interrupt,
@@ -26,7 +25,6 @@ from repro.sim.rng import RandomStream
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Callback",
     "Channel",
     "Container",
     "Environment",

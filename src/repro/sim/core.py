@@ -6,8 +6,13 @@ insertion order, which keeps every run bit-for-bit reproducible.
 
 The engine is the hot path of every experiment, so the event classes are
 slotted, fully-processed :class:`Timeout` instances are recycled through a
-small pool, and pure-delay work can use :meth:`Environment.schedule_callback`
-instead of paying for a generator :class:`Process` per occurrence.
+small pool, pure-delay work is a bare heap entry
+(:meth:`Environment.schedule_callback`) rather than an event object, and a
+handler nobody waits on starts inline (:meth:`Environment.spawn`) instead of
+paying for a :class:`Process`, its ``Initialize`` and its completion event.
+
+Heap entries are ``(time, priority, seq, event, fn)``: exactly one of
+``event`` / ``fn`` is set, and ``seq`` is unique, so neither is ever compared.
 """
 
 from __future__ import annotations
@@ -122,29 +127,6 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         env._schedule(self, NORMAL, delay=delay)
-
-
-class Callback(Event):
-    """A pre-triggered event that invokes ``fn()`` when it fires.
-
-    The cheap alternative to a one-yield :class:`Process` for pure-delay
-    work: one heap entry, no generator, no Initialize event.
-    """
-
-    __slots__ = ("_fn",)
-
-    def __init__(self, env: "Environment", delay: int,
-                 fn: Callable[[], None], priority: int = NORMAL):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self._ok = True
-        self._fn = fn
-        self.callbacks.append(self._invoke)
-        env._schedule(self, priority, delay=delay)
-
-    def _invoke(self, _event: Event) -> None:
-        self._fn()
 
 
 class Initialize(Event):
@@ -317,6 +299,50 @@ class AnyOf(Condition):
         super().__init__(env, events, lambda events, count: count >= 1)
 
 
+class _Started:
+    """What a spawned generator is first resumed with: ``send(None)``."""
+
+    _ok = True
+    _value = None
+
+
+class _Spawned:
+    """A generator resumed by the events it yields, that nobody waits on.
+
+    :meth:`Environment.spawn`'s stand-in for a :class:`Process`: no event
+    of its own, so nothing is scheduled when it starts or when it ends.
+    """
+
+    __slots__ = ("_generator",)
+
+    def __init__(self, generator: Generator):
+        self._generator = generator
+
+    def _resume(self, event) -> None:
+        generator = self._generator
+        try:
+            while True:
+                if event._ok:
+                    target = generator.send(event._value)
+                elif event._ok is None:
+                    target = generator.throw(SimulationError(
+                        f"process is waiting on a cancelled event: "
+                        f"{event!r}"))
+                else:
+                    event._defused = True
+                    target = generator.throw(event._exception)
+                if not isinstance(target, Event):
+                    raise SimulationError(
+                        f"process yielded a non-event: {target!r}")
+                if target.callbacks is not None:
+                    target.callbacks.append(self._resume)
+                    return
+                # Already-processed event: continue with its outcome.
+                event = target
+        except StopIteration:
+            return
+
+
 class Environment:
     """The simulation driver: clock plus event queue."""
 
@@ -325,7 +351,8 @@ class Environment:
 
     def __init__(self, initial_time: int = 0):
         self._now = int(initial_time)
-        self._queue: list[tuple[int, int, int, Event]] = []
+        self._queue: list[tuple[int, int, int, Optional[Event],
+                                Optional[Callable[[], None]]]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
         self._timeout_pool: list[Timeout] = []
@@ -361,18 +388,35 @@ class Environment:
             return timeout
         return Timeout(self, int(delay), value)
 
-    def schedule_callback(self, delay: int,
-                          fn: Callable[[], None]) -> Callback:
-        """Run ``fn()`` after ``delay`` ns without spawning a process.
+    def schedule_callback(self, delay: int, fn: Callable[[], None]) -> None:
+        """Run ``fn()`` after ``delay`` ns: one bare heap entry, no event.
 
-        For fire-and-forget work with no suspension point after the delay
-        (packet delivery, NACK generation, ...).  ``fn`` takes no
-        arguments; use ``functools.partial`` to bind some.
+        For work with no suspension point after the delay (packet
+        delivery, NACK generation, timer expiry).  ``fn`` takes no
+        arguments; use ``functools.partial`` to bind some.  Nothing is
+        returned because there is nothing to wait on or cancel — a timer
+        that may go stale makes ``fn`` a no-op instead.
         """
-        return Callback(self, delay, fn)
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        self._schedule(None, NORMAL, delay, fn)
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
+
+    def spawn(self, generator: Generator) -> None:
+        """Run ``generator`` as a process that nobody can wait on.
+
+        It starts *inline*, inside the calling event, and a normal return
+        schedules nothing: two events fewer than :meth:`process`.  That is
+        legal exactly where the call is the last thing its event does (and
+        the event started or interrupted no other process before it) —
+        the ``Initialize`` it replaces is URGENT at the current time, so it
+        would have been the very next pop and every other event keeps its
+        relative order.  An exception the generator lets escape propagates
+        out of :meth:`run` from the event that resumed it.
+        """
+        _Spawned(generator)._resume(_Started)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -382,30 +426,33 @@ class Environment:
 
     # -- scheduling ---------------------------------------------------------
 
-    def _schedule(self, event: Event, priority: int, delay: int = 0) -> None:
+    def _schedule(self, event: Optional[Event], priority: int, delay: int = 0,
+                  fn: Optional[Callable[[], None]] = None) -> None:
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._queue, (self._now + delay, priority, seq, event))
+        heappush(self._queue, (self._now + delay, priority, seq, event, fn))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if the queue is empty."""
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process one event; raises :class:`SimulationError` when empty."""
+        """Process one entry; raises :class:`SimulationError` when empty.
+
+        The one-event form of the loop in :meth:`run`, for single-stepping.
+        """
         if not self._queue:
             raise SimulationError("no scheduled events")
-        when, _prio, _seq, event = heappop(self._queue)
+        when, _prio, _seq, event, fn = heappop(self._queue)
         self._now = when
+        if event is None:
+            fn()
+            return
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
         if not event._ok and not event._defused:
             raise event._exception  # type: ignore[misc]
-        # Recycle fully-processed, unreferenced timeouts.  The refcount
-        # guard (event local + getrefcount argument = 2) proves no process,
-        # condition, or user variable still holds the object, so reuse can
-        # never be observed from outside the engine.
         if (type(event) is Timeout
                 and len(self._timeout_pool) < _TIMEOUT_POOL_MAX
                 and getrefcount(event) == 2):
@@ -418,13 +465,7 @@ class Environment:
         ``until`` may be an absolute time (ns) or an :class:`Event`; when an
         event is given, its value is returned.
         """
-        step = self.step
-        if until is None:
-            queue = self._queue
-            while queue:
-                step()
-            return None
-
+        sentinel = deadline = None
         if isinstance(until, Event):
             sentinel = until
             if sentinel.callbacks is None:
@@ -438,19 +479,39 @@ class Environment:
                         f"run(until=...) got a cancelled event: {sentinel!r} "
                         "was withdrawn and will never fire")
                 return sentinel.value
-            while not sentinel.processed:
-                if not self._queue:
-                    raise SimulationError(
-                        "event queue drained before the awaited event fired")
-                step()
-            return sentinel.value
-
-        deadline = int(until)
-        if deadline < self._now:
-            raise ValueError(
-                f"until={deadline} is in the past (now={self._now})")
+        elif until is not None:
+            deadline = int(until)
+            if deadline < self._now:
+                raise ValueError(
+                    f"until={deadline} is in the past (now={self._now})")
         queue = self._queue
-        while queue and queue[0][0] <= deadline:
-            step()
-        self._now = deadline
+        pool = self._timeout_pool
+        while queue and (deadline is None or queue[0][0] <= deadline):
+            when, _prio, _seq, event, fn = heappop(queue)
+            self._now = when
+            if event is None:
+                fn()
+            else:
+                callbacks, event.callbacks = event.callbacks, None
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    raise event._exception  # type: ignore[misc]
+                # Recycle fully-processed, unreferenced timeouts.  The
+                # refcount guard (event local + getrefcount argument = 2)
+                # proves no process, condition, or user variable still
+                # holds the object, so reuse can never be observed from
+                # outside the engine.
+                if (type(event) is Timeout
+                        and len(pool) < _TIMEOUT_POOL_MAX
+                        and getrefcount(event) == 2):
+                    event._value = None
+                    pool.append(event)
+            if sentinel is not None and sentinel.callbacks is None:
+                return sentinel.value
+        if sentinel is not None:
+            raise SimulationError(
+                "event queue drained before the awaited event fired")
+        if deadline is not None:
+            self._now = deadline
         return None

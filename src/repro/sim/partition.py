@@ -78,11 +78,12 @@ class Partition(Environment):
     def active_process(self):
         return self._active_process
 
-    def _schedule(self, event: Event, priority: int, delay: int = 0) -> None:
+    def _schedule(self, event: Optional[Event], priority: int, delay: int = 0,
+                  fn: Optional[Callable[[], None]] = None) -> None:
         parent = self.parent
         seq = parent._seq
         parent._seq = seq + 1
-        entry = (parent._now + delay, priority, seq, event)
+        entry = (parent._now + delay, priority, seq, event, fn)
         heappush(self._queue, entry)
         self.events_scheduled += 1
         draining = parent._draining
@@ -263,10 +264,11 @@ class PartitionedEnvironment(Environment):
 
     # -- scheduling ----------------------------------------------------------
 
-    def _schedule(self, event: Event, priority: int, delay: int = 0) -> None:
+    def _schedule(self, event: Optional[Event], priority: int, delay: int = 0,
+                  fn: Optional[Callable[[], None]] = None) -> None:
         seq = self._seq
         self._seq = seq + 1
-        entry = (self._now + delay, priority, seq, event)
+        entry = (self._now + delay, priority, seq, event, fn)
         heappush(self._queue, entry)
         draining = self._draining
         if draining is not None and draining is not self:
@@ -311,14 +313,17 @@ class PartitionedEnvironment(Environment):
         self._dispatch_one(best)
 
     def _dispatch_one(self, wheel: Environment) -> None:
-        when, _prio, _seq, event = heappop(wheel._queue)
+        when, _prio, _seq, event, fn = heappop(wheel._queue)
         self._now = when
+        wheel.events_dispatched += 1
+        if event is None:
+            fn()
+            return
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
         if not event._ok and not event._defused:
             raise event._exception  # type: ignore[misc]
-        wheel.events_dispatched += 1
         pool = wheel._timeout_pool
         if (type(event) is Timeout
                 and len(pool) < _TIMEOUT_POOL_MAX
@@ -361,22 +366,25 @@ class PartitionedEnvironment(Environment):
                         break
                     if deadline is not None and entry[0] > deadline:
                         break
-                    when, _prio, _seq, event = heappop(queue)
+                    when, _prio, _seq, event, fn = heappop(queue)
                     # Drop the heap tuple: a surviving reference would hold
                     # the event at refcount 3 and defeat the pool check.
                     del entry
                     self._now = when
-                    callbacks, event.callbacks = event.callbacks, None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._exception  # type: ignore[misc]
                     dispatched += 1
-                    if (type(event) is Timeout
-                            and len(pool) < _TIMEOUT_POOL_MAX
-                            and getrefcount(event) == 2):
-                        event._value = None
-                        pool.append(event)
+                    if event is None:
+                        fn()
+                    else:
+                        callbacks, event.callbacks = event.callbacks, None
+                        for callback in callbacks:
+                            callback(event)
+                        if not event._ok and not event._defused:
+                            raise event._exception  # type: ignore[misc]
+                        if (type(event) is Timeout
+                                and len(pool) < _TIMEOUT_POOL_MAX
+                                and getrefcount(event) == 2):
+                            event._value = None
+                            pool.append(event)
                     if self._bound_violated:
                         break
                     if sentinel is not None and sentinel.callbacks is None:

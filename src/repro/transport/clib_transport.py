@@ -431,23 +431,29 @@ class Transport:
             self._incast.on_send(expected_response_bytes)
             self._last_send[mn] = self.env.now
 
-            # CLib processing cost, then kernel-bypass raw Ethernet send.
-            yield self.env.timeout(clib.request_overhead_ns // 2)
-            emit(request_id, retry_of)
-            attempt_span = None
-            if tracer is not None:
-                attempt_span = tracer.begin(
-                    f"attempt:{packet_type.value}", "transport",
-                    self.node_name,
-                    args={"request_id": request_id, "mn": mn,
-                          "retry_of": retry_of})
-
             # Exponential backoff: each retry doubles the TIMEOUT, so a
             # transient incast queue drains instead of being re-fed.  The
             # TIMEOUT is a scheduled callback that triggers ``state.done``
             # itself — no per-attempt Timeout event or AnyOf condition.
             attempt_timeout = min(timeout_ns << attempt, clib.slow_timeout_ns)
-            self.env.schedule_callback(attempt_timeout, state.expire)
+            attempt_span = None
+
+            def send() -> None:
+                # Kernel-bypass raw Ethernet send, then arm the TIMEOUT.
+                nonlocal attempt_span
+                emit(request_id, retry_of)
+                if tracer is not None:
+                    attempt_span = tracer.begin(
+                        f"attempt:{packet_type.value}", "transport",
+                        self.node_name,
+                        args={"request_id": request_id, "mn": mn,
+                              "retry_of": retry_of})
+                self.env.schedule_callback(attempt_timeout, state.expire)
+
+            # CLib processing cost first.  Nothing can answer an ID that
+            # has not left yet, so the send is a callback and the caller
+            # chain sleeps through it: two resumes per attempt, not three.
+            self.env.schedule_callback(clib.request_overhead_ns // 2, send)
             yield state.done
 
             self._incast.on_complete(expected_response_bytes)

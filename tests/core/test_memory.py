@@ -48,6 +48,52 @@ def test_zero_clears_range():
     assert dram.read(50, 10) == b"x" * 10
 
 
+def test_zero_of_never_written_page_materialises_nothing():
+    """Recycling a page nobody wrote must not cost host memory: a missing
+    chunk already reads as zeros."""
+    dram = make_dram()
+    dram.zero(4 * MB, 4 * MB)
+    assert dram.resident_bytes == 0
+    assert dram.read(4 * MB, 64) == bytes(64)
+    dram.zero(100, 50)                          # sub-chunk, never written
+    assert dram.resident_bytes == 0
+
+
+def test_zero_after_writes_reads_back_zeros_and_drops_whole_chunks():
+    dram = make_dram()
+    base = 3 * DRAM.CHUNK
+    for index in range(4):
+        dram.write(base + index * DRAM.CHUNK + 7, b"dirty")
+    assert dram.resident_bytes == 4 * DRAM.CHUNK
+    dram.zero(base, 4 * DRAM.CHUNK)
+    assert dram.resident_bytes == 0
+    assert dram.read(base, 4 * DRAM.CHUNK) == bytes(4 * DRAM.CHUNK)
+
+
+def test_zero_keeps_neighbours_in_partially_covered_chunks():
+    dram = make_dram()
+    chunk = DRAM.CHUNK
+    # Three chunks written end to end; zero from mid-first to mid-third.
+    dram.write(0, b"a" * chunk + b"b" * chunk + b"c" * chunk)
+    dram.zero(chunk // 2, 2 * chunk)
+    assert dram.read(0, chunk // 2) == b"a" * (chunk // 2)
+    assert dram.read(chunk // 2, 2 * chunk) == bytes(2 * chunk)
+    assert dram.read(2 * chunk + chunk // 2, chunk // 2) == b"c" * (chunk // 2)
+    assert dram.resident_bytes == 2 * chunk     # middle chunk dropped whole
+
+
+def test_zero_counts_as_one_write_of_its_size():
+    dram = make_dram()
+    dram.write(0, b"1234")
+    dram.zero(0, 3 * DRAM.CHUNK)
+    assert dram.writes == 2 and dram.bytes_written == 4 + 3 * DRAM.CHUNK
+    assert dram.reads == 0 and dram.bytes_read == 0
+    with pytest.raises(ValueError):
+        dram.zero(dram.capacity - 8, 16)
+    with pytest.raises(ValueError):
+        dram.zero(0, 0)
+
+
 def test_out_of_range_access_rejected():
     dram = make_dram(capacity=1024)
     with pytest.raises(ValueError):
@@ -103,3 +149,25 @@ def test_roundtrip_property(pa, data):
     dram = make_dram()
     dram.write(pa, data)
     assert dram.read(pa, len(data)) == data
+
+
+@given(st.lists(st.tuples(st.integers(0, 4 * DRAM.CHUNK - 1),
+                          st.binary(min_size=1, max_size=300)), max_size=6),
+       st.integers(0, 4 * DRAM.CHUNK - 1), st.integers(1, 3 * DRAM.CHUNK))
+@settings(max_examples=60)
+def test_zero_equals_writing_zero_bytes(writes, pa, size):
+    """The sparse zero against the reference it replaced:
+    ``write(pa, bytes(size))``."""
+    capacity = 4 * DRAM.CHUNK
+    size = min(size, capacity - pa)
+    sparse, reference = make_dram(capacity), make_dram(capacity)
+    for at, data in writes:
+        data = data[:capacity - at]
+        sparse.write(at, data)
+        reference.write(at, data)
+    sparse.zero(pa, size)
+    reference.write(pa, bytes(size))
+    assert sparse.read(0, capacity) == reference.read(0, capacity)
+    assert (sparse.writes, sparse.bytes_written) == (
+        reference.writes, reference.bytes_written)
+    assert sparse.resident_bytes <= reference.resident_bytes

@@ -49,6 +49,65 @@ def test_link_queue_builds_under_load():
     assert link.queue_depth > 0
 
 
+def test_link_state_is_bounded_by_the_backlog():
+    """Nothing per packet outlives the packet: 10 000 sends spread over
+    simulated time leave only the packets still on the serializer (plus
+    the one just finished) in the link's books."""
+    env = Environment()
+    link = Link(env, "l", rate_bps=10 * GBPS, propagation_ns=200,
+                deliver=lambda p: None)
+
+    def sender():
+        for index in range(10_000):
+            link.send(make_packet(wire_bytes=1250, request_id=index))
+            serializing = sum(done > env.now for done in link._completions)
+            assert len(link._completions) <= serializing + 1
+            # 1000 ns each on the wire: bursts of four, then room to drain.
+            yield env.timeout(0 if index % 10 < 3 else 2_000)
+
+    env.run(until=env.process(sender()))
+    assert link.packets_sent == 10_000
+    assert len(link._completions) <= 4
+
+
+def test_queue_depth_is_a_pure_read_and_matches_the_pruning_gauge():
+    """``queue_depth`` against the gauge it replaced (prune completions
+    <= now on read, report what is left minus the one serializing), probed
+    through a bursty script; reading it must change nothing."""
+    env = Environment()
+    link = Link(env, "l", rate_bps=1 * GBPS, propagation_ns=50,
+                deliver=lambda p: None)
+    reference = []                  # the old gauge's transmit-complete times
+    probes = []
+
+    def reference_depth():
+        while reference and reference[0] <= env.now:
+            reference.pop(0)
+        return len(reference) - 1 if reference else 0
+
+    def probe():
+        before = list(link._completions)
+        assert link.queue_depth == link.queue_depth == reference_depth()
+        assert list(link._completions) == before
+        probes.append(link.queue_depth)
+
+    def script():
+        request_id = 0
+        for burst, gap in [(1, 0), (10, 3_000), (0, 1), (4, 100_000),
+                           (25, 10_000), (1, 9_999), (0, 400_000), (3, 0)]:
+            for _ in range(burst):
+                start = max(env.now, reference[-1] if reference else 0)
+                reference.append(start + link.transmit_ns(1250))
+                link.send(make_packet(wire_bytes=1250, request_id=request_id))
+                request_id += 1
+                probe()
+            yield env.timeout(gap)
+            probe()
+
+    env.run(until=env.process(script()))
+    assert max(probes) == 29 and probes[-1] == 2 and 0 in probes
+
+
 def test_link_loss_drops_packets():
     env = Environment()
     received = []

@@ -512,3 +512,132 @@ def test_callbacks_scheduled_during_dispatch_keep_global_order():
     env.schedule_callback(10, lambda: order.append("second"))
     env.run()
     assert order == ["first", "second", "nested"]
+
+
+def test_callbacks_and_events_at_one_timestamp_keep_insertion_order():
+    """A bare callback entry and an event object share one heap and one
+    sequence counter, so a tie between them breaks by insertion alone."""
+    env = Environment()
+    order = []
+    gate = env.event()
+    gate.callbacks.append(lambda _event: order.append("event"))
+
+    def waiter():
+        yield env.timeout(10)
+        order.append("timeout")
+
+    env.process(waiter())          # Initialize now; its timeout comes third
+    env.schedule_callback(10, lambda: order.append("callback-1"))
+    env.schedule_callback(10, gate.succeed)     # 'event' is enqueued at t=10
+    env.run(until=0)               # waiter's timeout(10) enqueued here
+    env.schedule_callback(10, lambda: order.append("callback-2"))
+    env.run()
+    assert order == ["callback-1", "timeout", "callback-2", "event"]
+
+
+def test_schedule_callback_returns_nothing_and_counts_one_entry():
+    env = Environment()
+    assert env.schedule_callback(5, lambda: None) is None
+    assert env._seq == 1 and len(env._queue) == 1
+    env.step()                     # the one-event form runs bare entries too
+    assert env.now == 5 and not env._queue
+
+
+# -- spawn: inline-started, fire-and-forget generators -------------------------
+
+
+def test_spawn_runs_inline_and_a_return_without_yield_schedules_nothing():
+    env = Environment()
+    ran = []
+
+    def handler():
+        ran.append(env.now)
+        return
+        yield                      # pragma: no cover - makes it a generator
+
+    assert env.spawn(handler()) is None
+    assert ran == [0]              # started inside the call, not at a pop
+    assert env._seq == 0 and not env._queue
+
+
+def test_spawn_costs_two_events_fewer_than_process_and_keeps_the_order():
+    """The rule the elimination rests on: a spawn in tail position leaves
+    every other event where it was — same log, ``_seq`` lower by the
+    ``Initialize`` and the completion event of each handler."""
+    def run(start):
+        env = Environment()
+        log = []
+
+        def handler(tag):
+            log.append(("start", tag, env.now))
+            yield env.timeout(3)
+            log.append(("mid", tag, env.now))
+            yield env.timeout(0)
+            log.append(("end", tag, env.now))
+
+        def ticker():
+            for step in range(6):
+                yield env.timeout(2)
+                log.append(("tick", step, env.now))
+
+        env.process(ticker())
+        for tag, delay in enumerate((0, 2, 2, 5)):
+            env.schedule_callback(
+                delay, lambda tag=tag: start(env, handler(tag)))
+        env.run()
+        return log, env.now, env._seq
+
+    process_log, process_now, process_seq = run(Environment.process)
+    spawn_log, spawn_now, spawn_seq = run(Environment.spawn)
+    assert spawn_log == process_log
+    assert spawn_now == process_now
+    assert spawn_seq == process_seq - 2 * 4
+
+
+def test_spawn_exception_surfaces_from_run():
+    """Nobody waits on a spawned generator, so its failure must not be
+    swallowed: it leaves ``run()`` from the event that resumed it."""
+    env = Environment()
+
+    def fails_at_once():
+        raise RuntimeError("first segment")
+        yield                      # pragma: no cover
+
+    def fails_later():
+        yield env.timeout(7)
+        raise RuntimeError("after a wait")
+
+    env.schedule_callback(1, lambda: env.spawn(fails_at_once()))
+    with pytest.raises(RuntimeError, match="first segment"):
+        env.run()
+    assert env.now == 1
+    env.spawn(fails_later())
+    with pytest.raises(RuntimeError, match="after a wait"):
+        env.run()
+    assert env.now == 8
+
+
+def test_spawn_receives_failures_and_rejects_non_events():
+    env = Environment()
+    seen = []
+    boom = env.event()
+
+    def catcher():
+        try:
+            yield boom
+        except ValueError as exc:
+            seen.append(str(exc))
+        done = env.timeout(0)
+        yield env.timeout(1)
+        seen.append((yield done))  # already processed: continues at once
+
+    env.spawn(catcher())
+    boom.fail(ValueError("thrown in"))
+    env.run()                      # the catch defused it: run() is clean
+    assert seen == ["thrown in", None]
+
+    def bad():
+        yield 42
+
+    with pytest.raises(SimulationError, match="non-event"):
+        env.spawn(bad())

@@ -375,3 +375,69 @@ def test_partitioned_run_until_drained_queue_raises():
     part.timeout(3)
     with pytest.raises(SimulationError, match="drained"):
         env.run(until=never)
+
+
+# -- spawn and bare callback entries on partitions -------------------------------
+
+
+def _spawning_workload(env, envs, order):
+    """Handlers spawned from cross-partition callbacks, as a board's
+    ``receive`` does from a link delivery."""
+
+    def handler(sub, tag):
+        order.append(("start", tag, env.now))
+        yield sub.timeout(4 + tag)
+        order.append(("end", tag, env.now))
+        nxt = envs[(tag + 1) % len(envs)]
+        if env.now < 60:
+            nxt.schedule_callback(
+                3, lambda: nxt.spawn(handler(nxt, (tag + 1) % len(envs))))
+
+    for tag, sub in enumerate(envs):
+        sub.schedule_callback(
+            tag, lambda sub=sub, tag=tag: sub.spawn(handler(sub, tag)))
+        sub.schedule_callback(5, lambda tag=tag: order.append(("cb", tag)))
+
+
+def test_spawn_and_callbacks_are_bit_identical_to_flat():
+    flat_env = Environment()
+    flat_order = []
+    _spawning_workload(flat_env, [flat_env] * 3, flat_order)
+    flat_env.run()
+
+    part_env = PartitionedEnvironment()
+    parts = [part_env.partition(f"p{index}") for index in range(3)]
+    part_order = []
+    _spawning_workload(part_env, parts, part_order)
+    part_env.run()
+
+    assert part_order == flat_order and len(flat_order) > 30
+    assert part_env._seq == flat_env._seq
+    assert part_env.now == flat_env.now
+    # One callback per "start"/"cb" and one timeout per "end": the wheels
+    # count bare entries, and no Initialize or completion event exists.
+    dispatched = sum(part.events_dispatched for part in parts)
+    assert dispatched == part_env._seq == len(flat_order)
+
+
+def test_partitioned_spawn_exception_surfaces_and_empty_spawn_is_free():
+    env = PartitionedEnvironment()
+    part = env.partition("p0")
+
+    def quiet():
+        return
+        yield                      # pragma: no cover
+
+    part.spawn(quiet())
+    assert env._seq == 0 and part.quiesced()
+
+    def fails():
+        yield part.timeout(7)
+        raise RuntimeError("handler bug")
+
+    part.schedule_callback(2, lambda: part.spawn(fails()))
+    with pytest.raises(RuntimeError, match="handler bug"):
+        env.run()
+    assert env.now == 9
+    with pytest.raises(ValueError):
+        part.schedule_callback(-1, lambda: None)

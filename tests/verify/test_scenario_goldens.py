@@ -7,7 +7,10 @@ sizes and seed 0.  The rows now run through ``run_scenario``; a refactor
 of the runner, a workload or a script that moves an event, a latency or
 a fingerprint fails here.  ``events``/``sim_now_ns`` pin the engine's
 dispatch count and clock, so even a reordering that leaves the op log
-intact is caught.
+intact is caught.  The 14 ``events`` integers — and nothing else — were
+re-recorded when board handlers stopped costing an ``Initialize`` and a
+completion event each (2 fewer per MN request, every other event in the
+same relative order; CHANGES.md lists old -> new per row).
 
 Notes are compared as a set: their content is pinned, their order is
 presentation.
@@ -43,7 +46,7 @@ GOLDENS = [('sync', {'clients': 2, 'ops': 12}, False, 'sync-unit', 24, True, 0, 
  ('rack', {'clients': 64, 'ops': 3}, False, 'rack-ycsb', 64, True, 0, 0,
   {'aborted_migrations': 0,
    'epoch': 0,
-   'events': 38634,
+   'events': 38120,
    'evictions': 0,
    'fingerprint': 'c384b7594fcd0348dcf513d672ad5266',
    'migrations': 0,
@@ -56,7 +59,7 @@ GOLDENS = [('sync', {'clients': 2, 'ops': 12}, False, 'sync-unit', 24, True, 0, 
   True, 0, 0,
   {'aborted_migrations': 0,
    'epoch': 2,
-   'events': 38689,
+   'events': 38175,
    'evictions': 0,
    'fingerprint': 'd64516489da7dfff486cbe8c3bbc35af',
    'migrations': 3,
@@ -70,7 +73,7 @@ GOLDENS = [('sync', {'clients': 2, 'ops': 12}, False, 'sync-unit', 24, True, 0, 
   0, 0,
   {'aborted_migrations': 0,
    'epoch': 1,
-   'events': 42776,
+   'events': 42254,
    'evictions': 0,
    'fingerprint': '4c7c092363160ae1bd9b988d6105fa76',
    'migrations': 2,
@@ -84,7 +87,7 @@ GOLDENS = [('sync', {'clients': 2, 'ops': 12}, False, 'sync-unit', 24, True, 0, 
   'rack-ycsb[crash-mid-migration]', 64, True, 0, 0,
   {'aborted_migrations': 1,
    'epoch': 3,
-   'events': 38796,
+   'events': 38282,
    'evictions': 0,
    'fingerprint': '4121c29a563f16ef391e39c218c99c12',
    'migrations': 3,
@@ -98,7 +101,7 @@ GOLDENS = [('sync', {'clients': 2, 'ops': 12}, False, 'sync-unit', 24, True, 0, 
   True, 0, 0,
   {'aborted_migrations': 0,
    'epoch': 1,
-   'events': 39181,
+   'events': 38667,
    'evictions': 3,
    'fingerprint': 'd652c612d2a2414e7f727714deda34d2',
    'migrations': 0,
@@ -112,7 +115,7 @@ GOLDENS = [('sync', {'clients': 2, 'ops': 12}, False, 'sync-unit', 24, True, 0, 
   True, 0, 0,
   {'aborted_migrations': 0,
    'epoch': 2,
-   'events': 38689,
+   'events': 38175,
    'evictions': 0,
    'fingerprint': 'd64516489da7dfff486cbe8c3bbc35af',
    'migrations': 3,
@@ -124,42 +127,42 @@ GOLDENS = [('sync', {'clients': 2, 'ops': 12}, False, 'sync-unit', 24, True, 0, 
    'drained mn1 at 453175ns (3 migrations)']),
  ('alloc-freelist', {'ops': 40}, False,
   'alloc-churn[small-large-mix/freelist/first-fit]', 80, None, 0, 0,
-  {'events': 3354,
+  {'events': 2976,
    'fingerprint': 'f13117cbca01875d53cab9b9372f1e40',
    'sim_now_ns': 1014118},
   ['40/40 allocs ok, 40 frees, 0 VA retries, 680 slow-path crossings, frag '
    '0.000 (peak 0.000)']),
  ('alloc-slab', {'ops': 40}, False,
   'alloc-churn[small-large-mix/slab/first-fit]', 80, None, 0, 0,
-  {'events': 3354,
+  {'events': 2976,
    'fingerprint': 'f13117cbca01875d53cab9b9372f1e40',
    'sim_now_ns': 1014118},
   ['40/40 allocs ok, 40 frees, 0 VA retries, 680 slow-path crossings, frag '
    '0.299 (peak 0.302)']),
  ('alloc-buddy', {'ops': 40}, False,
   'alloc-churn[small-large-mix/buddy/first-fit]', 80, None, 0, 0,
-  {'events': 3354,
+  {'events': 2976,
    'fingerprint': 'f13117cbca01875d53cab9b9372f1e40',
    'sim_now_ns': 1014118},
   ['40/40 allocs ok, 40 frees, 0 VA retries, 680 slow-path crossings, frag '
    '0.533 (peak 0.535)']),
  ('alloc-arena', {'ops': 40}, False,
   'alloc-churn[small-large-mix/arena/first-fit]', 80, None, 0, 0,
-  {'events': 3649,
+  {'events': 3271,
    'fingerprint': 'b1b6dd10e87b25e86d94a2404c248093',
    'sim_now_ns': 1014118},
   ['40/40 allocs ok, 40 frees, 0 VA retries, 13 slow-path crossings, frag '
    '0.095 (peak 0.111)']),
  ('alloc-arena', {'ops': 40}, True,
   'alloc-churn[small-large-mix/arena/first-fit]', 80, None, 0, 0,
-  {'events': 3649,
+  {'events': 3271,
    'fingerprint': 'b1b6dd10e87b25e86d94a2404c248093',
    'sim_now_ns': 1014118},
   ['40/40 allocs ok, 40 frees, 0 VA retries, 13 slow-path crossings, frag '
    '0.095 (peak 0.111)']),
  ('qos-shaped', {}, False, 'qos-noisy-neighbor[shaped]', 800, None, 0, 0,
   {'aggressor_ops': 184,
-   'events': 49176,
+   'events': 46648,
    'fingerprint': '2f4f0da0acd489f9ce2a93377445afee',
    'sim_now_ns': 400000000,
    'victim_base_p99_ns': 2610,
@@ -171,7 +174,7 @@ GOLDENS = [('sync', {'clients': 2, 'ops': 12}, False, 'sync-unit', 24, True, 0, 
  ('qos-unshaped', {}, False, 'qos-noisy-neighbor[unshaped]', 800, None, 0,
   0,
   {'aggressor_ops': 2507,
-   'events': 120182,
+   'events': 108408,
    'fingerprint': '211d1564e61d04397b8b209998132a54',
    'sim_now_ns': 400000000,
    'victim_base_p99_ns': 2610,
@@ -181,7 +184,7 @@ GOLDENS = [('sync', {'clients': 2, 'ops': 12}, False, 'sync-unit', 24, True, 0, 
    '2507 aggressor writes']),
  ('qos-shaped', {}, True, 'qos-noisy-neighbor[shaped]', 800, None, 0, 0,
   {'aggressor_ops': 184,
-   'events': 49176,
+   'events': 46648,
    'fingerprint': '2f4f0da0acd489f9ce2a93377445afee',
    'sim_now_ns': 400000000,
    'victim_base_p99_ns': 2610,
