@@ -214,11 +214,17 @@ class CacheDirectory:
             header=header, payload=state.response,
             wire_bytes=self._net.header_bytes, sent_at=self.env.now))
 
+    def set_tracer(self, tracer: Optional[Tracer]) -> None:
+        """Enable/disable span tracing of directory requests."""
+        self.tracer = tracer
+        if tracer is not None:
+            self._op_sites = tracer.sites("dir:", "cache", self.name,
+                                          ("src", "keys"))
+
     def _serve(self, req: CacheReq, src: str, state: _ReqState, orig: int):
         yield self.env.timeout(self._cacheparams.dir_process_ns)
         tracer = self.tracer
-        span = (tracer.begin(f"dir:{req.op}", "cache", self.name,
-                             args={"src": src, "keys": len(req.keys)})
+        span = (tracer.begin(self._op_sites[req.op], src, len(req.keys))
                 if tracer is not None else None)
         self._apply_drops(req.drops, src)
         if req.op == "fill":

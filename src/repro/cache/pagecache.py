@@ -336,10 +336,18 @@ class PageCache:
         self._active_invals[msg.seq] = header.request_id
         self.env.process(self._apply_inval(msg))
 
+    def set_tracer(self, tracer: Optional[Tracer]) -> None:
+        """Enable/disable span tracing of fills and invalidations."""
+        self.tracer = tracer
+        if tracer is not None:
+            self._inval_sites = tracer.sites("cache:", "cache",
+                                             self.node.name, ("keys",))
+            self._fill_site = tracer.site("cache:fill", "cache",
+                                          self.node.name, ("va",))
+
     def _apply_inval(self, msg):
         tracer = self.tracer
-        span = (tracer.begin(f"cache:{msg.action}", "cache", self.node.name,
-                             args={"keys": len(msg.keys)})
+        span = (tracer.begin(self._inval_sites[msg.action], len(msg.keys))
                 if tracer is not None else None)
         for key in msg.keys:
             yield from self._inval_key(key, msg.action)
@@ -422,8 +430,7 @@ class PageCache:
         self._lines[key] = line       # FILLING placeholder
         installed = False
         tracer = self.tracer
-        span = (tracer.begin("cache:fill", "cache", self.node.name,
-                             args={"va": key[2]})
+        span = (tracer.begin(self._fill_site, key[2])
                 if tracer is not None else None)
         try:
             outcome = yield from self._dir_request(CacheReq(

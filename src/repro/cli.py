@@ -498,6 +498,9 @@ def cmd_metrics(args) -> int:
         title=f"instrumented run: {args.ops}x {size}B write+read "
               f"({args.profile})",
         prefix=args.prefix))
+    held = tracer.nbytes
+    print(f"tracer: {len(tracer)} records in {held} bytes "
+          f"({held / max(1, len(tracer)):.1f} B/record)")
     if args.trace_out:
         write_chrome_trace(args.trace_out, tracer, cluster.metrics)
         print(f"chrome trace written to {args.trace_out} "

@@ -21,7 +21,7 @@ from repro.clib.client import ComputeNode
 from repro.core.cboard import CBoard
 from repro.net.switch import Topology
 from repro.params import ClioParams
-from repro.sim import Environment, PartitionedEnvironment
+from repro.sim import Environment
 from repro.sim.rng import RandomStream
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import Tracer
@@ -83,6 +83,7 @@ class ClioCluster:
         # topology's default); partitioned, each gets its own wheel.
         tor_envs = spine_env = None
         if partitioned:
+            from repro.sim import PartitionedEnvironment
             self.env: Environment = PartitionedEnvironment()
             if rack_config is not None:
                 tor_envs = [self.env.partition(f"tor{i}")
@@ -240,15 +241,15 @@ class ClioCluster:
             board.set_tracer(tracer)
             board.verifier = board.slow_path.verifier = verifier
         for node in self.cns:
-            node.transport.tracer = tracer
+            node.transport.set_tracer(tracer)
             node.verifier = verifier
             if node.cache is not None:
-                node.cache.tracer = tracer
+                node.cache.set_tracer(tracer)
         self.topology.set_tracer(tracer)
         if self.health is not None:
             self.health.tracer = tracer
         if self.cache_dir is not None:
-            self.cache_dir.tracer = tracer
+            self.cache_dir.set_tracer(tracer)
         if self.rack is not None:
             controller = self.rack.controller
             controller.health = self.rack.membership.health = self.health

@@ -244,10 +244,16 @@ class CBoard:
     def set_tracer(self, tracer: Optional[Tracer]) -> None:
         """Enable/disable span tracing on the board and its sub-paths."""
         self.tracer = tracer
-        self.fast_path.tracer = tracer
-        self.fast_path.track = self.name
-        self.slow_path.tracer = tracer
-        self.slow_path.track = self.name
+        self.fast_path.set_tracer(tracer, self.name)
+        self.slow_path.set_tracer(tracer, self.name)
+        if tracer is None:
+            return
+        self._handler_sites = tracer.sites("mn:", "cboard", self.name,
+                                           ("request_id", "src"))
+        self._end_handler = tracer.end_site("discarded")
+        self._response_site = tracer.site("mn_response", "cboard", self.name,
+                                          ("request_id", "type", "dst"))
+        self._crash_site = tracer.site("crashed", "fault", self.name)
 
     # -- failure model ------------------------------------------------------------
 
@@ -275,7 +281,7 @@ class CBoard:
         if self.verifier is not None:
             self.verifier.on_board_crash(self)
         if self.tracer is not None:
-            self._crash_span = self.tracer.begin("crashed", "fault", self.name)
+            self._crash_span = self.tracer.begin(self._crash_site)
 
     def restart(self) -> None:
         """Bring a crashed board back; cold caches re-warm on demand.
@@ -340,9 +346,8 @@ class CBoard:
         tracer = self.tracer
         span = None
         if tracer is not None:
-            span = tracer.begin(
-                f"mn:{header.packet_type.value}", "cboard", self.name,
-                args={"request_id": header.request_id, "src": header.src})
+            span = tracer.begin(self._handler_sites[header.packet_type],
+                                header.request_id, header.src)
         try:
             # Fence barrier: anything arriving after a fence waits for the
             # drain.  (A crash resets the barrier without firing it, so
@@ -386,7 +391,7 @@ class CBoard:
             if self.verifier is not None and epoch == self._epoch:
                 self.verifier.on_board_request(self)
             if tracer is not None:
-                tracer.end(span, discarded=epoch != self._epoch)
+                tracer.end(span, self._end_handler, epoch != self._epoch)
 
     # -- fast path handlers -----------------------------------------------------------
 
@@ -686,10 +691,8 @@ class CBoard:
             self.responses_discarded += 1
             return
         if self.tracer is not None:
-            self.tracer.instant(
-                "mn_response", "cboard", self.name,
-                args={"request_id": request_id, "type": packet_type.value,
-                      "dst": dst})
+            self.tracer.instant(self._response_site, request_id,
+                                packet_type.value, dst)
         if self.topology is None:
             return  # locally-driven board (on-board benchmarks): no network
         header = ClioHeader(

@@ -114,7 +114,18 @@ class FastPath:
         # only *record* — no events, no RNG — so traced and untraced runs
         # share every simulated timestamp.
         self.tracer = None
-        self.track = "fastpath"
+
+    def set_tracer(self, tracer, track: str) -> None:
+        """Enable/disable span tracing; spans land on ``track``."""
+        self.tracer = tracer
+        if tracer is None:
+            return
+        self._stage_sites = tracer.sites(
+            "fastpath:", "pipeline", track,
+            ("status", "ingest_ns", "pipeline_ns", "tlb_miss_ns", "fault_ns",
+             "dram_ns"))
+        self._fault_site = tracer.site("page_fault", "pipeline", track,
+                                       ("pid", "vpn"))
 
     # -- ingestion (smoothness) ------------------------------------------------
 
@@ -173,14 +184,9 @@ class FastPath:
                     breakdown: Breakdown) -> None:
         """One complete pipeline-stage span carrying the breakdown args."""
         self.tracer.complete(
-            f"fastpath:{access.name.lower()}", "pipeline", self.track,
-            start, self.env.now,
-            args={"status": status.value,
-                  "ingest_ns": breakdown.ingest_ns,
-                  "pipeline_ns": breakdown.pipeline_ns,
-                  "tlb_miss_ns": breakdown.tlb_miss_ns,
-                  "fault_ns": breakdown.fault_ns,
-                  "dram_ns": breakdown.dram_ns})
+            self._stage_sites[access], start, self.env.now, status.value,
+            breakdown.ingest_ns, breakdown.pipeline_ns,
+            breakdown.tlb_miss_ns, breakdown.fault_ns, breakdown.dram_ns)
 
     def _handle_fault(self, pid: int, vpn: int, entry, breakdown: Breakdown):
         start = self.env.now
@@ -220,9 +226,8 @@ class FastPath:
             del self._pending_faults[key]
             done.succeed()
             if self.tracer is not None:
-                self.tracer.complete("page_fault", "pipeline", self.track,
-                                     start, self.env.now,
-                                     args={"pid": pid, "vpn": vpn})
+                self.tracer.complete(self._fault_site, start, self.env.now,
+                                     pid, vpn)
 
     # -- data access ------------------------------------------------------------------
 

@@ -62,22 +62,34 @@ class SlowPath:
         # lifts.  The fast path is unaffected — only metadata ops stall.
         self._stall_gate = None
         self.stalled_requests = 0
-        # Span tracing (None = disabled); the owning CBoard sets both.
+        # Span tracing (None = disabled); the owning CBoard sets it.
         self.tracer = None
-        self.track = "slowpath"
         self._stall_span = None
         # Runtime correctness checking (repro.verify); metadata ops are
         # where pages move between free list, async buffer, and PTEs, so
         # the verifier runs a full conservation sweep after each one.
         self.verifier = None
 
+    def set_tracer(self, tracer, track: str) -> None:
+        """Enable/disable span tracing; spans land on ``track``."""
+        self.tracer = tracer
+        if tracer is None:
+            return
+        self._stall_site = tracer.site("arm_stall", "fault", track)
+        self._alloc_site = tracer.site("slowpath:alloc", "slowpath", track,
+                                       ("pid", "size"))
+        self._free_site = tracer.site("slowpath:free", "slowpath", track,
+                                      ("pid", "va"))
+        self._end_failed = tracer.end_site("ok")
+        self._end_alloc = tracer.end_site("ok", "retries")
+        self._end_free = tracer.end_site("ok", "freed_pages")
+
     def begin_stall(self) -> None:
         """Stop servicing new slow-path work until :meth:`end_stall`."""
         if self._stall_gate is None:
             self._stall_gate = self.env.event()
             if self.tracer is not None:
-                self._stall_span = self.tracer.begin("arm_stall", "fault",
-                                                     self.track)
+                self._stall_span = self.tracer.begin(self._stall_site)
 
     def end_stall(self) -> None:
         """Resume servicing; queued requests proceed in arrival order."""
@@ -115,8 +127,7 @@ class SlowPath:
         tracer = self.tracer
         span = None
         if tracer is not None:
-            span = tracer.begin("slowpath:alloc", "slowpath", self.track,
-                                args={"pid": pid, "size": size})
+            span = tracer.begin(self._alloc_site, pid, size)
         yield from self._stall_check()
         worker = self._workers.request()
         yield worker
@@ -129,7 +140,7 @@ class SlowPath:
             except (AllocationError, ValueError) as exc:
                 yield from self._handoff()
                 if tracer is not None:
-                    tracer.end(span, ok=False)
+                    tracer.end(span, self._end_failed, False)
                 return AllocResponse(ok=False, error=str(exc))
             if outcome.retries:
                 yield self.env.timeout(outcome.retries * self.params.arm_retry_ns)
@@ -141,7 +152,7 @@ class SlowPath:
             if self.verifier is not None:
                 self.verifier.on_metadata_op(self)
             if tracer is not None:
-                tracer.end(span, ok=True, retries=outcome.retries)
+                tracer.end(span, self._end_alloc, True, outcome.retries)
             return AllocResponse(ok=True, va=outcome.allocation.va,
                                  size=outcome.allocation.size,
                                  retries=outcome.retries)
@@ -158,8 +169,7 @@ class SlowPath:
         tracer = self.tracer
         span = None
         if tracer is not None:
-            span = tracer.begin("slowpath:free", "slowpath", self.track,
-                                args={"pid": pid, "va": va})
+            span = tracer.begin(self._free_site, pid, va)
         yield from self._stall_check()
         worker = self._workers.request()
         yield worker
@@ -171,7 +181,7 @@ class SlowPath:
             except KeyError as exc:
                 yield from self._handoff()
                 if tracer is not None:
-                    tracer.end(span, ok=False)
+                    tracer.end(span, self._end_failed, False)
                 return FreeResponse(ok=False, error=str(exc))
             page_size = self.va_allocator.page_spec.page_size
             first_vpn = allocation.va // page_size
@@ -186,7 +196,7 @@ class SlowPath:
             if self.verifier is not None:
                 self.verifier.on_metadata_op(self)
             if tracer is not None:
-                tracer.end(span, ok=True, freed_pages=len(freed_ppns))
+                tracer.end(span, self._end_free, True, len(freed_ppns))
             return FreeResponse(ok=True, freed_pages=len(freed_ppns))
         finally:
             self._workers.release(worker)

@@ -79,7 +79,8 @@ class HealthMonitor:
                     self.transitions.append(
                         HealthTransition(self.env.now, name, True))
                     if self.tracer is not None:
-                        self.tracer.instant("board_up", "health", name)
+                        self.tracer.instant(self.tracer.site(
+                            "board_up", "health", name))
             else:
                 self._misses[name] += 1
                 if (self._believed_alive[name]
@@ -88,8 +89,10 @@ class HealthMonitor:
                     self.transitions.append(
                         HealthTransition(self.env.now, name, False))
                     if self.tracer is not None:
-                        self.tracer.instant("board_down", "health", name,
-                                            args={"misses": self._misses[name]})
+                        self.tracer.instant(
+                            self.tracer.site("board_down", "health", name,
+                                             ("misses",)),
+                            self._misses[name])
         self.env.schedule_callback(self.interval_ns, self._sweep)
 
     # -- queries -----------------------------------------------------------------

@@ -62,9 +62,10 @@ class FaultInjector:
                                          event.target, applied, note))
         tracer = getattr(self.cluster, "tracer", None)
         if tracer is not None:
-            tracer.instant(f"fault:{event.kind.value}", "fault",
-                           event.target,
-                           args={"applied": applied, "note": note})
+            tracer.instant(
+                tracer.site(f"fault:{event.kind.value}", "fault",
+                            event.target, ("applied", "note")),
+                applied, note)
 
     def _board(self, name: str):
         board = self._boards.get(name)

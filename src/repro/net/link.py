@@ -97,6 +97,15 @@ class Link:
     def stats(self) -> dict:
         return self._stats.snapshot()
 
+    def set_tracer(self, tracer) -> None:
+        """Enable/disable span tracing of this link's drops."""
+        self.tracer = tracer
+        if tracer is None:
+            return
+        self._down_site, self._loss_site, self._corrupt_site = (
+            tracer.site(name, "net", self.name, ("dst",))
+            for name in ("drop:down", "drop:loss", "corrupt"))
+
     def set_down(self) -> None:
         """Take the link down: every send is dropped, no delivery scheduled."""
         self.up = False
@@ -113,8 +122,7 @@ class Link:
             # the no-fault event/draw sequence is untouched by this branch.
             self.packets_dropped_down += 1
             if self.tracer is not None:
-                self.tracer.instant("drop:down", "net", self.name,
-                                    args={"dst": packet.header.dst})
+                self.tracer.instant(self._down_site, packet.header.dst)
             return
         now = self.env.now
         wire_bytes = packet.wire_bytes
@@ -135,15 +143,13 @@ class Link:
         if self.loss_rate > 0.0 and rng.chance(self.loss_rate):
             self.packets_dropped += 1
             if self.tracer is not None:
-                self.tracer.instant("drop:loss", "net", self.name,
-                                    args={"dst": packet.header.dst})
+                self.tracer.instant(self._loss_site, packet.header.dst)
             return
         if self.corruption_rate > 0.0 and rng.chance(self.corruption_rate):
             self.packets_corrupted += 1
             packet.corrupt = True
             if self.tracer is not None:
-                self.tracer.instant("corrupt", "net", self.name,
-                                    args={"dst": packet.header.dst})
+                self.tracer.instant(self._corrupt_site, packet.header.dst)
         delay = done - now + self.propagation_ns
         if self.jitter_ns:
             # rng.uniform_int(0, jitter_ns), inlined: the getrandbits

@@ -233,7 +233,7 @@ class RackTopology:
     def set_tracer(self, tracer) -> None:
         """Enable (or with ``None``, disable) span tracing on every link."""
         for link in self.all_links():
-            link.tracer = tracer
+            link.set_tracer(tracer)
 
     def set_node_up(self, name: str, up: bool) -> None:
         """Cut or restore both directions of a node's cable."""

@@ -6,6 +6,9 @@ through an event queue with integer-nanosecond timestamps.  Determinism is
 a design requirement (the benches must be reproducible), so ties are broken
 by insertion order and all randomness flows through seeded
 :mod:`repro.sim.rng` streams.
+
+The partitioned scheduler (:mod:`repro.sim.partition`) loads on first use:
+only ``ClioCluster(partitioned=True)`` runs it.
 """
 
 from repro.sim.core import (
@@ -18,7 +21,6 @@ from repro.sim.core import (
     SimulationError,
     Timeout,
 )
-from repro.sim.partition import Channel, Partition, PartitionedEnvironment
 from repro.sim.resources import Container, Resource, Store
 from repro.sim.rng import RandomStream
 
@@ -39,3 +41,12 @@ __all__ = [
     "Store",
     "Timeout",
 ]
+
+_PARTITION = ("Channel", "Partition", "PartitionedEnvironment")
+
+
+def __getattr__(name: str):
+    if name in _PARTITION:
+        from repro.sim import partition
+        return getattr(partition, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

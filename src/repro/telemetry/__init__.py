@@ -2,9 +2,12 @@
 
 See ``docs/observability.md`` for the instrument and span models, the
 exporter formats, and the zero-cost-when-disabled guarantees.
+
+The exporters (and the ``json`` / ``repro.analysis`` imports behind them)
+load on first use: every ``import repro`` reaches this package, almost
+none of them export anything.
 """
 
-from repro.telemetry.export import chrome_trace, render_dashboard, write_chrome_trace
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
@@ -31,3 +34,12 @@ __all__ = [
     "render_dashboard",
     "write_chrome_trace",
 ]
+
+_EXPORTERS = ("chrome_trace", "render_dashboard", "write_chrome_trace")
+
+
+def __getattr__(name: str):
+    if name in _EXPORTERS:
+        from repro.telemetry import export
+        return getattr(export, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

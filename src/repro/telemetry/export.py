@@ -32,6 +32,9 @@ def chrome_trace(tracer: Optional[Tracer] = None,
     (floats keep full ns precision).  Open spans export as ``B`` (begin)
     events without a matching ``E`` — the viewers render them as
     unfinished, which is exactly what an un-restarted crash window is.
+
+    The tracer's records are read one at a time from its row log: the
+    only per-record objects alive at the end are the document's own.
     """
     events: list[dict] = []
     pids: dict[str, int] = {}
@@ -66,7 +69,7 @@ def chrome_trace(tracer: Optional[Tracer] = None,
                 "ts": span.start_ns / 1000,
                 "pid": pid_for(span.track),
                 "tid": tid_for(span.track, span.category),
-                "args": dict(span.args) if span.args else {},
+                "args": span.args or {},
             }
             if span.end_ns is None:
                 event["ph"] = "B"
@@ -83,7 +86,7 @@ def chrome_trace(tracer: Optional[Tracer] = None,
                 "ts": instant.at_ns / 1000,
                 "pid": pid_for(instant.track),
                 "tid": tid_for(instant.track, instant.category),
-                "args": dict(instant.args) if instant.args else {},
+                "args": instant.args or {},
             })
 
     if registry is not None and registry.series:

@@ -178,6 +178,25 @@ class Transport:
         """Public transport counters — a view over registry instruments."""
         return self._stats.snapshot()
 
+    def set_tracer(self, tracer: Optional[Tracer]) -> None:
+        """Enable/disable span tracing and register this node's sites."""
+        self.tracer = tracer
+        if tracer is None:
+            return
+        self._request_sites = tracer.sites(
+            "request:", "transport", self.node_name,
+            ("mn", "pid", "va", "size"))
+        self._request_sites[PacketType.BATCH] = tracer.site(
+            "request:batch", "transport", self.node_name,
+            ("mn", "pid", "batch_size"))
+        self._attempt_sites = tracer.sites(
+            "attempt:", "transport", self.node_name,
+            ("request_id", "mn", "retry_of"))
+        self._end_outcome = tracer.end_site("outcome")
+        self._end_ok = tracer.end_site("outcome", "retries", "request_id",
+                                       "rtt_ns")
+        self._end_failed = tracer.end_site("outcome", "retries", "reason")
+
     def congestion(self, mn: str) -> CongestionController:
         controller = self._congestion.get(mn)
         if controller is None:
@@ -330,7 +349,7 @@ class Transport:
 
         outcome = yield from self._transact(
             mn, packet_type, emit, expected_response_bytes, timeout_ns,
-            va=va, trace_args={"mn": mn, "pid": pid, "va": va, "size": size})
+            va=va, trace_values=(mn, pid, va, size))
         return outcome
 
     def request_batch(self, mn: str, pid: int, sub_ops,
@@ -381,8 +400,7 @@ class Transport:
 
         outcome = yield from self._transact(
             mn, PacketType.BATCH, emit, expected_response_bytes, timeout_ns,
-            va=sub_ops[0].va,
-            trace_args={"mn": mn, "pid": pid, "batch_size": len(sub_ops)},
+            va=sub_ops[0].va, trace_values=(mn, pid, len(sub_ops)),
             rtt_scale=len(sub_ops))
         self.batch_subops_completed += len(sub_ops)
         return BatchOutcome(statuses=tuple(outcome.body.value),
@@ -392,7 +410,7 @@ class Transport:
 
     def _transact(self, mn: str, packet_type: PacketType, emit,
                   expected_response_bytes: int, timeout_ns: int,
-                  va: int, trace_args: dict, rtt_scale: int = 1):
+                  va: int, trace_values: tuple, rtt_scale: int = 1):
         """Shared retry state machine behind request()/request_batch().
 
         ``rtt_scale`` normalizes the RTT sample fed to congestion
@@ -408,9 +426,9 @@ class Transport:
         tracer = self.tracer
         request_span = None
         if tracer is not None:
-            request_span = tracer.begin(
-                f"request:{packet_type.value}", "transport", self.node_name,
-                args=trace_args)
+            request_span = tracer.begin(self._request_sites[packet_type],
+                                        *trace_values)
+            attempt_site = self._attempt_sites[packet_type]
 
         for attempt in range(clib.max_retries + 1):
             # Uncontended fast path: skip the admission generator entirely.
@@ -443,11 +461,8 @@ class Transport:
                 nonlocal attempt_span
                 emit(request_id, retry_of)
                 if tracer is not None:
-                    attempt_span = tracer.begin(
-                        f"attempt:{packet_type.value}", "transport",
-                        self.node_name,
-                        args={"request_id": request_id, "mn": mn,
-                              "retry_of": retry_of})
+                    attempt_span = tracer.begin(attempt_site, request_id, mn,
+                                                retry_of)
                 self.env.schedule_callback(attempt_timeout, state.expire)
 
             # CLib processing cost first.  Nothing can answer an ID that
@@ -463,15 +478,15 @@ class Transport:
                 self._wake_senders()
                 del self._pending[request_id]
                 if tracer is not None:
-                    tracer.end(attempt_span, outcome="ok")
+                    tracer.end(attempt_span, self._end_outcome, "ok")
                 yield self.env.timeout(clib.request_overhead_ns
                                        - clib.request_overhead_ns // 2)
                 body, response_data = self._assemble(state)
                 self.requests_completed += 1
                 self.total_retries += retries
                 if tracer is not None:
-                    tracer.end(request_span, outcome="ok", retries=retries,
-                               request_id=request_id, rtt_ns=rtt)
+                    tracer.end(request_span, self._end_ok, "ok", retries,
+                               request_id, rtt)
                 return RequestOutcome(body=body, data=response_data,
                                       rtt_ns=rtt, retries=retries,
                                       request_id=request_id)
@@ -484,7 +499,7 @@ class Transport:
             else:
                 last_reason = "timeout"
             if tracer is not None:
-                tracer.end(attempt_span, outcome=last_reason)
+                tracer.end(attempt_span, self._end_outcome, last_reason)
             if not state.timed_out:
                 late_rtt = self.env.now - state.sent_at
                 congestion.on_ack(late_rtt // rtt_scale
@@ -499,8 +514,8 @@ class Transport:
         self.total_retries += retries
         self.requests_failed += 1
         if tracer is not None:
-            tracer.end(request_span, outcome="failed", retries=retries,
-                       reason=last_reason)
+            tracer.end(request_span, self._end_failed, "failed", retries,
+                       last_reason)
         raise RequestFailed(mn, packet_type, va, attempts=retries + 1,
                             reason=last_reason)
 

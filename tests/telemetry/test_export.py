@@ -12,13 +12,14 @@ def make_traced_state():
     env = Environment()
     registry = MetricsRegistry()
     tracer = Tracer(env)
-    tracer.complete("fastpath:read", "pipeline", "fastpath", 100, 400,
-                    args={"status": "ok"})
-    tracer.complete("mn:read", "cboard", "mn0", 50, 500)
-    open_span = tracer.begin("crashed", "fault", "mn0", at_ns=600)
+    tracer.complete(tracer.site("fastpath:read", "pipeline", "fastpath",
+                                ("status",)), 100, 400, "ok")
+    tracer.complete(tracer.site("mn:read", "cboard", "mn0"), 50, 500)
+    open_span = tracer.begin(tracer.site("crashed", "fault", "mn0"),
+                             at_ns=600)
     assert open_span is not None
-    tracer.instant("drop:loss", "net", "cn0->tor", at_ns=250,
-                   args={"dst": "mn0"})
+    tracer.instant(tracer.site("drop:loss", "net", "cn0->tor", ("dst",)),
+                   "mn0", at_ns=250)
     registry.series.append((1000, {"cboard.mn0.requests_served": 3}))
     registry.series.append((2000, {"cboard.mn0.requests_served": 7}))
     return env, registry, tracer
@@ -102,8 +103,8 @@ def test_dashboard_sections():
     registry.series.append((1000, {"cboard.mn0.requests_served": 5}))
     registry.sample_interval_ns = 1000
     tracer = Tracer(env)
-    tracer.complete("request:read", "transport", "cn0", 0, 2000)
-    tracer.begin("crashed", "fault", "mn0")
+    tracer.complete(tracer.site("request:read", "transport", "cn0"), 0, 2000)
+    tracer.begin(tracer.site("crashed", "fault", "mn0"))
 
     text = render_dashboard(registry, tracer, title="run")
     assert "run: metrics" in text
@@ -130,7 +131,7 @@ def test_dashboard_prefix_filter_and_empty():
 def test_dashboard_reports_dropped_records():
     env = Environment()
     tracer = Tracer(env, max_records=1)
-    tracer.complete("a", "t", "x", 0, 1)
-    tracer.complete("b", "t", "x", 1, 2)     # dropped
+    tracer.complete(tracer.site("a", "t", "x"), 0, 1)
+    tracer.complete(tracer.site("b", "t", "x"), 1, 2)     # dropped
     text = render_dashboard(tracer=tracer)
     assert "dropped 1" in text

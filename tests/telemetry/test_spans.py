@@ -30,9 +30,11 @@ def run_rw_workload(cluster, ops=5):
 def test_begin_end_records_interval():
     env = Environment()
     tracer = Tracer(env)
-    span = tracer.begin("work", "test", "t0", args={"k": 1})
+    handle = tracer.begin(tracer.site("work", "test", "t0", ("k",)), 1)
+    assert tracer.spans[0].open
     env.run(until=100)
-    tracer.end(span, ok=True)
+    tracer.end(handle, tracer.end_site("ok"), True)
+    span, = tracer.spans
     assert span.start_ns == 0 and span.end_ns == 100
     assert span.duration_ns == 100
     assert not span.open
@@ -42,8 +44,8 @@ def test_begin_end_records_interval():
 def test_complete_and_instant():
     env = Environment()
     tracer = Tracer(env)
-    tracer.complete("c", "test", "t0", start_ns=5, end_ns=9)
-    tracer.instant("i", "test", "t1")
+    tracer.complete(tracer.site("c", "test", "t0"), start_ns=5, end_ns=9)
+    tracer.instant(tracer.site("i", "test", "t1"))
     assert tracer.find_spans("c")[0].duration_ns == 4
     assert tracer.find_instants("i")[0].at_ns == 0
     assert tracer.tracks() == ["t0", "t1"]
@@ -52,10 +54,11 @@ def test_complete_and_instant():
 def test_capacity_cap_drops_not_grows():
     env = Environment()
     tracer = Tracer(env, max_records=2)
-    assert tracer.begin("a", "t", "x") is not None
-    assert tracer.instant("b", "t", "x") is not None
-    assert tracer.begin("c", "t", "x") is None      # over cap
-    assert tracer.instant("d", "t", "x") is None
+    site = tracer.site("a", "t", "x")
+    assert tracer.begin(site) is not None
+    assert tracer.instant(site) is not None
+    assert tracer.begin(site) is None               # over cap
+    assert tracer.instant(site) is None
     tracer.end(None)                                # None handle tolerated
     assert len(tracer) == 2
     assert tracer.dropped == 2
@@ -66,9 +69,10 @@ def test_capacity_cap_drops_not_grows():
 def test_summary_aggregates_by_name():
     env = Environment()
     tracer = Tracer(env)
-    tracer.complete("op", "t", "x", 0, 10)
-    tracer.complete("op", "t", "x", 10, 30)
-    tracer.begin("op", "t", "x")
+    site = tracer.site("op", "t", "x")
+    tracer.complete(site, 0, 10)
+    tracer.complete(site, 10, 30)
+    tracer.begin(site)
     summary = tracer.summary()
     assert summary["op"]["count"] == 3
     assert summary["op"]["open"] == 1
