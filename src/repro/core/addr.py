@@ -9,7 +9,7 @@ and writes are byte-granular.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 KB = 1 << 10
 MB = 1 << 20
@@ -50,14 +50,14 @@ class PageSpec:
     """Page arithmetic for one configured page size."""
 
     page_size: int
+    offset_bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.page_size <= 0 or self.page_size & (self.page_size - 1):
             raise ValueError(f"page size must be a power of two, got {self.page_size}")
-
-    @property
-    def offset_bits(self) -> int:
-        return self.page_size.bit_length() - 1
+        # Computed once: page_number() runs three times per data op.
+        object.__setattr__(self, "offset_bits",
+                           self.page_size.bit_length() - 1)
 
     def page_number(self, addr: int) -> int:
         return addr >> self.offset_bits

@@ -40,7 +40,7 @@ from repro.net.packet import ClioHeader, Packet, PacketType, fragment_payload
 from repro.params import ClioParams
 from repro.sim import Environment
 from repro.telemetry.metrics import MetricsRegistry, StatsView
-from repro.telemetry.spans import Tracer
+from repro.telemetry.spans import COMPLETE, INSTANT, Sites, Tracer
 
 
 @dataclass(slots=True)
@@ -248,12 +248,26 @@ class CBoard:
         self.slow_path.set_tracer(tracer, self.name)
         if tracer is None:
             return
-        self._handler_sites = tracer.sites("mn:", "cboard", self.name,
-                                           ("request_id", "src"))
-        self._end_handler = tracer.end_site("discarded")
+        self._handler_sites = tracer.sites(
+            "mn:", "cboard", self.name, ("request_id", "src", "discarded"))
+        self._served_sites = Sites(self._register_served)
         self._response_site = tracer.site("mn_response", "cboard", self.name,
                                           ("request_id", "type", "dst"))
         self._crash_site = tracer.site("crashed", "fault", self.name)
+
+    def _register_served(self, member: tuple) -> int:
+        """The row of one (packet type, CN, status) request served by one
+        traversal and one response: handler, traversal, response."""
+        kind, src, status = member
+        tracer = self.tracer
+        return tracer.group(
+            (COMPLETE, tracer.site("mn:" + kind.value, "cboard", self.name, {
+                "request_id": int, "src": src, "discarded": False})),
+            (COMPLETE, self.fast_path.stage_sites[AccessType(kind.value),
+                                                  status]),
+            (INSTANT, tracer.site("mn_response", "cboard", self.name, {
+                "request_id": int, "type": PacketType.RESPONSE.value,
+                "dst": src})))
 
     # -- failure model ------------------------------------------------------------
 
@@ -344,10 +358,13 @@ class CBoard:
     def _handle(self, packet: Packet, path: Path, epoch: int):
         header = packet.header
         tracer = self.tracer
-        span = None
-        if tracer is not None:
-            span = tracer.begin(self._handler_sites[header.packet_type],
-                                header.request_id, header.src)
+        start = self.env.now
+        # One packet in, one traversal, one packet out: the read or write
+        # handler leaves the traversal and the response unrecorded and
+        # returns the former, and this handler's span shares their row.
+        lean = (tracer is not None and header.fragments == 1
+                and header.size <= self._mtu)
+        served = None
         try:
             # Fence barrier: anything arriving after a fence waits for the
             # drain.  (A crash resets the barrier without firing it, so
@@ -364,9 +381,11 @@ class CBoard:
             try:
                 if path is Path.FAST:
                     if header.packet_type is PacketType.READ:
-                        yield from self._handle_read(packet, epoch)
+                        served = yield from self._handle_read(packet, epoch,
+                                                              lean)
                     elif header.packet_type is PacketType.WRITE:
-                        yield from self._handle_write(packet, epoch)
+                        served = yield from self._handle_write(packet, epoch,
+                                                               lean)
                     elif header.packet_type is PacketType.ATOMIC:
                         yield from self._handle_atomic(packet, epoch)
                     elif header.packet_type is PacketType.BATCH:
@@ -391,25 +410,39 @@ class CBoard:
             if self.verifier is not None and epoch == self._epoch:
                 self.verifier.on_board_request(self)
             if tracer is not None:
-                tracer.end(span, self._end_handler, epoch != self._epoch)
+                now = self.env.now
+                if not lean or served is None:
+                    tracer.complete(self._handler_sites[header.packet_type],
+                                    start, now, header.request_id, header.src,
+                                    epoch != self._epoch)
+                else:
+                    tracer.record(
+                        self._served_sites[header.packet_type, header.src,
+                                           served.status],
+                        start, now, header.request_id,
+                        now - served.breakdown.total_ns, now,
+                        *served.breakdown.stages(), now, header.request_id)
 
     # -- fast path handlers -----------------------------------------------------------
 
-    def _handle_read(self, packet: Packet, epoch: int):
+    def _handle_read(self, packet: Packet, epoch: int, lean: bool):
         header = packet.header
         result = yield from self.fast_path.execute(
             header.pid, AccessType.READ, header.va, header.size,
-            wire_bytes=packet.wire_bytes)
+            wire_bytes=packet.wire_bytes, traced=not lean)
         if epoch != self._epoch:
             self.responses_discarded += 1
+            if lean:        # no response to share a row with
+                self.fast_path.trace(AccessType.READ, result)
             return
         self.last_breakdown = result.breakdown
         self.requests_served += 1
         if result.status is not Status.OK:
             self._send(header.src, header.request_id, PacketType.RESPONSE,
                        ResponseBody(status=result.status,
-                                    breakdown=result.breakdown), epoch=epoch)
-            return
+                                    breakdown=result.breakdown), epoch=epoch,
+                       traced=not lean)
+            return result
         self.bytes_served += header.size
         # Read responses larger than MTU go back as independent fragments.
         fragments = fragment_payload(header.size, self._mtu)
@@ -421,9 +454,10 @@ class CBoard:
             self._send(header.src, header.request_id, PacketType.RESPONSE,
                        body, fragment=index, fragments=len(fragments),
                        payload_bytes=size, total_size=header.size,
-                       epoch=epoch)
+                       epoch=epoch, traced=not lean)
+        return result
 
-    def _handle_write(self, packet: Packet, epoch: int):
+    def _handle_write(self, packet: Packet, epoch: int, lean: bool):
         header = packet.header
         progress = self._write_progress.get(header.request_id)
         if progress is None:
@@ -439,10 +473,13 @@ class CBoard:
         else:
             result = yield from self.fast_path.execute(
                 header.pid, AccessType.WRITE, header.va, header.size,
-                data=packet.payload, wire_bytes=packet.wire_bytes)
+                data=packet.payload, wire_bytes=packet.wire_bytes,
+                traced=not lean)
         if epoch != self._epoch:
             # Crash wiped _write_progress; this fragment's work is lost.
             self.responses_discarded += 1
+            if lean and result is not None:
+                self.fast_path.trace(AccessType.WRITE, result)
             return
         if result is not None:
             progress.breakdown.merge(result.breakdown)
@@ -453,7 +490,7 @@ class CBoard:
 
         progress.remaining -= 1
         if progress.remaining > 0:
-            return
+            return result
         # Whole request done: remember it for retry dedup, ack once.
         del self._write_progress[header.request_id]
         self.requests_served += 1
@@ -464,7 +501,9 @@ class CBoard:
                 self.retry_buffer.remember(header.retry_of)
         self._send(header.src, header.request_id, PacketType.RESPONSE,
                    ResponseBody(status=progress.status,
-                                breakdown=progress.breakdown), epoch=epoch)
+                                breakdown=progress.breakdown), epoch=epoch,
+                   traced=result is None or not lean)
+        return result
 
     def _handle_batch(self, packet: Packet, epoch: int):
         """Unroll a multi-op frame through the fast path at II=1 per sub-op.
@@ -684,13 +723,13 @@ class CBoard:
     def _send(self, dst: str, request_id: int, packet_type: PacketType,
               body: ResponseBody, fragment: int = 0, fragments: int = 1,
               payload_bytes: int = 0, total_size: int = 0,
-              epoch: Optional[int] = None) -> None:
+              epoch: Optional[int] = None, traced: bool = True) -> None:
         if epoch is not None and epoch != self._epoch:
             # Response authored before a crash: the pipeline that produced
             # it lost power, so the packet never makes it to the wire.
             self.responses_discarded += 1
             return
-        if self.tracer is not None:
+        if self.tracer is not None and traced:
             self.tracer.instant(self._response_site, request_id,
                                 packet_type.value, dst)
         if self.topology is None:

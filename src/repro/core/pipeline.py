@@ -28,6 +28,7 @@ from repro.core.page_table import HashPageTable
 from repro.core.pa_allocator import AsyncBuffer
 from repro.core.tlb import TLB
 from repro.params import CBoardParams
+from repro.telemetry.spans import Sites
 
 #: PT bucket size fetched on a TLB miss (K slots x 16 B).
 BUCKET_FETCH_BYTES = 64
@@ -60,6 +61,11 @@ class Breakdown:
         self.fault_ns += other.fault_ns
         self.dram_ns += other.dram_ns
         self.total_ns += other.total_ns
+
+    def stages(self) -> tuple[int, int, int, int, int]:
+        """The stage times, in the order a ``fastpath:*`` span lists them."""
+        return (self.ingest_ns, self.pipeline_ns, self.tlb_miss_ns,
+                self.fault_ns, self.dram_ns)
 
 
 @dataclass(slots=True)
@@ -120,10 +126,11 @@ class FastPath:
         self.tracer = tracer
         if tracer is None:
             return
-        self._stage_sites = tracer.sites(
-            "fastpath:", "pipeline", track,
-            ("status", "ingest_ns", "pipeline_ns", "tlb_miss_ns", "fault_ns",
-             "dram_ns"))
+        # One typed site per (access, status): a record is the five stages.
+        self.stage_sites = Sites(lambda member: tracer.site(
+            "fastpath:" + member[0].value, "pipeline", track,
+            {"status": member[1].value, "ingest_ns": int, "pipeline_ns": int,
+             "tlb_miss_ns": int, "fault_ns": int, "dram_ns": int}))
         self._fault_site = tracer.site("page_fault", "pipeline", track,
                                        ("pid", "vpn"))
 
@@ -180,13 +187,13 @@ class FastPath:
         self.tlb.insert(pid, vpn, ppn, entry.permission)
         return Status.OK, ppn
 
-    def _stage_span(self, access: AccessType, start: int, status: Status,
-                    breakdown: Breakdown) -> None:
-        """One complete pipeline-stage span carrying the breakdown args."""
-        self.tracer.complete(
-            self._stage_sites[access], start, self.env.now, status.value,
-            breakdown.ingest_ns, breakdown.pipeline_ns,
-            breakdown.tlb_miss_ns, breakdown.fault_ns, breakdown.dram_ns)
+    def trace(self, access: AccessType, result: FastPathResult) -> None:
+        """Record the traversal that just returned ``result`` as one
+        complete span carrying the breakdown args."""
+        now = self.env.now
+        self.tracer.complete(self.stage_sites[access, result.status],
+                             now - result.breakdown.total_ns, now,
+                             *result.breakdown.stages())
 
     def _handle_fault(self, pid: int, vpn: int, entry, breakdown: Breakdown):
         start = self.env.now
@@ -233,7 +240,7 @@ class FastPath:
 
     def execute(self, pid: int, access: AccessType, va: int, size: int,
                 data: Optional[bytes] = None, wire_bytes: Optional[int] = None,
-                serialize_dma: bool = True):
+                serialize_dma: bool = True, traced: bool = True):
         """Process-generator: run one data request through the pipeline.
 
         Returns a :class:`FastPathResult`.  ``wire_bytes`` drives ingestion
@@ -241,6 +248,8 @@ class FastPath:
         ``serialize_dma=False`` skips the read-response DMA engine — used
         by extend-path offloads, whose reads stay on-board and go through
         the memory controller's regular burst interface instead.
+        ``traced=False`` leaves the ``fastpath:*`` span to the caller,
+        who records it in a row of its own (:meth:`CBoard._handle`).
         """
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
@@ -274,11 +283,13 @@ class FastPath:
             status, ppn = yield from self._translate(pid, vpn, access, breakdown)
             if status is not Status.OK:
                 breakdown.total_ns = self.env.now - start
-                if self.tracer is not None:
-                    self._stage_span(access, start, status, breakdown)
-                return FastPathResult(status=status, breakdown=breakdown,
-                                      tlb_missed=self.tlb_miss_count > tlb_misses_before,
-                                      faulted=self.faults > faults_before)
+                result = FastPathResult(
+                    status=status, breakdown=breakdown,
+                    tlb_missed=self.tlb_miss_count > tlb_misses_before,
+                    faulted=self.faults > faults_before)
+                if self.tracer is not None and traced:
+                    self.trace(access, result)
+                return result
             extents.append((ppn * self.page_spec.page_size + page_off,
                             offset, chunk))
             offset += chunk
@@ -301,12 +312,13 @@ class FastPath:
                 self.dram.write(pa, data[req_off:req_off + length])
 
         breakdown.total_ns = self.env.now - start
-        if self.tracer is not None:
-            self._stage_span(access, start, Status.OK, breakdown)
-        return FastPathResult(
+        result = FastPathResult(
             status=Status.OK, data=result_data,
             tlb_missed=self.tlb_miss_count > tlb_misses_before,
             faulted=self.faults > faults_before, breakdown=breakdown)
+        if self.tracer is not None and traced:
+            self.trace(access, result)
+        return result
 
     def translate_only(self, pid: int, access: AccessType, va: int):
         """Translate a single address without a data access (atomics path).

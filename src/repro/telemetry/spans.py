@@ -15,26 +15,40 @@ memory, both bounded by ``max_records``.
 **Storage.**  No record is kept as a Python object.  The tracer holds
 one append-only log of int64 rows in ``array('q')`` chunks::
 
-    BEGIN     site  seq  start_ns          arg cells...
-    END       site  ref  end_ns            arg cells...   (ref = the BEGIN's seq)
-    COMPLETE  site  seq  start_ns  end_ns  arg cells...
-    INSTANT   site  seq  at_ns             arg cells...
+    BEGIN     site  seq  start_ns  slot      arg cells...
+    END       site  slot end_ns              arg cells...   (the BEGIN's slot)
+    COMPLETE  site  seq  start_ns  end_ns    arg cells...
+    INSTANT   site  seq  at_ns               arg cells...
+    GROUP     site  seq  the cells of each part in turn...
 
-A *site* is ``(name, category, track, arg keys)``, registered once by the
+A *site* is ``(name, category, track, args)``, registered once by the
 component that records there (:meth:`Tracer.site`) and named by a small
-int afterwards; a row carries one cell per arg key.  An int below
-``2**62`` in magnitude is its own cell; every other value (``str``,
-``None``, ``bool``, ``float``, a larger int) is interned in the tracer's
-value table and the cell refers to it, keyed by type so ``True`` never
-reads back as ``1``.  ``begin`` returns the record's ``seq`` as the
-handle and ``end`` appends an END row naming it, so no row is ever
-rewritten.  A recording call only stages its arguments; every
-:data:`STAGE_RECORDS` records (and before any read) the staged rows are
-encoded together into one new chunk, which is never resized afterwards,
-and ``clear()`` drops the chunks.  :class:`Span` / :class:`Instant`
-objects exist only while somebody reads: ``tracer.spans`` and
-``tracer.instants`` are read-only sequence views that derive them from
-the rows on each access.
+int afterwards.  A site's args are either *untyped* names — a row then
+carries one cell per name, an int below ``2**62`` in magnitude as itself
+and every other value (``str``, ``None``, ``bool``, ``float``, a larger
+int) as a reference into the tracer's value table, keyed by type so
+``True`` never reads back as ``1`` — or *typed*: each arg is declared
+``int`` (the cell is the value, no test) or given as a constant, which
+lives in the site and takes no cell at all.  ``begin`` returns a handle
+(the span's *slot*) and ``end`` appends an END row naming it, so no row
+is ever rewritten.
+
+**Completion-time rows.**  The hot request path does not bracket what it
+does with a BEGIN and an END: each node writes what it did once, when its
+part is over.  A :meth:`Tracer.group` site strings typed sites together
+— COMPLETE spans, INSTANTs, the END of a span begun earlier — and one
+:meth:`Tracer.record` call stores all of them as one row (a board's
+``mn:*`` + ``fastpath:*`` + ``mn_response``; a CN's ``attempt:*`` + the
+end of its ``request:*``).  A span recorded this way is absent, not open,
+until it is over; the ``request:*`` around it keeps a BEGIN row and reads
+open meanwhile.
+
+A recording call only stages its row; every :data:`STAGE_RECORDS`
+records (and before any read) the staged rows are copied together into
+one new chunk, which is never resized afterwards, and ``clear()`` drops
+the chunks.  :class:`Span` / :class:`Instant` objects exist only while
+somebody reads: ``tracer.spans`` and ``tracer.instants`` are read-only
+sequence views that derive them from the rows on each access.
 
 The span vocabulary the built-in instrumentation emits:
 
@@ -59,7 +73,7 @@ name                         category    emitted by
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional
 
@@ -99,29 +113,33 @@ class Instant:
     seq: int = 0
 
 
-#: Row kinds (cell 0 of every row).
-_BEGIN, _END, _COMPLETE, _INSTANT = range(4)
-#: Arg cells at or above ``_REF`` index the value table; below, the cell
-#: is the int itself, which must be at least ``_REF_LOW``.
+#: Row kinds (cell 0 of every row); COMPLETE, INSTANT and END are also
+#: what a :meth:`Tracer.group` part can be.
+_BEGIN, END, COMPLETE, INSTANT, _GROUP = range(5)
+#: Cells of a row before its arg cells, by kind.
+_HEAD = (5, 4, 5, 4, 3)
+#: Untyped arg cells at or above ``_REF`` index the value table; below,
+#: the cell is the int itself, which must be at least ``_REF_LOW``.
 _REF = 1 << 62
 _REF_LOW = -_REF
-#: Records staged between flushes; each flush encodes one chunk.
+#: Records staged between flushes; each flush copies them into one chunk.
 STAGE_RECORDS = 128
-#: A row's address is ``chunk number << _SHIFT | offset in the chunk``.
-_SHIFT = 32
-_OFFSET = (1 << _SHIFT) - 1
+#: A record's address in the read index: chunk number, which part of a
+#: group row it is, and the row's offset in the chunk.
+_SHIFT, _PART = 32, 24
+_OFFSET = (1 << _PART) - 1
 
 
-class _Sites(dict):
-    """Sites of one name family (``request:<type>``): member -> site,
-    registered the first time the member is recorded."""
+class Sites(dict):
+    """A family of sites (``request:<type>`` per packet type and MN):
+    ``make(member)`` registers one the first time it is looked up."""
 
-    def __init__(self, register):
+    def __init__(self, make):
         super().__init__()
-        self._register = register
+        self._make = make
 
     def __missing__(self, member) -> int:
-        site = self[member] = self._register(getattr(member, "value", member))
+        site = self[member] = self._make(member)
         return site
 
 
@@ -168,11 +186,16 @@ class Tracer:
         self.max_records = max_records
         self.spans = _Records(self, instants=False)
         self.instants = _Records(self, instants=True)
-        # Site 0 is the END of a span that closes without args.
-        self._sites: list[tuple] = [(None, None, None, ())]
-        self._site_ids: dict[tuple, int] = {self._sites[0]: 0}
-        self._arity: list[int] = [0]
-        self._seq = 0
+        # Per site: (name, category, track, args) — for a group, its parts
+        # in place of args —, cells a row carries, whether they are untyped.
+        self._sites: list[tuple] = []
+        self._arity: list[int] = []
+        self._untyped: list[bool] = []
+        self._site_ids: dict[str, int] = {}
+        # Per group: (records, instants, its END parts' (cell, site)).
+        self._groups: dict[int, tuple] = {}
+        self.site(None, None, None)     # site 0: an END that adds no args
+        self._seq = self._begun = 0
         self.clear()
 
     def __len__(self) -> int:
@@ -188,44 +211,83 @@ class Tracer:
     # -- sites ---------------------------------------------------------------------
 
     def site(self, name: Optional[str], category: Optional[str],
-             track: Optional[str], keys: Iterable[str] = ()) -> int:
-        """The small int naming ``(name, category, track, arg keys)``;
-        registering the same site again returns the same int."""
-        key = (name, category, track, tuple(keys))
-        site = self._site_ids.get(key)
+             track: Optional[str], keys=()) -> int:
+        """The small int naming ``(name, category, track, args)``;
+        registering the same site again returns the same int.
+
+        ``keys`` is the names of the values every record passes, of any
+        type — or, for a typed site, a mapping of each arg to ``int`` (the
+        record passes an int, stored as itself) or to the constant it
+        always is (stored here, not passed).
+        """
+        args = (tuple(keys.items()) if isinstance(keys, Mapping)
+                else tuple((key, Any) for key in keys))
+        key = (name, category, track, args)
+        ident = repr(key)               # not the tuple: True == 1
+        site = self._site_ids.get(ident)
         if site is None:
-            site = self._site_ids[key] = len(self._sites)
+            site = self._site_ids[ident] = len(self._sites)
             self._sites.append(key)
-            self._arity.append(len(key[3]))
+            self._arity.append(sum(how is int or how is Any
+                                   for _, how in args))
+            self._untyped.append(any(how is Any for _, how in args))
         return site
 
-    def sites(self, prefix: str, category: str, track: str,
-              keys: Iterable[str] = ()) -> dict:
+    def sites(self, prefix: str, category: str, track: str, keys=()) -> Sites:
         """A family of sites named ``prefix + member`` (an enum member's
         ``value``, or the string itself), each registered on first use."""
-        keys = tuple(keys)
-        return _Sites(lambda label: self.site(prefix + label, category,
-                                              track, keys))
+        return Sites(lambda member: self.site(
+            prefix + getattr(member, "value", member), category, track, keys))
 
     def end_site(self, *keys: str) -> int:
-        """The site of an :meth:`end` that adds the args ``keys``."""
+        """The site of an :meth:`end` that adds the untyped args ``keys``."""
         return self.site(None, None, None, keys)
 
+    def group(self, *parts: tuple[int, int]) -> int:
+        """The site of a row that is several records at once.
+
+        ``parts`` are ``(kind, typed site)`` pairs and :meth:`record`
+        takes their cells in turn: ``start_ns, end_ns, args...`` for a
+        COMPLETE span, ``at_ns, args...`` for an INSTANT, and ``handle,
+        end_ns, args...`` for the END of a span from :meth:`begin`.
+        """
+        layout, ends, cell, records, instants = [], [], 0, 0, 0
+        for kind, site in parts:
+            if self._untyped[site]:
+                raise ValueError(f"site {self._sites[site]} is not typed")
+            # (kind, site, where in the row the cell before its time is,
+            # which of the row's seqs is its own)
+            layout.append((kind, site, cell + 2 + (kind == END), records))
+            if kind == END:
+                ends.append((cell, site))
+            else:
+                records += 1
+                instants += kind == INSTANT
+            cell += 2 - (kind == INSTANT) + self._arity[site]
+        group = len(self._sites)
+        self._sites.append((None, None, None, tuple(layout)))
+        self._arity.append(cell)
+        self._untyped.append(False)
+        self._groups[group] = records, instants, ends
+        return group
+
     # -- recording -----------------------------------------------------------------
-    # Each call stages one row ``(kind, site, seq or ref, at_ns, values)``;
-    # _flush() encodes the staged rows together.
+    # Each call stages one row, head cells then values; _flush() copies
+    # the staged rows into a chunk.
 
     def begin(self, site: int, *values: Any,
               at_ns: Optional[int] = None) -> Optional[int]:
-        """Open a span; returns its ``seq`` as the handle for :meth:`end`,
-        or None (a no-op handle) when over capacity."""
+        """Open a span; returns the handle for :meth:`end`, or None (a
+        no-op handle) when over capacity."""
         seq = self._seq
         if seq >= self._mark and not self._pass_mark():
             return None
         self._seq = seq = seq + 1
+        self._begun = slot = self._begun + 1
         self._stage.append((_BEGIN, site, seq,
-                            self.env.now if at_ns is None else at_ns, values))
-        return seq
+                            self.env.now if at_ns is None else at_ns, slot,
+                            *values))
+        return slot
 
     def end(self, handle: Optional[int], site: int = 0, *values: Any,
             at_ns: Optional[int] = None) -> None:
@@ -235,10 +297,10 @@ class Tracer:
         last :meth:`clear`.  END rows are never refused: each belongs to
         a record ``max_records`` already admitted.
         """
-        if handle is not None and handle > self._floor:
-            self._stage.append((_END, site, handle,
+        if handle is not None and handle > self._begun_floor:
+            self._stage.append((END, site, handle,
                                 self.env.now if at_ns is None else at_ns,
-                                values))
+                                *values))
 
     def complete(self, site: int, start_ns: int, end_ns: int,
                  *values: Any) -> Optional[int]:
@@ -247,8 +309,7 @@ class Tracer:
         if seq >= self._mark and not self._pass_mark():
             return None
         self._seq = seq = seq + 1
-        self._stage.append((_COMPLETE, site, seq, start_ns,
-                            (end_ns, *values)))
+        self._stage.append((COMPLETE, site, seq, start_ns, end_ns, *values))
         return seq
 
     def instant(self, site: int, *values: Any,
@@ -258,25 +319,43 @@ class Tracer:
             return None
         self._seq = seq = seq + 1
         self._instant_count += 1
-        self._stage.append((_INSTANT, site, seq,
-                            self.env.now if at_ns is None else at_ns, values))
+        self._stage.append((INSTANT, site, seq,
+                            self.env.now if at_ns is None else at_ns,
+                            *values))
         return seq
 
-    def _pass_mark(self) -> bool:
-        """At ``_mark`` records: refuse the next one if that is the
+    def record(self, group: int, *cells: int) -> None:
+        """Record every part of a :meth:`group` as one row, or — over
+        capacity — none of them, except that an END is never refused; a
+        None handle is passed as 0."""
+        records, instants, ends = self._groups[group]
+        seq = self._seq
+        if seq + records > self._mark and not self._pass_mark(records):
+            for cell, site in ends:
+                self.end(cells[cell], site,
+                         *cells[cell + 2:cell + 2 + self._arity[site]],
+                         at_ns=cells[cell + 1])
+            return
+        self._seq = seq + records
+        self._instant_count += instants
+        self._stage.append((_GROUP, group, seq + 1, *cells))
+
+    def _pass_mark(self, records: int = 1) -> bool:
+        """At ``_mark`` records: refuse the next ones if they pass the
         capacity, else flush the stage and move the mark on."""
         capacity = self._floor + self.max_records
-        if self._seq >= capacity:
-            self.dropped += 1
+        if self._seq + records > capacity:
+            self.dropped += records
             return False
         self._flush()
         self._mark = min(self._seq + STAGE_RECORDS, capacity)
         return True
 
     def _flush(self) -> None:
-        """The one recording path: encode the staged rows as a new chunk.
+        """The one recording path: copy the staged rows into a new chunk,
+        a typed site's as they are, an untyped site's value by value.
 
-        A row that cannot be encoded raises here and stays staged, so the
+        A row that cannot be stored raises here and stays staged, so the
         error repeats on every later flush or read instead of leaving a
         log with a hole in it.
         """
@@ -285,13 +364,17 @@ class Tracer:
             return
         cells: list[int] = []
         extend, append = cells.extend, cells.append
-        ids, arity = self._value_ids, self._arity
-        for kind, site, ref, at_ns, values in stage:
-            if len(values) != arity[site] + (kind == _COMPLETE):
+        ids, arity, untyped = self._value_ids, self._arity, self._untyped
+        for row in stage:
+            site, head = row[1], _HEAD[row[0]]
+            if len(row) != head + arity[site]:
                 raise ValueError(f"site {self._sites[site]} does not take "
-                                 f"the values {values}")
-            extend((kind, site, ref, at_ns))
-            for value in values:
+                                 f"the values {row[head:]}")
+            if not untyped[site]:
+                extend(row)
+                continue
+            extend(row[:head])
+            for value in row[head:]:
                 type_ = type(value)
                 if type_ is int and _REF_LOW <= value < _REF:
                     append(value)
@@ -319,12 +402,13 @@ class Tracer:
         self._chunks: list[array] = []
         self._values: list = []
         self._value_ids: dict = {}
-        self._floor = self._mark = self._seq    # handles <= floor are stale
+        self._floor = self._mark = self._seq
+        self._begun_floor = self._begun     # handles <= this are stale
         self._instant_count = 0
         self.dropped = 0
-        # The read index, extended over new chunks by _index(): where each
-        # span / instant row sits, and where the END row of the record
-        # with seq ``_floor + 1 + i`` sits (-1: none yet).
+        # The read index, extended over new chunks by _index(): the
+        # address of each span / instant, and of the END of the span in
+        # slot ``_begun_floor + 1 + i`` (-1: none yet).
         self._span_rows = array("q")
         self._instant_rows = array("q")
         self._end_rows = array("q")
@@ -334,49 +418,73 @@ class Tracer:
 
     def _index(self) -> None:
         self._flush()
-        chunks, arity, floor = self._chunks, self._arity, self._floor
+        chunks, sites, arity = self._chunks, self._sites, self._arity
         spans, instants, ends = (self._span_rows, self._instant_rows,
                                  self._end_rows)
         for number in range(self._indexed, len(chunks)):
             chunk = chunks[number]
             offset, size = 0, len(chunk)
             while offset < size:
-                kind = chunk[offset]
-                if kind == _END:
-                    ends[chunk[offset + 2] - floor - 1] = (
-                        number << _SHIFT | offset)
-                else:
-                    ends.append(-1)
-                    (instants if kind == _INSTANT else spans).append(
-                        number << _SHIFT | offset)
-                offset += (4 + (kind == _COMPLETE)
-                           + arity[chunk[offset + 1]])
+                kind, site = chunk[offset:offset + 2]
+                address = number << _SHIFT | offset
+                parts = (sites[site][3] if kind == _GROUP
+                         else ((kind, site, 2, 0),))
+                for part, (kind, _, cell, _) in enumerate(parts):
+                    if kind == END:
+                        slot = chunk[offset + cell] - self._begun_floor - 1
+                        if slot >= 0:       # else: begun before clear()
+                            ends[slot] = address | part << _PART
+                        continue
+                    if kind == _BEGIN:
+                        ends.append(-1)
+                    (instants if kind == INSTANT else spans).append(
+                        address | part << _PART)
+                offset += _HEAD[chunk[offset]] + arity[site]
         self._indexed = len(chunks)
 
-    def _args(self, row: int, skip: int = 4) -> dict:
-        """The args of the row at ``row``, after its first ``skip`` cells."""
-        chunk, offset = self._chunks[row >> _SHIFT], row & _OFFSET
-        keys, values = self._sites[chunk[offset + 1]][3], self._values
-        cells = chunk[offset + skip:offset + skip + len(keys)]
-        return {key: cell if cell < _REF else values[cell - _REF]
-                for key, cell in zip(keys, cells)}
+    def _part(self, address: int) -> tuple:
+        """``(chunk, kind, site, seq, cell)`` of the record at ``address``:
+        ``chunk[cell]`` is an END's handle, the record's time comes after
+        it, then a COMPLETE's end, then the arg cells."""
+        chunk, offset = self._chunks[address >> _SHIFT], address & _OFFSET
+        kind, site, seq = chunk[offset:offset + 3]
+        cell = 2
+        if kind == _GROUP:
+            kind, site, cell, rank = self._sites[site][3][
+                address >> _PART & 0xFF]
+            seq += rank
+        return chunk, kind, site, seq, offset + cell
 
-    def _derive(self, row: int):
-        """The :class:`Span` or :class:`Instant` the row at ``row`` opens."""
-        chunk, offset = self._chunks[row >> _SHIFT], row & _OFFSET
-        kind, site, seq, at_ns = chunk[offset:offset + 4]
+    def _args(self, site: int, chunk: array, cell: int) -> dict:
+        """The args of a ``site`` record whose arg cells start at ``cell``."""
+        args, values = {}, self._values
+        for key, how in self._sites[site][3]:
+            if how is int or how is Any:
+                value = chunk[cell]
+                cell += 1
+                args[key] = (value if how is int or value < _REF
+                             else values[value - _REF])
+            else:
+                args[key] = how
+        return args
+
+    def _derive(self, address: int):
+        """The :class:`Span` or :class:`Instant` at ``address``."""
+        chunk, kind, site, seq, cell = self._part(address)
         name, category, track, _ = self._sites[site]
-        if kind == _INSTANT:
+        at_ns = chunk[cell + 1]
+        if kind == INSTANT:
             return Instant(name, category, track, at_ns,
-                           self._args(row) or None, seq)
-        if kind == _COMPLETE:
-            return Span(name, category, track, at_ns, chunk[offset + 4],
-                        self._args(row, skip=5) or None, seq)
-        end_ns, args = None, self._args(row)
-        end_row = self._end_rows[seq - self._floor - 1]
-        if end_row >= 0:
-            end_ns = self._chunks[end_row >> _SHIFT][(end_row & _OFFSET) + 3]
-            args.update(self._args(end_row))
+                           self._args(site, chunk, cell + 2) or None, seq)
+        if kind == COMPLETE:
+            return Span(name, category, track, at_ns, chunk[cell + 2],
+                        self._args(site, chunk, cell + 3) or None, seq)
+        end_ns, args = None, self._args(site, chunk, cell + 3)
+        end = self._end_rows[chunk[cell + 2] - self._begun_floor - 1]
+        if end >= 0:
+            chunk, _, site, _, cell = self._part(end)
+            end_ns = chunk[cell + 1]
+            args.update(self._args(site, chunk, cell + 2))
         return Span(name, category, track, at_ns, end_ns, args or None, seq)
 
     def find_spans(self, name_prefix: str = "",

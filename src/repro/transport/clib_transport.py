@@ -25,7 +25,7 @@ from repro.net.packet import (
 from repro.params import ClioParams
 from repro.sim import Environment, Event
 from repro.telemetry.metrics import MetricsRegistry, StatsView
-from repro.telemetry.spans import Tracer
+from repro.telemetry.spans import COMPLETE, END, Sites, Tracer
 from repro.transport.congestion import (
     CongestionController,
     IncastController,
@@ -183,19 +183,32 @@ class Transport:
         self.tracer = tracer
         if tracer is None:
             return
-        self._request_sites = tracer.sites(
-            "request:", "transport", self.node_name,
-            ("mn", "pid", "va", "size"))
-        self._request_sites[PacketType.BATCH] = tracer.site(
-            "request:batch", "transport", self.node_name,
-            ("mn", "pid", "batch_size"))
+        self._trace_sites = Sites(self._register_sites)
         self._attempt_sites = tracer.sites(
             "attempt:", "transport", self.node_name,
-            ("request_id", "mn", "retry_of"))
-        self._end_outcome = tracer.end_site("outcome")
+            ("request_id", "mn", "retry_of", "outcome"))
         self._end_ok = tracer.end_site("outcome", "retries", "request_id",
                                        "rtt_ns")
         self._end_failed = tracer.end_site("outcome", "retries", "reason")
+
+    def _register_sites(self, member: tuple) -> tuple[int, int]:
+        """Typed sites of one (packet type, MN): the request's BEGIN, and
+        the row that settles it when its first attempt is acked."""
+        kind, mn = member
+        tracer, node = self.tracer, self.node_name
+        args = ({"batch_size": int} if kind is PacketType.BATCH
+                else {"va": int, "size": int})
+        return (
+            tracer.site("request:" + kind.value, "transport", node,
+                        {"mn": mn, "pid": int, **args}),
+            tracer.group(
+                (COMPLETE, tracer.site(
+                    "attempt:" + kind.value, "transport", node,
+                    {"request_id": int, "mn": mn, "retry_of": None,
+                     "outcome": "ok"})),
+                (END, tracer.site(None, None, None, {
+                    "outcome": "ok", "retries": 0, "request_id": int,
+                    "rtt_ns": int}))))
 
     def congestion(self, mn: str) -> CongestionController:
         controller = self._congestion.get(mn)
@@ -349,7 +362,7 @@ class Transport:
 
         outcome = yield from self._transact(
             mn, packet_type, emit, expected_response_bytes, timeout_ns,
-            va=va, trace_values=(mn, pid, va, size))
+            va=va, trace_values=(pid, va, size))
         return outcome
 
     def request_batch(self, mn: str, pid: int, sub_ops,
@@ -400,7 +413,7 @@ class Transport:
 
         outcome = yield from self._transact(
             mn, PacketType.BATCH, emit, expected_response_bytes, timeout_ns,
-            va=sub_ops[0].va, trace_values=(mn, pid, len(sub_ops)),
+            va=sub_ops[0].va, trace_values=(pid, len(sub_ops)),
             rtt_scale=len(sub_ops))
         self.batch_subops_completed += len(sub_ops)
         return BatchOutcome(statuses=tuple(outcome.body.value),
@@ -426,9 +439,10 @@ class Transport:
         tracer = self.tracer
         request_span = None
         if tracer is not None:
-            request_span = tracer.begin(self._request_sites[packet_type],
-                                        *trace_values)
-            attempt_site = self._attempt_sites[packet_type]
+            request_site, settled_site = self._trace_sites[packet_type, mn]
+            request_span = tracer.begin(request_site, *trace_values)
+            # An attempt starts when send() below runs.
+            send_delay = clib.request_overhead_ns // 2
 
         for attempt in range(clib.max_retries + 1):
             # Uncontended fast path: skip the admission generator entirely.
@@ -454,15 +468,10 @@ class Transport:
             # TIMEOUT is a scheduled callback that triggers ``state.done``
             # itself — no per-attempt Timeout event or AnyOf condition.
             attempt_timeout = min(timeout_ns << attempt, clib.slow_timeout_ns)
-            attempt_span = None
 
             def send() -> None:
                 # Kernel-bypass raw Ethernet send, then arm the TIMEOUT.
-                nonlocal attempt_span
                 emit(request_id, retry_of)
-                if tracer is not None:
-                    attempt_span = tracer.begin(attempt_site, request_id, mn,
-                                                retry_of)
                 self.env.schedule_callback(attempt_timeout, state.expire)
 
             # CLib processing cost first.  Nothing can answer an ID that
@@ -477,16 +486,26 @@ class Transport:
                 congestion.on_ack(rtt // rtt_scale if rtt_scale > 1 else rtt)
                 self._wake_senders()
                 del self._pending[request_id]
-                if tracer is not None:
-                    tracer.end(attempt_span, self._end_outcome, "ok")
                 yield self.env.timeout(clib.request_overhead_ns
                                        - clib.request_overhead_ns // 2)
                 body, response_data = self._assemble(state)
+                # The stale TIMEOUT entry keeps ``state`` alive until it
+                # pops (100 ms for slow types): let the packets go now.
+                state.fragments.clear()
                 self.requests_completed += 1
                 self.total_retries += retries
                 if tracer is not None:
-                    tracer.end(request_span, self._end_ok, "ok", retries,
-                               request_id, rtt)
+                    sent = state.sent_at + send_delay
+                    acked = state.sent_at + rtt
+                    if retries:
+                        tracer.complete(self._attempt_sites[packet_type], sent,
+                                        acked, request_id, mn, retry_of, "ok")
+                        tracer.end(request_span, self._end_ok, "ok", retries,
+                                   request_id, rtt)
+                    else:
+                        tracer.record(settled_site, sent, acked, request_id,
+                                      request_span or 0, self.env.now,
+                                      request_id, rtt)
                 return RequestOutcome(body=body, data=response_data,
                                       rtt_ns=rtt, retries=retries,
                                       request_id=request_id)
@@ -499,7 +518,9 @@ class Transport:
             else:
                 last_reason = "timeout"
             if tracer is not None:
-                tracer.end(attempt_span, self._end_outcome, last_reason)
+                tracer.complete(self._attempt_sites[packet_type],
+                                state.sent_at + send_delay, self.env.now,
+                                request_id, mn, retry_of, last_reason)
             if not state.timed_out:
                 late_rtt = self.env.now - state.sent_at
                 congestion.on_ack(late_rtt // rtt_scale
@@ -508,6 +529,7 @@ class Transport:
                 congestion.on_timeout()
             self._wake_senders()
             del self._pending[request_id]
+            state.fragments.clear()
             if attempt < clib.max_retries:
                 retries += 1   # another attempt will actually be sent
 

@@ -3,42 +3,72 @@
 
 Kept as the reference the row log is compared against
 (``test_differential.py``).  It takes the same calls as ``Tracer`` —
-``site`` ints in, handles out — and nothing else of it is shared.
+``site`` ints in, handles out — and nothing else of it is shared.  A
+completion-time ``record`` is its naive expansion: one ``complete``,
+``instant`` or ``end`` per part of the group, in order.
 """
 
-from repro.telemetry.spans import Instant, Span, _Sites
+from collections.abc import Mapping
+
+from repro.telemetry.spans import (COMPLETE, END, INSTANT, Instant, Sites,
+                                   Span, Tracer)
 
 
 class ObjectRecorder:
+    #: Reads ``self.spans`` only: shared so ``render_dashboard`` runs.
+    summary = Tracer.summary
+
     def __init__(self, env, max_records=1_000_000):
         self.env = env
         self.max_records = max_records
         self.spans, self.instants = [], []
         self.dropped = 0
         self._seq = 0
-        self._sites = [(None, None, None, ())]
+        # (name, category, track, keys of the values passed, constant args)
+        self._sites = [(None, None, None, (), {})]
+        self._groups = []
 
     def site(self, name, category, track, keys=()):
-        self._sites.append((name, category, track, tuple(keys)))
+        """Untyped names, or a typed mapping: ``int`` args are passed,
+        anything else is the arg's constant value."""
+        template = {}
+        if isinstance(keys, Mapping):
+            template = {key: None if how is int else how
+                        for key, how in keys.items()}
+            keys = [key for key, how in keys.items() if how is int]
+        self._sites.append((name, category, track, tuple(keys), template))
         return len(self._sites) - 1
 
     def sites(self, prefix, category, track, keys=()):
-        return _Sites(lambda label: self.site(prefix + label, category,
-                                              track, keys))
+        return Sites(lambda member: self.site(
+            prefix + getattr(member, "value", member), category, track, keys))
 
     def end_site(self, *keys):
         return self.site(None, None, None, keys)
 
+    def group(self, *parts):
+        self._groups.append(parts)
+        return -len(self._groups)
+
+    def _args(self, site, values):
+        keys, template = self._sites[site][3:]
+        assert len(keys) == len(values)
+        return {**template, **dict(zip(keys, values))}
+
+    def _room(self, records=1):
+        if len(self.spans) + len(self.instants) + records > self.max_records:
+            self.dropped += records
+            return False
+        return True
+
     def _record(self, kind, into, site, at_ns, values, **more):
-        if len(self.spans) + len(self.instants) >= self.max_records:
-            self.dropped += 1
+        if not self._room():
             return None
         self._seq += 1
-        name, category, track, keys = self._sites[site]
-        assert len(keys) == len(values)
+        name, category, track = self._sites[site][:3]
         record = kind(name, category, track,
                       self.env.now if at_ns is None else at_ns,
-                      args=dict(zip(keys, values)) if keys else None,
+                      args=self._args(site, values) or None,
                       seq=self._seq, **more)
         into.append(record)
         return record
@@ -54,13 +84,32 @@ class ObjectRecorder:
         return self._record(Instant, self.instants, site, at_ns, values)
 
     def end(self, span, site=0, *values, at_ns=None):
-        if span is None:
+        if not span:                    # None, or the 0 a group row passes
             return
         span.end_ns = self.env.now if at_ns is None else at_ns
-        keys = self._sites[site][3]
-        assert len(keys) == len(values)
-        if keys:
-            span.args = {**(span.args or {}), **dict(zip(keys, values))}
+        args = self._args(site, values)
+        if args:
+            span.args = {**(span.args or {}), **args}
+
+    def record(self, group, *cells):
+        parts = self._groups[-group - 1]
+        cells = iter(cells)
+
+        def take(count):
+            return [next(cells) for _ in range(count)]
+
+        # All of the row's records or none; an END is never refused.
+        room = self._room(sum(kind != END for kind, _ in parts))
+        for kind, site in parts:
+            head = take(1 if kind == INSTANT else 2)
+            values = take(len(self._sites[site][3]))
+            if kind == END:
+                self.end(head[0], site, *values, at_ns=head[1])
+            elif room and kind == COMPLETE:
+                self.complete(site, *head, *values)
+            elif room:
+                self.instant(site, *values, at_ns=head[0])
+        assert not list(cells)
 
     def clear(self):
         self.spans.clear()

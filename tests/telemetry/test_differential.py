@@ -3,9 +3,13 @@
 Tracing is passive, so running one seeded scenario twice — once with
 ``Tracer``, once with ``ObjectRecorder`` installed in its place — feeds
 both the same calls in the same order; what each then reads back must be
-equal, record for record and as exported documents.  A Hypothesis
-property does the same over arbitrary call sequences and arg values,
-comparing *types* too (``True`` is not ``1``).
+equal, record for record and as exported documents.  A record is
+compared by ``(name, category, track, start_ns, end_ns, typed args)``;
+its ``seq`` is an order — the two must list the same records in the same
+order, spans and instants interleaved alike — not a value.  A Hypothesis
+property does the same over arbitrary call sequences (completion-time
+group rows included) and arg values, comparing *types* too (``True`` is
+not ``1``).
 """
 
 import itertools
@@ -20,8 +24,8 @@ from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
 from repro.params import CacheParams, ClioParams
 from repro.sim import Environment
-from repro.telemetry.export import chrome_trace
-from repro.telemetry.spans import Tracer
+from repro.telemetry.export import chrome_trace, render_dashboard
+from repro.telemetry.spans import COMPLETE, END, INSTANT, Tracer
 from repro.transport.clib_transport import RequestFailed
 from tests.telemetry.object_recorder import ObjectRecorder
 
@@ -38,11 +42,16 @@ def exact(args):
 
 
 def read_back(tracer):
-    spans = [(s.name, s.category, s.track, s.start_ns, s.end_ns,
-              exact(s.args), s.seq) for s in tracer.spans]
-    instants = [(i.name, i.category, i.track, i.at_ns, exact(i.args), i.seq)
-                for i in tracer.instants]
-    return spans, instants, tracer.dropped
+    """Every record in ``seq`` order, without the ``seq`` itself."""
+    spans = [(s.seq, (s.name, s.category, s.track, s.start_ns, s.end_ns,
+                      exact(s.args))) for s in tracer.spans]
+    instants = [(i.seq, (i.name, i.category, i.track, i.at_ns,
+                         exact(i.args))) for i in tracer.instants]
+    for view in (spans, instants):      # each view lists in seq order
+        seqs = [seq for seq, _ in view]
+        assert seqs == sorted(set(seqs))
+    return ([record for _, record in sorted(spans + instants)],
+            len(spans), tracer.dropped)
 
 
 # -- seeded cluster scenarios -----------------------------------------------------
@@ -127,7 +136,40 @@ def cached_ping_pong():
     return cluster
 
 
-@pytest.mark.parametrize("scenario", [rw_under_loss, chaos, cached_ping_pong])
+def stopped_mid_request():
+    """A deadline falls while a read is on the wire."""
+    cluster = ClioCluster(seed=1, mn_capacity=256 * MB, layers=("tracing",))
+    thread = cluster.cn(0).process("mn0", pid=PID).thread()
+
+    box = {}
+
+    def prime():
+        box["va"] = yield from thread.ralloc(4 * MB)
+        yield from thread.rwrite(box["va"], bytes(64))
+
+    cluster.run(until=cluster.env.process(prime()))
+    cluster.env.process(thread.rread(box["va"], 64))
+    cluster.run(until=cluster.env.now + 1_000)
+    return cluster
+
+
+def retries_exhausted():
+    """Every attempt of a read times out against a crashed board."""
+    cluster = ClioCluster(seed=2, mn_capacity=256 * MB, layers=("tracing",))
+    thread = cluster.cn(0).process("mn0", pid=PID).thread()
+
+    def app():
+        va = yield from thread.ralloc(4 * MB)
+        cluster.mn.crash()
+        with pytest.raises(RequestFailed):
+            yield from thread.rread(va, 64)
+
+    cluster.run(until=cluster.env.process(app()))
+    return cluster
+
+
+@pytest.mark.parametrize("scenario", [rw_under_loss, chaos, cached_ping_pong,
+                                      stopped_mid_request, retries_exhausted])
 def test_rows_read_back_as_the_object_recorder_did(scenario, monkeypatch):
     def run():
         # Request IDs are span args too, from a process-wide counter.
@@ -142,9 +184,46 @@ def test_rows_read_back_as_the_object_recorder_did(scenario, monkeypatch):
     assert isinstance(rows.tracer, Tracer)
     assert isinstance(objects.tracer, ObjectRecorder)
     assert rows.env.now == objects.env.now
-    assert len(rows.tracer.spans) > 20
+    assert len(rows.tracer.spans) > 5
     assert read_back(rows.tracer) == read_back(objects.tracer)
     assert chrome_trace(rows.tracer) == chrome_trace(objects.tracer)
+    assert render_dashboard(tracer=rows.tracer) == render_dashboard(
+        tracer=objects.tracer)
+
+
+def test_request_in_flight_at_the_deadline_reads_open():
+    """The request kept its BEGIN row; its attempt is a completion-time
+    record and is not there yet."""
+    tracer = stopped_mid_request().tracer
+    *settled, inflight = tracer.find_spans("request:")
+    assert [span.name for span in settled] == ["request:alloc",
+                                               "request:write"]
+    assert not any(span.open for span in settled)
+    assert inflight.name == "request:read" and inflight.open
+    assert inflight.args == {"mn": "mn0", "pid": PID, "va": inflight.args["va"],
+                             "size": 64}
+    assert [span.name for span in tracer.find_spans("attempt:")] == [
+        "attempt:alloc", "attempt:write"]
+    assert [span.seq for span in tracer.spans if span.open] == [inflight.seq]
+
+
+def test_exhausted_retries_read_failed_with_every_attempt():
+    cluster = retries_exhausted()
+    tracer = cluster.tracer
+    request = tracer.find_spans("request:read")[-1]
+    attempts = tracer.find_spans("attempt:read")
+    sent = cluster.params.clib.max_retries + 1
+    assert request.args["outcome"] == "failed"
+    assert request.args["retries"] == sent - 1
+    assert request.args["reason"] == "timeout" and not request.open
+    assert len(attempts) == sent
+    assert all(span.args["outcome"] == "timeout" for span in attempts)
+    first = attempts[0].args["request_id"]
+    assert [span.args["retry_of"] for span in attempts] == (
+        [None] + [first] * (sent - 1))
+    assert all(request.start_ns < span.start_ns < span.end_ns
+               <= request.end_ns for span in attempts)
+    assert not tracer.find_spans("mn:read")         # the port was dark
 
 
 def test_scenarios_cover_the_vocabulary():
@@ -169,11 +248,35 @@ values = st.one_of(
                      2**63, -2**63, -2**63 - 1]),
     st.none(), st.booleans(), st.text(max_size=3),
     st.floats(allow_nan=False))
-#: (method, site or end-site number, handle number, timestamp, values)
+int64 = st.one_of(st.integers(-4, 4), st.integers(-2**63, 2**63 - 1),
+                  st.sampled_from([2**62 - 1, 2**62, -2**62 - 1, 2**63 - 1,
+                                   -2**63]))
+#: (method, site / end-site / group number, handle number, timestamp,
+#: values of an untyped site, ints of a group row)
 calls = st.lists(st.tuples(
-    st.sampled_from(["begin", "end", "complete", "instant", "clear"]),
+    st.sampled_from(["begin", "end", "complete", "instant", "record",
+                     "clear"]),
     st.integers(0, 3), st.integers(0, 40), st.integers(0, 10**12),
-    st.lists(values, min_size=3, max_size=3)), max_size=60)
+    st.lists(values, min_size=3, max_size=3),
+    st.lists(int64, min_size=3, max_size=3)), max_size=60)
+
+
+def typed_groups(recorder):
+    """Three group sites over typed sites, and the cells of a row of each
+    from ``(handle, at_ns, later_ns, three ints)``."""
+    span = recorder.site("typed", "c", "t0", {"a": int, "k": "const",
+                                              "n": None})
+    point = recorder.site("point", "c", "t1", {"flag": True, "b": int})
+    close = recorder.site(None, None, None, {"why": "done", "x": int})
+    return [
+        (recorder.group((COMPLETE, span), (INSTANT, point)),
+         lambda handle, at, later, i, j, k: (at, later, i, at, j)),
+        (recorder.group((COMPLETE, span), (END, close)),
+         lambda handle, at, later, i, j, k: (at, later, i, handle, later, j)),
+        (recorder.group((INSTANT, point), (END, close), (COMPLETE, span)),
+         lambda handle, at, later, i, j, k: (at, i, handle, at, j, at, later,
+                                             k)),
+    ]
 
 
 @given(calls, st.sampled_from([5, 1_000_000]))
@@ -185,12 +288,19 @@ def test_any_call_sequence_round_trips(sequence, max_records):
               for arity in range(4)] for recorder in recorders]
     end_sites = [[recorder.end_site(*(f"e{i}" for i in range(arity)))
                   for arity in range(4)] for recorder in recorders]
+    groups = [typed_groups(recorder) for recorder in recorders]
     handles = [[], []]
-    for method, arity, which, at_ns, row in sequence:
+    for method, arity, which, at_ns, row, ints in sequence:
         row = row[:arity]
-        for recorder, site, end_site, held in zip(recorders, sites,
-                                                  end_sites, handles):
-            if method == "begin":
+        for recorder, site, end_site, group, held in zip(
+                recorders, sites, end_sites, groups, handles):
+            if method == "record":
+                # Closes one of the held handles, if its group has an END.
+                group, cells = group[arity % 3]
+                handle = held.pop(which % len(held)) if held else None
+                recorder.record(group, *cells(handle or 0, at_ns,
+                                              at_ns + which, *ints))
+            elif method == "begin":
                 held.append(recorder.begin(site[arity], *row, at_ns=at_ns))
             elif method == "complete":
                 recorder.complete(site[arity], at_ns, at_ns + which, *row)

@@ -8,12 +8,15 @@ import pytest
 from repro.cluster import ClioCluster
 from repro.sim import Environment
 from repro.telemetry.export import chrome_trace
-from repro.telemetry.spans import STAGE_RECORDS, Span, Tracer
+from repro.telemetry.spans import (COMPLETE, END, INSTANT, STAGE_RECORDS,
+                                   Span, Tracer)
 
 MB = 1 << 20
-#: What a record may cost in the log, index included.  The Span / dict /
-#: boxed-int objects this replaced held ~440 B per record.
-BYTES_PER_RECORD = 128
+#: What a record may cost in the log, index included: a primed 64 B echo
+#: is 3 rows of 33 cells plus 6 index cells for its 5 records, 62.4 B
+#: each (tests/telemetry/test_hook_budget.py lists the rows).  The Span /
+#: dict / boxed-int objects the log replaced held ~440 B per record.
+BYTES_PER_RECORD = 64
 
 
 def test_end_rows_are_never_refused_or_counted():
@@ -105,6 +108,82 @@ def test_reads_follow_the_log_across_chunks():
         range(1, 3 * STAGE_RECORDS + 2))
 
 
+def typed_sites(tracer):
+    span = tracer.site("work", "t", "x", {"who": "cn0", "n": int,
+                                          "why": None})
+    point = tracer.site("done", "t", "x", {"n": int, "ok": True})
+    close = tracer.site(None, None, None, {"outcome": "ok", "rtt": int})
+    return span, point, close
+
+
+def test_group_row_is_its_parts_in_order():
+    """One call, one row; the parts read back as records of their own,
+    constants from the site, consecutive seqs, the END closing its span."""
+    env = Environment()
+    tracer = Tracer(env)
+    span, point, close = typed_sites(tracer)
+    group = tracer.group((COMPLETE, span), (INSTANT, point), (END, close))
+    held = tracer.begin(tracer.site("outer", "t", "x"))
+    before = tracer.nbytes
+    tracer.record(group, 3, 9, 7, 9, 7, held, 12, 5)
+    assert tracer.nbytes - before == 8 * 11         # 3 head + 8 cells
+    outer, work = tracer.spans
+    done, = tracer.instants
+    assert (outer.end_ns, outer.args) == (12, {"outcome": "ok", "rtt": 5})
+    assert (work.start_ns, work.end_ns, work.seq) == (3, 9, 2)
+    assert work.args == {"who": "cn0", "n": 7, "why": None}
+    assert (done.at_ns, done.seq) == (9, 3)
+    assert done.args == {"n": 7, "ok": True} and done.args["ok"] is True
+    assert len(tracer) == 3 and len(tracer.spans) == 2
+
+
+def test_group_row_over_capacity_still_ends_its_span():
+    tracer = Tracer(Environment(), max_records=2)
+    span, point, close = typed_sites(tracer)
+    group = tracer.group((COMPLETE, span), (INSTANT, point), (END, close))
+    held = tracer.begin(tracer.site("outer", "t", "x"))
+    tracer.record(group, 3, 9, 7, 9, 7, held, 12, 5)    # room for one
+    assert tracer.dropped == 2 and len(tracer) == 1
+    outer, = tracer.spans
+    assert (outer.end_ns, outer.args) == (12, {"outcome": "ok", "rtt": 5})
+
+
+def test_group_row_ignores_refused_and_stale_handles():
+    tracer = Tracer(Environment())
+    span, _point, close = typed_sites(tracer)
+    group = tracer.group((COMPLETE, span), (END, close))
+    stale = tracer.begin(tracer.site("outer", "t", "x"))
+    tracer.clear()
+    fresh = tracer.begin(tracer.site("outer", "t", "x"))
+    tracer.record(group, 0, 1, 1, stale, 1, 1)
+    tracer.record(group, 0, 2, 2, 0, 2, 2)          # 0: a refused begin
+    assert tracer.spans[0].open and len(tracer.spans) == 3
+    tracer.record(group, 0, 3, 3, fresh, 3, 3)
+    assert tracer.spans[0].end_ns == 3
+
+
+def test_group_parts_must_be_typed():
+    tracer = Tracer(Environment())
+    with pytest.raises(ValueError, match="not typed"):
+        tracer.group((COMPLETE, tracer.site("s", "t", "x", ("n",))))
+
+
+def test_typed_cells_hold_any_int64_and_nothing_else():
+    tracer = Tracer(Environment())
+    site = tracer.site("s", "t", "x", {"n": int})
+    for n in (2**62, -2**63, 2**63 - 1):
+        tracer.instant(site, n)
+    assert [i.args["n"] for i in tracer.instants] == [2**62, -2**63,
+                                                      2**63 - 1]
+    tracer.instant(site, 2**63)
+    with pytest.raises(OverflowError):
+        tracer.instants[:]
+    tracer.clear()
+    tracer.instant(site, "text")
+    with pytest.raises(TypeError):
+        tracer.instants[:]
+
+
 def test_wrong_value_count_names_the_site():
     tracer = Tracer(Environment())
     tracer.begin(tracer.site("s", "t", "x", ("a", "b")), 1)
@@ -148,7 +227,7 @@ def test_bytes_per_record_budget():
 
 def test_reading_streams_instead_of_materialising():
     """Aggregating or exporting N records must not hold N Span objects
-    (~300 B each with their args): the index costs 16 B a record."""
+    (~300 B each with their args): the index costs ~10 B a record."""
     tracer = primed_echo(ops=2000)
     records = len(tracer)
     tracemalloc.start()

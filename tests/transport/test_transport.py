@@ -229,6 +229,32 @@ def test_stale_response_after_timeout_is_dropped():
     assert transport.stale_responses > 0
 
 
+def test_settled_requests_do_not_pin_their_response_packets():
+    """A settled request's stale TIMEOUT entry (100 ms for ALLOC / FREE)
+    outlives it on the heap; the response packets must not ride along:
+    live ``Packet`` objects are bounded by the window, not by the op
+    count."""
+    import gc
+
+    from repro.net.packet import Packet
+
+    cluster = ClioCluster(mn_capacity=256 * MB)
+    thread = cluster.cn(0).process("mn0").thread()
+    rounds = 60
+
+    def churn():
+        for _ in range(rounds):
+            yield from thread.rfree((yield from thread.ralloc(MB)))
+
+    cluster.run(until=cluster.env.process(churn()))
+    # Every TIMEOUT armed above is still queued: the run took < 100 ms.
+    assert cluster.env.now < cluster.params.clib.slow_timeout_ns
+    assert len(cluster.env._queue) >= 2 * rounds
+    gc.collect()
+    live = sum(isinstance(thing, Packet) for thing in gc.get_objects())
+    assert live <= cluster.params.clib.cwnd_init, live
+
+
 def test_congestion_window_grows_under_light_load():
     cluster = ClioCluster(mn_capacity=256 * MB)
     va = alloc(cluster)
