@@ -14,8 +14,11 @@ Plus the determinism contract: cached chaos runs are bit-identical
 same-seed, on both engines.
 """
 
+import hashlib
+
 from repro.faults.scenarios import run_chaos
 from repro.params import KB
+from repro.verify import run_scenario, scenario
 
 CACHED = dict(region_bytes=64 * KB, ops_per_worker=400)
 
@@ -72,3 +75,30 @@ def test_cached_chaos_departure_on_loss_burst():
                        verify=True, **CACHED)
     assert report.finished
     assert report.check_invariants() == []
+
+
+#: What ``repro chaos --cache`` runs (seed 0, 1200 ops per worker, board
+#: crash over dirty write-back lines): the sha256 of its report
+#: fingerprint and the counters its coherence table is built from,
+#: recorded at the commit before the line protocol became a table.
+GOLDEN_CHAOS_CACHE = (
+    "a58fb109c3258a0205461f49bb3081fd0b39746619feb0c26e48c1a12baa195a",
+    36061,
+    {"cn0": {"hits": 554, "misses": 43, "evictions": 0,
+             "invalidations": 153, "writebacks": 129, "flush_retries": 2},
+     "cn1": {"hits": 551, "misses": 79, "evictions": 0,
+             "invalidations": 163, "writebacks": 71, "flush_retries": 2},
+     "dir": {"requests_served": 554, "fills": 122, "write_txns": 216,
+             "recalls": 210, "downgrades": 106, "invals_sent": 316,
+             "inval_retries": 12}})
+
+
+def test_cli_chaos_cache_run_matches_golden():
+    result = run_scenario(
+        scenario("chaos", schedule="board-crash", ops=1200, verify=True,
+                 cached="back", region_bytes=64 * KB), seed=0)
+    assert result.problems() == []
+    report = result.extras["chaos"]
+    digest = hashlib.sha256(repr(report.fingerprint()).encode()).hexdigest()
+    assert (digest, result.extras["events"],
+            report.cache_counters) == GOLDEN_CHAOS_CACHE

@@ -10,7 +10,9 @@ dispatch count and clock, so even a reordering that leaves the op log
 intact is caught.  The 14 ``events`` integers — and nothing else — were
 re-recorded when board handlers stopped costing an ``Initialize`` and a
 completion event each (2 fewer per MN request, every other event in the
-same relative order; CHANGES.md lists old -> new per row).
+same relative order; CHANGES.md lists old -> new per row).  The three
+``cached-*`` rows gained their ``events`` / ``fingerprint`` / ``sim_now_ns``
+at the commit before the cache line protocol became a table.
 
 Notes are compared as a set: their content is pinned, their order is
 presentation.
@@ -33,14 +35,20 @@ GOLDENS = [('sync', {'clients': 2, 'ops': 12}, False, 'sync-unit', 24, True, 0, 
  ('batched', {'clients': 2, 'ops': 24}, False, 'batched-ycsb-a', 6, True, 0,
   0, {}, ['batched 48 sub-ops into 13 frames']),
  ('cached-through', {'ops': 24}, False, 'cached-ycsb-a[through]', 6, True,
-  0, 0, {},
+  0, 0,
+  {'events': 8628, 'fingerprint': '377ed39c063baa9095980275cdcaa2a0',
+   'sim_now_ns': 100000000},
   ['cache[through]: 6 hits / 15 misses, 10 invalidations, 0 writebacks']),
  ('cached-back+crash', {'ops': 24}, False, 'cached-ycsb-a[back+crash]', 6,
-  True, 0, 0, {},
+  True, 0, 0,
+  {'events': 8374, 'fingerprint': '8a82338633bc708df12fc166a6e4f5e6',
+   'sim_now_ns': 100000000},
   ['board-crash window 150us..650us spanned the run',
    'cache[back]: 13 hits / 8 misses, 19 invalidations, 13 writebacks']),
  ('cached-back+migrate', {'ops': 24}, False, 'cached-ycsb-a[back+migrate]',
-  6, True, 0, 0, {},
+  6, True, 0, 0,
+  {'events': 15152, 'fingerprint': 'bc4539b5efe0db5cd43067ca0ca3ad3c',
+   'sim_now_ns': 100000000},
   ['cache[back]: 13 hits / 8 misses, 28 invalidations, 19 writebacks',
    'region migrated to mn1 at ~1.5ms mid-run']),
  ('rack', {'clients': 64, 'ops': 3}, False, 'rack-ycsb', 64, True, 0, 0,
