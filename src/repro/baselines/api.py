@@ -35,10 +35,7 @@ import enum
 import itertools
 from typing import Optional
 
-from repro.params import ClioParams, DEFAULT_PARAMS
-
-GB = 1 << 30
-MB = 1 << 20
+from repro.params import BACKEND_NAMES, DEFAULT_PARAMS, GB, MB, ClioParams
 
 
 class BackendCapability(enum.Flag):
@@ -456,9 +453,6 @@ BACKENDS: dict[str, type] = {
     "herd": HERDBackend,
     "herd-bf": HERDBlueFieldBackend,
 }
-
-BACKEND_NAMES = ("clio", "cxl", "rdma", "legoos", "clover", "herd",
-                 "herd-bf")
 
 
 def create_backend(name: str, params: Optional[ClioParams] = None,

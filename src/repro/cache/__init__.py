@@ -12,7 +12,8 @@ None of this exists unless the cluster is built with the layer
 :class:`~repro.params.CacheParams`): a cache-off run schedules zero extra
 events and stays bit-identical to the pre-cache goldens.
 
-See docs/caching.md for the protocol walkthrough.
+The protocol itself is two tables in :mod:`repro.cache.protocol`, which
+docs/caching.md renders and explains.
 """
 
 from repro.cache.directory import CacheDirectory, CacheReq, InvalMsg

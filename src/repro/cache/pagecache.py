@@ -3,89 +3,90 @@
 One :class:`PageCache` per ComputeNode.  ``ClioThread`` data ops route
 through :meth:`read` / :meth:`write` on a cluster built with the caching
 layer; everything that fits inside one cache line is served locally
-when possible, with the line state machine below; larger accesses,
-atomics, and frees take guarded bypass paths that keep the cached copies
-coherent.
+when possible; larger accesses, atomics, and frees take guarded bypass
+paths that keep the cached copies coherent.
 
-Line states (per ``(mn, pid, line_va)`` key):
+What happens to a line (``(mn, pid, line_va)`` key) in each state on
+each event is :data:`repro.cache.protocol.LINE_TABLE`; this file holds
+one procedure per *kind* of step, each looking its row up: ``_retire``
+(every way a line leaves or is downgraded), ``_commit_local`` (a
+write-back write landing in a resident line with **zero network round
+trips**, the whole point of the cache), ``_open_txn`` (a directory
+write transaction, whose ``wend`` is sent on every exit).
 
-* ``filling``  — placeholder while a fill is in flight; never served,
-  never evicted; an invalidation or a local write *poisons* it so the
-  arriving data is served once but not installed.
-* ``shared``   — clean read-only copy; any number of CNs may hold one.
-* ``modified`` — exclusive dirty copy (write-back only): writes commit
-  locally at DRAM speed with **zero network round trips**, the whole
-  point of the cache.
-
-Coherence actions arrive as CACHE_INVAL messages from the directory:
-``recall`` = flush-if-dirty then drop, ``downgrade`` = flush then keep
-a shared clean copy.  Flushes retry unboundedly across board crashes
-(their bytes are committed data the MN must eventually hold); a typed
-rejection (region freed) abandons the bytes and counts
-``flush_failures``.
+Flushes retry unboundedly across board crashes (their bytes are
+committed data the MN must eventually hold); a typed rejection (region
+freed) abandons the bytes and counts ``flush_failures``.
 
 Every MN data access is the uncached client's own ``mn_request`` (via
 ``checked_access`` when nothing happens inside the window) and every op
 settles through its ``settle``, so the shadow oracle sees
 cached ops exactly like direct ones, with one deliberate rule: *flush*
 writes bypass the oracle — they re-materialize bytes whose write was
-already recorded as committed, which is idempotent.  Hit tokens open at serve time (a ~300ns window), and miss
-tokens open only after directory admission, so a fill that waited out a
-board crash behind a write transaction cannot trip the oracle's
-zero-retry epoch-fence rule.
+already recorded as committed, which is idempotent.  Hit tokens open at
+serve time (a ~300ns window), and miss tokens open only after directory
+admission, so a fill that waited out a board crash behind a write
+transaction cannot trip the oracle's zero-retry epoch-fence rule.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.cache import protocol
 from repro.cache.directory import DIRECTORY_NODE, CacheReq
 from repro.clib.client import (RemoteAccessError, check_reply,
                                checked_access, mn_request, open_window,
                                settle)
 from repro.core.cboard import ResponseBody
 from repro.core.pipeline import Status
-from repro.net.packet import ClioHeader, Packet, PacketType
+from repro.net.packet import Packet, PacketType
 from repro.telemetry.metrics import MetricsRegistry, StatsView
 from repro.telemetry.spans import Tracer
 from repro.transport.clib_transport import RequestFailed
 
-FILLING = "filling"
-SHARED = "shared"
-MODIFIED = "modified"
-
-#: Sentinel: the fill path asking the read loop to re-examine the line.
-_RETRY = object()
+#: Counter name -> help; each is an attribute, an instrument and a
+#: ``stats()`` key (:meth:`StatsView.of_counters`).
+_COUNTERS = {
+    "hits": "",
+    "misses": "",
+    "fills": "lines installed from the MN",
+    "evictions": "",
+    "invalidations": "line recalls/downgrades applied",
+    "writebacks": "dirty lines flushed to the MN",
+    "write_hits": "writes committed locally (owner hit)",
+    "write_fills": "ownership grants that installed a line",
+    "write_throughs": "",
+    "flush_retries": "",
+    "flush_failures": "dirty lines abandoned (region gone)",
+}
 
 
 class _Line:
-    """One cached line plus its local FIFO lock."""
+    """One cached line (or the placeholder for one being filled) plus
+    its local lock."""
 
-    __slots__ = ("key", "data", "state", "dirty", "fill_event", "poisoned",
-                 "locked", "waiters")
+    __slots__ = ("data", "state", "fill_event", "poisoned", "lock")
 
-    def __init__(self, key: tuple, fill_event=None):
-        self.key = key
-        self.data: Optional[bytearray] = None
-        self.state = FILLING
-        self.dirty = False
-        self.fill_event = fill_event
+    def __init__(self, env, state: str, data: Optional[bytearray] = None):
+        self.data = data
+        self.state = state
+        #: What local ops wait on while a placeholder's fill is in flight.
+        self.fill_event = env.event() if data is None else None
         self.poisoned = False
-        self.locked = False
-        self.waiters: deque = deque()
+        self.lock = protocol.FifoLock(env)
 
 
 @dataclass(slots=True)
 class _Guard:
-    """An open range write-transaction (atomics, bypass writes, frees)."""
+    """An open directory write transaction: the ``wend`` it owes, and
+    the retries its ``wbegin`` cost."""
 
-    txn_id: int
-    pid: int
-    mn: str
-    retries: int
+    wend: CacheReq
+    retries: int = 0
 
 
 class PageCache:
@@ -106,51 +107,14 @@ class PageCache:
         self._txn_ids = itertools.count(1)
         self._pending_drops: set = set()
         self._allocs: dict[tuple, int] = {}        # (mn, pid, va) -> size
-        self._active_invals: dict[int, int] = {}   # seq -> latest request_id
-        self._inval_done: OrderedDict = OrderedDict()
-        # Counters.
-        self.hits = 0
-        self.misses = 0
-        self.fills = 0
-        self.evictions = 0
-        self.invalidations = 0
-        self.writebacks = 0
-        self.write_hits = 0
-        self.write_fills = 0
-        self.write_throughs = 0
-        self.flush_retries = 0
-        self.flush_failures = 0
+        #: CACHE_INVALs, deduped across retransmissions by their seq.
+        self._invals = protocol.AnswerOnce(
+            256, node.name, node.transport.topology, node.env, node.params)
         self.tracer: Optional[Tracer] = None
         node.transport.cache_listener = self.on_inval
         metrics = (registry if registry is not None
                    else MetricsRegistry()).scope(f"cache.{node.name}")
-        self._stats = StatsView({
-            "hits": metrics.counter("hits", fn=lambda: self.hits),
-            "misses": metrics.counter("misses", fn=lambda: self.misses),
-            "fills": metrics.counter(
-                "fills", "lines installed from the MN", fn=lambda: self.fills),
-            "evictions": metrics.counter(
-                "evictions", fn=lambda: self.evictions),
-            "invalidations": metrics.counter(
-                "invalidations", "line recalls/downgrades applied",
-                fn=lambda: self.invalidations),
-            "writebacks": metrics.counter(
-                "writebacks", "dirty lines flushed to the MN",
-                fn=lambda: self.writebacks),
-            "write_hits": metrics.counter(
-                "write_hits", "writes committed locally (owner hit)",
-                fn=lambda: self.write_hits),
-            "write_fills": metrics.counter(
-                "write_fills", "ownership grants that installed a line",
-                fn=lambda: self.write_fills),
-            "write_throughs": metrics.counter(
-                "write_throughs", fn=lambda: self.write_throughs),
-            "flush_retries": metrics.counter(
-                "flush_retries", fn=lambda: self.flush_retries),
-            "flush_failures": metrics.counter(
-                "flush_failures", "dirty lines abandoned (region gone)",
-                fn=lambda: self.flush_failures),
-        })
+        self._stats = StatsView.of_counters(metrics, self, _COUNTERS)
         metrics.gauge("hit_rate", "hits / (hits + misses)",
                       fn=lambda: self.hits / max(1, self.hits + self.misses))
         metrics.gauge("lines", "resident lines",
@@ -169,11 +133,6 @@ class PageCache:
         process = thread.process
         return (process.mn, process.pid, va - (va % self.line_bytes))
 
-    def _range_keys(self, mn: str, pid: int, va: int, size: int) -> tuple:
-        first = va - (va % self.line_bytes)
-        return tuple((mn, pid, line_va)
-                     for line_va in range(first, va + size, self.line_bytes))
-
     # -- allocation tracking (for rfree invalidation) -------------------------------
 
     def note_alloc(self, mn: str, pid: int, va: int, size: int) -> None:
@@ -185,106 +144,121 @@ class PageCache:
     def forget_alloc(self, mn: str, pid: int, va: int) -> None:
         self._allocs.pop((mn, pid, va), None)
 
-    # -- local line locks (FIFO handoff) -------------------------------------------
+    # -- the line protocol: look a row up, do what it says ---------------------------
 
-    def _lock_line(self, line: _Line):
-        if not line.locked:
-            line.locked = True
-            return
-        waiter = self.env.event()
-        line.waiters.append(waiter)
-        yield waiter                  # woken holding the lock
+    def _row(self, line: Optional[_Line], event: str) -> protocol.LineRow:
+        """The table row for ``event`` meeting ``line`` as it is now."""
+        return protocol.LINE_TABLE[
+            protocol.ABSENT if line is None else line.state, event]
 
-    def _unlock_line(self, line: _Line) -> None:
-        if line.waiters:
-            line.waiters.popleft().succeed()
+    def _meet(self, key: tuple, event: str) -> tuple:
+        """``(line, row)``: the line now under ``key`` (None if absent)
+        and the row for ``event`` meeting it.  A row that poisons does so
+        here: the fill in flight must not install what it brings."""
+        line = self._lines.get(key)
+        row = self._row(line, event)
+        if row.poison:
+            line.poisoned = True
+        return line, row
+
+    def _hold(self, key: tuple, line: _Line):
+        """Process-generator: take ``line``'s lock.  False, with the lock
+        released again, if the line was retired while we queued."""
+        yield from line.lock.acquire()
+        if self._lines.get(key) is line:
+            return True
+        line.lock.release()
+        return False
+
+    def _apply(self, key: tuple, line: _Line, row: protocol.LineRow) -> None:
+        """Move ``line`` to ``row.next``, keeping the store, the LRU list
+        and the counters in step.  Caller holds the line lock (or the
+        line is a placeholder nobody can lock)."""
+        if row.next == protocol.ABSENT:
+            del self._lines[key]
+            self._lru.pop(key, None)
+            if row.drop:
+                self._pending_drops.add(key)
         else:
-            line.locked = False
+            line.state = row.next
+            self._lines[key] = line
+            self._lru.setdefault(key)     # a new resident goes in hottest
+        protocol.bump(self, row.count)
 
-    # -- residency bookkeeping -------------------------------------------------------
-
-    def _install(self, key: tuple, line: _Line) -> None:
-        self._lines[key] = line
-        self._lru[key] = None
-        self._lru.move_to_end(key)
-
-    def _touch(self, key: tuple) -> None:
-        if key in self._lru:
-            self._lru.move_to_end(key)
-
-    def _remove_line(self, key: tuple, line: _Line,
-                     note_drop: bool = True) -> None:
-        """Drop a resident line.  Caller holds the line lock and has
-        verified identity."""
-        del self._lines[key]
-        self._lru.pop(key, None)
-        if note_drop:
-            self._pending_drops.add(key)
+    def _retire(self, key: tuple, event: str):
+        """Process-generator: every way a line leaves or is downgraded —
+        ``evict`` / ``discard`` locally, ``recall`` /
+        ``downgrade`` from the directory: lock, re-check identity, flush
+        if the row says so, then become the row's next state."""
+        line, row = self._meet(key, event)
+        if row.next is None or not (yield from self._hold(key, line)):
+            return
+        try:
+            row = self._row(line, event)   # as it is now that we hold it
+            if row.flush:
+                yield from self._flush_line(key, line)
+            self._apply(key, line, row)
+        finally:
+            line.lock.release()
 
     def _take_drops(self) -> tuple:
-        if not self._pending_drops:
-            return ()
         drops = tuple(sorted(self._pending_drops))
         self._pending_drops.clear()
         return drops
 
-    def _pick_victim(self) -> Optional[tuple]:
-        for key in self._lru:
-            line = self._lines.get(key)
-            if line is not None and line.state != FILLING \
-                    and not line.locked:
-                return key
-        return None
-
     def _enforce_capacity(self):
         while len(self._lru) > self.capacity_lines:
-            victim = self._pick_victim()
+            victim = next((key for key in self._lru
+                           if not self._lines[key].lock.held), None)
             if victim is None:
                 return
-            yield from self._evict(victim)
-
-    def _evict(self, key: tuple):
-        line = self._lines.get(key)
-        if line is None or line.state == FILLING:
-            return
-        yield from self._lock_line(line)
-        try:
-            if self._lines.get(key) is not line or line.state == FILLING:
-                return
-            if line.dirty:
-                yield from self._flush_line(key, line)
-            self._remove_line(key, line, note_drop=True)
-            self.evictions += 1
-        finally:
-            self._unlock_line(line)
+            yield from self._retire(victim, "evict")
 
     # -- directory client -------------------------------------------------------------
 
     def _dir_request(self, req: CacheReq):
-        outcome = yield from self.transport.request(
-            DIRECTORY_NODE, PacketType.CACHE_REQ, pid=req.pid, payload=req)
-        return outcome
+        return (yield from self.transport.request(
+            DIRECTORY_NODE, PacketType.CACHE_REQ, pid=req.pid, payload=req))
 
-    def _spawn_wend(self, txn_id: int, pid: int, mn: str) -> None:
+    def _open_txn(self, pid: int, mn: str, keys: tuple, **flags):
+        """Process-generator: open a directory write transaction on
+        ``keys``; returns its :class:`_Guard`, which the caller passes
+        to :meth:`guard_end` in a ``finally``.  The directory may have
+        executed a ``wbegin`` whose response was lost, so a failure here
+        sends the matching ``wend`` too: every exit releases."""
+        txn_id = next(self._txn_ids)
+        guard = _Guard(CacheReq("wend", pid, mn, txn_id=txn_id))
+        try:
+            outcome = yield from self._dir_request(CacheReq(
+                "wbegin", pid, mn, keys=keys, txn_id=txn_id,
+                drops=self._take_drops(), **flags))
+        except BaseException:
+            self.guard_end(guard)
+            raise
+        guard.retries = outcome.retries
+        return guard
+
+    def guard_end(self, guard: _Guard) -> None:
         """Release a directory write transaction in the background.
 
         The wend must eventually land or the directory's key locks stay
         held forever, so it retries past transport exhaustion.
         """
+        self.env.process(self._persist(
+            lambda: self._dir_request(guard.wend),
+            self.params.clib.timeout_ns))
 
-        def runner():
-            backoff = self.params.clib.timeout_ns
-            while True:
-                try:
-                    yield from self._dir_request(
-                        CacheReq("wend", pid, mn, txn_id=txn_id))
-                    return
-                except RequestFailed:
-                    yield self.env.timeout(backoff)
-                    backoff = min(backoff * 2,
-                                  self.params.clib.slow_timeout_ns)
-
-        self.env.process(runner())
+    def _persist(self, attempt, backoff: int, counter: Optional[str] = None):
+        """Process-generator: ``yield from attempt()`` until the
+        transport stops giving up on it, backing off exponentially; the
+        one home of the layer's CN-side unbounded retries."""
+        while True:
+            try:
+                return (yield from attempt())
+            except RequestFailed:
+                protocol.bump(self, counter)
+                yield self.env.timeout(backoff)
+                backoff = min(backoff * 2, self.params.clib.slow_timeout_ns)
 
     # -- flush --------------------------------------------------------------------------
 
@@ -298,25 +272,17 @@ class PageCache:
         """
         mn, pid, line_va = key
         payload = bytes(line.data)
-        backoff = self.cacheparams.flush_retry_ns
-        while True:
-            try:
-                outcome = yield from self.transport.request(
-                    mn, PacketType.WRITE, pid=pid, va=line_va,
-                    size=len(payload), data=payload)
-            except RequestFailed:
-                self.flush_retries += 1
-                yield self.env.timeout(backoff)
-                backoff = min(backoff * 2, self.params.clib.slow_timeout_ns)
-                continue
-            line.dirty = False
-            try:
-                check_reply(outcome, "flush({:#x})", line_va)
-            except RemoteAccessError:
-                self.flush_failures += 1
-                return False
+        outcome = yield from self._persist(
+            lambda: self.transport.request(
+                mn, PacketType.WRITE, pid=pid, va=line_va,
+                size=len(payload), data=payload),
+            self.cacheparams.flush_retry_ns, "flush_retries")
+        try:
+            check_reply(outcome, "flush({:#x})", line_va)
+        except RemoteAccessError:
+            self.flush_failures += 1
+        else:
             self.writebacks += 1
-            return True
 
     # -- invalidation (directory -> CN) ---------------------------------------------------
 
@@ -324,17 +290,9 @@ class PageCache:
         """Transport receive hook for CACHE_INVAL messages (sync, no env
         interaction on the dedup paths)."""
         header = packet.header
-        msg = packet.payload
-        if msg.seq in self._inval_done:
-            self._ack_inval(header.src, header.request_id)
-            return
-        if msg.seq in self._active_invals:
-            # Retransmission of one we're already applying: remember the
-            # newest attempt ID so the eventual ack matches it.
-            self._active_invals[msg.seq] = header.request_id
-            return
-        self._active_invals[msg.seq] = header.request_id
-        self.env.process(self._apply_inval(msg))
+        if self._invals.first(packet.payload.seq, header.src,
+                              header.request_id):
+            self.env.process(self._apply_inval(packet.payload))
 
     def set_tracer(self, tracer: Optional[Tracer]) -> None:
         """Enable/disable span tracing of fills and invalidations."""
@@ -350,85 +308,36 @@ class PageCache:
         span = (tracer.begin(self._inval_sites[msg.action], len(msg.keys))
                 if tracer is not None else None)
         for key in msg.keys:
-            yield from self._inval_key(key, msg.action)
+            yield from self._retire(key, msg.action)
         self.invalidations += len(msg.keys)
-        self._inval_done[msg.seq] = None
-        while len(self._inval_done) > 256:
-            self._inval_done.popitem(last=False)
-        reply_id = self._active_invals.pop(msg.seq)
         if tracer is not None:
             tracer.end(span)
-        self._ack_inval(DIRECTORY_NODE, reply_id)
-
-    def _inval_key(self, key: tuple, action: str):
-        line = self._lines.get(key)
-        if line is None:
-            return                    # already evicted: trivial ack
-        if line.state == FILLING:
-            line.poisoned = True      # the arriving fill must not install
-            return
-        yield from self._lock_line(line)
-        try:
-            if self._lines.get(key) is not line or line.state == FILLING:
-                return
-            if line.dirty:
-                yield from self._flush_line(key, line)
-            if action == "recall":
-                # The directory initiated this drop and updates its own
-                # entry — no drop notice needed.
-                self._remove_line(key, line, note_drop=False)
-            else:
-                line.state = SHARED
-                line.dirty = False
-        finally:
-            self._unlock_line(line)
-
-    def _ack_inval(self, dst: str, request_id: int) -> None:
-        header = ClioHeader(
-            src=self.node.name, dst=dst, request_id=request_id,
-            packet_type=PacketType.RESPONSE)
-        self.transport.topology.send(Packet(
-            header=header, payload=ResponseBody(status=Status.OK),
-            wire_bytes=self.params.network.header_bytes,
-            sent_at=self.env.now))
+        self._invals.finish(msg.seq, ResponseBody(status=Status.OK))
 
     # -- read path ------------------------------------------------------------------------
 
     def read(self, thread, va: int, size: int):
         """Process-generator: serve a read, from the cache when possible."""
         if not self.cacheable(va, size):
-            data = yield from self._bypass_read(thread, va, size)
-            return data
+            return (yield from self._bypass_read(thread, va, size))
         key = self._key(thread, va)
         while True:
-            line = self._lines.get(key)
+            line, row = self._meet(key, "read")
             if line is None:
-                result = yield from self._miss(thread, key, va, size)
-                if result is not _RETRY:
-                    return result
-                continue
-            if line.state == FILLING:
+                data = yield from self._miss(thread, key, va, size, row)
+            elif row.wait:
                 yield line.fill_event
                 continue
-            yield from self._lock_line(line)
-            if self._lines.get(key) is not line or line.state == FILLING:
-                self._unlock_line(line)
-                continue
-            token = open_window(thread, False, va, size)
-            yield self.env.timeout(self.hit_ns)
-            offset = va - key[2]
-            data = bytes(line.data[offset:offset + size])
-            self._touch(key)
-            self._unlock_line(line)
-            self.hits += 1
-            settle(thread, False, token, data)
-            return data
+            else:
+                data = yield from self._local_op(thread, key, va, size,
+                                                 None, "read")
+            if data is not None:
+                return data
 
-    def _miss(self, thread, key: tuple, va: int, size: int):
-        self.misses += 1
-        line = _Line(key, fill_event=self.env.event())
-        self._lines[key] = line       # FILLING placeholder
-        installed = False
+    def _miss(self, thread, key: tuple, va: int, size: int,
+              row: protocol.LineRow):
+        protocol.bump(self, row.count)
+        line = self._lines[key] = _Line(self.env, row.next)   # placeholder
         tracer = self.tracer
         span = (tracer.begin(self._fill_site, key[2])
                 if tracer is not None else None)
@@ -439,7 +348,7 @@ class PageCache:
             if outcome.body.value.get("owner_local"):
                 # Our own node owns this line dirty (a local write raced
                 # us): the MN's bytes are stale.  Re-examine locally.
-                return _RETRY
+                return None
             # The oracle window opens only now, after directory admission,
             # and covers the bytes asked for, not the whole line fetched.
             token = open_window(thread, False, va, size)
@@ -450,23 +359,19 @@ class PageCache:
             data = bytes(buf[offset:offset + size])
             if not line.poisoned and self._lines.get(key) is line:
                 line.data = buf
-                line.state = SHARED
-                self._install(key, line)
-                installed = True
-                self.fills += 1
+                self._apply(key, line, self._row(line, "fill"))
             settle(thread, False, token, data,
                    outcome.retries + mn_out.retries)
-            if installed:
+            if line.data is not None:
                 yield from self._enforce_capacity()
             return data
         finally:
-            if not installed and self._lines.get(key) is line:
-                del self._lines[key]
+            if line.data is None and self._lines.get(key) is line:
                 # The directory may have registered us before the fill
-                # fell through — let it know we hold nothing.
-                self._pending_drops.add(key)
-            if line.fill_event is not None and not line.fill_event.triggered:
-                line.fill_event.succeed()
+                # fell through — the row's drop notice lets it know we
+                # hold nothing.
+                self._apply(key, line, self._row(line, "fill_void"))
+            line.fill_event.succeed()
             if tracer is not None:
                 tracer.end(span)
 
@@ -475,11 +380,11 @@ class PageCache:
         (write-back) so the MN holds current bytes."""
         retries = 0
         if self.policy == "back":
-            keys = self._range_keys(thread.process.mn, thread.process.pid,
-                                    va, size)
+            process = thread.process
             sync_out = yield from self._dir_request(CacheReq(
-                "sync", thread.process.pid, thread.process.mn, keys=keys,
-                drops=self._take_drops()))
+                "sync", process.pid, process.mn, drops=self._take_drops(),
+                keys=protocol.line_keys(process.mn, process.pid, va, size,
+                               self.line_bytes)))
             retries = sync_out.retries
         return (yield from checked_access(thread, False, va, size,
                                           retries=retries))
@@ -493,115 +398,90 @@ class PageCache:
             return
         key = self._key(thread, va)
         # Never open a write transaction while a local fill for the key is
-        # in flight: its MN read could race our MN write (write-through)
-        # or our dirty ownership (write-back).  Residual races are closed
-        # by poisoning the placeholder at commit time.
+        # in flight (the ``write`` rows say why).  Residual races are
+        # closed by poisoning the placeholder at commit time.
         while True:
-            line = self._lines.get(key)
-            if line is None or line.state != FILLING:
+            line, row = self._meet(key, "write")
+            if not row.wait:
                 break
             yield line.fill_event
-        if self.policy == "through":
-            yield from self._write_through(thread, key, va, data)
-        else:
-            yield from self._write_back(thread, key, va, data)
-
-    def _write_through(self, thread, key: tuple, va: int, data: bytes):
-        txn_id = next(self._txn_ids)
+        if (yield from self._local_op(thread, key, va, len(data), data,
+                                      "write")) is not None:
+            return                    # owner hit: the directory never knew
+        back = self.policy == "back"
+        guard = yield from self._open_txn(key[1], key[0], (key,),
+                                          want_owner=back)
         try:
-            dir_out = yield from self._dir_request(CacheReq(
-                "wbegin", key[1], key[0], keys=(key,), txn_id=txn_id,
-                drops=self._take_drops()))
-        except BaseException:
-            # The directory may have executed the wbegin and lost the
-            # response: always send the matching wend.
-            self._spawn_wend(txn_id, key[1], key[0])
-            raise
+            yield from (self._write_back if back else self._write_through)(
+                thread, key, va, data, guard.retries)
+        finally:
+            self.guard_end(guard)
+
+    def _write_through(self, thread, key: tuple, va: int, data: bytes,
+                       retries: int):
         # The window stays open across the local line update below: until
         # that lands a concurrent local hit may still legally read the old
         # bytes, so the write must not commit in the oracle at the MN ack.
         token = open_window(thread, True, va, len(data), data)
         try:
-            try:
-                mn_out = yield from mn_request(
-                    thread, True, va, len(data), data, token)
-            except BaseException:
-                # The write may have applied without the ack: our local
-                # copy can no longer be trusted.
-                yield from self._discard_local(key)
-                raise
-            line = self._lines.get(key)
-            if line is not None:
-                if line.state == FILLING:
-                    line.poisoned = True   # its MN read raced our write
-                else:
-                    yield from self._lock_line(line)
-                    if self._lines.get(key) is line and line.state == SHARED:
-                        offset = va - key[2]
-                        line.data[offset:offset + len(data)] = data
-                        self._touch(key)
-                    self._unlock_line(line)
-            self.write_throughs += 1
-            settle(thread, True, token,
-                   retries=dir_out.retries + mn_out.retries)
-        finally:
-            self._spawn_wend(txn_id, key[1], key[0])
-
-    def _write_back(self, thread, key: tuple, va: int, data: bytes):
-        line = self._lines.get(key)
-        if line is not None and line.state == MODIFIED:
-            yield from self._lock_line(line)
-            if self._lines.get(key) is line and line.state == MODIFIED:
-                # Owner hit: commit locally, zero network round trips.
-                token = open_window(thread, True, va, len(data), data)
-                yield self.env.timeout(self.hit_ns)
-                offset = va - key[2]
-                line.data[offset:offset + len(data)] = data
-                line.dirty = True
-                self._touch(key)
-                self._unlock_line(line)
-                self.write_hits += 1
-                settle(thread, True, token)
-                return
-            self._unlock_line(line)
-        txn_id = next(self._txn_ids)
-        try:
-            dir_out = yield from self._dir_request(CacheReq(
-                "wbegin", key[1], key[0], keys=(key,), txn_id=txn_id,
-                want_owner=True, drops=self._take_drops()))
+            mn_out = yield from mn_request(
+                thread, True, va, len(data), data, token)
         except BaseException:
-            self._spawn_wend(txn_id, key[1], key[0])
+            # The write may have applied without the ack: our local copy
+            # can no longer be trusted.
+            yield from self._retire(key, "discard")
             raise
-        try:
-            yield from self._write_back_commit(thread, key, va, data,
-                                               dir_out.retries)
-        finally:
-            self._spawn_wend(txn_id, key[1], key[0])
+        # A fill in flight is poisoned: its MN read raced our write.
+        line, row = self._meet(key, "through_acked")
+        if row.next is not None and (yield from self._hold(key, line)):
+            offset = va - key[2]
+            line.data[offset:offset + len(data)] = data
+            self._lru.move_to_end(key)
+            line.lock.release()
+        protocol.bump(self, row.count)
+        settle(thread, True, token, retries=retries + mn_out.retries)
 
-    def _write_back_commit(self, thread, key: tuple, va: int, data: bytes,
-                           dir_retries: int):
+    def _local_op(self, thread, key: tuple, va: int, size: int,
+                  data: Optional[bytes], event: str, retries: int = 0):
+        """Process-generator: serve a read (``data`` None) from, or land
+        a write-back write in, the resident line, if ``event``'s row lets
+        it — for a write, because we own the line or were just granted it
+        and already hold current bytes: zero network round trips.
+        Returns the bytes read or written; None when there is no such
+        line (any more), and the caller looks again, goes to the
+        directory (``write``) or installs one (``back_granted``)."""
         line = self._lines.get(key)
-        if line is not None and line.state in (SHARED, MODIFIED):
-            yield from self._lock_line(line)
-            if self._lines.get(key) is line \
-                    and line.state in (SHARED, MODIFIED):
-                # Upgrade in place: we already hold current bytes.
-                token = open_window(thread, True, va, len(data), data)
-                yield self.env.timeout(self.hit_ns)
-                offset = va - key[2]
-                line.data[offset:offset + len(data)] = data
-                line.state = MODIFIED
-                line.dirty = True
-                self._touch(key)
-                self._unlock_line(line)
-                self.write_hits += 1
-                settle(thread, True, token, retries=dir_retries)
-                return
-            self._unlock_line(line)
+        if line is None or line.data is None \
+                or self._row(line, event).next is None \
+                or not (yield from self._hold(key, line)):
+            return None
+        row = self._row(line, event)      # as it is now that we hold it
+        if row.next is None:
+            line.lock.release()
+            return None
+        is_write = data is not None
+        token = open_window(thread, is_write, va, size, data)
+        yield self.env.timeout(self.hit_ns)
+        offset = va - key[2]
+        if is_write:
+            line.data[offset:offset + size] = data
+        else:
+            data = bytes(line.data[offset:offset + size])
+        line.state = row.next
+        self._lru.move_to_end(key)
+        line.lock.release()
+        protocol.bump(self, row.count)
+        settle(thread, is_write, token, data, retries)
+        return data
+
+    def _write_back(self, thread, key: tuple, va: int, data: bytes,
+                    retries: int):
+        if (yield from self._local_op(thread, key, va, len(data), data,
+                                      "back_granted", retries)) is not None:
+            return                    # upgraded in place: we held the bytes
         offset = va - key[2]
         if offset == 0 and len(data) == self.line_bytes:
             buf = bytearray(data)      # full-line write: nothing to fetch
-            retries = dir_retries
         else:
             # Fetch-on-write: merge into the current line image.  The MN
             # holds current bytes (any previous owner was recalled and
@@ -611,37 +491,13 @@ class PageCache:
                 thread, False, key[2], self.line_bytes)
             buf = bytearray(mn_out.data)
             buf[offset:offset + len(data)] = data
-            retries = dir_retries + mn_out.retries
+            retries += mn_out.retries
         token = open_window(thread, True, va, len(data), data)
         yield self.env.timeout(self.hit_ns)
-        existing = self._lines.get(key)
-        if existing is not None and existing.state == FILLING:
-            existing.poisoned = True   # a raced local fill must not install
-        new_line = _Line(key)
-        new_line.data = buf
-        new_line.state = MODIFIED
-        new_line.dirty = True
-        self._install(key, new_line)
-        self.write_fills += 1
+        _, row = self._meet(key, "back_granted")   # poisons a raced fill
+        self._apply(key, _Line(self.env, row.next, buf), row)
         settle(thread, True, token, retries=retries)
         yield from self._enforce_capacity()
-
-    def _discard_local(self, key: tuple):
-        line = self._lines.get(key)
-        if line is None:
-            return
-        if line.state == FILLING:
-            line.poisoned = True
-            return
-        yield from self._lock_line(line)
-        try:
-            if self._lines.get(key) is not line or line.state == FILLING:
-                return
-            if line.dirty:
-                yield from self._flush_line(key, line)
-            self._remove_line(key, line, note_drop=True)
-        finally:
-            self._unlock_line(line)
 
     # -- guarded bypass (atomics, large writes, frees) --------------------------------------
 
@@ -650,20 +506,11 @@ class PageCache:
         ``[va, va+size)`` with every cached copy — including our own —
         recalled.  Returns a :class:`_Guard`; pass it to
         :meth:`guard_end` (in a finally block)."""
-        mn, pid = thread.process.mn, thread.process.pid
-        keys = self._range_keys(mn, pid, va, size)
-        txn_id = next(self._txn_ids)
-        try:
-            outcome = yield from self._dir_request(CacheReq(
-                "wbegin", pid, mn, keys=keys, txn_id=txn_id,
-                include_self=True, drops=self._take_drops()))
-        except BaseException:
-            self._spawn_wend(txn_id, pid, mn)
-            raise
-        return _Guard(txn_id=txn_id, pid=pid, mn=mn, retries=outcome.retries)
-
-    def guard_end(self, guard: _Guard) -> None:
-        self._spawn_wend(guard.txn_id, guard.pid, guard.mn)
+        process = thread.process
+        return (yield from self._open_txn(
+            process.pid, process.mn, include_self=True,
+            keys=protocol.line_keys(process.mn, process.pid, va, size,
+                                    self.line_bytes)))
 
     def _bypass_write(self, thread, va: int, data: bytes):
         guard = yield from self.write_guard(thread, va, len(data))
@@ -682,13 +529,7 @@ class PageCache:
         answering coherence messages after."""
         self.node.cache = None
         for key in list(self._lines):
-            line = self._lines.get(key)
-            if line is None:
-                continue
-            if line.state == FILLING:
-                line.poisoned = True
-                continue
-            yield from self._evict(key)
+            yield from self._retire(key, "evict")
         try:
             yield from self._dir_request(CacheReq(
                 "depart", 0, "", drops=self._take_drops()))

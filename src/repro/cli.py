@@ -26,11 +26,14 @@ from typing import Optional, Sequence
 from repro.analysis.report import render_table
 from repro.analysis.stats import LatencyRecorder, rate_gbps
 from repro.cluster import ClioCluster
-from repro.params import ClioParams
+from repro.params import GB, KB, MB, ClioParams
 
-KB = 1 << 10
-MB = 1 << 20
-GB = 1 << 30
+#: ``--profile`` name -> parameter bundle.
+PROFILES = {
+    "prototype": ClioParams.prototype,
+    "asic": ClioParams.asic_projection,
+    "cloudlab": ClioParams.cloudlab,
+}
 
 
 def _parse_size(text: str) -> int:
@@ -43,15 +46,7 @@ def _parse_size(text: str) -> int:
 
 
 def _profile(name: str) -> ClioParams:
-    profiles = {
-        "prototype": ClioParams.prototype,
-        "asic": ClioParams.asic_projection,
-        "cloudlab": ClioParams.cloudlab,
-    }
-    if name not in profiles:
-        raise SystemExit(f"unknown profile {name!r}; "
-                         f"choose from {sorted(profiles)}")
-    return profiles[name]()
+    return PROFILES[name]()
 
 
 # -- commands ----------------------------------------------------------------------
@@ -520,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {repro.__version__}")
     parser.add_argument("--profile", default="prototype",
-                        choices=("prototype", "asic", "cloudlab"),
+                        choices=tuple(PROFILES),
                         help="parameter profile (default: prototype)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--cprofile", action="store_true",

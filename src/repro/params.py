@@ -430,6 +430,11 @@ class CXLParams:
 # ---------------------------------------------------------------------------
 
 
+#: Every comparison backend ``create_backend`` can build.
+BACKEND_NAMES = ("clio", "cxl", "rdma", "legoos", "clover", "herd",
+                 "herd-bf")
+
+
 @dataclass(frozen=True)
 class BackendParams:
     """Setup knobs for the comparison backends, in one place.
@@ -448,12 +453,10 @@ class BackendParams:
     server_cores: int | None = None      # HERD: RPC polling cores
     tenant: str = "default"                # CXL: tenant the backend runs as
 
-    _KNOWN = ("clio", "rdma", "legoos", "clover", "herd", "herd-bf", "cxl")
-
     def __post_init__(self) -> None:
-        if self.name not in self._KNOWN:
+        if self.name not in BACKEND_NAMES:
             raise ValueError(
-                f"backend must be one of {self._KNOWN}, got {self.name!r}")
+                f"backend must be one of {BACKEND_NAMES}, got {self.name!r}")
         if self.dram_capacity is not None and self.dram_capacity <= 0:
             raise ValueError(
                 f"dram_capacity must be positive, got {self.dram_capacity}")

@@ -25,6 +25,7 @@ sampled run keeps every workload timestamp unchanged.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Optional
 
 #: Cap on raw samples a histogram retains for percentile queries; beyond
@@ -159,6 +160,19 @@ class StatsView:
 
     def __init__(self, fields: dict[str, Instrument]):
         self._fields = dict(fields)
+
+    @classmethod
+    def of_counters(cls, scope: "MetricsScope", owner,
+                    counters: dict[str, str]) -> "StatsView":
+        """Declare ``owner``'s plain-attribute counters once: each
+        ``name -> help`` becomes a zeroed attribute of ``owner``, a
+        function-backed counter in ``scope`` and a ``stats()`` key."""
+        fields = {}
+        for name, description in counters.items():
+            setattr(owner, name, 0)
+            fields[name] = scope.counter(
+                name, description, fn=partial(getattr, owner, name))
+        return cls(fields)
 
     def __getitem__(self, key: str) -> Instrument:
         return self._fields[key]

@@ -14,6 +14,11 @@ write-back, drawn per example) while:
 "Invalidate" is exercised the way the protocol defines it: a write from
 the *other* CN recalls/downgrades whatever the victim cached.  The
 deterministic profile (tests/conftest.py) keeps CI reproducible.
+
+Each example runs over recording copies of the protocol tables and ends
+by asserting that every step it took was a row of them: a lookup with
+no row raises inside a simulated process, where nobody may be waiting
+to see it.
 """
 
 from dataclasses import replace
@@ -28,11 +33,13 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.cache import protocol
 from repro.clib.client import RemoteAccessError
 from repro.cluster import ClioCluster
 from repro.params import KB, MB, US, CacheParams
 from repro.transport.clib_transport import RequestFailed
 from tests.cache.test_cache import _PID  # shared pinned harness PID
+from tests.cache.test_protocol_table import Recording
 
 from repro.verify.runner import verify_params
 
@@ -47,6 +54,8 @@ class CacheCoherenceMachine(RuleBasedStateMachine):
     @initialize(policy=st.sampled_from(["through", "back"]),
                 seed=st.integers(min_value=0, max_value=2 ** 16))
     def setup(self, policy, seed):
+        self.tables = (protocol.LINE_TABLE, protocol.DIR_TABLE)
+        protocol.LINE_TABLE, protocol.DIR_TABLE = map(Recording, self.tables)
         params = replace(verify_params(), cache=CacheParams(
             policy=policy, line_bytes=LINE, capacity_lines=4))
         self.cluster = ClioCluster(params=params, seed=seed, num_cns=2,
@@ -70,6 +79,14 @@ class CacheCoherenceMachine(RuleBasedStateMachine):
         self.shadow = bytearray(REGION)
         self.unknown = set()
         self.stamp = 0
+
+    def teardown(self):
+        if not hasattr(self, "tables"):
+            return
+        taken = (protocol.LINE_TABLE, protocol.DIR_TABLE)
+        protocol.LINE_TABLE, protocol.DIR_TABLE = self.tables
+        for table in taken:
+            assert not table.missed, f"steps outside the table: {table.missed}"
 
     def _run(self, generator):
         return self.cluster.run(until=self.env.process(generator))

@@ -1,0 +1,20 @@
+"""``src/`` stays under a ceiling: size is a gate, not a report.
+
+ROADMAP's *Small* aim is measured by ``tools/code_lines.py``.  A PR that
+must grow ``src/`` raises the constant below in its own diff, where
+review sees it; one that shrinks it lowers the constant to the new count
+so the ground is kept.
+"""
+
+from tools.code_lines import ROOT, count_files
+
+#: ``python tools/code_lines.py`` after the PR that wrote the cache line
+#: protocol down as one table (13 863 before it).
+SRC_CEILING = 13_714
+
+
+def test_src_stays_under_its_ceiling():
+    total = sum(count_files([ROOT / "src"]).values())
+    assert total <= SRC_CEILING, (
+        f"src/ is {total} code lines, over the {SRC_CEILING} ceiling: "
+        "shrink it, or raise SRC_CEILING in this diff and say why")

@@ -53,6 +53,14 @@ def code_lines(source: str) -> int:
     return len(counted - skipped)
 
 
+def count_files(paths) -> dict[Path, int]:
+    """``{file: code lines}`` for every ``*.py`` at or under ``paths``."""
+    files = sorted({file for path in paths
+                    for file in ([path] if path.is_file()
+                                 else path.rglob("*.py"))})
+    return {file: code_lines(file.read_text()) for file in files}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="*", type=Path,
@@ -61,10 +69,7 @@ def main() -> int:
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="also print every file's count")
     args = parser.parse_args()
-    files = sorted({file for path in args.paths
-                    for file in ([path] if path.is_file()
-                                 else path.rglob("*.py"))})
-    counts = {file: code_lines(file.read_text()) for file in files}
+    counts = count_files(args.paths)
     if args.verbose:
         for file, count in sorted(counts.items(),
                                   key=lambda item: (-item[1], item[0])):
