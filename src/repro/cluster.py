@@ -84,30 +84,24 @@ class ClioCluster:
         tor_envs = spine_env = None
         if partitioned:
             from repro.sim import PartitionedEnvironment
-            self.env: Environment = PartitionedEnvironment()
+            self.env = fabric_env = PartitionedEnvironment()
             if rack_config is not None:
                 tor_envs = [self.env.partition(f"tor{i}")
                             for i in range(rack_config.tors)]
                 spine_env = self.env.partition("spine")
-                switch_env = tor_envs[0]
             else:
-                switch_env = self.env.partition("switch")
+                fabric_env = self.env.partition("switch")
         else:
-            self.env = switch_env = Environment()
+            self.env = fabric_env = Environment()
         self.rng = RandomStream(seed, "cluster")
         # One shared metrics namespace for the whole cluster; components
         # register themselves under their own prefixes at construction.
         self.metrics = MetricsRegistry()
-        if rack_config is not None:
-            from repro.net.rack import RackTopology
-            self.topology = RackTopology(
-                self.env, self.params.network, tors=rack_config.tors,
-                rng=self.rng.fork("net"), registry=self.metrics,
-                tor_envs=tor_envs, spine_env=spine_env)
-        else:
-            self.topology = Topology(switch_env, self.params.network,
-                                     rng=self.rng.fork("net"),
-                                     registry=self.metrics)
+        # A star unless there is a rack config: its ToRs under a spine.
+        self.topology = Topology(
+            fabric_env, self.params.network, rng=self.rng.fork("net"),
+            registry=self.metrics, tors=rack_config and rack_config.tors,
+            tor_envs=tor_envs, spine_env=spine_env)
         self.mns: list[CBoard] = []
         for index in range(num_mns):
             board_env = (self.env.partition(f"mn{index}") if partitioned
@@ -211,16 +205,14 @@ class ClioCluster:
         if not config.tenants:
             raise ValueError('the "qos" layer needs at least one '
                              "TenantConfig in params.qos.tenants")
+        topology = self.topology
         for board in self.mns:
-            for switch in self.topology.switches:
-                downlink = switch._downlinks.get(board.name)
-                if downlink is None:
-                    continue
-                shaper = EgressShaper(
-                    switch.env, board.name, downlink, config,
-                    port_rate_bps=downlink.rate_bps, registry=self.metrics)
-                switch.install_shaper(board.name, shaper)
-                self.qos_shapers[board.name] = shaper
+            switch = topology.switches[topology.tor_index(board.name)]
+            shaper = EgressShaper(switch.env, board.name,
+                                  topology.downlink(board.name), config,
+                                  registry=self.metrics)
+            switch.install_shaper(board.name, shaper)
+            self.qos_shapers[board.name] = shaper
 
     def _build_tracing(self) -> None:
         """Span recording (:mod:`repro.telemetry.spans`): never schedules

@@ -392,11 +392,20 @@ class CBoard:
                         yield from self._handle_batch(packet, epoch)
                 elif path is Path.SLOW:
                     if header.packet_type is PacketType.ALLOC:
-                        yield from self._handle_alloc(packet, epoch)
+                        size, permission, fixed_va = packet.payload
+                        yield from self._handle_once(
+                            header, epoch, self.slow_path.handle_alloc(
+                                header.pid, size, permission=permission,
+                                fixed_va=fixed_va))
                     elif header.packet_type is PacketType.FREE:
-                        yield from self._handle_free(packet, epoch)
+                        yield from self._handle_once(
+                            header, epoch, self.slow_path.handle_free(
+                                header.pid, header.va))
                 elif path is Path.EXTEND:
-                    yield from self._handle_offload(packet, epoch)
+                    name, args = packet.payload
+                    yield from self._handle_once(
+                        header, epoch, self.extend_path.invoke(
+                            name, args, caller_pid=header.pid))
             finally:
                 # A crash zeroed the in-flight count; a pre-crash handler
                 # must not decrement the new epoch's bookkeeping on its
@@ -496,9 +505,7 @@ class CBoard:
         self.requests_served += 1
         self.last_breakdown = progress.breakdown
         if progress.status is Status.OK:
-            self.retry_buffer.remember(header.request_id)
-            if header.retry_of is not None:
-                self.retry_buffer.remember(header.retry_of)
+            self._remember(header)
         self._send(header.src, header.request_id, PacketType.RESPONSE,
                    ResponseBody(status=progress.status,
                                 breakdown=progress.breakdown), epoch=epoch,
@@ -567,9 +574,7 @@ class CBoard:
             # Read-only frames are idempotent and re-execute freely on
             # retry; remembering only write-bearing frames keeps the
             # bounded dedup ring small, exactly like single WRITEs.
-            self.retry_buffer.remember(header.request_id, (statuses, blob))
-            if header.retry_of is not None:
-                self.retry_buffer.remember(header.retry_of, (statuses, blob))
+            self._remember(header, (statuses, blob))
         self._send_batch_response(header, statuses, blob, epoch)
 
     def _send_batch_response(self, header: ClioHeader, statuses, blob: bytes,
@@ -613,9 +618,7 @@ class CBoard:
             self.responses_discarded += 1
             return
         self.requests_served += 1
-        self.retry_buffer.remember(header.request_id, result)
-        if header.retry_of is not None:
-            self.retry_buffer.remember(header.retry_of, result)
+        self._remember(header, result)
         self._send(header.src, header.request_id, PacketType.RESPONSE,
                    ResponseBody(status=Status.OK, atomic=result), epoch=epoch)
 
@@ -643,78 +646,39 @@ class CBoard:
         self._fence_barrier = None
         barrier.succeed()
 
-    # -- slow path handlers ---------------------------------------------------------
+    # -- slow and extend path: once-only requests ------------------------------------
 
-    def _dedup_response(self, header: ClioHeader, epoch: int) -> bool:
-        """Replay a cached response for a retry of an executed non-
-        idempotent request (alloc/free/offload); True when replayed.
+    def _remember(self, header: ClioHeader, outcome=None) -> None:
+        """Record an executed request under its own id and, for a retry,
+        the original's: whichever attempt is retried next finds it."""
+        self.retry_buffer.remember(header.request_id, outcome)
+        if header.retry_of is not None:
+            self.retry_buffer.remember(header.retry_of, outcome)
 
-        Re-executing these would double-allocate or double-apply side
-        effects, so they get the same dedup treatment as writes/atomics.
+    def _handle_once(self, header: ClioHeader, epoch: int, run):
+        """Serve an alloc, free or offload: ``run`` (its not-yet-started
+        process-generator) executes at most once per request.
+
+        Re-executing a retry of one that already ran would double-allocate
+        or double-apply side effects, so it gets the same dedup treatment
+        as writes/atomics: the remembered response is replayed instead.
         """
         executed, cached = self.retry_buffer.check(header.retry_of)
         if executed and isinstance(cached, ResponseBody):
             self._send(header.src, header.request_id, PacketType.RESPONSE,
                        cached, epoch=epoch)
-            return True
-        return False
-
-    def _remember_response(self, header: ClioHeader,
-                           body: ResponseBody) -> None:
-        self.retry_buffer.remember(header.request_id, body)
-        if header.retry_of is not None:
-            self.retry_buffer.remember(header.retry_of, body)
-
-    def _handle_alloc(self, packet: Packet, epoch: int):
-        header = packet.header
-        if self._dedup_response(header, epoch):
             return
-        size, permission, fixed_va = packet.payload
-        response = yield from self.slow_path.handle_alloc(
-            header.pid, size, permission=permission, fixed_va=fixed_va)
+        outcome = yield from run
         if epoch != self._epoch:
             # Page-table updates survive the crash (durable state), but the
             # response and the retry-dedup record are lost with the epoch.
             self.responses_discarded += 1
             return
-        status = Status.OK if response.ok else Status.INVALID_VA
         self.requests_served += 1
-        body = ResponseBody(status=status, value=response)
-        self._remember_response(header, body)
-        self._send(header.src, header.request_id, PacketType.RESPONSE, body,
-                   epoch=epoch)
-
-    def _handle_free(self, packet: Packet, epoch: int):
-        header = packet.header
-        if self._dedup_response(header, epoch):
-            return
-        response = yield from self.slow_path.handle_free(header.pid, header.va)
-        if epoch != self._epoch:
-            self.responses_discarded += 1
-            return
-        status = Status.OK if response.ok else Status.INVALID_VA
-        self.requests_served += 1
-        body = ResponseBody(status=status, value=response)
-        self._remember_response(header, body)
-        self._send(header.src, header.request_id, PacketType.RESPONSE, body,
-                   epoch=epoch)
-
-    # -- extend path ---------------------------------------------------------------
-
-    def _handle_offload(self, packet: Packet, epoch: int):
-        header = packet.header
-        if self._dedup_response(header, epoch):
-            return
-        name, args = packet.payload
-        result = yield from self.extend_path.invoke(name, args,
-                                                    caller_pid=header.pid)
-        if epoch != self._epoch:
-            self.responses_discarded += 1
-            return
-        self.requests_served += 1
-        status = Status.OK if result.ok else Status.INVALID_VA
-        body = ResponseBody(status=status, value=result)
-        self._remember_response(header, body)
+        body = ResponseBody(
+            status=Status.OK if outcome.ok else Status.INVALID_VA,
+            value=outcome)
+        self._remember(header, body)
         self._send(header.src, header.request_id, PacketType.RESPONSE, body,
                    epoch=epoch)
 

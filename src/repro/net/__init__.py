@@ -1,4 +1,4 @@
-"""Ethernet fabric model: packets, links, and the ToR switch.
+"""Ethernet fabric model: packets, links, switches and the fabric.
 
 The model is deliberately simple — serialization + propagation +
 output-queueing per link, with seeded loss/corruption injection — because
@@ -10,7 +10,6 @@ inflation, incast visible as switch-queue growth.
 from repro.net.gbn import GBNReceiver, GBNSender, connection_state_bytes
 from repro.net.link import Link
 from repro.net.packet import ClioHeader, Packet, PacketType, fragment_payload
-from repro.net.rack import RackTopology, SpineSwitch
 from repro.net.switch import Switch, Topology
 
 __all__ = [
@@ -20,8 +19,6 @@ __all__ = [
     "Link",
     "Packet",
     "PacketType",
-    "RackTopology",
-    "SpineSwitch",
     "Switch",
     "Topology",
     "connection_state_bytes",

@@ -65,39 +65,36 @@ class EgressShaper:
     """Token-bucket shaping in front of one egress link."""
 
     def __init__(self, env: Environment, node: str, downlink: Link,
-                 qos: QoSParams, port_rate_bps: int,
-                 registry: Optional[MetricsRegistry] = None,
-                 scope: str = "qos"):
+                 qos: QoSParams,
+                 registry: Optional[MetricsRegistry] = None):
         self.env = env
         self.node = node
         self.downlink = downlink
         self.qos = qos
-        self.port_rate_bps = port_rate_bps
         self._queues: dict[str, _TenantQueue] = {}
         self._by_client: dict[str, _TenantQueue] = {}
         for tenant in qos.tenants:
-            rate = max(1, int(port_rate_bps * tenant.share))
+            # A share is a fraction of the port the shaper fronts.
+            rate = max(1, int(downlink.rate_bps * tenant.share))
             queue = _TenantQueue(tenant.name, rate, qos.burst_bytes)
             self._queues[tenant.name] = queue
             for client in tenant.clients:
                 self._by_client[client] = queue
         self.unclassified = 0
         if registry is not None:
-            self._register_metrics(registry, scope)
+            self._register_metrics(registry)
 
     # -- telemetry --------------------------------------------------------------------
 
-    def _register_metrics(self, registry: MetricsRegistry,
-                          scope: str) -> None:
-        egress = registry.scope(f"{scope}.{self.node}")
+    def _register_metrics(self, registry: MetricsRegistry) -> None:
+        egress = registry.scope(f"qos.{self.node}")
         egress.counter("unclassified", "packets from nodes in no tenant",
                        fn=lambda: self.unclassified)
         egress.gauge("backlog", "packets held across all tenant FIFOs",
                      fn=lambda: sum(len(q.fifo)
                                     for q in self._queues.values()))
         for name, queue in self._queues.items():
-            tenant_scope = registry.scope(f"{scope}.{self.node}"
-                                          f".tenant.{name}")
+            tenant_scope = registry.scope(f"qos.{self.node}.tenant.{name}")
             tenant_scope.counter("passed", "packets forwarded within rate",
                                  fn=lambda q=queue: q.passed)
             tenant_scope.counter("shaped", "packets delayed by the bucket",

@@ -2,8 +2,8 @@
 and elastic board membership with live region migration.
 
 Built on the existing pieces — :mod:`repro.distributed` leases,
-:mod:`repro.net.rack` fabric, :mod:`repro.faults.health` beliefs — this
-package is the scale-out layer: a :class:`RackTier` on a
+:class:`repro.net.Topology` with ``tors=``, :mod:`repro.faults.health`
+beliefs — this package is the scale-out layer: a :class:`RackTier` on a
 ``ClioCluster(rack=...)`` shards the region space across 8–64 CBoards
 and keeps serving (and verifying) while boards join, drain, and die.
 """

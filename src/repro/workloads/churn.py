@@ -36,6 +36,10 @@ from repro.sim.rng import RandomStream
 CHURN_PID_BASE = 6001
 BALLAST_PID_BASE = 7001
 
+#: The one board every scenario churns: 768 pages of 64 KB.
+MN_CAPACITY = 48 * MB
+PAGE_SIZE = 64 * KB
+
 
 @dataclass(frozen=True)
 class ChurnScenario:
@@ -159,9 +163,8 @@ class ChurnReport:
 def run_churn(scenario: str | ChurnScenario = "small-churn", *,
               pa_strategy: str = "freelist", va_policy: str = "first-fit",
               seed: int = 0, ops: Optional[int] = None,
-              partitioned: bool = False, verify: bool = False,
-              mn_capacity: int = 48 * MB, page_size: int = 64 * KB,
-              deadline_ns: Optional[int] = None) -> ChurnReport:
+              partitioned: bool = False,
+              verify: bool = False) -> ChurnReport:
     """Run one churn scenario; returns the :class:`ChurnReport`.
 
     ``verify=True`` attaches the full checking stack (shadow oracle +
@@ -176,8 +179,8 @@ def run_churn(scenario: str | ChurnScenario = "small-churn", *,
     total_ops = ops if ops is not None else spec.ops
     params = replace(ClioParams.prototype(), alloc=AllocParams(
         pa_strategy=pa_strategy, va_policy=va_policy))
-    cluster = ClioCluster(params=params, seed=seed, mn_capacity=mn_capacity,
-                          page_size=page_size, partitioned=partitioned,
+    cluster = ClioCluster(params=params, seed=seed, mn_capacity=MN_CAPACITY,
+                          page_size=PAGE_SIZE, partitioned=partitioned,
                           layers=("verification",) if verify else ())
     verifier = cluster.verifier
     board = cluster.mn
@@ -198,7 +201,7 @@ def run_churn(scenario: str | ChurnScenario = "small-churn", *,
         target = int(spec.prefill_frac * table.total_slots)
         while table.entry_count < target:
             try:
-                yield from thread.ralloc(page_size)
+                yield from thread.ralloc(PAGE_SIZE)
             except RemoteAccessError:
                 break
 
@@ -227,7 +230,7 @@ def run_churn(scenario: str | ChurnScenario = "small-churn", *,
             start = env.now
             report.ops_attempted += 1
             try:
-                va = yield from thread.ralloc(pages * page_size)
+                va = yield from thread.ralloc(pages * PAGE_SIZE)
             except RemoteAccessError:
                 report.ops_failed += 1
                 report.oplog.append((step, tidx, "fail", env.now))
@@ -240,7 +243,7 @@ def run_churn(scenario: str | ChurnScenario = "small-churn", *,
             if spec.touch:
                 # Fault every page in (real PA churn, not just VA ranges).
                 for page in range(pages):
-                    yield from thread.rwrite(va + page * page_size,
+                    yield from thread.rwrite(va + page * PAGE_SIZE,
                                              bytes([step & 0xFF]))
                 if step % 7 == 0:
                     data = yield from thread.rread(va, 1)
@@ -259,11 +262,7 @@ def run_churn(scenario: str | ChurnScenario = "small-churn", *,
             report.frees += 1
         return True
 
-    done = env.process(app())
-    if deadline_ns is not None:
-        cluster.run(until=deadline_ns)
-    else:
-        cluster.run(until=done)
+    cluster.run(until=env.process(app()))
 
     report.slow_crossings = board.pa_allocator.slow_crossings
     report.retry_histogram = dict(

@@ -201,76 +201,110 @@ def test_link_down_drops_silently_and_counts():
     assert link.packets_sent == 2
 
 
-def test_topology_set_node_up_covers_both_directions():
+# The surface every fabric shape shares.  Each test below runs as written
+# on a star (``tors=None``) and again, through
+# ``test_shared_surface_holds_under_a_spine``, on one and on two ToRs
+# under a spine.  Nodes are named so that n0 and n1 (cn0 and mn1) sit on
+# different ToRs whenever there are two.
+
+
+def test_topology_set_node_up_covers_both_directions(tors=None):
     env = Environment()
     params = NetworkParams(jitter_ns=0)
-    topology = Topology(env, params)
-    received = {"a": [], "b": []}
-    topology.add_node("a", received["a"].append)
-    topology.add_node("b", received["b"].append)
-    topology.set_node_up("b", False)
-    uplink, downlink = topology.links_for("b")
+    topology = Topology(env, params, tors=tors)
+    received = {"n0": [], "n1": []}
+    topology.add_node("n0", received["n0"].append)
+    topology.add_node("n1", received["n1"].append)
+    topology.set_node_up("n1", False)
+    uplink, downlink = topology.links_for("n1")
     assert not uplink.up and not downlink.up
-    topology.send(make_packet(src="a", dst="b"))     # dropped at b's downlink
-    topology.send(make_packet(src="b", dst="a"))     # dropped at b's uplink
+    topology.send(make_packet(src="n0", dst="n1"))   # dropped at n1's downlink
+    topology.send(make_packet(src="n1", dst="n0"))   # dropped at n1's uplink
     env.run()
-    assert not received["a"] and not received["b"]
-    topology.set_node_up("b", True)
-    topology.send(make_packet(src="a", dst="b"))
+    assert not received["n0"] and not received["n1"]
+    topology.set_node_up("n1", True)
+    topology.send(make_packet(src="n0", dst="n1"))
     env.run()
-    assert len(received["b"]) == 1
+    assert len(received["n1"]) == 1
 
 
-def test_topology_routes_between_nodes():
+def test_topology_routes_between_nodes(tors=None):
     env = Environment()
     params = NetworkParams(jitter_ns=0)
-    topology = Topology(env, params)
-    received = {"a": [], "b": []}
-    topology.add_node("a", received["a"].append)
-    topology.add_node("b", received["b"].append)
-    topology.send(make_packet(src="a", dst="b"))
+    topology = Topology(env, params, tors=tors)
+    received = {"n0": [], "n1": []}
+    topology.add_node("n0", received["n0"].append)
+    topology.add_node("n1", received["n1"].append)
+    topology.send(make_packet(src="n0", dst="n1"))
     env.run()
-    assert len(received["b"]) == 1
-    assert not received["a"]
+    assert len(received["n1"]) == 1
+    assert not received["n0"]
 
 
-def test_topology_unroutable_counted():
+def test_topology_unroutable_counted(tors=None):
+    """Once, wherever the search ends: the star's ToR, else the spine."""
     env = Environment()
-    topology = Topology(env, NetworkParams())
-    topology.add_node("a", lambda p: None)
-    topology.send(make_packet(src="a", dst="ghost"))
+    topology = Topology(env, NetworkParams(), tors=tors)
+    topology.add_node("n0", lambda p: None)
+    topology.send(make_packet(src="n0", dst="ghost"))
     env.run()
-    assert topology.switch.unroutable == 1
+    last_hop = topology.spine or topology.switches[0]
+    assert last_hop.unroutable == 1
+    assert sum(tor.unroutable for tor in topology.switches) == (
+        1 if tors is None else 0)
 
 
-def test_topology_unknown_source_rejected():
+def test_topology_unknown_source_rejected(tors=None):
     env = Environment()
-    topology = Topology(env, NetworkParams())
+    topology = Topology(env, NetworkParams(), tors=tors)
     with pytest.raises(KeyError):
-        topology.send(make_packet(src="ghost", dst="a"))
+        topology.send(make_packet(src="ghost", dst="n0"))
 
 
-def test_topology_duplicate_node_rejected():
+def test_topology_duplicate_node_rejected(tors=None):
     env = Environment()
-    topology = Topology(env, NetworkParams())
-    topology.add_node("a", lambda p: None)
+    topology = Topology(env, NetworkParams(), tors=tors)
+    topology.add_node("n0", lambda p: None)
     with pytest.raises(ValueError):
-        topology.add_node("a", lambda p: None)
+        topology.add_node("n0", lambda p: None)
 
 
-def test_slow_mn_port_is_bottleneck():
-    """Traffic into a 10 Gbps MN port queues at the switch downlink."""
+def test_slow_mn_port_is_bottleneck(tors=None):
+    """Traffic into a 10 Gbps MN port queues at its ToR's downlink."""
     env = Environment()
     params = NetworkParams(jitter_ns=0)
-    topology = Topology(env, params)
+    topology = Topology(env, params, tors=tors)
     arrivals = []
-    topology.add_node("cn", lambda p: None)                  # 40 Gbps
-    topology.add_node("mn", lambda p: arrivals.append(env.now),
+    topology.add_node("cn0", lambda p: None)                 # 40 Gbps
+    topology.add_node("mn1", lambda p: arrivals.append(env.now),
                       port_rate_bps=10 * GBPS)
     for index in range(10):
-        topology.send(make_packet(src="cn", dst="mn", wire_bytes=1250,
+        topology.send(make_packet(src="cn0", dst="mn1", wire_bytes=1250,
                                   request_id=index))
     env.run()
     # At 10 Gbps each 1250B packet takes 1000ns; arrivals pace at >=1000ns.
     gaps = [b - a for a, b in zip(arrivals, arrivals[1:])]
+    assert len(arrivals) == 10
     assert all(gap >= 1000 for gap in gaps)
+
+
+def test_zero_port_rate_reaches_the_links_own_check(tors=None):
+    """``0`` is a rate, not "use the default": it must not silently
+    become the 40 Gbps CN NIC rate."""
+    topology = Topology(Environment(), NetworkParams(), tors=tors)
+    with pytest.raises(ValueError, match="rate must be positive"):
+        topology.add_node("n0", lambda p: None, port_rate_bps=0)
+
+
+@pytest.mark.parametrize("tors", (1, 2))
+@pytest.mark.parametrize("shared", (
+    test_topology_set_node_up_covers_both_directions,
+    test_topology_routes_between_nodes,
+    test_topology_unroutable_counted,
+    test_topology_unknown_source_rejected,
+    test_topology_duplicate_node_rejected,
+    test_slow_mn_port_is_bottleneck,
+    test_zero_port_rate_reaches_the_links_own_check,
+), ids=lambda test: test.__name__)
+def test_shared_surface_holds_under_a_spine(shared, tors):
+    shared(tors)

@@ -29,8 +29,7 @@ def make_shaper(qos, rate_bps=10 * GBPS, registry=None):
     delivered = []
     link = Link(env, "tor->mn0", rate_bps, 500,
                 deliver=delivered.append)
-    shaper = EgressShaper(env, "mn0", link, qos, port_rate_bps=rate_bps,
-                          registry=registry)
+    shaper = EgressShaper(env, "mn0", link, qos, registry=registry)
     return env, shaper, delivered
 
 
@@ -171,7 +170,7 @@ def qos_cluster(layers=("qos",), **shape):
 def test_qos_layer_installs_a_shaper_per_mn_downlink():
     cluster = qos_cluster(num_cns=2, num_mns=2)
     assert set(cluster.qos_shapers) == {"mn0", "mn1"}
-    switch = cluster.topology.switch
+    switch = cluster.topology.switches[0]
     for name, shaper in cluster.qos_shapers.items():
         assert switch.shaper_for(name) is shaper
         assert shaper.qos is QOS
@@ -179,7 +178,7 @@ def test_qos_layer_installs_a_shaper_per_mn_downlink():
     # Tenants in params alone build nothing: the layer is the opt-in.
     bare = qos_cluster(layers=(), num_cns=2)
     assert bare.qos_shapers == {}
-    assert bare.topology.switch.shaper_for("mn0") is None
+    assert bare.topology.switches[0].shaper_for("mn0") is None
 
 
 def test_enable_qos_requires_tenants():
@@ -201,6 +200,6 @@ def test_switch_exposes_per_egress_queue_depth():
     shaper = cluster.qos_shapers["mn0"]
     for uid in range(16):
         shaper.send(packet("cn1", uid=uid))
-    depth = cluster.topology.switch.egress_queue_depth("mn0")
+    depth = cluster.topology.switches[0].egress_queue_depth("mn0")
     assert depth >= shaper.backlog > 0
     assert cluster.metrics.snapshot()["switch.tor.queue.mn0.depth"] == depth

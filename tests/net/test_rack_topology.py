@@ -1,4 +1,6 @@
-"""Tests for the multi-switch rack fabric: ToRs under a spine.
+"""Tests for what only a fabric with a spine has: ToRs under a spine.
+
+(The surface every shape shares is in ``test_link_switch.py``.)
 
 The satellite acceptance story: per-link FIFO holds across the full
 ToR -> spine -> ToR path (with jitter pinned to zero — jitter exists to
@@ -11,7 +13,7 @@ flat vs partitioned.
 import hashlib
 
 from repro.net.packet import ClioHeader, Packet, PacketType
-from repro.net.rack import RackTopology
+from repro.net.switch import Topology
 from repro.params import MB, NetworkParams
 from repro.sim import Environment
 from repro.sim.partition import PartitionedEnvironment
@@ -32,9 +34,9 @@ def make_packet(src, dst, request_id, wire_bytes=256):
 
 def build_rack(env, tors=2, nodes=("cn0", "cn1", "mn0", "mn1"),
                params=None, tor_envs=None, spine_env=None):
-    topo = RackTopology(env, params or quiet_params(), tors=tors,
-                        rng=RandomStream(7, "rack"),
-                        tor_envs=tor_envs, spine_env=spine_env)
+    topo = Topology(env, params or quiet_params(), tors=tors,
+                    rng=RandomStream(7, "rack"),
+                    tor_envs=tor_envs, spine_env=spine_env)
     inboxes = {name: [] for name in nodes}
     for name in nodes:
         topo.add_node(
@@ -53,6 +55,26 @@ def test_node_placement_round_robins_on_trailing_digits():
     assert topo.tor_index("mn1") == 1
     assert topo.tor_index("mn2") == 0
     assert topo.tor_index("cachedir") == 0   # digitless -> ToR 0
+
+
+def test_a_star_is_one_tor_and_no_spine():
+    topo = Topology(Environment(), quiet_params())
+    topo.add_node("cn0", lambda packet: None)
+    topo.add_node("mn1", lambda packet: None)
+    assert topo.spine is None
+    assert topo.fabric_links() == []
+    assert len(topo.switches) == 1
+    assert topo.tor_index("mn1") == 0
+    assert topo.stats() == {"spine": None, "tors": [topo.switches[0].stats()]}
+    assert [link.name for link in topo.all_links()] == [
+        "cn0->tor", "mn1->tor", "tor->cn0", "tor->mn1"]
+
+
+def test_a_one_tor_rack_still_has_its_spine():
+    topo, _ = build_rack(Environment(), tors=1)
+    assert topo.spine is not None
+    assert [link.name for link in topo.fabric_links()] == [
+        "tor0->spine", "spine->tor0"]
 
 
 def test_cross_tor_path_keeps_per_link_fifo():
@@ -145,9 +167,9 @@ def test_two_tor_echo_bit_identical_flat_vs_partitioned():
         else:
             env = Environment()
             tor_envs = spine_env = None
-        topo = RackTopology(env, quiet_params(), tors=2,
-                            rng=RandomStream(7, "rack"),
-                            tor_envs=tor_envs, spine_env=spine_env)
+        topo = Topology(env, quiet_params(), tors=2,
+                        rng=RandomStream(7, "rack"),
+                        tor_envs=tor_envs, spine_env=spine_env)
         log = []
 
         def mn1_receive(packet):

@@ -157,7 +157,7 @@ def test_component_stats_unchanged_by_registry():
         "packets_sent", "packets_dropped", "packets_dropped_down",
         "packets_corrupted", "bytes_sent"]
     assert link_stats["packets_sent"] == 3
-    switch_stats = cluster.topology.switch.stats()
+    switch_stats = cluster.topology.switches[0].stats()
     assert switch_stats["packets_forwarded"] > 0
     assert switch_stats["unroutable"] == 0
 

@@ -228,8 +228,8 @@ def test_qos_layer_on_a_rack_shapes_every_downlink_and_caps_the_controller():
                           layers=("qos",))
     assert set(cluster.qos_shapers) == {"mn0", "mn1"}
     for name, shaper in cluster.qos_shapers.items():
-        tor = next(switch for switch in cluster.topology.switches
-                   if name in switch._downlinks)
+        topology = cluster.topology
+        tor = topology.switches[topology.tor_index(name)]
         assert tor.shaper_for(name) is shaper
     controller = cluster.rack.controller
     assert controller.tenants.quotas == {"a": 1 * MB}

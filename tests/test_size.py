@@ -8,9 +8,9 @@ so the ground is kept.
 
 from tools.code_lines import ROOT, count_files
 
-#: ``python tools/code_lines.py`` after the PR that wrote the cache line
-#: protocol down as one table (13 863 before it).
-SRC_CEILING = 13_714
+#: ``python tools/code_lines.py`` after the PR that made the star and the
+#: rack fabric one ``Topology`` (13 714 before it).
+SRC_CEILING = 13_542
 
 
 def test_src_stays_under_its_ceiling():
