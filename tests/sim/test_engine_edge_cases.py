@@ -397,26 +397,20 @@ def test_direct_timeout_construction_still_validates():
 
 
 def test_interrupted_waiters_timeout_recycles_safely():
-    """The timeout a waiter abandoned on interrupt fires unobserved later;
-    if it enters the pool, reuse must deliver fresh values, never the
-    stale one."""
+    """A timeout its creator walked away from fires unobserved later; when
+    it enters the pool, reuse must deliver fresh values, never the stale
+    one."""
     env = Environment()
     values = []
 
     def sleeper():
-        try:
-            yield env.timeout(1000, value="stale")
-        except Interrupt:
-            values.append((yield env.timeout(50, value="fresh")))
+        env.timeout(1000, value="stale")   # nobody holds or waits on it
+        values.append((yield env.timeout(50, value="fresh")))
 
-    def interrupter(target):
-        yield env.timeout(100)
-        target.interrupt()
-
-    target = env.process(sleeper())
-    env.process(interrupter(target))
+    env.process(sleeper())
     env.run()                      # abandoned t=1000 timeout fired at 1000
     assert values == ["fresh"]
+    assert env.now == 1000 and env._timeout_pool
     seen = []
 
     def reuse():
@@ -429,58 +423,55 @@ def test_interrupted_waiters_timeout_recycles_safely():
 
 
 def test_anyof_losing_timeout_is_not_recycled():
-    """The losing arm of an any_of stays referenced by the condition, so
-    the pool must leave it alone — its value survives the race."""
+    """The arm of an ``all_of`` that fires first stays referenced by the
+    condition while the other arm is pending, so the pool must leave it
+    alone — a churn of pooled timeouts meanwhile cannot overwrite it."""
     env = Environment()
-    fast = env.timeout(1, value="fast")
-    slow = env.timeout(1000, value="slow")
-    winners = []
-
-    def racer():
-        winners.append((yield env.any_of([fast, slow])))
-
-    env.process(racer())
-    env.run()                      # both fire; slow loses the race
-    assert winners[0] == {fast: "fast"} or fast in winners[0]
-    assert slow.value == "slow"    # loser untouched by pooling
-    # Churn the pool; the held loser must keep its identity and value.
+    results = []
     drains = []
+
+    def waiter():
+        got = yield env.all_of([env.timeout(1, value="fast"),
+                                env.timeout(1000, value="slow")])
+        results.append(sorted(got.values()))
 
     def churn():
         for index in range(20):
             drains.append((yield env.timeout(1, value=index)))
 
+    env.process(waiter())
     env.process(churn())
     env.run()
     assert drains == list(range(20))
-    assert slow.value == "slow"
-    assert slow not in env._timeout_pool
+    assert results == [["fast", "slow"]]
+    # A user-held timeout is the same case without a condition.
+    held = env.timeout(1, value="held")
+    env.run()
+    assert held not in env._timeout_pool
+    assert env.timeout(1, value="other") is not held
+    assert held.value == "held"
+    env.run()
 
 
 def test_cancel_race_timeout_reuse_keeps_values_isolated():
-    """Interrupt + immediate re-wait at the same timestamp: the recycled
-    instance handed to the next caller must be clean."""
+    """A timeout recycled at the timestamp it fired is handed to the next
+    caller at that same timestamp: the instance must come back clean."""
     env = Environment()
     log = []
 
     def victim():
-        try:
-            yield env.timeout(500, value="doomed")
-        except Interrupt:
-            log.append(("interrupted", env.now))
+        log.append((yield env.timeout(500, value="doomed")))
 
-    def aggressor(target):
+    def aggressor():
         yield env.timeout(500)     # same timestamp the victim wakes at
-        try:
-            target.interrupt()
-        except SimulationError:
-            pass                   # victim won the tie and terminated
+        # The victim's timeout popped first and is in the pool by now.
+        log.append((yield env.timeout(0, value="clean")))
+        log.append(env.now)
 
-    target = env.process(victim())
-    env.process(aggressor(target))
+    env.process(victim())
+    env.process(aggressor())
     env.run()
-    # Whichever way the tie broke, the engine must not double-deliver.
-    assert len(log) <= 1
+    assert log == ["doomed", "clean", 500]
     fresh = env.timeout(1, value="clean")
     assert fresh.value == "clean"
     env.run()

@@ -9,13 +9,7 @@ chaos determinism, RNG draw order) rests on it.
 
 import pytest
 
-from repro.sim import (
-    Environment,
-    Interrupt,
-    PartitionedEnvironment,
-    SimulationError,
-)
-from repro.sim.core import URGENT
+from repro.sim import Environment, PartitionedEnvironment, SimulationError
 
 
 # -- flat vs partitioned equivalence -------------------------------------------
@@ -24,8 +18,9 @@ from repro.sim.core import URGENT
 def _mixed_workload(env, envs, order):
     """A workload spread across ``envs`` (all the same env when flat).
 
-    Mixes timeouts, same-timestamp ties, interrupts (URGENT priority), and
-    callbacks so every scheduling path crosses partition lines.
+    Mixes timeouts, same-timestamp ties, processes started from another
+    partition (their ``Initialize`` is URGENT), and callbacks so every
+    scheduling path crosses partition lines.
     """
 
     def worker(sub, tag):
@@ -33,25 +28,22 @@ def _mixed_workload(env, envs, order):
             yield sub.timeout((tag * 7 + step) % 11)
             order.append(("tick", tag, step, env.now))
 
-    def sleeper(sub, tag):
-        try:
-            yield sub.timeout(10_000)
-        except Interrupt as interrupt:
-            order.append(("interrupted", tag, interrupt.cause, env.now))
+    def woken(sub, tag):
+        order.append(("woken", tag, env.now))
+        yield sub.timeout(tag)
+        order.append(("rewoken", tag, env.now))
 
-    sleepers = []
     for tag, sub in enumerate(envs):
         sub.process(worker(sub, tag))
-        sleepers.append(sub.process(sleeper(sub, tag)))
         sub.schedule_callback(13 + tag,
                               lambda tag=tag: order.append(("cb", tag)))
 
-    def interrupter(sub):
+    def starter(sub):
         yield sub.timeout(29)
-        for index, target in enumerate(sleepers):
-            target.interrupt(cause=index)
+        for tag, target in enumerate(envs):
+            target.process(woken(target, tag))
 
-    envs[0].process(interrupter(envs[0]))
+    envs[0].process(starter(envs[0]))
 
 
 def test_partitioned_run_is_bit_identical_to_flat():
@@ -122,20 +114,19 @@ def test_urgent_cross_partition_schedule_respects_global_order():
         order = []
 
         def waiter():
-            try:
-                yield sub_b.timeout(10_000)
-            except Interrupt:
-                order.append(("interrupted", env.now))
-
-        target = sub_b.process(waiter())
+            order.append(("started", env.now))
+            yield sub_b.timeout(10)
 
         def striker():
-            yield sub_a.timeout(50)
             order.append(("strike", env.now))
-            target.interrupt()      # URGENT, scheduled at t=50 into B
+            sub_b.schedule_callback(
+                0, lambda: order.append(("late_cb_b", env.now)))
+            sub_b.process(waiter())    # URGENT, scheduled at t=50 into B
 
-        sub_a.process(striker())
-        sub_b.schedule_callback(50, lambda: order.append(("cb_b", env.now)))
+        # B's pending entry is the runner-up bound while A drains at t=50.
+        sub_b.schedule_callback(10_000, lambda: order.append(("b", env.now)))
+        sub_a.schedule_callback(50, striker)
+        sub_a.schedule_callback(50, lambda: order.append(("cb_a", env.now)))
         return order
 
     flat_env = Environment()
@@ -147,30 +138,27 @@ def test_urgent_cross_partition_schedule_respects_global_order():
     part_order = build(part_env, a, b)
     part_env.run()
 
-    assert part_order == flat_order
-    assert ("interrupted", 50) in part_order
+    assert part_order == flat_order == [
+        ("strike", 50), ("started", 50), ("cb_a", 50), ("late_cb_b", 50),
+        ("b", 10_000)]
 
 
 def test_urgent_interrupt_into_sole_nonempty_wheel_matches_flat():
     """Cross-partition schedules must break the drain even with no
-    runner-up bound: here the target process waits on an *untriggered*
-    event, so its wheel is empty, the draining wheel is the only non-empty
-    one, and ``_drain_bound`` is None when the interrupt lands."""
+    runner-up bound: B's wheel is empty, so the draining wheel is the only
+    non-empty one and ``_drain_bound`` is None when the URGENT start of a
+    process on B lands."""
 
     def build(env, sub_a, sub_b):
         order = []
 
         def sleeper():
-            try:
-                yield sub_b.event()    # untriggered: B's wheel stays empty
-            except Interrupt:
-                order.append(("interrupted", env.now))
-
-        target = sub_b.process(sleeper())
+            order.append(("started", env.now))
+            yield sub_b.event()        # untriggered: B's wheel stays empty
 
         def striker():
             order.append(("strike", env.now))
-            target.interrupt()         # URGENT at t=5, into an empty wheel
+            sub_b.process(sleeper())   # URGENT at t=5, into an empty wheel
 
         sub_a.schedule_callback(5, striker)
         sub_a.schedule_callback(5, lambda: order.append(("cb_a", env.now)))
@@ -186,7 +174,7 @@ def test_urgent_interrupt_into_sole_nonempty_wheel_matches_flat():
     part_env.run(until=100)
 
     assert part_order == flat_order
-    assert part_order.index(("interrupted", 5)) < part_order.index(
+    assert part_order.index(("started", 5)) < part_order.index(
         ("cb_a", 5))
 
 
