@@ -19,7 +19,6 @@ first-class here.
 from repro.baselines.api import (
     BACKEND_NAMES,
     BACKENDS,
-    BackendCapability,
     ClioBackend,
     CloverBackend,
     HERDBackend,
@@ -37,7 +36,6 @@ from repro.baselines.rdma import MRRegistrationError, RDMAMemoryNode, MemoryRegi
 __all__ = [
     "BACKEND_NAMES",
     "BACKENDS",
-    "BackendCapability",
     "ClioBackend",
     "CloverBackend",
     "CloverStore",

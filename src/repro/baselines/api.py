@@ -8,8 +8,6 @@ Clio's own CLib threads.  Every figure benchmark and the ``repro
 compare`` CLI used to hand-code one loop per system.  This module
 defines the single surface they now iterate over:
 
-* :class:`BackendCapability` — what a backend can do natively, so a
-  benchmark can skip (or adapt) what a paradigm fundamentally lacks;
 * :class:`MemoryBackend` — ``setup / alloc / free / read / write`` as
   process-generators with uniform return conventions (``read`` returns
   ``(bytes, latency_ns)``, ``write`` returns ``latency_ns``);
@@ -31,24 +29,10 @@ reads of ranges that were either written as a unit or never written.
 from __future__ import annotations
 
 import abc
-import enum
 import itertools
 from typing import Optional
 
 from repro.params import BACKEND_NAMES, DEFAULT_PARAMS, GB, MB, ClioParams
-
-
-class BackendCapability(enum.Flag):
-    """What a memory backend can do natively (not through emulation)."""
-
-    NONE = 0
-    LOAD_STORE = enum.auto()     # CPU load/store, no message framing
-    RPC_FRAMING = enum.auto()    # ops are framed requests a server handles
-    REMOTE_ALLOC = enum.auto()   # the remote side runs the allocator
-    ATOMICS = enum.auto()        # remote atomic CAS
-    SUB_LINE_TRANSFER = enum.auto()  # wire cost scales below one cache line
-    MULTI_TENANT = enum.auto()   # native tenant isolation (shares/quotas)
-    KV_NATIVE = enum.auto()      # native key-value interface
 
 
 class MemoryBackend(abc.ABC):
@@ -67,8 +51,6 @@ class MemoryBackend(abc.ABC):
 
     #: registry name, e.g. ``"rdma"``; set by each subclass
     name: str = ""
-    #: what the backend does natively
-    capabilities: BackendCapability = BackendCapability.NONE
 
     def __init__(self, params: Optional[ClioParams] = None, seed: int = 0):
         self.params = params or DEFAULT_PARAMS
@@ -126,9 +108,6 @@ class ClioBackend(MemoryBackend):
     """Clio itself, through a CLib thread on a one-CN/one-MN cluster."""
 
     name = "clio"
-    capabilities = (BackendCapability.RPC_FRAMING
-                    | BackendCapability.REMOTE_ALLOC
-                    | BackendCapability.SUB_LINE_TRANSFER)
 
     def __init__(self, params: Optional[ClioParams] = None, seed: int = 0,
                  cluster=None):
@@ -186,8 +165,6 @@ class RDMABackend(MemoryBackend):
     """One-sided RDMA verbs: alloc registers an MR, read/write are verbs."""
 
     name = "rdma"
-    capabilities = (BackendCapability.ATOMICS
-                    | BackendCapability.SUB_LINE_TRANSFER)
 
     def __init__(self, params: Optional[ClioParams] = None, seed: int = 0):
         super().__init__(params, seed)
@@ -211,8 +188,7 @@ class RDMABackend(MemoryBackend):
 
     def alloc(self, size: int):
         self._require_setup()
-        region = yield from self.node.register_mr(
-            size, pinned=self.params.backend.pinned)
+        region = yield from self.node.register_mr(size)
         handle = next(self._handles)
         self._regions[handle] = region
         return handle
@@ -239,9 +215,6 @@ class LegoOSBackend(MemoryBackend):
     """LegoOS software VM: alloc maps a VA range at the software MN."""
 
     name = "legoos"
-    capabilities = (BackendCapability.RPC_FRAMING
-                    | BackendCapability.REMOTE_ALLOC
-                    | BackendCapability.SUB_LINE_TRANSFER)
 
     _PID = 1
 
@@ -309,8 +282,6 @@ class CloverBackend(MemoryBackend):
     """
 
     name = "clover"
-    capabilities = (BackendCapability.ATOMICS
-                    | BackendCapability.KV_NATIVE)
 
     def __init__(self, params: Optional[ClioParams] = None, seed: int = 0):
         super().__init__(params, seed)
@@ -371,9 +342,6 @@ class HERDBackend(MemoryBackend):
     """HERD's raw RPC path over a client-side bump allocator."""
 
     name = "herd"
-    capabilities = (BackendCapability.RPC_FRAMING
-                    | BackendCapability.KV_NATIVE
-                    | BackendCapability.SUB_LINE_TRANSFER)
 
     on_bluefield = False
 
@@ -459,9 +427,8 @@ def create_backend(name: str, params: Optional[ClioParams] = None,
                    seed: int = 0) -> MemoryBackend:
     """Build a ready-to-setup backend by registry name.
 
-    ``params.backend`` supplies the setup knobs (capacity, pinning, slot
-    counts, HERD cores, CXL tenant); ``params.backend.name`` is *not*
-    consulted here — the caller says which backend it wants, so one
+    ``params.backend`` supplies the setup knobs (capacity, Clover slot
+    count, CXL tenant); the caller says which backend it wants, so one
     params bundle can drive a whole comparison sweep.
     """
     if name == "cxl":

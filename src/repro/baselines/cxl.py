@@ -44,7 +44,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.baselines.api import BackendCapability, MemoryBackend
+from repro.baselines.api import MemoryBackend
 from repro.core.memory import DRAM
 from repro.distributed.tenancy import TenantLedger
 from repro.params import ClioParams, SEC
@@ -343,8 +343,6 @@ class CXLBackend(MemoryBackend):
     """
 
     name = "cxl"
-    capabilities = (BackendCapability.LOAD_STORE
-                    | BackendCapability.MULTI_TENANT)
 
     def __init__(self, params: Optional[ClioParams] = None, seed: int = 0,
                  pool: Optional[CXLPool] = None, host: str = "host0"):

@@ -38,8 +38,7 @@ class HERDServer:
                     or params.cboard.dram_capacity)
         self.dram = DRAM(capacity, access_ns=100,
                          bandwidth_bps=params.cboard.dram_bandwidth_bps)
-        self._cores = Resource(env, capacity=params.backend.server_cores
-                               or params.herd.server_cores)
+        self._cores = Resource(env, capacity=params.herd.server_cores)
         self._index: dict[bytes, int] = {}
         self._next_slot = 0
         self.gets = 0

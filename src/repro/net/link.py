@@ -21,7 +21,7 @@ from functools import partial
 from typing import Callable, Optional
 
 from repro.net.packet import Packet
-from repro.params import SEC
+from repro.params import transmit_time_ns
 from repro.sim import Environment
 from repro.sim.rng import RandomStream
 from repro.telemetry.metrics import MetricsRegistry, StatsView
@@ -170,4 +170,4 @@ class Link:
         return max(0, sum(done > now for done in self._completions) - 1)
 
     def transmit_ns(self, wire_bytes: int) -> int:
-        return max(1, (wire_bytes * 8 * SEC) // self.rate_bps)
+        return transmit_time_ns(wire_bytes, self.rate_bps)

@@ -32,7 +32,7 @@ from typing import Optional
 
 from repro.net.link import Link
 from repro.net.packet import Packet
-from repro.params import SEC, QoSParams
+from repro.params import SEC, QoSParams, transmit_time_ns
 from repro.sim import Environment
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -58,7 +58,7 @@ class _TenantQueue:
         self.bytes_sent = 0
 
     def emission_ns(self, wire_bytes: int) -> int:
-        return max(1, (wire_bytes * 8 * SEC) // self.rate_bps)
+        return transmit_time_ns(wire_bytes, self.rate_bps)
 
 
 class EgressShaper:

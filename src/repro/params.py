@@ -446,26 +446,17 @@ class BackendParams:
     and nothing else.
     """
 
-    name: str = "clio"                     # default comparison subject
-    dram_capacity: int | None = None     # None = CBoardParams default
-    pinned: bool = True                    # RDMA: pin MRs at registration
+    dram_capacity: int | None = None       # None = CBoardParams default
     capacity_slots: int = 1 << 16          # Clover: value slots in the MR
-    server_cores: int | None = None      # HERD: RPC polling cores
     tenant: str = "default"                # CXL: tenant the backend runs as
 
     def __post_init__(self) -> None:
-        if self.name not in BACKEND_NAMES:
-            raise ValueError(
-                f"backend must be one of {BACKEND_NAMES}, got {self.name!r}")
         if self.dram_capacity is not None and self.dram_capacity <= 0:
             raise ValueError(
                 f"dram_capacity must be positive, got {self.dram_capacity}")
         if self.capacity_slots <= 0:
             raise ValueError(
                 f"capacity_slots must be positive, got {self.capacity_slots}")
-        if self.server_cores is not None and self.server_cores <= 0:
-            raise ValueError(
-                f"server_cores must be positive, got {self.server_cores}")
 
 
 # ---------------------------------------------------------------------------

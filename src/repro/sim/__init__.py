@@ -13,25 +13,20 @@ only ``ClioCluster(partitioned=True)`` runs it.
 
 from repro.sim.core import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import Container, Resource, Store
+from repro.sim.resources import Resource, Store
 from repro.sim.rng import RandomStream
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Channel",
-    "Container",
     "Environment",
     "Event",
-    "Interrupt",
     "Partition",
     "PartitionedEnvironment",
     "Process",

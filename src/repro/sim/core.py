@@ -26,14 +26,6 @@ class SimulationError(Exception):
     """Raised for illegal engine operations (double-trigger, bad yields)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 # Scheduling priorities: URGENT fires before NORMAL at the same timestamp.
 URGENT = 0
 NORMAL = 1
@@ -103,7 +95,7 @@ class Event:
 
     def __repr__(self) -> str:
         if self.callbacks is None:
-            state = "processed" if self._ok is not None else "cancelled"
+            state = "processed"
         else:
             state = "triggered" if self.triggered else "pending"
         return f"<{type(self).__name__} {state} at t={self.env.now}>"
@@ -142,6 +134,44 @@ class Initialize(Event):
         env._schedule(self, URGENT)
 
 
+def _check_generator(generator: Generator) -> Generator:
+    if not hasattr(generator, "throw"):
+        raise TypeError(f"a process needs a generator, got {generator!r}")
+    return generator
+
+
+def _resume(runner, event: Event) -> None:
+    """Drive ``runner``'s generator from ``event``'s outcome.
+
+    The one resume loop behind :class:`Process` and
+    :meth:`Environment.spawn`, bound as each class's ``_resume``: it
+    continues through already-processed events and stops at the first
+    yielded event still to fire, or hands the generator's end to
+    ``runner._finish(ok, value)``.
+    """
+    generator = runner._generator
+    while True:
+        try:
+            if event._ok:
+                event = generator.send(event._value)
+            else:
+                event._defused = True
+                event = generator.throw(event._exception)
+        except StopIteration as stop:
+            runner._finish(True, stop.value)
+            return
+        except BaseException as exc:
+            runner._finish(False, exc)
+            return
+        if not isinstance(event, Event):
+            runner._finish(False, SimulationError(
+                f"process yielded a non-event: {event!r}"))
+            return
+        if event.callbacks is not None:
+            event.callbacks.append(runner._resume)
+            return
+
+
 class Process(Event):
     """A running generator; also an event that fires when the generator ends.
 
@@ -149,102 +179,41 @@ class Process(Event):
     the yielded event fires, receiving its value (or exception).
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: Generator):
-        if not hasattr(generator, "throw"):
-            raise TypeError(f"process() needs a generator, got {generator!r}")
+        self._generator = _check_generator(generator)
         super().__init__(env)
-        self._generator = generator
-        self._target: Optional[Event] = None
         Initialize(env, self)
 
     @property
     def is_alive(self) -> bool:
         return self._ok is None
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise SimulationError(f"{self!r} has terminated and cannot be interrupted")
-        if self is self.env.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        event = Event(self.env)
-        event._ok = False
-        event._exception = Interrupt(cause)
-        event._defused = True
-        event.callbacks.append(self._resume)
-        self.env._schedule(event, URGENT)
-        # Detach from whatever the process was waiting on.
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-            self._target = None
+    _resume = _resume
 
-    def _resume(self, event: Event) -> None:
-        env = self.env
-        env._active_process = self
-        self._target = None
-        generator = self._generator
-        while True:
-            try:
-                if event._ok:
-                    next_event = generator.send(event._value)
-                elif event._ok is None:
-                    # Cancelled event (withdrawn untriggered, e.g. a
-                    # cancelled Request): it carries neither value nor
-                    # exception and can never fire.
-                    next_event = generator.throw(SimulationError(
-                        f"process is waiting on a cancelled event: "
-                        f"{event!r}"))
-                else:
-                    event._defused = True
-                    next_event = generator.throw(event._exception)
-            except StopIteration as stop:
-                self._ok = True
-                self._value = stop.value
-                env._schedule(self, NORMAL)
-                break
-            except BaseException as exc:
-                self._ok = False
-                self._exception = exc
-                env._schedule(self, NORMAL)
-                break
-
-            if not isinstance(next_event, Event):
-                exc = SimulationError(
-                    f"process yielded a non-event: {next_event!r}")
-                self._ok = False
-                self._exception = exc
-                env._schedule(self, NORMAL)
-                break
-
-            if next_event.callbacks is not None:
-                next_event.callbacks.append(self._resume)
-                self._target = next_event
-                break
-            # Already-processed event: continue immediately with its outcome.
-            event = next_event
-
-        env._active_process = None
+    def _finish(self, ok: bool, value: Any) -> None:
+        self._ok = ok
+        if ok:
+            self._value = value
+        else:
+            self._exception = value
+        self.env._schedule(self, NORMAL)
 
 
-class Condition(Event):
-    """Waits on several events; fires according to ``evaluate``."""
+class AllOf(Event):
+    """Fires once every constituent event has fired; fails with the first
+    constituent that fails.  Its value maps each event to its value."""
 
-    __slots__ = ("_events", "_evaluate", "_count")
+    __slots__ = ("_events", "_pending")
 
-    def __init__(self, env: "Environment", events: Iterable[Event],
-                 evaluate: Callable[[list[Event], int], bool]):
+    def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
         self._events = list(events)
-        self._evaluate = evaluate
-        self._count = 0
         for event in self._events:
             if not isinstance(event, Event):
-                raise TypeError(f"condition needs events, got {event!r}")
+                raise TypeError(f"all_of needs events, got {event!r}")
+        self._pending = len(self._events)
         if not self._events:
             self.succeed({})
             return
@@ -254,49 +223,16 @@ class Condition(Event):
             else:
                 event.callbacks.append(self._check)
 
-    def _collect(self) -> dict:
-        # Timeouts are born triggered (_ok set at creation), so membership
-        # must be judged by *processed* (callbacks drained), not triggered.
-        return {
-            event: event._value
-            for event in self._events
-            if event.callbacks is None and event._ok
-        }
-
     def _check(self, event: Event) -> None:
         if self._ok is not None:
-            return
-        if event._ok is None:
-            # Cancelled constituent (withdrawn untriggered): it can never
-            # fire, so the condition can never complete through it.
-            self.fail(SimulationError(
-                f"condition is waiting on a cancelled event: {event!r}"))
             return
         if not event._ok:
             event._defused = True
             self.fail(event._exception)  # type: ignore[arg-type]
             return
-        self._count += 1
-        if self._evaluate(self._events, self._count):
-            self.succeed(self._collect())
-
-
-class AllOf(Condition):
-    """Fires once every constituent event has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, events, lambda events, count: count >= len(events))
-
-
-class AnyOf(Condition):
-    """Fires as soon as any constituent event fires."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, events, lambda events, count: count >= 1)
+        self._pending -= 1
+        if not self._pending:
+            self.succeed({event: event._value for event in self._events})
 
 
 class _Started:
@@ -316,55 +252,32 @@ class _Spawned:
     __slots__ = ("_generator",)
 
     def __init__(self, generator: Generator):
-        self._generator = generator
+        self._generator = _check_generator(generator)
 
-    def _resume(self, event) -> None:
-        generator = self._generator
-        try:
-            while True:
-                if event._ok:
-                    target = generator.send(event._value)
-                elif event._ok is None:
-                    target = generator.throw(SimulationError(
-                        f"process is waiting on a cancelled event: "
-                        f"{event!r}"))
-                else:
-                    event._defused = True
-                    target = generator.throw(event._exception)
-                if not isinstance(target, Event):
-                    raise SimulationError(
-                        f"process yielded a non-event: {target!r}")
-                if target.callbacks is not None:
-                    target.callbacks.append(self._resume)
-                    return
-                # Already-processed event: continue with its outcome.
-                event = target
-        except StopIteration:
-            return
+    _resume = _resume
+
+    def _finish(self, ok: bool, value: Any) -> None:
+        # Nobody waits on it, so a failure leaves run() from right here.
+        if not ok:
+            raise value
 
 
 class Environment:
     """The simulation driver: clock plus event queue."""
 
-    __slots__ = ("_now", "_queue", "_seq", "_active_process",
-                 "_timeout_pool")
+    __slots__ = ("_now", "_queue", "_seq", "_timeout_pool")
 
     def __init__(self, initial_time: int = 0):
         self._now = int(initial_time)
         self._queue: list[tuple[int, int, int, Optional[Event],
                                 Optional[Callable[[], None]]]] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
         self._timeout_pool: list[Timeout] = []
 
     @property
     def now(self) -> int:
         """Current simulated time in nanoseconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     # -- event factories ---------------------------------------------------
 
@@ -410,8 +323,8 @@ class Environment:
         It starts *inline*, inside the calling event, and a normal return
         schedules nothing: two events fewer than :meth:`process`.  That is
         legal exactly where the call is the last thing its event does (and
-        the event started or interrupted no other process before it) —
-        the ``Initialize`` it replaces is URGENT at the current time, so it
+        the event started no other process before it) — the
+        ``Initialize`` it replaces is URGENT at the current time, so it
         would have been the very next pop and every other event keeps its
         relative order.  An exception the generator lets escape propagates
         out of :meth:`run` from the event that resumed it.
@@ -421,9 +334,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- scheduling ---------------------------------------------------------
 
     def _schedule(self, event: Optional[Event], priority: int, delay: int = 0,
@@ -431,10 +341,6 @@ class Environment:
         seq = self._seq
         self._seq = seq + 1
         heappush(self._queue, (self._now + delay, priority, seq, event, fn))
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or +inf if the queue is empty."""
-        return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process one entry; raises :class:`SimulationError` when empty.
@@ -469,15 +375,9 @@ class Environment:
         if isinstance(until, Event):
             sentinel = until
             if sentinel.callbacks is None:
-                # Already processed (or cancelled): resolve immediately and
-                # deterministically instead of touching the queue at all.
-                # A processed event returns its value (re-raising if it
-                # failed); a cancelled one — withdrawn without ever being
-                # triggered — can never fire, so waiting on it is an error.
-                if sentinel._ok is None:
-                    raise SimulationError(
-                        f"run(until=...) got a cancelled event: {sentinel!r} "
-                        "was withdrawn and will never fire")
+                # Already processed: resolve immediately and
+                # deterministically instead of touching the queue at all
+                # (re-raising if it failed).
                 return sentinel.value
         elif until is not None:
             deadline = int(until)

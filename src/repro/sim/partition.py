@@ -23,11 +23,12 @@ engine.  The drain loop only ever dispatches the global minimum: it picks
 the wheel with the smallest head key, caches the runner-up head as a
 *bound*, and drains the chosen wheel while its head stays at or below the
 bound.  Scheduling into a foreign wheel below the bound (possible for
-URGENT interrupts at the current timestamp) raises a violation flag that
-forces an immediate re-pick, so the invariant survives arbitrary callback
-behavior.  When the picked wheel is the only non-empty one there is no
-runner-up bound, so *any* foreign schedule raises the flag — the re-pick
-is cheap and the next drain run bounds itself against the new head.
+URGENT process starts at the current timestamp) raises a violation flag
+that forces an immediate re-pick, so the invariant survives arbitrary
+callback behavior.  When the picked wheel is the only non-empty one there
+is no runner-up bound, so *any* foreign schedule raises the flag — the
+re-pick is cheap and the next drain run bounds itself against the new
+head.
 """
 
 from __future__ import annotations
@@ -73,10 +74,6 @@ class Partition(Environment):
     def now(self) -> int:
         """Global simulated time (the parent's clock)."""
         return self.parent._now
-
-    @property
-    def active_process(self):
-        return self._active_process
 
     def _schedule(self, event: Optional[Event], priority: int, delay: int = 0,
                   fn: Optional[Callable[[], None]] = None) -> None:
@@ -279,14 +276,6 @@ class PartitionedEnvironment(Environment):
             elif entry < bound:
                 self._bound_violated = True
 
-    def peek(self) -> float:
-        earliest = float("inf")
-        for wheel in self._wheels:
-            queue = wheel._queue
-            if queue and queue[0][0] < earliest:
-                earliest = queue[0][0]
-        return earliest
-
     def _pick(self):
         """(wheel with the globally minimal head, runner-up head entry)."""
         best = None
@@ -402,10 +391,6 @@ class PartitionedEnvironment(Environment):
         if isinstance(until, Event):
             sentinel = until
             if sentinel.callbacks is None:
-                if sentinel._ok is None:
-                    raise SimulationError(
-                        f"run(until=...) got a cancelled event: {sentinel!r} "
-                        "was withdrawn and will never fire")
                 return sentinel.value
             self._drain(None, sentinel)
             return sentinel.value

@@ -1,4 +1,4 @@
-"""Shared-resource primitives: Resource, Store, and Container.
+"""Shared-resource primitives: Resource and Store.
 
 These follow simpy semantics closely: ``request``/``put``/``get`` return
 events that a process yields on; FIFO ordering among waiters is guaranteed,
@@ -24,25 +24,6 @@ class Request(Event):
         resource._queue.append(self)
         resource._trigger()
 
-    def cancel(self) -> None:
-        """Withdraw an unfired request from the wait queue.
-
-        A cancelled request can never fire.  When nothing is waiting on it
-        the event moves to the terminal *cancelled* state (``callbacks``
-        cleared while untriggered), which ``Environment.run(until=...)``
-        rejects immediately instead of draining the queue hunting for a
-        trigger that will never come.  A request some process is already
-        yielding on keeps its callback list — cancelling out from under a
-        waiter is a caller bug this method will not paper over.
-        """
-        if not self.triggered:
-            try:
-                self.resource._queue.remove(self)
-            except ValueError:
-                pass
-            if not self.callbacks:
-                self.callbacks = None
-
 
 class Resource:
     """A counted resource with ``capacity`` concurrent slots."""
@@ -61,10 +42,6 @@ class Resource:
     def count(self) -> int:
         """Number of slots currently held."""
         return len(self._users)
-
-    @property
-    def queue_len(self) -> int:
-        return len(self._queue)
 
     def request(self) -> Request:
         return Request(self)
@@ -137,72 +114,4 @@ class Store:
             if self._get_queue and self.items:
                 get = self._get_queue.popleft()
                 get.succeed(self.items.popleft())
-                progressed = True
-
-
-class ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        super().__init__(container.env)
-        self.amount = amount
-        container._put_queue.append(self)
-        container._trigger()
-
-
-class ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        super().__init__(container.env)
-        self.amount = amount
-        container._get_queue.append(self)
-        container._trigger()
-
-
-class Container:
-    """A homogeneous quantity (tokens, bytes) with put/get semantics."""
-
-    __slots__ = ("env", "capacity", "_level", "_put_queue", "_get_queue")
-
-    def __init__(self, env: Environment, capacity: float = float("inf"),
-                 init: float = 0):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if not 0 <= init <= capacity:
-            raise ValueError(f"init {init} outside [0, {capacity}]")
-        self.env = env
-        self.capacity = capacity
-        self._level = init
-        self._put_queue: Deque[ContainerPut] = deque()
-        self._get_queue: Deque[ContainerGet] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        return ContainerGet(self, amount)
-
-    def _trigger(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if (self._put_queue
-                    and self._level + self._put_queue[0].amount <= self.capacity):
-                put = self._put_queue.popleft()
-                self._level += put.amount
-                put.succeed()
-                progressed = True
-            if self._get_queue and self._level >= self._get_queue[0].amount:
-                get = self._get_queue.popleft()
-                self._level -= get.amount
-                get.succeed(get.amount)
                 progressed = True

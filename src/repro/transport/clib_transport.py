@@ -22,7 +22,7 @@ from repro.net.packet import (
     PacketType,
     fragment_payload,
 )
-from repro.params import ClioParams
+from repro.params import ClioParams, transmit_time_ns
 from repro.sim import Environment, Event
 from repro.telemetry.metrics import MetricsRegistry, StatsView
 from repro.telemetry.spans import COMPLETE, END, Sites, Tracer
@@ -352,8 +352,8 @@ class Transport:
                 # (the MN port is the bottleneck); scale the TIMEOUT with
                 # the expected wire occupancy so bulk transfers under load
                 # don't spuriously retry.
-                wire_ns = ((size + expected_response_bytes) * 8 * 1_000_000_000
-                           // self.params.network.mn_port_rate_bps)
+                wire_ns = transmit_time_ns(size + expected_response_bytes,
+                                           self.params.network.mn_port_rate_bps)
                 timeout_ns = clib.timeout_ns + 4 * wire_ns
 
         def emit(request_id: int, retry_of: Optional[int]) -> None:
@@ -396,8 +396,8 @@ class Transport:
                          if sub.op is PacketType.READ)
         expected_response_bytes = net.header_bytes + read_bytes
         if timeout_ns is None:
-            wire_ns = ((request_bytes + expected_response_bytes) * 8
-                       * 1_000_000_000 // net.mn_port_rate_bps)
+            wire_ns = transmit_time_ns(request_bytes + expected_response_bytes,
+                                       net.mn_port_rate_bps)
             # A frame's service time grows with its sub-op count (each
             # sub-op holds the board pipeline, reads the serialized DMA
             # engine), and admitted frames queue behind each other per
@@ -466,7 +466,7 @@ class Transport:
             # Exponential backoff: each retry doubles the TIMEOUT, so a
             # transient incast queue drains instead of being re-fed.  The
             # TIMEOUT is a scheduled callback that triggers ``state.done``
-            # itself — no per-attempt Timeout event or AnyOf condition.
+            # itself — no per-attempt Timeout event or condition to race.
             attempt_timeout = min(timeout_ns << attempt, clib.slow_timeout_ns)
 
             def send() -> None:

@@ -14,13 +14,9 @@ import pytest
 
 from repro.baselines.api import (
     BACKEND_NAMES,
-    BACKENDS,
-    BackendCapability,
     ClioBackend,
-    CloverBackend,
     HERDBackend,
     MemoryBackend,
-    RDMABackend,
     create_backend,
 )
 from repro.params import BackendParams, ClioParams
@@ -84,18 +80,6 @@ def test_cxl_wins_sub_line_reads():
     for name, (read_ns, _) in CONFORMANCE_FINGERPRINTS.items():
         if name != "cxl":
             assert cxl_read < read_ns
-
-
-def test_capability_flags():
-    cxl = create_backend("cxl")
-    assert BackendCapability.LOAD_STORE in cxl.capabilities
-    assert BackendCapability.MULTI_TENANT in cxl.capabilities
-    assert BackendCapability.RPC_FRAMING not in cxl.capabilities
-    clio = BACKENDS["clio"]
-    assert BackendCapability.RPC_FRAMING in clio.capabilities
-    assert BackendCapability.REMOTE_ALLOC in clio.capabilities
-    assert BackendCapability.KV_NATIVE in CloverBackend.capabilities
-    assert BackendCapability.LOAD_STORE not in RDMABackend.capabilities
 
 
 def test_create_backend_rejects_unknown_name():

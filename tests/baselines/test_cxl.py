@@ -304,7 +304,7 @@ def test_backend_tenant_comes_from_params():
     from repro.params import BackendParams
 
     params = replace(ClioParams.prototype(), qos=TENANTS,
-                     backend=BackendParams(name="cxl", tenant="gold"))
+                     backend=BackendParams(tenant="gold"))
     backend = CXLBackend(params=params)
 
     def app():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Event, Interrupt, SimulationError
+from repro.sim import Environment, Event, SimulationError
 
 
 def test_timeout_advances_clock():
@@ -201,21 +201,6 @@ def test_all_of_waits_for_every_event():
     assert done == [(9, ["x", "y"])]
 
 
-def test_any_of_fires_on_first():
-    env = Environment()
-    done = []
-
-    def proc():
-        t1 = env.timeout(5, value="fast")
-        t2 = env.timeout(50, value="slow")
-        results = yield env.any_of([t1, t2])
-        done.append((env.now, list(results.values())))
-
-    env.process(proc())
-    env.run()
-    assert done == [(5, ["fast"])]
-
-
 def test_all_of_empty_fires_immediately():
     env = Environment()
     done = []
@@ -229,54 +214,10 @@ def test_all_of_empty_fires_immediately():
     assert done == [0]
 
 
-def test_interrupt_reaches_sleeping_process():
-    env = Environment()
-    log = []
-
-    def sleeper():
-        try:
-            yield env.timeout(1000)
-            log.append("slept")
-        except Interrupt as interrupt:
-            log.append(("interrupted", env.now, interrupt.cause))
-
-    def interrupter(victim):
-        yield env.timeout(10)
-        victim.interrupt("wake up")
-
-    victim = env.process(sleeper())
-    env.process(interrupter(victim))
-    env.run()
-    assert log == [("interrupted", 10, "wake up")]
-
-
-def test_interrupt_dead_process_rejected():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(1)
-
-    def late(victim):
-        yield env.timeout(10)
-        with pytest.raises(SimulationError):
-            victim.interrupt()
-
-    victim = env.process(quick())
-    env.process(late(victim))
-    env.run()
-
-
 def test_step_on_empty_queue_raises():
     env = Environment()
     with pytest.raises(SimulationError):
         env.step()
-
-
-def test_peek_reports_next_event_time():
-    env = Environment()
-    assert env.peek() == float("inf")
-    env.timeout(42)
-    assert env.peek() == 42
 
 
 def test_already_fired_event_resumes_immediately():

@@ -1,93 +1,15 @@
 """Edge cases of the simulation engine's trickiest paths.
 
 Covers the scenarios the hot-path optimizations (slots, timeout pooling,
-scheduled callbacks) must not disturb: interrupt-while-waiting, deadlines
-equal to the current time, the already-processed-event fast loop in
-``Process._resume``, and bit-for-bit determinism of event ordering.
+scheduled callbacks, inline spawns) must not disturb: deadlines equal to
+the current time, the already-processed-event fast loop of the shared
+resume loop, and bit-for-bit determinism of event ordering.
 """
 
 import pytest
 
-from repro.sim import Environment, Interrupt, Resource, SimulationError
+from repro.sim import Environment, SimulationError
 from repro.sim.core import Timeout
-
-
-# -- interrupt while waiting ---------------------------------------------------
-
-
-def test_interrupt_while_waiting_on_timeout():
-    env = Environment()
-    log = []
-
-    def sleeper():
-        try:
-            yield env.timeout(1000)
-            log.append("slept")
-        except Interrupt as interrupt:
-            log.append(("interrupted", interrupt.cause, env.now))
-
-    def interrupter(target):
-        yield env.timeout(100)
-        target.interrupt(cause="wake up")
-
-    target = env.process(sleeper())
-    env.process(interrupter(target))
-    env.run()
-    assert log == [("interrupted", "wake up", 100)]
-
-
-def test_interrupt_detaches_from_waited_event():
-    """After an interrupt, the old target firing must not resume the process
-    a second time."""
-    env = Environment()
-    log = []
-
-    def sleeper():
-        try:
-            yield env.timeout(1000)
-        except Interrupt:
-            log.append(("interrupted", env.now))
-            yield env.timeout(5000)
-            log.append(("resumed", env.now))
-
-    def interrupter(target):
-        yield env.timeout(100)
-        target.interrupt()
-
-    target = env.process(sleeper())
-    env.process(interrupter(target))
-    env.run()
-    # One interrupt, one clean resume at 100 + 5000 (not at the old 1000).
-    assert log == [("interrupted", 100), ("resumed", 5100)]
-
-
-def test_interrupting_dead_process_raises():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(1)
-
-    process = env.process(quick())
-    env.run()
-    with pytest.raises(SimulationError):
-        process.interrupt()
-
-
-def test_process_cannot_interrupt_itself():
-    env = Environment()
-    failures = []
-
-    def selfish(holder):
-        try:
-            holder[0].interrupt()
-        except SimulationError:
-            failures.append(True)
-        yield env.timeout(1)
-
-    holder = []
-    holder.append(env.process(selfish(holder)))
-    env.run()
-    assert failures == [True]
 
 
 # -- run(until=...) boundaries -------------------------------------------------
@@ -160,85 +82,7 @@ def test_run_until_failed_processed_event_reraises():
     assert env.now == 0
 
 
-def test_run_until_cancelled_request_raises_immediately():
-    """A cancelled (withdrawn, never-fired) request can never trigger;
-    waiting on it must raise instead of draining the queue forever."""
-    env = Environment()
-    resource = Resource(env, capacity=1)
-    holder = resource.request()    # takes the only slot
-    env.run()
-    assert holder.processed
-    loser = resource.request()     # queued behind the holder
-    loser.cancel()
-    env.schedule_callback(10_000, lambda: None)
-    with pytest.raises(SimulationError, match="cancelled"):
-        env.run(until=loser)
-    assert env.now == 0            # nothing was dispatched hunting for it
-
-
-def test_cancel_keeps_callbacks_for_live_waiter():
-    """Cancelling a request a process is yielding on must not strand the
-    waiter with a cleared callback list."""
-    env = Environment()
-    resource = Resource(env, capacity=1)
-    outcome = []
-
-    def waiter(request):
-        got = yield request
-        outcome.append(got)
-
-    holder = resource.request()
-    env.run()
-    queued = resource.request()
-    env.process(waiter(queued))
-    env.run()                      # waiter is now parked on the request
-    queued.cancel()
-    assert queued.callbacks is not None   # waiter still attached
-    resource.release(holder)       # frees the slot; cancelled request skipped
-
-
-def _cancelled_request(env):
-    """A request in the terminal cancelled state (withdrawn, never fired)."""
-    resource = Resource(env, capacity=1)
-    resource.request()             # takes the only slot
-    env.run()
-    loser = resource.request()
-    loser.cancel()
-    assert loser.callbacks is None and not loser.triggered
-    return loser
-
-
-def test_process_yielding_cancelled_request_gets_simulation_error():
-    """Yielding a cancelled request must raise a clear SimulationError
-    into the process (catchable like any other failure), not a TypeError
-    from throwing None."""
-    env = Environment()
-    loser = _cancelled_request(env)
-    caught = []
-
-    def waiter():
-        try:
-            yield loser
-        except SimulationError as exc:
-            caught.append(str(exc))
-
-    env.process(waiter())
-    env.run()
-    assert len(caught) == 1
-    assert "cancelled" in caught[0]
-
-
-def test_condition_over_cancelled_event_fails_with_simulation_error():
-    """A condition built over a cancelled event can never complete; it
-    must fail with a SimulationError, not crash in fail(None)."""
-    env = Environment()
-    loser = _cancelled_request(env)
-    condition = env.all_of([loser, env.timeout(5)])
-    with pytest.raises(SimulationError, match="cancelled"):
-        env.run(until=condition)
-
-
-# -- already-processed-event chaining in Process._resume -----------------------
+# -- already-processed-event chaining in the resume loop ------------------------
 
 
 def test_yielding_already_processed_events_chains_without_suspending():
@@ -632,3 +476,18 @@ def test_spawn_receives_failures_and_rejects_non_events():
 
     with pytest.raises(SimulationError, match="non-event"):
         env.spawn(bad())
+
+
+def test_spawn_rejects_a_generator_function_like_process():
+    """Passing the handler instead of calling it is the same mistake for
+    ``spawn`` and ``process``: a TypeError naming it, before anything
+    runs or is scheduled."""
+    env = Environment()
+
+    def handler():
+        yield env.timeout(1)
+
+    for start in (env.process, env.spawn):
+        with pytest.raises(TypeError, match="needs a generator"):
+            start(handler)
+    assert env._seq == 0 and not env._queue

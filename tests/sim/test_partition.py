@@ -330,21 +330,6 @@ def test_channel_endpoints_must_be_partitions_of_this_env():
 # -- run(until=...) edge behavior mirrors the flat engine ----------------------
 
 
-def test_partitioned_run_until_cancelled_event_raises():
-    from repro.sim import Resource
-
-    env = PartitionedEnvironment()
-    part = env.partition("p0")
-    resource = Resource(part, capacity=1)
-    holder = resource.request()
-    env.run()
-    assert holder.processed
-    loser = resource.request()
-    loser.cancel()
-    with pytest.raises(SimulationError, match="cancelled"):
-        env.run(until=loser)
-
-
 def test_partitioned_run_until_processed_event_is_immediate():
     env = PartitionedEnvironment()
     part = env.partition("p0")

@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Store, and Container."""
+"""Unit tests for Resource and Store."""
 
 import pytest
 
-from repro.sim import Container, Environment, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 def test_resource_serializes_exclusive_access():
@@ -66,28 +66,6 @@ def test_resource_zero_capacity_rejected():
         Resource(env, capacity=0)
 
 
-def test_request_cancel_leaves_queue():
-    env = Environment()
-    resource = Resource(env, capacity=1)
-
-    def holder():
-        request = resource.request()
-        yield request
-        yield env.timeout(100)
-        resource.release(request)
-
-    def impatient():
-        request = resource.request()
-        yield env.timeout(10)
-        assert not request.triggered
-        request.cancel()
-
-    env.process(holder())
-    env.process(impatient())
-    env.run()
-    assert resource.queue_len == 0
-
-
 def test_store_fifo_order():
     env = Environment()
     store = Store(env)
@@ -146,49 +124,3 @@ def test_store_capacity_blocks_put():
     env.process(consumer())
     env.run()
     assert times == [("a", 0), ("b", 30)]
-
-
-def test_container_levels():
-    env = Environment()
-    tank = Container(env, capacity=100, init=50)
-
-    def proc():
-        yield tank.get(20)
-        assert tank.level == 30
-        yield tank.put(60)
-        assert tank.level == 90
-
-    env.process(proc())
-    env.run()
-
-
-def test_container_get_blocks_until_enough():
-    env = Environment()
-    tank = Container(env, capacity=100, init=0)
-    when = []
-
-    def consumer():
-        yield tank.get(10)
-        when.append(env.now)
-
-    def producer():
-        yield env.timeout(5)
-        yield tank.put(4)
-        yield env.timeout(5)
-        yield tank.put(6)
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert when == [10]
-
-
-def test_container_rejects_bad_amounts():
-    env = Environment()
-    tank = Container(env, capacity=10)
-    with pytest.raises(ValueError):
-        tank.put(0)
-    with pytest.raises(ValueError):
-        tank.get(-1)
-    with pytest.raises(ValueError):
-        Container(env, capacity=10, init=20)

@@ -89,12 +89,14 @@ def test_backend_params_defaults_and_validation():
     from repro.params import BackendParams, ClioParams
 
     backend = BackendParams()
-    assert backend.name == "clio"
+    assert backend.dram_capacity is None
     assert backend.tenant == "default"
     with pytest.raises(ValueError):
-        BackendParams(name="nvme-of")
+        BackendParams(dram_capacity=0)
+    with pytest.raises(ValueError):
+        BackendParams(capacity_slots=0)
     params = ClioParams.prototype()
-    assert params.backend.name == "clio"
+    assert params.backend == BackendParams()
     assert params.qos.tenants == ()
     assert params.cxl.line_bytes == 64
 

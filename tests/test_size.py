@@ -8,9 +8,9 @@ so the ground is kept.
 
 from tools.code_lines import ROOT, count_files
 
-#: ``python tools/code_lines.py`` after the PR that made the star and the
-#: rack fabric one ``Topology`` (13 714 before it).
-SRC_CEILING = 13_542
+#: ``python tools/code_lines.py`` after the engine lost interrupts,
+#: cancellation, ``AnyOf`` and ``Container`` (13 542 before it).
+SRC_CEILING = 13_340
 
 
 def test_src_stays_under_its_ceiling():
