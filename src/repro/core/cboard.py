@@ -151,7 +151,6 @@ class CBoard:
         self.restarts = 0
         self.packets_dropped_dead = 0      # packets arriving while crashed
         self.responses_discarded = 0       # in-flight work killed by a crash
-        self.last_breakdown: Optional[Breakdown] = None
 
         # Telemetry.  Counters above stay plain attributes (the hot path
         # keeps its `+= 1`s); the registry holds function-backed views of
@@ -444,7 +443,6 @@ class CBoard:
             if lean:        # no response to share a row with
                 self.fast_path.trace(AccessType.READ, result)
             return
-        self.last_breakdown = result.breakdown
         self.requests_served += 1
         if result.status is not Status.OK:
             self._send(header.src, header.request_id, PacketType.RESPONSE,
@@ -503,7 +501,6 @@ class CBoard:
         # Whole request done: remember it for retry dedup, ack once.
         del self._write_progress[header.request_id]
         self.requests_served += 1
-        self.last_breakdown = progress.breakdown
         if progress.status is Status.OK:
             self._remember(header)
         self._send(header.src, header.request_id, PacketType.RESPONSE,
@@ -561,7 +558,6 @@ class CBoard:
         parts = []
         for sub, result in zip(packet.payload, results):
             statuses.append(result.status)
-            self.last_breakdown = result.breakdown
             if result.status is Status.OK:
                 self.batch_subops_served += 1
                 self.bytes_served += sub.size
@@ -711,16 +707,14 @@ class CBoard:
 
     def execute_local(self, pid: int, access: AccessType, va: int, size: int,
                       data: Optional[bytes] = None):
-        """Process-generator: drive the fast path without the network.
+        """The fast-path process-generator, driven without the network.
 
         Used by the on-board traffic generator experiments (Figure 9) and
         by unit tests; semantics identical to the packet path for a
-        single-fragment request.
+        single-fragment request.  A plain function, so a caller that
+        ``yield from``s the result pays no extra generator frame.
         """
-        result = yield from self.fast_path.execute(
-            pid, access, va, size, data=data, wire_bytes=size + 64)
-        self.last_breakdown = result.breakdown
-        return result
+        return self.fast_path.execute(pid, access, va, size, data=data)
 
     # -- diagnostics ----------------------------------------------------------------------
 

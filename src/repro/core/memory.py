@@ -52,6 +52,10 @@ class DRAM:
         self._check_range(pa, size)
         self.reads += 1
         self.bytes_read += size
+        chunk_idx, offset = divmod(pa, self.CHUNK)
+        if offset + size <= self.CHUNK:     # one chunk: one slice
+            chunk = self._chunks.get(chunk_idx)     # missing: zeros
+            return bytes(chunk[offset:offset + size] if chunk else size)
         out = bytearray(size)
         pos = 0
         while pos < size:

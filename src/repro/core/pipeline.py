@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from repro.core.addr import AccessType, PageSpec, Permission
@@ -28,10 +29,15 @@ from repro.core.page_table import HashPageTable
 from repro.core.pa_allocator import AsyncBuffer
 from repro.core.tlb import TLB
 from repro.params import CBoardParams
+from repro.sim import Event
 from repro.telemetry.spans import Sites
 
 #: PT bucket size fetched on a TLB miss (K slots x 16 B).
 BUCKET_FETCH_BYTES = 64
+
+#: The permission an access needs, indexed by ``access is AccessType.READ``
+#: and tested by identity: a ``Flag`` membership test is two Python calls.
+_NEEDS = (Permission.WRITE, Permission.READ)
 
 
 class Status(enum.Enum):
@@ -100,6 +106,7 @@ class FastPath:
         self._fault_fixed_ns = int(round(params.fault_cycles
                                          * params.cycle_ns))
         self._ingest_ns_cache: dict[int, int] = {}
+        self._dram_ns: dict[int, int] = {}     # DRAM.access_time_ns by size
         self._pipe_free_at = 0   # II=1 ingestion bookkeeping
         # The board's read path goes through a non-pipelined DMA IP: each
         # read pays a serialized setup (the paper's Figure 9 bottleneck —
@@ -113,9 +120,6 @@ class FastPath:
         self.requests = 0
         self.faults = 0
         self.tlb_miss_count = 0
-        # Background PT write-backs issued by the fault handler (parallel
-        # task 1 of 3); tracked only for accounting.
-        self.background_pt_writes = 0
         # Span tracing: None unless the owning board enables it.  Hooks
         # only *record* — no events, no RNG — so traced and untraced runs
         # share every simulated timestamp.
@@ -143,49 +147,87 @@ class FastPath:
         the intake for N cycles, and a request arriving while the intake
         is busy waits for the remainder.
         """
+        now = self.env.now
         busy_ns = self._ingest_ns_cache.get(wire_bytes)
         if busy_ns is None:
             flits = max(1, math.ceil(wire_bytes / self._flit_bytes))
             busy_ns = int(round(flits * self.params.cycle_ns))
             self._ingest_ns_cache[wire_bytes] = busy_ns
-        start = max(self.env.now, self._pipe_free_at)
+        start = max(now, self._pipe_free_at)
         self._pipe_free_at = start + busy_ns
-        return (start - self.env.now) + busy_ns
+        return (start - now) + busy_ns
 
     # -- translation ---------------------------------------------------------------
 
-    def _translate(self, pid: int, vpn: int, access: AccessType,
-                   breakdown: Breakdown):
-        """Translate one page; yields timing events, returns (status, ppn)."""
+    def _lookup(self, pid: int, vpn: int, access: AccessType):
+        """The TLB stage: the PPN on a hit, ``Status.PERMISSION`` on a hit
+        the permission check rejects, None on a miss."""
         hit = self.tlb.lookup(pid, vpn)
-        if hit is not None:
-            ppn, permission = hit
-            if access.required_permission not in permission:
-                return Status.PERMISSION, None
-            return Status.OK, ppn
+        if hit is None:
+            return None
+        ppn, permission = hit
+        if (permission is Permission.READ_WRITE
+                or permission is _NEEDS[access is AccessType.READ]):
+            return ppn
+        return Status.PERMISSION
 
-        # TLB miss: exactly one DRAM access fetches the whole bucket.
+    def _walk(self, pid: int, vpn: int, access: AccessType,
+              result: FastPathResult):
+        """TLB miss: one DRAM access fetches the page's bucket, then the
+        permission check and, for a page not present yet, the bounded
+        fault path.  Yields timing events; returns the PPN or the failing
+        :class:`Status`, and marks ``result`` as having missed (faulted)."""
         self.tlb_miss_count += 1
+        result.tlb_missed = True
         fetch_ns = self.dram.access_time_ns(BUCKET_FETCH_BYTES)
-        breakdown.tlb_miss_ns += fetch_ns
+        result.breakdown.tlb_miss_ns += fetch_ns
         yield self.env.timeout(fetch_ns)
         entry = self.page_table.lookup(pid, vpn)
         if entry is None:
-            return Status.INVALID_VA, None
-        if access.required_permission not in entry.permission:
-            return Status.PERMISSION, None
-
-        if not entry.present:
+            return Status.INVALID_VA
+        if (entry.permission is not Permission.READ_WRITE
+                and entry.permission is not _NEEDS[access is AccessType.READ]):
+            return Status.PERMISSION
+        ppn = entry.ppn
+        if ppn is None:
             # Hardware page fault: bounded three-cycle path.
-            status, ppn = yield from self._handle_fault(pid, vpn, entry,
-                                                        breakdown)
-            if status is not Status.OK:
-                return status, None
-        else:
-            ppn = entry.ppn
-
+            result.faulted = True
+            ppn = yield from self._handle_fault(pid, vpn, entry,
+                                                result.breakdown)
+            if isinstance(ppn, Status):
+                return ppn
         self.tlb.insert(pid, vpn, ppn, entry.permission)
-        return Status.OK, ppn
+        return ppn
+
+    def _claim_dram(self, access: AccessType, size: int, serialize_dma: bool,
+                    breakdown: Breakdown) -> int:
+        """The DRAM stage's delay from now: the access itself and, for a
+        read on the serialized DMA engine, the wait for the engine, which
+        this claims."""
+        dram_ns = self._dram_ns.get(size)
+        if dram_ns is None:
+            dram_ns = self._dram_ns[size] = self.dram.access_time_ns(size)
+        if access is AccessType.READ and serialize_dma:
+            now = self.env.now
+            dma_start = max(now, self._read_dma_free_at)
+            self._read_dma_free_at = dma_start + self.dram.access_ns
+            dram_ns += dma_start - now
+        breakdown.dram_ns = dram_ns
+        return dram_ns
+
+    def _lane(self, gate: Event, pid: int, vpn: int, access: AccessType,
+              size: int, serialize_dma: bool, breakdown: Breakdown) -> None:
+        """The entry that ends a one-page access's ingest: the TLB stage
+        and, on a hit, the DRAM claim.  A hit hands the waiter to the DRAM
+        timeout, so it resumes once, with the PPN, when the data is there;
+        a miss (None) or a rejection resumes it now, as popping the ingest
+        timeout it replaces would have."""
+        ppn = self._lookup(pid, vpn, access)
+        if ppn is None or ppn is Status.PERMISSION:
+            gate.resume_waiters(ppn)
+            return
+        gate.resume_waiters(after=self.env.timeout(self._claim_dram(
+            access, size, serialize_dma, breakdown), ppn))
 
     def trace(self, access: AccessType, result: FastPathResult) -> None:
         """Record the traversal that just returned ``result`` as one
@@ -196,6 +238,7 @@ class FastPath:
                              *result.breakdown.stages())
 
     def _handle_fault(self, pid: int, vpn: int, entry, breakdown: Breakdown):
+        """Fault ``entry``'s page in; returns its PPN, or ``Status.OOM``."""
         start = self.env.now
         key = (pid, vpn)
         pending = self._pending_faults.get(key)
@@ -204,9 +247,7 @@ class FastPath:
             # its PTE instead of allocating a second physical page.
             yield pending
             breakdown.fault_ns += self.env.now - start
-            if entry.present:
-                return Status.OK, entry.ppn
-            return Status.OOM, None
+            return Status.OOM if entry.ppn is None else entry.ppn
 
         done = self.env.event()
         self._pending_faults[key] = done
@@ -221,14 +262,13 @@ class FastPath:
                     # migrate one ARM-locally instead of blocking forever.
                     self.buffer_bank.rebalance_into(pid)
                 if len(buffer) == 0 and buffer.allocator._reserved == 0:
-                    return Status.OOM, None
+                    return Status.OOM
             ppn = yield buffer.pop()
             self.page_table.set_present(pid, vpn, ppn)
             # Parallel tasks: PT write-back and TLB insert happen off the
-            # latency path; only account them.
-            self.background_pt_writes += 1
+            # latency path, so nothing here waits for them.
             breakdown.fault_ns += self.env.now - start
-            return Status.OK, ppn
+            return ppn
         finally:
             del self._pending_faults[key]
             done.succeed()
@@ -257,65 +297,67 @@ class FastPath:
             if data is None or len(data) != size:
                 raise ValueError("write needs data of exactly `size` bytes")
         self.requests += 1
-        breakdown = Breakdown()
-        start = self.env.now
+        result = FastPathResult(Status.OK)
+        breakdown = result.breakdown
+        env = self.env
+        start = env.now
 
         # Ingest + fixed stages are back-to-back pure delays with no state
-        # change in between: charge them as one event.
-        ingest = self.ingest_delay_ns(wire_bytes if wire_bytes is not None
-                                      else size + 64)
-        breakdown.ingest_ns = ingest
-        fixed_ns = self._pipeline_fixed_ns
-        breakdown.pipeline_ns = fixed_ns
-        yield self.env.timeout(ingest + fixed_ns)
+        # change in between: charge them as one entry.
+        breakdown.ingest_ns = ingest = self.ingest_delay_ns(
+            wire_bytes if wire_bytes is not None else size + 64)
+        breakdown.pipeline_ns = fixed_ns = self._pipeline_fixed_ns
+        page_size = self.page_spec.page_size
+        page_off = va & (page_size - 1)
+        if page_off + size <= page_size:
+            # One page: that entry is the hit lane (_lane).  On a hit this
+            # generator resumes once, when the DRAM access is done.
+            vpn = va >> self.page_spec.offset_bits
+            gate = Event(env)
+            env.schedule_callback(ingest + fixed_ns, partial(
+                self._lane, gate, pid, vpn, access, size, serialize_dma,
+                breakdown))
+            ppn = yield gate
+            if ppn is None:
+                ppn = yield from self._walk(pid, vpn, access, result)
+                if not isinstance(ppn, Status):
+                    yield env.timeout(self._claim_dram(
+                        access, size, serialize_dma, breakdown))
+            if isinstance(ppn, Status):
+                result.status = ppn
+            elif access is AccessType.READ:
+                result.data = self.dram.read(ppn * page_size + page_off, size)
+            elif access is AccessType.WRITE:
+                self.dram.write(ppn * page_size + page_off, data)
+        else:
+            yield env.timeout(ingest + fixed_ns)
+            # Translate every page the access touches into PA extents
+            # (pa, offset in the request, length).
+            extents, offset = [], 0
+            while offset < size:
+                addr = va + offset
+                vpn = addr >> self.page_spec.offset_bits
+                page_off = addr & (page_size - 1)
+                ppn = self._lookup(pid, vpn, access)
+                if ppn is None:
+                    ppn = yield from self._walk(pid, vpn, access, result)
+                if isinstance(ppn, Status):
+                    result.status = ppn
+                    break
+                chunk = min(size - offset, page_size - page_off)
+                extents.append((ppn * page_size + page_off, offset, chunk))
+                offset += chunk
+            else:
+                yield env.timeout(self._claim_dram(access, size,
+                                                   serialize_dma, breakdown))
+                if access is AccessType.READ:
+                    result.data = b"".join([self.dram.read(pa, length)
+                                            for pa, _, length in extents])
+                elif access is AccessType.WRITE:
+                    for pa, req_off, length in extents:
+                        self.dram.write(pa, data[req_off:req_off + length])
 
-        tlb_misses_before = self.tlb_miss_count
-        faults_before = self.faults
-
-        # Translate every page the access touches and collect PA extents.
-        extents: list[tuple[int, int, int]] = []  # (pa, offset_in_request, len)
-        offset = 0
-        while offset < size:
-            addr = va + offset
-            vpn = self.page_spec.page_number(addr)
-            page_off = self.page_spec.page_offset(addr)
-            chunk = min(size - offset, self.page_spec.page_size - page_off)
-            status, ppn = yield from self._translate(pid, vpn, access, breakdown)
-            if status is not Status.OK:
-                breakdown.total_ns = self.env.now - start
-                result = FastPathResult(
-                    status=status, breakdown=breakdown,
-                    tlb_missed=self.tlb_miss_count > tlb_misses_before,
-                    faulted=self.faults > faults_before)
-                if self.tracer is not None and traced:
-                    self.trace(access, result)
-                return result
-            extents.append((ppn * self.page_spec.page_size + page_off,
-                            offset, chunk))
-            offset += chunk
-
-        # The actual memory access.  Reads additionally serialize on the
-        # DMA engine's fixed setup; the data stream itself is pipelined.
-        dram_ns = self.dram.access_time_ns(size)
-        if access is AccessType.READ and serialize_dma:
-            dma_start = max(self.env.now, self._read_dma_free_at)
-            self._read_dma_free_at = dma_start + self.dram.access_ns
-            dram_ns += dma_start - self.env.now
-        breakdown.dram_ns = dram_ns
-        yield self.env.timeout(dram_ns)
-        result_data: Optional[bytes] = None
-        if access is AccessType.READ:
-            parts = [self.dram.read(pa, length) for pa, _, length in extents]
-            result_data = b"".join(parts)
-        elif access is AccessType.WRITE:
-            for pa, req_off, length in extents:
-                self.dram.write(pa, data[req_off:req_off + length])
-
-        breakdown.total_ns = self.env.now - start
-        result = FastPathResult(
-            status=Status.OK, data=result_data,
-            tlb_missed=self.tlb_miss_count > tlb_misses_before,
-            faulted=self.faults > faults_before, breakdown=breakdown)
+        breakdown.total_ns = env.now - start
         if self.tracer is not None and traced:
             self.trace(access, result)
         return result
@@ -325,9 +367,11 @@ class FastPath:
 
         Returns ``(status, pa)``.
         """
-        breakdown = Breakdown()
         vpn = self.page_spec.page_number(va)
-        status, ppn = yield from self._translate(pid, vpn, access, breakdown)
-        if status is not Status.OK:
-            return status, None
+        ppn = self._lookup(pid, vpn, access)
+        if ppn is None:
+            ppn = yield from self._walk(pid, vpn, access,
+                                        FastPathResult(Status.OK))
+        if isinstance(ppn, Status):
+            return ppn, None
         return Status.OK, ppn * self.page_spec.page_size + self.page_spec.page_offset(va)

@@ -93,6 +93,26 @@ class Event:
         self.env._schedule(self, NORMAL)
         return self
 
+    def resume_waiters(self, value: Any = None,
+                       after: Optional["Event"] = None) -> None:
+        """Resume this untriggered event's waiters without an entry of its
+        own: when ``after`` fires, with ``after``'s value, or else now,
+        inside the calling entry, with ``value``.
+
+        For a gate whose outcome an already-scheduled entry decides (the
+        board's hit lane, :meth:`FastPath._lane`): resuming now is what
+        popping the entry the gate replaced would have done, and handing
+        the waiters to ``after`` skips a resume that would only have
+        waited on it.  The event itself never fires.
+        """
+        callbacks, self.callbacks = self.callbacks, None
+        if after is not None:
+            after.callbacks += callbacks
+            return
+        self._ok, self._value = True, value
+        for callback in callbacks:
+            callback(self)
+
     def __repr__(self) -> str:
         if self.callbacks is None:
             state = "processed"

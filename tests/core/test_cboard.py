@@ -307,6 +307,34 @@ def test_crash_mid_request_discards_inflight_response():
     assert board._inflight == 0                # bookkeeping not corrupted
 
 
+def test_crash_between_tlb_hit_and_dram_discards_the_response():
+    """The hit lane claims DRAM when ingest ends; a crash after that and
+    before the data is there still loses the response."""
+    env, params, topology, board, collector = make_wired_board()
+    va = alloc_va(env, topology, params, board, collector)
+    send(env, topology, params, 240, PacketType.WRITE, va=va, size=4,
+         payload=b"warm")                      # PTE present, TLB warm
+    env.run(until=env.now + 10 ** 7)
+    before, hits = len(collector.packets), board.tlb.hits
+    seen = {}
+
+    def crash():
+        seen["hits"] = board.tlb.hits          # the lane has looked up
+        board.crash()
+
+    header = ClioHeader(src="cn0", dst="mn0", request_id=241,
+                        packet_type=PacketType.READ, pid=1, va=va, size=4,
+                        total_size=4)
+    board.receive(Packet(header=header, payload=None, wire_bytes=64))
+    # Ingest + fixed stages take 64 ns, the DRAM access 300 ns more.
+    env.schedule_callback(200, crash)
+    env.run(until=env.now + 10 ** 8)
+    assert seen["hits"] == hits + 1
+    assert board.responses_discarded == 1
+    assert len(collector.packets) == before    # the response never left
+    assert board._inflight == 0
+
+
 def test_crash_restart_state_machine():
     env, params, topology, board, collector = make_wired_board()
     with pytest.raises(ValueError):

@@ -86,6 +86,59 @@ def test_tlb_miss_costs_exactly_one_dram_access():
     assert hit.breakdown.tlb_miss_ns == 0
 
 
+def test_miss_and_fault_flags_belong_to_the_request():
+    """A hit that overlaps another request's miss and fault reports
+    neither: the flags come from the walk this request ran, not from the
+    board's counters moving while it was in flight."""
+    env, fast, table, _ = make_fast_path()
+    table.insert(1, 1, Permission.READ_WRITE)
+    table.insert(1, 2, Permission.READ_WRITE)
+    run(env, fast.execute(1, AccessType.WRITE, PAGE, 4, data=b"warm"))
+    results = {}
+
+    def issue(name, va, delay):
+        yield env.timeout(delay)
+        results[name] = yield from fast.execute(1, AccessType.READ, va, 4)
+
+    env.run(until=env.all_of([env.process(issue("hit", PAGE, 0)),
+                              env.process(issue("miss", 2 * PAGE, 5))]))
+    hit, miss = results["hit"], results["miss"]
+    assert hit.status is Status.OK and miss.status is Status.OK
+    assert hit.breakdown.tlb_miss_ns == 0 and hit.breakdown.fault_ns == 0
+    assert not hit.tlb_missed and not hit.faulted
+    assert miss.tlb_missed and miss.faulted
+
+
+def test_tlb_is_looked_up_when_ingest_ends_not_at_the_call():
+    """A request whose TLB entry is evicted while it is still being
+    ingested -- by another request's miss -- must walk the page table."""
+    env, fast, table, tlb = make_fast_path(tlb_entries=1)
+    table.insert(1, 1, Permission.READ_WRITE)
+    table.insert(1, 2, Permission.READ_WRITE)
+    run(env, fast.execute(1, AccessType.WRITE, 2 * PAGE, 4, data=b"two!"))
+    run(env, fast.execute(1, AccessType.WRITE, PAGE, 4, data=b"one!"))
+    assert tlb.lookup(1, 1) is not None       # page 1 holds the one entry
+    results = {}
+
+    def evictor():
+        results["evictor"] = yield from fast.execute(
+            1, AccessType.READ, 2 * PAGE, 4)
+
+    def victim():
+        yield env.timeout(1)
+        # 1 000 flits of intake: ingest ends long after the evictor's walk.
+        results["victim"] = yield from fast.execute(
+            1, AccessType.READ, PAGE, 4, wire_bytes=64 * 1000)
+
+    env.run(until=env.all_of([env.process(evictor()),
+                              env.process(victim())]))
+    victim = results["victim"]
+    assert results["evictor"].tlb_missed
+    assert victim.status is Status.OK and victim.data == b"one!"
+    assert victim.tlb_missed
+    assert victim.breakdown.tlb_miss_ns == fast.dram.access_time_ns(64)
+
+
 def test_fault_adds_exactly_bounded_cycles_plus_pop():
     env, fast, table, _ = make_fast_path()
     table.insert(1, 1, Permission.READ_WRITE)

@@ -33,13 +33,13 @@ OPS = 50
 #: fractions are the board's PA-buffer refill poll, which ticks on its own
 #: clock.
 BUDGET = {
-    "rread64": {"alloc": 0.32, "clib": 12.0, "core": 44.64, "net": 41.24,
-                "params": 2.0, "sim": 107.44, "transport": 42.76},
-    "rwrite64": {"alloc": 0.32, "clib": 14.0, "core": 52.64, "net": 41.24,
-                 "params": 2.0, "sim": 105.44, "transport": 43.76},
-    "onboard_read64": {"alloc": 0.04, "core": 30.08, "sim": 32.24},
-    "rwrite4k": {"alloc": 0.84, "clib": 14.0, "core": 135.68, "net": 83.42,
-                 "params": 2.0, "sim": 210.8, "transport": 51.88},
+    "rread64": {"alloc": 0.32, "clib": 12.0, "core": 34.64, "net": 41.24,
+                "params": 2.0, "sim": 99.44, "transport": 42.76},
+    "rwrite64": {"alloc": 0.32, "clib": 14.0, "core": 45.64, "net": 41.24,
+                 "params": 2.0, "sim": 98.44, "transport": 43.76},
+    "onboard_read64": {"alloc": 0.04, "core": 20.08, "sim": 23.24},
+    "rwrite4k": {"alloc": 0.84, "clib": 14.0, "core": 114.68, "net": 83.42,
+                 "params": 2.0, "sim": 189.8, "transport": 51.88},
     "ralloc_rfree": {"alloc": 6.4, "clib": 12.0, "core": 143.8,
                      "net": 76.38, "sim": 272.4, "transport": 78.0},
 }

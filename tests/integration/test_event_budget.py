@@ -4,8 +4,9 @@ Every heap entry a 64 B echo schedules is listed here with the reason it
 must stay an entry of its own: something else in the model can land
 between it and its neighbours, so removing it would reorder pops.  An
 entry that decides nothing (an ``Initialize``, an unobserved completion
-event) is not on the list, and a change that adds one fails this test —
-events/op is most of what an op costs the host (docs/performance.md).
+event) is not on the list, and a change that adds one fails this test.
+Entries order the simulation; what an op costs the host is mostly Python
+calls, which ``test_call_budget.py`` pins (docs/performance.md).
 """
 
 from repro.cluster import ClioCluster
@@ -23,9 +24,10 @@ LINK = ("link delivery",
 FORWARD = ("Switch._forward",
            "ToR forwarding latency; folded into the uplink delivery it "
            "permutes same-nanosecond arrivals of different clients")
-INGEST = ("Timeout -> FastPath.execute",
+INGEST = ("FastPath._lane",
           "pipeline ingest + fixed stages: the II=1 slot later packets "
-          "queue behind")
+          "queue behind; the TLB lookup and the DMA claim read board state "
+          "when it pops, and a hit hands the waiter to the DRAM entry")
 DRAM = ("Timeout -> FastPath.execute",
         "DRAM access on the serialized DMA engine; a crash between the two "
         "discards the response")
