@@ -54,8 +54,9 @@ class DRAM:
         self.bytes_read += size
         chunk_idx, offset = divmod(pa, self.CHUNK)
         if offset + size <= self.CHUNK:     # one chunk: one slice
-            chunk = self._chunks.get(chunk_idx)     # missing: zeros
-            return bytes(chunk[offset:offset + size] if chunk else size)
+            chunk = self._chunks.get(chunk_idx)
+            return (bytes(chunk[offset:offset + size]) if chunk is not None
+                    else bytes(size))               # never written: zeros
         out = bytearray(size)
         pos = 0
         while pos < size:

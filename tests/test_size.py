@@ -9,11 +9,11 @@ so the ground is kept.
 from tools.code_lines import ROOT, count_files
 
 #: ``python tools/code_lines.py`` after the engine lost interrupts,
-#: cancellation, ``AnyOf`` and ``Container`` (13 542 before it), plus 38
+#: cancellation, ``AnyOf`` and ``Container`` (13 542 before it), plus 39
 #: for the board's TLB-hit lane: the lane callback, the DMA-claim and
 #: TLB-check routines it shares with multi-page accesses, a one-chunk
 #: ``DRAM.read`` and ``Event.resume_waiters``.
-SRC_CEILING = 13_378
+SRC_CEILING = 13_379
 
 
 def test_src_stays_under_its_ceiling():
