@@ -18,8 +18,8 @@ Flushes retry unboundedly across board crashes (their bytes are
 committed data the MN must eventually hold); a typed rejection (region
 freed) abandons the bytes and counts ``flush_failures``.
 
-Every MN data access is the uncached client's own ``mn_request`` (via
-``checked_access`` when nothing happens inside the window) and every op
+Every MN data access is the uncached client's own ``mn_request`` (which
+settles the window itself when nothing happens inside it) and every op
 settles through its ``settle``, so the shadow oracle sees
 cached ops exactly like direct ones, with one deliberate rule: *flush*
 writes bypass the oracle — they re-materialize bytes whose write was
@@ -38,9 +38,8 @@ from typing import Optional
 
 from repro.cache import protocol
 from repro.cache.directory import DIRECTORY_NODE, CacheReq
-from repro.clib.client import (RemoteAccessError, check_reply,
-                               checked_access, mn_request, open_window,
-                               settle)
+from repro.clib.client import (RemoteAccessError, check_reply, mn_request,
+                               open_window, settle)
 from repro.core.cboard import ResponseBody
 from repro.core.pipeline import Status
 from repro.net.packet import Packet, PacketType
@@ -386,8 +385,9 @@ class PageCache:
                 keys=protocol.line_keys(process.mn, process.pid, va, size,
                                self.line_bytes)))
             retries = sync_out.retries
-        return (yield from checked_access(thread, False, va, size,
-                                          retries=retries))
+        return (yield from mn_request(
+            thread, False, va, size,
+            token=open_window(thread, False, va, size), retries=retries))
 
     # -- write path -----------------------------------------------------------------------
 
@@ -515,8 +515,9 @@ class PageCache:
     def _bypass_write(self, thread, va: int, data: bytes):
         guard = yield from self.write_guard(thread, va, len(data))
         try:
-            yield from checked_access(thread, True, va, len(data), data,
-                                      retries=guard.retries)
+            yield from mn_request(
+                thread, True, va, len(data), data,
+                open_window(thread, True, va, len(data), data), guard.retries)
         finally:
             self.guard_end(guard)
 

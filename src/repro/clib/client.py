@@ -93,46 +93,35 @@ def settle(thread, is_write: bool, token, data: Optional[bytes] = None,
 
 
 def mn_request(thread, is_write: bool, va: int, size: int,
-               data: Optional[bytes] = None, token=None):
-    """Process-generator: one MN data request; returns the reply outcome
-    (data and retries), unsettled.
+               data: Optional[bytes] = None, token=None,
+               retries: Optional[int] = None):
+    """Process-generator: one checked MN data request, in one frame.
 
     Issues the request and turns a rejection into
     :class:`RemoteAccessError`; a failure fails the caller's oracle
-    window ``token`` before propagating.  Success leaves the window to
-    the caller's own :func:`settle` — the cache has a line to install or
-    update inside it first.
+    window ``token`` before propagating.  With ``retries`` None, success
+    returns the reply outcome (data and retries) and leaves the window to
+    the caller's own :func:`settle` -- the cache has a line to install or
+    update inside it first.  Otherwise the request is the whole access:
+    its window settles with ``retries`` (what the caller already spent,
+    e.g. at the cache directory) plus the request's own, and the bytes
+    read come back (None for a write).
     """
     process = thread.process
     try:
         outcome = yield from process.node.transport.request(
             process.mn, PacketType.WRITE if is_write else PacketType.READ,
             pid=process.pid, va=va, size=size, data=data)
-        check_reply(outcome, "r{}({:#x}, {})",
-                    "write" if is_write else "read", va, size)
+        body = outcome.body
+        if body is None or body.status is not Status.OK:
+            check_reply(outcome, "r{}({:#x}, {})",
+                        "write" if is_write else "read", va, size)
     except BaseException as exc:
         if token is not None:
             settle(thread, is_write, token, error=exc)
         raise
-    return outcome
-
-
-def checked_access(thread, is_write: bool, va: int, size: int,
-                   data: Optional[bytes] = None, token=None,
-                   retries: int = 0):
-    """Process-generator: one checked MN data access; returns the bytes
-    read (None for a write).
-
-    Every data op that reaches the MN as its own request and has nothing
-    else to do inside its window runs this — direct sync and async ops,
-    and the cache's bypasses: open the op's oracle window (unless the
-    caller holds ``token`` since admission), :func:`mn_request`, and
-    settle the window with ``retries`` (what the caller already spent,
-    e.g. at the cache directory) plus the request's own.
-    """
-    if token is None:
-        token = open_window(thread, is_write, va, size, data)
-    outcome = yield from mn_request(thread, is_write, va, size, data, token)
+    if retries is None:
+        return outcome
     if token is not None:
         settle(thread, is_write, token, outcome.data,
                retries + outcome.retries)
@@ -363,18 +352,25 @@ class ClioThread:
 
         Route selection, sync and async alike: the CN cache when caching
         is on (it opens the op's oracle windows itself), else one direct
-        :func:`checked_access`.  A plain function, so a sync op that
-        ``yield from``s the result pays no extra generator frame.
+        :func:`mn_request` that settles the op's window -- opened here
+        unless the caller holds ``token`` since admission.  A plain
+        function, so a sync op that ``yield from``s the result pays no
+        extra generator frame.
         """
-        cache = self.process.node.cache
+        node = self.process.node
+        cache = node.cache
         if cache is not None:
             if is_write:
                 return cache.write(self, va, data)
             return cache.read(self, va, size)
-        return checked_access(self, is_write, va, size, data, token)
+        if token is None and node.verifier is not None:
+            token = open_window(self, is_write, va, size, data)
+        return mn_request(self, is_write, va, size, data, token, 0)
 
     def rread(self, va: int, size: int):
         """Process-generator: blocking read; returns the bytes."""
+        if size <= 0:
+            raise ValueError("rread needs a positive size")
         self.ops_issued += 1
         yield from self._tracker.wait_for_conflicts(va, size, is_write=False)
         return (yield from self._route(False, va, size, None))
@@ -430,6 +426,8 @@ class ClioThread:
 
     def rread_async(self, va: int, size: int):
         """Process-generator: issue a non-blocking read, return a handle."""
+        if size <= 0:
+            raise ValueError("rread needs a positive size")
         return (yield from self._issue_async(False, va, size,
                                              frames=self._batcher))
 
@@ -452,6 +450,8 @@ class ClioThread:
         """
         if not ops:
             raise ValueError("rreadv needs at least one (va, size) op")
+        if any(size <= 0 for _va, size in ops):
+            raise ValueError("rreadv needs positive sizes")
         from repro.clib.batch import issue_vector
         return (yield from issue_vector(
             self, False, [(va, size, None) for va, size in ops]))

@@ -8,8 +8,7 @@ independently and execute it on arrival, in any order (Principle 5).
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 
@@ -34,8 +33,6 @@ class PacketType(enum.Enum):
 FAST_PATH_TYPES = frozenset(
     {PacketType.READ, PacketType.WRITE, PacketType.ATOMIC, PacketType.FENCE,
      PacketType.BATCH})
-
-_packet_ids = itertools.count(1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,7 +88,6 @@ class Packet:
     payload: Any = None           # bytes for data fragments, or op descriptor
     wire_bytes: int = 0           # total on-wire size incl. headers
     corrupt: bool = False
-    uid: int = field(default_factory=lambda: next(_packet_ids))
     sent_at: int = 0              # set by the sender for RTT measurement
 
     def __repr__(self) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Optional
 
 from repro.net.packet import (
@@ -86,20 +87,29 @@ class BatchOutcome:
 
 @dataclass(slots=True)
 class _Pending:
-    """Reassembly and completion state for one in-flight request ID."""
+    """Reassembly and completion state for one in-flight request ID, and
+    what the ack lane (:meth:`Transport._ack`) needs to complete it."""
 
     done: Event
     sent_at: int
+    request_id: int
+    congestion: CongestionController
+    response_bytes: int
+    rtt_scale: int
     expected_fragments: int = 1
     fragments: dict[int, Packet] = field(default_factory=dict)
+    #: The first of response, NACK, corruption and TIMEOUT sets this and
+    #: wins; whatever arrives after it is stale.
+    settled: bool = False
     nacked: bool = False
     corrupted: bool = False
     timed_out: bool = False
+    rtt: int = 0
 
     def expire(self) -> None:
-        """TIMEOUT callback: wake the waiter unless a response already did."""
-        if not self.done.triggered:
-            self.timed_out = True
+        """TIMEOUT callback: wake the waiter unless the attempt is settled."""
+        if not self.settled:
+            self.settled = self.timed_out = True
             self.done.succeed()
 
 
@@ -119,6 +129,8 @@ class Transport:
         self._pending: dict[int, _Pending] = {}
         self._send_waiters: deque[Event] = deque()
         self._last_send: dict[str, int] = {}
+        self._fast_timeouts: dict[tuple[int, int], int] = {}
+        self._tail_ns = clib.request_overhead_ns - clib.request_overhead_ns // 2
         self.stale_responses = 0
         self.total_retries = 0
         self.requests_issued = 0
@@ -230,24 +242,38 @@ class Transport:
                 listener(packet)
             return
         state = self._pending.get(header.request_id)
-        if state is None:
-            self.stale_responses += 1   # response to an already-retried ID
+        if state is None or state.settled:
+            self.stale_responses += 1   # the attempt is retried or settled
             return
         if header.packet_type is PacketType.NACK:
             state.nacked = True
-            if not state.done.triggered:
-                state.done.succeed()
-            return
-        if packet.corrupt:
+        elif packet.corrupt:
             state.corrupted = True
-            if not state.done.triggered:
-                state.done.succeed()
+        else:
+            state.expected_fragments = header.fragments
+            state.fragments[header.fragment] = packet
+            if len(state.fragments) >= state.expected_fragments:
+                state.settled = True
+                self.env.schedule_callback(0, partial(self._ack, state))
             return
-        state.expected_fragments = header.fragments
-        state.fragments[header.fragment] = packet
-        if len(state.fragments) >= state.expected_fragments:
-            if not state.done.triggered:
-                state.done.succeed()
+        state.settled = True
+        state.done.succeed()
+
+    def _ack(self, state: _Pending) -> None:
+        """The ack lane: the entry that completes an acked attempt, in the
+        slot ``state.done``'s own entry would take.  It does what the
+        waiter resumed by that entry would do first -- free the window
+        slot, feed congestion control the RTT, wake blocked senders --
+        then hands the waiter to the completion-overhead timeout, so the
+        caller chain resumes once per attempt.  Partial-bound, never
+        stored on ``state``: no reference cycle."""
+        self._incast.on_complete(state.response_bytes)
+        rtt = state.rtt = self.env.now - state.sent_at
+        state.congestion.on_ack(rtt // state.rtt_scale
+                                if state.rtt_scale > 1 else rtt)
+        self._wake_senders()
+        del self._pending[state.request_id]
+        state.done.resume_waiters(after=self.env.timeout(self._tail_ns))
 
     # -- admission (congestion + incast) ---------------------------------------------
 
@@ -333,37 +359,43 @@ class Transport:
                 payload: Any = None,
                 expected_response_bytes: Optional[int] = None,
                 timeout_ns: Optional[int] = None):
-        """Process-generator: issue one request, retrying per section 4.5.
+        """The process-generator that issues one request, retrying per
+        section 4.5: ``yield from`` it at once.
 
         Returns a :class:`RequestOutcome`; raises
         :class:`RequestFailed` after the original + ``max_retries``
-        attempts all fail.
+        attempts all fail.  A plain function returning :meth:`_transact`,
+        so a caller pays no extra generator frame.
         """
-        clib = self.params.clib
         self.requests_issued += 1
         if expected_response_bytes is None:
             expected_response_bytes = self.params.network.header_bytes + (
                 size if packet_type is PacketType.READ else 0)
         if timeout_ns is None:
-            if packet_type in self.SLOW_TYPES:
-                timeout_ns = clib.slow_timeout_ns
+            if (packet_type is not PacketType.READ
+                    and packet_type is not PacketType.WRITE
+                    and packet_type in self.SLOW_TYPES):
+                timeout_ns = self.params.clib.slow_timeout_ns
             else:
                 # Large requests legitimately spend longer on the wire
                 # (the MN port is the bottleneck); scale the TIMEOUT with
                 # the expected wire occupancy so bulk transfers under load
                 # don't spuriously retry.
-                wire_ns = transmit_time_ns(size + expected_response_bytes,
-                                           self.params.network.mn_port_rate_bps)
-                timeout_ns = clib.timeout_ns + 4 * wire_ns
+                key = (size, expected_response_bytes)
+                timeout_ns = self._fast_timeouts.get(key)
+                if timeout_ns is None:
+                    timeout_ns = self._fast_timeouts[key] = (
+                        self.params.clib.timeout_ns + 4 * transmit_time_ns(
+                            size + expected_response_bytes,
+                            self.params.network.mn_port_rate_bps))
 
         def emit(request_id: int, retry_of: Optional[int]) -> None:
             self._emit(mn, request_id, packet_type, pid, va, size, data,
                        payload, retry_of)
 
-        outcome = yield from self._transact(
+        return self._transact(
             mn, packet_type, emit, expected_response_bytes, timeout_ns,
             va=va, trace_values=(pid, va, size))
-        return outcome
 
     def request_batch(self, mn: str, pid: int, sub_ops,
                       timeout_ns: Optional[int] = None):
@@ -446,22 +478,25 @@ class Transport:
 
         for attempt in range(clib.max_retries + 1):
             # Uncontended fast path: skip the admission generator entirely.
-            if not (congestion.can_send(self.env.now,
+            now = self.env.now
+            if not (congestion.can_send(now,
                                         self._last_send.get(mn, -(10 ** 12)))
                     and self._incast.can_send(expected_response_bytes)):
                 yield from self._admit(mn, expected_response_bytes)
+                now = self.env.now
             request_id = next(_request_ids)
             if original_id is None:
                 original_id = request_id
             retry_of = original_id if attempt > 0 else None
-            state = _Pending(done=self.env.event(), sent_at=self.env.now)
+            state = _Pending(self.env.event(), now, request_id, congestion,
+                             expected_response_bytes, rtt_scale)
             self._pending[request_id] = state
 
             # Claim the window slot *synchronously* with admission — any
             # later claim would let concurrent senders overrun the window.
             congestion.on_send()
             self._incast.on_send(expected_response_bytes)
-            self._last_send[mn] = self.env.now
+            self._last_send[mn] = now
 
             # Exponential backoff: each retry doubles the TIMEOUT, so a
             # transient incast queue drains instead of being re-fed.  The
@@ -475,19 +510,14 @@ class Transport:
                 self.env.schedule_callback(attempt_timeout, state.expire)
 
             # CLib processing cost first.  Nothing can answer an ID that
-            # has not left yet, so the send is a callback and the caller
-            # chain sleeps through it: two resumes per attempt, not three.
+            # has not left yet, so the send is a callback; an ack is the
+            # lane (_ack), which resumes the caller chain after the
+            # completion overhead: one resume per attempt.
             self.env.schedule_callback(clib.request_overhead_ns // 2, send)
             yield state.done
 
-            self._incast.on_complete(expected_response_bytes)
             if not state.timed_out and not state.nacked and not state.corrupted:
-                rtt = self.env.now - state.sent_at
-                congestion.on_ack(rtt // rtt_scale if rtt_scale > 1 else rtt)
-                self._wake_senders()
-                del self._pending[request_id]
-                yield self.env.timeout(clib.request_overhead_ns
-                                       - clib.request_overhead_ns // 2)
+                rtt = state.rtt
                 body, response_data = self._assemble(state)
                 # The stale TIMEOUT entry keeps ``state`` alive until it
                 # pops (100 ms for slow types): let the packets go now.
@@ -511,6 +541,8 @@ class Transport:
                                       request_id=request_id)
 
             # NACK, corrupted response, or TIMEOUT: retry with a fresh ID.
+            self._incast.on_complete(expected_response_bytes)
+            now = self.env.now
             if state.nacked:
                 last_reason = "nack"
             elif state.corrupted:
@@ -519,10 +551,10 @@ class Transport:
                 last_reason = "timeout"
             if tracer is not None:
                 tracer.complete(self._attempt_sites[packet_type],
-                                state.sent_at + send_delay, self.env.now,
+                                state.sent_at + send_delay, now,
                                 request_id, mn, retry_of, last_reason)
             if not state.timed_out:
-                late_rtt = self.env.now - state.sent_at
+                late_rtt = now - state.sent_at
                 congestion.on_ack(late_rtt // rtt_scale
                                   if rtt_scale > 1 else late_rtt)
             else:

@@ -97,17 +97,22 @@ class DependencyTracker:
             pass
 
     def wait_for_conflicts(self, va: int, size: int, is_write: bool):
-        """Process-generator: block until conflicting requests finish."""
-        events = self.conflicts(va, size, is_write)
-        if events:
-            self.blocked_count += 1
-            yield self.env.all_of(events)
+        """What to ``yield from`` to block until conflicting requests
+        finish: nothing at all while none conflicts."""
+        events = self._inflight and self.conflicts(va, size, is_write)
+        if not events:
+            return ()
+        self.blocked_count += 1
+        return self._wait(events)
 
     def drain(self):
-        """Process-generator: wait for *all* in-flight requests (release)."""
+        """What to ``yield from`` to wait for *all* in-flight requests
+        (release): nothing at all while there are none."""
         events = [entry.done for entry in self._inflight]
-        if events:
-            yield self.env.all_of(events)
+        return self._wait(events) if events else ()
+
+    def _wait(self, events: list[Event]):
+        yield self.env.all_of(events)
 
 
 class OrderingScope:

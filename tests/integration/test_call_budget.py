@@ -31,17 +31,19 @@ OPS = 50
 
 #: ``{op: {package: calls per op}}``, recorded on CPython 3.11.  The
 #: fractions are the board's PA-buffer refill poll, which ticks on its own
-#: clock.
+#: clock.  A direct data op is one CLib frame over ``_transact`` and its
+#: caller resumes once per attempt (the transport's ack lane); a fast-path
+#: TIMEOUT is cached per size, so ``params`` costs nothing per op.
 BUDGET = {
-    "rread64": {"alloc": 0.32, "clib": 12.0, "core": 34.64, "net": 41.24,
-                "params": 2.0, "sim": 99.44, "transport": 42.76},
-    "rwrite64": {"alloc": 0.32, "clib": 14.0, "core": 45.64, "net": 41.24,
-                 "params": 2.0, "sim": 98.44, "transport": 43.76},
+    "rread64": {"alloc": 0.32, "clib": 5.0, "core": 31.64, "net": 37.24,
+                "sim": 91.68, "transport": 37.76},
+    "rwrite64": {"alloc": 0.32, "clib": 7.0, "core": 42.64, "net": 37.24,
+                 "sim": 90.68, "transport": 38.76},
     "onboard_read64": {"alloc": 0.04, "core": 20.08, "sim": 23.24},
-    "rwrite4k": {"alloc": 0.84, "clib": 14.0, "core": 114.68, "net": 83.42,
-                 "params": 2.0, "sim": 189.8, "transport": 51.88},
-    "ralloc_rfree": {"alloc": 6.4, "clib": 12.0, "core": 143.8,
-                     "net": 76.38, "sim": 272.4, "transport": 78.0},
+    "rwrite4k": {"alloc": 0.84, "clib": 7.0, "core": 111.68, "net": 75.42,
+                 "sim": 181.92, "transport": 46.88},
+    "ralloc_rfree": {"alloc": 6.4, "clib": 9.0, "core": 143.8,
+                     "net": 68.38, "sim": 258.4, "transport": 74.0},
 }
 
 

@@ -31,9 +31,11 @@ INGEST = ("FastPath._lane",
 DRAM = ("Timeout -> FastPath.execute",
         "DRAM access on the serialized DMA engine; a crash between the two "
         "discards the response")
-DONE = ("Event -> Transport._transact",
-        "state.done: response, NACK, corruption and TIMEOUT race to "
-        "trigger it, once")
+DONE = ("Transport._ack",
+        "the ack lane, in state.done's slot: response, NACK, corruption "
+        "and TIMEOUT race to settle the attempt once, and the waiter must "
+        "run after entries already queued at this nanosecond; it frees the "
+        "window slot and hands the waiter to the completion overhead")
 TAIL = ("Timeout -> Transport._transact",
         "CLib's completion overhead; the window slot is already free, so "
         "woken senders run inside it")

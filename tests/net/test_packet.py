@@ -40,14 +40,6 @@ def test_header_is_self_describing():
     assert header.fragment == 2 and header.fragments == 3
 
 
-def test_packet_uids_unique():
-    header = ClioHeader(src="a", dst="b", request_id=1,
-                        packet_type=PacketType.READ)
-    p1 = Packet(header=header)
-    p2 = Packet(header=header)
-    assert p1.uid != p2.uid
-
-
 def test_packet_repr_mentions_type_and_route():
     header = ClioHeader(src="cn0", dst="mn0", request_id=1,
                         packet_type=PacketType.READ)

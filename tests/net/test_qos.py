@@ -33,12 +33,12 @@ def make_shaper(qos, rate_bps=10 * GBPS, registry=None):
     return env, shaper, delivered
 
 
-def packet(src, wire_bytes=1464, uid=0):
-    header = ClioHeader(src=src, dst="mn0", request_id=uid,
+def packet(src, wire_bytes=1464, label=0):
+    """A write packet labelled by its ``header.request_id``."""
+    header = ClioHeader(src=src, dst="mn0", request_id=label,
                         packet_type=PacketType.WRITE, pid=1, va=0,
                         size=wire_bytes)
-    return Packet(header=header, payload=None, wire_bytes=wire_bytes,
-                  uid=uid)
+    return Packet(header=header, payload=None, wire_bytes=wire_bytes)
 
 
 QOS = QoSParams(tenants=(
@@ -49,8 +49,8 @@ QOS = QoSParams(tenants=(
 
 def test_burst_within_allowance_passes_immediately():
     env, shaper, delivered = make_shaper(QOS)
-    for uid in range(2):          # 2 x 1464B < 3KB burst
-        shaper.send(packet("cn1", uid=uid))
+    for label in range(2):          # 2 x 1464B < 3KB burst
+        shaper.send(packet("cn1", label=label))
     queue = shaper._queues["aggr"]
     assert queue.passed == 2
     assert queue.shaped == 0
@@ -60,8 +60,8 @@ def test_burst_within_allowance_passes_immediately():
 
 def test_burst_beyond_allowance_is_shaped_and_spaced():
     env, shaper, delivered = make_shaper(QOS)
-    for uid in range(16):
-        shaper.send(packet("cn1", uid=uid))
+    for label in range(16):
+        shaper.send(packet("cn1", label=label))
     queue = shaper._queues["aggr"]
     assert queue.passed == 3       # tau admits the first 3 at t=0
     assert queue.shaped == 13
@@ -77,24 +77,24 @@ def test_burst_beyond_allowance_is_shaped_and_spaced():
 
 def test_release_order_is_fifo():
     env, shaper, delivered = make_shaper(QOS)
-    for uid in range(8):
-        shaper.send(packet("cn1", uid=uid))
+    for label in range(8):
+        shaper.send(packet("cn1", label=label))
     env.run(until=100_000)
-    assert [p.uid for p in delivered] == list(range(8))
+    assert [p.header.request_id for p in delivered] == list(range(8))
 
 
 def test_tenants_do_not_shape_each_other():
     env, shaper, delivered = make_shaper(QOS)
-    for uid in range(16):
-        shaper.send(packet("cn1", uid=uid))     # aggr blows its bucket
-    shaper.send(packet("cn0", uid=100))         # victim is untouched
+    for label in range(16):
+        shaper.send(packet("cn1", label=label))     # aggr blows its bucket
+    shaper.send(packet("cn0", label=100))         # victim is untouched
     assert shaper._queues["victim"].passed == 1
     assert shaper._queues["victim"].shaped == 0
 
 
 def test_unclassified_sources_bypass():
     env, shaper, delivered = make_shaper(QOS)
-    shaper.send(packet("cn9", uid=1))
+    shaper.send(packet("cn9", label=1))
     assert shaper.unclassified == 1
     env.run(until=10_000)
     assert len(delivered) == 1
@@ -103,8 +103,8 @@ def test_unclassified_sources_bypass():
 def test_shaper_metrics():
     registry = MetricsRegistry()
     env, shaper, _ = make_shaper(QOS, registry=registry)
-    for uid in range(6):
-        shaper.send(packet("cn1", uid=uid))
+    for label in range(6):
+        shaper.send(packet("cn1", label=label))
     snapshot = registry.snapshot()
     assert snapshot["qos.mn0.tenant.aggr.passed"] == 3
     assert snapshot["qos.mn0.tenant.aggr.shaped"] == 3
@@ -198,8 +198,8 @@ def test_switch_exposes_per_egress_queue_depth():
     for node in ("cn0", "cn1", "mn0"):
         assert f"switch.tor.queue.{node}.depth" in snapshot
     shaper = cluster.qos_shapers["mn0"]
-    for uid in range(16):
-        shaper.send(packet("cn1", uid=uid))
+    for label in range(16):
+        shaper.send(packet("cn1", label=label))
     depth = cluster.topology.switches[0].egress_queue_depth("mn0")
     assert depth >= shaper.backlog > 0
     assert cluster.metrics.snapshot()["switch.tor.queue.mn0.depth"] == depth
