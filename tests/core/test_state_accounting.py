@@ -58,6 +58,32 @@ def test_gbn_state_linear_in_connections():
     assert thousand.total_bytes == 1000 * one.total_bytes
 
 
+#: ``benchmarks/test_onchip_state.py``'s sweep with 1 TB hosted: the exact
+#: totals its table prints, recorded while Go-Back-N was a working protocol
+#: and kept once only its byte formula remained.
+ONCHIP_CLIENTS = [16, 64, 256, 1024, 4096]
+ONCHIP_TOTALS = {
+    "clio": [37_120] * 5,
+    "rdma": [8_395_120, 8_414_656, 8_492_800, 8_805_376, 10_055_680],
+    "gbn": [801_792, 3_207_168, 12_828_672, 51_314_688, 205_258_752],
+}
+
+
+def test_onchip_totals_are_pinned():
+    hosted = 1 << 40
+    totals = {
+        "clio": [clio_onchip_state(clients=clients,
+                                   hosted_bytes=hosted).total_bytes
+                 for clients in ONCHIP_CLIENTS],
+        "rdma": [rdma_onchip_state(clients=clients,
+                                   hosted_bytes=hosted).total_bytes
+                 for clients in ONCHIP_CLIENTS],
+        "gbn": [gbn_onchip_state(connections=clients).total_bytes
+                for clients in ONCHIP_CLIENTS],
+    }
+    assert totals == ONCHIP_TOTALS
+
+
 def test_clio_beats_alternatives_at_scale():
     clients = 1000
     clio = clio_onchip_state(clients=clients).total_bytes
