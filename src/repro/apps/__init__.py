@@ -9,20 +9,8 @@ The paper's three (section 6):
 * :mod:`repro.apps.kv_store` — Clio-KV, a key-value store running *at*
   the MN as a computation offload, with atomic writes and read-committed
   reads.
-
-Plus the intro's motivating workloads, built on the same public API:
-
-* :mod:`repro.apps.graph` — CSR graph storage and BFS with async
-  frontier fetching;
-* :mod:`repro.apps.analytics` — columnar scans and filter/aggregate
-  kernels with pipelined chunk reads;
-* :mod:`repro.apps.embeddings` — DLRM-style embedding gathers, including
-  a one-round-trip offloaded gather.
 """
 
-from repro.apps.analytics import RemoteColumnTable
-from repro.apps.embeddings import RemoteEmbeddingTable, register_gather_offload
-from repro.apps.graph import RemoteGraph, random_graph, reference_bfs
 from repro.apps.image_compression import (
     ImageCompressionClient,
     RDMAImageCompressionClient,
@@ -45,13 +33,7 @@ __all__ = [
     "NODE_BYTES",
     "RDMAImageCompressionClient",
     "RDMARadixTree",
-    "RemoteColumnTable",
-    "RemoteEmbeddingTable",
-    "RemoteGraph",
-    "random_graph",
-    "reference_bfs",
     "register_chase_offload",
-    "register_gather_offload",
     "register_kv_offload",
     "rle_compress",
     "rle_decompress",

@@ -117,8 +117,9 @@ class CXLPool:
         self.env = env
         self.params = params
         self.cxl = params.cxl
-        capacity = (capacity or params.backend.dram_capacity
-                    or params.cboard.dram_capacity)
+        if capacity is None:
+            capacity = (params.backend.dram_capacity
+                        or params.cboard.dram_capacity)
         self.dram = DRAM(capacity, access_ns=100,
                          bandwidth_bps=params.cboard.dram_bandwidth_bps)
         self._region_ids = itertools.count(1)

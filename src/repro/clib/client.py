@@ -137,8 +137,9 @@ class ComputeNode:
         self.env = env
         self.name = name
         self.params = params
-        self.default_page_size = (default_page_size
-                                  or params.cboard.default_page_size)
+        self.default_page_size = (params.cboard.default_page_size
+                                  if default_page_size is None
+                                  else default_page_size)
         self.transport = Transport(env, name, topology, params,
                                    registry=registry)
         # Runtime correctness checking (repro.verify); None = disabled,
@@ -160,7 +161,8 @@ class ComputeNode:
         counter, which other tests may have advanced.
         """
         return ClioProcess(self, mn, next(_pids) if pid is None else pid,
-                           page_size or self.default_page_size)
+                           self.default_page_size if page_size is None
+                           else page_size)
 
 
 class ClioProcess:

@@ -67,19 +67,3 @@ class RemoteLock:
         """Process-generator: observe the lock word (non-atomic peek)."""
         word = yield from self.thread.rread(self.lock_va, 8)
         return int.from_bytes(word, "little") != 0
-
-    def with_lock(self, critical_section):
-        """Process-generator: run ``critical_section()`` under the lock.
-
-        ``critical_section`` is a generator function taking no arguments;
-        its return value passes through.  The lock is released whether
-        the section returns or raises.
-        """
-        yield from self.acquire()
-        try:
-            result = yield from critical_section()
-        except BaseException:
-            yield from self.release()
-            raise
-        yield from self.release()
-        return result

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.clib.client import ClioThread
-
-KB = 1 << 10
+from repro.params import KB
 
 #: CN-side cost of a local cache hit (a memcpy within local DRAM).
 LOCAL_HIT_NS = 80

@@ -11,8 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-KB = 1 << 10
-MB = 1 << 20
+from repro.params import KB, MB
 
 #: Page sizes CBoard supports (the paper: "a configurable set of page sizes").
 PAGE_SIZES = (4 * KB, 64 * KB, 2 * MB, 4 * MB, 16 * MB)

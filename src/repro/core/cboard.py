@@ -78,8 +78,9 @@ class CBoard:
         self.params = params
         self.name = name
         cb = params.cboard
-        self.page_spec = PageSpec(page_size or cb.default_page_size)
-        capacity = dram_capacity or cb.dram_capacity
+        self.page_spec = PageSpec(cb.default_page_size if page_size is None
+                                  else page_size)
+        capacity = cb.dram_capacity if dram_capacity is None else dram_capacity
         physical_pages = capacity // self.page_spec.page_size
         if physical_pages <= 0:
             raise ValueError("DRAM capacity below one page")

@@ -95,30 +95,6 @@ class OffloadContext:
         if result.status is not Status.OK:
             raise OffloadError(f"offload write at {va:#x}: {result.status.value}")
 
-    def read_many(self, extents, pid: Optional[int] = None):
-        """Issue many reads concurrently (a pipelined gather engine).
-
-        ``extents`` is a list of ``(va, size)``; returns the data blobs in
-        order.  The reads overlap in the fast path the way a hardware
-        gather unit keeps multiple DRAM requests outstanding.
-        """
-        target_pid = pid if pid is not None else self.pid
-        processes = []
-        for va, size in extents:
-            self.ops += 1
-            processes.append(self.env.process(self.fast_path.execute(
-                target_pid, AccessType.READ, va, size, wire_bytes=size,
-                serialize_dma=False)))
-        yield self.env.all_of(processes)
-        blobs = []
-        for (va, _size), process in zip(extents, processes):
-            result = process.value
-            if result.status is not Status.OK:
-                raise OffloadError(
-                    f"offload read at {va:#x}: {result.status.value}")
-            blobs.append(result.data)
-        return blobs
-
     def read_u64(self, va: int, pid: Optional[int] = None):
         data = yield from self.read(va, 8, pid=pid)
         return int.from_bytes(data, "little")

@@ -12,19 +12,16 @@ hosted memory — making the *scaling shape* checkable:
   page table lives in off-chip DRAM).
 * **RDMA RNIC** — caches that must grow with the working set to keep
   performance: QP state, MR metadata, and MTT (PTE) entries.
-* **Go-Back-N MN** — per-connection sequence/buffer state
-  (:mod:`repro.net.gbn`), linear in connections.
+* **Go-Back-N MN** — the conventional reliable transport Clio argues
+  against: every connection keeps sequence registers plus a retransmit
+  buffer of one slot per window entry, linear in connections.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.net.gbn import connection_state_bytes
-from repro.params import CBoardParams, RDMAParams
-
-KB = 1 << 10
-MB = 1 << 20
+from repro.params import MB, CBoardParams, RDMAParams
 
 #: Conservative per-entry sizes (bytes).
 TLB_ENTRY_BYTES = 16          # tag (pid,vpn) + ppn + perms
@@ -34,6 +31,15 @@ SYNC_UNIT_BYTES = 256         # atomic-unit registers + fence counters
 QP_STATE_BYTES = 375          # paper-cited RDMA per-connection state
 MR_ENTRY_BYTES = 32
 PTE_ENTRY_BYTES = 16
+#: Per-packet bookkeeping a hardware GBN keeps in the retransmit buffer.
+PACKET_SLOT_BYTES = 64 + 1500      # descriptor + payload staging
+#: Fixed per-connection registers (sequence numbers, timers, peer).
+CONNECTION_FIXED_BYTES = 64
+
+
+def connection_state_bytes(window: int) -> int:
+    """On-chip bytes ONE endpoint holds per GBN connection."""
+    return CONNECTION_FIXED_BYTES + window * PACKET_SLOT_BYTES
 
 
 @dataclass(frozen=True)

@@ -51,13 +51,6 @@ class TLB:
         """Drop one translation (PTE update consistency); True if it existed."""
         return self._entries.pop((pid, vpn), None) is not None
 
-    def invalidate_pid(self, pid: int) -> int:
-        """Drop every translation of a process (process teardown)."""
-        victims = [key for key in self._entries if key[0] == pid]
-        for key in victims:
-            del self._entries[key]
-        return len(victims)
-
     def flush(self) -> None:
         self._entries.clear()
 

@@ -10,9 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.params import EnergyParams
-
-GB = 1 << 30
+from repro.params import GB, EnergyParams
 
 
 class MemoryMedia(enum.Enum):

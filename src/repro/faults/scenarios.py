@@ -330,25 +330,3 @@ def run_chaos(scenario: str = "board-crash", seed: int = 1234,
     if verify:
         report.verification = result.report
     return report
-
-
-def run_rack_chaos(scenario: str = "drain", seed: int = 1234,
-                   boards: int = 8, tors: int = 2,
-                   clients: int = 64, ops_per_client: int = 4,
-                   partitioned: bool = False):
-    """Run one rack membership-chaos scenario; returns a
-    :class:`~repro.verify.harness.VerifyRunResult`.
-
-    Rack membership events (drains, joins, crashes mid-migration,
-    lease-expiry evictions) are chaos in the same spirit as the schedules
-    above, over the rack zipfian YCSB with the full checking stack
-    attached.  Scenarios are ``repro.verify.RACK_SCENARIOS``.
-    """
-    from repro.verify.scenarios import RACK_SCENARIOS, rack_ycsb
-    if scenario not in RACK_SCENARIOS:
-        raise ValueError(f"unknown rack scenario {scenario!r}; "
-                         f"pick one of {sorted(RACK_SCENARIOS)}")
-    return run_scenario(
-        rack_ycsb(boards=boards, tors=tors, clients=clients,
-                  ops=ops_per_client, script=scenario),
-        seed=seed, partitioned=partitioned)

@@ -7,20 +7,16 @@ that is exactly the behaviour Clio's CN-side transport must cope with
 inflation, incast visible as switch-queue growth.
 """
 
-from repro.net.gbn import GBNReceiver, GBNSender, connection_state_bytes
 from repro.net.link import Link
 from repro.net.packet import ClioHeader, Packet, PacketType, fragment_payload
 from repro.net.switch import Switch, Topology
 
 __all__ = [
     "ClioHeader",
-    "GBNReceiver",
-    "GBNSender",
     "Link",
     "Packet",
     "PacketType",
     "Switch",
     "Topology",
-    "connection_state_bytes",
     "fragment_payload",
 ]

@@ -367,13 +367,6 @@ class QoSParams:
             raise ValueError(
                 f"a client node may belong to only one tenant: {clients}")
 
-    def tenant_of(self, node: str):
-        """The tenant a CN node belongs to, or ``None`` (unshaped)."""
-        for tenant in self.tenants:
-            if node in tenant.clients:
-                return tenant
-        return None
-
 
 # ---------------------------------------------------------------------------
 # CXL load/store backend parameters (repro.baselines.cxl)

@@ -168,20 +168,6 @@ class ShardRing:
 
     # -- diagnostics ------------------------------------------------------------------
 
-    def arc_share(self) -> dict[str, float]:
-        """Fraction of the ring each board owns — vnode balance check."""
-        if not self._points:
-            return {}
-        span = 1 << (_DIGEST_BYTES * 8)
-        # The arc ending at points[i] (keys hashing into it) belongs to
-        # owners[i]; the first point also owns the wrap-around arc.
-        shares: dict[str, float] = {name: 0.0 for name in self._boards}
-        for index in range(len(self._points)):
-            prev = self._points[index - 1] if index else (
-                self._points[-1] - span)
-            shares[self._owners[index]] += (self._points[index] - prev) / span
-        return shares
-
     def stats(self) -> dict:
         return {
             "boards": len(self._boards),

@@ -53,12 +53,6 @@ class RandomStream:
     def sample(self, population: Sequence, k: int) -> list:
         return self._rng.sample(population, k)
 
-    def zipf_index(self, n: int, theta: float, table: "ZipfTable | None" = None) -> int:
-        """Draw a 0-based index from a Zipf(theta) distribution over n items."""
-        if table is None:
-            table = ZipfTable(n, theta)
-        return table.draw(self._rng.random())
-
 
 class ZipfTable:
     """Precomputed CDF for Zipf-distributed draws (YCSB-style, theta=0.99)."""

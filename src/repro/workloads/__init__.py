@@ -1,12 +1,9 @@
-"""Workload generators: YCSB (A/B/C, Zipf keys) and microbenchmark drivers."""
+"""Workload generators: YCSB (A/B/C, Zipf keys) and allocation churn."""
 
-from repro.workloads.microbench import AccessPattern, MicrobenchDriver
 from repro.workloads.ycsb import YCSB_WORKLOADS, YCSBConfig, YCSBWorkload
 from repro.workloads.zipf import zipfian_keys
 
 __all__ = [
-    "AccessPattern",
-    "MicrobenchDriver",
     "YCSB_WORKLOADS",
     "YCSBConfig",
     "YCSBWorkload",

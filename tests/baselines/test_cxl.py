@@ -32,6 +32,11 @@ def make_pool(qos=None, cxl=None, capacity=64 * MB, shaping=False):
     return env, CXLPool(env, params, capacity=capacity, shaping=shaping)
 
 
+def test_zero_capacity_is_rejected_not_defaulted():
+    with pytest.raises(ValueError, match="capacity"):
+        make_pool(capacity=0)
+
+
 def run(env, generator):
     holder = {}
 

@@ -85,39 +85,6 @@ def test_lock_mutual_exclusion_via_handles():
     assert log[0][0] == log[1][0] and log[2][0] == log[3][0]
 
 
-def test_with_lock_releases_on_return_and_raise():
-    cluster = make_cluster()
-    thread = cluster.cn(0).process("mn0").thread()
-    result = {}
-
-    def app():
-        lock = yield from RemoteLock.create(thread)
-
-        def section():
-            result["inside"] = yield from lock.locked()
-            return 42
-
-        result["value"] = yield from lock.with_lock(section)
-        result["after"] = yield from lock.locked()
-
-        class Boom(Exception):
-            pass
-
-        def bad_section():
-            yield cluster.env.timeout(1)
-            raise Boom
-
-        with pytest.raises(Boom):
-            yield from lock.with_lock(bad_section)
-        result["after_raise"] = yield from lock.locked()
-
-    run_app(cluster, app())
-    assert result["value"] == 42
-    assert result["inside"] is True
-    assert result["after"] is False
-    assert result["after_raise"] is False
-
-
 def test_contention_counters():
     cluster = make_cluster()
     thread_a = cluster.cn(0).process("mn0").thread()

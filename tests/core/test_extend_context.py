@@ -1,9 +1,6 @@
 """Focused tests for the OffloadContext API (extend path plumbing)."""
 
-import pytest
-
 from repro.core.cboard import CBoard
-from repro.core.extend import OffloadError
 from repro.params import ClioParams
 from repro.sim import Environment
 
@@ -18,60 +15,6 @@ def make_board():
 
 def run(env, generator):
     return env.run(until=env.process(generator))
-
-
-def test_read_many_preserves_order_and_content():
-    env, board = make_board()
-
-    def offload(ctx, args):
-        va = yield from ctx.alloc(64 * 1024)
-        for index in range(8):
-            yield from ctx.write(va + index * 1024,
-                                 bytes([index]) * 100)
-        extents = [(va + index * 1024, 100) for index in (5, 0, 7, 2)]
-        blobs = yield from ctx.read_many(extents)
-        return blobs
-
-    board.extend_path.register("gatherer", offload)
-    result = run(env, board.extend_path.invoke("gatherer", None))
-    assert result.ok
-    assert result.value == [bytes([5]) * 100, bytes([0]) * 100,
-                            bytes([7]) * 100, bytes([2]) * 100]
-
-
-def test_read_many_is_faster_than_serial_reads():
-    env, board = make_board()
-    timings = {}
-
-    def offload(ctx, args):
-        va = yield from ctx.alloc(64 * 1024)
-        yield from ctx.write(va, b"\0" * (16 * 1024))
-        extents = [(va + index * 1024, 512) for index in range(16)]
-        start = ctx.env.now
-        yield from ctx.read_many(extents)
-        timings["parallel"] = ctx.env.now - start
-        start = ctx.env.now
-        for extent_va, size in extents:
-            yield from ctx.read(extent_va, size)
-        timings["serial"] = ctx.env.now - start
-
-    board.extend_path.register("timed", offload)
-    run(env, board.extend_path.invoke("timed", None))
-    assert timings["parallel"] < timings["serial"] / 2
-
-
-def test_read_many_propagates_errors():
-    env, board = make_board()
-
-    def offload(ctx, args):
-        va = yield from ctx.alloc(4096)
-        blobs = yield from ctx.read_many([(va, 64), (1 << 45, 64)])
-        return blobs
-
-    board.extend_path.register("bad-gather", offload)
-    result = run(env, board.extend_path.invoke("bad-gather", None))
-    assert not result.ok
-    assert "invalid_va" in result.error
 
 
 def test_caller_pid_cannot_be_forged_by_args():

@@ -1,12 +1,13 @@
 """Tests for the on-chip state accounting model."""
 
 from repro.core.state_accounting import (
-    MB,
+    CONNECTION_FIXED_BYTES,
     clio_onchip_state,
+    connection_state_bytes,
     gbn_onchip_state,
     rdma_onchip_state,
 )
-from repro.params import CBoardParams
+from repro.params import MB, CBoardParams
 
 
 def test_clio_state_independent_of_scale():
@@ -59,8 +60,7 @@ def test_gbn_state_linear_in_connections():
 
 
 #: ``benchmarks/test_onchip_state.py``'s sweep with 1 TB hosted: the exact
-#: totals its table prints, recorded while Go-Back-N was a working protocol
-#: and kept once only its byte formula remained.
+#: totals its table prints, so a change to any per-entry size shows here.
 ONCHIP_CLIENTS = [16, 64, 256, 1024, 4096]
 ONCHIP_TOTALS = {
     "clio": [37_120] * 5,
@@ -82,6 +82,11 @@ def test_onchip_totals_are_pinned():
                 for clients in ONCHIP_CLIENTS],
     }
     assert totals == ONCHIP_TOTALS
+
+
+def test_state_grows_with_window():
+    assert connection_state_bytes(64) > connection_state_bytes(8)
+    assert connection_state_bytes(1) > CONNECTION_FIXED_BYTES
 
 
 def test_clio_beats_alternatives_at_scale():

@@ -48,16 +48,6 @@ def test_invalidate_single():
     assert tlb.lookup(1, 10) is None
 
 
-def test_invalidate_pid_drops_only_that_process():
-    tlb = TLB(entries=8)
-    tlb.insert(1, 1, 0, Permission.READ)
-    tlb.insert(1, 2, 0, Permission.READ)
-    tlb.insert(2, 1, 0, Permission.READ)
-    assert tlb.invalidate_pid(1) == 2
-    assert tlb.lookup(2, 1) is not None
-    assert len(tlb) == 1
-
-
 def test_flush():
     tlb = TLB(entries=8)
     tlb.insert(1, 1, 0, Permission.READ)

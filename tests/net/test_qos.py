@@ -147,12 +147,6 @@ def test_client_in_one_tenant_only():
         ))
 
 
-def test_tenant_of_lookup():
-    assert QOS.tenant_of("cn2").name == "aggr"
-    assert QOS.tenant_of("cn0").name == "victim"
-    assert QOS.tenant_of("mn0") is None
-
-
 # -- cluster wiring -----------------------------------------------------------
 
 

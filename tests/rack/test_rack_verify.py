@@ -12,7 +12,6 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.faults.scenarios import run_rack_chaos
 from repro.verify import RACK_SCENARIOS, run_scenario, scenario
 
 
@@ -58,14 +57,6 @@ def test_rack_tail_recovers_after_drain():
     extras = result.extras
     assert extras["pre_p99_ns"] > 0 and extras["post_p99_ns"] > 0
     assert extras["post_p99_ns"] <= 1.5 * extras["pre_p99_ns"]
-
-
-def test_rack_chaos_delegate_validates_scenarios():
-    with pytest.raises(ValueError):
-        run_rack_chaos(scenario="board-crash")
-    result = run_rack_chaos(scenario="drain", seed=3, clients=16,
-                            ops_per_client=4)
-    assert result.ok
 
 
 @pytest.mark.parametrize("script", ["none", "drain"])

@@ -1,5 +1,7 @@
 """Tests for the consistent-hash shard ring and its override directory."""
 
+from collections import Counter
+
 import pytest
 
 from repro.rack.shard import ShardRing
@@ -99,11 +101,14 @@ def test_refresh_overrides_tracks_arc_moves():
 
 
 def test_arc_share_sums_to_one_and_balances():
-    ring = ring_with([f"mn{i}" for i in range(8)], vnodes=64)
-    shares = ring.arc_share()
-    assert abs(sum(shares.values()) - 1.0) < 1e-9
+    boards = [f"mn{i}" for i in range(8)]
+    ring = ring_with(boards, vnodes=64)
+    keys = 4096
+    homes = Counter(ring.home(key) for key in range(keys))
+    assert sorted(homes) == boards
+    assert sum(homes.values()) == keys
     # 64 vnodes per board keeps the spread loose but bounded.
-    assert all(0.02 < share < 0.35 for share in shares.values())
+    assert all(0.02 < count / keys < 0.35 for count in homes.values())
 
 
 def test_stats_shape():

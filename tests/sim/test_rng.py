@@ -37,7 +37,7 @@ def test_chance_extremes():
 def test_zipf_table_skews_to_head():
     table = ZipfTable(1000, theta=0.99)
     stream = RandomStream(3, "zipf")
-    draws = [stream.zipf_index(1000, 0.99, table) for _ in range(5000)]
+    draws = [table.draw(stream.uniform()) for _ in range(5000)]
     head = sum(1 for d in draws if d < 10)
     # With theta=0.99 the top-10 of 1000 keys take a large share.
     assert head > len(draws) * 0.25

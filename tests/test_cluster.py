@@ -55,6 +55,20 @@ def test_invalid_shape_rejected():
         ClioCluster(num_mns=0)
 
 
+@pytest.mark.parametrize("override", [{"mn_capacity": 0},
+                                      {"page_size": 0}])
+def test_zero_sizes_are_rejected_not_defaulted(override):
+    """Only ``None`` means "the params default": a 0 is a bad size."""
+    with pytest.raises(ValueError):
+        ClioCluster(**override)
+
+
+def test_zero_process_page_size_is_rejected_not_defaulted():
+    cluster = ClioCluster(mn_capacity=64 * MB)
+    with pytest.raises(ValueError, match="page size"):
+        cluster.cn(0).process("mn0", page_size=0)
+
+
 def test_page_size_override_propagates_everywhere():
     cluster = ClioCluster(mn_capacity=64 * MB, page_size=64 << 10)
     assert cluster.mn.page_spec.page_size == 64 << 10
