@@ -1,4 +1,4 @@
-"""The Python-call budget of one op, per layer, as exact counts.
+"""The host cost of one op, per layer, as exact counts.
 
 Host time is spent in Python calls and generator resumes, not in heap
 entries (docs/performance.md, *Tried, measured, rejected*), and unlike a
@@ -9,12 +9,25 @@ package its file lives in (a generator resume is a call), a call into
 anything else -- builtins and the stdlib -- to the ``repro`` package that
 made it.  Calls the stdlib makes on its own are not counted.
 
-``BUDGET`` is a ceiling pinned exactly, like ``SRC_CEILING``: a change
-that adds calls raises its row in the same diff and says why, and one
-that removes calls lowers the row so the ground is kept.  The counts
-belong to one interpreter, so they are checked on CPython 3.11 only.
+Two costs on the same path are not calls, so the same run counts them
+too.  ``CONSTRUCTED`` is the records built per op, by class, from the
+hook's ``__init__`` call events: how a record is built is invisible to a
+call count, and a frozen dataclass or a keyword call to a class costs
+several times a positional one.  ``ENUM_LOADS`` is the enum members
+loaded per op from ``repro`` frames, counted by a temporary
+``EnumType.__getattribute__``: on CPython 3.11 ``EnumType`` defines
+``__getattr__``, so every ``Enum.X`` load takes the slow attribute hook
+(~100 ns against ~9 ns for a module global) and no frame.
+
+Each table is a ceiling pinned exactly, like ``SRC_CEILING``: a change
+that adds calls, records or loads raises its row in the same diff and
+says why, and one that removes them lowers the row so the ground is kept.
+The counts belong to one interpreter, so they are checked on CPython 3.11
+only.
 """
 
+import enum
+import functools
 import gc
 import sys
 from collections import Counter
@@ -46,6 +59,36 @@ BUDGET = {
                      "net": 68.38, "sim": 258.4, "transport": 74.0},
 }
 
+#: ``{op: {class: instances per op}}``: every object whose Python
+#: ``__init__`` ran, charged to its class once (a ``super().__init__``
+#: chain is one instance).  Timeouts are recycled, so none appear.
+CONSTRUCTED = {
+    "rread64": {"Breakdown": 1.0, "ClioHeader": 2.0, "Event": 2.0,
+                "FastPathResult": 1.0, "Packet": 2.0, "RequestOutcome": 1.0,
+                "ResponseBody": 1.0, "_Pending": 1.0, "_Spawned": 1.0},
+    "rwrite64": {"Breakdown": 2.0, "ClioHeader": 2.0, "Event": 2.0,
+                 "FastPathResult": 1.0, "Packet": 2.0,
+                 "RequestOutcome": 1.0, "ResponseBody": 1.0,
+                 "_Pending": 1.0, "_Spawned": 1.0, "_WriteProgress": 1.0},
+    "onboard_read64": {"Breakdown": 1.0, "Event": 1.0,
+                       "FastPathResult": 1.0},
+    "rwrite4k": {"Breakdown": 4.0, "ClioHeader": 4.0, "Event": 4.0,
+                 "FastPathResult": 3.0, "Packet": 4.0,
+                 "RequestOutcome": 1.0, "ResponseBody": 1.0,
+                 "_Pending": 1.0, "_Spawned": 3.0, "_WriteProgress": 1.0},
+    "ralloc_rfree": {"AllocResponse": 1.0, "Allocation": 1.0,
+                     "AllocationOutcome": 1.0, "ClioHeader": 4.0,
+                     "Event": 2.0, "FreeResponse": 1.0, "Packet": 4.0,
+                     "PageTableEntry": 1.0, "Request": 2.0,
+                     "RequestOutcome": 2.0, "ResponseBody": 2.0,
+                     "_Bucket": 1.0, "_Pending": 2.0, "_ProcessSpace": 2.0,
+                     "_Spawned": 2.0},
+}
+
+#: ``{op: enum member loads per op}`` made from ``repro`` frames.
+ENUM_LOADS = {"rread64": 23.0, "rwrite64": 26.0, "onboard_read64": 6.0,
+              "rwrite4k": 58.0, "ralloc_rfree": 35.0}
+
 
 def _package(frame):
     """``repro`` package of the code running in ``frame``, or None."""
@@ -56,16 +99,35 @@ def _package(frame):
     return filename[index + len("/repro/"):].split("/")[0].removesuffix(".py")
 
 
-def measure() -> dict:
-    """``{op: Counter(package -> calls)}`` over ``OPS`` primed ops each."""
+def measure() -> tuple[dict, dict, dict]:
+    """``(calls, constructed, enum_loads)`` over ``OPS`` primed ops each:
+    ``{op: Counter(package -> calls)}``, ``{op: Counter(class ->
+    instances)}`` and ``Counter(op -> enum member loads)``."""
     cluster = ClioCluster(params=ClioParams.prototype(), mn_capacity=512 * MB)
     env, board = cluster.env, cluster.mn
     thread = cluster.cn(0).process("mn0").thread()
     pid = thread.process.pid
     counts: dict = {}
+    constructed: dict = {}
+    enum_loads = Counter()
+    measuring = None
+
+    def count_load(cls, name):
+        """``EnumType.__getattribute__`` while an op is measured."""
+        value = type.__getattribute__(cls, name)
+        if type(value) is cls and _package(sys._getframe(1)) is not None:
+            enum_loads[measuring] += 1
+        return value
 
     def hook(frame, event, _arg):
         if event == "call":
+            code = frame.f_code
+            if code is count_load.__code__:
+                return
+            if code.co_name == "__init__":
+                cls = type(frame.f_locals[code.co_varnames[0]])
+                if getattr(cls.__init__, "__code__", None) is code:
+                    built[cls] += 1
             package = _package(frame)
             if package is None:
                 package = _package(frame.f_back)
@@ -77,7 +139,7 @@ def measure() -> dict:
             calls[package] += 1
 
     def app():
-        nonlocal calls
+        nonlocal calls, built, measuring
         va = yield from thread.ralloc(4 * MB)
         ops = {
             "rread64": lambda: thread.rread(va, 64),
@@ -97,14 +159,18 @@ def measure() -> dict:
                 yield from op()
             yield env.timeout(100 * US)     # let stale TIMEOUTs pop
             calls = counts[name] = Counter()
+            built = constructed[name] = Counter()
+            measuring = name
+            enum.EnumType.__getattribute__ = count_load
             sys.setprofile(hook)
             try:
                 for _ in range(OPS):
                     yield from op()
             finally:
                 sys.setprofile(None)
+                del enum.EnumType.__getattribute__
 
-    calls = Counter()
+    calls, built = Counter(), Counter()
     # A Timeout is recycled only when nothing else holds it, and a cycle
     # the collector has not reached yet may: collect when the test starts,
     # not whenever earlier tests left the collector's counters.
@@ -114,16 +180,61 @@ def measure() -> dict:
         env.run(until=env.process(app()))
     finally:
         gc.enable()
-    return counts
+    return counts, constructed, enum_loads
 
 
-def test_pipeline_op_call_budget():
+@functools.cache
+def _measured() -> tuple[dict, dict, dict]:
+    """One run's three tables, per op and rounded like the pinned ones,
+    plus the classes built."""
+    counts, constructed, enum_loads = measure()
+
+    def per_op(count):
+        return round(count / OPS, 2)
+
+    calls = {op: {package: per_op(count)
+                  for package, count in sorted(counter.items())}
+             for op, counter in counts.items()}
+    built = {op: {cls.__name__: per_op(count) for cls, count in
+                  sorted(counter.items(), key=lambda item: item[0].__name__)}
+             for op, counter in constructed.items()}
+    loads = {op: per_op(enum_loads[op]) for op in counts}
+    return calls, built, loads
+
+
+@pytest.fixture
+def measured():
     if sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11):
-        pytest.skip("call counts are pinned for CPython 3.11")
-    measured = {op: {package: round(count / OPS, 2)
-                     for package, count in sorted(counter.items())}
-                for op, counter in measure().items()}
-    assert measured == BUDGET, (
-        f"calls per op moved: {measured}. Over a ceiling: remove the "
+        pytest.skip("counts are pinned for CPython 3.11")
+    return _measured()
+
+
+def _show(title: str, table: dict) -> None:
+    print(f"\n{title} per op:")
+    for op, row in table.items():
+        print(f"  {op:15} {row}")
+
+
+def test_pipeline_op_call_budget(measured):
+    calls = measured[0]
+    _show("Python calls", calls)
+    assert calls == BUDGET, (
+        f"calls per op moved: {calls}. Over a ceiling: remove the "
         "calls, or raise the row in this diff and say why; under it: "
         "lower the row")
+
+
+def test_records_constructed_per_op(measured):
+    built = measured[1]
+    _show("records constructed", built)
+    assert built == CONSTRUCTED, (
+        f"records built per op moved: {built}. Raise a row with the "
+        "reason for the new record, or lower it")
+
+
+def test_enum_member_loads_per_op(measured):
+    loads = measured[2]
+    _show("enum member loads", loads)
+    assert loads == ENUM_LOADS, (
+        f"enum member loads per op moved: {loads}. A hot-path load binds "
+        "the member to a module constant instead")
