@@ -177,7 +177,7 @@ class SimBoard:
                        ResponseBody(status=Status.OK,
                                     data=data[offset:offset + size]),
                        fragment=index, fragments=len(fragments),
-                       payload_bytes=size)
+                       payload_bytes=size, total_size=header.size)
 
     def _do_write(self, packet: Packet) -> None:
         header = packet.header
@@ -308,13 +308,13 @@ class SimBoard:
 
     def _send(self, dst: str, request_id: int, packet_type: PacketType,
               body: ResponseBody, fragment: int = 0, fragments: int = 1,
-              payload_bytes: int = 0) -> None:
+              payload_bytes: int = 0, total_size: int = 0) -> None:
         if self.topology is None:
             return
         header = ClioHeader(src=self.name, dst=dst, request_id=request_id,
                             packet_type=packet_type, size=payload_bytes,
-                            total_size=payload_bytes, fragment=fragment,
-                            fragments=fragments)
+                            total_size=total_size or payload_bytes,
+                            fragment=fragment, fragments=fragments)
         wire = self.params.network.header_bytes + payload_bytes
         self.topology.send(Packet(header=header, payload=body,
                                   wire_bytes=wire, sent_at=self.env.now))

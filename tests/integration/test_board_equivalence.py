@@ -19,8 +19,8 @@ MB = 1 << 20
 PAGE = 4 * MB
 
 
-def run_on(board_kind: str, script):
-    """Run ``script(thread)`` against the given board; return its log."""
+def build(board_kind: str):
+    """``(env, topology, thread)``: one CN thread on the given board."""
     env = Environment()
     params = ClioParams.prototype()
     topology = Topology(env, params.network)
@@ -30,7 +30,12 @@ def run_on(board_kind: str, script):
         board = SimBoard(env, params)
     board.attach(topology)
     node = ComputeNode(env, "cn0", topology, params)
-    thread = node.process("mn0").thread()
+    return env, topology, node.process("mn0").thread()
+
+
+def run_on(board_kind: str, script):
+    """Run ``script(thread)`` against the given board; return its log."""
+    env, _topology, thread = build(board_kind)
     log = []
 
     def app():
@@ -65,6 +70,37 @@ def test_large_transfer_script_equivalent():
         log.append((yield from thread.rread(va, len(blob))))
 
     assert_equivalent(script)
+
+
+def test_fragmented_read_response_headers_equivalent():
+    """A 4 KB read comes back as three fragments, each stamped with the
+    size of the whole response (``ClioHeader.total_size``)."""
+
+    def response_geometry(board_kind):
+        env, topology, thread = build(board_kind)
+        downlink = topology._downlinks["cn0"]
+        real = downlink.deliver
+        seen = []
+
+        def capture(packet):
+            header = packet.header
+            seen.append((header.fragment, header.fragments, header.size,
+                         header.total_size))
+            real(packet)
+
+        def app():
+            va = yield from thread.ralloc(PAGE)
+            yield from thread.rwrite(va, bytes(range(256)) * 16)
+            downlink.deliver = capture
+            yield from thread.rread(va, 4096)
+
+        env.run(until=env.process(app()))
+        return sorted(seen)
+
+    geometry = response_geometry("cboard")
+    assert geometry == [(0, 3, 1500, 4096), (1, 3, 1500, 4096),
+                        (2, 3, 1096, 4096)]
+    assert response_geometry("simboard") == geometry
 
 
 def test_error_script_equivalent():
