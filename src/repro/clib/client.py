@@ -26,6 +26,11 @@ from repro.transport.ordering import DependencyTracker
 #: Global PID source — "a unique global PID across all CNs" (section 3.1).
 _pids = itertools.count(1)
 
+#: Members the op path uses, bound once: on CPython 3.11 every ``Enum.X``
+#: load takes ``EnumType.__getattr__``'s slow hook.
+_READ, _WRITE, _OK = PacketType.READ, PacketType.WRITE, Status.OK
+_ALLOC, _FREE = PacketType.ALLOC, PacketType.FREE
+
 
 class RemoteAccessError(Exception):
     """An MN rejected the access (bad VA, permission, or out of memory)."""
@@ -44,7 +49,7 @@ def check_reply(outcome, what: str, *args):
     """
     body = outcome.body
     status = body.status if body is not None else Status.INVALID_VA
-    if status is not Status.OK:
+    if status is not _OK:
         raise RemoteAccessError(status, what.format(*args))
 
 
@@ -110,10 +115,10 @@ def mn_request(thread, is_write: bool, va: int, size: int,
     process = thread.process
     try:
         outcome = yield from process.node.transport.request(
-            process.mn, PacketType.WRITE if is_write else PacketType.READ,
+            process.mn, _WRITE if is_write else _READ,
             pid=process.pid, va=va, size=size, data=data)
         body = outcome.body
-        if body is None or body.status is not Status.OK:
+        if body is None or body.status is not _OK:
             check_reply(outcome, "r{}({:#x}, {})",
                         "write" if is_write else "read", va, size)
     except BaseException as exc:
@@ -252,7 +257,7 @@ class ClioThread:
         self.ops_issued += 1
         process = self.process
         outcome = yield from self._transport.request(
-            process.mn, PacketType.ALLOC, pid=process.pid,
+            process.mn, _ALLOC, pid=process.pid,
             payload=(size, permission, fixed_va))
         check_reply(outcome, "ralloc({})", size)
         grant = outcome.body.value
@@ -301,7 +306,7 @@ class ClioThread:
                 if known:
                     guard = yield from cache.write_guard(self, va, known)
             outcome = yield from self._transport.request(
-                process.mn, PacketType.FREE, pid=process.pid, va=va)
+                process.mn, _FREE, pid=process.pid, va=va)
             check_reply(outcome, "rfree({:#x})", va)
             freed_pages = outcome.body.value.freed_pages
             if cache is not None:

@@ -42,6 +42,14 @@ from repro.sim import Environment
 from repro.telemetry.metrics import MetricsRegistry, StatsView
 from repro.telemetry.spans import COMPLETE, INSTANT, Sites, Tracer
 
+#: Members the handler chain tests, bound once: on CPython 3.11 every
+#: ``Enum.X`` load takes ``EnumType.__getattr__``'s slow hook.
+_FAST, _SLOW, _DROP, _OK = Path.FAST, Path.SLOW, Path.DROP, Status.OK
+_READ, _WRITE, _FENCE = PacketType.READ, PacketType.WRITE, PacketType.FENCE
+_ALLOC, _FREE = PacketType.ALLOC, PacketType.FREE
+_RESPONSE = PacketType.RESPONSE
+_READ_ACCESS, _WRITE_ACCESS = AccessType.READ, AccessType.WRITE
+
 
 @dataclass(slots=True)
 class ResponseBody:
@@ -341,7 +349,7 @@ class CBoard:
             return
         # MAT dispatch: which path (or drop) handles this packet.
         path = self.mat.classify(packet.header)
-        if path is Path.DROP:
+        if path is _DROP:
             return
         # Nobody waits on a handler and this is the delivery event's last
         # act, so it starts inline: no Initialize, no completion event.
@@ -370,34 +378,34 @@ class CBoard:
             # drain.  (A crash resets the barrier without firing it, so
             # pre-crash waiters park here forever — their responses are
             # lost anyway.)
-            while self._fence_barrier is not None and header.packet_type is not PacketType.FENCE:
+            while self._fence_barrier is not None and header.packet_type is not _FENCE:
                 yield self._fence_barrier
 
-            if header.packet_type is PacketType.FENCE:
+            if header.packet_type is _FENCE:
                 yield from self._handle_fence(packet, epoch)
                 return
 
             self._inflight += 1
             try:
-                if path is Path.FAST:
-                    if header.packet_type is PacketType.READ:
+                if path is _FAST:
+                    if header.packet_type is _READ:
                         served = yield from self._handle_read(packet, epoch,
                                                               lean)
-                    elif header.packet_type is PacketType.WRITE:
+                    elif header.packet_type is _WRITE:
                         served = yield from self._handle_write(packet, epoch,
                                                                lean)
                     elif header.packet_type is PacketType.ATOMIC:
                         yield from self._handle_atomic(packet, epoch)
                     elif header.packet_type is PacketType.BATCH:
                         yield from self._handle_batch(packet, epoch)
-                elif path is Path.SLOW:
-                    if header.packet_type is PacketType.ALLOC:
+                elif path is _SLOW:
+                    if header.packet_type is _ALLOC:
                         size, permission, fixed_va = packet.payload
                         yield from self._handle_once(
                             header, epoch, self.slow_path.handle_alloc(
                                 header.pid, size, permission=permission,
                                 fixed_va=fixed_va))
-                    elif header.packet_type is PacketType.FREE:
+                    elif header.packet_type is _FREE:
                         yield from self._handle_once(
                             header, epoch, self.slow_path.handle_free(
                                 header.pid, header.va))
@@ -437,29 +445,27 @@ class CBoard:
     def _handle_read(self, packet: Packet, epoch: int, lean: bool):
         header = packet.header
         result = yield from self.fast_path.execute(
-            header.pid, AccessType.READ, header.va, header.size,
+            header.pid, _READ_ACCESS, header.va, header.size,
             wire_bytes=packet.wire_bytes, traced=not lean)
         if epoch != self._epoch:
             self.responses_discarded += 1
             if lean:        # no response to share a row with
-                self.fast_path.trace(AccessType.READ, result)
+                self.fast_path.trace(_READ_ACCESS, result)
             return
         self.requests_served += 1
-        if result.status is not Status.OK:
-            self._send(header.src, header.request_id, PacketType.RESPONSE,
-                       ResponseBody(status=result.status,
-                                    breakdown=result.breakdown), epoch=epoch,
+        if result.status is not _OK:
+            self._send(header.src, header.request_id, _RESPONSE,
+                       ResponseBody(result.status, None, None, None,
+                                    result.breakdown), epoch=epoch,
                        traced=not lean)
             return result
         self.bytes_served += header.size
         # Read responses larger than MTU go back as independent fragments.
         fragments = fragment_payload(header.size, self._mtu)
         for index, (offset, size) in enumerate(fragments):
-            body = ResponseBody(
-                status=Status.OK,
-                data=result.data[offset:offset + size],
-                breakdown=result.breakdown if index == 0 else None)
-            self._send(header.src, header.request_id, PacketType.RESPONSE,
+            body = ResponseBody(_OK, result.data[offset:offset + size], None,
+                                None, result.breakdown if index == 0 else None)
+            self._send(header.src, header.request_id, _RESPONSE,
                        body, fragment=index, fragments=len(fragments),
                        payload_bytes=size, total_size=header.size,
                        epoch=epoch, traced=not lean)
@@ -469,7 +475,7 @@ class CBoard:
         header = packet.header
         progress = self._write_progress.get(header.request_id)
         if progress is None:
-            progress = _WriteProgress(remaining=header.fragments)
+            progress = _WriteProgress(header.fragments)
             self._write_progress[header.request_id] = progress
 
         executed, _cached = self.retry_buffer.check(header.retry_of)
@@ -480,18 +486,18 @@ class CBoard:
             yield self.env.timeout(self._netstack_ns)
         else:
             result = yield from self.fast_path.execute(
-                header.pid, AccessType.WRITE, header.va, header.size,
+                header.pid, _WRITE_ACCESS, header.va, header.size,
                 data=packet.payload, wire_bytes=packet.wire_bytes,
                 traced=not lean)
         if epoch != self._epoch:
             # Crash wiped _write_progress; this fragment's work is lost.
             self.responses_discarded += 1
             if lean and result is not None:
-                self.fast_path.trace(AccessType.WRITE, result)
+                self.fast_path.trace(_WRITE_ACCESS, result)
             return
         if result is not None:
             progress.breakdown.merge(result.breakdown)
-            if result.status is not Status.OK:
+            if result.status is not _OK:
                 progress.status = result.status
             else:
                 self.bytes_served += header.size
@@ -502,11 +508,11 @@ class CBoard:
         # Whole request done: remember it for retry dedup, ack once.
         del self._write_progress[header.request_id]
         self.requests_served += 1
-        if progress.status is Status.OK:
+        if progress.status is _OK:
             self._remember(header)
-        self._send(header.src, header.request_id, PacketType.RESPONSE,
-                   ResponseBody(status=progress.status,
-                                breakdown=progress.breakdown), epoch=epoch,
+        self._send(header.src, header.request_id, _RESPONSE,
+                   ResponseBody(progress.status, None, None, None,
+                                progress.breakdown), epoch=epoch,
                    traced=result is None or not lean)
         return result
 
@@ -662,7 +668,7 @@ class CBoard:
         """
         executed, cached = self.retry_buffer.check(header.retry_of)
         if executed and isinstance(cached, ResponseBody):
-            self._send(header.src, header.request_id, PacketType.RESPONSE,
+            self._send(header.src, header.request_id, _RESPONSE,
                        cached, epoch=epoch)
             return
         outcome = yield from run
@@ -672,11 +678,10 @@ class CBoard:
             self.responses_discarded += 1
             return
         self.requests_served += 1
-        body = ResponseBody(
-            status=Status.OK if outcome.ok else Status.INVALID_VA,
-            value=outcome)
+        body = ResponseBody(_OK if outcome.ok else Status.INVALID_VA, None,
+                            outcome)
         self._remember(header, body)
-        self._send(header.src, header.request_id, PacketType.RESPONSE, body,
+        self._send(header.src, header.request_id, _RESPONSE, body,
                    epoch=epoch)
 
     # -- response generation -----------------------------------------------------------
@@ -695,14 +700,11 @@ class CBoard:
                                 packet_type.value, dst)
         if self.topology is None:
             return  # locally-driven board (on-board benchmarks): no network
-        header = ClioHeader(
-            src=self.name, dst=dst, request_id=request_id,
-            packet_type=packet_type, size=payload_bytes,
-            total_size=total_size or payload_bytes,
-            fragment=fragment, fragments=fragments)
+        header = ClioHeader(self.name, dst, request_id, packet_type, 0, 0,
+                            payload_bytes, total_size or payload_bytes,
+                            fragment, fragments)
         wire = self.params.network.header_bytes + payload_bytes
-        self.topology.send(Packet(header=header, payload=body,
-                                  wire_bytes=wire, sent_at=self.env.now))
+        self.topology.send(Packet(header, body, wire, False, self.env.now))
 
     # -- direct (on-board) execution for benchmarks -------------------------------------
 

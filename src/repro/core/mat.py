@@ -30,6 +30,11 @@ class Path(enum.Enum):
     DROP = "drop"        # discarded (filtered)
 
 
+#: Bound once: every packet is classified, and on CPython 3.11 a
+#: ``Path.DROP`` load takes ``EnumType.__getattr__``'s slow hook.
+_DROP = Path.DROP
+
+
 @dataclass(frozen=True)
 class MatchRule:
     """One TCAM entry: all specified fields must match.
@@ -103,8 +108,8 @@ class MatchActionTable:
         self.lookups += 1
         for rule in self._rules:
             if rule.matches(header):
-                if rule.action is Path.DROP:
+                if rule.action is _DROP:
                     self.drops += 1
                 return rule.action
         self.drops += 1
-        return Path.DROP
+        return _DROP

@@ -39,6 +39,11 @@ BUCKET_FETCH_BYTES = 64
 #: and tested by identity: a ``Flag`` membership test is two Python calls.
 _NEEDS = (Permission.WRITE, Permission.READ)
 
+#: Members the pipeline tests, bound once: on CPython 3.11 every ``Enum.X``
+#: load takes ``EnumType.__getattr__``'s slow hook.
+_READ, _WRITE = AccessType.READ, AccessType.WRITE
+_READ_WRITE = Permission.READ_WRITE
+
 
 class Status(enum.Enum):
     """Outcome of a fast-path request."""
@@ -47,6 +52,9 @@ class Status(enum.Enum):
     INVALID_VA = "invalid_va"        # no PTE: unallocated address
     PERMISSION = "permission"        # R/W permission check failed
     OOM = "oom"                      # fault with no free physical page
+
+
+_OK, _PERMISSION = Status.OK, Status.PERMISSION
 
 
 @dataclass(slots=True)
@@ -166,10 +174,10 @@ class FastPath:
         if hit is None:
             return None
         ppn, permission = hit
-        if (permission is Permission.READ_WRITE
-                or permission is _NEEDS[access is AccessType.READ]):
+        if (permission is _READ_WRITE
+                or permission is _NEEDS[access is _READ]):
             return ppn
-        return Status.PERMISSION
+        return _PERMISSION
 
     def _walk(self, pid: int, vpn: int, access: AccessType,
               result: FastPathResult):
@@ -185,9 +193,9 @@ class FastPath:
         entry = self.page_table.lookup(pid, vpn)
         if entry is None:
             return Status.INVALID_VA
-        if (entry.permission is not Permission.READ_WRITE
-                and entry.permission is not _NEEDS[access is AccessType.READ]):
-            return Status.PERMISSION
+        if (entry.permission is not _READ_WRITE
+                and entry.permission is not _NEEDS[access is _READ]):
+            return _PERMISSION
         ppn = entry.ppn
         if ppn is None:
             # Hardware page fault: bounded three-cycle path.
@@ -207,7 +215,7 @@ class FastPath:
         dram_ns = self._dram_ns.get(size)
         if dram_ns is None:
             dram_ns = self._dram_ns[size] = self.dram.access_time_ns(size)
-        if access is AccessType.READ and serialize_dma:
+        if access is _READ and serialize_dma:
             now = self.env.now
             dma_start = max(now, self._read_dma_free_at)
             self._read_dma_free_at = dma_start + self.dram.access_ns
@@ -223,7 +231,7 @@ class FastPath:
         a miss (None) or a rejection resumes it now, as popping the ingest
         timeout it replaces would have."""
         ppn = self._lookup(pid, vpn, access)
-        if ppn is None or ppn is Status.PERMISSION:
+        if ppn is None or ppn is _PERMISSION:
             gate.resume_waiters(ppn)
             return
         gate.resume_waiters(after=self.env.timeout(self._claim_dram(
@@ -293,11 +301,11 @@ class FastPath:
         """
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
-        if access is AccessType.WRITE:
+        if access is _WRITE:
             if data is None or len(data) != size:
                 raise ValueError("write needs data of exactly `size` bytes")
         self.requests += 1
-        result = FastPathResult(Status.OK)
+        result = FastPathResult(_OK)
         breakdown = result.breakdown
         env = self.env
         start = env.now
@@ -325,9 +333,9 @@ class FastPath:
                         access, size, serialize_dma, breakdown))
             if isinstance(ppn, Status):
                 result.status = ppn
-            elif access is AccessType.READ:
+            elif access is _READ:
                 result.data = self.dram.read(ppn * page_size + page_off, size)
-            elif access is AccessType.WRITE:
+            elif access is _WRITE:
                 self.dram.write(ppn * page_size + page_off, data)
         else:
             yield env.timeout(ingest + fixed_ns)
@@ -350,10 +358,10 @@ class FastPath:
             else:
                 yield env.timeout(self._claim_dram(access, size,
                                                    serialize_dma, breakdown))
-                if access is AccessType.READ:
+                if access is _READ:
                     result.data = b"".join([self.dram.read(pa, length)
                                             for pa, _, length in extents])
-                elif access is AccessType.WRITE:
+                elif access is _WRITE:
                     for pa, req_off, length in extents:
                         self.dram.write(pa, data[req_off:req_off + length])
 
@@ -370,8 +378,7 @@ class FastPath:
         vpn = self.page_spec.page_number(va)
         ppn = self._lookup(pid, vpn, access)
         if ppn is None:
-            ppn = yield from self._walk(pid, vpn, access,
-                                        FastPathResult(Status.OK))
+            ppn = yield from self._walk(pid, vpn, access, FastPathResult(_OK))
         if isinstance(ppn, Status):
             return ppn, None
-        return Status.OK, ppn * self.page_spec.page_size + self.page_spec.page_offset(va)
+        return _OK, ppn * self.page_spec.page_size + self.page_spec.page_offset(va)

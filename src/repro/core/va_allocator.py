@@ -33,9 +33,10 @@ class AllocationError(Exception):
     """No virtual range satisfying the overflow-free constraint was found."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class Allocation:
-    """One allocated RAS range."""
+    """One allocated RAS range (built once, never changed; not ``frozen``,
+    which would set each field through ``object.__setattr__``)."""
 
     va: int
     size: int            # bytes, page-aligned
@@ -46,7 +47,7 @@ class Allocation:
         return self.va + self.size
 
 
-@dataclass(frozen=True)
+@dataclass
 class AllocationOutcome:
     """Result of a ralloc: the range plus slow-path cost accounting."""
 
@@ -188,12 +189,12 @@ class VAAllocator:
         first_vpn = self.page_spec.page_number(va)
         for vpn in range(first_vpn, first_vpn + pages):
             self.page_table.insert(pid, vpn, permission)  # valid, not present
-        allocation = Allocation(va=va, size=alloc_size, permission=permission)
+        allocation = Allocation(va, alloc_size, permission)
         space.insert(allocation)
         self.total_retries += retries
         self.total_allocations += 1
         self.retry_histogram[retries] += 1
-        return AllocationOutcome(allocation=allocation, retries=retries)
+        return AllocationOutcome(allocation, retries)
 
     # -- free --------------------------------------------------------------------
 

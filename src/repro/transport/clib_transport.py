@@ -36,6 +36,11 @@ from repro.transport.congestion import (
 #: Global request-ID source: unique across CNs and across retries.
 _request_ids = itertools.count(1)
 
+#: Members the request path tests, bound once: on CPython 3.11 every
+#: ``PacketType.X`` load takes ``EnumType.__getattr__``'s slow hook.
+_READ, _WRITE = PacketType.READ, PacketType.WRITE
+_NACK, _CACHE_INVAL = PacketType.NACK, PacketType.CACHE_INVAL
+
 
 class RequestFailed(Exception):
     """Original request and every retry failed (paper: report the error).
@@ -233,7 +238,7 @@ class Transport:
 
     def receive(self, packet: Packet) -> None:
         header = packet.header
-        if header.packet_type is PacketType.CACHE_INVAL:
+        if header.packet_type is _CACHE_INVAL:
             # Directory-initiated message, not a response to anything we
             # sent.  A corrupt copy is dropped like a loss — the directory
             # retransmits until the CN acks.
@@ -245,7 +250,7 @@ class Transport:
         if state is None or state.settled:
             self.stale_responses += 1   # the attempt is retried or settled
             return
-        if header.packet_type is PacketType.NACK:
+        if header.packet_type is _NACK:
             state.nacked = True
         elif packet.corrupt:
             state.corrupted = True
@@ -308,7 +313,8 @@ class Transport:
         """Fragment one request into link-layer packets and transmit."""
         header_bytes = self.params.network.header_bytes
         mtu = self.params.network.mtu
-        if packet_type is PacketType.WRITE and size > 0:
+        write = packet_type is _WRITE
+        if write and size > 0:
             fragments = fragment_payload(size, mtu)
         else:
             fragments = [(0, 0)]
@@ -316,18 +322,17 @@ class Transport:
         for index, (offset, chunk) in enumerate(fragments):
             body = payload
             chunk_size = size if count == 1 else chunk
-            if packet_type is PacketType.WRITE:
+            if write:
                 body = data[offset:offset + chunk] if data is not None else None
                 chunk_size = chunk
-            header = ClioHeader(
-                src=self.node_name, dst=mn, request_id=request_id,
-                packet_type=packet_type, pid=pid, va=va + offset,
-                size=chunk_size, total_size=size,
-                fragment=index, fragments=count, retry_of=retry_of)
+            # Positional: a keyword call to a class packs a kwargs dict.
+            header = ClioHeader(self.node_name, mn, request_id, packet_type,
+                                pid, va + offset, chunk_size, size, index,
+                                count, retry_of)
             self.topology.send(Packet(
-                header=header, payload=body,
-                wire_bytes=header_bytes + (len(body) if isinstance(body, (bytes, bytearray)) else 0),
-                sent_at=self.env.now))
+                header, body,
+                header_bytes + (len(body) if isinstance(body, (bytes, bytearray)) else 0),
+                False, self.env.now))
 
     def _emit_batch(self, mn: str, request_id: int, pid: int,
                     sub_ops: tuple[BatchSubOp, ...], wire_bytes: int,
@@ -339,13 +344,11 @@ class Transport:
         sub-op descriptors, already priced into ``wire_bytes``.
         """
         total = sum(sub.size for sub in sub_ops)
-        header = ClioHeader(
-            src=self.node_name, dst=mn, request_id=request_id,
-            packet_type=PacketType.BATCH, pid=pid, va=sub_ops[0].va,
-            size=len(sub_ops), total_size=total, retry_of=retry_of)
-        self.topology.send(Packet(header=header, payload=sub_ops,
-                                  wire_bytes=wire_bytes,
-                                  sent_at=self.env.now))
+        header = ClioHeader(self.node_name, mn, request_id, PacketType.BATCH,
+                            pid, sub_ops[0].va, len(sub_ops), total, 0, 1,
+                            retry_of)
+        self.topology.send(Packet(header, sub_ops, wire_bytes, False,
+                                  self.env.now))
 
     #: Request types handled off the fast path: they get the long timeout.
     #: CACHE_REQ is here because a directory request can legitimately wait
@@ -370,10 +373,9 @@ class Transport:
         self.requests_issued += 1
         if expected_response_bytes is None:
             expected_response_bytes = self.params.network.header_bytes + (
-                size if packet_type is PacketType.READ else 0)
+                size if packet_type is _READ else 0)
         if timeout_ns is None:
-            if (packet_type is not PacketType.READ
-                    and packet_type is not PacketType.WRITE
+            if (packet_type is not _READ and packet_type is not _WRITE
                     and packet_type in self.SLOW_TYPES):
                 timeout_ns = self.params.clib.slow_timeout_ns
             else:
@@ -536,9 +538,8 @@ class Transport:
                         tracer.record(settled_site, sent, acked, request_id,
                                       request_span or 0, self.env.now,
                                       request_id, rtt)
-                return RequestOutcome(body=body, data=response_data,
-                                      rtt_ns=rtt, retries=retries,
-                                      request_id=request_id)
+                return RequestOutcome(body, response_data, rtt, retries,
+                                      request_id)
 
             # NACK, corrupted response, or TIMEOUT: retry with a fresh ID.
             self._incast.on_complete(expected_response_bytes)

@@ -31,6 +31,7 @@ import functools
 import gc
 import sys
 from collections import Counter
+from dataclasses import is_dataclass
 
 import pytest
 
@@ -61,7 +62,9 @@ BUDGET = {
 
 #: ``{op: {class: instances per op}}``: every object whose Python
 #: ``__init__`` ran, charged to its class once (a ``super().__init__``
-#: chain is one instance).  Timeouts are recycled, so none appear.
+#: chain is one instance).  Timeouts are recycled, so none appear.  None
+#: of these classes is a frozen dataclass, and the per-packet ones are
+#: built positionally: a frozen, keyword-built ``ClioHeader`` cost ~2 µs.
 CONSTRUCTED = {
     "rread64": {"Breakdown": 1.0, "ClioHeader": 2.0, "Event": 2.0,
                 "FastPathResult": 1.0, "Packet": 2.0, "RequestOutcome": 1.0,
@@ -85,9 +88,11 @@ CONSTRUCTED = {
                      "_Spawned": 2.0},
 }
 
-#: ``{op: enum member loads per op}`` made from ``repro`` frames.
-ENUM_LOADS = {"rread64": 23.0, "rwrite64": 26.0, "onboard_read64": 6.0,
-              "rwrite4k": 58.0, "ralloc_rfree": 35.0}
+#: ``{op: enum member loads per op}`` made from ``repro`` frames.  Every
+#: member these paths test is a module constant bound at import (23, 26,
+#: 6, 58 and 35 loads per op before).
+ENUM_LOADS = {"rread64": 0.0, "rwrite64": 0.0, "onboard_read64": 0.0,
+              "rwrite4k": 0.0, "ralloc_rfree": 0.0}
 
 
 def _package(frame):
@@ -184,9 +189,9 @@ def measure() -> tuple[dict, dict, dict]:
 
 
 @functools.cache
-def _measured() -> tuple[dict, dict, dict]:
+def _measured() -> tuple[dict, dict, dict, list]:
     """One run's three tables, per op and rounded like the pinned ones,
-    plus the classes built."""
+    plus the names of the frozen dataclasses among the records built."""
     counts, constructed, enum_loads = measure()
 
     def per_op(count):
@@ -199,7 +204,10 @@ def _measured() -> tuple[dict, dict, dict]:
                   sorted(counter.items(), key=lambda item: item[0].__name__)}
              for op, counter in constructed.items()}
     loads = {op: per_op(enum_loads[op]) for op in counts}
-    return calls, built, loads
+    frozen = sorted({cls.__name__ for counter in constructed.values()
+                     for cls in counter
+                     if is_dataclass(cls) and cls.__dataclass_params__.frozen})
+    return calls, built, loads, frozen
 
 
 @pytest.fixture
@@ -230,6 +238,9 @@ def test_records_constructed_per_op(measured):
     assert built == CONSTRUCTED, (
         f"records built per op moved: {built}. Raise a row with the "
         "reason for the new record, or lower it")
+    assert measured[3] == [], (
+        f"frozen dataclasses built on the op path: {measured[3]}; a frozen "
+        "__init__ sets each field through object.__setattr__")
 
 
 def test_enum_member_loads_per_op(measured):

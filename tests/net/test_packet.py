@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.cluster import ClioCluster
 from repro.core.cboard import ResponseBody, _WriteProgress
 from repro.core.pipeline import FastPathResult
+from repro.core.va_allocator import Allocation, AllocationOutcome
 from repro.net.packet import ClioHeader, Packet, PacketType, fragment_payload
 from repro.params import ClioParams
 from repro.transport.clib_transport import RequestOutcome
@@ -25,6 +26,8 @@ RECORD_FIELDS = {
     FastPathResult: ["status", "data", "faulted", "tlb_missed", "breakdown"],
     RequestOutcome: ["body", "data", "rtt_ns", "retries", "request_id"],
     _WriteProgress: ["remaining", "status", "breakdown"],
+    Allocation: ["va", "size", "permission"],
+    AllocationOutcome: ["allocation", "retries"],
 }
 
 

@@ -15,7 +15,9 @@ from tools.code_lines import ROOT, count_files
 #: single-use definitions ``tools/reach.py`` listed — ``run_rack_chaos``,
 #: ``arc_share``, ``with_lock``, ``invalidate_pid``, ``tenant_of``,
 #: ``zipf_index`` and the gather ``read_many`` only embeddings used.
-SRC_CEILING = 12_866
+#: +1 since: module constants for the enum members the op path tests
+#: (13 lines), nearly all paid for by building its records positionally.
+SRC_CEILING = 12_867
 
 
 def test_src_stays_under_its_ceiling():
