@@ -370,11 +370,15 @@ class FastPath:
             self.trace(access, result)
         return result
 
-    def translate_only(self, pid: int, access: AccessType, va: int):
-        """Translate a single address without a data access (atomics path).
+    def translate_only(self, pid: int, access: AccessType, va: int,
+                       wire_bytes: int):
+        """Translate a single address without a data access (atomics path),
+        after the fixed pipeline cost: ingest plus the stages.
 
         Returns ``(status, pa)``.
         """
+        yield self.env.timeout(self.ingest_delay_ns(wire_bytes)
+                               + self._pipeline_fixed_ns)
         vpn = self.page_spec.page_number(va)
         ppn = self._lookup(pid, vpn, access)
         if ppn is None:

@@ -248,7 +248,7 @@ def test_translate_only_returns_physical_address():
 
     def probe():
         status, pa = yield from fast.translate_only(1, AccessType.READ,
-                                                    PAGE + 100)
+                                                    PAGE + 100, 64)
         return status, pa
 
     status, pa = run(env, probe())

@@ -29,7 +29,7 @@ KEPT = {
         "async-buffer API the allocator stateful tests drive",
     ("core/page_table.py", "entries_for_pid"): ACCESSOR,
     ("core/simboard.py", "register_offload"):
-        "SimBoard is the oracle CBoard's offloads are checked against",
+        "SimBoard's offload API, which test_simboard.py drives",
     ("core/va_allocator.py", "allocated_bytes"): ACCESSOR,
     ("faults/schedule.py", "restart_board"):
         "scripts the orphan restart FaultSchedule.validate must reject",

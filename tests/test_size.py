@@ -17,7 +17,9 @@ from tools.code_lines import ROOT, count_files
 #: ``zipf_index`` and the gather ``read_many`` only embeddings used.
 #: +1 since: module constants for the enum members the op path tests
 #: (13 lines), nearly all paid for by building its records positionally.
-SRC_CEILING = 12_867
+#: -111 since: SimBoard's copy of the wire protocol deleted; both boards
+#: share ``core/wire.py``.
+SRC_CEILING = 12_756
 
 
 def test_src_stays_under_its_ceiling():
