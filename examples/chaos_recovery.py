@@ -17,33 +17,37 @@ memory-node crash-recovery argument, observable:
 Run:  python examples/chaos_recovery.py
 """
 
-from repro.faults.scenarios import run_chaos
+from repro.verify import run_scenario, scenario
 
 
 def main() -> None:
     print("== chaos recovery: board crash mid-YCSB ==")
-    report = run_chaos("board-crash", seed=1234)
-    crash_ns, restart_ns = report.crash_window
+    # Unverified: the checking stack is passive, so it changes nothing here.
+    point = scenario("chaos", schedule="board-crash", verify=False)
+    result = run_scenario(point, seed=1234)
+    extras = result.extras
+    crash_ns, restart_ns = point.scripts[0].window
 
     print(f"fault timeline: crash mn0 @ {crash_ns / 1e6:.1f} ms, "
           f"restart @ {restart_ns / 1e6:.1f} ms")
-    for at_ns, kind, target, applied in report.faults:
+    for at_ns, kind, target, applied in extras["faults"]:
         print(f"  {at_ns / 1e6:6.2f} ms  {kind:<14} {target}"
               f"{'' if applied else '  (skipped)'}")
 
-    print(f"\nworkload: {len(report.ops)} ops across "
-          f"{len(report.cn_counters)} CNs — "
-          f"{report.completed_ops} ok, {report.failed_ops} failed (typed)")
+    # Each op: (worker, index, "read"|"write", start_ns, end_ns, status).
+    ops = extras["ops"]
+    completed = sum(1 for op in ops if op[-1] == "ok")
+    print(f"\nworkload: {len(ops)} ops across {len(extras['cns'])} CNs — "
+          f"{completed} ok, {len(ops) - completed} failed (typed)")
 
     # Error-rate summary around the crash window.
-    during = [o for o in report.ops
-              if crash_ns <= o.started_ns < restart_ns]
-    failed_during = sum(1 for o in during if o.status != "ok")
+    during = [op for op in ops if crash_ns <= op[3] < restart_ns]
+    failed_during = sum(1 for op in during if op[-1] != "ok")
     print(f"crash window: {len(during)} ops started, "
           f"{failed_during} failed with RequestFailed "
           f"(bounded retries, no hangs)")
 
-    tput = report.phase_throughput()
+    tput = extras["recovery"]
     print(f"\nthroughput before crash : {tput['pre_ops_per_sec']:>10,.0f} ops/s"
           f"  ({tput['pre_ops']} ops)")
     print(f"throughput after restart: {tput['post_ops_per_sec']:>10,.0f} ops/s"
@@ -51,20 +55,22 @@ def main() -> None:
     print(f"recovery                : {tput['recovery_ratio']:.1%} "
           f"of pre-crash rate")
 
-    mn = report.board_counters["mn0"]
+    mn = extras["boards"]["mn0"]
     print(f"\nmn0 after the run: crashes={mn['crashes']} "
           f"restarts={mn['restarts']} "
           f"packets_dropped_dead={mn['packets_dropped_dead']} "
           f"responses_discarded={mn['responses_discarded']}")
 
-    problems = report.check_invariants()
+    # The runner audits every scenario: a hung worker or a request that
+    # neither completed nor failed is a problem.
+    problems = result.problems()
     if problems:
         raise SystemExit("invariants violated: " + "; ".join(problems))
     print("invariants: every request completed or failed typed; "
           "counters balance; no worker hung")
 
-    rerun = run_chaos("board-crash", seed=1234)
-    assert rerun.fingerprint() == report.fingerprint()
+    rerun = run_scenario(point, seed=1234)
+    assert rerun.extras["fingerprint"] == extras["fingerprint"]
     print("determinism: same-seed rerun is bit-identical")
 
 

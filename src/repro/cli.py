@@ -261,11 +261,7 @@ def _verdict(problems: list, label: str, all_clear: str) -> int:
 def _cmd_alloc_churn(args) -> int:
     """Fragmentation/churn scenario across allocation strategies."""
     from repro.verify import ALLOC_STRATEGIES, run_scenario, scenario
-    from repro.workloads.churn import CHURN_SCENARIOS
 
-    if args.churn not in CHURN_SCENARIOS:
-        raise SystemExit(f"unknown churn scenario {args.churn!r}; choose "
-                         f"from {sorted(CHURN_SCENARIOS)}")
     strategies = [args.strategy] if args.strategy else ALLOC_STRATEGIES
     policy = args.va_policy or "first-fit"
     points = [scenario(f"alloc-{strategy}", mix=args.churn, va_policy=policy,
@@ -332,12 +328,8 @@ def cmd_ycsb(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    from repro.faults.scenarios import SCENARIOS
     from repro.verify import run_scenario, scenario
 
-    if args.scenario not in SCENARIOS:
-        raise SystemExit(f"unknown scenario {args.scenario!r}; "
-                         f"choose from {sorted(SCENARIOS)}")
     sizes = dict(ops=args.ops, verify=args.cache)
     if args.cache:
         # Write-back, and a small shared region to keep the workers on
@@ -345,26 +337,27 @@ def cmd_chaos(args) -> int:
         sizes.update(cached="back", region_bytes=64 * KB)
     point = scenario("chaos", schedule=args.scenario, **sizes)
     result = run_scenario(point, seed=args.seed, partitioned=args.pdes)
-    report = result.extras["chaos"]
+    extras = result.extras
     problems = result.problems()
-    failures = sorted({op.status for op in report.ops if op.status != "ok"})
+    statuses = [op[-1] for op in extras["ops"]]
+    ok = statuses.count("ok")
     print(render_table(
         f"chaos: {args.scenario} (seed {args.seed})",
         ["scenario", "finished", "ops ok", "ops failed", "failure kinds",
          "faults applied"],
-        [[report.scenario, "yes" if report.finished else "NO",
-          report.completed_ops, report.failed_ops,
-          ",".join(failures) or "-", len(report.faults)]]))
-    tput = report.phase_throughput()
+        [[args.scenario, "yes" if extras["finished"] else "NO", ok,
+          len(statuses) - ok, ",".join(sorted(set(statuses) - {"ok"})) or "-",
+          len(extras["faults"])]]))
+    tput = extras["recovery"]
     if tput is not None:
         print(render_table(
             "crash recovery (ops/s before crash vs after restart)",
             ["pre ops/s", "post ops/s", "recovery"],
             [[round(tput["pre_ops_per_sec"]), round(tput["post_ops_per_sec"]),
               f"{tput['recovery_ratio']:.1%}"]]))
-    if report.cache_counters is not None:
-        directory = report.cache_counters["dir"]
-        nodes = [c for n, c in report.cache_counters.items() if n != "dir"]
+    if "cache" in extras:
+        directory = extras["cache"]["dir"]
+        nodes = [c for n, c in extras["cache"].items() if n != "dir"]
         print(render_table(
             "cache coherence under faults",
             ["hits", "misses", "recalls", "downgrades", "inval retries",
@@ -436,12 +429,9 @@ def cmd_rack(args) -> int:
     anything, or if the post-event p99 misses the scenario's recovery
     bar (the rebalance-quality bar).
     """
-    from repro.verify import RACK_SCENARIOS, run_scenario, scenario
+    from repro.verify import run_scenario, scenario
 
-    script = None if args.scenario in ("none", "") else args.scenario
-    if script is not None and script not in RACK_SCENARIOS:
-        raise SystemExit(f"unknown rack scenario {args.scenario!r}; "
-                         f"choose from {sorted(RACK_SCENARIOS)} or 'none'")
+    script = None if args.scenario == "none" else args.scenario
     point = scenario("rack", boards=args.boards, tors=args.tors,
                      clients=args.clients, ops=args.ops, script=script)
     result = run_scenario(point, seed=args.seed, partitioned=args.pdes)
@@ -508,6 +498,9 @@ def cmd_metrics(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     import repro
+    from repro.alloc import VA_POLICIES
+    from repro.verify import ALLOC_STRATEGIES, CHAOS_SCRIPTS, RACK_SCENARIOS
+    from repro.workloads.churn import CHURN_SCENARIOS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -565,15 +558,13 @@ def build_parser() -> argparse.ArgumentParser:
              "strategy/fragmentation scenario suite")
     alloc.add_argument("--size", default="64MB")
     alloc.add_argument("--churn", default=None,
-                       help="run a churn scenario across PA strategies: "
-                            "small-churn, small-large-mix, "
-                            "ephemeral-longlived, or retry-storm")
-    alloc.add_argument("--strategy", default=None,
-                       help="restrict --churn to one PA strategy "
-                            "(freelist, slab, buddy, arena)")
+                       choices=tuple(CHURN_SCENARIOS),
+                       help="run a churn scenario across PA strategies")
+    alloc.add_argument("--strategy", default=None, choices=ALLOC_STRATEGIES,
+                       help="restrict --churn to one PA strategy")
     alloc.add_argument("--va-policy", default=None,
-                       help="VA search policy for --churn (first-fit, "
-                            "next-fit, best-fit, jump)")
+                       choices=tuple(VA_POLICIES),
+                       help="VA search policy for --churn")
     alloc.add_argument("--ops", type=int, default=None,
                        help="override the scenario's allocation count")
     alloc.set_defaults(func=cmd_alloc)
@@ -587,8 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser("chaos", parents=[engine, determinism],
                            help="fault-injection scenario")
     chaos.add_argument("--scenario", default="board-crash",
-                       help="board-crash, link-flap, slowpath-stall, "
-                            "loss-burst, or random")
+                       choices=tuple(CHAOS_SCRIPTS), help="fault script")
     chaos.add_argument("--ops", type=int, default=1200,
                        help="operations per worker")
     chaos.add_argument("--cache", action="store_true",
@@ -609,7 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--clients", type=int, default=3,
                         help="CNs hammering the shared atomic word")
     verify.add_argument("--scenario", default="board-crash",
-                        help="chaos scenario to run under the oracle")
+                        choices=tuple(CHAOS_SCRIPTS),
+                        help="chaos fault script to run under the oracle")
     verify.add_argument("--no-crash", action="store_true",
                         help="skip the mid-run board crash/restart")
     verify.set_defaults(func=cmd_verify)
@@ -627,8 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
     rack.add_argument("--ops", type=int, default=4,
                       help="operations per client (default: 4)")
     rack.add_argument("--scenario", default="drain",
-                      help="membership event mid-traffic: drain, add, "
-                           "crash-mid-migration, evict, or none")
+                      choices=(*RACK_SCENARIOS, "none"),
+                      help="membership event mid-traffic")
     rack.set_defaults(func=cmd_rack)
 
     metrics = sub.add_parser(

@@ -3,9 +3,9 @@
 Faults are data: a seeded :class:`FaultSchedule` of timed events, armed
 against a live cluster by a :class:`FaultInjector`, with failure
 *detection* modeled separately by the heartbeat :class:`HealthMonitor`.
-Canned end-to-end scenarios (chaos harness) live in
-:mod:`repro.faults.scenarios` — imported lazily because scenarios pull
-in the whole cluster stack.
+The canned chaos runs are the ``chaos`` row of the scenario registry,
+:mod:`repro.verify.scenarios`, with its fault scripts in
+``CHAOS_SCRIPTS``.
 """
 
 from repro.faults.health import HealthMonitor, HealthTransition

@@ -83,7 +83,6 @@ class CBoardParams:
 
     # Slow path (ARM Cortex-A53)
     arm_cores: int = 4
-    fpga_arm_crossing_ns: int = 40 * US    # interconnect delay (paper §5)
     arm_polling_handoff_ns: int = 2 * US   # RX-ring poll + worker handoff
     arm_va_search_ns: int = 3 * US         # one VA-tree search pass
     arm_retry_ns: int = 500 * US           # per retry when PT nearly full (paper: ~0.5ms)
@@ -152,7 +151,6 @@ class CLibParams:
     """CN-side library costs and transport policy."""
 
     request_overhead_ns: int = 250         # total CLib processing (paper §7.1)
-    poll_interval_ns: int = 100
     # Data-path retry TIMEOUT.  Must sit comfortably above the RTT band
     # the congestion controller tolerates (target_rtt), or healthy
     # requests under load retry spuriously and feed the queue they wait in.
@@ -468,13 +466,10 @@ class RDMAParams:
 
     base_read_rtt_ns: int = 2000           # no-miss 16B read round trip (CX3)
     base_write_rtt_ns: int = 1200          # RNIC acks writes before DRAM commit
-    per_byte_ns_num: int = 8               # serialization handled by net model
     qp_cache_entries: int = 256
     pte_cache_entries: int = 256           # 2^8 local cluster profile
     mr_cache_entries: int = 256
     pcie_miss_penalty_ns: int = 900        # PCIe round trip to host memory
-    miss_amplification: float = 4.0        # paper: 4x when metadata off-chip
-    qp_state_bytes: int = 375              # per-connection state
     max_mrs: int = 1 << 18                 # RDMA fails beyond 2^18 MRs
     mr_register_base_ns: int = 10 * US
     mr_register_per_page_ns: int = 600     # pinning cost per 4 KB page

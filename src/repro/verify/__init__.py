@@ -51,6 +51,7 @@ from repro.verify.runner import (
 )
 from repro.verify.scenarios import (
     ALLOC_STRATEGIES,
+    CHAOS_SCRIPTS,
     RACK_SCENARIOS,
     SCENARIOS,
     SUITES,
@@ -61,6 +62,7 @@ __all__ = [
     "ALLOC_STRATEGIES",
     "AtomicWordModel",
     "Bar",
+    "CHAOS_SCRIPTS",
     "ClusterVerifier",
     "EpochViolation",
     "HistoryOp",

@@ -163,8 +163,9 @@ class RunContext(SimpleNamespace):
     ``verifier``, ``controller``, ``seed``, ``rng``, ``sync_threads``,
     ``word_va``, ``start_ns`` (when the clients started), ``history``,
     ``op_log`` (digested into the fingerprint), ``tolerated`` (ops that
-    failed typed), ``notes``, ``findings``, ``injectors`` — plus whatever
-    the workload and scripts stash for each other."""
+    failed typed), ``notes``, ``findings``, and from the deadline on
+    ``finished`` and ``faults`` (the injectors' applied faults) — plus
+    whatever the workload and scripts stash for each other."""
 
     def bump_word(self, cn_index: int):
         """Contended faa on the shared word — linearizer food between
@@ -218,7 +219,7 @@ def run_scenario(scenario: Scenario, *, seed: int, partitioned: bool = False,
                      verifier=verifier, controller=controller, seed=seed,
                      rng=RandomStream(seed, workload.rng_name),
                      history=[], op_log=[], tolerated=0, notes=[],
-                     findings=[], injectors=[])
+                     findings=[])
     word = scenario.target == "word"
     if word:
         ctx.sync_threads = [node.process("mn0", pid=SYNC_PID).thread()
@@ -233,32 +234,44 @@ def run_scenario(scenario: Scenario, *, seed: int, partitioned: bool = False,
     if word or workload.setup is not None:
         cluster.run(until=env.process(setup()))
 
+    # No try/finally: a client that raises fails the run anyway, and one
+    # left waiting on an event nothing references is collected by the GC
+    # — which must read as hung, not as done.
     def finishing(client, done):
-        try:
-            yield from client
-        finally:
-            done.succeed()
+        yield from client
+        done.succeed()
 
     ctx.start_ns = env.now
     clients = workload.clients(ctx)
     done_events = [env.event() for _ in clients]
     for client, done in zip(clients, done_events):
         env.process(finishing(client, done))
+    injectors = []
     for script in scenario.scripts:
         if script.faults is not None:
             injector = FaultInjector(cluster, script.faults(seed))
             injector.arm()
-            ctx.injectors.append(injector)
+            injectors.append(injector)
         if script.driver is not None:
             env.process(script.driver(ctx))
 
     # run(until=deadline), NOT until=event: a hung client must surface as
-    # a note, not as a wall-clock hang (background MN processes keep the
-    # queue alive forever).
+    # a finding, not as a wall-clock hang (background MN processes keep
+    # the queue alive forever).
     all_done = env.all_of(done_events)
     cluster.run(until=scenario.deadline_ns)
     ctx.finished = all_done.triggered
+    ctx.faults = sum((injector.applied_fingerprint()
+                      for injector in injectors), ())
     notes = [] if ctx.finished else ["workload hit the deadline"]
+    ctx.findings.extend(notes)
+    for node in cluster.cns:
+        transport = node.transport
+        settled = transport.requests_completed + transport.requests_failed
+        if transport.requests_issued != settled:
+            ctx.findings.append(
+                f"{node.name}: {transport.requests_issued} issued != "
+                f"{settled} settled (a request neither completed nor failed)")
     for script in scenario.scripts:
         if script.window is not None:
             crash_ns, restart_ns = script.window
@@ -268,13 +281,13 @@ def run_scenario(scenario: Scenario, *, seed: int, partitioned: bool = False,
     if ctx.tolerated:
         notes.append(f"{ctx.tolerated} ops failed typed (tolerated)")
     # Engine-side counters (for the perf suite), then the workload's own.
-    extras = {"sim_now_ns": env.now, "events": env._seq}
+    extras = {"sim_now_ns": env.now, "events": env._seq, "faults": ctx.faults}
     if ctx.op_log:
         extras["fingerprint"] = oplog_digest(ctx.op_log)
     summary, summary_notes = workload.summarize(ctx)
     extras.update(summary)
     notes.extend(summary_notes)
-    notes.extend(_drain_caches(cluster, scenario.deadline_ns))
+    notes.extend(_drain_caches(cluster, scenario.deadline_ns, extras))
 
     lin = None
     history = ctx.history
@@ -299,19 +312,32 @@ def run_scenario(scenario: Scenario, *, seed: int, partitioned: bool = False,
         findings=ctx.findings)
 
 
-def _drain_caches(cluster, deadline_ns: int) -> list[str]:
-    """With the caching layer on: note its counters, then flush every
-    dirty line and depart the directory so the final sweep sees a
-    cluster with no cached state outstanding."""
+#: Per-CN cache and directory counters a cached run reports.
+CACHE_COUNTERS = ("hits", "misses", "evictions", "invalidations",
+                  "writebacks", "flush_retries")
+DIR_COUNTERS = ("requests_served", "fills", "write_txns", "recalls",
+                "downgrades", "invals_sent", "inval_retries")
+
+
+def _drain_caches(cluster, deadline_ns: int, extras: dict) -> list[str]:
+    """With the caching layer on: put its counters in ``extras["cache"]``
+    and note them, then flush every dirty line and depart the directory
+    so the final sweep sees a cluster with no cached state outstanding."""
     if cluster.cache_dir is None:
         return []
-    caches = [node.cache for node in cluster.cns]
-    notes = [f"cache[{caches[0].policy}]: "
-             f"{sum(c.hits for c in caches)} hits / "
-             f"{sum(c.misses for c in caches)} misses, "
-             f"{sum(c.invalidations for c in caches)} invalidations, "
-             f"{sum(c.writebacks for c in caches)} writebacks"]
-    drains = [cluster.env.process(cache.shutdown()) for cache in caches]
+    counters = extras["cache"] = {
+        node.name: {name: getattr(node.cache, name)
+                    for name in CACHE_COUNTERS} for node in cluster.cns}
+    counters["dir"] = {name: getattr(cluster.cache_dir, name)
+                       for name in DIR_COUNTERS}
+    total = {name: sum(counters[node.name][name] for node in cluster.cns)
+             for name in CACHE_COUNTERS}
+    notes = [f"cache[{cluster.cns[0].cache.policy}]: "
+             f"{total['hits']} hits / {total['misses']} misses, "
+             f"{total['invalidations']} invalidations, "
+             f"{total['writebacks']} writebacks"]
+    drains = [cluster.env.process(node.cache.shutdown())
+              for node in cluster.cns]
     cluster.env.run(until=deadline_ns + 1 * MS)
     if not all(process.triggered for process in drains):
         notes.append("cache drain did not settle before the deadline")

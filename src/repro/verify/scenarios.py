@@ -18,8 +18,11 @@ from types import SimpleNamespace
 from typing import Optional
 
 from repro.alloc.pa_strategies import PA_STRATEGIES
+from repro.clib.client import RemoteAccessError
+from repro.faults.schedule import FaultSchedule
 from repro.params import (MB, MS, US, CacheParams, ClioParams, QoSParams,
                           TenantConfig)
+from repro.transport.clib_transport import RequestFailed
 from repro.verify.harness import VerifyRunResult
 from repro.verify.linearize import HistoryOp
 from repro.verify.runner import (
@@ -535,6 +538,117 @@ class AllocChurn(Workload):
             report=report.verification or {}, notes=notes, extras=extras)
 
 
+@dataclass(frozen=True)
+class ChaosMix(Workload):
+    """YCSB-A-style mix: each worker does ``ops`` 64-byte reads/writes at
+    seeded offsets in its own region, tolerating typed failures and
+    logging every op as ``(worker, index, op, start, end, status)``.
+
+    With the caching layer on — and so coherence traffic actually
+    crosses CNs — the workload flips from per-worker regions to ONE
+    shared region (worker 0 allocates, everyone hammers it under the same
+    PID).  The faults then land while lines are cached (and dirty, under
+    write-back): recalls race crashes, invalidations ride flapping links.
+    """
+
+    schedule: str
+    ops: int
+    region_bytes: int
+    rng_name = "faults/chaos"
+    #: PID base for chaos workers; far from anything the global counter
+    #: issues.
+    PID_BASE = 9001
+    IO_BYTES = 64
+
+    def clients(self, ctx):
+        ctx.region_ready = ctx.env.event()
+        return super().clients(ctx)
+
+    def client(self, ctx, index: int):
+        env, io_bytes = ctx.env, self.IO_BYTES
+        shared = ctx.cluster.cache_dir is not None
+        thread = ctx.cluster.cn(index).process(
+            "mn0", pid=self.PID_BASE + (0 if shared else index)).thread()
+        wrng = ctx.rng.fork(f"worker{index}")
+        if shared and index > 0:
+            yield ctx.region_ready
+            va = ctx.shared_va
+        else:
+            va = yield from thread.ralloc(self.region_bytes)
+            if shared:
+                ctx.shared_va = va
+                ctx.region_ready.succeed()
+        payload = bytes((index + 1,)) * io_bytes
+        span = self.region_bytes - io_bytes
+        for op_index in range(self.ops):
+            offset = (wrng.uniform_int(0, span // io_bytes)) * io_bytes
+            is_read = wrng.uniform() < 0.5
+            started = env.now
+            status = "ok"
+            try:
+                if is_read:
+                    yield from thread.rread(va + offset, io_bytes)
+                else:
+                    yield from thread.rwrite(va + offset, payload)
+            except RequestFailed:
+                status = "request_failed"
+            except RemoteAccessError:
+                status = "remote_error"
+            ctx.op_log.append((index, op_index, "read" if is_read else "write",
+                               started, env.now, status))
+
+    def summarize(self, ctx):
+        ops = tuple(sorted(ctx.op_log))
+        ctx.history = ops   # the verify table counts the ops
+        cns = {node.name: {
+            "requests_issued": node.transport.requests_issued,
+            "requests_completed": node.transport.requests_completed,
+            "requests_failed": node.transport.requests_failed,
+            "total_retries": node.transport.total_retries,
+        } for node in ctx.cluster.cns}
+        window = next((script.window for script in ctx.scenario.scripts
+                       if script.window is not None), None)
+        return {
+            "finished": ctx.finished, "ops": ops, "cns": cns,
+            "boards": {board.name: board.stats()
+                       for board in ctx.cluster.mns},
+            "recovery": _recovery(ops, window),
+            # Must be bit-identical for the same seed, on either engine
+            # and with verification on or off.
+            "fingerprint": (
+                self.schedule, ctx.seed, ctx.finished, ctx.env.now, ops,
+                ctx.faults, tuple(sorted((name, tuple(sorted(c.items())))
+                                         for name, c in cns.items()))),
+        }, []
+
+
+def _recovery(ops, window, settle_ns: int = 100 * US) -> Optional[dict]:
+    """Ops/s before the crash vs after the restart (+ a settle margin).
+
+    ``None`` without a single crash ``window`` or when either phase saw
+    no completed op.
+    """
+    if window is None:
+        return None
+    crash_ns, restart_ns = window
+    done = [(start, end) for _, _, _, start, end, status in ops
+            if status == "ok"]
+    phases = ([(start, end) for start, end in done if end < crash_ns],
+              [(start, end) for start, end in done
+               if start >= restart_ns + settle_ns])
+    rates = []
+    for phase in phases:
+        if not phase:
+            return None
+        span = max(end for _, end in phase) - min(start for start, _ in phase)
+        if span <= 0:
+            return None
+        rates.append(len(phase) * 1_000_000_000 / span)
+    return {"pre_ops": len(phases[0]), "post_ops": len(phases[1]),
+            "pre_ops_per_sec": rates[0], "post_ops_per_sec": rates[1],
+            "recovery_ratio": rates[1] / rates[0]}
+
+
 # -- scripts ---------------------------------------------------------------------
 
 #: The two board-crash windows: early and short for the ~25 us-per-op
@@ -642,6 +756,23 @@ RACK_SCRIPTS = {
 RACK_SCENARIOS = tuple(RACK_SCRIPTS)
 ALLOC_STRATEGIES = tuple(PA_STRATEGIES)
 
+#: The chaos mix's fault scripts, times relative to the clients' start.
+CHAOS_SCRIPTS = {
+    "board-crash": crash_board(1 * MS, 1_500 * US),
+    "link-flap": Script("link-flap", faults=lambda seed: (
+        FaultSchedule()
+        .link_down(1 * MS, "cn1", duration_ns=1 * MS)
+        .link_down(3 * MS, "cn1", duration_ns=500 * US))),
+    "slowpath-stall": Script("slowpath-stall", faults=lambda seed: (
+        FaultSchedule().stall_slowpath(500 * US, "mn0", 300 * US))),
+    "loss-burst": Script("loss-burst", faults=lambda seed: (
+        FaultSchedule()
+        .loss_burst(1 * MS, "cn0", 1 * MS, rate=0.3)
+        .corruption_burst(2 * MS, "cn1", 500 * US, rate=0.2))),
+    "random": Script("random", faults=lambda seed: FaultSchedule.random(
+        seed, duration_ns=4 * MS, boards=["mn0"], nodes=["cn0", "cn1"])),
+}
+
 # -- bars (each typed here, once) --------------------------------------------------
 
 RACK_RECOVERY = Bar("recovery_ratio", "<=", 1.5,
@@ -746,11 +877,27 @@ def qos_noisy_neighbor(shaping: bool = True):
         bars=(QOS_SHAPED if shaping else QOS_UNSHAPED,))
 
 
-def chaos(schedule: str = "board-crash", **sizes):
-    """A fault schedule over the chaos read/write mix (defined next to
-    its report type in :mod:`repro.faults.scenarios`)."""
-    from repro.faults.scenarios import chaos_scenario
-    return chaos_scenario(schedule, **sizes)
+def chaos(schedule: str = "board-crash", ops: int = 1200,
+          region_bytes: int = 4 * MB, verify: bool = True,
+          cached: Optional[str] = None):
+    """The chaos mix on two CNs under the named fault script.
+
+    ``cached="through"`` / ``cached="back"`` opts every CN into the
+    hot-page cache (and the workload into one shared region).
+    """
+    if schedule not in CHAOS_SCRIPTS:
+        raise ValueError(f"unknown chaos schedule {schedule!r}; "
+                         f"pick one of {sorted(CHAOS_SCRIPTS)}")
+    params = verify_params()
+    if cached is not None:
+        params = replace(params, cache=CacheParams(policy=cached,
+                                                   capacity_lines=64))
+    return Scenario(
+        f"chaos:{schedule}", ChaosMix(schedule, ops, region_bytes),
+        cluster=dict(num_cns=2, mn_capacity=256 * MB), params=params,
+        layers=("caching",) if cached is not None else (),
+        scripts=(CHAOS_SCRIPTS[schedule],), deadline_ns=200 * MS,
+        verify=verify)
 
 
 #: name -> factory taking the sizes callers really vary.

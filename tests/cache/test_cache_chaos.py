@@ -16,19 +16,23 @@ same-seed, on both engines.
 
 import hashlib
 
-from repro.faults.scenarios import run_chaos
 from repro.params import KB
 from repro.verify import run_scenario, scenario
 
-CACHED = dict(region_bytes=64 * KB, ops_per_worker=400)
+CACHED = dict(region_bytes=64 * KB, ops=400)
+
+
+def chaos(schedule, seed, cached, verify=False, partitioned=False):
+    return run_scenario(scenario("chaos", schedule=schedule, cached=cached,
+                                 verify=verify, **CACHED),
+                        seed=seed, partitioned=partitioned)
 
 
 def test_board_crash_while_cached_dirty_verifies_clean():
-    report = run_chaos("board-crash", seed=1234, cached="back",
-                       verify=True, **CACHED)
-    assert report.finished
-    assert report.check_invariants() == []
-    counters = report.cache_counters
+    result = chaos("board-crash", seed=1234, cached="back", verify=True)
+    assert result.extras["finished"]
+    assert result.problems() == []
+    counters = result.extras["cache"]
     # Dirty write-back lines existed (and were flushed) around the crash.
     writebacks = sum(c["writebacks"] for name, c in counters.items()
                      if name != "dir")
@@ -41,40 +45,37 @@ def test_board_crash_while_cached_dirty_verifies_clean():
 
 
 def test_inval_lost_to_link_down_is_retransmitted():
-    report = run_chaos("link-flap", seed=42, cached="through",
-                       verify=True, **CACHED)
-    assert report.finished
-    assert report.check_invariants() == []
+    result = chaos("link-flap", seed=42, cached="through", verify=True)
+    assert result.extras["finished"]
+    assert result.problems() == []
     # Invalidations crossed the flapping link and some needed resending;
     # the oracle staying clean proves no stale line was ever served.
-    directory = report.cache_counters["dir"]
+    directory = result.extras["cache"]["dir"]
     assert directory["invals_sent"] > 0
     assert directory["inval_retries"] > 0
 
 
 def test_cached_chaos_is_bit_identical():
-    first = run_chaos("board-crash", seed=77, cached="back", **CACHED)
-    again = run_chaos("board-crash", seed=77, cached="back", **CACHED)
-    assert first.fingerprint() == again.fingerprint()
-    other = run_chaos("board-crash", seed=78, cached="back", **CACHED)
-    assert other.fingerprint() != first.fingerprint()
+    first = chaos("board-crash", seed=77, cached="back")
+    again = chaos("board-crash", seed=77, cached="back")
+    assert first.extras["fingerprint"] == again.extras["fingerprint"]
+    other = chaos("board-crash", seed=78, cached="back")
+    assert other.extras["fingerprint"] != first.extras["fingerprint"]
 
 
 def test_cached_chaos_flat_matches_partitioned():
-    flat = run_chaos("board-crash", seed=1234, cached="back", **CACHED)
-    pdes = run_chaos("board-crash", seed=1234, cached="back",
-                     partitioned=True, **CACHED)
-    assert flat.fingerprint() == pdes.fingerprint()
+    flat = chaos("board-crash", seed=1234, cached="back")
+    pdes = chaos("board-crash", seed=1234, cached="back", partitioned=True)
+    assert flat.extras["fingerprint"] == pdes.extras["fingerprint"]
 
 
 def test_cached_chaos_departure_on_loss_burst():
     # Corruption + loss bursts: CACHE_REQ/INVAL packets get dropped and
     # corrupted mid-protocol; dedup + retransmission must keep every op
     # typed and the run deterministic.
-    report = run_chaos("loss-burst", seed=9, cached="back",
-                       verify=True, **CACHED)
-    assert report.finished
-    assert report.check_invariants() == []
+    result = chaos("loss-burst", seed=9, cached="back", verify=True)
+    assert result.extras["finished"]
+    assert result.problems() == []
 
 
 #: What ``repro chaos --cache`` runs (seed 0, 1200 ops per worker, board
@@ -98,7 +99,7 @@ def test_cli_chaos_cache_run_matches_golden():
         scenario("chaos", schedule="board-crash", ops=1200, verify=True,
                  cached="back", region_bytes=64 * KB), seed=0)
     assert result.problems() == []
-    report = result.extras["chaos"]
-    digest = hashlib.sha256(repr(report.fingerprint()).encode()).hexdigest()
+    digest = hashlib.sha256(
+        repr(result.extras["fingerprint"]).encode()).hexdigest()
     assert (digest, result.extras["events"],
-            report.cache_counters) == GOLDEN_CHAOS_CACHE
+            result.extras["cache"]) == GOLDEN_CHAOS_CACHE

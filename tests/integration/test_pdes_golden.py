@@ -7,7 +7,7 @@ before the PDES refactor must keep holding verbatim, with faults and
 without.
 """
 
-from repro.faults.scenarios import run_chaos
+from repro.verify import run_scenario, scenario
 from tests.faults.test_chaos import GOLDEN_NO_FAULT, no_fault_fingerprint
 
 
@@ -18,10 +18,10 @@ def test_partitioned_no_fault_run_matches_golden_fingerprint():
 def test_partitioned_chaos_fingerprint_matches_flat():
     """Crash/restart, retry storms, epoch fencing — all of it must land
     on the same event sequence under per-board wheels."""
-    flat = run_chaos(scenario="board-crash", ops_per_worker=250)
-    part = run_chaos(scenario="board-crash", ops_per_worker=250,
-                     partitioned=True)
-    assert part.fingerprint() == flat.fingerprint()
+    point = scenario("chaos", schedule="board-crash", ops=250, verify=False)
+    flat = run_scenario(point, seed=1234)
+    part = run_scenario(point, seed=1234, partitioned=True)
+    assert part.extras["fingerprint"] == flat.extras["fingerprint"]
 
 
 def test_partitioned_cluster_reports_engine_shape():

@@ -1,9 +1,12 @@
 """Tests for calibration parameters and profiles."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+import repro.params
 from repro.params import (
     CBoardParams,
     ClioParams,
@@ -114,3 +117,23 @@ def test_tenant_config_validation():
     assert TenantConfig(name="x", share=0.5).clients == ()
     with pytest.raises(ValueError):
         TenantConfig(name="x", clients=("cn0",), share=0.5, quota_bytes=-1)
+
+
+def test_every_params_field_is_read_somewhere():
+    """A field nothing reads is a dead knob that still looks calibrated:
+    every field of every dataclass in ``params.py`` must be loaded as an
+    attribute somewhere in ``src/``, ``benchmarks/`` or ``examples/``."""
+    root = Path(__file__).parents[1]
+    loaded = {node.attr
+              for folder in ("src", "benchmarks", "examples")
+              for path in (root / folder).rglob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    unread = [f"{cls.__name__}.{field.name}"
+              for cls in vars(repro.params).values()
+              if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+              and cls.__module__ == repro.params.__name__
+              for field in dataclasses.fields(cls)
+              if field.name not in loaded]
+    assert unread == [], f"params nothing reads: {unread}"

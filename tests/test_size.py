@@ -19,7 +19,9 @@ from tools.code_lines import ROOT, count_files
 #: (13 lines), nearly all paid for by building its records positionally.
 #: -111 since: SimBoard's copy of the wire protocol deleted; both boards
 #: share ``core/wire.py``.
-SRC_CEILING = 12_756
+#: -113 since: chaos became a registry row (``faults/scenarios.py``,
+#: ``ChaosReport`` and ``run_chaos`` deleted), five unread params went.
+SRC_CEILING = 12_643
 
 
 def test_src_stays_under_its_ceiling():

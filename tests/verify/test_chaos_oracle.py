@@ -16,35 +16,39 @@ Two claims are pinned here:
 import pytest
 
 from repro.cluster import ClioCluster
-from repro.faults.scenarios import SCENARIOS, run_chaos
 from repro.params import MB
+from repro.verify import CHAOS_SCRIPTS, run_scenario, scenario
 from tests.faults.test_chaos import GOLDEN_NO_FAULT, no_fault_fingerprint
 
 
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_scenario_has_zero_unexplained_reads(scenario):
-    report = run_chaos(scenario, seed=1234, ops_per_worker=400, verify=True)
-    verification = report.verification
-    assert verification is not None
+def chaos(schedule, seed, ops, verify):
+    return run_scenario(scenario("chaos", schedule=schedule, ops=ops,
+                                 verify=verify), seed=seed)
+
+
+@pytest.mark.parametrize("schedule", sorted(CHAOS_SCRIPTS))
+def test_scenario_has_zero_unexplained_reads(schedule):
+    result = chaos(schedule, seed=1234, ops=400, verify=True)
+    verification = result.report
+    assert verification
     assert verification["read_mismatches"] == 0, \
         verification["mismatch_details"]
     assert verification["epoch_violations"] == 0, \
         verification["epoch_details"]
     assert verification["invariant_violations"] == 0, \
         verification["violations"]
-    assert report.check_invariants() == []
+    assert result.problems() == []
     # The oracle actually watched the run, it didn't sit idle.
     assert verification["reads_checked"] > 0
     assert verification["writes_tracked"] > 0
     assert verification["bytes_checked"] > 0
 
 
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_verification_is_passive(scenario):
-    verified = run_chaos(scenario, seed=4321, ops_per_worker=300,
-                         verify=True)
-    plain = run_chaos(scenario, seed=4321, ops_per_worker=300)
-    assert verified.fingerprint() == plain.fingerprint()
+@pytest.mark.parametrize("schedule", sorted(CHAOS_SCRIPTS))
+def test_verification_is_passive(schedule):
+    verified = chaos(schedule, seed=4321, ops=300, verify=True)
+    plain = chaos(schedule, seed=4321, ops=300, verify=False)
+    assert verified.extras["fingerprint"] == plain.extras["fingerprint"]
 
 
 def test_verified_no_fault_run_matches_golden_fingerprint():
@@ -86,16 +90,16 @@ def test_verified_no_fault_run_matches_golden_fingerprint():
 
 
 def test_verified_runs_are_bit_identical_across_repeats():
-    a = run_chaos("board-crash", seed=99, ops_per_worker=300, verify=True)
-    b = run_chaos("board-crash", seed=99, ops_per_worker=300, verify=True)
-    assert a.fingerprint() == b.fingerprint()
-    assert a.verification["bytes_checked"] == b.verification["bytes_checked"]
+    a = chaos("board-crash", seed=99, ops=300, verify=True)
+    b = chaos("board-crash", seed=99, ops=300, verify=True)
+    assert a.extras["fingerprint"] == b.extras["fingerprint"]
+    assert a.report["bytes_checked"] == b.report["bytes_checked"]
 
 
 def test_unverified_report_has_no_verification_block():
-    report = run_chaos("link-flap", seed=5, ops_per_worker=100)
-    assert report.verification is None
-    assert report.check_invariants() == []
+    result = chaos("link-flap", seed=5, ops=100, verify=False)
+    assert result.report == {}
+    assert result.problems() == []
 
 
 def test_verification_layer_reaches_every_component():

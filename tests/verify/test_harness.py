@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.faults.scenarios import run_chaos
 from repro.verify import SUITES, run_scenario, scenario
 
 
@@ -51,10 +50,10 @@ def test_crash_run_actually_spans_a_crash():
 
 
 def test_verified_chaos_wrapper():
-    report = run_chaos("board-crash", seed=1234, ops_per_worker=200,
-                       verify=True)
-    assert report.verification is not None
-    assert report.check_invariants() == []
+    result = run_scenario(scenario("chaos", schedule="board-crash", ops=200),
+                          seed=1234)
+    assert result.report
+    assert result.problems() == []
 
 
 def test_cli_verify_clean(capsys):

@@ -14,6 +14,8 @@ from repro.sim import Resource
 from repro.verify import (
     AtomicWordModel,
     HistoryOp,
+    Scenario,
+    Workload,
     check_history,
     run_scenario,
     scenario,
@@ -39,6 +41,38 @@ def test_mutated_atomic_unit_capacity_detected():
     # Control: the unmutated run is clean.
     clean = run_scenario(scenario("sync"), seed=0)
     assert clean.ok, clean.problems()
+
+
+def test_hung_client_is_a_finding():
+    """Seeded bug: a client waits on an event nothing ever fires.
+
+    The runner must not hang on it (it runs to the deadline) and must not
+    pass it either: a workload that hits its deadline is a problem.
+    """
+
+    class Hangs(Workload):
+        def client(self, ctx, index):
+            yield ctx.env.event()
+
+    hung = Scenario("hung", Hangs(), deadline_ns=1 * MS,
+                    cluster=dict(num_cns=1, mn_capacity=64 * MB))
+    result = run_scenario(hung, seed=0)
+    assert result.problems() == ["hung: workload hit the deadline"]
+
+
+def test_unbalanced_transport_is_a_finding():
+    """Seeded bug: one CN's transport counts a request that never
+    completed nor failed — the runner's drained-transport audit flags it
+    for every scenario, not just chaos."""
+
+    def mutate(cluster):
+        cluster.cn(1).transport.requests_issued += 1
+
+    result = run_scenario(scenario("sync"), seed=0, mutate=mutate)
+    assert result.ok      # the checkers see nothing wrong
+    assert [p for p in result.problems() if "cn1" in p] == [
+        "sync-unit: cn1: 31 issued != 30 settled "
+        "(a request neither completed nor failed)"], result.problems()
 
 
 def test_dram_corruption_detected_by_oracle():
