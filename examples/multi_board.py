@@ -61,9 +61,9 @@ def main() -> None:
     cluster.run(until=env.process(app()))
     assert state.get("ok")
     for board in cluster.mns:
-        stats = board.stats()
+        stats = board.metrics.snapshot()
         print(f"{board.name}: {stats['requests_served']} requests, "
-              f"{stats['page_faults']} page faults")
+              f"{stats['faults']} page faults")
     print("\nEach board manages its own memory; a LegoOS-style global")
     print("controller could federate them into one virtual space (§3.3).")
 

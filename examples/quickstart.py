@@ -63,10 +63,10 @@ def main() -> None:
         yield from thread.rfence()
         print("rfence                  -> all in-flight requests drained")
 
-        stats = cluster.mn.stats()
+        stats = cluster.mn.metrics.snapshot()
         print(f"\nCBoard stats: {stats['requests_served']} requests, "
-              f"{stats['page_faults']} hardware page faults, "
-              f"TLB hit rate {stats['tlb_hit_rate']:.0%}")
+              f"{stats['faults']} hardware page faults, "
+              f"TLB hit rate {stats['tlb.hit_rate']:.0%}")
         print(f"Total simulated time: {env.now / 1000:.1f} us")
 
     cluster.run(until=env.process(app()))

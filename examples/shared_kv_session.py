@@ -64,7 +64,7 @@ def main() -> None:
         print(f"{name}: {summary['count']} ops, "
               f"median {summary['median_us']:.1f} us, "
               f"p99 {summary['p99_us']:.1f} us")
-    stats = cluster.mn.stats()
+    stats = cluster.mn.metrics.snapshot()
     print(f"CBoard: {stats['requests_served']} requests served, "
           f"memory utilization {stats['memory_utilization']:.0%}")
     print("\nBoth CNs share one KV namespace with atomic writes and")

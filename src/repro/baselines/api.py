@@ -32,7 +32,7 @@ import abc
 import itertools
 from typing import Optional
 
-from repro.params import BACKEND_NAMES, DEFAULT_PARAMS, GB, MB, ClioParams
+from repro.params import BACKEND_NAMES, GB, MB, ClioParams
 
 
 class MemoryBackend(abc.ABC):
@@ -53,7 +53,7 @@ class MemoryBackend(abc.ABC):
     name: str = ""
 
     def __init__(self, params: Optional[ClioParams] = None, seed: int = 0):
-        self.params = params or DEFAULT_PARAMS
+        self.params = params or ClioParams.prototype()
         self.seed = seed
         self._handles = itertools.count(1)
         self._ready = False

@@ -45,15 +45,15 @@ from repro.core.pipeline import Status
 from repro.net.packet import Packet, PacketType
 from repro.params import ClioParams
 from repro.sim import Environment
-from repro.telemetry.metrics import MetricsRegistry, StatsView
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import Tracer
 from repro.transport.clib_transport import _request_ids
 
 #: Node name the directory registers on the topology.
 DIRECTORY_NODE = "cachedir"
 
-#: Counter name -> help; each is an attribute, an instrument and a
-#: ``stats()`` key (:meth:`StatsView.of_counters`).
+#: Counter name -> help; each is an attribute and an instrument
+#: (:meth:`MetricsScope.attribute_counters`).
 _COUNTERS = {
     "requests_served": "",
     "fills": "",
@@ -145,16 +145,14 @@ class CacheDirectory:
         self._waiters: dict[int, object] = {}
         self.tracer: Optional[Tracer] = None
         topology.add_node(self.name, self.receive, node_env=env)
-        metrics = (registry if registry is not None
-                   else MetricsRegistry()).scope("cache.dir")
-        self._stats = StatsView.of_counters(metrics, self, _COUNTERS)
+        self.metrics = metrics = (
+            registry if registry is not None
+            else MetricsRegistry()).scope("cache.dir")
+        metrics.attribute_counters(self, _COUNTERS)
         metrics.gauge("tracked_lines", "keys with at least one cached copy",
                       fn=lambda: len(self._lines))
         metrics.gauge("open_txns", "write transactions holding locks",
                       fn=lambda: len(self._txns))
-
-    def stats(self) -> dict:
-        return self._stats.snapshot()
 
     # -- receive side ------------------------------------------------------------
 

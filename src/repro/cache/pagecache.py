@@ -43,12 +43,12 @@ from repro.clib.client import (RemoteAccessError, check_reply, mn_request,
 from repro.core.cboard import ResponseBody
 from repro.core.pipeline import Status
 from repro.net.packet import Packet, PacketType
-from repro.telemetry.metrics import MetricsRegistry, StatsView
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import Tracer
 from repro.transport.clib_transport import RequestFailed
 
-#: Counter name -> help; each is an attribute, an instrument and a
-#: ``stats()`` key (:meth:`StatsView.of_counters`).
+#: Counter name -> help; each is an attribute and an instrument
+#: (:meth:`MetricsScope.attribute_counters`).
 _COUNTERS = {
     "hits": "",
     "misses": "",
@@ -111,16 +111,14 @@ class PageCache:
             256, node.name, node.transport.topology, node.env, node.params)
         self.tracer: Optional[Tracer] = None
         node.transport.cache_listener = self.on_inval
-        metrics = (registry if registry is not None
-                   else MetricsRegistry()).scope(f"cache.{node.name}")
-        self._stats = StatsView.of_counters(metrics, self, _COUNTERS)
+        self.metrics = metrics = (
+            registry if registry is not None
+            else MetricsRegistry()).scope(f"cache.{node.name}")
+        metrics.attribute_counters(self, _COUNTERS)
         metrics.gauge("hit_rate", "hits / (hits + misses)",
                       fn=lambda: self.hits / max(1, self.hits + self.misses))
         metrics.gauge("lines", "resident lines",
                       fn=lambda: len(self._lru))
-
-    def stats(self) -> dict:
-        return self._stats.snapshot()
 
     # -- geometry ------------------------------------------------------------------
 

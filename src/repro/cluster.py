@@ -296,13 +296,15 @@ class ClioCluster:
         return self.env.run(until=gather)
 
     def report(self) -> dict:
-        """Cluster-wide health snapshot: per-board and per-CN counters."""
+        """Cluster-wide health snapshot: each board's, each CN transport's
+        and the health monitor's registry scope, plus each CN's windows."""
         return {
             "now_ns": self.env.now,
-            "boards": {board.name: board.stats() for board in self.mns},
+            "boards": {board.name: board.metrics.snapshot()
+                       for board in self.mns},
             "cns": {
                 node.name: {
-                    **node.transport.stats(),
+                    **node.transport.metrics.snapshot(),
                     "cwnd": {
                         mn: controller.cwnd
                         for mn, controller in
@@ -311,5 +313,5 @@ class ClioCluster:
                 }
                 for node in self.cns
             },
-            "health": self.health.stats() if self.health else None,
+            "health": self.health.metrics.snapshot() if self.health else None,
         }

@@ -38,7 +38,7 @@ from repro.core.wire import Board, ResponseBody, _WriteProgress
 from repro.net.packet import PacketType
 from repro.params import ClioParams
 from repro.sim import Environment
-from repro.telemetry.metrics import MetricsRegistry, StatsView
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import COMPLETE, INSTANT, Sites, Tracer
 
 
@@ -104,7 +104,7 @@ class CBoard(Board):
 
         # Telemetry.  Counters stay plain attributes (the hot path keeps
         # its `+= 1`s); the registry holds function-backed views of them
-        # under `cboard.<name>.*`, and stats() reads those views.
+        # under `cboard.<name>.*`.
         self._crash_span = None
         self.metrics = (registry if registry is not None
                         else MetricsRegistry()).scope(f"cboard.{name}")
@@ -112,45 +112,29 @@ class CBoard(Board):
 
     def _register_metrics(self) -> None:
         m = self.metrics
-        self._stats = StatsView({
-            "requests_served": m.counter(
-                "requests_served", "requests answered with a response",
-                fn=lambda: self.requests_served),
-            "bytes_served": m.counter(
-                "bytes_served", "payload bytes read/written", unit="B",
-                fn=lambda: self.bytes_served),
-            "tlb_hit_rate": m.gauge(
-                "tlb.hit_rate", "TLB hits / lookups",
-                fn=lambda: self.tlb.hit_rate),
-            "page_faults": m.counter(
-                "faults", "hardware page faults taken",
-                fn=lambda: self.fast_path.faults),
-            "nacks_sent": m.counter(
-                "nacks_sent", "NACKs for corrupt arrivals",
-                fn=lambda: self.nacks_sent),
-            "retry_dedups": m.counter(
-                "retry_dedups", "retries answered from the dedup ring",
-                fn=lambda: self.retry_buffer.dedup_hits),
-            "memory_utilization": m.gauge(
-                "memory_utilization", "allocated fraction of DRAM pages",
-                fn=lambda: self.pa_allocator.utilization),
-            "pt_entries": m.gauge(
-                "page_table.entries", "live PTEs",
-                fn=lambda: self.page_table.entry_count),
-            "alive": m.gauge(
-                "alive", "fail-stop state", fn=lambda: self.alive),
-            "crashes": m.counter(
-                "crashes", fn=lambda: self.crashes),
-            "restarts": m.counter(
-                "restarts", fn=lambda: self.restarts),
-            "packets_dropped_dead": m.counter(
-                "packets_dropped_dead", "arrivals while crashed",
-                fn=lambda: self.packets_dropped_dead),
-            "responses_discarded": m.counter(
-                "responses_discarded", "in-flight work killed by a crash",
-                fn=lambda: self.responses_discarded),
-        })
-        # Finer-grained instruments not part of the public stats() keys.
+        m.counter("requests_served", "requests answered with a response",
+                  fn=lambda: self.requests_served)
+        m.counter("bytes_served", "payload bytes read/written", unit="B",
+                  fn=lambda: self.bytes_served)
+        m.gauge("tlb.hit_rate", "TLB hits / lookups",
+                fn=lambda: self.tlb.hit_rate)
+        m.counter("faults", "hardware page faults taken",
+                  fn=lambda: self.fast_path.faults)
+        m.counter("nacks_sent", "NACKs for corrupt arrivals",
+                  fn=lambda: self.nacks_sent)
+        m.counter("retry_dedups", "retries answered from the dedup ring",
+                  fn=lambda: self.retry_buffer.dedup_hits)
+        m.gauge("memory_utilization", "allocated fraction of DRAM pages",
+                fn=lambda: self.pa_allocator.utilization)
+        m.gauge("page_table.entries", "live PTEs",
+                fn=lambda: self.page_table.entry_count)
+        m.gauge("alive", "fail-stop state", fn=lambda: self.alive)
+        m.counter("crashes", fn=lambda: self.crashes)
+        m.counter("restarts", fn=lambda: self.restarts)
+        m.counter("packets_dropped_dead", "arrivals while crashed",
+                  fn=lambda: self.packets_dropped_dead)
+        m.counter("responses_discarded", "in-flight work killed by a crash",
+                  fn=lambda: self.responses_discarded)
         m.counter("batch.subops_served",
                   "sub-ops executed out of multi-op frames",
                   fn=lambda: self.batch_subops_served)
@@ -277,8 +261,3 @@ class CBoard(Board):
     @property
     def memory_utilization(self) -> float:
         return self.pa_allocator.utilization
-
-    def stats(self) -> dict:
-        """Public counters — a view over the board's registry instruments
-        (same keys and values as the historical ad-hoc dict)."""
-        return self._stats.snapshot()

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.telemetry.metrics import MetricsRegistry, StatsView
+from repro.telemetry.metrics import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,9 @@ class HealthMonitor:
         self.tracer = None
         self.metrics = (registry if registry is not None
                         else MetricsRegistry()).scope("health")
-        self._stats = StatsView({
-            "heartbeats": self.metrics.counter(
-                "heartbeats", fn=lambda: self.heartbeats),
-            "dead_boards": self.metrics.gauge(
-                "dead_boards", fn=self.dead_boards),
-            "transitions": self.metrics.counter(
-                "transitions", fn=lambda: len(self.transitions)),
-        })
+        self.metrics.counter("heartbeats", fn=lambda: self.heartbeats)
+        self.metrics.gauge("dead_boards", fn=self.dead_boards)
+        self.metrics.counter("transitions", fn=lambda: len(self.transitions))
 
     def start(self) -> None:
         """Begin the periodic heartbeat sweep; it runs for the rest of
@@ -104,6 +99,3 @@ class HealthMonitor:
     def dead_boards(self) -> list[str]:
         return sorted(name for name, alive in self._believed_alive.items()
                       if not alive)
-
-    def stats(self) -> dict:
-        return self._stats.snapshot()

@@ -24,7 +24,7 @@ from repro.net.packet import Packet
 from repro.params import transmit_time_ns
 from repro.sim import Environment
 from repro.sim.rng import RandomStream
-from repro.telemetry.metrics import MetricsRegistry, StatsView
+from repro.telemetry.metrics import MetricsRegistry
 
 Deliver = Callable[[Packet], None]
 
@@ -78,24 +78,15 @@ class Link:
         self.bytes_sent = 0
         # Span tracing (None = disabled, the common case).
         self.tracer = None
-        self.metrics = (registry if registry is not None
-                        else MetricsRegistry()).scope(f"link.{name}")
-        self._stats = StatsView({
-            "packets_sent": self.metrics.counter(
-                "packets_sent", fn=lambda: self.packets_sent),
-            "packets_dropped": self.metrics.counter(
-                "packets_dropped", fn=lambda: self.packets_dropped),
-            "packets_dropped_down": self.metrics.counter(
-                "packets_dropped_down", fn=lambda: self.packets_dropped_down),
-            "packets_corrupted": self.metrics.counter(
-                "packets_corrupted", fn=lambda: self.packets_corrupted),
-            "bytes_sent": self.metrics.counter(
-                "bytes_sent", fn=lambda: self.bytes_sent, unit="bytes"),
-        })
-        self.metrics.gauge("queue_depth", fn=lambda: self.queue_depth)
-
-    def stats(self) -> dict:
-        return self._stats.snapshot()
+        self.metrics = m = (registry if registry is not None
+                            else MetricsRegistry()).scope(f"link.{name}")
+        m.counter("packets_sent", fn=lambda: self.packets_sent)
+        m.counter("packets_dropped", fn=lambda: self.packets_dropped)
+        m.counter("packets_dropped_down",
+                  fn=lambda: self.packets_dropped_down)
+        m.counter("packets_corrupted", fn=lambda: self.packets_corrupted)
+        m.counter("bytes_sent", fn=lambda: self.bytes_sent, unit="bytes")
+        m.gauge("queue_depth", fn=lambda: self.queue_depth)
 
     def set_tracer(self, tracer) -> None:
         """Enable/disable span tracing of this link's drops."""

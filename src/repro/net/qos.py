@@ -81,20 +81,20 @@ class EgressShaper:
             for client in tenant.clients:
                 self._by_client[client] = queue
         self.unclassified = 0
-        if registry is not None:
-            self._register_metrics(registry)
+        self.metrics = (registry if registry is not None
+                        else MetricsRegistry()).scope(f"qos.{node}")
+        self._register_metrics()
 
     # -- telemetry --------------------------------------------------------------------
 
-    def _register_metrics(self, registry: MetricsRegistry) -> None:
-        egress = registry.scope(f"qos.{self.node}")
+    def _register_metrics(self) -> None:
+        egress = self.metrics
         egress.counter("unclassified", "packets from nodes in no tenant",
                        fn=lambda: self.unclassified)
         egress.gauge("backlog", "packets held across all tenant FIFOs",
-                     fn=lambda: sum(len(q.fifo)
-                                    for q in self._queues.values()))
+                     fn=lambda: self.backlog)
         for name, queue in self._queues.items():
-            tenant_scope = registry.scope(f"qos.{self.node}.tenant.{name}")
+            tenant_scope = egress.scope(f"tenant.{name}")
             tenant_scope.counter("passed", "packets forwarded within rate",
                                  fn=lambda q=queue: q.passed)
             tenant_scope.counter("shaped", "packets delayed by the bucket",
@@ -109,20 +109,6 @@ class EgressShaper:
                                  fn=lambda q=queue: q.bytes_sent)
             tenant_scope.gauge("queue_depth", "packets waiting in the FIFO",
                                fn=lambda q=queue: len(q.fifo))
-
-    def stats(self) -> dict:
-        return {
-            "unclassified": self.unclassified,
-            "tenants": {
-                name: {
-                    "passed": queue.passed,
-                    "shaped": queue.shaped,
-                    "shaped_delay_ns": queue.shaped_delay_ns,
-                    "queue_depth": len(queue.fifo),
-                }
-                for name, queue in self._queues.items()
-            },
-        }
 
     @property
     def backlog(self) -> int:

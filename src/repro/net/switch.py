@@ -39,7 +39,7 @@ from repro.net.packet import Packet
 from repro.sim import Environment
 from repro.sim.rng import RandomStream
 from repro.params import NetworkParams
-from repro.telemetry.metrics import MetricsRegistry, StatsView
+from repro.telemetry.metrics import MetricsRegistry
 
 Deliver = Callable[[Packet], None]
 
@@ -68,15 +68,9 @@ class Switch:
         self.unroutable = 0
         self.metrics = (registry if registry is not None
                         else MetricsRegistry()).scope(scope)
-        self._stats = StatsView({
-            "packets_forwarded": self.metrics.counter(
-                "packets_forwarded", fn=lambda: self.packets_forwarded),
-            "unroutable": self.metrics.counter(
-                "unroutable", fn=lambda: self.unroutable),
-        })
-
-    def stats(self) -> dict:
-        return self._stats.snapshot()
+        self.metrics.counter("packets_forwarded",
+                             fn=lambda: self.packets_forwarded)
+        self.metrics.counter("unroutable", fn=lambda: self.unroutable)
 
     def route(self, node: str, link: Link) -> None:
         """Forward packets for ``node`` onto ``link``."""
@@ -307,10 +301,3 @@ class Topology:
                 link.set_up()
             else:
                 link.set_down()
-
-    def stats(self) -> dict:
-        """Forwarding counters for each tier (diagnostics)."""
-        return {
-            "spine": self.spine.stats() if self.spine is not None else None,
-            "tors": [tor.stats() for tor in self.switches],
-        }

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.alloc import PA_STRATEGIES, VA_POLICIES
+
 # ---------------------------------------------------------------------------
 # Unit helpers
 # ---------------------------------------------------------------------------
@@ -189,6 +191,12 @@ class CLibParams:
     batch_window_ns: int = 500             # max linger before a forced flush
 
     def __post_init__(self) -> None:
+        # Imported here: the transport package imports this module.
+        from repro.transport.congestion import CC_ALGORITHMS
+        if self.cc_algorithm not in CC_ALGORITHMS:
+            raise ValueError(f"unknown congestion algorithm "
+                             f"{self.cc_algorithm!r}; "
+                             f"choose from {sorted(CC_ALGORITHMS)}")
         if self.batch_max_ops < 1:
             raise ValueError(
                 f"batch_max_ops must be >= 1, got {self.batch_max_ops}")
@@ -272,14 +280,11 @@ class AllocParams:
     arena_buffer_depth: int = 32           # per-process async free-page buffer
 
     def __post_init__(self) -> None:
-        if self.pa_strategy not in ("freelist", "slab", "buddy", "arena"):
-            raise ValueError(
-                f"pa_strategy must be one of freelist/slab/buddy/arena, "
-                f"got {self.pa_strategy!r}")
-        if self.va_policy not in ("first-fit", "next-fit", "best-fit", "jump"):
-            raise ValueError(
-                f"va_policy must be one of first-fit/next-fit/best-fit/jump, "
-                f"got {self.va_policy!r}")
+        for name, registry in (("pa_strategy", PA_STRATEGIES),
+                               ("va_policy", VA_POLICIES)):
+            if getattr(self, name) not in registry:
+                raise ValueError(f"{name} must be one of {sorted(registry)}, "
+                                 f"got {getattr(self, name)!r}")
         for name in ("slab_pages", "slab_classes", "arena_batch_pages",
                      "arena_buffer_depth"):
             if getattr(self, name) <= 0:
@@ -591,6 +596,3 @@ class ClioParams:
     def cloudlab(cls) -> "ClioParams":
         """CloudLab profile: ConnectX-5 RNIC baseline parameters."""
         return replace(cls(), rdma=RDMAParams.cloudlab())
-
-
-DEFAULT_PARAMS = ClioParams.prototype()

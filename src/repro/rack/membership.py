@@ -291,16 +291,3 @@ class RackMembership:
                 orphans.append((pid, old[1]))
                 self.evictions += 1
         self.epoch += 1
-
-    # -- diagnostics -----------------------------------------------------------------
-
-    def stats(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "joins": self.joins,
-            "drains": self.drains,
-            "evictions": self.evictions,
-            "rebalanced": self.rebalanced,
-            "draining": sorted(self._draining),
-            "evicted": sorted(self._orphans),
-        }

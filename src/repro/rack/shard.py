@@ -165,14 +165,3 @@ class ShardRing:
     @property
     def override_count(self) -> int:
         return len(self._overrides)
-
-    # -- diagnostics ------------------------------------------------------------------
-
-    def stats(self) -> dict:
-        return {
-            "boards": len(self._boards),
-            "vnodes": self.vnodes,
-            "points": len(self._points),
-            "overrides": len(self._overrides),
-            "membership_changes": self.membership_changes,
-        }

@@ -77,12 +77,3 @@ class RackTier:
         if not spares:
             raise LookupError("no spare boards left")
         return spares[index]
-
-    def stats(self) -> dict:
-        return {
-            "ring": self.ring.stats(),
-            "membership": self.membership.stats(),
-            "migrations": self.controller.migrations,
-            "failed_migrations": self.controller.failed_migrations,
-            "aborted_migrations": self.controller.aborted_migrations,
-        }

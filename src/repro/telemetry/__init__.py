@@ -15,7 +15,6 @@ from repro.telemetry.metrics import (
     Instrument,
     MetricsRegistry,
     MetricsScope,
-    StatsView,
 )
 from repro.telemetry.spans import Instant, Span, Tracer
 
@@ -28,7 +27,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsScope",
     "Span",
-    "StatsView",
     "Tracer",
     "chrome_trace",
     "render_dashboard",

@@ -1,19 +1,17 @@
 """Typed instruments and the cluster-wide metrics registry.
 
-Every component that used to carry an ad-hoc ``stats()`` dict now
-registers *instruments* — :class:`Counter`, :class:`Gauge`,
+Components register *instruments* — :class:`Counter`, :class:`Gauge`,
 :class:`Histogram` — under hierarchical dotted names
-(``cboard.mn0.tlb.hits``) in a :class:`MetricsRegistry`.  Two usage
-modes coexist:
+(``cboard.mn0.tlb.hits``) in a :class:`MetricsRegistry`, and the
+registry is the one way to read a counter: ``component.metrics.snapshot()``
+for one component, ``registry.snapshot(prefix)`` for any subtree.  An
+instrument holds its value one of two ways:
 
-* **Function-backed views** (the default for hot-path counters): the
-  component keeps incrementing a plain attribute — zero new cost per
-  event — and the instrument reads it through a callable on demand.
-  ``stats()`` then becomes a :class:`StatsView` over those instruments,
-  byte-for-byte compatible with the old dicts.
-* **Owned instruments**: the instrument itself holds the value
-  (``counter.inc()``, ``gauge.set()``, ``histogram.observe()``) for code
-  that has no pre-existing attribute to mirror.
+* **Function-backed** (hot-path counters): the component keeps
+  incrementing a plain attribute — zero new cost per event — and the
+  instrument reads it through a callable on demand.
+* **Owned**: the instrument itself holds the value (``counter.inc()``,
+  ``gauge.set()``, ``histogram.observe()``).
 
 The registry is *passive*: creating instruments schedules nothing and
 draws no RNG, so a cluster with a registry wired in is bit-identical to
@@ -148,43 +146,6 @@ class Histogram(Instrument):
         }
 
 
-class StatsView:
-    """An ordered public-key -> instrument mapping behind a ``stats()``.
-
-    Components build one at construction; ``snapshot()`` reproduces the
-    historical ``stats()`` dict — same keys, same order, same values —
-    while every entry is a live registry instrument.
-    """
-
-    __slots__ = ("_fields",)
-
-    def __init__(self, fields: dict[str, Instrument]):
-        self._fields = dict(fields)
-
-    @classmethod
-    def of_counters(cls, scope: "MetricsScope", owner,
-                    counters: dict[str, str]) -> "StatsView":
-        """Declare ``owner``'s plain-attribute counters once: each
-        ``name -> help`` becomes a zeroed attribute of ``owner``, a
-        function-backed counter in ``scope`` and a ``stats()`` key."""
-        fields = {}
-        for name, description in counters.items():
-            setattr(owner, name, 0)
-            fields[name] = scope.counter(
-                name, description, fn=partial(getattr, owner, name))
-        return cls(fields)
-
-    def __getitem__(self, key: str) -> Instrument:
-        return self._fields[key]
-
-    def keys(self):
-        return self._fields.keys()
-
-    def snapshot(self) -> dict:
-        return {key: instrument.value
-                for key, instrument in self._fields.items()}
-
-
 class MetricsScope:
     """A registry handle that prefixes every name (``cboard.mn0.…``)."""
 
@@ -209,6 +170,14 @@ class MetricsScope:
                   unit: str = "") -> Histogram:
         return self.registry.histogram(self._full(name), description, unit)
 
+    def attribute_counters(self, owner, counters: dict[str, str]) -> None:
+        """Declare ``owner``'s plain-attribute counters once: each
+        ``name -> help`` becomes a zeroed attribute of ``owner`` and a
+        function-backed counter of the same name in this scope."""
+        for name, description in counters.items():
+            setattr(owner, name, 0)
+            self.counter(name, description, fn=partial(getattr, owner, name))
+
     def scope(self, prefix: str) -> "MetricsScope":
         return MetricsScope(self.registry, self._full(prefix))
 
@@ -226,7 +195,10 @@ class MetricsRegistry:
         self._instruments: dict[str, Instrument] = {}
         #: (t_ns, {name: numeric value}) tuples from periodic sampling.
         self.series: list[tuple[int, dict[str, float]]] = []
-        self._sampling = False
+        #: Token of the running sweep chain, None when stopped.  A sweep
+        #: whose token is not the current one ends without rescheduling,
+        #: so a stop and a restart never leave two chains running.
+        self._sweep_chain: Optional[object] = None
         self.sample_interval_ns = 0
 
     # -- registration ----------------------------------------------------------
@@ -291,14 +263,14 @@ class MetricsRegistry:
         """
         if interval_ns <= 0:
             raise ValueError(f"interval must be positive, got {interval_ns}")
-        if self._sampling:
+        if self._sweep_chain is not None:
             raise ValueError("sampling is already running")
-        self._sampling = True
+        self._sweep_chain = chain = object()
         self.sample_interval_ns = interval_ns
         names = self.names(prefix)
 
         def sweep():
-            if not self._sampling:
+            if self._sweep_chain is not chain:
                 return
             sample: dict[str, float] = {}
             for name in names:
@@ -319,4 +291,4 @@ class MetricsRegistry:
         env.schedule_callback(interval_ns, sweep)
 
     def stop_sampling(self) -> None:
-        self._sampling = False
+        self._sweep_chain = None

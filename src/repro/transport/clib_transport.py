@@ -25,7 +25,7 @@ from repro.net.packet import (
 )
 from repro.params import ClioParams, transmit_time_ns
 from repro.sim import Environment, Event
-from repro.telemetry.metrics import MetricsRegistry, StatsView
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import COMPLETE, END, Sites, Tracer
 from repro.transport.congestion import (
     CongestionController,
@@ -163,37 +163,23 @@ class Transport:
                         else MetricsRegistry()).scope(
                             f"transport.{node_name}")
         m = self.metrics
-        self._stats = StatsView({
-            "requests_issued": m.counter(
-                "requests_issued", fn=lambda: self.requests_issued),
-            "requests_completed": m.counter(
-                "requests_completed", fn=lambda: self.requests_completed),
-            "requests_failed": m.counter(
-                "requests_failed", "original + all retries exhausted",
-                fn=lambda: self.requests_failed),
-            "total_retries": m.counter(
-                "total_retries", fn=lambda: self.total_retries),
-            "stale_responses": m.counter(
-                "stale_responses", "responses to already-retried IDs",
-                fn=lambda: self.stale_responses),
-            "batches_issued": m.counter(
-                "batches_issued", "multi-op frames issued",
-                fn=lambda: self.batches_issued),
-            "batch_subops_issued": m.counter(
-                "batch_subops_issued", "sub-ops carried by issued frames",
-                fn=lambda: self.batch_subops_issued),
-            "batch_subops_completed": m.counter(
-                "batch_subops_completed", "sub-ops whose frame was acked",
-                fn=lambda: self.batch_subops_completed),
-        })
+        m.counter("requests_issued", fn=lambda: self.requests_issued)
+        m.counter("requests_completed", fn=lambda: self.requests_completed)
+        m.counter("requests_failed", "original + all retries exhausted",
+                  fn=lambda: self.requests_failed)
+        m.counter("total_retries", fn=lambda: self.total_retries)
+        m.counter("stale_responses", "responses to already-retried IDs",
+                  fn=lambda: self.stale_responses)
+        m.counter("batches_issued", "multi-op frames issued",
+                  fn=lambda: self.batches_issued)
+        m.counter("batch_subops_issued", "sub-ops carried by issued frames",
+                  fn=lambda: self.batch_subops_issued)
+        m.counter("batch_subops_completed", "sub-ops whose frame was acked",
+                  fn=lambda: self.batch_subops_completed)
         m.gauge("pending", "in-flight request IDs",
                 fn=lambda: len(self._pending))
         self._batch_sizes = m.histogram(
             "batch.size", "sub-ops per issued multi-op frame")
-
-    def stats(self) -> dict:
-        """Public transport counters — a view over registry instruments."""
-        return self._stats.snapshot()
 
     def set_tracer(self, tracer: Optional[Tracer]) -> None:
         """Enable/disable span tracing and register this node's sites."""

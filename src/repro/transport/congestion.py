@@ -140,13 +140,9 @@ CC_ALGORITHMS = {
 
 
 def make_congestion_controller(params: CLibParams) -> CongestionController:
-    """Build the controller named by ``params.cc_algorithm``."""
-    algorithm = CC_ALGORITHMS.get(params.cc_algorithm)
-    if algorithm is None:
-        raise ValueError(f"unknown congestion algorithm "
-                         f"{params.cc_algorithm!r}; "
-                         f"choose from {sorted(CC_ALGORITHMS)}")
-    return algorithm(params)
+    """Build the controller named by ``params.cc_algorithm`` (which
+    :class:`CLibParams` checked against :data:`CC_ALGORITHMS`)."""
+    return CC_ALGORITHMS[params.cc_algorithm](params)
 
 
 class IncastController:

@@ -477,7 +477,7 @@ class NoisyNeighbor(Workload):
         ctx.history = ctx.base_lat + ctx.noisy_lat
         base, noisy = p99(ctx.base_lat), p99(ctx.noisy_lat)
         inflation = (noisy / base) if base else 0.0
-        shapers = {node: shaper.stats()
+        shapers = {node: shaper.metrics.snapshot()
                    for node, shaper in ctx.cluster.qos_shapers.items()}
         extras = {
             "fingerprint": oplog_digest(
@@ -495,8 +495,8 @@ class NoisyNeighbor(Workload):
                  f"({inflation:.2f}x, shaping {'on' if shapers else 'off'}); "
                  f"{sum(ctx.issued)} aggressor writes"]
         if shapers:
-            shaped = sum(stats["tenants"]["aggressor"]["shaped"]
-                         for stats in shapers.values())
+            shaped = sum(snapshot["tenant.aggressor.shaped"]
+                         for snapshot in shapers.values())
             notes.append(f"{shaped} aggressor packets shaped at the switch")
         return extras, notes
 
@@ -610,7 +610,7 @@ class ChaosMix(Workload):
                        if script.window is not None), None)
         return {
             "finished": ctx.finished, "ops": ops, "cns": cns,
-            "boards": {board.name: board.stats()
+            "boards": {board.name: board.metrics.snapshot()
                        for board in ctx.cluster.mns},
             "recovery": _recovery(ops, window),
             # Must be bit-identical for the same seed, on either engine

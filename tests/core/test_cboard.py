@@ -243,10 +243,11 @@ def test_execute_local_matches_packet_semantics():
 
 def test_stats_shape():
     env, params, topology, board, collector = make_wired_board()
-    stats = board.stats()
-    for key in ("requests_served", "tlb_hit_rate", "page_faults",
-                "memory_utilization", "pt_entries", "alive", "crashes",
-                "restarts", "packets_dropped_dead", "responses_discarded"):
+    stats = board.metrics.snapshot()
+    for key in ("requests_served", "tlb.hit_rate", "faults",
+                "memory_utilization", "page_table.entries", "alive",
+                "crashes", "restarts", "packets_dropped_dead",
+                "responses_discarded"):
         assert key in stats
 
 

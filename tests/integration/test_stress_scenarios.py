@@ -85,8 +85,7 @@ def test_mixed_traffic_storm():
     assert results["kv"] == 4
     assert len(results["counters"]) == 2
     assert final_count == 8          # 2 counters x 4 increments, exact
-    stats = cluster.mn.stats()
-    assert stats["requests_served"] > 100
+    assert cluster.mn.metrics.snapshot()["requests_served"] > 100
 
 
 def test_alloc_free_churn_does_not_leak():

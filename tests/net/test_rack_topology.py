@@ -65,7 +65,8 @@ def test_a_star_is_one_tor_and_no_spine():
     assert topo.fabric_links() == []
     assert len(topo.switches) == 1
     assert topo.tor_index("mn1") == 0
-    assert topo.stats() == {"spine": None, "tors": [topo.switches[0].stats()]}
+    assert topo.registry.names("rack") == []
+    assert topo.switches[0].metrics.prefix == "switch.tor"
     assert [link.name for link in topo.all_links()] == [
         "cn0->tor", "mn1->tor", "tor->cn0", "tor->mn1"]
 
@@ -189,7 +190,7 @@ def test_two_tor_echo_bit_identical_flat_vs_partitioned():
         env.run()
         digest = hashlib.blake2b(repr(log).encode(),
                                  digest_size=16).hexdigest()
-        return digest, log, topo.stats()
+        return digest, log, topo.registry.snapshot("rack")
 
     flat_digest, flat_log, flat_stats = run(partitioned=False)
     pdes_digest, pdes_log, pdes_stats = run(partitioned=True)

@@ -1,15 +1,19 @@
 """Tests for typed instruments and the metrics registry."""
 
+from dataclasses import replace
+from functools import partial
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster import ClioCluster
+from repro.params import CacheParams, ClioParams, QoSParams, TenantConfig
 from repro.sim import Environment
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    StatsView,
 )
 
 MB = 1 << 20
@@ -99,16 +103,15 @@ def test_hierarchical_names_and_prefix_queries():
     assert scope.snapshot() == {"tlb.hits": 0, "tlb.misses": 0}
 
 
-def test_stats_view_snapshot_preserves_order_and_values():
+def test_attribute_counters_declare_attribute_and_instrument():
     registry = MetricsRegistry()
-    state = {"served": 3}
-    view = StatsView({
-        "zeta": registry.counter("zeta", fn=lambda: state["served"]),
-        "alpha": registry.gauge("alpha", fn=lambda: 1.5),
-    })
-    snap = view.snapshot()
-    assert list(snap) == ["zeta", "alpha"]   # insertion order, not sorted
-    assert snap == {"zeta": 3, "alpha": 1.5}
+    owner = SimpleNamespace()
+    registry.scope("cache.cn0").attribute_counters(
+        owner, {"hits": "", "fills": "lines installed"})
+    assert owner.hits == owner.fills == 0
+    owner.hits = 3
+    assert registry.snapshot() == {"cache.cn0.fills": 0, "cache.cn0.hits": 3}
+    assert registry.get("cache.cn0.fills").description == "lines installed"
 
 
 def test_cluster_registry_covers_all_tiers():
@@ -126,40 +129,42 @@ def test_cluster_registry_covers_all_tiers():
         assert expected in names, expected
 
 
-def test_component_stats_unchanged_by_registry():
-    """stats() keys/values must match the historical dicts exactly."""
-    cluster = ClioCluster(mn_capacity=256 * MB)
+def all_layers_rack_cluster() -> ClioCluster:
+    """Two boards on a rack (so health is on) with every other layer:
+    verification, caching, qos with one tenant, and tracing."""
+    params = replace(
+        ClioParams.prototype(),
+        cache=CacheParams(line_bytes=512, capacity_lines=8),
+        qos=QoSParams(tenants=(TenantConfig("t0", clients=("cn0",),
+                                            share=0.5),)))
+    return ClioCluster(params=params, num_cns=2, mn_capacity=64 * MB, rack=2,
+                       layers=("verification", "caching", "qos", "tracing"))
+
+
+def test_report_entries_are_the_component_scopes():
+    cluster = all_layers_rack_cluster()
     thread = cluster.cn(0).process("mn0").thread()
 
     def app():
-        va = yield from thread.ralloc(4 * MB)
+        va = yield from thread.ralloc(64 << 10)
         yield from thread.rwrite(va, b"x" * 64)
         yield from thread.rread(va, 64)
 
     cluster.run(until=cluster.env.process(app()))
-    board_stats = cluster.mn.stats()
-    assert list(board_stats) == [
-        "requests_served", "bytes_served", "tlb_hit_rate", "page_faults",
-        "nacks_sent", "retry_dedups", "memory_utilization", "pt_entries",
-        "alive", "crashes", "restarts", "packets_dropped_dead",
-        "responses_discarded"]
-    assert board_stats["requests_served"] == 3
-    assert board_stats["alive"] is True
-    transport_stats = cluster.cn(0).transport.stats()
-    assert list(transport_stats) == [
-        "requests_issued", "requests_completed", "requests_failed",
-        "total_retries", "stale_responses", "batches_issued",
-        "batch_subops_issued", "batch_subops_completed"]
-    assert transport_stats["requests_issued"] == 3
-    assert transport_stats["requests_completed"] == 3
-    link_stats = cluster.topology.uplink("cn0").stats()
-    assert list(link_stats) == [
-        "packets_sent", "packets_dropped", "packets_dropped_down",
-        "packets_corrupted", "bytes_sent"]
-    assert link_stats["packets_sent"] == 3
-    switch_stats = cluster.topology.switches[0].stats()
-    assert switch_stats["packets_forwarded"] > 0
-    assert switch_stats["unroutable"] == 0
+    # Every function-backed instrument resolves.
+    assert len(cluster.metrics.snapshot()) == len(cluster.metrics)
+    report = cluster.report()
+    assert report["boards"] == {board.name: board.metrics.snapshot()
+                                for board in cluster.mns}
+    assert report["boards"]["mn0"]["requests_served"] > 0
+    for node in cluster.cns:
+        entry = dict(report["cns"][node.name])
+        assert entry.pop("cwnd") == {
+            mn: controller.cwnd
+            for mn, controller in node.transport._congestion.items()}
+        assert entry == node.transport.metrics.snapshot()
+    assert report["health"] == cluster.health.metrics.snapshot()
+    assert report["health"]["dead_boards"] == []
 
 
 def test_standalone_components_get_private_registries():
@@ -206,6 +211,18 @@ def test_sampling_rejects_double_start_and_bad_interval():
     registry.start_sampling(env, 100)
     with pytest.raises(ValueError):
         registry.start_sampling(env, 100)
+
+
+def test_restarted_sampling_runs_one_sweep_chain():
+    """Stopped at 50 ns and started again at 60: samples land every
+    100 ns from the restart, and the stopped chain never fires again."""
+    registry = MetricsRegistry()
+    env = Environment()
+    registry.start_sampling(env, 100)
+    env.schedule_callback(50, registry.stop_sampling)
+    env.schedule_callback(60, partial(registry.start_sampling, env, 100))
+    env.run(until=400)
+    assert [t for t, _ in registry.series] == [160, 260, 360]
 
 
 def test_instrument_kinds():

@@ -82,7 +82,7 @@ def test_stats_snapshot_is_pure():
         while True:
             yield cluster.env.timeout(50_000)
             snapshots.append(cluster.metrics.snapshot())
-            cluster.mn.stats()
+            cluster.mn.metrics.snapshot()
             cluster.report()
 
     cluster.env.process(snoop())

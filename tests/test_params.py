@@ -8,7 +8,9 @@ import pytest
 
 import repro.params
 from repro.params import (
+    AllocParams,
     CBoardParams,
+    CLibParams,
     ClioParams,
     GBPS,
     RDMAParams,
@@ -117,6 +119,18 @@ def test_tenant_config_validation():
     assert TenantConfig(name="x", share=0.5).clients == ()
     with pytest.raises(ValueError):
         TenantConfig(name="x", clients=("cn0",), share=0.5, quota_bytes=-1)
+
+
+@pytest.mark.parametrize("params_cls, field, typo", [
+    (CLibParams, "cc_algorithm", "swfit"),
+    (AllocParams, "pa_strategy", "slabs"),
+    (AllocParams, "va_policy", "firstfit"),
+])
+def test_registry_names_are_checked_at_construction(params_cls, field, typo):
+    """A misspelt algorithm, strategy or policy fails where it is
+    written, not at the first request that looks it up."""
+    with pytest.raises(ValueError, match=typo):
+        params_cls(**{field: typo})
 
 
 def test_every_params_field_is_read_somewhere():

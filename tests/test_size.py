@@ -21,7 +21,9 @@ from tools.code_lines import ROOT, count_files
 #: share ``core/wire.py``.
 #: -113 since: chaos became a registry row (``faults/scenarios.py``,
 #: ``ChaosReport`` and ``run_chaos`` deleted), five unread params went.
-SRC_CEILING = 12_643
+#: -115 since: twelve ``stats()`` copies of registry instruments and the
+#: view class behind them deleted; the registry is the one read path.
+SRC_CEILING = 12_528
 
 
 def test_src_stays_under_its_ceiling():

@@ -39,9 +39,9 @@ def test_unshaped_victim_tail_blows_up(unshaped):
 
 
 def test_shaper_actually_shaped(shaped):
-    stats = shaped.extras["shapers"]["mn0"]["tenants"]
-    assert stats["aggressor"]["shaped"] > 0
-    assert stats["victim"]["shaped"] == 0
+    shaper = shaped.extras["shapers"]["mn0"]
+    assert shaper["tenant.aggressor.shaped"] > 0
+    assert shaper["tenant.victim.shaped"] == 0
 
 
 def test_unshaped_run_has_no_shapers(unshaped):
