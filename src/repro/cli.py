@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from repro.analysis.report import render_table
 from repro.analysis.stats import LatencyRecorder, rate_gbps
 from repro.cluster import ClioCluster
-from repro.params import GB, KB, MB, ClioParams
+from repro.params import BACKEND_NAMES, GB, KB, MB, ClioParams
 
 #: ``--profile`` name -> parameter bundle.
 PROFILES = {
@@ -137,7 +137,7 @@ def cmd_compare(args) -> int:
     backend; nothing here knows any system's native API.  Adding a
     backend to :data:`repro.baselines.api.BACKEND_NAMES` adds its row.
     """
-    from repro.baselines.api import BACKEND_NAMES, create_backend
+    from repro.baselines.api import create_backend
 
     size = _parse_size(args.size)
     params = _profile(args.profile)
@@ -295,14 +295,12 @@ def cmd_ycsb(args) -> int:
     from repro.sim.rng import RandomStream
     from repro.workloads.ycsb import YCSB_WORKLOADS, YCSBWorkload
 
-    mix = args.workload.upper()
-    if mix not in YCSB_WORKLOADS:
-        raise SystemExit(f"unknown YCSB workload {mix!r}; choose A, B, or C")
     cluster = ClioCluster(params=_profile(args.profile), seed=args.seed,
                           num_cns=2, mn_capacity=2 * GB)
     register_kv_offload(cluster.mn.extend_path, buckets=4 * args.keys)
     kv = ClioKV(cluster.cn(0).process("mn0").thread())
-    workload = YCSBWorkload(YCSB_WORKLOADS[mix], RandomStream(args.seed, "cli"),
+    workload = YCSBWorkload(YCSB_WORKLOADS[args.workload],
+                            RandomStream(args.seed, "cli"),
                             num_keys=args.keys, value_size=1024)
     recorder = LatencyRecorder("ycsb")
 
@@ -320,7 +318,7 @@ def cmd_ycsb(args) -> int:
     cluster.run(until=cluster.env.process(app()))
     summary = recorder.summary()
     print(render_table(
-        f"Clio-KV YCSB-{mix}: {args.keys} keys, {args.ops} ops "
+        f"Clio-KV YCSB-{args.workload}: {args.keys} keys, {args.ops} ops "
         f"({args.profile})",
         ["median us", "mean us", "p99 us"],
         [[summary["median_us"], summary["mean_us"], summary["p99_us"]]]))
@@ -381,6 +379,7 @@ def cmd_verify(args) -> int:
     """
     from repro.verify import SUITES, run_scenario, spans_near
 
+    # Not argparse choices: Python 3.11 rejects an empty nargs="*" list.
     unknown = sorted(set(args.suites) - set(SUITES))
     if unknown:
         raise SystemExit(f"unknown suites {unknown}; "
@@ -499,8 +498,10 @@ def cmd_metrics(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     import repro
     from repro.alloc import VA_POLICIES
-    from repro.verify import ALLOC_STRATEGIES, CHAOS_SCRIPTS, RACK_SCENARIOS
+    from repro.verify import (ALLOC_STRATEGIES, CHAOS_SCRIPTS, RACK_SCENARIOS,
+                              SUITES)
     from repro.workloads.churn import CHURN_SCENARIOS
+    from repro.workloads.ycsb import YCSB_WORKLOADS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -546,8 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--ops", type=int, default=400)
     compare.add_argument("--backends", default="all",
                          help="comma-separated backend names, or 'all' "
-                              "(clio, cxl, rdma, legoos, clover, herd, "
-                              "herd-bf)")
+                              f"({', '.join(BACKEND_NAMES)})")
     compare.add_argument("--write", action="store_true",
                          help="also time writes (second column pair)")
     compare.set_defaults(func=cmd_compare)
@@ -570,7 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
     alloc.set_defaults(func=cmd_alloc)
 
     ycsb = sub.add_parser("ycsb", help="Clio-KV under YCSB")
-    ycsb.add_argument("--workload", default="B")
+    ycsb.add_argument("--workload", default="B", type=str.upper,
+                      choices=tuple(YCSB_WORKLOADS))
     ycsb.add_argument("--keys", type=int, default=500)
     ycsb.add_argument("--ops", type=int, default=500)
     ycsb.set_defaults(func=cmd_ycsb)
@@ -591,9 +592,10 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", parents=[engine],
         help="runtime correctness checks: oracle, invariants, "
              "linearizability (docs/correctness.md)")
+    extra_suites = ", ".join(s for s in SUITES if s not in ("core", "chaos"))
     verify.add_argument("suites", nargs="*", metavar="SUITE",
                         help="extra suites to run beside the core and "
-                             "chaos rows: cache, alloc, rack, qos")
+                             f"chaos rows: {extra_suites}")
     verify.add_argument("--ops", type=int, default=30,
                         help="atomic/KV ops per client (chaos runs 10x)")
     verify.add_argument("--clients", type=int, default=3,

@@ -25,10 +25,6 @@ class DRAM:
     def __init__(self, capacity: int, access_ns: int, bandwidth_bps: int):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        if access_ns < 0:
-            raise ValueError(f"access_ns must be non-negative, got {access_ns}")
-        if bandwidth_bps <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth_bps}")
         self.capacity = capacity
         self.access_ns = access_ns
         self.bandwidth_bps = bandwidth_bps

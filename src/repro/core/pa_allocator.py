@@ -136,10 +136,6 @@ class AsyncBuffer:
 
     def __init__(self, env: Environment, allocator: PAAllocator,
                  depth: int, refill_ns: int, pid: Optional[int] = None):
-        if depth <= 0:
-            raise ValueError(f"depth must be positive, got {depth}")
-        if refill_ns < 0:
-            raise ValueError(f"refill_ns must be non-negative, got {refill_ns}")
         self.env = env
         self.allocator = allocator
         self.depth = depth
@@ -167,7 +163,7 @@ class AsyncBuffer:
             if (len(self._store.items) >= self.depth
                     or self.allocator.free_pages == 0):
                 # Nothing to do; poll again after one allocation period.
-                yield self.env.timeout(max(1, self.refill_ns))
+                yield self.env.timeout(self.refill_ns)
                 continue
             yield self.env.timeout(self.refill_ns)
             if self.allocator.free_pages == 0:
@@ -211,8 +207,6 @@ class ArenaBufferBank:
 
     def __init__(self, env: Environment, allocator: PAAllocator,
                  depth: int, refill_ns: int):
-        if depth <= 0:
-            raise ValueError(f"depth must be positive, got {depth}")
         self.env = env
         self.allocator = allocator
         self.depth = depth

@@ -62,14 +62,10 @@ class HashPageTable:
                  overprovision: float = 2.0, page_spec: PageSpec | None = None):
         if physical_pages <= 0:
             raise ValueError(f"physical_pages must be positive, got {physical_pages}")
-        if slots_per_bucket <= 0:
-            raise ValueError(f"slots_per_bucket must be positive, got {slots_per_bucket}")
-        if overprovision < 1.0:
-            raise ValueError(f"overprovision must be >= 1.0, got {overprovision}")
         total_slots = max(slots_per_bucket,
                           int(physical_pages * overprovision))
         self.slots_per_bucket = slots_per_bucket
-        self.num_buckets = max(1, -(-total_slots // slots_per_bucket))
+        self.num_buckets = -(-total_slots // slots_per_bucket)
         self.physical_pages = physical_pages
         self.page_spec = page_spec
         self._buckets: dict[int, _Bucket] = {}

@@ -53,7 +53,7 @@ class SlowPath:
         self.tlb = tlb
         self.dram = dram
         # One polling core hands work to the remaining worker cores.
-        self._workers = Resource(env, capacity=max(1, params.arm_cores - 1))
+        self._workers = Resource(env, capacity=params.arm_cores - 1)
         self.allocs = 0
         self.frees = 0
         self.shadow_syncs = 0

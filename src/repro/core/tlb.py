@@ -17,8 +17,6 @@ class TLB:
     """LRU translation cache keyed by (PID, VPN)."""
 
     def __init__(self, entries: int):
-        if entries <= 0:
-            raise ValueError(f"entries must be positive, got {entries}")
         self.capacity = entries
         self._entries: OrderedDict[tuple[int, int], tuple[int, Permission]] = OrderedDict()
         self.hits = 0

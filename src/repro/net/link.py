@@ -39,17 +39,6 @@ class Link:
                  jitter_ns: int = 0,
                  registry: Optional[MetricsRegistry] = None,
                  deliver_env: Optional[Environment] = None):
-        if rate_bps <= 0:
-            raise ValueError(f"rate must be positive, got {rate_bps}")
-        if propagation_ns < 0:
-            raise ValueError(f"propagation must be non-negative, got {propagation_ns}")
-        if not 0.0 <= loss_rate <= 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1], got {loss_rate}")
-        if not 0.0 <= corruption_rate <= 1.0:
-            raise ValueError(
-                f"corruption_rate must be in [0, 1], got {corruption_rate}")
-        if jitter_ns < 0:
-            raise ValueError(f"jitter must be non-negative, got {jitter_ns}")
         self.env = env
         # Under the partitioned engine the serializer state lives with the
         # sender while the delivery callback fires on the *receiver's*

@@ -225,6 +225,8 @@ class Topology:
             raise ValueError(f"node {name!r} already exists")
         rate = (self.params.cn_nic_rate_bps if port_rate_bps is None
                 else port_rate_bps)
+        if rate <= 0:   # an explicit port rate is an argument, not a field
+            raise ValueError(f"rate must be positive, got {rate}")
         if node_env is None:
             node_env = self.env
         index = self.tor_index(name)

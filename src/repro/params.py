@@ -8,11 +8,23 @@ measurements; see DESIGN.md section 4 for the provenance of each number.
 
 All times are integer nanoseconds; all sizes are bytes; all rates are
 bits per second unless a name says otherwise.
+
+Each field's allowed range is declared on the field, next to its value:
+``cycle_ns: float = positive(4.0)``, ``arm_cores: int = at_least(2, 4)``,
+``loss_rate: float = fraction(0.0)``, ``power_of_two(...)`` and
+``one_of(registry, ...)``.  :class:`Bounded`, the base of every config
+here (and of ``RackConfig``, ``ChurnScenario`` and ``YCSBConfig``),
+checks each field at construction and raises
+``ValueError("<Class>.<field> must be ..., got <value>")``.  One default
+rule covers the rest: a number with no declared bound must be ``>= 0``.
+``None`` passes where it is the default.  Only rules relating two fields
+are written out, in a class's own ``__post_init__``.  Components trust
+what they are handed from here and do not check it again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from repro.alloc import PA_STRATEGIES, VA_POLICIES
 
@@ -41,12 +53,78 @@ def transmit_time_ns(size_bytes: int, rate_bps: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Declared ranges
+# ---------------------------------------------------------------------------
+
+
+def _bound(default, ok, need: str):
+    """A field whose values must pass ``ok``; ``need`` says what that is."""
+    return field(default=default,
+                 metadata={"bound": lambda value: None if ok(value) else need})
+
+
+def positive(default=MISSING):
+    return _bound(default, lambda value: value > 0, "> 0")
+
+
+def at_least(minimum, default=MISSING):
+    return _bound(default, lambda value: value >= minimum, f">= {minimum}")
+
+
+def fraction(default=MISSING, interval: str = "[0, 1]"):
+    """A value in a unit ``interval`` whose ``(``/``)`` ends are open."""
+    return _bound(default, lambda value: (
+        (0 < value if interval[0] == "(" else 0 <= value)
+        and (value < 1 if interval[-1] == ")" else value <= 1)),
+        f"in {interval}")
+
+
+def power_of_two(default=MISSING, minimum: int = 1):
+    return _bound(default, lambda value: value >= minimum
+                  and not value & (value - 1), f"a power of two >= {minimum}")
+
+
+def one_of(registry, default=MISSING):
+    """A name in ``registry``, or in what ``registry()`` returns when the
+    registry's module imports this one."""
+    def check(value):
+        names = registry() if callable(registry) else registry
+        return None if value in names else f"one of {sorted(names)}"
+    return field(default=default, metadata={"bound": check})
+
+
+def _non_negative(value):
+    """The default rule: a number with no declared bound is >= 0."""
+    return ">= 0" if isinstance(value, (int, float)) and value < 0 else None
+
+
+class Bounded:
+    """Checks every dataclass field against its declared bound."""
+
+    def __post_init__(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if value is None and spec.default is None:
+                continue
+            need = spec.metadata.get("bound", _non_negative)(value)
+            if need:
+                raise ValueError(f"{type(self).__name__}.{spec.name} must be "
+                                 f"{need}, got {value!r}")
+
+
+def _cc_algorithms():
+    # Imported late: the transport package imports this module.
+    from repro.transport.congestion import CC_ALGORITHMS
+    return CC_ALGORITHMS
+
+
+# ---------------------------------------------------------------------------
 # CBoard (memory node) parameters
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class CBoardParams:
+class CBoardParams(Bounded):
     """Timing/capacity model of the CBoard memory node.
 
     The prototype profile matches the Xilinx ZCU106 board used in the
@@ -56,7 +134,7 @@ class CBoardParams:
     """
 
     # Fast-path clock
-    cycle_ns: float = 4.0                  # 250 MHz FPGA
+    cycle_ns: float = positive(4.0)        # 250 MHz FPGA
     datapath_bits: int = 512               # bits ingested per cycle (II = 1)
 
     # Pipeline stage depths, in cycles.  The paper says every request
@@ -71,28 +149,29 @@ class CBoardParams:
     response_cycles: int = 3
 
     # Memory system
-    dram_capacity: int = 2 * GB
+    dram_capacity: int = positive(2 * GB)
     dram_access_ns: int = 300              # FPGA board memory controller
-    dram_bandwidth_bps: int = 120 * GBPS   # on-board DDR4 stream bandwidth
-    tlb_entries: int = 64
-    page_table_slots_per_bucket: int = 8   # 8 x 16B PTEs = one DRAM burst
-    page_table_overprovision: float = 2.0  # 2x extra slots (paper default)
-    default_page_size: int = 4 * MB        # huge pages (paper default)
+    dram_bandwidth_bps: int = positive(120 * GBPS)  # on-board DDR4 stream
+    tlb_entries: int = positive(64)
+    # 8 x 16B PTEs = one DRAM burst; 2x extra slots (paper default)
+    page_table_slots_per_bucket: int = positive(8)
+    page_table_overprovision: float = at_least(1, 2.0)
+    default_page_size: int = power_of_two(4 * MB)  # huge pages (paper default)
 
     # Network stack on the board (thin checksum + ack layer)
     netstack_cycles: int = 4
-    port_rate_bps: int = 10 * GBPS         # ZCU106 SFP+ port
+    port_rate_bps: int = positive(10 * GBPS)  # ZCU106 SFP+ port
 
     # Slow path (ARM Cortex-A53)
-    arm_cores: int = 4
+    arm_cores: int = at_least(2, 4)        # one polls, the others work
     arm_polling_handoff_ns: int = 2 * US   # RX-ring poll + worker handoff
     arm_va_search_ns: int = 3 * US         # one VA-tree search pass
     arm_retry_ns: int = 500 * US           # per retry when PT nearly full (paper: ~0.5ms)
-    arm_pa_alloc_ns: int = 15 * US         # single PA allocation (paper: <20us)
+    arm_pa_alloc_ns: int = positive(15 * US)  # single PA allocation (paper: <20us)
     # Pre-reserved free PAs.  Each entry is one 8-byte PPN, so a deep
     # buffer is still tiny on-chip state; depth bounds how large a fault
     # burst the board absorbs before the ARM's refill rate matters.
-    async_buffer_depth: int = 512
+    async_buffer_depth: int = positive(512)
 
     # Retry dedup buffer: 3 x TIMEOUT x bandwidth (30 KB in the paper)
     retry_buffer_bytes: int = 30 * KB
@@ -124,22 +203,22 @@ class CBoardParams:
 
 
 @dataclass(frozen=True)
-class NetworkParams:
+class NetworkParams(Bounded):
     """Ethernet fabric model: CN NIC -- ToR switch -- CBoard."""
 
-    mtu: int = 1500                        # link-layer payload bytes
+    mtu: int = positive(1500)              # link-layer payload bytes
     header_bytes: int = 64                 # Ethernet + Clio header per packet
     # Per-sub-op descriptor inside a multi-op BATCH frame (opcode, VA,
     # size).  Small relative to header_bytes: that gap is exactly the
     # header amortization batching buys.
     subop_header_bytes: int = 16
-    cn_nic_rate_bps: int = 40 * GBPS       # ConnectX-3 at the CN
-    mn_port_rate_bps: int = 10 * GBPS      # ZCU106 SFP+ at the MN
-    switch_rate_bps: int = 40 * GBPS
+    cn_nic_rate_bps: int = positive(40 * GBPS)  # ConnectX-3 at the CN
+    mn_port_rate_bps: int = positive(10 * GBPS)  # ZCU106 SFP+ at the MN
+    switch_rate_bps: int = positive(40 * GBPS)
     propagation_ns: int = 200              # per hop
     switch_forward_ns: int = 300
-    loss_rate: float = 0.0                 # packet loss probability
-    corruption_rate: float = 0.0           # packet corruption probability
+    loss_rate: float = fraction(0.0)       # packet loss probability
+    corruption_rate: float = fraction(0.0)  # packet corruption probability
     jitter_ns: int = 120                   # per-packet uniform jitter bound
 
 
@@ -149,14 +228,14 @@ class NetworkParams:
 
 
 @dataclass(frozen=True)
-class CLibParams:
+class CLibParams(Bounded):
     """CN-side library costs and transport policy."""
 
     request_overhead_ns: int = 250         # total CLib processing (paper §7.1)
     # Data-path retry TIMEOUT.  Must sit comfortably above the RTT band
     # the congestion controller tolerates (target_rtt), or healthy
     # requests under load retry spuriously and feed the queue they wait in.
-    timeout_ns: int = 30 * US
+    timeout_ns: int = positive(30 * US)
     # Slow-path and offload requests legitimately take far longer than a
     # data access (VA allocation can retry for milliseconds near-full), so
     # they use a separate, generous timeout.
@@ -170,12 +249,12 @@ class CLibParams:
     # Congestion control. The algorithm is CN-side software and therefore
     # swappable (R7): "swift" (delay AIMD, the paper's design), "timely"
     # (gradient-based), or "static" (fixed window).
-    cc_algorithm: str = "swift"
+    cc_algorithm: str = one_of(_cc_algorithms, "swift")
     cwnd_init: float = 8.0
     cwnd_min: float = 0.1                  # may fall below one packet
     cwnd_max: float = 256.0
     cwnd_additive_increase: float = 1.0
-    cwnd_multiplicative_decrease: float = 0.7
+    cwnd_multiplicative_decrease: float = fraction(0.7, "(0, 1)")
     # Delay target for AIMD.  Keeping ~10 bulk responses queued at a
     # 10 Gbps port costs ~9 us, so the target must allow that much
     # standing queue or the controller throttles below line rate.
@@ -187,33 +266,20 @@ class CLibParams:
     # Request batching (repro.clib.batch) — opt-in per thread and therefore
     # inert by default: nothing reads these unless a thread calls
     # ``enable_batching`` or issues a vector op.
-    batch_max_ops: int = 16                # sub-ops coalesced per frame
+    batch_max_ops: int = positive(16)      # sub-ops coalesced per frame
     batch_window_ns: int = 500             # max linger before a forced flush
 
     def __post_init__(self) -> None:
-        # Imported here: the transport package imports this module.
-        from repro.transport.congestion import CC_ALGORITHMS
-        if self.cc_algorithm not in CC_ALGORITHMS:
-            raise ValueError(f"unknown congestion algorithm "
-                             f"{self.cc_algorithm!r}; "
-                             f"choose from {sorted(CC_ALGORITHMS)}")
-        if self.batch_max_ops < 1:
-            raise ValueError(
-                f"batch_max_ops must be >= 1, got {self.batch_max_ops}")
-        if self.batch_window_ns < 0:
-            raise ValueError(
-                f"batch_window_ns must be non-negative, "
-                f"got {self.batch_window_ns}")
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be non-negative, got {self.max_retries}")
-        if self.timeout_ns <= 0:
-            raise ValueError(
-                f"timeout_ns must be positive, got {self.timeout_ns}")
+        super().__post_init__()
         if self.slow_timeout_ns < self.timeout_ns:
             raise ValueError(
-                f"slow_timeout_ns ({self.slow_timeout_ns}) must be >= "
-                f"timeout_ns ({self.timeout_ns}): it is the backoff ceiling")
+                f"CLibParams.slow_timeout_ns must be >= timeout_ns "
+                f"({self.timeout_ns}), the backoff ceiling, "
+                f"got {self.slow_timeout_ns}")
+        if not self.cwnd_min <= self.cwnd_init <= self.cwnd_max:
+            raise ValueError(
+                f"CLibParams.cwnd_init must be in [cwnd_min, cwnd_max] = "
+                f"[{self.cwnd_min}, {self.cwnd_max}], got {self.cwnd_init}")
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +288,7 @@ class CLibParams:
 
 
 @dataclass(frozen=True)
-class CacheParams:
+class CacheParams(Bounded):
     """CN-local DRAM hot-page cache (repro.cache) — opt-in, inert by default.
 
     Nothing reads these unless the cluster is built with the layer
@@ -230,38 +296,16 @@ class CacheParams:
     extra events and stays bit-identical to the pre-cache goldens.
     """
 
-    line_bytes: int = 4 * KB               # cache-line granularity
-    capacity_lines: int = 1024             # per-CN line capacity
-    policy: str = "through"                # "through" | "back"
-    hit_ns: int = 300                      # local DRAM access on a hit
-    dir_process_ns: int = 500              # directory per-request processing
-    flush_retry_ns: int = 20 * US          # backoff between flush attempts
-
-    def __post_init__(self) -> None:
-        if self.line_bytes < 8:
-            raise ValueError(
-                f"line_bytes must be >= 8 (atomic word), got {self.line_bytes}")
-        if self.line_bytes & (self.line_bytes - 1):
-            raise ValueError(
-                f"line_bytes must be a power of two, got {self.line_bytes}")
-        if self.capacity_lines < 2:
-            raise ValueError(
-                f"capacity_lines must be >= 2, got {self.capacity_lines}")
-        if self.policy not in ("through", "back"):
-            raise ValueError(
-                f"policy must be 'through' or 'back', got {self.policy!r}")
-        if self.hit_ns <= 0:
-            raise ValueError(f"hit_ns must be positive, got {self.hit_ns}")
-        if self.dir_process_ns <= 0:
-            raise ValueError(
-                f"dir_process_ns must be positive, got {self.dir_process_ns}")
-        if self.flush_retry_ns <= 0:
-            raise ValueError(
-                f"flush_retry_ns must be positive, got {self.flush_retry_ns}")
+    line_bytes: int = power_of_two(4 * KB, minimum=8)  # cache-line granularity
+    capacity_lines: int = at_least(2, 1024)  # per-CN line capacity
+    policy: str = one_of(("through", "back"), "through")
+    hit_ns: int = positive(300)            # local DRAM access on a hit
+    dir_process_ns: int = positive(500)    # directory per-request processing
+    flush_retry_ns: int = positive(20 * US)  # backoff between flush attempts
 
 
 @dataclass(frozen=True)
-class AllocParams:
+class AllocParams(Bounded):
     """ARM slow-path allocation strategy selection (repro.alloc).
 
     The defaults reproduce the paper exactly: a FIFO free-list for
@@ -271,28 +315,20 @@ class AllocParams:
     diverge only where the allocator itself decides differently.
     """
 
-    pa_strategy: str = "freelist"          # "freelist"|"slab"|"buddy"|"arena"
-    va_policy: str = "first-fit"           # "first-fit"|"next-fit"|"best-fit"|"jump"
-    slab_pages: int = 64                   # contiguous pages per slab
-    slab_classes: int = 4                  # size classes (pids hash onto these)
-    arena_batch_pages: int = 16            # global-pool pages per arena refill
+    pa_strategy: str = one_of(PA_STRATEGIES, "freelist")
+    va_policy: str = one_of(VA_POLICIES, "first-fit")
+    slab_pages: int = positive(64)         # contiguous pages per slab
+    slab_classes: int = positive(4)        # size classes (pids hash onto these)
+    arena_batch_pages: int = positive(16)  # global-pool pages per arena refill
     arena_stash_max: int = 64              # stash size triggering a lazy spill
-    arena_buffer_depth: int = 32           # per-process async free-page buffer
+    arena_buffer_depth: int = positive(32)  # per-process async free-page buf
 
     def __post_init__(self) -> None:
-        for name, registry in (("pa_strategy", PA_STRATEGIES),
-                               ("va_policy", VA_POLICIES)):
-            if getattr(self, name) not in registry:
-                raise ValueError(f"{name} must be one of {sorted(registry)}, "
-                                 f"got {getattr(self, name)!r}")
-        for name in ("slab_pages", "slab_classes", "arena_batch_pages",
-                     "arena_buffer_depth"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        super().__post_init__()
         if self.arena_stash_max < self.arena_batch_pages:
             raise ValueError(
-                f"arena_stash_max ({self.arena_stash_max}) must be >= "
-                f"arena_batch_pages ({self.arena_batch_pages})")
+                f"AllocParams.arena_stash_max must be >= arena_batch_pages "
+                f"({self.arena_batch_pages}), got {self.arena_stash_max}")
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +337,7 @@ class AllocParams:
 
 
 @dataclass(frozen=True)
-class TenantConfig:
+class TenantConfig(Bounded):
     """One tenant of a pooled memory deployment.
 
     ``clients`` are CN node names (``"cn0"``): the switch-egress shaper
@@ -315,24 +351,17 @@ class TenantConfig:
 
     name: str
     clients: tuple = ()
-    share: float = 1.0
-    quota_bytes: int | None = None
+    share: float = fraction(1.0, "(0, 1]")
+    quota_bytes: int | None = positive(None)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.name:
-            raise ValueError("tenant needs a non-empty name")
-        if not 0.0 < self.share <= 1.0:
-            raise ValueError(
-                f"tenant {self.name!r}: share must be in (0, 1], "
-                f"got {self.share}")
-        if self.quota_bytes is not None and self.quota_bytes <= 0:
-            raise ValueError(
-                f"tenant {self.name!r}: quota_bytes must be positive, "
-                f"got {self.quota_bytes}")
+            raise ValueError("TenantConfig.name must be non-empty, got ''")
 
 
 @dataclass(frozen=True)
-class QoSParams:
+class QoSParams(Bounded):
     """Multi-tenant isolation knobs — opt-in, inert by default.
 
     ``tenants`` is the one tenant table: the ``"qos"`` cluster layer
@@ -351,12 +380,10 @@ class QoSParams:
     """
 
     tenants: tuple = ()
-    burst_bytes: int = 3 * KB              # ~2 MTU-sized packets
+    burst_bytes: int = positive(3 * KB)    # ~2 MTU-sized packets
 
     def __post_init__(self) -> None:
-        if self.burst_bytes <= 0:
-            raise ValueError(
-                f"burst_bytes must be positive, got {self.burst_bytes}")
+        super().__post_init__()
         names = [tenant.name for tenant in self.tenants]
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate tenant names: {names}")
@@ -377,7 +404,7 @@ class QoSParams:
 
 
 @dataclass(frozen=True)
-class CXLParams:
+class CXLParams(Bounded):
     """Cache-line-granularity load/store pooled memory (CXL 2.0-style).
 
     The model is a timing model in the spirit of the other baselines —
@@ -391,34 +418,18 @@ class CXLParams:
     snoop and back-invalidate it first.
     """
 
-    line_bytes: int = 64                   # CXL.mem transfer granularity
-    load_ns: int = 350                     # far-memory line load (pooled)
-    store_ns: int = 300                    # posted store to pooled device
+    line_bytes: int = power_of_two(64, minimum=8)  # CXL.mem transfer unit
+    load_ns: int = positive(350)           # far-memory line load (pooled)
+    store_ns: int = positive(300)          # posted store to pooled device
     hdm_decode_ns: int = 30                # HDM decoder + interleave math
     switch_hop_ns: int = 80                # CXL switch traversal (pooling)
     line_pipeline_ns: int = 40             # per extra line, pipelined
-    port_rate_bps: int = 64 * GBPS         # x8 CXL 2.0 link
+    port_rate_bps: int = positive(64 * GBPS)  # x8 CXL 2.0 link
     hdm_program_ns: int = 500              # decoder reprogram on alloc
     coherence: bool = True                 # track cross-host line sharing
     snoop_ns: int = 180                    # probe a clean remote copy
     back_invalidate_ns: int = 500          # recall a dirty remote line
     back_invalidate_pipelined_ns: int = 200  # per extra recalled line
-
-    def __post_init__(self) -> None:
-        if self.line_bytes < 8 or self.line_bytes & (self.line_bytes - 1):
-            raise ValueError(
-                f"line_bytes must be a power of two >= 8, "
-                f"got {self.line_bytes}")
-        for name in ("load_ns", "store_ns", "port_rate_bps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(
-                    f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("hdm_decode_ns", "switch_hop_ns", "line_pipeline_ns",
-                     "hdm_program_ns", "snoop_ns", "back_invalidate_ns",
-                     "back_invalidate_pipelined_ns"):
-            if getattr(self, name) < 0:
-                raise ValueError(
-                    f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +443,7 @@ BACKEND_NAMES = ("clio", "cxl", "rdma", "legoos", "clover", "herd",
 
 
 @dataclass(frozen=True)
-class BackendParams:
+class BackendParams(Bounded):
     """Setup knobs for the comparison backends, in one place.
 
     Mirrors :class:`AllocParams`: the per-backend constructor kwargs that
@@ -442,17 +453,9 @@ class BackendParams:
     and nothing else.
     """
 
-    dram_capacity: int | None = None       # None = CBoardParams default
-    capacity_slots: int = 1 << 16          # Clover: value slots in the MR
+    dram_capacity: int | None = positive(None)  # None = CBoardParams default
+    capacity_slots: int = positive(1 << 16)  # Clover: value slots in the MR
     tenant: str = "default"                # CXL: tenant the backend runs as
-
-    def __post_init__(self) -> None:
-        if self.dram_capacity is not None and self.dram_capacity <= 0:
-            raise ValueError(
-                f"dram_capacity must be positive, got {self.dram_capacity}")
-        if self.capacity_slots <= 0:
-            raise ValueError(
-                f"capacity_slots must be positive, got {self.capacity_slots}")
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +464,7 @@ class BackendParams:
 
 
 @dataclass(frozen=True)
-class RDMAParams:
+class RDMAParams(Bounded):
     """Model of a commodity RNIC (ConnectX-3 'local' profile by default).
 
     The scalability cliffs (Figure 4/5) come from finite on-chip caches for
@@ -499,7 +502,7 @@ class RDMAParams:
 
 
 @dataclass(frozen=True)
-class LegoOSParams:
+class LegoOSParams(Bounded):
     """LegoOS software MN: thread pool + software hash translation over RDMA."""
 
     software_handling_ns: int = 2400       # per-request MN software cost
@@ -508,18 +511,19 @@ class LegoOSParams:
 
 
 @dataclass(frozen=True)
-class CloverParams:
+class CloverParams(Bounded):
     """Clover-style passive disaggregated memory (PDM)."""
 
     write_round_trips: int = 3             # "at least 2 RTTs" per write:
                                            # out-of-place data write, cursor
                                            # lookup, metadata CAS commit
     metadata_lookup_ns: int = 450          # CN-side management work per op
-    cursor_chase_probability: float = 0.15 # extra RTT chance on reads under contention
+    # Extra RTT chance on reads under contention.
+    cursor_chase_probability: float = fraction(0.15)
 
 
 @dataclass(frozen=True)
-class HERDParams:
+class HERDParams(Bounded):
     """HERD RPC key-value over RDMA; optionally on a BlueField SmartNIC."""
 
     cpu_handling_ns: int = 350             # MN CPU per-op RPC processing
@@ -536,7 +540,7 @@ class HERDParams:
 
 
 @dataclass(frozen=True)
-class EnergyParams:
+class EnergyParams(Bounded):
     """Per-unit power draw used in Figure 18 / section 7.3 accounting."""
 
     xeon_core_watt: float = 9.5            # Intel Xeon Gold 5218 per active core

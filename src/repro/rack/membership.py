@@ -29,11 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.distributed.controller import GlobalController
+from repro.params import Bounded, positive
 from repro.rack.shard import ShardRing
 
 
 @dataclass(frozen=True)
-class RackConfig:
+class RackConfig(Bounded):
     """Shape and policy of the rack tier.
 
     ``boards`` boards start in service; ``spares`` more are built and
@@ -42,33 +43,21 @@ class RackConfig:
     (evictions copy nothing, so they are not rate-limited).
     """
 
-    boards: int = 8
-    tors: int = 2
+    boards: int = positive(8)
+    tors: int = positive(2)
     spares: int = 0
     vnodes: int = 32
     pressure_threshold: float = 0.85
     #: A board dead this long past detection loses its regions.
     lease_expiry_ns: int = 400_000
     #: Live-migration copies in flight at once during a drain/rebalance.
-    max_concurrent_migrations: int = 2
+    max_concurrent_migrations: int = positive(2)
     #: Regions per drain batch; between batches the drain pauses.
-    migration_batch: int = 4
+    migration_batch: int = positive(4)
     #: Breather between drain batches, for foreground tail latency.
     migration_pause_ns: int = 50_000
     #: Membership sweep cadence (health-belief polling).
     sweep_interval_ns: int = 100_000
-
-    def __post_init__(self):
-        if self.boards < 1:
-            raise ValueError(f"need at least one board, got {self.boards}")
-        if self.tors < 1:
-            raise ValueError(f"need at least one ToR, got {self.tors}")
-        if self.spares < 0:
-            raise ValueError(f"spares must be >= 0, got {self.spares}")
-        if self.max_concurrent_migrations < 1:
-            raise ValueError("max_concurrent_migrations must be >= 1")
-        if self.migration_batch < 1:
-            raise ValueError("migration_batch must be >= 1")
 
 
 class DrainError(Exception):

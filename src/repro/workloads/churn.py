@@ -29,7 +29,8 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.params import KB, MB, AllocParams, ClioParams
+from repro.params import (KB, MB, AllocParams, Bounded, ClioParams, fraction,
+                          positive)
 from repro.sim.rng import RandomStream
 
 #: Processes 6001.. host the churn mix; 7001.. host retry-storm ballast.
@@ -42,33 +43,22 @@ PAGE_SIZE = 64 * KB
 
 
 @dataclass(frozen=True)
-class ChurnScenario:
+class ChurnScenario(Bounded):
     """Shape of one alloc/free storm."""
 
     name: str
     description: str
-    ops: int = 240                   # allocation events
-    pids: int = 4                    # concurrent processes (arenas)
+    ops: int = positive(240)         # allocation events
+    pids: int = positive(4)          # concurrent processes (arenas)
     small_pages: int = 1             # pages per small object
     large_pages: int = 8             # pages per large object
-    large_frac: float = 0.0          # fraction of large objects
+    large_frac: float = fraction(0.0)  # fraction of large objects
     ephemeral_life: tuple[int, int] = (1, 12)   # lifetime in alloc steps
     longlived_life: tuple[int, int] = (60, 120)
-    longlived_frac: float = 0.0      # fraction with long lifetimes
+    longlived_frac: float = fraction(0.0)  # fraction with long lifetimes
     touch: bool = True               # fault pages in (PA churn, not just VA)
-    prefill_frac: float = 0.0        # PT slot occupancy pinned before the run
-
-    def __post_init__(self) -> None:
-        if self.ops <= 0 or self.pids <= 0:
-            raise ValueError("ops and pids must be positive")
-        if not 0.0 <= self.large_frac <= 1.0:
-            raise ValueError(f"large_frac must be in [0,1], got {self.large_frac}")
-        if not 0.0 <= self.longlived_frac <= 1.0:
-            raise ValueError(
-                f"longlived_frac must be in [0,1], got {self.longlived_frac}")
-        if not 0.0 <= self.prefill_frac < 1.0:
-            raise ValueError(
-                f"prefill_frac must be in [0,1), got {self.prefill_frac}")
+    # PT slot occupancy pinned before the run
+    prefill_frac: float = fraction(0.0, "[0, 1)")
 
 
 CHURN_SCENARIOS = {

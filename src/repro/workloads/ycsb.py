@@ -10,20 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.params import Bounded, fraction
 from repro.sim.rng import RandomStream, ZipfTable
 from repro.workloads.zipf import zipfian_keys
 
 
 @dataclass(frozen=True)
-class YCSBConfig:
+class YCSBConfig(Bounded):
     """One YCSB workload mix."""
 
     name: str
-    set_fraction: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.set_fraction <= 1.0:
-            raise ValueError(f"set_fraction must be in [0,1], got {self.set_fraction}")
+    set_fraction: float = fraction()
 
 
 #: The paper's three mixes.

@@ -136,10 +136,6 @@ def test_sparse_backing_is_lazy():
 def test_invalid_construction():
     with pytest.raises(ValueError):
         DRAM(0, 300, GBPS)
-    with pytest.raises(ValueError):
-        DRAM(1024, -1, GBPS)
-    with pytest.raises(ValueError):
-        DRAM(1024, 300, 0)
 
 
 @given(st.integers(min_value=0, max_value=4 * MB - 256),

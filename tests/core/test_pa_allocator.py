@@ -124,11 +124,5 @@ def test_return_unused_recycles_page():
     assert pa.free_pages == 9  # 2 still reserved in buffer after one recycle...
 
 def test_invalid_construction():
-    env = Environment()
-    pa = PAAllocator(physical_pages=4)
     with pytest.raises(ValueError):
         PAAllocator(0)
-    with pytest.raises(ValueError):
-        AsyncBuffer(env, pa, depth=0, refill_ns=10)
-    with pytest.raises(ValueError):
-        AsyncBuffer(env, pa, depth=1, refill_ns=-1)

@@ -134,10 +134,6 @@ def test_entries_for_pid():
 def test_invalid_construction():
     with pytest.raises(ValueError):
         HashPageTable(0)
-    with pytest.raises(ValueError):
-        HashPageTable(10, slots_per_bucket=0)
-    with pytest.raises(ValueError):
-        HashPageTable(10, overprovision=0.5)
 
 
 @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 2000)),

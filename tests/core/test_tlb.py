@@ -63,11 +63,6 @@ def test_hit_rate():
     assert tlb.hit_rate == pytest.approx(0.5)
 
 
-def test_zero_capacity_rejected():
-    with pytest.raises(ValueError):
-        TLB(0)
-
-
 def test_capacity_never_exceeded():
     tlb = TLB(entries=16)
     for vpn in range(1000):

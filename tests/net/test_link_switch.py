@@ -147,14 +147,6 @@ def test_link_jitter_can_reorder_delivery():
     assert received != sorted(received)   # out-of-order delivery occurred
 
 
-def test_link_rejects_bad_construction():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Link(env, "l", rate_bps=0, propagation_ns=0, deliver=lambda p: None)
-    with pytest.raises(ValueError):
-        Link(env, "l", rate_bps=1, propagation_ns=-1, deliver=lambda p: None)
-
-
 @pytest.mark.parametrize("kwargs", [
     {"loss_rate": -0.01},
     {"loss_rate": 1.01},
@@ -163,10 +155,10 @@ def test_link_rejects_bad_construction():
     {"jitter_ns": -1},
 ])
 def test_link_rejects_bad_rates_and_jitter(kwargs):
-    env = Environment()
-    with pytest.raises(ValueError):
-        Link(env, "l", rate_bps=1 * GBPS, propagation_ns=0,
-             deliver=lambda p: None, **kwargs)
+    """A fabric's links take these from NetworkParams, which rejects
+    them where they are declared."""
+    with pytest.raises(ValueError, match=f"NetworkParams.{[*kwargs][0]}"):
+        Topology(Environment(), NetworkParams(**kwargs))
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -9,13 +9,30 @@ import pytest
 import repro.params
 from repro.params import (
     AllocParams,
+    BackendParams,
+    Bounded,
+    CacheParams,
     CBoardParams,
     CLibParams,
+    CloverParams,
     ClioParams,
+    CXLParams,
     GBPS,
+    MB,
+    NetworkParams,
+    QoSParams,
     RDMAParams,
+    TenantConfig,
     transmit_time_ns,
 )
+from repro.rack.membership import RackConfig
+from repro.workloads.churn import ChurnScenario
+from repro.workloads.ycsb import YCSBConfig
+
+#: Every dataclass ``params.py`` defines.
+PARAMS_CLASSES = [cls for cls in vars(repro.params).values()
+                  if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                  and cls.__module__ == repro.params.__name__]
 
 
 def test_transmit_time():
@@ -145,9 +162,108 @@ def test_every_params_field_is_read_somewhere():
               if isinstance(node, ast.Attribute)
               and isinstance(node.ctx, ast.Load)}
     unread = [f"{cls.__name__}.{field.name}"
-              for cls in vars(repro.params).values()
-              if isinstance(cls, type) and dataclasses.is_dataclass(cls)
-              and cls.__module__ == repro.params.__name__
+              for cls in PARAMS_CLASSES
               for field in dataclasses.fields(cls)
               if field.name not in loaded]
     assert unread == [], f"params nothing reads: {unread}"
+
+
+#: Fields with no default, filled in so one other field can be varied.
+REQUIRED = {
+    TenantConfig: {"name": "t"},
+    ChurnScenario: {"name": "c", "description": ""},
+    YCSBConfig: {"name": "Y", "set_fraction": 0.5},
+}
+
+
+def test_defaults_and_profiles_are_in_range():
+    """Every default and every named profile passes the declared bounds,
+    and every config but the bundle is checked (its fields are configs)."""
+    for cls in PARAMS_CLASSES:
+        assert issubclass(cls, Bounded) or cls is ClioParams, cls
+        cls(**REQUIRED.get(cls, {}))
+    for profile in ("prototype", "asic_projection", "cloudlab"):
+        getattr(ClioParams, profile)()
+
+
+@pytest.mark.parametrize("cls, field, bad", [
+    # Declared bounds; in brackets, the component that trusts the bound.
+    (CBoardParams, "cycle_ns", 0),
+    (CBoardParams, "dram_capacity", 0),
+    (CBoardParams, "dram_access_ns", -1),                # [DRAM]
+    (CBoardParams, "dram_bandwidth_bps", 0),             # [DRAM]
+    (CBoardParams, "tlb_entries", 0),                    # [TLB]
+    (CBoardParams, "page_table_slots_per_bucket", 0),    # [HashPageTable]
+    (CBoardParams, "page_table_overprovision", 0.5),     # [HashPageTable]
+    (CBoardParams, "default_page_size", 3 * MB),
+    (CBoardParams, "port_rate_bps", 0),                  # [Link]
+    (CBoardParams, "arm_cores", 1),
+    (CBoardParams, "arm_pa_alloc_ns", 0),
+    (CBoardParams, "arm_pa_alloc_ns", -1),               # [AsyncBuffer]
+    (CBoardParams, "async_buffer_depth", 0),             # [AsyncBuffer]
+    (NetworkParams, "mtu", 0),
+    (NetworkParams, "cn_nic_rate_bps", 0),               # [Link]
+    (NetworkParams, "switch_rate_bps", 0),               # [Link]
+    (NetworkParams, "propagation_ns", -1),               # [Link]
+    (NetworkParams, "loss_rate", 1.5),                   # [Link]
+    (NetworkParams, "corruption_rate", 2.0),             # [Link]
+    (NetworkParams, "jitter_ns", -1),                    # [Link]
+    (CLibParams, "timeout_ns", 0),
+    (CLibParams, "max_retries", -1),
+    (CLibParams, "cwnd_multiplicative_decrease", 1.5),
+    (CLibParams, "batch_max_ops", 0),
+    (CLibParams, "batch_window_ns", -1),
+    (CacheParams, "line_bytes", 4),
+    (CacheParams, "line_bytes", 48),
+    (CacheParams, "capacity_lines", 1),
+    (CacheParams, "policy", "around"),
+    (CacheParams, "hit_ns", 0),
+    (CacheParams, "dir_process_ns", 0),
+    (CacheParams, "flush_retry_ns", 0),
+    (AllocParams, "slab_pages", 0),
+    (AllocParams, "slab_classes", 0),
+    (AllocParams, "arena_batch_pages", 0),
+    (AllocParams, "arena_buffer_depth", 0),              # [ArenaBufferBank]
+    (TenantConfig, "share", 0.0),
+    (TenantConfig, "share", 1.5),
+    (TenantConfig, "quota_bytes", 0),
+    (QoSParams, "burst_bytes", 0),
+    (CXLParams, "line_bytes", 48),
+    (CXLParams, "line_bytes", 4),
+    (CXLParams, "load_ns", 0),
+    (CXLParams, "store_ns", 0),
+    (CXLParams, "port_rate_bps", 0),
+    (CXLParams, "hdm_decode_ns", -1),
+    (CXLParams, "switch_hop_ns", -1),
+    (CXLParams, "line_pipeline_ns", -1),
+    (CXLParams, "hdm_program_ns", -1),
+    (CXLParams, "snoop_ns", -1),
+    (CXLParams, "back_invalidate_ns", -1),
+    (CXLParams, "back_invalidate_pipelined_ns", -1),
+    (BackendParams, "dram_capacity", 0),
+    (BackendParams, "capacity_slots", 0),
+    (CloverParams, "cursor_chase_probability", 1.5),
+    (RackConfig, "boards", 0),
+    (RackConfig, "tors", 0),
+    (RackConfig, "spares", -1),
+    (RackConfig, "max_concurrent_migrations", 0),
+    (RackConfig, "migration_batch", 0),
+    (ChurnScenario, "ops", 0),
+    (ChurnScenario, "pids", 0),
+    (ChurnScenario, "large_frac", 1.5),
+    (ChurnScenario, "longlived_frac", -0.1),
+    (ChurnScenario, "prefill_frac", 1.0),
+    (YCSBConfig, "set_fraction", 1.5),
+    # Rules relating two fields.
+    (CLibParams, "slow_timeout_ns", 1),                  # < timeout_ns
+    (CLibParams, "cwnd_init", 0.05),                     # < cwnd_min
+    (CLibParams, "cwnd_init", 300.0),                    # > cwnd_max
+    (AllocParams, "arena_stash_max", 8),                 # < batch pages
+    (TenantConfig, "name", ""),
+])
+def test_out_of_range_value_names_its_field(cls, field, bad):
+    """One row per range: the value fails where it is written, and the
+    error names the field as ``Class.field``."""
+    kwargs = {**REQUIRED.get(cls, {}), field: bad}
+    with pytest.raises(ValueError, match=rf"^{cls.__name__}\.{field} must"):
+        cls(**kwargs)

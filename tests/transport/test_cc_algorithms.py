@@ -25,7 +25,7 @@ def test_factory_builds_named_algorithms():
 
 
 def test_factory_rejects_unknown_algorithm():
-    with pytest.raises(ValueError, match="unknown congestion"):
+    with pytest.raises(ValueError, match="CLibParams.cc_algorithm"):
         make_congestion_controller(CLibParams(cc_algorithm="warp"))
 
 
