@@ -26,11 +26,12 @@ def fault_latency_us(with_buffer: bool) -> float:
     if not with_buffer:
         # Drain the pre-reserved stock and stop the refill: every fault
         # now waits for an on-demand ARM allocation.
-        while len(board.async_buffer._store.items):
-            ppn = board.async_buffer._store.items.popleft()
-            board.async_buffer.allocator._reserved -= 1
-            board.async_buffer.allocator.free(ppn)
-        board.async_buffer.refill_ns = board.params.cboard.arm_pa_alloc_ns
+        buffer = board.buffers.shared
+        while len(buffer._store.items):
+            ppn = buffer._store.items.popleft()
+            buffer.allocator._reserved -= 1
+            buffer.allocator.free(ppn)
+        buffer.refill_ns = board.params.cboard.arm_pa_alloc_ns
     samples = []
 
     def experiment():

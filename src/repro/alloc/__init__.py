@@ -3,8 +3,10 @@
 The paper's allocators are intentionally simple: a FIFO free-list for
 physical pages and a linear first-fit gap walk for virtual ranges.  This
 package keeps those as the defaults — bit-identical to the original
-implementations — and adds swappable alternatives behind the same
-``PAAllocator``/``VAAllocator`` surfaces:
+implementations — and adds swappable alternatives: a board's
+``pa_allocator`` is a :class:`PAStrategy` (built by
+:func:`make_pa_strategy` from ``AllocParams``), and its ``VAAllocator``
+takes a :class:`VAPolicy`:
 
 * :class:`FreeListStrategy` — the paper's FIFO free-list (default).
 * :class:`SlabStrategy` — size-class slabs with per-class free lists and

@@ -1,9 +1,11 @@
-"""Physical-page allocation strategies behind :class:`PAAllocator`.
+"""Physical-page allocation strategies: a board's ``pa_allocator``.
 
 Every strategy owns the pool of ``physical_pages`` page numbers and
 implements the same small surface:
 
 * ``allocate(pid=None) -> ppn`` / ``free(ppn, pid=None)``
+* ``_reserved`` — pages the board's async buffers hold: out of the pool,
+  not yet mapped.  The buffers keep this count; the strategy carries it.
 * ``free_pages`` — pages the strategy could hand out right now.  For the
   arena strategy this *includes* pages stashed in per-process arenas, so
   the board-level conservation invariant (present + free + reserved ==
@@ -16,6 +18,12 @@ implements the same small surface:
   ``[0, 1]``.
 * ``check()`` — internal-consistency audit returning ``(tag, detail)``
   problems; the verification layer folds these into invariant sweeps.
+* ``COUNTERS`` — the strategy's own event counters, which a board
+  registers as ``cboard.<mn>.alloc.<name>``.
+
+:func:`make_pa_strategy` builds one by name from an
+:class:`~repro.params.AllocParams`, which holds (and range-checks) every
+tuning knob.
 
 Double frees raise :class:`DoubleFreeError` in every strategy.  The
 strategies are pure bookkeeping — no simulation events, no RNG — so a
@@ -27,7 +35,10 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from repro.params import AllocParams
 
 
 class OutOfMemoryError(Exception):
@@ -42,6 +53,8 @@ class PAStrategy:
     """Common surface for physical-page allocation strategies."""
 
     name = "abstract"
+    #: ``name -> help`` of the strategy's own event counters.
+    COUNTERS: Dict[str, str] = {}
 
     def __init__(self, physical_pages: int):
         if physical_pages <= 0:
@@ -49,6 +62,10 @@ class PAStrategy:
         self.physical_pages = physical_pages
         #: Operations that had to cross into the global pool on the ARM.
         self.slow_crossings = 0
+        #: Pages sitting in the board's async buffers.
+        self._reserved = 0
+        for counter in self.COUNTERS:
+            setattr(self, counter, 0)
 
     # -- required operations ---------------------------------------------------
 
@@ -56,6 +73,18 @@ class PAStrategy:
         raise NotImplementedError
 
     def free(self, ppn: int, pid: Optional[int] = None) -> None:
+        """Return a page to the pool.
+
+        Raises ``ValueError`` for a page outside the pool and
+        :class:`DoubleFreeError` (a ``ValueError``) for one already free —
+        a double free would silently duplicate the page and break
+        conservation.
+        """
+        if not 0 <= ppn < self.physical_pages:
+            raise ValueError(f"ppn {ppn} out of range")
+        self._release(ppn, pid)
+
+    def _release(self, ppn: int, pid: Optional[int]) -> None:
         raise NotImplementedError
 
     @property
@@ -72,6 +101,11 @@ class PAStrategy:
     # -- metrics / audits --------------------------------------------------------
 
     @property
+    def utilization(self) -> float:
+        """Fraction of physical pages mapped or reserved."""
+        return 1.0 - self.free_pages / self.physical_pages
+
+    @property
     def fragmentation(self) -> float:
         """External-fragmentation ratio in [0, 1]; 0 when not meaningful."""
         return 0.0
@@ -80,18 +114,10 @@ class PAStrategy:
         """Audit internal bookkeeping; returns (tag, detail) problems."""
         return []
 
-    def stats(self) -> dict:
-        return {
-            "strategy": self.name,
-            "free_pages": self.free_pages,
-            "slow_crossings": self.slow_crossings,
-            "fragmentation": self.fragmentation,
-        }
-
 
 class FreeListStrategy(PAStrategy):
     """The paper's FIFO free-list — the default, bit-identical to the
-    original ``PAAllocator``: pages come off the head in ascending order
+    original allocator: pages come off the head in ascending order
     at boot and freed pages recycle in FIFO order.
 
     A shadow set detects double frees without perturbing list order.
@@ -122,7 +148,7 @@ class FreeListStrategy(PAStrategy):
         self._free_set.discard(ppn)
         return ppn
 
-    def free(self, ppn: int, pid: Optional[int] = None) -> None:
+    def _release(self, ppn: int, pid: Optional[int]) -> None:
         if ppn in self._free_set:
             raise DoubleFreeError(f"ppn {ppn} is already free")
         self.slow_crossings += 1
@@ -154,14 +180,10 @@ class SlabStrategy(PAStrategy):
     """
 
     name = "slab"
+    COUNTERS = {"borrows": "allocations served from another class's slab"}
 
-    def __init__(self, physical_pages: int, slab_pages: int = 64,
-                 classes: int = 4):
+    def __init__(self, physical_pages: int, slab_pages: int, classes: int):
         super().__init__(physical_pages)
-        if slab_pages <= 0:
-            raise ValueError(f"slab_pages must be positive, got {slab_pages}")
-        if classes <= 0:
-            raise ValueError(f"classes must be positive, got {classes}")
         self.slab_pages = min(slab_pages, physical_pages)
         self.classes = classes
         self._slab_free: List[List[int]] = []   # per-slab free stacks
@@ -182,7 +204,6 @@ class SlabStrategy(PAStrategy):
         self._free_count = physical_pages
         #: allocations served for each class (occupancy accounting)
         self.class_allocs = [0] * classes
-        self.borrows = 0
 
     def class_of(self, pid: Optional[int]) -> int:
         return 0 if pid is None else pid % self.classes
@@ -233,12 +254,9 @@ class SlabStrategy(PAStrategy):
         self._free_set.discard(ppn)
         self._free_count -= 1
         self.class_allocs[cls] += 1
-        if not self._slab_free[idx]:
-            # Fully used; it re-enters a partial queue on the next free.
-            pass
         return ppn
 
-    def free(self, ppn: int, pid: Optional[int] = None) -> None:
+    def _release(self, ppn: int, pid: Optional[int]) -> None:
         if ppn in self._free_set:
             raise DoubleFreeError(f"ppn {ppn} is already free")
         self.slow_crossings += 1
@@ -322,13 +340,6 @@ class SlabStrategy(PAStrategy):
                 f"free set tracks {len(self._free_set)} pages but stacks hold "
                 f"{len(seen)} distinct pages"))
         return problems
-
-    def stats(self) -> dict:
-        out = super().stats()
-        out["borrows"] = self.borrows
-        out["reserve_slabs"] = len(self._reserve)
-        out["occupancy"] = self.occupancy()
-        return out
 
 
 class BuddyStrategy(PAStrategy):
@@ -430,7 +441,7 @@ class BuddyStrategy(PAStrategy):
             order += 1
         self._insert_block(base, order)
 
-    def free(self, ppn: int, pid: Optional[int] = None) -> None:
+    def _release(self, ppn: int, pid: Optional[int]) -> None:
         order = self._alloc_order.pop(ppn, None)
         if order is None:
             for have, bases in enumerate(self._free_sets):
@@ -447,12 +458,7 @@ class BuddyStrategy(PAStrategy):
         """1 - largest_free_block / free_pages; 0 when empty or unsplit."""
         if self._free_count == 0:
             return 0.0
-        largest = 0
-        for order in range(self.max_order, -1, -1):
-            if self._free_lists[order]:
-                largest = 1 << order
-                break
-        return 1.0 - largest / self._free_count
+        return 1.0 - self.largest_free_block / self._free_count
 
     @property
     def largest_free_block(self) -> int:
@@ -504,17 +510,9 @@ class BuddyStrategy(PAStrategy):
                 f"{self._free_count}"))
         return problems
 
-    def stats(self) -> dict:
-        out = super().stats()
-        out["largest_free_block"] = self.largest_free_block
-        out["free_blocks"] = {
-            order: len(bases)
-            for order, bases in enumerate(self._free_lists) if bases}
-        return out
-
 
 class ArenaStrategy(PAStrategy):
-    """jemalloc-style per-process arenas over a global base strategy.
+    """jemalloc-style per-process arenas over a global FIFO free list.
 
     Each PID gets a private LIFO stash of pages.  ``allocate`` serves
     from the stash for free; an empty stash refills ``batch_pages`` from
@@ -530,33 +528,23 @@ class ArenaStrategy(PAStrategy):
     """
 
     name = "arena"
+    COUNTERS = {
+        "batch_refills": "empty stashes refilled from the global pool",
+        "spills": "overfull stashes spilled back to the global pool",
+        "reclaims": "pages taken from another arena's stash",
+    }
 
-    def __init__(self, physical_pages: int, base: Optional[PAStrategy] = None,
-                 batch_pages: int = 16, stash_max: int = 64):
+    def __init__(self, physical_pages: int, batch_pages: int, stash_max: int):
         super().__init__(physical_pages)
-        if batch_pages <= 0:
-            raise ValueError(f"batch_pages must be positive, got {batch_pages}")
-        if stash_max < batch_pages:
-            raise ValueError(
-                f"stash_max ({stash_max}) must be >= batch_pages ({batch_pages})")
-        self.base = base if base is not None else FreeListStrategy(physical_pages)
-        if self.base.physical_pages != physical_pages:
-            raise ValueError("base strategy pool size mismatch")
-        self.batch_pages = batch_pages
+        self.base = FreeListStrategy(physical_pages)
+        self.batch_pages = min(batch_pages, physical_pages)
         self.stash_max = stash_max
         self._stash: Dict[Optional[int], List[int]] = {}
         self._stashed_set: set[int] = set()
-        self.batch_refills = 0
-        self.spills = 0
-        self.reclaims = 0
 
     @property
     def free_pages(self) -> int:
         return self.base.free_pages + len(self._stashed_set)
-
-    @property
-    def stashed_pages(self) -> int:
-        return len(self._stashed_set)
 
     def free_ppns(self) -> Iterator[int]:
         yield from self.base.free_ppns()
@@ -586,20 +574,22 @@ class ArenaStrategy(PAStrategy):
             ppn = stash.pop()
             self._stashed_set.discard(ppn)
             return ppn
-        # Global pool dry: reclaim from the fullest sibling arena.
+        # Global pool dry: reclaim from the fullest sibling arena (the
+        # first on a tie).  The victim is the stash itself, not its pid:
+        # None is a pid, the board's shared buffer's.
         victim = None
-        for key, pages in self._stash.items():
-            if pages and (victim is None or len(pages) > len(self._stash[victim])):
-                victim = key
+        for pages in self._stash.values():
+            if pages and (victim is None or len(pages) > len(victim)):
+                victim = pages
         if victim is None:
             raise OutOfMemoryError("no free physical pages")
         self.slow_crossings += 1
         self.reclaims += 1
-        ppn = self._stash[victim].pop()
+        ppn = victim.pop()
         self._stashed_set.discard(ppn)
         return ppn
 
-    def free(self, ppn: int, pid: Optional[int] = None) -> None:
+    def _release(self, ppn: int, pid: Optional[int]) -> None:
         if ppn in self._stashed_set:
             raise DoubleFreeError(f"ppn {ppn} is already free (stashed)")
         if self.base.is_free(ppn):
@@ -648,16 +638,6 @@ class ArenaStrategy(PAStrategy):
                 f"(e.g. {sorted(overlap)[:4]})"))
         return problems
 
-    def stats(self) -> dict:
-        out = super().stats()
-        out["arenas"] = len(self._stash)
-        out["stashed_pages"] = len(self._stashed_set)
-        out["batch_refills"] = self.batch_refills
-        out["spills"] = self.spills
-        out["reclaims"] = self.reclaims
-        out["base_strategy"] = self.base.name
-        return out
-
 
 PA_STRATEGIES = {
     "freelist": FreeListStrategy,
@@ -668,21 +648,16 @@ PA_STRATEGIES = {
 
 
 def make_pa_strategy(name: str, physical_pages: int,
-                     slab_pages: int = 64, slab_classes: int = 4,
-                     arena_batch_pages: int = 16,
-                     arena_stash_max: int = 64) -> PAStrategy:
-    """Build a PA strategy by name with the given tuning knobs."""
-    if name == "freelist":
-        return FreeListStrategy(physical_pages)
+                     params: AllocParams) -> PAStrategy:
+    """Build the named PA strategy over ``physical_pages``, tuned by
+    ``params``."""
     if name == "slab":
-        return SlabStrategy(physical_pages, slab_pages=slab_pages,
-                            classes=slab_classes)
-    if name == "buddy":
-        return BuddyStrategy(physical_pages)
+        return SlabStrategy(physical_pages, params.slab_pages,
+                            params.slab_classes)
     if name == "arena":
-        return ArenaStrategy(physical_pages,
-                             batch_pages=min(arena_batch_pages, physical_pages),
-                             stash_max=max(arena_stash_max,
-                                           min(arena_batch_pages, physical_pages)))
-    raise ValueError(
-        f"unknown PA strategy {name!r}; choose from {sorted(PA_STRATEGIES)}")
+        return ArenaStrategy(physical_pages, params.arena_batch_pages,
+                             params.arena_stash_max)
+    if name not in PA_STRATEGIES:
+        raise ValueError(f"unknown PA strategy {name!r}; choose from "
+                         f"{sorted(PA_STRATEGIES)}")
+    return PA_STRATEGIES[name](physical_pages)

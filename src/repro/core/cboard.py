@@ -23,10 +23,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.alloc.pa_strategies import make_pa_strategy
 from repro.core.addr import AccessType, PageSpec
 from repro.core.extend import ExtendPath
 from repro.core.memory import DRAM
-from repro.core.pa_allocator import ArenaBufferBank, AsyncBuffer, PAAllocator
+from repro.core.pa_allocator import BufferBank
 from repro.core.page_table import HashPageTable
 from repro.core.pipeline import FastPath
 from repro.core.slowpath import SlowPath
@@ -67,29 +68,31 @@ class CBoard(Board):
             overprovision=cb.page_table_overprovision,
             page_spec=self.page_spec)
         self.tlb = TLB(cb.tlb_entries)
+        # Telemetry.  Counters stay plain attributes (the hot path keeps
+        # its `+= 1`s); the registry holds function-backed views of them
+        # under `cboard.<name>.*`.
+        self.metrics = (registry if registry is not None
+                        else MetricsRegistry()).scope(f"cboard.{name}")
         alloc = params.alloc
-        self.pa_allocator = PAAllocator(physical_pages,
-                                        strategy=alloc.pa_strategy,
-                                        alloc_params=alloc)
+        self.pa_allocator = make_pa_strategy(alloc.pa_strategy,
+                                             physical_pages, alloc)
+        self.metrics.scope("alloc").attribute_counters(
+            self.pa_allocator, self.pa_allocator.COUNTERS)
         arena_mode = alloc.pa_strategy == "arena"
         # In arena mode each process gets its own async buffer (created
         # lazily at first fault); the shared buffer shrinks to depth 1 so
         # it does not strand hundreds of reserved pages nobody will pop.
-        shared_depth = 1 if arena_mode else min(cb.async_buffer_depth,
-                                                physical_pages)
-        self.async_buffer = AsyncBuffer(
-            env, self.pa_allocator, depth=shared_depth,
-            refill_ns=cb.arm_pa_alloc_ns)
-        self.async_buffer.prefill()
-        self.buffer_bank = ArenaBufferBank(
+        self.buffers = BufferBank(
             env, self.pa_allocator,
-            depth=min(alloc.arena_buffer_depth, physical_pages),
-            refill_ns=cb.arm_pa_alloc_ns) if arena_mode else None
+            shared_depth=1 if arena_mode else min(cb.async_buffer_depth,
+                                                  physical_pages),
+            refill_ns=cb.arm_pa_alloc_ns,
+            process_depth=min(alloc.arena_buffer_depth, physical_pages)
+            if arena_mode else None)
         self.va_allocator = VAAllocator(self.page_table, self.page_spec,
                                         policy=alloc.va_policy)
         self.fast_path = FastPath(env, cb, self.dram, self.page_table,
-                                  self.tlb, self.async_buffer, self.page_spec)
-        self.fast_path.buffer_bank = self.buffer_bank
+                                  self.tlb, self.buffers, self.page_spec)
         self.slow_path = SlowPath(env, cb, self.va_allocator,
                                   self.pa_allocator, self.tlb, dram=self.dram)
         self.extend_path = ExtendPath(env, cb, self.fast_path, self.slow_path)
@@ -102,12 +105,7 @@ class CBoard(Board):
         self.crashes = 0
         self.restarts = 0
 
-        # Telemetry.  Counters stay plain attributes (the hot path keeps
-        # its `+= 1`s); the registry holds function-backed views of them
-        # under `cboard.<name>.*`.
         self._crash_span = None
-        self.metrics = (registry if registry is not None
-                        else MetricsRegistry()).scope(f"cboard.{name}")
         self._register_metrics()
 
     def _register_metrics(self) -> None:
@@ -161,12 +159,12 @@ class CBoard(Board):
         m.gauge("alloc.va_retry_max",
                 "worst retries paid by a single successful alloc",
                 fn=lambda: max(self.va_allocator.retry_histogram, default=0))
-        if self.buffer_bank is not None:
+        if self.buffers.process_depth is not None:
             m.gauge("alloc.arena_buffers",
                     "per-process async buffers created",
-                    fn=lambda: self.buffer_bank.created)
+                    fn=lambda: self.buffers.created)
             m.counter("alloc.arena_rebalances",
-                      fn=lambda: self.buffer_bank.rebalances)
+                      fn=lambda: self.buffers.rebalances)
         m.gauge("inflight", "requests in the handler chain",
                 fn=lambda: self._inflight)
 
@@ -255,9 +253,3 @@ class CBoard(Board):
         ``yield from``s the result pays no extra generator frame.
         """
         return self.fast_path.execute(pid, access, va, size, data=data)
-
-    # -- diagnostics ----------------------------------------------------------------------
-
-    @property
-    def memory_utilization(self) -> float:
-        return self.pa_allocator.utilization

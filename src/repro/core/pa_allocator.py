@@ -8,118 +8,23 @@ throughput exceeds line-rate fault arrival, so the buffer only underruns
 when physical memory is exhausted (oversubscription pressure), which the
 model surfaces explicitly.
 
-The free-page bookkeeping itself is pluggable (:mod:`repro.alloc`): the
-default FIFO free-list is bit-identical to the paper's allocator, while
-slab / buddy / per-process-arena strategies trade fragmentation against
-ARM slow-path crossings.  In arena mode each process additionally gets
-its own async buffer (:class:`ArenaBufferBank`), so fault-path pops stop
-contending on one shared queue.
+The free-page bookkeeping itself is a pluggable
+:class:`~repro.alloc.pa_strategies.PAStrategy`: the default FIFO
+free-list is bit-identical to the paper's allocator, while slab / buddy /
+per-process-arena strategies trade fragmentation against ARM slow-path
+crossings.  The board's buffers are one :class:`BufferBank`: a shared
+buffer and, in arena mode, one more per process, so fault-path pops
+stop contending on one shared queue.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
-from repro.alloc.pa_strategies import (
-    DoubleFreeError,
-    OutOfMemoryError,
-    PAStrategy,
-    make_pa_strategy,
-)
+from repro.alloc.pa_strategies import PAStrategy
 from repro.sim import Environment, Store
 
-__all__ = [
-    "ArenaBufferBank",
-    "AsyncBuffer",
-    "DoubleFreeError",
-    "OutOfMemoryError",
-    "PAAllocator",
-]
-
-
-class PAAllocator:
-    """Physical-page accounting over a pluggable strategy.
-
-    The default ``"freelist"`` strategy reproduces the original FIFO
-    free-list exactly (same pop/recycle order).  ``strategy`` accepts a
-    name or a ready :class:`~repro.alloc.pa_strategies.PAStrategy`.
-    """
-
-    def __init__(self, physical_pages: int,
-                 strategy: Union[str, PAStrategy] = "freelist",
-                 alloc_params=None):
-        if physical_pages <= 0:
-            raise ValueError(f"physical_pages must be positive, got {physical_pages}")
-        self.physical_pages = physical_pages
-        if isinstance(strategy, PAStrategy):
-            if strategy.physical_pages != physical_pages:
-                raise ValueError("strategy pool size mismatch")
-            self.strategy = strategy
-        elif alloc_params is not None:
-            self.strategy = make_pa_strategy(
-                strategy, physical_pages,
-                slab_pages=alloc_params.slab_pages,
-                slab_classes=alloc_params.slab_classes,
-                arena_batch_pages=alloc_params.arena_batch_pages,
-                arena_stash_max=alloc_params.arena_stash_max)
-        else:
-            self.strategy = make_pa_strategy(strategy, physical_pages)
-        self._reserved = 0  # pages sitting in async buffers
-
-    @property
-    def free_pages(self) -> int:
-        return self.strategy.free_pages
-
-    @property
-    def used_pages(self) -> int:
-        return self.physical_pages - self.free_pages - self._reserved
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of physical pages mapped or reserved."""
-        return 1.0 - self.free_pages / self.physical_pages
-
-    @property
-    def slow_crossings(self) -> int:
-        """Global-pool touches on the ARM (arenas exist to amortize these)."""
-        return self.strategy.slow_crossings
-
-    @property
-    def fragmentation(self) -> float:
-        """Strategy-reported external-fragmentation ratio in [0, 1]."""
-        return self.strategy.fragmentation
-
-    def allocate(self, pid: Optional[int] = None) -> int:
-        """Take one free page (slow-path operation)."""
-        return self.strategy.allocate(pid)
-
-    def free(self, ppn: int, pid: Optional[int] = None) -> None:
-        """Return a page to the free pool.
-
-        Raises :class:`DoubleFreeError` (a ``ValueError``) if the page is
-        already free — a double free would silently duplicate the page
-        and break conservation.
-        """
-        if not 0 <= ppn < self.physical_pages:
-            raise ValueError(f"ppn {ppn} out of range")
-        self.strategy.free(ppn, pid)
-
-    def free_ppns(self):
-        """Iterator over every currently-free PPN (for invariant sweeps)."""
-        return self.strategy.free_ppns()
-
-    def is_free(self, ppn: int) -> bool:
-        return self.strategy.is_free(ppn)
-
-    def check(self):
-        """Strategy-internal consistency audit; ``[]`` when healthy."""
-        return self.strategy.check()
-
-    def stats(self) -> dict:
-        out = self.strategy.stats()
-        out["reserved"] = self._reserved
-        out["used_pages"] = self.used_pages
-        return out
+__all__ = ["AsyncBuffer", "BufferBank"]
 
 
 class AsyncBuffer:
@@ -134,7 +39,7 @@ class AsyncBuffer:
     stashes stay process-local.
     """
 
-    def __init__(self, env: Environment, allocator: PAAllocator,
+    def __init__(self, env: Environment, allocator: PAStrategy,
                  depth: int, refill_ns: int, pid: Optional[int] = None):
         self.env = env
         self.allocator = allocator
@@ -193,39 +98,50 @@ class AsyncBuffer:
         self.allocator.free(ppn, self.pid)
 
 
-class ArenaBufferBank:
-    """Per-process async free-page buffers (arena strategy only).
+class BufferBank:
+    """Every async buffer of one board, over one strategy.
 
     The fault handler asks :meth:`buffer_for` for the faulting process's
-    buffer; buffers are created (and prefetched) lazily on first fault.
-    All buffers share one :class:`PAAllocator`, so the board-level
-    reservation accounting (``_reserved``) and conservation invariant
-    are unchanged.  When one buffer runs dry while siblings still hold
-    reserved pages, :meth:`rebalance_into` migrates a page ARM-locally
-    so pressure in one process cannot strand pages reserved for another.
+    buffer.  That is the ``shared`` buffer, unless ``process_depth`` is
+    set (arena mode): then each process gets its own, created (and
+    prefetched) lazily on first fault.  All buffers share one strategy,
+    so the board-level reservation accounting (``_reserved``) and
+    conservation invariant cover them all.  When one buffer runs dry
+    while another still holds reserved pages, :meth:`rebalance_into`
+    migrates a page ARM-locally, so pressure in one process cannot
+    strand pages reserved for another, or for the shared buffer.
     """
 
-    def __init__(self, env: Environment, allocator: PAAllocator,
-                 depth: int, refill_ns: int):
+    def __init__(self, env: Environment, allocator: PAStrategy,
+                 shared_depth: int, refill_ns: int,
+                 process_depth: Optional[int] = None):
         self.env = env
         self.allocator = allocator
-        self.depth = depth
         self.refill_ns = refill_ns
+        self.process_depth = process_depth
+        self.shared = AsyncBuffer(env, allocator, depth=shared_depth,
+                                  refill_ns=refill_ns)
+        self.shared.prefill()
         self._buffers: dict[int, AsyncBuffer] = {}
         self.created = 0
         self.rebalances = 0
 
-    def __len__(self) -> int:
-        return sum(len(buf) for buf in self._buffers.values())
+    def _all(self) -> list[AsyncBuffer]:
+        """The per-process buffers in creation order, then the shared one
+        (last, so a tie still goes to the per-process buffer)."""
+        return [*self._buffers.values(), self.shared]
 
     @property
     def underruns(self) -> int:
-        return sum(buf.underruns for buf in self._buffers.values())
+        return sum(buf.underruns for buf in self._all())
 
     def buffer_for(self, pid: int) -> AsyncBuffer:
+        if self.process_depth is None:
+            return self.shared
         buf = self._buffers.get(pid)
         if buf is None:
-            buf = AsyncBuffer(self.env, self.allocator, depth=self.depth,
+            buf = AsyncBuffer(self.env, self.allocator,
+                              depth=self.process_depth,
                               refill_ns=self.refill_ns, pid=pid)
             buf.prefill()
             self._buffers[pid] = buf
@@ -233,7 +149,8 @@ class ArenaBufferBank:
         return buf
 
     def rebalance_into(self, pid: int) -> bool:
-        """Move one reserved page from the fullest sibling to ``pid``.
+        """Move one reserved page from the fullest other buffer to
+        ``pid``'s (the first on a tie).
 
         Must run *before* the caller's ``pop()`` so the migrated page is
         visible to the upcoming get; returns whether a page moved.
@@ -242,7 +159,7 @@ class ArenaBufferBank:
         if len(target._store.items) >= target.depth:
             return False
         victim = None
-        for buf in self._buffers.values():
+        for buf in self._all():
             if buf is target or not buf._store.items:
                 continue
             if victim is None or len(buf._store.items) > len(victim._store.items):
@@ -253,11 +170,3 @@ class ArenaBufferBank:
         target._store.items.append(ppn)
         self.rebalances += 1
         return True
-
-    def stats(self) -> dict:
-        return {
-            "buffers": self.created,
-            "pages_buffered": len(self),
-            "underruns": self.underruns,
-            "rebalances": self.rebalances,
-        }

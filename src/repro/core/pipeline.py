@@ -26,7 +26,7 @@ from typing import Optional
 from repro.core.addr import AccessType, PageSpec, Permission
 from repro.core.memory import DRAM
 from repro.core.page_table import HashPageTable
-from repro.core.pa_allocator import AsyncBuffer
+from repro.core.pa_allocator import BufferBank
 from repro.core.tlb import TLB
 from repro.params import CBoardParams
 from repro.sim import Event
@@ -96,17 +96,14 @@ class FastPath:
 
     def __init__(self, env, params: CBoardParams, dram: DRAM,
                  page_table: HashPageTable, tlb: TLB,
-                 async_buffer: AsyncBuffer, page_spec: PageSpec):
+                 buffers: BufferBank, page_spec: PageSpec):
         self.env = env
         self.params = params
         self.dram = dram
         self.page_table = page_table
         self.tlb = tlb
-        self.async_buffer = async_buffer
+        self.buffers = buffers
         self.page_spec = page_spec
-        # Arena mode routes faults to per-process buffers; None (default)
-        # keeps every fault on the shared async buffer, bit-identically.
-        self.buffer_bank = None
         # Delay constants, precomputed once: the per-request int(round())
         # arithmetic showed up in profiles of the packet-echo hot path.
         self._flit_bytes = params.datapath_bits // 8
@@ -262,13 +259,11 @@ class FastPath:
         try:
             self.faults += 1
             yield self.env.timeout(self._fault_fixed_ns)
-            buffer = (self.async_buffer if self.buffer_bank is None
-                      else self.buffer_bank.buffer_for(pid))
+            buffer = self.buffers.buffer_for(pid)
             if len(buffer) == 0 and buffer.allocator.free_pages == 0:
-                if self.buffer_bank is not None:
-                    # Pages may sit reserved in sibling arenas' buffers;
-                    # migrate one ARM-locally instead of blocking forever.
-                    self.buffer_bank.rebalance_into(pid)
+                # Pages may sit reserved in other buffers; migrate one
+                # ARM-locally instead of blocking forever.
+                self.buffers.rebalance_into(pid)
                 if len(buffer) == 0 and buffer.allocator._reserved == 0:
                     return Status.OOM
             ppn = yield buffer.pop()

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.alloc.pa_strategies import PAStrategy
 from repro.core.addr import Permission
-from repro.core.pa_allocator import PAAllocator
 from repro.core.tlb import TLB
 from repro.core.va_allocator import AllocationError, VAAllocator
 from repro.params import CBoardParams
@@ -44,7 +44,7 @@ class SlowPath:
     """ARM-side metadata handling with explicit crossing/handling costs."""
 
     def __init__(self, env: Environment, params: CBoardParams,
-                 va_allocator: VAAllocator, pa_allocator: PAAllocator,
+                 va_allocator: VAAllocator, pa_allocator: PAStrategy,
                  tlb: TLB, dram=None):
         self.env = env
         self.params = params

@@ -90,19 +90,16 @@ class ChurnReport:
     pa_strategy: str
     va_policy: str
     seed: int
-    partitioned: bool
     ops_attempted: int = 0
     ops_failed: int = 0
     frees: int = 0
     alloc_latencies_ns: list = field(default_factory=list)
     retries_total: int = 0
     retry_max: int = 0
-    retry_histogram: dict = field(default_factory=dict)
     slow_crossings: int = 0
     fragmentation: float = 0.0
     fragmentation_peak: float = 0.0
     free_pages: int = 0
-    physical_pages: int = 0
     underruns: int = 0
     now_ns: int = 0
     events: int = 0
@@ -175,9 +172,7 @@ def run_churn(scenario: str | ChurnScenario = "small-churn", *,
     verifier = cluster.verifier
     board = cluster.mn
     report = ChurnReport(scenario=spec.name, pa_strategy=pa_strategy,
-                         va_policy=va_policy, seed=seed,
-                         partitioned=partitioned,
-                         physical_pages=board.pa_allocator.physical_pages)
+                         va_policy=va_policy, seed=seed)
     rng = RandomStream(seed, f"churn/{spec.name}")
     threads = [
         cluster.cn(0).process("mn0", pid=CHURN_PID_BASE + i).thread()
@@ -255,11 +250,8 @@ def run_churn(scenario: str | ChurnScenario = "small-churn", *,
     cluster.run(until=env.process(app()))
 
     report.slow_crossings = board.pa_allocator.slow_crossings
-    report.retry_histogram = dict(
-        sorted(board.va_allocator.retry_histogram.items()))
     report.free_pages = board.pa_allocator.free_pages
-    report.underruns = board.async_buffer.underruns + (
-        board.buffer_bank.underruns if board.buffer_bank is not None else 0)
+    report.underruns = board.buffers.underruns
     report.now_ns = env.now
     report.events = getattr(env, "_seq", 0)
     if verifier is not None:

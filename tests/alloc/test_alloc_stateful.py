@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.alloc import DoubleFreeError, OutOfMemoryError, make_pa_strategy
+from repro.params import AllocParams
 
 POOL = 96  # deliberately not a power of two (64 + 32 top buddy blocks)
 
@@ -33,10 +34,9 @@ class AllocMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.s = make_pa_strategy(
-            self.strategy_name, POOL,
+        self.s = make_pa_strategy(self.strategy_name, POOL, AllocParams(
             slab_pages=16, slab_classes=3,
-            arena_batch_pages=4, arena_stash_max=8)
+            arena_batch_pages=4, arena_stash_max=8))
         self.allocated: dict[int, int] = {}  # ppn -> pid
         self.free: set[int] = set(range(POOL))
 
@@ -109,7 +109,7 @@ class BuddyRunMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.s = make_pa_strategy("buddy", 128)
+        self.s = make_pa_strategy("buddy", 128, AllocParams())
         self.blocks: dict[int, int] = {}  # base -> pages
         self.free_count = 128
 
@@ -146,8 +146,8 @@ class BuddyRunMachine(RuleBasedStateMachine):
 
 
 class ReservedConservationMachine(RuleBasedStateMachine):
-    """Board-level conservation through :class:`PAAllocator`: pages move
-    between free / reserved (async-buffer style) / used, and
+    """Board-level conservation through a strategy's ``_reserved``: pages
+    move between free / reserved (async-buffer style) / used, and
     ``free + reserved + used == physical`` must hold after every rule —
     for every strategy, chosen per example."""
 
@@ -160,9 +160,7 @@ class ReservedConservationMachine(RuleBasedStateMachine):
     @rule(name=strategies)
     def init_allocator(self, name):
         if self.pa is None:
-            from repro.core.pa_allocator import PAAllocator
-
-            self.pa = PAAllocator(POOL, strategy=name)
+            self.pa = make_pa_strategy(name, POOL, AllocParams())
             self.reserved: list[int] = []
             self.used: dict[int, int] = {}
 
@@ -207,10 +205,9 @@ class ReservedConservationMachine(RuleBasedStateMachine):
             return
         assert (self.pa.free_pages + self.pa._reserved + len(self.used)
                 == POOL), "a page leaked or duplicated"
-        # used_pages = physical - free - reserved: reserved pages live
-        # in the buffer (self.reserved), used pages are mapped (self.used).
+        # Reserved pages live in the buffer (self.reserved), used pages
+        # are mapped (self.used).
         assert self.pa._reserved == len(self.reserved)
-        assert self.pa.used_pages == len(self.used)
         assert self.pa.check() == []
 
 

@@ -18,8 +18,13 @@ from repro.alloc import (
     SlabStrategy,
     make_pa_strategy,
 )
+from repro.params import AllocParams
 
 ALL_NAMES = sorted(PA_STRATEGIES)
+
+
+def make(name, pages, **knobs):
+    return make_pa_strategy(name, pages, AllocParams(**knobs))
 
 
 def drain(strategy, n, pid=None):
@@ -31,7 +36,7 @@ def drain(strategy, n, pid=None):
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_allocate_unique_in_range_and_conserves(name):
-    s = make_pa_strategy(name, 64)
+    s = make(name, 64)
     got = drain(s, 64)
     assert sorted(got) == list(range(64))
     assert s.free_pages == 0
@@ -46,7 +51,7 @@ def test_allocate_unique_in_range_and_conserves(name):
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_double_free_rejected(name):
-    s = make_pa_strategy(name, 32)
+    s = make(name, 32)
     ppn = s.allocate(pid=1)
     s.free(ppn, pid=1)
     with pytest.raises(DoubleFreeError):
@@ -57,14 +62,14 @@ def test_double_free_rejected(name):
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_never_free_page_rejected(name):
-    s = make_pa_strategy(name, 16)
+    s = make(name, 16)
     with pytest.raises(DoubleFreeError):
         s.free(3)  # never allocated => still free => double free
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_is_free_tracks_state(name):
-    s = make_pa_strategy(name, 16)
+    s = make(name, 16)
     assert all(s.is_free(p) for p in range(16))
     ppn = s.allocate(pid=2)
     assert not s.is_free(ppn)
@@ -74,19 +79,16 @@ def test_is_free_tracks_state(name):
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_fragmentation_bounded(name):
-    s = make_pa_strategy(name, 100)
+    s = make(name, 100)
     held = drain(s, 37, pid=5)
     for ppn in held[::3]:
         s.free(ppn, pid=5)
     assert 0.0 <= s.fragmentation <= 1.0
-    stats = s.stats()
-    assert stats["strategy"] == name
-    assert stats["free_pages"] == s.free_pages
 
 
 def test_make_pa_strategy_unknown_name():
     with pytest.raises(ValueError, match="unknown PA strategy"):
-        make_pa_strategy("bump", 16)
+        make("bump", 16)
 
 
 # -- free list ----------------------------------------------------------------
@@ -252,7 +254,7 @@ def test_arena_stash_spills_oldest_half():
     assert s.spills >= 1
     # Spilled pages went back to the global pool; conservation holds.
     assert s.free_pages == 128
-    assert s.base.free_pages + s.stashed_pages == 128
+    assert s.base.free_pages + len(s._stashed_set) == 128
     assert s.check() == []
 
 
@@ -282,9 +284,31 @@ def test_arena_conservation_includes_stashes():
 
 
 def test_arena_validates_knobs():
+    """The knobs are checked once, by AllocParams."""
     with pytest.raises(ValueError):
-        ArenaStrategy(16, batch_pages=0)
+        make("arena", 16, arena_batch_pages=0)
     with pytest.raises(ValueError):
-        ArenaStrategy(16, batch_pages=8, stash_max=4)
-    with pytest.raises(ValueError):
-        ArenaStrategy(16, base=FreeListStrategy(8))
+        make("arena", 16, arena_batch_pages=8, arena_stash_max=4)
+    # A batch larger than the pool is clamped to the pool.
+    assert make("arena", 8).batch_pages == 8
+
+
+def test_arena_reclaims_the_shared_buffers_stash():
+    """Pid None is an arena too: the board's shared buffer stashes its
+    batch under it, so reclaim must be able to pick it as the victim."""
+    s = make("arena", 16, arena_batch_pages=16)
+    s.allocate(None)            # None's stash takes the whole pool
+    assert s.free_pages == 15
+    assert s.allocate(1) in range(16)
+    assert s.reclaims == 1
+    assert s.free_pages == 14
+
+
+def test_arena_reclaim_tie_takes_the_first_stash():
+    s = make("arena", 8, arena_batch_pages=4, arena_stash_max=4)
+    first = s.allocate(1)       # pid 1 stashes 4, pid 2 the other 4
+    second = s.allocate(2)
+    s.free(first, 1)
+    s.free(second, 2)           # both stashes hold 4: a tie
+    s.allocate(3)
+    assert len(s._stash[1]) == 3 and len(s._stash[2]) == 4

@@ -48,7 +48,7 @@ def test_buddy_lost_coalesce_detected():
     the coalesce audit can catch this.
     """
     cluster, board = make_board("buddy")
-    strategy = board.pa_allocator.strategy
+    strategy = board.pa_allocator
     assert check_board(board) == []  # control: healthy after real traffic
 
     order = next(o for o in range(strategy.max_order, 0, -1)
@@ -71,7 +71,7 @@ def test_slab_double_free_detected():
     planted below it, the way a raw pointer bug would corrupt the stack.
     """
     cluster, board = make_board("slab")
-    strategy = board.pa_allocator.strategy
+    strategy = board.pa_allocator
     assert check_board(board) == []
 
     idx, stack = next((i, s) for i, s in enumerate(strategy._slab_free) if s)
@@ -89,7 +89,7 @@ def test_arena_double_account_detected():
     twice; the arena audit must see the stash/global overlap.
     """
     cluster, board = make_board("arena")
-    strategy = board.pa_allocator.strategy
+    strategy = board.pa_allocator
     assert check_board(board) == []
 
     stash = next(s for s in strategy._stash.values() if s)
@@ -102,7 +102,7 @@ def test_arena_double_account_detected():
 def test_freelist_duplicate_entry_detected():
     """Seeded bug: the FIFO list holds the same page twice."""
     cluster, board = make_board("freelist")
-    strategy = board.pa_allocator.strategy
+    strategy = board.pa_allocator
     assert check_board(board) == []
 
     strategy._free.append(strategy._free[0])  # bypass the shadow set

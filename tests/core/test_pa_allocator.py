@@ -2,17 +2,23 @@
 
 import pytest
 
-from repro.core.pa_allocator import (
-    AsyncBuffer,
+from repro.alloc import (
     DoubleFreeError,
     OutOfMemoryError,
-    PAAllocator,
+    make_pa_strategy,
 )
+from repro.core.pa_allocator import AsyncBuffer
+from repro.params import AllocParams
 from repro.sim import Environment
 
 
+def freelist(physical_pages):
+    """The board's default page allocator: the FIFO free list."""
+    return make_pa_strategy("freelist", physical_pages, AllocParams())
+
+
 def test_freelist_allocate_and_free():
-    pa = PAAllocator(physical_pages=4)
+    pa = freelist(4)
     pages = [pa.allocate() for _ in range(4)]
     assert sorted(pages) == [0, 1, 2, 3]
     with pytest.raises(OutOfMemoryError):
@@ -22,7 +28,7 @@ def test_freelist_allocate_and_free():
 
 
 def test_free_rejects_out_of_range_ppn():
-    pa = PAAllocator(physical_pages=4)
+    pa = freelist(4)
     with pytest.raises(ValueError):
         pa.free(4)
 
@@ -30,7 +36,7 @@ def test_free_rejects_out_of_range_ppn():
 def test_free_rejects_double_free():
     """Regression: a double free used to silently duplicate the page on
     the free list, breaking conservation two allocations later."""
-    pa = PAAllocator(physical_pages=4)
+    pa = freelist(4)
     ppn = pa.allocate()
     pa.free(ppn)
     with pytest.raises(DoubleFreeError):
@@ -44,7 +50,7 @@ def test_free_rejects_double_free():
 
 
 def test_utilization_tracks_mapped_pages():
-    pa = PAAllocator(physical_pages=10)
+    pa = freelist(10)
     assert pa.utilization == 0.0
     for _ in range(5):
         pa.allocate()
@@ -53,7 +59,7 @@ def test_utilization_tracks_mapped_pages():
 
 def test_prefill_stocks_buffer():
     env = Environment()
-    pa = PAAllocator(physical_pages=100)
+    pa = freelist(100)
     buffer = AsyncBuffer(env, pa, depth=16, refill_ns=15_000)
     buffer.prefill()
     assert len(buffer) == 16
@@ -62,7 +68,7 @@ def test_prefill_stocks_buffer():
 
 def test_pop_is_immediate_when_stocked():
     env = Environment()
-    pa = PAAllocator(physical_pages=100)
+    pa = freelist(100)
     buffer = AsyncBuffer(env, pa, depth=8, refill_ns=15_000)
     buffer.prefill()
     got = []
@@ -79,7 +85,7 @@ def test_pop_is_immediate_when_stocked():
 
 def test_refill_replenishes_after_pops():
     env = Environment()
-    pa = PAAllocator(physical_pages=100)
+    pa = freelist(100)
     buffer = AsyncBuffer(env, pa, depth=4, refill_ns=1_000)
 
     def drain():
@@ -93,7 +99,7 @@ def test_refill_replenishes_after_pops():
 
 def test_underrun_counted_when_memory_exhausted():
     env = Environment()
-    pa = PAAllocator(physical_pages=2)
+    pa = freelist(2)
     buffer = AsyncBuffer(env, pa, depth=2, refill_ns=1_000)
     buffer.prefill()
     got = []
@@ -111,7 +117,7 @@ def test_underrun_counted_when_memory_exhausted():
 
 def test_return_unused_recycles_page():
     env = Environment()
-    pa = PAAllocator(physical_pages=10)
+    pa = freelist(10)
     buffer = AsyncBuffer(env, pa, depth=2, refill_ns=1_000)
     buffer.prefill()
 
@@ -125,4 +131,4 @@ def test_return_unused_recycles_page():
 
 def test_invalid_construction():
     with pytest.raises(ValueError):
-        PAAllocator(0)
+        freelist(0)

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.addr import AccessType, PageSpec, Permission
 from repro.core.memory import DRAM
-from repro.core.pa_allocator import AsyncBuffer, PAAllocator
+from repro.alloc import FreeListStrategy
+from repro.core.pa_allocator import BufferBank
 from repro.core.page_table import HashPageTable
 from repro.core.pipeline import FastPath, Status
 from repro.core.tlb import TLB
@@ -22,11 +23,10 @@ def make_fast_path(pages=64, tlb_entries=8):
     dram = DRAM(pages * PAGE, params.dram_access_ns, params.dram_bandwidth_bps)
     table = HashPageTable(pages, slots_per_bucket=4, overprovision=2.0)
     tlb = TLB(tlb_entries)
-    pa = PAAllocator(pages)
-    buffer = AsyncBuffer(env, pa, depth=min(16, pages),
+    buffers = BufferBank(env, FreeListStrategy(pages),
+                         shared_depth=min(16, pages),
                          refill_ns=params.arm_pa_alloc_ns)
-    buffer.prefill()
-    fast = FastPath(env, params, dram, table, tlb, buffer, spec)
+    fast = FastPath(env, params, dram, table, tlb, buffers, spec)
     return env, fast, table, tlb
 
 

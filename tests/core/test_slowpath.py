@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.alloc import FreeListStrategy
 from repro.core.addr import PageSpec, Permission
 from repro.core.memory import DRAM
-from repro.core.pa_allocator import PAAllocator
 from repro.core.page_table import HashPageTable
 from repro.core.slowpath import SlowPath
 from repro.core.tlb import TLB
@@ -23,7 +23,7 @@ def make_slowpath(pages=64):
     spec = PageSpec(PAGE)
     table = HashPageTable(pages, slots_per_bucket=4, overprovision=2.0)
     va = VAAllocator(table, spec)
-    pa = PAAllocator(pages)
+    pa = FreeListStrategy(pages)
     tlb = TLB(8)
     dram = DRAM(pages * PAGE, 300, 120 * GBPS)
     slow = SlowPath(env, params, va, pa, tlb, dram=dram)
@@ -90,8 +90,8 @@ def test_free_recycles_and_zeroes_pages():
     response = run(env, slow.handle_alloc(pid=1, size=PAGE))
     vpn = response.va // PAGE
     table.set_present(1, vpn, ppn=3)
-    pa.strategy._free.remove(3)
-    pa.strategy._free_set.discard(3)
+    pa._free.remove(3)
+    pa._free_set.discard(3)
     dram.write(3 * PAGE + 10, b"secret")
     tlb.insert(1, vpn, 3, Permission.READ_WRITE)
 

@@ -105,7 +105,7 @@ def test_alloc_free_churn_does_not_leak():
     assert board.page_table.entry_count == 0
     # All frames are back (free list + async-buffer reserve).
     total = (board.pa_allocator.free_pages
-             + len(board.async_buffer))
+             + len(board.buffers.shared))
     assert total == board.pa_allocator.physical_pages
 
 

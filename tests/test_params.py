@@ -223,7 +223,7 @@ def test_defaults_and_profiles_are_in_range():
     (AllocParams, "slab_pages", 0),
     (AllocParams, "slab_classes", 0),
     (AllocParams, "arena_batch_pages", 0),
-    (AllocParams, "arena_buffer_depth", 0),              # [ArenaBufferBank]
+    (AllocParams, "arena_buffer_depth", 0),              # [BufferBank]
     (TenantConfig, "share", 0.0),
     (TenantConfig, "share", 1.5),
     (TenantConfig, "quota_bytes", 0),

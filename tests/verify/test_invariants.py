@@ -66,7 +66,7 @@ def test_pa_free_while_mapped_detected():
     board = cluster.mn
     mapped = next(e.ppn for e in board.page_table._index.values()
                   if e.present)
-    strategy = board.pa_allocator.strategy
+    strategy = board.pa_allocator
     strategy._free.append(mapped)
     strategy._free_set.add(mapped)
     violations = check_board(board)
