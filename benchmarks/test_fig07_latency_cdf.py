@@ -6,72 +6,21 @@ RDMA shows a long tail reaching into the tens of microseconds and beyond
 (up to milliseconds when the host stack hiccups).
 """
 
-from bench_common import (
-    MB,
-    backend_params,
-    clio_primed_thread,
-    make_cluster,
-    median,
-    p99,
-    run_app,
-)
+from bench_common import backend_params, median, p99
 
 from repro.analysis.report import render_table
 from repro.analysis.stats import percentile
-from repro.baselines.rdma import RDMAMemoryNode
-from repro.params import ClioParams
-from repro.sim import Environment
+from repro.baselines.api import sample_latencies
 
 OPS = 8000
 SIZE = 16
 
 
-def clio_samples(write: bool) -> list[int]:
-    cluster = make_cluster(mn_capacity=1 << 30)
-    thread, va = clio_primed_thread(cluster, region_bytes=4 * MB)
-    latencies: list[int] = []
-    payload = b"w" * SIZE
-
-    def workload():
-        for _ in range(OPS):
-            start = cluster.env.now
-            if write:
-                yield from thread.rwrite(va, payload)
-            else:
-                yield from thread.rread(va, SIZE)
-            latencies.append(cluster.env.now - start)
-
-    run_app(cluster, workload())
-    return latencies
-
-
-def rdma_samples(write: bool) -> list[int]:
-    env = Environment()
-    node = RDMAMemoryNode(env, backend_params(dram_capacity=1 << 30))
-    latencies: list[int] = []
-
-    def workload():
-        region = yield from node.register_mr(4 * MB, pinned=True)
-        qp = node.create_qp()
-        payload = b"w" * SIZE
-        for _ in range(OPS):
-            if write:
-                latency = yield from node.write(qp, region, 0, payload)
-            else:
-                _, latency = yield from node.read(qp, region, 0, SIZE)
-            latencies.append(latency)
-
-    env.run(until=env.process(workload()))
-    return latencies
-
-
 def run_experiment():
-    return {
-        "clio_read": clio_samples(write=False),
-        "clio_write": clio_samples(write=True),
-        "rdma_read": rdma_samples(write=False),
-        "rdma_write": rdma_samples(write=True),
-    }
+    params = backend_params(dram_capacity=1 << 30)
+    return {f"{name}_{'write' if write else 'read'}":
+            sample_latencies(name, [SIZE], OPS, write, params)[0]
+            for name in ("clio", "rdma") for write in (False, True)}
 
 
 def test_fig07_latency_cdf(benchmark):

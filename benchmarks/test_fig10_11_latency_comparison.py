@@ -6,155 +6,27 @@ for consistency with a passive MN).  HERD-BF sits far above host-CPU HERD
 (chip-to-chip crossing).  LegoOS is ~2x Clio at small sizes (software MN).
 """
 
-from bench_common import (
-    KB,
-    MB,
-    backend_params,
-    clio_primed_thread,
-    make_cluster,
-    median,
-    run_app,
-)
+from bench_common import KB, backend_params, median
 
 from repro.analysis.report import render_series
-from repro.baselines.clover import CloverStore
-from repro.baselines.herd import HERDServer
-from repro.baselines.legoos import LegoOSMemoryNode
-from repro.baselines.rdma import RDMAMemoryNode
-from repro.params import ClioParams
-from repro.sim import Environment
+from repro.baselines.api import sample_latencies
 
 SIZES = [16, 64, 256, 1 * KB]
 OPS = 120
 
-
-def clio_latencies(write: bool) -> list[float]:
-    cluster = make_cluster(mn_capacity=1 << 30)
-    thread, va = clio_primed_thread(cluster, region_bytes=4 * MB)
-    out = []
-    for size in SIZES:
-        payload = b"c" * size
-        samples = []
-
-        def workload(size=size, samples=samples, payload=payload):
-            for _ in range(OPS):
-                start = cluster.env.now
-                if write:
-                    yield from thread.rwrite(va, payload)
-                else:
-                    yield from thread.rread(va, size)
-                samples.append(cluster.env.now - start)
-
-        run_app(cluster, workload())
-        out.append(median(samples) / 1000)
-    return out
-
-
-def rdma_latencies(write: bool) -> list[float]:
-    env = Environment()
-    node = RDMAMemoryNode(env, backend_params(dram_capacity=1 << 30))
-    out = []
-
-    def experiment():
-        region = yield from node.register_mr(4 * MB, pinned=True)
-        qp = node.create_qp()
-        for size in SIZES:
-            payload = b"r" * size
-            samples = []
-            for _ in range(OPS):
-                if write:
-                    latency = yield from node.write(qp, region, 0, payload)
-                else:
-                    _, latency = yield from node.read(qp, region, 0, size)
-                samples.append(latency)
-            out.append(median(samples) / 1000)
-
-    env.run(until=env.process(experiment()))
-    return out
-
-
-def clover_latencies(write: bool) -> list[float]:
-    """Clover as PDM: reads 1 RTT, writes >= 2 RTTs (client-managed)."""
-    env = Environment()
-    store = CloverStore(env, backend_params(dram_capacity=1 << 30))
-    out = []
-
-    def experiment():
-        yield from store.setup()
-        for size in SIZES:
-            payload = b"v" * size
-            key = b"bench-key"
-            yield from store.put(key, payload)
-            samples = []
-            for _ in range(OPS):
-                if write:
-                    latency = yield from store.put(key, payload)
-                else:
-                    _, latency = yield from store.get(key)
-                samples.append(latency)
-            out.append(median(samples) / 1000)
-
-    env.run(until=env.process(experiment()))
-    return out
-
-
-def herd_latencies(write: bool, on_bluefield: bool) -> list[float]:
-    env = Environment()
-    server = HERDServer(env, backend_params(dram_capacity=1 << 30),
-                        on_bluefield=on_bluefield)
-    out = []
-
-    def experiment():
-        for size in SIZES:
-            payload = b"h" * size
-            samples = []
-            for _ in range(OPS):
-                if write:
-                    latency = yield from server.raw_write(0, payload)
-                else:
-                    _, latency = yield from server.raw_read(0, size)
-                samples.append(latency)
-            out.append(median(samples) / 1000)
-
-    env.run(until=env.process(experiment()))
-    return out
-
-
-def legoos_latencies(write: bool) -> list[float]:
-    env = Environment()
-    node = LegoOSMemoryNode(env, backend_params(dram_capacity=1 << 30))
-    node.map_range(pid=1, va=0, size=4 * MB)
-    out = []
-
-    def experiment():
-        for size in SIZES:
-            payload = b"l" * size
-            samples = []
-            for _ in range(OPS):
-                if write:
-                    latency = yield from node.write(1, 0, payload)
-                else:
-                    _, latency = yield from node.read(1, 0, size)
-                samples.append(latency)
-            out.append(median(samples) / 1000)
-
-    env.run(until=env.process(experiment()))
-    return out
+#: figure label -> backend name
+SYSTEMS = {"Clio": "clio", "RDMA": "rdma", "Clover": "clover",
+           "HERD": "herd", "HERD-BF": "herd-bf", "LegoOS": "legoos"}
 
 
 def run_experiment():
-    systems = {}
-    for write in (False, True):
-        key = "write" if write else "read"
-        systems[key] = {
-            "Clio": clio_latencies(write),
-            "RDMA": rdma_latencies(write),
-            "Clover": clover_latencies(write),
-            "HERD": herd_latencies(write, on_bluefield=False),
-            "HERD-BF": herd_latencies(write, on_bluefield=True),
-            "LegoOS": legoos_latencies(write),
-        }
-    return systems
+    params = backend_params(dram_capacity=1 << 30)
+    return {
+        "write" if write else "read": {
+            label: [median(samples) / 1000 for samples in sample_latencies(
+                name, SIZES, OPS, write, params)]
+            for label, name in SYSTEMS.items()}
+        for write in (False, True)}
 
 
 def test_fig10_11_latency_comparison(benchmark):

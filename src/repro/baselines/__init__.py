@@ -9,6 +9,11 @@
   memory (PDM): no MN processing, client-side management, >= 2 RTT writes.
 * :mod:`repro.baselines.herd` — HERD RPC key-value over RDMA, on a host
   CPU or on a BlueField SmartNIC (chip-crossing penalty).
+* :mod:`repro.baselines.cxl` — a CXL 2.0-style pooled load/store device
+  with a coherence directory and per-tenant quotas and port shares.
+* :mod:`repro.baselines.api` — the four verbs every model above (and Clio)
+  answers, ``create_backend`` by name and ``sample_latencies``, the one
+  timing loop of Figures 7, 10 and 11 and ``repro compare``.
 
 These are timing models calibrated to the paper's cited measurements, not
 packet-level simulations: the comparison figures depend on cache-capacity
@@ -16,38 +21,22 @@ cliffs, fault-path costs, and per-op handling budgets, all of which are
 first-class here.
 """
 
-from repro.baselines.api import (
-    BACKEND_NAMES,
-    BACKENDS,
-    ClioBackend,
-    CloverBackend,
-    HERDBackend,
-    HERDBlueFieldBackend,
-    LegoOSBackend,
-    MemoryBackend,
-    RDMABackend,
-    create_backend,
-)
+from repro.baselines.api import BACKEND_NAMES, create_backend, sample_latencies
 from repro.baselines.clover import CloverStore
+from repro.baselines.cxl import CXLPool
 from repro.baselines.herd import HERDServer
 from repro.baselines.legoos import LegoOSMemoryNode
 from repro.baselines.rdma import MRRegistrationError, RDMAMemoryNode, MemoryRegion
 
 __all__ = [
     "BACKEND_NAMES",
-    "BACKENDS",
-    "ClioBackend",
-    "CloverBackend",
+    "CXLPool",
     "CloverStore",
-    "HERDBackend",
-    "HERDBlueFieldBackend",
     "HERDServer",
-    "LegoOSBackend",
     "LegoOSMemoryNode",
-    "MemoryBackend",
     "MRRegistrationError",
     "MemoryRegion",
-    "RDMABackend",
     "RDMAMemoryNode",
     "create_backend",
+    "sample_latencies",
 ]

@@ -9,13 +9,19 @@ clients.  Consequences the model reproduces:
   cursor is stale under contention;
 * the CN burns extra cycles on space management — which is why Clover's
   *energy* lands slightly above Clio's despite the passive MN (Figure 18).
+
+For the comparison verbs (:mod:`repro.baselines.api`) the store is
+driven as memory: an allocation is a client-side ``(base, size)``
+extent, and each written range is one key, ``(base, offset)``.  A read
+of a range written as a unit returns those bytes (out of the 1 KB
+version slot); a never-written range reads as zeros.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.baselines.rdma import RDMAMemoryNode
+from repro.baselines.rdma import RDMAMemoryNode, check_access
 from repro.params import ClioParams
 from repro.sim import Environment
 from repro.sim.rng import RandomStream
@@ -41,6 +47,8 @@ class CloverStore:
         # Client-side metadata: key -> slot index of the newest version.
         self._index: dict[bytes, int] = {}
         self._next_slot = 0
+        self._next_base = 0
+        self._extents: set[tuple[int, int]] = set()
         self.gets = 0
         self.puts = 0
         self.extra_chases = 0
@@ -114,3 +122,35 @@ class CloverStore:
         data, _ = yield from self.rdma_node.read(
             self._qp, self._region, slot * self.VALUE_SLOT, self.VALUE_SLOT)
         return data, self.env.now - start
+
+    # -- the comparison verbs: one key per written range ---------------------------------
+
+    def alloc(self, size: int):
+        """Process-generator: passive memory, so allocation is client-side
+        bookkeeping; returns a ``(base, size)`` extent."""
+        extent = (self._next_base, size)
+        self._next_base += size
+        self._extents.add(extent)
+        yield self.env.timeout(0)
+        return extent
+
+    def free(self, extent: tuple[int, int]):
+        self._extents.remove(extent)
+        yield self.env.timeout(0)
+
+    def _range_key(self, extent: tuple[int, int], offset: int,
+                   size: int) -> bytes:
+        check_access(extent in self._extents, f"extent {extent[0]:#x}",
+                     extent[1], offset, size)
+        return b"%d:%d" % (extent[0], offset)
+
+    def load(self, extent: tuple[int, int], offset: int, size: int):
+        value, latency = yield from self.get(
+            self._range_key(extent, offset, size))
+        if value is None:
+            return bytes(size), latency
+        return value[:size].ljust(size, b"\0"), latency
+
+    def store(self, extent: tuple[int, int], offset: int, data: bytes):
+        return (yield from self.put(
+            self._range_key(extent, offset, len(data)), data))

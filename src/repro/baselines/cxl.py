@@ -44,7 +44,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.baselines.api import MemoryBackend
 from repro.core.memory import DRAM
 from repro.distributed.tenancy import TenantLedger
 from repro.params import ClioParams, SEC
@@ -55,8 +54,9 @@ class CXLError(Exception):
     """Base error of the CXL pool model."""
 
 
-class CXLAccessError(CXLError):
-    """An access fell outside the host's HDM-decoded ranges."""
+class CXLAccessError(CXLError, ValueError):
+    """An access fell outside the host's HDM-decoded ranges (a
+    ``ValueError``, like every comparison system's access error)."""
 
 
 @dataclass
@@ -74,11 +74,13 @@ class CXLHost:
     """One host attached to the pool: the load/store issue side.
 
     A host belongs to one tenant.  All methods are process-generators on
-    the pool's environment.
+    ``env``, the pool's environment; they are the four comparison verbs
+    of :mod:`repro.baselines.api`.
     """
 
     def __init__(self, pool: "CXLPool", name: str, tenant: str):
         self.pool = pool
+        self.env = pool.env
         self.name = name
         self.tenant = tenant
         self.loads = 0
@@ -333,53 +335,3 @@ class CXLPool:
             self.dram.write(pa, data)
             return None, latency
         return self.dram.read(pa, size), latency
-
-
-class CXLBackend(MemoryBackend):
-    """The pool behind the uniform :class:`MemoryBackend` protocol.
-
-    One backend instance is one host on a private pool (the comparison
-    configuration).  Pooled multi-host experiments build a
-    :class:`CXLPool` directly and attach hosts per tenant.
-    """
-
-    name = "cxl"
-
-    def __init__(self, params: Optional[ClioParams] = None, seed: int = 0,
-                 pool: Optional[CXLPool] = None, host: str = "host0"):
-        super().__init__(params, seed)
-        self._env = pool.env if pool is not None else Environment()
-        self.pool = pool or CXLPool(self._env, self.params)
-        self._host = self.pool.host(host, tenant=self.params.backend.tenant)
-        self._regions: dict[int, HDMRegion] = {}
-
-    @property
-    def env(self):
-        return self._env
-
-    def setup(self):
-        self._ready = True
-        yield self.env.timeout(0)
-
-    def alloc(self, size: int):
-        self._require_setup()
-        region = yield from self._host.alloc(size)
-        handle = next(self._handles)
-        self._regions[handle] = region
-        return handle
-
-    def free(self, handle: int):
-        self._require_setup()
-        yield from self._host.free(self._regions.pop(handle))
-
-    def read(self, handle: int, offset: int, size: int):
-        self._require_setup()
-        result = yield from self._host.load(self._regions[handle], offset,
-                                            size)
-        return result
-
-    def write(self, handle: int, offset: int, data: bytes):
-        self._require_setup()
-        latency = yield from self._host.store(self._regions[handle], offset,
-                                              data)
-        return latency

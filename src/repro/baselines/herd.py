@@ -9,12 +9,17 @@ the operation, and replies.  Two deployments:
 * **BlueField (HERD-BF)**: the handler runs on the SmartNIC's ARM cores —
   each op crosses between the ConnectX chip and the ARM chip, which is
   what makes HERD-BF's latency *worse* than host-CPU HERD.
+
+For the comparison verbs (:mod:`repro.baselines.api`) an allocation is a
+``(base, size)`` extent of the server's memory, carved by a client-side
+bump allocator, and ``load``/``store`` are RPCs over raw bytes.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.baselines.rdma import check_access
 from repro.core.memory import DRAM
 from repro.params import ClioParams, SEC
 from repro.sim import Environment, Resource
@@ -41,6 +46,8 @@ class HERDServer:
         self._cores = Resource(env, capacity=params.herd.server_cores)
         self._index: dict[bytes, int] = {}
         self._next_slot = 0
+        self._next_base = 0
+        self._extents: set[tuple[int, int]] = set()
         self.gets = 0
         self.puts = 0
         self.mn_cpu_busy_ns = 0       # host CPU (or ARM) time serving RPCs
@@ -109,17 +116,39 @@ class HERDServer:
         data = self.dram.read(slot * self.VALUE_SLOT, self.VALUE_SLOT)
         return data, self.env.now - start
 
-    # -- raw read/write for the latency-comparison figures ------------------------------------
+    # -- the comparison verbs: raw bytes over the same RPC path -------------------------
 
-    def raw_read(self, offset: int, size: int):
+    def alloc(self, size: int):
+        """Process-generator: carve an extent; returns ``(base, size)``."""
+        if self._next_base + size > self.dram.capacity:
+            raise MemoryError("HERD store full")
+        extent = (self._next_base, size)
+        self._next_base += size
+        self._extents.add(extent)
+        yield self.env.timeout(0)
+        return extent
+
+    def free(self, extent: tuple[int, int]):
+        self._extents.remove(extent)
+        yield self.env.timeout(0)
+
+    def _extent_base(self, extent: tuple[int, int], offset: int,
+                     size: int) -> int:
+        check_access(extent in self._extents, f"extent {extent[0]:#x}",
+                     extent[1], offset, size)
+        return extent[0] + offset
+
+    def load(self, extent: tuple[int, int], offset: int, size: int):
         """Process-generator: RPC read of raw bytes; returns (data, ns)."""
+        base = self._extent_base(extent, offset, size)
         start = self.env.now
         yield from self._rpc(size)
-        return self.dram.read(offset, size), self.env.now - start
+        return self.dram.read(base, size), self.env.now - start
 
-    def raw_write(self, offset: int, data: bytes):
+    def store(self, extent: tuple[int, int], offset: int, data: bytes):
         """Process-generator: RPC write of raw bytes; returns latency_ns."""
+        base = self._extent_base(extent, offset, len(data))
         start = self.env.now
         yield from self._rpc(len(data))
-        self.dram.write(offset, data)
+        self.dram.write(base, data)
         return self.env.now - start

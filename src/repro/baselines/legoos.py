@@ -5,12 +5,16 @@ requests over RDMA and does address translation + permission checking in
 software (hash-table lookup).  That software step is the bottleneck the
 paper measures — roughly 2x Clio's latency at small sizes and a 77 Gbps
 goodput ceiling versus Clio's 110+.
+
+For the comparison verbs (:mod:`repro.baselines.api`) an allocation is a
+``(va, size)`` extent mapped for one client process; ``free`` unmaps it.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.baselines.rdma import check_access
 from repro.core.memory import DRAM
 from repro.params import ClioParams, SEC
 from repro.sim import Environment, Resource
@@ -19,6 +23,9 @@ from repro.sim.rng import RandomStream
 
 class LegoOSMemoryNode:
     """Software virtual-memory MN over an RDMA-like network."""
+
+    #: the process the comparison verbs run as
+    PID = 1
 
     def __init__(self, env: Environment, params: ClioParams,
                  rng: Optional[RandomStream] = None):
@@ -33,6 +40,7 @@ class LegoOSMemoryNode:
         self._threads = Resource(env, capacity=self.lego.thread_pool_size)
         self._vm: dict[tuple[int, int], int] = {}   # (pid, vpn) -> ppn
         self._next_ppn = 0
+        self._next_va = 0
         self.page_size = 4 << 10
         self.ops = 0
         self.mn_cpu_busy_ns = 0
@@ -99,3 +107,35 @@ class LegoOSMemoryNode:
         pa = self._translate(pid, va)
         self.dram.write(pa, data)
         return self.env.now - start
+
+    # -- the comparison verbs -----------------------------------------------------------
+
+    def alloc(self, size: int):
+        """Process-generator: map a fresh VA extent; returns ``(va, size)``."""
+        va = self._next_va
+        self._next_va += -(-size // self.page_size) * self.page_size
+        self.map_range(self.PID, va, size)
+        yield self.env.timeout(0)
+        return va, size
+
+    def free(self, extent: tuple[int, int]):
+        va, size = extent
+        for vpn in range(va // self.page_size,
+                         (va + size - 1) // self.page_size + 1):
+            del self._vm[(self.PID, vpn)]
+        yield self.env.timeout(0)
+
+    def _extent_va(self, extent: tuple[int, int], offset: int,
+                   size: int) -> int:
+        va, length = extent
+        check_access((self.PID, va // self.page_size) in self._vm,
+                     f"extent {va:#x}", length, offset, size)
+        return va + offset
+
+    def load(self, extent: tuple[int, int], offset: int, size: int):
+        va = self._extent_va(extent, offset, size)
+        return (yield from self.read(self.PID, va, size))
+
+    def store(self, extent: tuple[int, int], offset: int, data: bytes):
+        va = self._extent_va(extent, offset, len(data))
+        return (yield from self.write(self.PID, va, data))

@@ -14,6 +14,10 @@ measures:
 * **Registration cost** (Figure 12): base verbs cost plus per-4KB-page
   pinning.
 
+The node also answers the four comparison verbs (``alloc / free / load /
+store``, see :mod:`repro.baselines.api`): an allocation is a pinned MR,
+and loads/stores are one-sided verbs on the node's own client QP.
+
 Latency jitter follows a light base distribution with a rare heavy tail
 (host/NIC queueing), giving RDMA its long CDF tail in Figure 7.
 """
@@ -33,6 +37,24 @@ from repro.sim.rng import RandomStream
 
 class MRRegistrationError(Exception):
     """The RNIC cannot register more memory regions."""
+
+
+class RemoteAccessError(ValueError):
+    """A remote access named memory that is not allocated (or freed), or
+    a range outside it -- what an RNIC reports as a remote access error.
+    LegoOS, Clover and HERD raise it too."""
+
+
+def check_access(allocated: bool, what: str, length: int, offset: int,
+                 size: int) -> None:
+    """Raise :class:`RemoteAccessError` unless ``[offset, offset + size)``
+    lies inside a live allocation of ``length`` bytes."""
+    if not allocated:
+        raise RemoteAccessError(f"{what} is not allocated (freed?)")
+    if offset < 0 or offset + size > length:
+        raise RemoteAccessError(
+            f"access [{offset}, {offset + size}) outside {what} of "
+            f"{length} bytes")
 
 
 class _LRUCache:
@@ -103,6 +125,8 @@ class RDMAMemoryNode:
         self.page_faults = 0
         # Energy accounting: host CPU cycles burned serving the MN side.
         self.mn_cpu_busy_ns = 0
+        # The client connection behind load/store (0: never a counter id).
+        self._qp = QueuePair(qp_id=0)
 
     # -- connection setup ---------------------------------------------------------
 
@@ -201,9 +225,8 @@ class RDMAMemoryNode:
 
     def _verb(self, base_ns: int, qp: QueuePair, region: MemoryRegion,
               offset: int, size: int):
-        if offset < 0 or offset + size > region.size:
-            raise ValueError(
-                f"access [{offset}, {offset + size}) outside MR of {region.size}")
+        check_access(region.mr_id in self._mrs, f"MR {region.mr_id}",
+                     region.size, offset, size)
         self.ops += 1
         latency = (base_ns
                    + self._serialization_ns(size)
@@ -241,3 +264,14 @@ class RDMAMemoryNode:
             self.dram.write(region.base_pa + offset,
                             value.to_bytes(8, "little"))
         return old, success, latency
+
+    # -- the comparison verbs: an allocation is a pinned MR ------------------------------
+
+    alloc = register_mr
+    free = deregister_mr
+
+    def load(self, region: MemoryRegion, offset: int, size: int):
+        return (yield from self.read(self._qp, region, offset, size))
+
+    def store(self, region: MemoryRegion, offset: int, data: bytes):
+        return (yield from self.write(self._qp, region, offset, data))

@@ -24,7 +24,7 @@ import argparse
 from typing import Optional, Sequence
 
 from repro.analysis.report import render_table
-from repro.analysis.stats import LatencyRecorder, rate_gbps
+from repro.analysis.stats import LatencyRecorder, percentile, rate_gbps
 from repro.cluster import ClioCluster
 from repro.params import BACKEND_NAMES, GB, KB, MB, ClioParams
 
@@ -47,6 +47,19 @@ def _parse_size(text: str) -> int:
 
 def _profile(name: str) -> ClioParams:
     return PROFILES[name]()
+
+
+def _backend_names(text: str) -> tuple[str, ...]:
+    """'all' or a comma list of :data:`BACKEND_NAMES` -> the names."""
+    if text == "all":
+        return BACKEND_NAMES
+    names = tuple(name.strip() for name in text.split(","))
+    unknown = [name for name in names if name not in BACKEND_NAMES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown backends {unknown}; choose from "
+            f"{', '.join(BACKEND_NAMES)}")
+    return names
 
 
 # -- commands ----------------------------------------------------------------------
@@ -130,53 +143,20 @@ def cmd_goodput(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    """Same workload through every backend via the MemoryBackend protocol.
-
-    One generic loop — setup, alloc, prime, timed reads (and, with
-    ``--write``, timed writes) — runs unchanged against each selected
-    backend; nothing here knows any system's native API.  Adding a
-    backend to :data:`repro.baselines.api.BACKEND_NAMES` adds its row.
-    """
-    from repro.baselines.api import create_backend
+    """The same reads (and, with ``--write``, writes) on every selected
+    backend, timed by :func:`repro.baselines.api.sample_latencies`."""
+    from repro.baselines.api import sample_latencies
 
     size = _parse_size(args.size)
     params = _profile(args.profile)
-    if args.backends == "all":
-        names = BACKEND_NAMES
-    else:
-        names = tuple(name.strip() for name in args.backends.split(","))
-        unknown = [name for name in names if name not in BACKEND_NAMES]
-        if unknown:
-            raise SystemExit(f"unknown backends {unknown}; "
-                             f"choose from {', '.join(BACKEND_NAMES)}")
     rows = []
-    for name in names:
-        backend = create_backend(name, params=params, seed=args.seed)
-        reads = LatencyRecorder(f"{name}/read")
-        writes = LatencyRecorder(f"{name}/write")
-        payload = b"g" * size
-
-        def app(backend=backend, reads=reads, writes=writes):
-            yield from backend.setup()
-            handle = yield from backend.alloc(4 * MB)
-            yield from backend.write(handle, 0, b"p" * size)
-            for _ in range(args.ops):
-                start = backend.env.now
-                yield from backend.read(handle, 0, size)
-                reads.add(backend.env.now - start)
-            if args.write:
-                for _ in range(args.ops):
-                    start = backend.env.now
-                    yield from backend.write(handle, 0, payload)
-                    writes.add(backend.env.now - start)
-            yield from backend.free(handle)
-
-        backend.run_process(app())
-        row = [name, round(reads.median_ns / 1000, 2),
-               round(reads.p99_ns / 1000, 2)]
-        if args.write:
-            row += [round(writes.median_ns / 1000, 2),
-                    round(writes.p99_ns / 1000, 2)]
+    for name in args.backends:
+        row = [name]
+        for write in (False, True)[:1 + args.write]:
+            [samples] = sample_latencies(name, [size], args.ops, write,
+                                         params, args.seed)
+            row += [round(percentile(samples, 0.5) / 1000, 2),
+                    round(percentile(samples, 0.99) / 1000, 2)]
         rows.append(row)
 
     headers = ["backend", "read median us", "read p99 us"]
@@ -545,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare", help="latency across systems")
     compare.add_argument("--size", default="16")
     compare.add_argument("--ops", type=int, default=400)
-    compare.add_argument("--backends", default="all",
+    compare.add_argument("--backends", default="all", type=_backend_names,
                          help="comma-separated backend names, or 'all' "
                               f"({', '.join(BACKEND_NAMES)})")
     compare.add_argument("--write", action="store_true",

@@ -446,11 +446,11 @@ BACKEND_NAMES = ("clio", "cxl", "rdma", "legoos", "clover", "herd",
 class BackendParams(Bounded):
     """Setup knobs for the comparison backends, in one place.
 
-    Mirrors :class:`AllocParams`: the per-backend constructor kwargs that
-    used to be scattered across ``benchmarks/`` (``dram_capacity=...``,
-    ``on_bluefield=...``, ``capacity_slots=...``) fold into this block,
-    so an experiment swaps backends by swapping ``ClioParams.backend``
-    and nothing else.
+    Mirrors :class:`AllocParams`: the per-backend constructor kwargs
+    (``dram_capacity=...``, ``capacity_slots=...``) live in this block,
+    so one params bundle drives every backend; which system runs (HERD
+    on a host CPU or on a BlueField, say) is the name passed to
+    ``create_backend``.
     """
 
     dram_capacity: int | None = positive(None)  # None = CBoardParams default

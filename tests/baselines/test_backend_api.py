@@ -1,58 +1,52 @@
-"""MemoryBackend conformance: one workload, every backend, pinned timing.
+"""Conformance of the four verbs: one workload, every backend, pinned timing.
 
-The protocol's whole point is that nothing outside a backend class needs
-to know its native API — so the conformance workload here is written
-once against :class:`repro.baselines.api.MemoryBackend` and must behave
-identically (same bytes, zero-filled cold ranges, bounds errors) on all
-seven backends.  Latencies differ by design; the pinned fingerprints
-keep each backend's latency model from drifting silently.
+Every model answers ``alloc / free / load / store`` itself, so the
+conformance workload here is written once against that surface and must
+behave identically (same bytes, zero-filled cold ranges, bounds and
+use-after-free errors) on all seven backends.  Latencies differ by
+design; the pinned fingerprints keep each backend's latency model from
+drifting silently.
 """
-
-import warnings
 
 import pytest
 
-from repro.baselines.api import (
-    BACKEND_NAMES,
-    ClioBackend,
-    HERDBackend,
-    MemoryBackend,
-    create_backend,
-)
+from repro.baselines.api import BACKEND_NAMES, create_backend
 from repro.params import BackendParams, ClioParams
 
 MB = 1 << 20
 
 
+def run(memory, generator):
+    return memory.env.run(until=memory.env.process(generator))
+
+
 def run_conformance(name: str, seed: int = 11):
     """The shared workload; returns (read64_ns, write1k_ns)."""
-    backend = create_backend(name, seed=seed)
+    memory = create_backend(name, seed=seed)
     out = {}
 
     def app():
-        yield from backend.setup()
-        handle = yield from backend.alloc(1 * MB)
-        yield from backend.write(handle, 0, bytes(range(64)))
-        data, read_ns = yield from backend.read(handle, 0, 64)
+        region = yield from memory.alloc(1 * MB)
+        yield from memory.store(region, 0, bytes(range(64)))
+        data, read_ns = yield from memory.load(region, 0, 64)
         assert data == bytes(range(64)), f"{name}: readback mismatch"
         out["read64_ns"] = read_ns
-        out["write1k_ns"] = (yield from backend.write(
-            handle, 4096, b"\x5a" * 1024))
-        blob, _ = yield from backend.read(handle, 4096, 1024)
+        out["write1k_ns"] = (yield from memory.store(
+            region, 4096, b"\x5a" * 1024))
+        blob, _ = yield from memory.load(region, 4096, 1024)
         assert blob == b"\x5a" * 1024, f"{name}: 1KB readback mismatch"
         # A never-written range reads as zeros on every backend.
-        zeros, _ = yield from backend.read(handle, 64 * 1024, 256)
+        zeros, _ = yield from memory.load(region, 64 * 1024, 256)
         assert zeros == bytes(256), f"{name}: cold range not zero-filled"
-        yield from backend.free(handle)
+        yield from memory.free(region)
 
-    backend.run_process(app())
+    run(memory, app())
     return out["read64_ns"], out["write1k_ns"]
 
 
 #: Per-backend (64B-read ns, 1KB-write ns) under the conformance
-#: workload, seed 11, prototype params.  Pinned 2026-08 with the
-#: MemoryBackend protocol; move one only with a deliberate re-pin of
-#: that backend's latency model.
+#: workload, seed 11, prototype params.  Pinned 2026-08; move one only
+#: with a deliberate re-pin of that backend's latency model.
 CONFORMANCE_FINGERPRINTS = {
     "clio": (2519, 3536),
     "cxl": (468, 1138),
@@ -89,27 +83,38 @@ def test_create_backend_rejects_unknown_name():
 
 def test_backends_are_memorybackends():
     for name in BACKEND_NAMES:
-        backend = create_backend(name)
-        assert isinstance(backend, MemoryBackend)
-        assert backend.name == name
+        memory = create_backend(name)
+        for verb in ("alloc", "free", "load", "store"):
+            assert callable(getattr(memory, verb)), (name, verb)
+        assert memory.env.now >= 0
 
 
-def test_ops_before_setup_raise():
-    backend = create_backend("herd")
-    with pytest.raises(RuntimeError, match="setup"):
-        backend.run_process(backend.alloc(4096))
-
-
-def test_out_of_bounds_read_raises():
-    backend = create_backend("rdma")
+@pytest.mark.parametrize("name", BACKEND_NAMES)
+def test_out_of_bounds_read_raises(name):
+    memory = create_backend(name)
 
     def app():
-        yield from backend.setup()
-        handle = yield from backend.alloc(4096)
-        with pytest.raises(ValueError, match="out of bounds|outside"):
-            yield from backend.read(handle, 4000, 200)
+        region = yield from memory.alloc(4096)
+        with pytest.raises(ValueError, match="outside"):
+            yield from memory.load(region, 4000, 200)
 
-    backend.run_process(app())
+    run(memory, app())
+
+
+@pytest.mark.parametrize("name", BACKEND_NAMES)
+def test_access_after_free_raises(name):
+    memory = create_backend(name)
+
+    def app():
+        region = yield from memory.alloc(4096)
+        yield from memory.store(region, 0, b"secret")
+        yield from memory.free(region)
+        with pytest.raises(ValueError, match="not (allocated|mapped)"):
+            yield from memory.load(region, 0, 6)
+        with pytest.raises(ValueError, match="not (allocated|mapped)"):
+            yield from memory.store(region, 0, b"x")
+
+    run(memory, app())
 
 
 # -- BackendParams routing ------------------------------------------------------
@@ -119,28 +124,14 @@ def test_backend_params_route_capacity():
     params = ClioParams.prototype()
     small = ClioParams(
         **{**params.__dict__, "backend": BackendParams(dram_capacity=64 * MB)})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        backend = create_backend("herd", params=small)
-    assert backend.server.dram.capacity == 64 * MB
-
-
-def test_legacy_classes_importable_from_package():
-    from repro.baselines import (  # noqa: F401
-        CloverStore,
-        HERDServer,
-        LegoOSMemoryNode,
-        RDMAMemoryNode,
-    )
+    assert create_backend("herd", params=small).dram.capacity == 64 * MB
 
 
 def test_clio_backend_shares_existing_cluster():
-    from repro.cluster import ClioCluster
-
-    cluster = ClioCluster(params=ClioParams.prototype(), seed=3,
-                          mn_capacity=256 * MB)
-    backend = ClioBackend(seed=3, cluster=cluster)
-    assert backend.cluster is cluster
+    """Clio's verbs run on the thread of the cluster the backend holds."""
+    memory = create_backend("clio", seed=3)
+    assert memory.env is memory.cluster.env
+    assert memory.thread.process.node is memory.cluster.cn(0)
 
 
 def test_herd_bf_is_slower_than_herd():

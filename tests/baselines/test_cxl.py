@@ -8,12 +8,8 @@ expectation deliberately.
 
 import pytest
 
-from repro.baselines.cxl import (
-    CXLAccessError,
-    CXLBackend,
-    CXLError,
-    CXLPool,
-)
+from repro.baselines.api import create_backend
+from repro.baselines.cxl import CXLAccessError, CXLError, CXLPool
 from repro.distributed.tenancy import TenantQuotaExceeded
 from repro.params import SEC, ClioParams, CXLParams, QoSParams, TenantConfig
 from repro.sim import Environment
@@ -310,16 +306,16 @@ def test_backend_tenant_comes_from_params():
 
     params = replace(ClioParams.prototype(), qos=TENANTS,
                      backend=BackendParams(tenant="gold"))
-    backend = CXLBackend(params=params)
+    host = create_backend("cxl", params=params)
 
     def app():
-        yield from backend.setup()
-        handle = yield from backend.alloc(4096)
-        yield from backend.write(handle, 0, b"\x01" * 64)
-        yield from backend.free(handle)
+        region = yield from host.alloc(4096)
+        yield from host.store(region, 0, b"\x01" * 64)
+        yield from host.free(region)
+        return region
 
-    backend.run_process(app())
-    assert backend._host.tenant == "gold"
+    region = host.env.run(until=host.env.process(app()))
+    assert host.tenant == region.tenant == "gold"
 
 
 def test_pool_metrics_registered():

@@ -169,7 +169,8 @@ def test_herd_tracks_cpu_busy_time():
 
 def test_herd_raw_read_write():
     env, server = make_herd()
-    run(env, server.raw_write(4096, b"raw-bytes"))
-    data, latency = run(env, server.raw_read(4096, 9))
+    extent = run(env, server.alloc(8192))
+    run(env, server.store(extent, 4096, b"raw-bytes"))
+    data, latency = run(env, server.load(extent, 4096, 9))
     assert data == b"raw-bytes"
     assert latency > 0

@@ -4,7 +4,11 @@ import pytest
 
 from dataclasses import replace
 
-from repro.baselines.rdma import MRRegistrationError, RDMAMemoryNode
+from repro.baselines.rdma import (
+    MRRegistrationError,
+    RDMAMemoryNode,
+    RemoteAccessError,
+)
 from repro.params import BackendParams, ClioParams, MS, US
 from repro.sim import Environment
 
@@ -45,6 +49,21 @@ def test_access_outside_mr_rejected():
     qp = node.create_qp()
     with pytest.raises(ValueError):
         run(env, node.read(qp, region, 4090, 16))
+
+
+def test_deregistered_mr_rejects_one_sided_verbs():
+    """A real RNIC answers a verb on a deregistered MR with a remote
+    access error; it must not serve the stale bytes."""
+    env, node = make_node()
+    region = register(env, node, size=4096)
+    qp = node.create_qp()
+    run(env, node.write(qp, region, 0, b"secret"))
+    run(env, node.deregister_mr(region))
+    with pytest.raises(RemoteAccessError, match="not allocated"):
+        run(env, node.read(qp, region, 0, 6))
+    with pytest.raises(RemoteAccessError, match="not allocated"):
+        run(env, node.write(qp, region, 0, b"x"))
+    assert node.ops == 1
 
 
 def test_pinned_access_never_faults():
