@@ -55,25 +55,6 @@ def mean(samples: Sequence[float]) -> float:
     return sum(samples) / len(samples)
 
 
-def cdf_points(samples: Sequence[float],
-               points: int = 100) -> list[tuple[float, float]]:
-    """(value, cumulative fraction) pairs for plotting a CDF.
-
-    Values come from the shared interpolated :func:`quantile`, so CDF
-    curves agree with the percentile columns printed next to them.
-    """
-    if not samples:
-        raise ValueError("no samples")
-    if points < 1:
-        raise ValueError(f"points must be >= 1, got {points}")
-    ordered = sorted(samples)
-    out = []
-    for index in range(points + 1):
-        fraction = index / points
-        out.append((quantile(ordered, fraction), fraction))
-    return out
-
-
 def rate_gbps(payload_bytes: int, elapsed_ns: int) -> float:
     """Goodput in Gbit/s."""
     if elapsed_ns <= 0:

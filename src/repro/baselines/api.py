@@ -38,7 +38,7 @@ from repro.params import BACKEND_NAMES, MB, ClioParams
 from repro.sim import Environment
 from repro.sim.rng import RandomStream
 
-#: the one allocation :func:`sample_latencies` times accesses in
+#: the allocation :func:`sample_latencies` times accesses in, at least
 REGION_BYTES = 4 * MB
 
 
@@ -112,13 +112,14 @@ def sample_latencies(name: str, sizes: Sequence[int], ops: int, write: bool,
                      params: Optional[ClioParams] = None,
                      seed: int = 0) -> list[list[int]]:
     """Latencies (ns) of ``ops`` loads -- or stores, when ``write`` -- at
-    offset 0 of one allocation on a fresh ``name`` backend, one list per
-    size.  One untimed store per size primes the range first."""
+    offset 0 of one allocation (``REGION_BYTES``, or the largest size) on
+    a fresh ``name`` backend, one list per size.  One untimed store per
+    size primes the range first."""
     memory = create_backend(name, params, seed)
     samples: list[list[int]] = []
 
     def app():
-        region = yield from memory.alloc(REGION_BYTES)
+        region = yield from memory.alloc(max(REGION_BYTES, *sizes))
         for size in sizes:
             payload = b"s" * size
             yield from memory.store(region, 0, payload)

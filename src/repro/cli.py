@@ -37,12 +37,22 @@ PROFILES = {
 
 
 def _parse_size(text: str) -> int:
-    """'64', '4KB', '16MB', '2GB' -> bytes."""
-    text = text.strip().upper()
-    for suffix, factor in (("GB", GB), ("MB", MB), ("KB", KB), ("B", 1)):
-        if text.endswith(suffix):
-            return int(float(text[: -len(suffix)]) * factor)
-    return int(text)
+    """'64', '4KB', '16MB', '2GB' -> bytes; anything else, or a size
+    under one byte, is a usage error."""
+    number, factor = text.strip().upper(), 1
+    for suffix, scale in (("GB", GB), ("MB", MB), ("KB", KB), ("B", 1)):
+        if number.endswith(suffix):
+            number, factor = number[:-len(suffix)], scale
+            break
+    try:
+        size = int(float(number) * factor)
+    except (ValueError, OverflowError):
+        size = 0
+    if size < 1:
+        raise argparse.ArgumentTypeError(
+            f"size must be a positive byte count like 64, 4KB or 16MB, "
+            f"got {text!r}")
+    return size
 
 
 def _profile(name: str) -> ClioParams:
@@ -66,29 +76,16 @@ def _backend_names(text: str) -> tuple[str, ...]:
 
 
 def cmd_latency(args) -> int:
-    cluster = ClioCluster(params=_profile(args.profile), seed=args.seed,
-                          mn_capacity=1 * GB)
-    thread = cluster.cn(0).process("mn0").thread()
+    from repro.baselines.api import sample_latencies
+
     recorder = LatencyRecorder("clio")
-    size = _parse_size(args.size)
-    payload = b"x" * size
-
-    def app():
-        va = yield from thread.ralloc(max(size, 4 * MB))
-        yield from thread.rwrite(va, payload)
-        for _ in range(args.ops):
-            start = cluster.env.now
-            if args.write:
-                yield from thread.rwrite(va, payload)
-            else:
-                yield from thread.rread(va, size)
-            recorder.add(cluster.env.now - start)
-
-    cluster.run(until=cluster.env.process(app()))
+    [samples] = sample_latencies("clio", [args.size], args.ops, args.write,
+                                 _profile(args.profile), args.seed)
+    recorder.extend(samples)
     summary = recorder.summary()
     print(render_table(
         f"Clio {'write' if args.write else 'read'} latency, "
-        f"{size}B x {args.ops} ops ({args.profile})",
+        f"{args.size}B x {args.ops} ops ({args.profile})",
         ["median us", "mean us", "p99 us", "p99.9 us", "max us"],
         [[summary["median_us"], summary["mean_us"], summary["p99_us"],
           summary["p999_us"], summary["max_us"]]]))
@@ -96,7 +93,7 @@ def cmd_latency(args) -> int:
 
 
 def cmd_goodput(args) -> int:
-    size = _parse_size(args.size)
+    size = args.size
     cluster = ClioCluster(params=_profile(args.profile), seed=args.seed,
                           num_cns=min(4, args.threads), mn_capacity=2 * GB,
                           page_size=64 * KB)
@@ -147,7 +144,7 @@ def cmd_compare(args) -> int:
     backend, timed by :func:`repro.baselines.api.sample_latencies`."""
     from repro.baselines.api import sample_latencies
 
-    size = _parse_size(args.size)
+    size = args.size
     params = _profile(args.profile)
     rows = []
     for name in args.backends:
@@ -173,7 +170,7 @@ def cmd_alloc(args) -> int:
     from repro.baselines.rdma import RDMAMemoryNode
     from repro.sim import Environment
 
-    size = _parse_size(args.size)
+    size = args.size
     params = _profile(args.profile)
     cluster = ClioCluster(params=params, seed=args.seed, mn_capacity=8 * GB)
     board = cluster.mn
@@ -205,7 +202,7 @@ def cmd_alloc(args) -> int:
 
     env.run(until=env.process(rdma_app()))
     print(render_table(
-        f"Allocation costs for {args.size} ({args.profile})",
+        f"Allocation costs for {size}B ({args.profile})",
         ["Clio VA us", "retries", "Clio PA us", "RDMA MR reg us"],
         [[timings["va_us"], timings["retries"], timings["pa_us"],
           timings["mr_us"]]]))
@@ -379,9 +376,9 @@ def cmd_verify(args) -> int:
                 result = run_scenario(point, seed=args.seed,
                                       partitioned=args.pdes, trace=True)
             problems = result.problems()
-            status = "VIOLATED" if problems else "ok"
-            if result.lin is not None and result.lin.ok is None:
-                status = "undecided"
+            undecided = result.lin is not None and result.lin.ok is None
+            status = ("VIOLATED" if problems else
+                      "undecided" if undecided else "ok")
             rows.append([result.name, result.history_len,
                          "yes" if (result.lin and result.lin.ok) else
                          ("n/a" if result.lin is None else "NO"),
@@ -446,7 +443,7 @@ def cmd_metrics(args) -> int:
         cluster.metrics.start_sampling(cluster.env,
                                        args.interval_us * 1000)
     thread = cluster.cn(0).process("mn0").thread()
-    size = _parse_size(args.size)
+    size = args.size
     payload = b"m" * size
 
     def app():
@@ -509,13 +506,13 @@ def build_parser() -> argparse.ArgumentParser:
                                   "bit-for-bit")
 
     latency = sub.add_parser("latency", help="Clio latency distribution")
-    latency.add_argument("--size", default="16")
+    latency.add_argument("--size", default="16", type=_parse_size)
     latency.add_argument("--ops", type=int, default=2000)
     latency.add_argument("--write", action="store_true")
     latency.set_defaults(func=cmd_latency)
 
     goodput = sub.add_parser("goodput", help="Clio end-to-end goodput")
-    goodput.add_argument("--size", default="1KB")
+    goodput.add_argument("--size", default="1KB", type=_parse_size)
     goodput.add_argument("--threads", type=int, default=4)
     goodput.add_argument("--ops", type=int, default=150)
     goodput.add_argument("--async", dest="asynchronous",
@@ -523,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     goodput.set_defaults(func=cmd_goodput)
 
     compare = sub.add_parser("compare", help="latency across systems")
-    compare.add_argument("--size", default="16")
+    compare.add_argument("--size", default="16", type=_parse_size)
     compare.add_argument("--ops", type=int, default=400)
     compare.add_argument("--backends", default="all", type=_backend_names,
                          help="comma-separated backend names, or 'all' "
@@ -536,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
         "alloc", parents=[engine, determinism],
         help="allocation cost comparison, or --churn for the "
              "strategy/fragmentation scenario suite")
-    alloc.add_argument("--size", default="64MB")
+    alloc.add_argument("--size", default="64MB", type=_parse_size)
     alloc.add_argument("--churn", default=None,
                        choices=tuple(CHURN_SCENARIOS),
                        help="run a churn scenario across PA strategies")
@@ -606,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     metrics = sub.add_parser(
         "metrics", help="instrumented run with dashboard + trace export")
-    metrics.add_argument("--size", default="64")
+    metrics.add_argument("--size", default="64", type=_parse_size)
     metrics.add_argument("--ops", type=int, default=200)
     metrics.add_argument("--interval-us", type=int, default=0,
                          help="sample the registry every N us of sim time "

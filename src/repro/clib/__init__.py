@@ -19,7 +19,6 @@ from repro.clib.client import (
     RemoteAccessError,
 )
 from repro.clib.handles import AsyncHandle
-from repro.clib.lock import LockNotHeldError, RemoteLock
 from repro.clib.transparent import TransparentMemory
 
 __all__ = [
@@ -27,8 +26,6 @@ __all__ = [
     "ClioProcess",
     "ClioThread",
     "ComputeNode",
-    "LockNotHeldError",
     "RemoteAccessError",
-    "RemoteLock",
     "TransparentMemory",
 ]

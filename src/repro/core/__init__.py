@@ -12,7 +12,6 @@ from repro.core.addr import (
     AccessType,
     Permission,
     PageSpec,
-    ProtectionError,
 )
 from repro.core.cboard import CBoard
 from repro.core.mat import MatchActionTable, MatchRule, Path
@@ -35,7 +34,6 @@ __all__ = [
     "PageTableEntry",
     "Path",
     "Permission",
-    "ProtectionError",
     "SimBoard",
     "TLB",
     "VAAllocator",

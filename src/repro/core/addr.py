@@ -40,10 +40,6 @@ class AccessType(enum.Enum):
         return Permission.WRITE
 
 
-class ProtectionError(Exception):
-    """Raised when a request fails the fast path's permission check."""
-
-
 @dataclass(frozen=True)
 class PageSpec:
     """Page arithmetic for one configured page size."""

@@ -3,16 +3,13 @@
 from repro.energy.capex import CapExComparison, MemoryMedia, compare_mn_options
 from repro.energy.fpga_util import FPGA_UTILIZATION, FPGAUtilization
 from repro.energy.power import (
-    EnergyAccount,
     EnergyReport,
     SystemPowerProfile,
     default_profiles,
-    energy_of,
 )
 
 __all__ = [
     "CapExComparison",
-    "EnergyAccount",
     "EnergyReport",
     "FPGA_UTILIZATION",
     "FPGAUtilization",
@@ -20,5 +17,4 @@ __all__ = [
     "SystemPowerProfile",
     "compare_mn_options",
     "default_profiles",
-    "energy_of",
 ]

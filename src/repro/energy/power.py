@@ -1,36 +1,17 @@
 """Energy accounting for workload runs (paper Figure 18).
 
-The paper's method: collect total busy cycles of each active component
-(CPU core, ARM, FPGA) over the run, multiply by the per-unit Watts, omit
-DRAM and NIC energy.  Energy therefore reflects both per-op efficiency
-*and* total runtime — which is how HERD-BF ends up worst despite its
-low-power ARM (slow ops -> long runtime -> more joules).
+The paper's method: multiply the active power of each component (CPU
+core, ARM, FPGA) by the run's total time, omitting DRAM and NIC energy.
+Energy therefore reflects both per-op efficiency *and* total runtime —
+which is how HERD-BF ends up worst despite its low-power ARM (slow ops
+-> long runtime -> more joules).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.params import EnergyParams, SEC
-
-
-@dataclass
-class EnergyAccount:
-    """Busy-time ledger of one system over one workload run."""
-
-    name: str
-    mn_cpu_busy_ns: int = 0        # host Xeon cores at the MN
-    mn_arm_busy_ns: int = 0        # ARM cores (CBoard slow path / BlueField)
-    mn_fpga_busy_ns: int = 0       # CBoard FPGA active time
-    cn_busy_ns: int = 0            # CN library/management cycles
-    runtime_ns: int = 0
-
-    def merge(self, other: "EnergyAccount") -> None:
-        self.mn_cpu_busy_ns += other.mn_cpu_busy_ns
-        self.mn_arm_busy_ns += other.mn_arm_busy_ns
-        self.mn_fpga_busy_ns += other.mn_fpga_busy_ns
-        self.cn_busy_ns += other.cn_busy_ns
-        self.runtime_ns = max(self.runtime_ns, other.runtime_ns)
 
 
 @dataclass
@@ -44,15 +25,6 @@ class EnergyReport:
     @property
     def total_joules(self) -> float:
         return self.mn_joules + self.cn_joules
-
-
-def energy_of(account: EnergyAccount, params: EnergyParams) -> EnergyReport:
-    """Convert a busy-time ledger into joules."""
-    mn = (account.mn_cpu_busy_ns / SEC * params.xeon_core_watt
-          + account.mn_arm_busy_ns / SEC * params.arm_core_watt
-          + account.mn_fpga_busy_ns / SEC * params.fpga_watt)
-    cn = account.cn_busy_ns / SEC * params.cn_library_watt
-    return EnergyReport(name=account.name, mn_joules=mn, cn_joules=cn)
 
 
 @dataclass(frozen=True)

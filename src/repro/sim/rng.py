@@ -41,9 +41,6 @@ class RandomStream:
             return True
         return self._rng.random() < probability
 
-    def expovariate(self, rate: float) -> float:
-        return self._rng.expovariate(rate)
-
     def choice(self, seq: Sequence):
         return self._rng.choice(seq)
 

@@ -15,7 +15,7 @@ from repro.transport.congestion import (
     TimelyController,
     make_congestion_controller,
 )
-from repro.transport.ordering import DependencyTracker, OrderingScope
+from repro.transport.ordering import DependencyTracker
 from repro.transport.clib_transport import (
     RequestFailed,
     RequestOutcome,
@@ -27,7 +27,6 @@ __all__ = [
     "CongestionController",
     "DependencyTracker",
     "IncastController",
-    "OrderingScope",
     "RequestFailed",
     "RequestOutcome",
     "StaticWindowController",

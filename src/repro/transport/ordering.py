@@ -113,19 +113,3 @@ class DependencyTracker:
 
     def _wait(self, events: list[Event]):
         yield self.env.all_of(events)
-
-
-class OrderingScope:
-    """Convenience bundle: one tracker per thread, made on demand."""
-
-    def __init__(self, env: Environment, page_spec: PageSpec):
-        self.env = env
-        self.page_spec = page_spec
-        self._trackers: dict[int, DependencyTracker] = {}
-
-    def tracker(self, thread_id: int) -> DependencyTracker:
-        tracker = self._trackers.get(thread_id)
-        if tracker is None:
-            tracker = DependencyTracker(self.env, self.page_spec)
-            self._trackers[thread_id] = tracker
-        return tracker

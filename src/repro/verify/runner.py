@@ -312,13 +312,6 @@ def run_scenario(scenario: Scenario, *, seed: int, partitioned: bool = False,
         findings=ctx.findings)
 
 
-#: Per-CN cache and directory counters a cached run reports.
-CACHE_COUNTERS = ("hits", "misses", "evictions", "invalidations",
-                  "writebacks", "flush_retries")
-DIR_COUNTERS = ("requests_served", "fills", "write_txns", "recalls",
-                "downgrades", "invals_sent", "inval_retries")
-
-
 def _drain_caches(cluster, deadline_ns: int, extras: dict) -> list[str]:
     """With the caching layer on: put its counters in ``extras["cache"]``
     and note them, then flush every dirty line and depart the directory
@@ -326,12 +319,10 @@ def _drain_caches(cluster, deadline_ns: int, extras: dict) -> list[str]:
     if cluster.cache_dir is None:
         return []
     counters = extras["cache"] = {
-        node.name: {name: getattr(node.cache, name)
-                    for name in CACHE_COUNTERS} for node in cluster.cns}
-    counters["dir"] = {name: getattr(cluster.cache_dir, name)
-                       for name in DIR_COUNTERS}
+        node.name: node.cache.metrics.snapshot() for node in cluster.cns}
+    counters["dir"] = cluster.cache_dir.metrics.snapshot()
     total = {name: sum(counters[node.name][name] for node in cluster.cns)
-             for name in CACHE_COUNTERS}
+             for name in ("hits", "misses", "invalidations", "writebacks")}
     notes = [f"cache[{cluster.cns[0].cache.policy}]: "
              f"{total['hits']} hits / {total['misses']} misses, "
              f"{total['invalidations']} invalidations, "

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from repro.analysis.report import render_series, render_table
 from repro.analysis.stats import (
     LatencyRecorder,
-    cdf_points,
     percentile,
-    quantile,
     rate_gbps,
 )
 
@@ -30,35 +28,6 @@ def test_percentile_rejects_bad_input():
 
 def test_percentile_unsorted_input():
     assert percentile([5, 1, 9, 3], 1.0) == 9
-
-
-def test_cdf_points_monotonic():
-    points = cdf_points([3, 1, 4, 1, 5, 9, 2, 6], points=10)
-    values = [value for value, _ in points]
-    fractions = [fraction for _, fraction in points]
-    assert values == sorted(values)
-    assert fractions[0] == 0.0 and fractions[-1] == 1.0
-
-
-def test_cdf_points_rejects_nonpositive_points():
-    with pytest.raises(ValueError):
-        cdf_points([1, 2, 3], points=0)
-    with pytest.raises(ValueError):
-        cdf_points([1, 2, 3], points=-5)
-
-
-def test_cdf_points_single_point_is_full_range():
-    assert cdf_points([1, 2, 3], points=1) == [(1, 0.0), (3, 1.0)]
-
-
-def test_cdf_points_uses_interpolated_quantile():
-    # Even-length list: the median CDF point is the average of the two
-    # middle values — interpolation, not nearest rank.
-    samples = [10, 20, 30, 40]
-    points = dict((fraction, value)
-                  for value, fraction in cdf_points(samples, points=2))
-    assert points[0.5] == quantile(samples, 0.5) == 25.0
-    assert points[0.0] == 10 and points[1.0] == 40
 
 
 def test_rate_gbps():

@@ -81,17 +81,26 @@ def test_cached_chaos_departure_on_loss_burst():
 #: What ``repro chaos --cache`` runs (seed 0, 1200 ops per worker, board
 #: crash over dirty write-back lines): the sha256 of its report
 #: fingerprint and the counters its coherence table is built from,
-#: recorded at the commit before the line protocol became a table.
+#: recorded at the commit before the line protocol became a table.  The
+#: counters are each cache's and the directory's whole metrics snapshot.
 GOLDEN_CHAOS_CACHE = (
     "a58fb109c3258a0205461f49bb3081fd0b39746619feb0c26e48c1a12baa195a",
     36061,
     {"cn0": {"hits": 554, "misses": 43, "evictions": 0,
-             "invalidations": 153, "writebacks": 129, "flush_retries": 2},
+             "invalidations": 153, "writebacks": 129, "flush_retries": 2,
+             "fills": 41, "flush_failures": 0, "hit_rate": 554 / 597,
+             "lines": 0, "write_fills": 41, "write_hits": 562,
+             "write_throughs": 0},
      "cn1": {"hits": 551, "misses": 79, "evictions": 0,
-             "invalidations": 163, "writebacks": 71, "flush_retries": 2},
+             "invalidations": 163, "writebacks": 71, "flush_retries": 2,
+             "fills": 70, "flush_failures": 0, "hit_rate": 551 / 630,
+             "lines": 16, "write_fills": 63, "write_hits": 507,
+             "write_throughs": 0},
      "dir": {"requests_served": 554, "fills": 122, "write_txns": 216,
              "recalls": 210, "downgrades": 106, "invals_sent": 316,
-             "inval_retries": 12}})
+             "inval_retries": 12,
+             "freezes": 0, "open_txns": 0, "syncs": 0,
+             "tracked_lines": 16}})
 
 
 def test_cli_chaos_cache_run_matches_golden():

@@ -1,9 +1,6 @@
-"""Tests for RemoteLock and asynchronous ralloc/rfree."""
-
-import pytest
+"""Tests for rlock/runlock and asynchronous ralloc/rfree."""
 
 from repro.clib.client import RemoteAccessError
-from repro.clib.lock import LockNotHeldError, RemoteLock
 from repro.cluster import ClioCluster
 from repro.core.pipeline import Status
 
@@ -19,7 +16,7 @@ def run_app(cluster, generator):
     return cluster.run(until=cluster.env.process(generator))
 
 
-# -- RemoteLock ---------------------------------------------------------------------
+# -- rlock / runlock ----------------------------------------------------------------
 
 
 def test_lock_create_acquire_release():
@@ -27,34 +24,40 @@ def test_lock_create_acquire_release():
     thread = cluster.cn(0).process("mn0").thread()
     result = {}
 
+    def word(lock_va):
+        data = yield from thread.rread(lock_va, 8)
+        return int.from_bytes(data, "little")
+
     def app():
-        lock = yield from RemoteLock.create(thread)
-        attempts = yield from lock.acquire()
-        result["attempts"] = attempts
-        result["locked"] = yield from lock.locked()
-        yield from lock.release()
-        result["unlocked"] = yield from lock.locked()
+        lock_va = yield from thread.ralloc(8)
+        result["attempts"] = yield from thread.rlock(lock_va)
+        result["locked"] = yield from word(lock_va)
+        yield from thread.runlock(lock_va)
+        result["unlocked"] = yield from word(lock_va)
 
     run_app(cluster, app())
     assert result["attempts"] == 1
-    assert result["locked"] is True
-    assert result["unlocked"] is False
+    assert result["locked"] != 0
+    assert result["unlocked"] == 0
 
 
 def test_lock_misuse_rejected():
+    """A lock word outside every region is an invalid VA, not a hang."""
     cluster = make_cluster()
     thread = cluster.cn(0).process("mn0").thread()
+    statuses = []
 
     def app():
-        lock = yield from RemoteLock.create(thread)
-        with pytest.raises(LockNotHeldError):
-            yield from lock.release()
-        yield from lock.acquire()
-        with pytest.raises(LockNotHeldError):
-            yield from lock.acquire()
-        yield from lock.release()
+        lock_va = yield from thread.ralloc(8)
+        yield from thread.rfree(lock_va)
+        for verb in (thread.rlock, thread.runlock):
+            try:
+                yield from verb(lock_va)
+            except RemoteAccessError as exc:
+                statuses.append(exc.status)
 
     run_app(cluster, app())
+    assert statuses == [Status.INVALID_VA, Status.INVALID_VA]
 
 
 def test_lock_mutual_exclusion_via_handles():
@@ -66,18 +69,17 @@ def test_lock_mutual_exclusion_via_handles():
     log = []
 
     def setup_and_race():
-        lock = yield from RemoteLock.create(t1)
-        other = lock.handle_for(t2)
+        lock_va = yield from t1.ralloc(8)
 
-        def critical(tag, handle):
-            yield from handle.acquire()
+        def critical(tag, thread):
+            yield from thread.rlock(lock_va)
             log.append((tag, "in"))
             yield cluster.env.timeout(1500)
             log.append((tag, "out"))
-            yield from handle.release()
+            yield from thread.runlock(lock_va)
 
-        p1 = cluster.env.process(critical("a", lock))
-        p2 = cluster.env.process(critical("b", other))
+        p1 = cluster.env.process(critical("a", t1))
+        p2 = cluster.env.process(critical("b", t2))
         yield cluster.env.all_of([p1, p2])
 
     run_app(cluster, setup_and_race())
@@ -88,24 +90,27 @@ def test_lock_mutual_exclusion_via_handles():
 def test_contention_counters():
     cluster = make_cluster()
     thread_a = cluster.cn(0).process("mn0").thread()
+    attempts = {}
 
     def app():
-        lock = yield from RemoteLock.create(thread_a)
-        yield from lock.acquire()
+        lock_va = yield from thread_a.ralloc(8)
+        attempts["holder"] = yield from thread_a.rlock(lock_va)
 
-        # A second handle spins while we hold it.
-        other = lock.handle_for(thread_a.process.thread())
+        # A second thread spins while we hold it.
+        other = thread_a.process.thread()
 
         def waiter():
-            yield from other.acquire()
-            yield from other.release()
+            attempts["waiter"] = yield from other.rlock(lock_va)
+            yield from other.runlock(lock_va)
 
         proc = cluster.env.process(waiter())
         yield cluster.env.timeout(20_000)
-        yield from lock.release()
+        yield from thread_a.runlock(lock_va)
         yield proc
 
     run_app(cluster, app())
+    assert attempts["holder"] == 1
+    assert attempts["waiter"] > 1
 
 
 # -- async metadata -------------------------------------------------------------------

@@ -10,36 +10,25 @@ from repro.energy.fpga_util import (
     offload_headroom_pct,
     onchip_memory_budget_bytes,
 )
-from repro.energy.power import EnergyAccount, energy_of
+from repro.energy.power import SystemPowerProfile, default_profiles
 from repro.params import EnergyParams, SEC
 
 
 def test_energy_converts_busy_time_to_joules():
-    params = EnergyParams()
-    account = EnergyAccount(name="test", mn_cpu_busy_ns=SEC,
-                            cn_busy_ns=2 * SEC)
-    report = energy_of(account, params)
-    assert report.mn_joules == pytest.approx(params.xeon_core_watt)
-    assert report.cn_joules == pytest.approx(2 * params.cn_library_watt)
-    assert report.total_joules == pytest.approx(
-        params.xeon_core_watt + 2 * params.cn_library_watt)
+    profile = SystemPowerProfile("test", mn_watts=3.0, cn_watts=2.0)
+    report = profile.energy(2 * SEC)
+    assert report.mn_joules == pytest.approx(6.0)
+    assert report.cn_joules == pytest.approx(4.0)
+    assert report.total_joules == pytest.approx(10.0)
 
 
 def test_fpga_cheaper_than_cpu_for_same_busy_time():
-    params = EnergyParams()
-    cpu = energy_of(EnergyAccount(name="cpu", mn_cpu_busy_ns=SEC), params)
-    fpga = energy_of(EnergyAccount(name="fpga", mn_fpga_busy_ns=SEC), params)
-    assert fpga.mn_joules < cpu.mn_joules
-
-
-def test_account_merge():
-    a = EnergyAccount(name="a", mn_cpu_busy_ns=100, runtime_ns=50)
-    b = EnergyAccount(name="b", mn_cpu_busy_ns=200, cn_busy_ns=10,
-                      runtime_ns=80)
-    a.merge(b)
-    assert a.mn_cpu_busy_ns == 300
-    assert a.cn_busy_ns == 10
-    assert a.runtime_ns == 80
+    """Clio's FPGA + ARM draws less at the MN than HERD's Xeon cores."""
+    profiles = default_profiles(EnergyParams())
+    clio = profiles["Clio"].energy(SEC)
+    herd = profiles["HERD"].energy(SEC)
+    assert clio.mn_joules < herd.mn_joules
+    assert clio.cn_joules == herd.cn_joules
 
 
 def test_capex_dram_ratios_match_paper_band():

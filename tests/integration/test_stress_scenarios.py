@@ -8,7 +8,6 @@ board, checking global invariants at the end.
 import pytest
 
 from repro.apps.kv_store import ClioKV, register_kv_offload
-from repro.clib.lock import RemoteLock
 from repro.cluster import ClioCluster
 
 MB = 1 << 20
@@ -54,20 +53,20 @@ def test_mixed_traffic_storm():
         results["kv"] += 1
 
     def counter(lock_holder, shared):
-        thread, lock, counter_va = shared
-        handle = lock.handle_for(thread.process.thread())
+        thread, lock_va, counter_va = shared
+        handle = thread.process.thread()
         for _ in range(4):
-            yield from handle.acquire()
+            yield from handle.rlock(lock_va)
             old = yield from thread.rfaa(counter_va, 1)
-            yield from handle.release()
+            yield from handle.runlock(lock_va)
         results["counters"].append(True)
 
     def spawn_all():
         # Shared lock-protected counter across CNs.
         thread = cluster.cn(0).process("mn0").thread()
-        lock = yield from RemoteLock.create(thread)
+        lock_va = yield from thread.ralloc(8)
         counter_va = yield from thread.ralloc(8)
-        shared = (thread, lock, counter_va)
+        shared = (thread, lock_va, counter_va)
         procs = []
         for index in range(4):
             procs.append(env.process(writer(index)))

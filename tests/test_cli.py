@@ -19,6 +19,17 @@ def test_parse_size_units():
     assert _parse_size("128B") == 128
 
 
+@pytest.mark.parametrize("command", ["latency", "goodput", "compare",
+                                     "alloc", "metrics"])
+@pytest.mark.parametrize("size", ["12XB", "0"])
+def test_bad_size_is_a_usage_error(command, size, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--size", size, "--ops", "1"]
+             if command != "alloc" else [command, "--size", size])
+    assert exit_info.value.code == 2
+    assert "size must be a positive byte count" in capsys.readouterr().err
+
+
 def test_parser_requires_command():
     parser = build_parser()
     with pytest.raises(SystemExit):
@@ -164,3 +175,24 @@ def test_cprofile_flag_prints_profile(capsys):
     assert "median us" in out                 # the command itself still ran
     assert "cumulative" in out                # profile table, cumtime-sorted
     assert "function calls" in out
+
+
+def test_verify_row_with_violations_reads_violated(monkeypatch, capsys):
+    """An undecided linearizability check does not hide a violation."""
+    import repro.verify
+    from repro.verify.harness import VerifyRunResult
+    from repro.verify.invariants import Violation
+    from repro.verify.linearize import LinearizeResult
+
+    def run_scenario(point, **_):
+        return VerifyRunResult(
+            name="sync", lin=LinearizeResult(ok=None), history_len=1500,
+            violations=[Violation(at_ns=10, invariant="frames",
+                                  subject="mn0", detail="leak")])
+
+    monkeypatch.setattr(repro.verify, "run_scenario", run_scenario)
+    assert main(["verify", "--ops", "1", "--no-crash"]) == 1
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("sync")]
+    assert rows and all("VIOLATED" in row and "undecided" not in row
+                        for row in rows)

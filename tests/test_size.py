@@ -30,7 +30,9 @@ from tools.code_lines import ROOT, count_files
 #: is its strategy, and one ``BufferBank`` holds every async buffer.
 #: -177 since: the seven comparison-backend adapters folded into their
 #: models' four verbs; one ``sample_latencies`` loop times them all.
-SRC_CEILING = 12_145
+#: -102 since: ``tools/reach.py`` became a closure from the entry points,
+#: and what only re-exports, tests or its own name reached was deleted.
+SRC_CEILING = 12_043
 
 
 def test_src_stays_under_its_ceiling():

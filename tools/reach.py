@@ -1,13 +1,25 @@
 #!/usr/bin/env python3
-"""List the definitions in ``src/repro`` that nothing outside ``tests/`` reaches.
+"""List the definitions in ``src/repro`` that no entry point reaches.
 
-The rule, written down once: a function or class defined in
-``src/repro`` is *unreached* when its name occurs as a word exactly once
-in ``src/`` (its own ``def`` or ``class`` line) and not at all in the
-``*.py`` files of ``benchmarks/``, ``examples/`` or ``tools/``.  Any
-occurrence counts, a docstring or comment included, so the rule errs
-towards calling a name reached; dunder methods, which the interpreter
-calls by name, are never listed.  Each row gives the definition's code
+The rule, written down once: reach is a closure over words, started from
+the program's entry points.  The roots are the identifier-shaped words of
+the ``*.py`` files of ``benchmarks/``, ``examples/`` and ``tools/`` and of
+``src/repro/__main__.py``.  Then, until nothing changes:
+
+- a top-level function or class is reached when its name is a reached
+  word;
+- a method (or nested class) is reached when its class is reached and
+  its name is a reached word; dunders are reached with their class, or
+  with their module when they are top-level;
+- a reached definition adds the words of its text, decorators, comments
+  and docstring included (a class adds its own lines, not its members');
+- the first reached definition of a module adds the words of the
+  module's other top-level statements.  Import statements and
+  ``__init__.py`` files add nothing, so a re-export reaches nothing, and
+  neither does a definition naming itself.
+
+Every definition left over is listed, except dunders and the members of
+a class that is itself listed.  Each row gives the definition's code
 lines as ``tools/code_lines.py`` counts them.
 
     python tools/reach.py
@@ -21,53 +33,120 @@ from __future__ import annotations
 import ast
 import re
 import textwrap
-from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 try:
     from tools.code_lines import ROOT, code_lines
 except ImportError:     # run as a script: tools/ itself is on sys.path
     from code_lines import ROOT, code_lines
 
-PACKAGE = ROOT / "src" / "repro"
 #: Directories whose code reaches ``src/`` from outside it.
 CALLERS = ("benchmarks", "examples", "tools")
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_IMPORTS = (ast.Import, ast.ImportFrom)
 
 
-def words(files) -> Counter:
-    """How often each identifier-shaped word occurs in ``files``."""
-    counts: Counter = Counter()
-    for file in files:
-        counts.update(re.findall(r"[A-Za-z_]\w*", file.read_text()))
-    return counts
+@dataclass(eq=False)
+class Definition:
+    module: str                     # file under the package, posix
+    name: str
+    owner: Optional["Definition"]   # the class a member is defined in
+    words: set[str]
+    span: range                     # its lines, decorators included
+
+    @property
+    def dunder(self) -> bool:
+        return self.name.startswith("__") and self.name.endswith("__")
 
 
-def definitions(file: Path):
-    """``(name, code lines)`` of every function and class in ``file``."""
-    source = file.read_text()
-    lines = source.splitlines(keepends=True)
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-            continue
-        if node.name.startswith("__") and node.name.endswith("__"):
-            continue
-        first = min([node.lineno]
-                    + [decorator.lineno for decorator in node.decorator_list])
-        body = textwrap.dedent("".join(lines[first - 1:node.end_lineno]))
-        yield node.name, code_lines(body)
+def words(text: str) -> set[str]:
+    """The identifier-shaped words of ``text``."""
+    return set(re.findall(r"[A-Za-z_]\w*", text))
 
 
-def unreached() -> list[tuple[str, str, int]]:
+def _span(node: ast.stmt) -> range:
+    """Line numbers of ``node``, its decorators included."""
+    first = min([node.lineno] + [d.lineno for d in
+                                 getattr(node, "decorator_list", ())])
+    return range(first, node.end_lineno + 1)
+
+
+def _text(lines: list[str], numbers) -> str:
+    return "".join(lines[number - 1] for number in sorted(numbers))
+
+
+def parse(module: str, lines: list[str]):
+    """``(definitions, top-level words)`` of one module's source lines."""
+    tree = ast.parse("".join(lines))
+    found: list[Definition] = []
+
+    def define(node, owner):
+        members = ([child for child in node.body if isinstance(child, _DEFS)]
+                   if isinstance(node, ast.ClassDef) else [])
+        own = set(_span(node)).difference(*map(_span, members))
+        definition = Definition(module, node.name, owner,
+                                words(_text(lines, own)), _span(node))
+        found.append(definition)
+        for member in members:
+            define(member, definition)
+
+    top: set[int] = set()
+    for node in tree.body:
+        if isinstance(node, _DEFS):
+            define(node, None)
+        elif not isinstance(node, _IMPORTS):
+            top.update(_span(node))
+    if module.endswith("__init__.py"):
+        top = set()
+    return found, words(_text(lines, top))
+
+
+def unreached(root: Path = ROOT) -> list[tuple[str, str, int]]:
     """``(file under src/repro, name, code lines)``, sorted."""
-    files = sorted(PACKAGE.rglob("*.py"))
-    in_src = words(files)
-    outside = words(file for folder in CALLERS
-                    for file in (ROOT / folder).rglob("*.py"))
-    return sorted((file.relative_to(PACKAGE).as_posix(), name, count)
-                  for file in files
-                  for name, count in definitions(file)
-                  if in_src[name] == 1 and not outside[name])
+    package = root / "src" / "repro"
+    roots = words((package / "__main__.py").read_text())
+    for folder in CALLERS:
+        for file in (root / folder).rglob("*.py"):
+            roots |= words(file.read_text())
+    definitions: list[Definition] = []
+    top_words: dict[str, set[str]] = {}
+    sources: dict[str, list[str]] = {}
+    for file in sorted(package.rglob("*.py")):
+        module = file.relative_to(package).as_posix()
+        sources[module] = file.read_text().splitlines(keepends=True)
+        found, top_words[module] = parse(module, sources[module])
+        definitions += found
+
+    reached_words, reached, modules = set(roots), set(), set()
+    grew = True
+    while grew:
+        grew = False
+        for definition in definitions:
+            if definition in reached:
+                continue
+            owner = definition.owner
+            named = definition.name in reached_words
+            if owner is None:
+                ready = (named or definition.dunder
+                         and definition.module in modules)
+            else:
+                ready = owner in reached and (named or definition.dunder)
+            if not ready:
+                continue
+            reached.add(definition)
+            reached_words |= definition.words
+            if definition.module not in modules:
+                modules.add(definition.module)
+                reached_words |= top_words[definition.module]
+            grew = True
+    return sorted(
+        (definition.module, definition.name, code_lines(textwrap.dedent(
+            _text(sources[definition.module], definition.span))))
+        for definition in definitions
+        if definition not in reached and not definition.dunder
+        and (definition.owner is None or definition.owner in reached))
 
 
 def main() -> int:
