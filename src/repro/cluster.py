@@ -244,7 +244,7 @@ class ClioCluster:
             self.cache_dir.set_tracer(tracer)
         if self.rack is not None:
             controller = self.rack.controller
-            controller.health = self.rack.membership.health = self.health
+            controller.health = self.health
             controller.verifier = verifier
             controller.cache_directory = self.cache_dir
 

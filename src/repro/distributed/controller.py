@@ -11,17 +11,21 @@ What differs is only where the order comes from:
 
 * with a shard ring (``shard=`` a :class:`~repro.rack.shard.ShardRing`,
   the rack tier) the region id hashes onto the ring and the order is the
-  ring's preference walk — home, then clockwise successors.  Any
-  placement away from the home lands in the ring's override directory,
-  which is how the rack membership layer later finds strays to rebalance;
+  ring's preference walk — home, then clockwise successors.  A region
+  away from its home is a *stray* (:meth:`GlobalController.strays`),
+  which the rack tier later moves home;
 * without one (a handful of boards) the order is least-utilized first,
   registration order breaking ties.
+
+The leases are the only record of where a region lives: which regions a
+board backs and which regions are strays are read off them, not kept
+beside them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 from repro.core.cboard import CBoard
@@ -49,13 +53,6 @@ class RegionLease:
     pid: int                # PID used on the backing board
     generation: int = 0     # bumped on every migration
     tenant: str = "default"  # tenant charged for the capacity
-
-
-@dataclass
-class _BoardState:
-    board: CBoard
-    index: int                         # registration order (tie-break)
-    regions: set = field(default_factory=set)
 
 
 class LeaseLost(Exception):
@@ -86,9 +83,7 @@ class GlobalController:
     to tell "retry later" apart from "the region never existed".
 
     With a ``shard`` ring attached, placement follows the ring's
-    preference walk (see module docstring) and the controller keeps the
-    ring's override directory in sync on every placement, migration, and
-    free.
+    preference walk (see module docstring).
 
     Capacity QoS: every allocation is charged to a tenant on the
     :class:`~repro.distributed.tenancy.TenantLedger` ``tenants``, whose
@@ -113,7 +108,7 @@ class GlobalController:
         # must draw the same ids no matter what ran earlier in the
         # process.
         self._region_ids = itertools.count(1)
-        self._boards: dict[str, _BoardState] = {}
+        self._boards: dict[str, CBoard] = {}
         self._leases: dict[int, RegionLease] = {}
         for board in boards:
             self.add_board(board)
@@ -123,7 +118,6 @@ class GlobalController:
         self.migrations = 0
         self.failed_migrations = 0
         self.aborted_migrations = 0            # source died mid-copy
-        self.evictions = 0                     # regions re-homed off dead boards
         # Runtime correctness checking (repro.verify); when set, the
         # shadow oracle follows regions across migrations.
         self.verifier = None
@@ -159,37 +153,35 @@ class GlobalController:
         """
         if board.name in self._boards:
             raise ValueError(f"board {board.name!r} already registered")
-        state = _BoardState(board, index=len(self._boards))
-        self._boards[board.name] = state
+        self._boards[board.name] = board
         if self.shard is not None and board.name not in self.shard:
             self.shard.add_board(board.name)
-            self._refresh_shard_directory()
 
     def remove_board(self, name: str) -> None:
         """Deregister an (empty) board — the elastic-drain endpoint."""
-        state = self._boards.get(name)
-        if state is None:
+        if name not in self._boards:
             raise KeyError(f"unknown board {name!r}")
-        if state.regions:
+        regions = self.regions_on(name)
+        if regions:
             raise ValueError(
-                f"board {name!r} still backs {len(state.regions)} regions")
+                f"board {name!r} still backs {len(regions)} regions")
         del self._boards[name]
         if self.shard is not None and name in self.shard:
             self.shard.remove_board(name)
-            self._refresh_shard_directory()
-
-    def _refresh_shard_directory(self) -> None:
-        """Recompute the ring's override directory after an arc move."""
-        self.shard.refresh_overrides(
-            {region_id: lease.mn
-             for region_id, lease in self._leases.items()})
-
-    def boards(self) -> list[str]:
-        return list(self._boards)
 
     def regions_on(self, name: str) -> list[int]:
-        """Region ids currently backed by ``name`` (sorted, stable)."""
-        return sorted(self._boards[name].regions)
+        """Region ids currently backed by ``name``, ascending."""
+        return sorted(region_id for region_id, lease in self._leases.items()
+                      if lease.mn == name)
+
+    def strays(self) -> dict[int, str]:
+        """``{region_id: board}`` for every region away from its ring
+        home (every region, on an empty ring), in region-id order — the
+        work list of the rack tier's rebalance."""
+        ring = self.shard
+        return {region_id: lease.mn
+                for region_id, lease in sorted(self._leases.items())
+                if not ring or lease.mn != ring.home(region_id)}
 
     # -- placement ---------------------------------------------------------------------
 
@@ -198,14 +190,14 @@ class GlobalController:
         (detection lag included), the board's true state otherwise."""
         if self.health is not None:
             return self.health.is_alive(name)
-        return self._boards[name].board.alive
+        return self._boards[name].alive
 
     def _utilization(self, name: str) -> float:
-        board = self._boards[name].board
+        board = self._boards[name]
         return board.page_table.entry_count / board.page_table.physical_pages
 
     def _fits(self, name: str, size: int) -> bool:
-        board = self._boards[name].board
+        board = self._boards[name]
         pages_needed = board.page_spec.page_count(size)
         free_slots = (board.page_table.physical_pages
                       - board.page_table.entry_count)
@@ -219,8 +211,7 @@ class GlobalController:
         allocations, crashes that rebuild page tables)."""
         if self.shard is not None:
             return self.shard.preference(key)
-        return sorted(self._boards, key=lambda name: (
-            self._utilization(name), self._boards[name].index))
+        return sorted(self._boards, key=self._utilization)
 
     def _pick(self, order: Iterable[str], size: int,
               exclude: Optional[str] = None,
@@ -256,8 +247,8 @@ class GlobalController:
         name = self._pick(self._order(region_id), size)
         if name is None:
             raise PlacementError(f"no MN can host {size} bytes")
-        state = self._boards[name]
-        response = yield from state.board.slow_path.handle_alloc(pid, size)
+        response = yield from self._boards[name].slow_path.handle_alloc(
+            pid, size)
         if not response.ok:
             raise PlacementError(
                 f"{name} rejected a {size}-byte region: {response.error}")
@@ -266,9 +257,6 @@ class GlobalController:
                             tenant=tenant)
         self._leases[lease.region_id] = lease
         self.tenants.charge(tenant, response.size)
-        state.regions.add(lease.region_id)
-        if self.shard is not None:
-            self.shard.record_placement(region_id, name)
         return lease
 
     def free(self, region_id: int):
@@ -303,11 +291,8 @@ class GlobalController:
                     lease.pid, lease.mn, lease.va, lease.size)
             del self._leases[region_id]
             self.tenants.credit(lease.tenant, lease.size)
-            state = self._boards[lease.mn]
-            state.regions.discard(region_id)
-            if self.shard is not None:
-                self.shard.clear_override(region_id)
-            yield from state.board.slow_path.handle_free(lease.pid, lease.va)
+            yield from self._boards[lease.mn].slow_path.handle_free(
+                lease.pid, lease.va)
         finally:
             self._freeing.discard(region_id)
             if frozen is not None:
@@ -344,12 +329,10 @@ class GlobalController:
         for name in self.pressured_boards():
             if not self._alive(name):
                 continue   # can't read data off a dead board
-            state = self._boards[name]
             # Move the largest region first (fastest pressure relief).
             region_ids = sorted(
-                (rid for rid in state.regions
-                 if rid in self._leases
-                 and rid not in self._freeing
+                (rid for rid in self.regions_on(name)
+                 if rid not in self._freeing
                  and rid not in self._migrating),
                 key=lambda rid: self._leases[rid].size, reverse=True)
             for region_id in region_ids:
@@ -415,23 +398,15 @@ class GlobalController:
                             exclude=lease.mn)
         if target is None:
             return None
-        target_state = self._boards[target]
-        response = yield from target_state.board.slow_path.handle_alloc(
+        response = yield from self._boards[target].slow_path.handle_alloc(
             lease.pid, lease.size)
         if not response.ok:
             self.failed_migrations += 1
             return None
         old_mn, old_va = lease.mn, lease.va
-        old_state = self._boards.get(old_mn)
-        if old_state is not None:
-            old_state.regions.discard(region_id)
-        target_state.regions.add(region_id)
         lease.mn = target
         lease.va = response.va
         lease.generation += 1
-        self.evictions += 1
-        if self.shard is not None:
-            self.shard.record_placement(region_id, target)
         if self.verifier is not None:
             self.verifier.on_region_evicted(lease, old_mn, old_va)
         return (old_mn, old_va)
@@ -461,9 +436,9 @@ class GlobalController:
         completed = False
         try:
             yield self.env.timeout(CONTROLLER_NS)
-            source_state = self._boards[lease.mn]
-            target_state = self._boards[target]
-            response = yield from target_state.board.slow_path.handle_alloc(
+            source = self._boards[lease.mn]
+            target_board = self._boards[target]
+            response = yield from target_board.slow_path.handle_alloc(
                 lease.pid, lease.size)
             if not response.ok:
                 self.failed_migrations += 1
@@ -483,42 +458,37 @@ class GlobalController:
             # silently lost.  Reads keep serving throughout.  The settle
             # window lets writes already past the permission check drain
             # into DRAM before the first chunk is read.
-            fenced = self._fence_writes(source_state.board, lease)
+            fenced = self._fence_writes(source, lease)
             yield self.env.timeout(FENCE_SETTLE_NS)
             # Copy in page-sized chunks (only pages that were ever touched
             # carry data; untouched pages read as zero on both sides).
             from repro.core.addr import AccessType
             from repro.core.pipeline import Status
-            page = source_state.board.page_spec.page_size
+            page = source.page_spec.page_size
             offset = 0
             while offset < lease.size:
-                if not source_state.board.alive:
+                if not source.alive:
                     # Source died mid-copy: roll the target back and
                     # leave the lease where it was — the durable page
                     # table serves it again after the restart.
-                    yield from target_state.board.slow_path.handle_free(
+                    yield from target_board.slow_path.handle_free(
                         lease.pid, response.va)
                     self.aborted_migrations += 1
                     return False
                 chunk = min(page, lease.size - offset)
-                result = yield from source_state.board.execute_local(
+                result = yield from source.execute_local(
                     lease.pid, AccessType.READ, lease.va + offset, chunk)
                 if result.status is Status.OK and any(result.data):
-                    yield from target_state.board.execute_local(
+                    yield from target_board.execute_local(
                         lease.pid, AccessType.WRITE, response.va + offset,
                         chunk, data=result.data)
                 offset += chunk
-            yield from source_state.board.slow_path.handle_free(
-                lease.pid, lease.va)
-            source_state.regions.discard(region_id)
-            target_state.regions.add(region_id)
+            yield from source.slow_path.handle_free(lease.pid, lease.va)
             old_mn, old_va = lease.mn, lease.va
             lease.mn = target
             lease.va = response.va
             lease.generation += 1
             self.migrations += 1
-            if self.shard is not None:
-                self.shard.record_placement(region_id, target)
             if self.verifier is not None:
                 self.verifier.on_region_migrated(lease, old_mn, old_va)
             completed = True
@@ -527,7 +497,7 @@ class GlobalController:
             if fenced and not completed:
                 # Aborted after fencing: the region stays on its source,
                 # so writes must work again (once the board is back).
-                self._unfence_writes(source_state.board, fenced)
+                self._unfence_writes(source, fenced)
             if frozen is not None:
                 self.cache_directory.release_region(frozen)
             del self._migrating[region_id]

@@ -2,8 +2,8 @@
 
 The global controller must not place regions on a dead board, but — like
 a real control plane — it cannot observe ``board.alive`` directly; it
-only sees missed heartbeats.  :class:`HealthMonitor` polls each board on
-a fixed interval and declares it dead after ``miss_threshold``
+only sees missed heartbeats.  :class:`HealthMonitor` polls each board
+every ``INTERVAL_NS`` and declares it dead after ``MISS_THRESHOLD``
 consecutive misses, giving failure *detection latency* its real shape:
 a crashed board keeps receiving (and dropping) traffic until the monitor
 notices.
@@ -21,6 +21,11 @@ from typing import Optional, Sequence
 
 from repro.telemetry.metrics import MetricsRegistry
 
+#: Heartbeat period.
+INTERVAL_NS = 100_000
+#: Consecutive missed heartbeats before a board is believed dead.
+MISS_THRESHOLD = 3
+
 
 @dataclass(frozen=True)
 class HealthTransition:
@@ -32,19 +37,11 @@ class HealthTransition:
 
 
 class HealthMonitor:
-    """Polls boards every ``interval_ns``; belief lags reality by design."""
+    """Polls boards every ``INTERVAL_NS``; belief lags reality by design."""
 
-    def __init__(self, env, boards: Sequence, interval_ns: int = 100_000,
-                 miss_threshold: int = 3,
+    def __init__(self, env, boards: Sequence,
                  registry: Optional[MetricsRegistry] = None):
-        if interval_ns <= 0:
-            raise ValueError(f"interval must be positive, got {interval_ns}")
-        if miss_threshold < 1:
-            raise ValueError(
-                f"miss threshold must be >= 1, got {miss_threshold}")
         self.env = env
-        self.interval_ns = interval_ns
-        self.miss_threshold = miss_threshold
         self._boards = list(boards)
         self._misses = {board.name: 0 for board in self._boards}
         self._believed_alive = {board.name: True for board in self._boards}
@@ -60,7 +57,7 @@ class HealthMonitor:
     def start(self) -> None:
         """Begin the periodic heartbeat sweep; it runs for the rest of
         the simulation."""
-        self.env.schedule_callback(self.interval_ns, self._sweep)
+        self.env.schedule_callback(INTERVAL_NS, self._sweep)
 
     def _sweep(self) -> None:
         for board in self._boards:
@@ -79,7 +76,7 @@ class HealthMonitor:
             else:
                 self._misses[name] += 1
                 if (self._believed_alive[name]
-                        and self._misses[name] >= self.miss_threshold):
+                        and self._misses[name] >= MISS_THRESHOLD):
                     self._believed_alive[name] = False
                     self.transitions.append(
                         HealthTransition(self.env.now, name, False))
@@ -88,7 +85,7 @@ class HealthMonitor:
                             self.tracer.site("board_down", "health", name,
                                              ("misses",)),
                             self._misses[name])
-        self.env.schedule_callback(self.interval_ns, self._sweep)
+        self.env.schedule_callback(INTERVAL_NS, self._sweep)
 
     # -- queries -----------------------------------------------------------------
 

@@ -359,7 +359,7 @@ class RackYcsb(Workload):
             yield env.timeout(crng.uniform_int(200, 2_000))
 
     def summarize(self, ctx):
-        controller, membership = ctx.controller, ctx.cluster.rack.membership
+        controller, tier = ctx.controller, ctx.cluster.rack
         log = ctx.op_log
         # Latency split around the membership event, for recovery
         # checks: before it fired vs after it settled (steady state: both
@@ -383,8 +383,8 @@ class RackYcsb(Workload):
             "event_done_ns": event_done,
             "migrations": controller.migrations,
             "aborted_migrations": controller.aborted_migrations,
-            "evictions": membership.evictions,
-            "epoch": membership.epoch,
+            "evictions": tier.evictions,
+            "epoch": tier.epoch,
             "placement": tuple(sorted(
                 (region_id, lease.mn)
                 for region_id, lease in controller._leases.items())),
@@ -680,14 +680,14 @@ MIGRATE = Script("migrate", driver=_migrate)
 
 
 def _drain(ctx):
-    yield from ctx.cluster.rack.membership.drain_board("mn1")
+    yield from ctx.cluster.rack.drain_board("mn1")
     ctx.notes.append(f"drained mn1 at {ctx.event_at_ns}ns "
                      f"({ctx.controller.migrations} migrations)")
 
 
 def _add(ctx):
     spare = ctx.cluster.rack.spare(0)
-    moved = yield from ctx.cluster.rack.membership.add_board(spare)
+    moved = yield from ctx.cluster.rack.add_board(spare)
     ctx.notes.append(f"added {spare.name} at {ctx.event_at_ns}ns, "
                      f"rebalanced {moved}")
 
@@ -695,13 +695,13 @@ def _add(ctx):
 def _crash_mid_migration(ctx):
     from repro.rack import DrainError
     env, cluster, controller = ctx.env, ctx.cluster, ctx.controller
-    membership = cluster.rack.membership
+    tier = cluster.rack
 
     def doomed_drain():
         # This drain is *expected* to fail: the board dies under it,
         # its in-flight copies abort, and regions remain.
         try:
-            yield from membership.drain_board("mn1")
+            yield from tier.drain_board("mn1")
         except DrainError:
             pass
 
@@ -715,7 +715,7 @@ def _crash_mid_migration(ctx):
     while not cluster.health.is_alive("mn1"):
         yield env.timeout(50 * US)
     if "mn1" in controller._boards and controller.regions_on("mn1"):
-        yield from membership.drain_board("mn1")
+        yield from tier.drain_board("mn1")
     ctx.notes.append(f"mn1 crashed mid-drain ({controller.aborted_migrations}"
                      " aborted), drain completed after restart")
 
@@ -725,7 +725,7 @@ def _evict(ctx):
     ctx.notes.append(f"mn1 crashed at {ctx.event_at_ns}ns, never restarted "
                      "(lease-expiry eviction)")
     # Recovery point = the sweep's eviction, not the crash.
-    while ctx.cluster.rack.membership.evictions == 0:
+    while ctx.cluster.rack.evictions == 0:
         yield ctx.env.timeout(50 * US)
 
 

@@ -353,8 +353,8 @@ def test_free_waits_out_drain_migration_and_lands_on_new_board():
 
     config = RackConfig(boards=3, tors=2)
     cluster = ClioCluster(num_cns=1, mn_capacity=64 * MB, rack=config)
-    controller = cluster.rack.controller
-    membership = cluster.rack.membership
+    tier = cluster.rack
+    controller = tier.controller
     env = cluster.env
     result = {}
 
@@ -365,7 +365,7 @@ def test_free_waits_out_drain_migration_and_lands_on_new_board():
         victim = next(b for b in ("mn0", "mn1", "mn2")
                       if controller.regions_on(b))
         doomed = next(l for l in leases if l.mn == victim)
-        drain = env.process(membership.drain_board(victim))
+        drain = env.process(tier.drain_board(victim))
         while doomed.region_id not in controller._migrating:
             yield env.timeout(500)
         free = env.process(controller.free(doomed.region_id))

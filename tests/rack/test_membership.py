@@ -10,14 +10,8 @@ PID = 4242
 PAGE = 4 * MB
 
 
-def make_rack(boards=4, spares=0, mn_capacity=64 * MB, partitioned=False,
-              **overrides):
-    config = RackConfig(boards=boards, tors=2, spares=spares,
-                        lease_expiry_ns=overrides.pop("lease_expiry_ns",
-                                                      200 * US),
-                        sweep_interval_ns=overrides.pop("sweep_interval_ns",
-                                                        50 * US),
-                        **overrides)
+def make_rack(boards=4, spares=0, mn_capacity=64 * MB, partitioned=False):
+    config = RackConfig(boards=boards, tors=2, spares=spares)
     cluster = ClioCluster(num_cns=1, mn_capacity=mn_capacity, rack=config,
                           partitioned=partitioned)
     return cluster, cluster.rack
@@ -40,23 +34,77 @@ def test_tier_places_regions_by_ring_and_validates_config():
 
     cluster.run(until=cluster.env.process(app()))
     ring = tier.ring
-    for lease in result["leases"]:
-        assert tier.ring.locate(lease.region_id) == lease.mn
     # An unconstrained allocation lands on the key's ring home.
     homes = sum(1 for lease in result["leases"]
                 if ring.home(lease.region_id) == lease.mn)
     assert homes == len(result["leases"])
+    assert tier.controller.strays() == {}
     with pytest.raises(ValueError):
         RackConfig(boards=0)
     with pytest.raises(ValueError):
         RackConfig(boards=4, tors=0)
-    with pytest.raises(ValueError):
-        RackConfig(boards=4, migration_batch=0)
+
+
+def test_strays_are_the_leases_off_their_ring_home():
+    """The leases are the one placement record: after every membership
+    step, ``strays()`` is exactly the leases whose board is not their
+    ring home, in region-id order, and the ``rack.overrides`` gauge
+    counts them."""
+    cluster, tier = make_rack(boards=4, spares=1)
+    tier.start()
+    controller, ring, env = tier.controller, tier.ring, cluster.env
+    counts = {}
+
+    def check(step):
+        expected = {rid: lease.mn for rid, lease in controller._leases.items()
+                    if lease.mn != ring.home(rid)}
+        strays = controller.strays()
+        assert strays == expected, step
+        assert list(strays) == sorted(expected), step
+        assert cluster.metrics.snapshot()["rack.overrides"] == len(strays)
+        counts[step] = len(strays)
+
+    def app():
+        for _ in range(16):
+            yield from controller.allocate(PID, PAGE)
+        check("allocate")
+        # A join moves arcs under regions that stay put: they are strays
+        # until its rebalance has copied them to the newcomer.
+        join = env.process(tier.add_board(tier.spare(0)))
+        yield env.timeout(1_000)
+        check("joining")
+        yield join
+        check("joined")
+        # A drain takes the board off the ring first: its regions are
+        # strays until their copies land.
+        drain = env.process(tier.drain_board("mn1"))
+        yield env.timeout(1_000)
+        check("draining")
+        yield drain
+        check("drained")
+        # Regions placed while mn2 is believed dead spill past it...
+        cluster.board("mn2").crash()
+        while cluster.health.is_alive("mn2"):
+            yield env.timeout(50 * US)
+        for _ in range(8):
+            yield from controller.allocate(PID, PAGE)
+        check("allocate past a dead board")
+        # ...until its eviction takes its arcs away: then they are home.
+        while "mn2" in ring or controller.regions_on("mn2"):
+            yield env.timeout(50 * US)
+        check("evict")
+
+    cluster.run(until=env.process(app()))
+    assert counts["joining"] == tier.rebalanced > 0
+    assert counts["draining"] > 0
+    assert counts["allocate past a dead board"] > 0
+    assert counts["allocate"] == counts["joined"] == 0
+    assert counts["drained"] == counts["evict"] == 0
 
 
 def test_drain_migrates_data_and_deregisters_board():
     cluster, tier = make_rack(boards=4)
-    controller, membership = tier.controller, tier.membership
+    controller = tier.controller
     threads = threads_for(cluster)
     result = {}
 
@@ -69,7 +117,7 @@ def test_drain_migrates_data_and_deregisters_board():
         marked = next(l for l in leases if l.mn == victim)
         yield from threads[victim].rwrite(marked.va + 64, b"sticky")
         moved_off = len(controller.regions_on(victim))
-        yield from membership.drain_board(victim)
+        yield from tier.drain_board(victim)
         after = controller.lookup(marked.region_id)
         assert after.mn != victim
         data = yield from threads[after.mn].rread(after.va + 64, 6)
@@ -80,8 +128,8 @@ def test_drain_migrates_data_and_deregisters_board():
     assert result["victim"] not in tier.controller._boards
     assert result["victim"] not in tier.ring
     assert tier.controller.migrations >= result["moved_off"]
-    assert membership.drains == 1
-    assert membership.epoch >= 2
+    assert tier.drains == 1
+    assert tier.epoch >= 2
     # Every surviving lease points at a live, registered board.
     for region_id in list(tier.controller._leases):
         assert tier.controller.lookup(region_id).mn != result["victim"]
@@ -89,7 +137,7 @@ def test_drain_migrates_data_and_deregisters_board():
 
 def test_drain_without_capacity_raises_and_keeps_board():
     cluster, tier = make_rack(boards=2, mn_capacity=16 * MB)
-    controller, membership = tier.controller, tier.membership
+    controller = tier.controller
     result = {}
 
     def app():
@@ -100,17 +148,17 @@ def test_drain_without_capacity_raises_and_keeps_board():
         victim = next(b for b in ("mn0", "mn1")
                       if controller.regions_on(b))
         with pytest.raises(DrainError):
-            yield from membership.drain_board(victim)
+            yield from tier.drain_board(victim)
         result["victim"] = victim
 
     cluster.run(until=cluster.env.process(app()))
     assert result["victim"] in tier.controller._boards
-    assert membership.drains == 0
+    assert tier.drains == 0
 
 
 def test_added_spare_takes_load_via_rebalance():
     cluster, tier = make_rack(boards=4, spares=1)
-    controller, membership = tier.controller, tier.membership
+    controller = tier.controller
     result = {}
 
     def app():
@@ -118,7 +166,7 @@ def test_added_spare_takes_load_via_rebalance():
             yield from controller.allocate(PID, PAGE)
         spare = tier.spare(0)
         assert spare.name not in controller._boards
-        moved = yield from membership.add_board(spare)
+        moved = yield from tier.add_board(spare)
         result["moved"] = moved
         result["spare"] = spare.name
 
@@ -126,7 +174,7 @@ def test_added_spare_takes_load_via_rebalance():
     spare = result["spare"]
     assert spare in tier.controller._boards
     assert spare in tier.ring
-    assert membership.joins == 1
+    assert tier.joins == 1
     # The newcomer owns arcs, so rebalancing moved its regions home.
     assert result["moved"] >= 1
     assert result["moved"] == len(tier.controller.regions_on(spare))
@@ -137,7 +185,7 @@ def test_added_spare_takes_load_via_rebalance():
 def test_eviction_after_lease_expiry_then_rejoin_wipes_orphans():
     cluster, tier = make_rack(boards=4)
     tier.start()
-    controller, membership = tier.controller, tier.membership
+    controller = tier.controller
     threads = threads_for(cluster)
     env = cluster.env
     result = {}
@@ -155,7 +203,7 @@ def test_eviction_after_lease_expiry_then_rejoin_wipes_orphans():
         gen_before = marked.generation
         entries_before_crash = board.page_table.entry_count
         board.crash()
-        while membership.evictions < lost:
+        while tier.evictions < lost:
             yield env.timeout(50 * US)
         after = controller.lookup(marked.region_id)
         assert after.mn != victim
@@ -173,17 +221,16 @@ def test_eviction_after_lease_expiry_then_rejoin_wipes_orphans():
                       entries_before=entries_before_crash)
 
     cluster.run(until=env.process(app()))
-    tier.stop()
-    assert membership.evictions == result["lost"]
+    assert tier.evictions == result["lost"]
     # The rejoin wiped every orphaned allocation before re-ringing.
     assert result["entries_after"] < result["entries_before"]
-    assert result["victim"] not in membership._orphans
-    assert membership.joins == 1
+    assert result["victim"] not in tier._orphans
+    assert tier.joins == 1
 
 
 def test_draining_board_is_not_a_placement_target():
     cluster, tier = make_rack(boards=3)
-    controller, membership = tier.controller, tier.membership
+    controller = tier.controller
     env = cluster.env
     result = {}
 
@@ -191,7 +238,7 @@ def test_draining_board_is_not_a_placement_target():
         for _ in range(6):
             yield from controller.allocate(PID, PAGE)
         victim = "mn1"
-        drain = env.process(membership.drain_board(victim))
+        drain = env.process(tier.drain_board(victim))
         yield env.timeout(1_000)   # drain underway, board still known
         fresh = yield from controller.allocate(PID, PAGE)
         result["fresh_mn"] = fresh.mn
@@ -206,19 +253,19 @@ def test_same_seed_rack_membership_identical_flat_vs_partitioned():
     for partitioned in (False, True):
         cluster, tier = make_rack(boards=4, spares=1,
                                   partitioned=partitioned)
-        controller, membership = tier.controller, tier.membership
+        controller = tier.controller
 
         def app():
             for _ in range(12):
                 yield from controller.allocate(PID, PAGE)
-            yield from membership.drain_board("mn2")
-            yield from membership.add_board(tier.spare(0))
+            yield from tier.drain_board("mn2")
+            yield from tier.add_board(tier.spare(0))
 
         cluster.run(until=cluster.env.process(app()))
         placements.append((
             cluster.env.now,
             tuple(sorted((rid, lease.mn)
                          for rid, lease in controller._leases.items())),
-            membership.epoch, controller.migrations,
+            tier.epoch, controller.migrations,
         ))
     assert placements[0] == placements[1]

@@ -1,14 +1,14 @@
-"""Tests for the consistent-hash shard ring and its override directory."""
+"""Tests for the consistent-hash shard ring."""
 
 from collections import Counter
 
 import pytest
 
-from repro.rack.shard import ShardRing
+from repro.rack.shard import VNODES, ShardRing
 
 
-def ring_with(names, vnodes=32):
-    ring = ShardRing(vnodes=vnodes)
+def ring_with(names):
+    ring = ShardRing()
     for name in names:
         ring.add_board(name)
     return ring
@@ -30,8 +30,6 @@ def test_membership_is_strict():
         ring.remove_board("mn9")
     assert "mn0" in ring
     assert "mn9" not in ring
-    with pytest.raises(ValueError):
-        ShardRing(vnodes=0)
 
 
 def test_layout_is_a_pure_function_of_membership():
@@ -69,52 +67,19 @@ def test_preference_walk_is_distinct_and_starts_at_home():
         assert len(walk) == 4
 
 
-def test_override_directory_tracks_off_home_placements_only():
-    ring = ring_with(["mn0", "mn1", "mn2"])
-    key = 7
-    home = ring.home(key)
-    away = next(b for b in ring.boards if b != home)
-    ring.record_placement(key, away)
-    assert ring.override_for(key) == away
-    assert ring.locate(key) == away
-    # Landing back home erases the entry: the directory stays minimal.
-    ring.record_placement(key, home)
-    assert ring.override_for(key) is None
-    assert ring.locate(key) == home
-    ring.record_placement(key, away)
-    ring.clear_override(key)
-    assert ring.override_count == 0
-
-
-def test_refresh_overrides_tracks_arc_moves():
-    """Ring mutations move arcs; refresh recomputes exactly the off-home
-    set from the authoritative placement map."""
-    ring = ring_with([f"mn{i}" for i in range(4)])
-    placements = {key: ring.home(key) for key in range(200)}
-    assert ring.override_count == 0
-    ring.remove_board("mn2")
-    ring.refresh_overrides(placements)
-    # Every region that lived on mn2 is now a stray; nobody else is.
-    strays = {key for key, board in placements.items() if board == "mn2"}
-    assert set(ring.overrides()) == strays
-    assert all(board == "mn2" for board in ring.overrides().values())
-
-
 def test_arc_share_sums_to_one_and_balances():
     boards = [f"mn{i}" for i in range(8)]
-    ring = ring_with(boards, vnodes=64)
+    ring = ring_with(boards)
     keys = 4096
     homes = Counter(ring.home(key) for key in range(keys))
     assert sorted(homes) == boards
     assert sum(homes.values()) == keys
-    # 64 vnodes per board keeps the spread loose but bounded.
+    # VNODES points per board keep the spread loose but bounded.
     assert all(0.02 < count / keys < 0.35 for count in homes.values())
 
 
 def test_stats_shape():
-    ring = ring_with(["mn0", "mn1"], vnodes=16)
-    ring.record_placement(5, "mn0" if ring.home(5) != "mn0" else "mn1")
+    ring = ring_with(["mn0", "mn1"])
     assert len(ring) == 2
-    assert len(ring._points) == 32
-    assert ring.override_count == 1
+    assert len(ring._points) == 2 * VNODES
     assert ring.membership_changes == 2

@@ -199,7 +199,7 @@ def test_layers_hand_their_handles_to_every_component():
     cluster = ClioCluster(params=LAYER_PARAMS, num_cns=2, mn_capacity=64 * MB,
                           rack=2, layers=LAYERS)
     controller = cluster.rack.controller
-    assert controller.health is cluster.rack.membership.health is cluster.health
+    assert controller.health is cluster.health
     assert controller.verifier is cluster.mn.verifier is cluster.verifier
     assert controller.cache_directory is cluster.cache_dir is not None
     assert cluster.health.tracer is cluster.cache_dir.tracer is cluster.tracer

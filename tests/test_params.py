@@ -246,8 +246,6 @@ def test_defaults_and_profiles_are_in_range():
     (RackConfig, "boards", 0),
     (RackConfig, "tors", 0),
     (RackConfig, "spares", -1),
-    (RackConfig, "max_concurrent_migrations", 0),
-    (RackConfig, "migration_batch", 0),
     (ChurnScenario, "ops", 0),
     (ChurnScenario, "pids", 0),
     (ChurnScenario, "large_frac", 1.5),

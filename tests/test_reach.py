@@ -46,7 +46,6 @@ KEPT = {
         "scripts the orphan restart FaultSchedule.validate must reject",
     ("net/switch.py", "node_names"): ACCESSOR,
     ("net/switch.py", "shaper_for"): ACCESSOR,
-    ("rack/shard.py", "override_for"): ACCESSOR,
     ("sim/partition.py", "lookahead_edges"): PARTITION,
     ("sim/partition.py", "min_lookahead"): PARTITION,
     ("sim/partition.py", "open_channel"): PARTITION,

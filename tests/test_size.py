@@ -32,7 +32,10 @@ from tools.code_lines import ROOT, count_files
 #: models' four verbs; one ``sample_latencies`` loop times them all.
 #: -102 since: ``tools/reach.py`` became a closure from the entry points,
 #: and what only re-exports, tests or its own name reached was deleted.
-SRC_CEILING = 12_043
+#: -119 since: placement has one record, the controller's leases; the
+#: ring's override directory, the per-board region sets, ``rack/tier.py``
+#: and the rack and health knobs no caller set are gone.
+SRC_CEILING = 11_924
 
 
 def test_src_stays_under_its_ceiling():
