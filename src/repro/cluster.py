@@ -39,11 +39,10 @@ class ClioCluster:
 
     With ``partitioned=True`` the cluster is built on the partitioned
     engine: every CBoard and CN owns its own event wheel (logical
-    process), the switch tier owns another, and link propagation delays
-    become the conservative lookahead edges between them.  The
-    single-process partitioned scheduler is bit-identical to the flat
-    engine on the same seed — same timestamps, same tie-breaks, same RNG
-    draw order — so fingerprints and goldens carry over unchanged.
+    process) and the switch tier owns another.  The single-process
+    partitioned scheduler is bit-identical to the flat engine on the
+    same seed — same timestamps, same tie-breaks, same RNG draw order —
+    so fingerprints and goldens carry over unchanged.
     """
 
     def __init__(self, params: Optional[ClioParams] = None, seed: int = 0,
@@ -54,7 +53,6 @@ class ClioCluster:
                  rack=None,
                  layers: tuple = ()):
         self.params = params or ClioParams.prototype()
-        self.partitioned = partitioned
         if (len(set(layers)) != len(layers)
                 or not set(layers) <= set(self._LAYERS)):
             raise ValueError(f"layers must be distinct names from "
@@ -118,8 +116,6 @@ class ClioCluster:
                         default_page_size=page_size, registry=self.metrics)
             for index in range(num_cns)
         ]
-        if partitioned:
-            self._register_partition_metrics()
         # The rack tier (ring + controller + membership) hangs off the
         # boards just built; spares stay out of service until added.
         self.rack = None
@@ -140,25 +136,6 @@ class ClioCluster:
             if name in layers:
                 build(self)
         self._wire()
-
-    def _register_partition_metrics(self) -> None:
-        """Expose per-partition engine counters as fn-backed metrics."""
-        scope = self.metrics.scope("engine")
-        scope.counter("drain_runs", fn=lambda: self.env.drain_runs)
-        scope.counter("events_dispatched",
-                      fn=lambda: self.env.events_dispatched)
-        for part in self.env.partitions:
-            prefix = f"partition.{part.name}"
-            scope.counter(f"{prefix}.events",
-                          fn=lambda p=part: p.events_dispatched)
-            scope.counter(f"{prefix}.cross_in",
-                          fn=lambda p=part: p.cross_events_in)
-
-    def partition_report(self) -> Optional[dict]:
-        """Engine-level partition stats, or ``None`` on a flat cluster."""
-        if not self.partitioned:
-            return None
-        return self.env.partition_stats()
 
     # -- the opt-in layers ----------------------------------------------------------
 

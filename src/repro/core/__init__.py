@@ -14,7 +14,7 @@ from repro.core.addr import (
     PageSpec,
 )
 from repro.core.cboard import CBoard
-from repro.core.mat import MatchActionTable, MatchRule, Path
+from repro.core.mat import PATHS, Path
 from repro.core.memory import DRAM
 from repro.core.page_table import HashPageTable, PageTableEntry
 from repro.core.simboard import SimBoard
@@ -27,9 +27,8 @@ __all__ = [
     "CBoard",
     "DRAM",
     "HashPageTable",
-    "MatchActionTable",
-    "MatchRule",
     "PAGE_SIZES",
+    "PATHS",
     "PageSpec",
     "PageTableEntry",
     "Path",

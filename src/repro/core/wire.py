@@ -30,7 +30,7 @@ from functools import partial
 from typing import Any, Optional
 
 from repro.core.addr import AccessType
-from repro.core.mat import MatchActionTable, Path
+from repro.core.mat import PATHS, Path
 from repro.core.pipeline import Breakdown, Status
 from repro.core.retry_buffer import RetryBuffer
 from repro.core.sync import AtomicOp, AtomicResult
@@ -40,7 +40,7 @@ from repro.sim import Environment
 
 #: Members the handler chain tests, bound once: on CPython 3.11 every
 #: ``Enum.X`` load takes ``EnumType.__getattr__``'s slow hook.
-_FAST, _SLOW, _DROP, _OK = Path.FAST, Path.SLOW, Path.DROP, Status.OK
+_FAST, _SLOW, _OK = Path.FAST, Path.SLOW, Status.OK
 _READ, _WRITE, _FENCE = PacketType.READ, PacketType.WRITE, PacketType.FENCE
 _ALLOC, _FREE = PacketType.ALLOC, PacketType.FREE
 _RESPONSE = PacketType.RESPONSE
@@ -80,7 +80,6 @@ class Board:
         self.params = params
         self.name = name
         self.retry_buffer = RetryBuffer(params.cboard.retry_buffer_bytes)
-        self.mat = MatchActionTable()
         self.topology = None
         self._write_progress: dict[int, _WriteProgress] = {}
 
@@ -135,9 +134,10 @@ class Board:
                 self._netstack_ns,
                 partial(self._send_nack, packet.header, self._epoch))
             return
-        # MAT dispatch: which path (or drop) handles this packet.
-        path = self.mat.classify(packet.header)
-        if path is _DROP:
+        # MAT dispatch: the request type picks the path; a type the board
+        # does not serve is dropped.
+        path = PATHS.get(packet.header.packet_type)
+        if path is None:
             return
         # Nobody waits on a handler and this is the delivery event's last
         # act, so it starts inline: no Initialize, no completion event.

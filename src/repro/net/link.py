@@ -42,8 +42,7 @@ class Link:
         self.env = env
         # Under the partitioned engine the serializer state lives with the
         # sender while the delivery callback fires on the *receiver's*
-        # event wheel — the link is the lookahead edge between the two
-        # logical processes.  In a flat environment both are the same.
+        # event wheel.  In a flat environment both are the same.
         self.deliver_env = deliver_env if deliver_env is not None else env
         self.name = name
         self.rate_bps = rate_bps

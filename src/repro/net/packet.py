@@ -29,12 +29,6 @@ class PacketType(enum.Enum):
     NACK = "nack"            # corruption detected at MN
 
 
-#: Fast-path types the MAT keeps in the ASIC pipeline.
-FAST_PATH_TYPES = frozenset(
-    {PacketType.READ, PacketType.WRITE, PacketType.ATOMIC, PacketType.FENCE,
-     PacketType.BATCH})
-
-
 @dataclass(slots=True)
 class ClioHeader:
     """Per-packet header: everything needed to process the packet alone.

@@ -21,11 +21,8 @@ splits it the way a real rack does:
   queues, not one shared queue for the rack.
 
 A star is that rack with one ToR and no spine.  Under the partitioned
-engine every ToR and the spine can own its own logical process; the link
-propagation delay on every node<->ToR *and* ToR<->spine edge is declared
-as conservative PDES lookahead, which is what lets a 64-board run
-actually parallelize instead of degenerating to lockstep around a single
-switch LP.
+engine every ToR and the spine can own its own event wheel; each link
+fires its deliveries on the receiving end's wheel.
 """
 
 from __future__ import annotations
@@ -183,7 +180,6 @@ class Topology:
             self._spine_downlinks.append(self._link(
                 spine_env, f"spine->{label}", params.switch_rate_bps,
                 tor.ingress, f"down/{label}", tor_env))
-            self._declare_lookahead(tor_env, spine_env)
         self._uplinks: dict[str, Link] = {}
         self._downlinks: dict[str, Link] = {}
 
@@ -216,10 +212,8 @@ class Topology:
         ``node_env`` is the node's own environment.  Under the partitioned
         engine it is the node's :class:`~repro.sim.Partition`: the uplink's
         serializer then lives with the node while its delivery fires on its
-        ToR's wheel (and vice versa for the downlink), and the link
-        propagation delay is declared as the conservative lookahead edge
-        between the two logical processes.  In a flat environment this
-        changes nothing.
+        ToR's wheel (and vice versa for the downlink).  In a flat
+        environment this changes nothing.
         """
         if name in self._uplinks:
             raise ValueError(f"node {name!r} already exists")
@@ -240,25 +234,6 @@ class Topology:
         tor.attach(name, self._downlinks[name])
         if self.spine is not None:
             self.spine.route(name, self._spine_downlinks[index])
-        self._declare_lookahead(node_env, tor.env)
-
-    def _declare_lookahead(self, a: Environment, b: Environment) -> None:
-        """Link propagation as the conservative edge between two LPs.
-
-        A no-op unless both ends are partitions of the same
-        :class:`~repro.sim.PartitionedEnvironment`.  The edge is the
-        propagation delay plus the minimum one-byte serialization time —
-        nothing a sender does *now* can reach the other side sooner —
-        declared both ways.
-        """
-        if a is b:
-            return
-        parent = getattr(a, "parent", None)
-        if parent is None or getattr(b, "parent", None) is not parent:
-            return
-        lookahead = self.params.propagation_ns + 1
-        parent.declare_lookahead(a, b, lookahead)
-        parent.declare_lookahead(b, a, lookahead)
 
     def send(self, packet: Packet) -> None:
         """Inject a packet at its source node's uplink."""

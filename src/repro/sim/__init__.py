@@ -24,7 +24,6 @@ from repro.sim.rng import RandomStream
 
 __all__ = [
     "AllOf",
-    "Channel",
     "Environment",
     "Event",
     "Partition",
@@ -37,7 +36,7 @@ __all__ = [
     "Timeout",
 ]
 
-_PARTITION = ("Channel", "Partition", "PartitionedEnvironment")
+_PARTITION = ("Partition", "PartitionedEnvironment")
 
 
 def __getattr__(name: str):

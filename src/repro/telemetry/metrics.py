@@ -4,14 +4,13 @@ Components register *instruments* — :class:`Counter`, :class:`Gauge`,
 :class:`Histogram` — under hierarchical dotted names
 (``cboard.mn0.tlb.hits``) in a :class:`MetricsRegistry`, and the
 registry is the one way to read a counter: ``component.metrics.snapshot()``
-for one component, ``registry.snapshot(prefix)`` for any subtree.  An
-instrument holds its value one of two ways:
+for one component, ``registry.snapshot(prefix)`` for any subtree.
 
-* **Function-backed** (hot-path counters): the component keeps
-  incrementing a plain attribute — zero new cost per event — and the
-  instrument reads it through a callable on demand.
-* **Owned**: the instrument itself holds the value (``counter.inc()``,
-  ``gauge.set()``, ``histogram.observe()``).
+Every counter and gauge is a *view*: the component keeps its value in a
+plain attribute (incrementing it costs nothing new per event) and the
+instrument reads it through the ``fn`` it was registered with.  Only a
+histogram holds state of its own, the observations fed to
+:meth:`Histogram.observe`.
 
 The registry is *passive*: creating instruments schedules nothing and
 draws no RNG, so a cluster with a registry wired in is bit-identical to
@@ -34,60 +33,46 @@ _HISTOGRAM_SAMPLE_CAP = 65_536
 class Instrument:
     """Base class: a named, typed source of one observable value."""
 
-    __slots__ = ("name", "description", "unit", "_fn", "_value")
+    __slots__ = ("name", "description", "unit")
 
     kind = "instrument"
 
-    def __init__(self, name: str, description: str = "", unit: str = "",
-                 fn: Optional[Callable[[], Any]] = None):
+    def __init__(self, name: str, description: str = "", unit: str = ""):
         if not name:
             raise ValueError("instrument needs a non-empty name")
         self.name = name
         self.description = description
         self.unit = unit
-        self._fn = fn
-        self._value: Any = 0
-
-    @property
-    def value(self) -> Any:
-        """Current value — the callback's result for function-backed views."""
-        if self._fn is not None:
-            return self._fn()
-        return self._value
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}={self.value!r}>"
 
 
 class Counter(Instrument):
-    """Monotonically increasing count (requests served, packets dropped)."""
+    """Monotonically increasing count (requests served, packets dropped),
+    read through ``fn``."""
 
-    __slots__ = ()
+    __slots__ = ("_fn",)
 
     kind = "counter"
 
-    def inc(self, amount: int = 1) -> None:
-        if self._fn is not None:
-            raise ValueError(
-                f"counter {self.name!r} is function-backed; "
-                "increment the underlying attribute instead")
-        if amount < 0:
-            raise ValueError(f"counter increment must be >= 0, got {amount}")
-        self._value += amount
+    def __init__(self, name: str, description: str = "", unit: str = "", *,
+                 fn: Callable[[], Any]):
+        super().__init__(name, description, unit)
+        self._fn = fn
+
+    @property
+    def value(self) -> Any:
+        return self._fn()
 
 
-class Gauge(Instrument):
-    """Point-in-time reading (queue depth, utilization, liveness)."""
+class Gauge(Counter):
+    """Point-in-time reading (queue depth, utilization, liveness): a view
+    like a counter, free to go down."""
 
     __slots__ = ()
 
     kind = "gauge"
-
-    def set(self, value: Any) -> None:
-        if self._fn is not None:
-            raise ValueError(
-                f"gauge {self.name!r} is function-backed and read-only")
-        self._value = value
 
 
 class Histogram(Instrument):
@@ -158,13 +143,14 @@ class MetricsScope:
     def _full(self, name: str) -> str:
         return f"{self.prefix}.{name}" if self.prefix else name
 
-    def counter(self, name: str, description: str = "", unit: str = "",
-                fn: Optional[Callable[[], Any]] = None) -> Counter:
-        return self.registry.counter(self._full(name), description, unit, fn)
+    def counter(self, name: str, description: str = "", unit: str = "", *,
+                fn: Callable[[], Any]) -> Counter:
+        return self.registry.counter(self._full(name), description, unit,
+                                     fn=fn)
 
-    def gauge(self, name: str, description: str = "", unit: str = "",
-              fn: Optional[Callable[[], Any]] = None) -> Gauge:
-        return self.registry.gauge(self._full(name), description, unit, fn)
+    def gauge(self, name: str, description: str = "", unit: str = "", *,
+              fn: Callable[[], Any]) -> Gauge:
+        return self.registry.gauge(self._full(name), description, unit, fn=fn)
 
     def histogram(self, name: str, description: str = "",
                   unit: str = "") -> Histogram:
@@ -210,13 +196,13 @@ class MetricsRegistry:
         self._instruments[instrument.name] = instrument
         return instrument
 
-    def counter(self, name: str, description: str = "", unit: str = "",
-                fn: Optional[Callable[[], Any]] = None) -> Counter:
-        return self._register(Counter(name, description, unit, fn))
+    def counter(self, name: str, description: str = "", unit: str = "", *,
+                fn: Callable[[], Any]) -> Counter:
+        return self._register(Counter(name, description, unit, fn=fn))
 
-    def gauge(self, name: str, description: str = "", unit: str = "",
-              fn: Optional[Callable[[], Any]] = None) -> Gauge:
-        return self._register(Gauge(name, description, unit, fn))
+    def gauge(self, name: str, description: str = "", unit: str = "", *,
+              fn: Callable[[], Any]) -> Gauge:
+        return self._register(Gauge(name, description, unit, fn=fn))
 
     def histogram(self, name: str, description: str = "",
                   unit: str = "") -> Histogram:

@@ -51,12 +51,12 @@ OPS = 50
 BUDGET = {
     "rread64": {"alloc": 0.32, "clib": 5.0, "core": 31.32, "net": 37.24,
                 "sim": 91.68, "transport": 37.76},
-    "rwrite64": {"alloc": 0.32, "clib": 7.0, "core": 42.32, "net": 37.24,
+    "rwrite64": {"alloc": 0.32, "clib": 7.0, "core": 41.32, "net": 37.24,
                  "sim": 90.68, "transport": 38.76},
     "onboard_read64": {"alloc": 0.04, "core": 20.04, "sim": 23.24},
-    "rwrite4k": {"alloc": 0.84, "clib": 7.0, "core": 110.84, "net": 75.42,
+    "rwrite4k": {"alloc": 0.84, "clib": 7.0, "core": 107.84, "net": 75.42,
                  "sim": 181.92, "transport": 46.88},
-    "ralloc_rfree": {"alloc": 6.4, "clib": 9.0, "core": 141.4,
+    "ralloc_rfree": {"alloc": 6.4, "clib": 9.0, "core": 130.4,
                      "net": 68.38, "sim": 258.4, "transport": 74.0},
 }
 

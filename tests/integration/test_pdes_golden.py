@@ -25,21 +25,26 @@ def test_partitioned_chaos_fingerprint_matches_flat():
 
 
 def test_partitioned_cluster_reports_engine_shape():
-    """The partitioned chaos run actually ran partitioned: per-board and
-    per-CN wheels did the dispatching and the switch tier has lookahead
-    edges to every node."""
+    """A partitioned cluster really is partitioned: the switch tier, every
+    board and every CN own a wheel, and each node's components schedule
+    onto its own."""
     from repro.cluster import ClioCluster
+    from repro.sim import Partition
     from repro.verify.runner import verify_params
 
     MB = 1 << 20
     cluster = ClioCluster(params=verify_params(), seed=1, num_cns=2,
                           mn_capacity=256 * MB, partitioned=True)
-    report = cluster.partition_report()
-    assert set(report["partitions"]) == {"switch", "mn0", "cn0", "cn1"}
-    edges = report["lookahead_edges"]
-    for node in ("mn0", "cn0", "cn1"):
-        assert f"{node}->switch" in edges
-        assert f"switch->{node}" in edges
-    # Per-partition engine counters ride the shared metrics registry.
-    snapshot = cluster.metrics.snapshot()
-    assert "engine.partition.mn0.events" in snapshot
+    env = cluster.env
+    assert {part.name for part in env.partitions} == {
+        "switch", "mn0", "cn0", "cn1"}
+    assert cluster.topology.switches[0].env is env.partition("switch")
+    for board in cluster.mns:
+        own = env.partition(board.name)
+        assert isinstance(own, Partition) and board.env is own
+        for component in (board.fast_path, board.slow_path,
+                          board.extend_path, board.atomic_unit):
+            assert component.env is own
+    for node in cluster.cns:
+        own = env.partition(node.name)
+        assert node.env is own and node.transport.env is own

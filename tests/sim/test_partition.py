@@ -227,7 +227,7 @@ def test_timeout_pool_recycles_on_partitioned_drain_path():
     assert len(part._timeout_pool) == len(flat_env._timeout_pool) > 0
 
 
-# -- partition registry and stats ----------------------------------------------
+# -- partition registry ---------------------------------------------------------
 
 
 def test_partition_registry_is_idempotent():
@@ -247,84 +247,12 @@ def test_partitions_cannot_be_driven_directly():
         part.step()
     with pytest.raises(SimulationError):
         part.run()
-
-
-def test_partition_stats_track_dispatch_and_cross_traffic():
-    env = PartitionedEnvironment()
-    a, b = env.partition("a"), env.partition("b")
-
-    def pinger():
-        for _ in range(10):
-            yield a.timeout(7)
-            b.schedule_callback(3, lambda: None)   # cross-partition
-
-    a.process(pinger())
+    # Nor single-stepped through the parent: a flat ``step`` would pop
+    # the control wheel's head with no global pick.
+    with pytest.raises(SimulationError, match="run"):
+        env.step()
     env.run()
-    stats = env.partition_stats()
-    # Initialize + 10 timeouts + the process-completion event itself.
-    assert stats["partitions"]["a"]["events_dispatched"] == 12
-    assert stats["partitions"]["b"]["events_dispatched"] == 10
-    assert stats["partitions"]["b"]["cross_events_in"] == 10
-    assert stats["drain_runs"] >= 1
-    assert env.events_dispatched == 0               # control wheel unused
-
-
-def test_shared_clock_and_quiesced():
-    env = PartitionedEnvironment()
-    a, b = env.partition("a"), env.partition("b")
-    a.timeout(5)
-    assert not a.quiesced() and b.quiesced()
-    env.run()
-    assert a.quiesced()
-    assert a.now == b.now == env.now == 5
-
-
-# -- lookahead edges and channels ----------------------------------------------
-
-
-def test_declare_lookahead_keeps_minimum():
-    env = PartitionedEnvironment()
-    a, b = env.partition("a"), env.partition("b")
-    env.declare_lookahead(a, b, 500)
-    env.declare_lookahead(a, b, 200)
-    env.declare_lookahead(a, b, 900)
-    assert env.lookahead_edges() == {("a", "b"): 200}
-    assert env.min_lookahead() == 200
-    with pytest.raises(ValueError):
-        env.declare_lookahead(a, b, 0)
-
-
-def test_channel_send_schedules_on_destination_wheel():
-    env = PartitionedEnvironment()
-    a, b = env.partition("a"), env.partition("b")
-    got = []
-    channel = env.open_channel(a, b, lambda payload: got.append(
-        (payload, env.now)), lookahead_ns=100)
-    channel.send("hello")
-    channel.send("late", delay=250)
-    env.run()
-    assert got == [("hello", 100), ("late", 250)]
-    assert channel.messages == 2
-    assert env.partition_stats()["channel_messages"] == 2
-
-
-def test_channel_rejects_delay_below_lookahead():
-    env = PartitionedEnvironment()
-    a, b = env.partition("a"), env.partition("b")
-    channel = env.open_channel(a, b, lambda payload: None, lookahead_ns=100)
-    with pytest.raises(ValueError):
-        channel.send("too-soon", delay=99)
-
-
-def test_channel_endpoints_must_be_partitions_of_this_env():
-    env = PartitionedEnvironment()
-    other = PartitionedEnvironment()
-    a = env.partition("a")
-    foreign = other.partition("b")
-    with pytest.raises(TypeError):
-        env.open_channel(a, env, lambda payload: None, lookahead_ns=10)
-    with pytest.raises(ValueError):
-        env.open_channel(a, foreign, lambda payload: None, lookahead_ns=10)
+    assert env.now == 5
 
 
 # -- run(until=...) edge behavior mirrors the flat engine ----------------------
@@ -337,8 +265,8 @@ def test_partitioned_run_until_processed_event_is_immediate():
     part.schedule_callback(1000, lambda: None)
     assert env.run(until=target) == "done"
     assert env.run(until=target) == "done"   # fast path, no drain
-    assert part.pending() == 1
-    assert env.now == 5
+    assert len(part._queue) == 1             # the t=1000 callback waits
+    assert env.now == part.now == 5          # one clock, the parent's
 
 
 def test_partitioned_run_until_drained_queue_raises():
@@ -387,10 +315,11 @@ def test_spawn_and_callbacks_are_bit_identical_to_flat():
     assert part_order == flat_order and len(flat_order) > 30
     assert part_env._seq == flat_env._seq
     assert part_env.now == flat_env.now
-    # One callback per "start"/"cb" and one timeout per "end": the wheels
-    # count bare entries, and no Initialize or completion event exists.
-    dispatched = sum(part.events_dispatched for part in parts)
-    assert dispatched == part_env._seq == len(flat_order)
+    # One callback per "start"/"cb" and one timeout per "end": every
+    # entry scheduled (all dispatched, the wheels are empty) is one of
+    # those, and no Initialize or completion event exists.
+    assert not any(part._queue for part in (part_env, *parts))
+    assert part_env._seq == len(flat_order)
 
 
 def test_partitioned_spawn_exception_surfaces_and_empty_spawn_is_free():
@@ -402,7 +331,7 @@ def test_partitioned_spawn_exception_surfaces_and_empty_spawn_is_free():
         yield                      # pragma: no cover
 
     part.spawn(quiet())
-    assert env._seq == 0 and part.quiesced()
+    assert env._seq == 0 and not part._queue
 
     def fails():
         yield part.timeout(7)

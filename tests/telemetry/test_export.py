@@ -95,7 +95,7 @@ def test_write_chrome_trace_round_trips(tmp_path):
 def test_dashboard_sections():
     env = Environment()
     registry = MetricsRegistry()
-    registry.counter("cboard.mn0.requests_served").inc(5)
+    registry.counter("cboard.mn0.requests_served", fn=lambda: 5)
     registry.gauge("cboard.mn0.utilization", fn=lambda: 0.123456)
     hist = registry.histogram("transport.cn0.rtt", unit="ns")
     for value in (100, 200, 300, 400):
@@ -120,8 +120,8 @@ def test_dashboard_sections():
 
 def test_dashboard_prefix_filter_and_empty():
     registry = MetricsRegistry()
-    registry.counter("cboard.mn0.a").inc()
-    registry.counter("transport.cn0.b").inc()
+    registry.counter("cboard.mn0.a", fn=lambda: 1)
+    registry.counter("transport.cn0.b", fn=lambda: 1)
     text = render_dashboard(registry, prefix="cboard")
     assert "cboard.mn0.a" in text
     assert "transport.cn0.b" not in text

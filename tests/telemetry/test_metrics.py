@@ -19,16 +19,6 @@ from repro.telemetry.metrics import (
 MB = 1 << 20
 
 
-def test_counter_owned_increments():
-    registry = MetricsRegistry()
-    counter = registry.counter("requests")
-    counter.inc()
-    counter.inc(4)
-    assert counter.value == 5
-    with pytest.raises(ValueError):
-        counter.inc(-1)
-
-
 def test_function_backed_counter_is_a_view():
     registry = MetricsRegistry()
     state = {"hits": 0}
@@ -36,19 +26,19 @@ def test_function_backed_counter_is_a_view():
     assert counter.value == 0
     state["hits"] = 42
     assert counter.value == 42
-    with pytest.raises(ValueError):
-        counter.inc()          # views are read-only
 
 
-def test_gauge_set_and_view():
+def test_counters_and_gauges_register_only_as_views():
+    """Neither kind holds a value of its own: registering one without
+    ``fn`` fails there, not at the first read."""
     registry = MetricsRegistry()
-    gauge = registry.gauge("depth")
-    gauge.set(7)
-    assert gauge.value == 7
-    view = registry.gauge("alive", fn=lambda: True)
-    assert view.value is True
-    with pytest.raises(ValueError):
-        view.set(False)
+    scope = registry.scope("cboard.mn0")
+    for register in (registry.counter, registry.gauge, scope.counter,
+                     scope.gauge):
+        with pytest.raises(TypeError, match="fn"):
+            register("requests")
+    assert len(registry) == 0
+    assert registry.gauge("alive", fn=lambda: True).value is True
 
 
 def test_histogram_summary_and_quantiles():
@@ -84,17 +74,17 @@ def test_histogram_sample_cap_keeps_exact_summary():
 
 def test_duplicate_names_rejected():
     registry = MetricsRegistry()
-    registry.counter("a.b")
+    registry.counter("a.b", fn=int)
     with pytest.raises(ValueError):
-        registry.gauge("a.b")
+        registry.gauge("a.b", fn=int)
 
 
 def test_hierarchical_names_and_prefix_queries():
     registry = MetricsRegistry()
     scope = registry.scope("cboard.mn0")
-    scope.counter("tlb.hits")
-    scope.scope("tlb").counter("misses")
-    registry.counter("transport.cn0.requests")
+    scope.counter("tlb.hits", fn=int)
+    scope.scope("tlb").counter("misses", fn=int)
+    registry.counter("transport.cn0.requests", fn=int)
     assert "cboard.mn0.tlb.hits" in registry
     assert registry.names("cboard.mn0") == [
         "cboard.mn0.tlb.hits", "cboard.mn0.tlb.misses"]
@@ -226,8 +216,8 @@ def test_restarted_sampling_runs_one_sweep_chain():
 
 
 def test_instrument_kinds():
-    assert Counter("c").kind == "counter"
-    assert Gauge("g").kind == "gauge"
+    assert Counter("c", fn=int).kind == "counter"
+    assert Gauge("g", fn=int).kind == "gauge"
     assert Histogram("h").kind == "histogram"
     with pytest.raises(ValueError):
-        Counter("")
+        Counter("", fn=int)

@@ -21,7 +21,6 @@ import pytest
 
 from tools.reach import unreached
 
-PARTITION = "the partitioned engine's API; goes with that engine"
 THREAD_API = "public ClioThread API"
 ACCESSOR = "accessor tests observe through"
 
@@ -32,7 +31,6 @@ KEPT = {
     ("clib/client.py", "disable_batching"): THREAD_API,
     ("clib/client.py", "rcas"): THREAD_API,
     ("clib/transparent.py", "cached_bytes"): ACCESSOR,
-    ("cluster.py", "partition_report"): PARTITION,
     ("core/addr.py", "page_base"): ACCESSOR,
     ("core/extend.py", "caller_aware"): ACCESSOR,
     ("core/memory.py", "resident_bytes"): ACCESSOR,
@@ -46,11 +44,6 @@ KEPT = {
         "scripts the orphan restart FaultSchedule.validate must reject",
     ("net/switch.py", "node_names"): ACCESSOR,
     ("net/switch.py", "shaper_for"): ACCESSOR,
-    ("sim/partition.py", "lookahead_edges"): PARTITION,
-    ("sim/partition.py", "min_lookahead"): PARTITION,
-    ("sim/partition.py", "open_channel"): PARTITION,
-    ("sim/partition.py", "partition_stats"): PARTITION,
-    ("sim/partition.py", "quiesced"): PARTITION,
     ("telemetry/spans.py", "find_instants"): "trace read API",
     ("telemetry/spans.py", "find_spans"): "trace read API",
     ("transport/ordering.py", "inflight_count"): ACCESSOR,

@@ -35,7 +35,10 @@ from tools.code_lines import ROOT, count_files
 #: -119 since: placement has one record, the controller's leases; the
 #: ring's override directory, the per-board region sets, ``rack/tier.py``
 #: and the rack and health knobs no caller set are gone.
-SRC_CEILING = 11_924
+#: -228 since: the partitioned engine is its scheduler (no lookahead
+#: edges, channels or stats), the MAT is Figure 2's type -> path table,
+#: and counters and gauges are views only.
+SRC_CEILING = 11_696
 
 
 def test_src_stays_under_its_ceiling():
