@@ -255,6 +255,16 @@ def test_partitions_cannot_be_driven_directly():
     assert env.now == 5
 
 
+def test_shared_clock_and_quiesced():
+    env = PartitionedEnvironment()
+    a, b = env.partition("a"), env.partition("b")
+    a.timeout(5)
+    assert a._queue and not b._queue
+    env.run()
+    assert not a._queue
+    assert a.now == b.now == env.now == 5
+
+
 # -- run(until=...) edge behavior mirrors the flat engine ----------------------
 
 
@@ -266,7 +276,7 @@ def test_partitioned_run_until_processed_event_is_immediate():
     assert env.run(until=target) == "done"
     assert env.run(until=target) == "done"   # fast path, no drain
     assert len(part._queue) == 1             # the t=1000 callback waits
-    assert env.now == part.now == 5          # one clock, the parent's
+    assert env.now == 5
 
 
 def test_partitioned_run_until_drained_queue_raises():
