@@ -220,20 +220,6 @@ class FastPath:
         breakdown.dram_ns = dram_ns
         return dram_ns
 
-    def _lane(self, gate: Event, pid: int, vpn: int, access: AccessType,
-              size: int, serialize_dma: bool, breakdown: Breakdown) -> None:
-        """The entry that ends a one-page access's ingest: the TLB stage
-        and, on a hit, the DRAM claim.  A hit hands the waiter to the DRAM
-        timeout, so it resumes once, with the PPN, when the data is there;
-        a miss (None) or a rejection resumes it now, as popping the ingest
-        timeout it replaces would have."""
-        ppn = self._lookup(pid, vpn, access)
-        if ppn is None or ppn is _PERMISSION:
-            gate.resume_waiters(ppn)
-            return
-        gate.resume_waiters(after=self.env.timeout(self._claim_dram(
-            access, size, serialize_dma, breakdown), ppn))
-
     def trace(self, access: AccessType, result: FastPathResult) -> None:
         """Record the traversal that just returned ``result`` as one
         complete span carrying the breakdown args."""
@@ -283,7 +269,7 @@ class FastPath:
 
     def execute(self, pid: int, access: AccessType, va: int, size: int,
                 data: Optional[bytes] = None, wire_bytes: Optional[int] = None,
-                serialize_dma: bool = True, traced: bool = True):
+                serialize_dma: bool = True):
         """Process-generator: run one data request through the pipeline.
 
         Returns a :class:`FastPathResult`.  ``wire_bytes`` drives ingestion
@@ -291,79 +277,123 @@ class FastPath:
         ``serialize_dma=False`` skips the read-response DMA engine — used
         by extend-path offloads, whose reads stay on-board and go through
         the memory controller's regular burst interface instead.
-        ``traced=False`` leaves the ``fastpath:*`` span to the caller,
-        who records it in a row of its own (:meth:`CBoard._handle`).
         """
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
-        if access is _WRITE:
-            if data is None or len(data) != size:
-                raise ValueError("write needs data of exactly `size` bytes")
+        if access is _WRITE and (data is None or len(data) != size):
+            raise ValueError("write needs data of exactly `size` bytes")
+        gate = Event(self.env)
+        self.serve(pid, access, va, size, data,
+                   size + 64 if wire_bytes is None else wire_bytes,
+                   serialize_dma, gate.resume_waiters)
+        result = yield gate
+        if self.tracer is not None:
+            self.trace(access, result)
+        return result
+
+    def serve(self, pid: int, access: AccessType, va: int, size: int,
+              data: Optional[bytes], wire_bytes: int, serialize_dma: bool,
+              done) -> None:
+        """Run a request through the pipeline and call ``done(result)``
+        when it ends: :meth:`execute` without its checks or a generator.
+
+        A one-page access is the lane: bare entries that end ingest
+        (:meth:`_lane`) and, on a TLB hit, the DRAM access
+        (:meth:`_access_dram`).  A miss walks the page table in a
+        generator, as does an access across pages (:meth:`_pages`).
+        """
         self.requests += 1
         result = FastPathResult(_OK)
         breakdown = result.breakdown
-        env = self.env
-        start = env.now
-
         # Ingest + fixed stages are back-to-back pure delays with no state
         # change in between: charge them as one entry.
-        breakdown.ingest_ns = ingest = self.ingest_delay_ns(
-            wire_bytes if wire_bytes is not None else size + 64)
+        breakdown.ingest_ns = ingest = self.ingest_delay_ns(wire_bytes)
         breakdown.pipeline_ns = fixed_ns = self._pipeline_fixed_ns
         page_size = self.page_spec.page_size
-        page_off = va & (page_size - 1)
-        if page_off + size <= page_size:
-            # One page: that entry is the hit lane (_lane).  On a hit this
-            # generator resumes once, when the DRAM access is done.
-            vpn = va >> self.page_spec.offset_bits
-            gate = Event(env)
-            env.schedule_callback(ingest + fixed_ns, partial(
-                self._lane, gate, pid, vpn, access, size, serialize_dma,
-                breakdown))
-            ppn = yield gate
+        if (va & (page_size - 1)) + size <= page_size:
+            self.env.schedule_callback(ingest + fixed_ns, partial(
+                self._lane, pid, access, va, size, data, serialize_dma,
+                result, done))
+        else:
+            self.env.spawn(self._pages(pid, access, va, size, data,
+                                       serialize_dma, result, done))
+
+    def _lane(self, pid: int, access: AccessType, va: int, size: int,
+              data: Optional[bytes], serialize_dma: bool,
+              result: FastPathResult, done) -> None:
+        """The entry that ends a one-page access's ingest: the TLB stage
+        and, on a hit, the DRAM claim, whose entry ends the access.  A
+        rejection ends it now; a miss walks the page table in
+        :meth:`_pages`, started here."""
+        breakdown = result.breakdown
+        elapsed = breakdown.ingest_ns + breakdown.pipeline_ns
+        page_size = self.page_spec.page_size
+        ppn = self._lookup(pid, va >> self.page_spec.offset_bits, access)
+        if ppn is None:
+            self.env.spawn(self._pages(pid, access, va, size, data,
+                                       serialize_dma, result, done, True))
+        elif ppn is _PERMISSION:
+            result.status = ppn
+            breakdown.total_ns = elapsed
+            done(result)
+        else:
+            dram_ns = self._claim_dram(access, size, serialize_dma, breakdown)
+            breakdown.total_ns = elapsed + dram_ns
+            self.env.schedule_callback(dram_ns, partial(
+                self._access_dram, ppn * page_size + (va & (page_size - 1)),
+                access, size, data, result, done))
+
+    def _access_dram(self, pa: int, access: AccessType, size: int,
+                     data: Optional[bytes], result: FastPathResult,
+                     done) -> None:
+        """The entry that ends a TLB hit's DRAM stage: move the data."""
+        if access is _READ:
+            result.data = self.dram.read(pa, size)
+        else:
+            self.dram.write(pa, data)
+        done(result)
+
+    def _pages(self, pid: int, access: AccessType, va: int, size: int,
+               data: Optional[bytes], serialize_dma: bool,
+               result: FastPathResult, done, missed: bool = False):
+        """Process-generator: an access across pages from its start, or a
+        one-page access whose TLB lookup ``missed`` from its walk."""
+        env = self.env
+        breakdown = result.breakdown
+        start = env.now
+        if missed:
+            start -= breakdown.ingest_ns + breakdown.pipeline_ns
+        else:
+            yield env.timeout(breakdown.ingest_ns + breakdown.pipeline_ns)
+        # Translate every page the access touches into PA extents
+        # (pa, offset in the request, length).
+        page_size = self.page_spec.page_size
+        extents, offset = [], 0
+        while offset < size:
+            addr = va + offset
+            vpn = addr >> self.page_spec.offset_bits
+            page_off = addr & (page_size - 1)
+            ppn = None if missed else self._lookup(pid, vpn, access)
+            missed = False
             if ppn is None:
                 ppn = yield from self._walk(pid, vpn, access, result)
-                if not isinstance(ppn, Status):
-                    yield env.timeout(self._claim_dram(
-                        access, size, serialize_dma, breakdown))
             if isinstance(ppn, Status):
                 result.status = ppn
-            elif access is _READ:
-                result.data = self.dram.read(ppn * page_size + page_off, size)
-            elif access is _WRITE:
-                self.dram.write(ppn * page_size + page_off, data)
+                break
+            chunk = min(size - offset, page_size - page_off)
+            extents.append((ppn * page_size + page_off, offset, chunk))
+            offset += chunk
         else:
-            yield env.timeout(ingest + fixed_ns)
-            # Translate every page the access touches into PA extents
-            # (pa, offset in the request, length).
-            extents, offset = [], 0
-            while offset < size:
-                addr = va + offset
-                vpn = addr >> self.page_spec.offset_bits
-                page_off = addr & (page_size - 1)
-                ppn = self._lookup(pid, vpn, access)
-                if ppn is None:
-                    ppn = yield from self._walk(pid, vpn, access, result)
-                if isinstance(ppn, Status):
-                    result.status = ppn
-                    break
-                chunk = min(size - offset, page_size - page_off)
-                extents.append((ppn * page_size + page_off, offset, chunk))
-                offset += chunk
-            else:
-                yield env.timeout(self._claim_dram(access, size,
-                                                   serialize_dma, breakdown))
-                if access is _READ:
-                    result.data = b"".join([self.dram.read(pa, length)
-                                            for pa, _, length in extents])
-                elif access is _WRITE:
-                    for pa, req_off, length in extents:
-                        self.dram.write(pa, data[req_off:req_off + length])
-
+            yield env.timeout(self._claim_dram(access, size, serialize_dma,
+                                               breakdown))
+            if access is _READ:
+                result.data = b"".join([self.dram.read(pa, length)
+                                        for pa, _, length in extents])
+            elif access is _WRITE:
+                for pa, req_off, length in extents:
+                    self.dram.write(pa, data[req_off:req_off + length])
         breakdown.total_ns = env.now - start
-        if self.tracer is not None and traced:
-            self.trace(access, result)
-        return result
+        done(result)
 
     def translate_only(self, pid: int, access: AccessType, va: int,
                        wire_bytes: int):

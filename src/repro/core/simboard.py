@@ -106,11 +106,16 @@ class FlatMemory:
             position += length
         return extents
 
-    def execute(self, pid: int, access: AccessType, va: int, size: int,
-                data: Optional[bytes] = None, **_pipeline):
-        """Process-generator: a read or write; keywords only CBoard's
-        pipeline times (``wire_bytes``, ``traced``) are ignored."""
-        yield self.env.timeout(self.service_ns)
+    def serve(self, pid: int, access: AccessType, va: int, size: int,
+              data: Optional[bytes], _wire_bytes: int, _serialize_dma: bool,
+              done) -> None:
+        """A read or write that calls ``done(result)`` after the delay;
+        ``wire_bytes`` and ``serialize_dma`` only time CBoard's pipeline."""
+        self.env.schedule_callback(self.service_ns, lambda: done(
+            self._access(pid, access, va, size, data)))
+
+    def _access(self, pid: int, access: AccessType, va: int, size: int,
+                data: Optional[bytes]) -> FastPathResult:
         extents = self._extents(pid, access, va, size)
         if isinstance(extents, Status):
             return FastPathResult(extents)
@@ -118,6 +123,12 @@ class FlatMemory:
             _scatter(extents, data)
             return FastPathResult(Status.OK)
         return FastPathResult(Status.OK, _gather(extents))
+
+    def execute(self, pid: int, access: AccessType, va: int, size: int,
+                data: Optional[bytes] = None, **_pipeline):
+        """Process-generator: :meth:`serve` for a caller that waits."""
+        yield self.env.timeout(self.service_ns)
+        return self._access(pid, access, va, size, data)
 
     def translate_only(self, pid: int, access: AccessType, va: int,
                        wire_bytes: int):

@@ -5,9 +5,14 @@ Everything a CN can observe of an MN lives here: the thin netstack
 barrier, retry dedup and replay (section 4.5), multi-fragment write
 countdown, fragmenting read responses and header stamping.  A board is a
 :class:`Board` plus a memory model, reached only through the objects
-:class:`repro.core.cboard.CBoard` composes — each call a process-generator:
+:class:`repro.core.cboard.CBoard` composes — each call but the first a
+process-generator:
 
-* ``fast_path.execute(pid, access, va, size, data=, wire_bytes=, traced=)``
+* ``fast_path.serve(pid, access, va, size, data, wire_bytes,
+  serialize_dma, done)`` runs a read or write and calls ``done(result)``
+  when it ends; the board calls it for one-page ones, whose TLB hit runs
+  no generator;
+* ``fast_path.execute(pid, access, va, size, data=, wire_bytes=)``
   returns a result with ``status``, ``data`` and ``breakdown``;
 * ``fast_path.translate_only(pid, access, va, wire_bytes)`` charges the
   request's fixed cost and returns ``(status, pa)``;
@@ -62,11 +67,14 @@ class ResponseBody:
 class _WriteProgress:
     """Per-request fragment countdown for multi-packet writes.
 
-    Bounded: entries live only while a request's fragments are in the
-    pipeline, and they are dropped as soon as the response is generated.
+    An entry goes when its last fragment is served, or, for a request
+    that lost or corrupted a fragment, once it is ``slow_timeout_ns``
+    older than a new entry: by then the CN has retried or failed that
+    attempt (:meth:`Board._handle_write`).
     """
 
     remaining: int
+    born: int
     status: Status = Status.OK
     breakdown: Breakdown = field(default_factory=Breakdown)
 
@@ -134,14 +142,66 @@ class Board:
                 self._netstack_ns,
                 partial(self._send_nack, packet.header, self._epoch))
             return
+        header = packet.header
+        kind = header.packet_type
+        # The lane: a one-packet, one-page read or first-attempt write
+        # with no fence pending runs as bare callbacks, from here to
+        # _respond.  Its two types are tested by identity, before the MAT
+        # lookup hashes an enum member.
+        if ((kind is _READ or kind is _WRITE and header.retry_of is None)
+                and header.fragments == 1 and header.size > 0
+                and self._fence_barrier is None
+                and (header.va & (self.page_spec.page_size - 1))
+                + header.size <= self.page_spec.page_size):
+            self._inflight += 1
+            self.fast_path.serve(
+                header.pid, _READ_ACCESS if kind is _READ else _WRITE_ACCESS,
+                header.va, header.size, packet.payload, packet.wire_bytes,
+                True, partial(self._respond, header, self._epoch))
+            return
         # MAT dispatch: the request type picks the path; a type the board
         # does not serve is dropped.
-        path = PATHS.get(packet.header.packet_type)
+        path = PATHS.get(kind)
         if path is None:
             return
         # Nobody waits on a handler and this is the delivery event's last
         # act, so it starts inline: no Initialize, no completion event.
         self.env.spawn(self._handle(packet, path, self._epoch))
+
+    def _respond(self, header: ClioHeader, epoch: int, result) -> None:
+        """The end of a lane request: what ``_handle`` and the read or
+        write handler under it do, in their order.  Traced, the handler's
+        span, its one traversal and its one response are one row."""
+        kind = header.packet_type
+        tracer = self.tracer
+        discarded = epoch != self._epoch
+        # A discarded request sends no response and a read whose data
+        # spans fragments sends several: their spans are not one row.
+        apart = tracer is not None and (discarded or kind is _READ and (
+            result.status is _OK and header.size > self._mtu))
+        if discarded:
+            self.responses_discarded += 1
+        else:
+            self._reply(header, result, apart)
+            self._inflight -= 1
+            if self._inflight == 0:
+                while self._drain_events:
+                    self._drain_events.popleft().succeed()
+            if self.verifier is not None:
+                self.verifier.on_board_request(self)
+        if tracer is not None:
+            # The handler and its traversal both began at delivery.
+            now = self.env.now
+            start = now - result.breakdown.total_ns
+            if apart:
+                self.fast_path.trace(AccessType(kind.value), result)
+                tracer.complete(self._handler_sites[kind], start, now,
+                                header.request_id, header.src, discarded)
+            else:
+                tracer.record(
+                    self._served_sites[kind, header.src, result.status],
+                    start, now, header.request_id, start, now,
+                    *result.breakdown.stages(), now, header.request_id)
 
     def _send_nack(self, header: ClioHeader, epoch: Optional[int] = None) -> None:
         if epoch is not None and epoch != self._epoch:
@@ -155,12 +215,6 @@ class Board:
         header = packet.header
         tracer = self.tracer
         start = self.env.now
-        # One packet in, one traversal, one packet out: the read or write
-        # handler leaves the traversal and the response unrecorded and
-        # returns the former, and this handler's span shares their row.
-        lean = (tracer is not None and header.fragments == 1
-                and header.size <= self._mtu)
-        served = None
         try:
             # Fence barrier: anything arriving after a fence waits for the
             # drain.  (A crash resets the barrier without firing it, so
@@ -177,11 +231,15 @@ class Board:
             try:
                 if path is _FAST:
                     if header.packet_type is _READ:
-                        served = yield from self._handle_read(packet, epoch,
-                                                              lean)
+                        result = yield from self.fast_path.execute(
+                            header.pid, _READ_ACCESS, header.va, header.size,
+                            wire_bytes=packet.wire_bytes)
+                        if epoch == self._epoch:
+                            self._reply(header, result)
+                        else:
+                            self.responses_discarded += 1
                     elif header.packet_type is _WRITE:
-                        served = yield from self._handle_write(packet, epoch,
-                                                               lean)
+                        yield from self._handle_write(packet, epoch)
                     elif header.packet_type is PacketType.ATOMIC:
                         yield from self._handle_atomic(packet, epoch)
                     elif header.packet_type is PacketType.BATCH:
@@ -215,56 +273,49 @@ class Board:
             if self.verifier is not None and epoch == self._epoch:
                 self.verifier.on_board_request(self)
             if tracer is not None:
-                now = self.env.now
-                if not lean or served is None:
-                    tracer.complete(self._handler_sites[header.packet_type],
-                                    start, now, header.request_id, header.src,
-                                    epoch != self._epoch)
-                else:
-                    tracer.record(
-                        self._served_sites[header.packet_type, header.src,
-                                           served.status],
-                        start, now, header.request_id,
-                        now - served.breakdown.total_ns, now,
-                        *served.breakdown.stages(), now, header.request_id)
+                tracer.complete(self._handler_sites[header.packet_type],
+                                start, self.env.now, header.request_id,
+                                header.src, epoch != self._epoch)
 
     # -- fast path handlers -----------------------------------------------------------
 
-    def _handle_read(self, packet: Packet, epoch: int, lean: bool):
-        header = packet.header
-        result = yield from self.fast_path.execute(
-            header.pid, _READ_ACCESS, header.va, header.size,
-            wire_bytes=packet.wire_bytes, traced=not lean)
-        if epoch != self._epoch:
-            self.responses_discarded += 1
-            if lean:        # no response to share a row with
-                self.fast_path.trace(_READ_ACCESS, result)
-            return
+    def _reply(self, header: ClioHeader, result, traced: bool = True) -> None:
+        """Count a served read or one-packet write and send its response;
+        a read's data goes back in fragments of at most the MTU."""
         self.requests_served += 1
-        if result.status is not _OK:
+        status = result.status
+        if status is _OK:
+            self.bytes_served += header.size
+            if header.packet_type is _WRITE:
+                self._remember(header)
+        if header.packet_type is _WRITE or status is not _OK:
             self._send(header.src, header.request_id, _RESPONSE,
-                       ResponseBody(result.status, None, None, None,
-                                    result.breakdown), epoch=epoch,
-                       traced=not lean)
-            return result
-        self.bytes_served += header.size
-        # Read responses larger than MTU go back as independent fragments.
+                       ResponseBody(status, None, None, None,
+                                    result.breakdown), traced=traced)
+            return
         fragments = fragment_payload(header.size, self._mtu)
         for index, (offset, size) in enumerate(fragments):
-            body = ResponseBody(_OK, result.data[offset:offset + size], None,
-                                None, result.breakdown if index == 0 else None)
             self._send(header.src, header.request_id, _RESPONSE,
-                       body, fragment=index, fragments=len(fragments),
+                       ResponseBody(_OK, result.data[offset:offset + size],
+                                    None, None,
+                                    result.breakdown if index == 0 else None),
+                       fragment=index, fragments=len(fragments),
                        payload_bytes=size, total_size=header.size,
-                       epoch=epoch, traced=not lean)
-        return result
+                       traced=traced)
 
-    def _handle_write(self, packet: Packet, epoch: int, lean: bool):
+    def _handle_write(self, packet: Packet, epoch: int):
         header = packet.header
         progress = self._write_progress.get(header.request_id)
         if progress is None:
-            progress = _WriteProgress(header.fragments)
-            self._write_progress[header.request_id] = progress
+            # Entries are in arrival order.  One older than the CN's longest
+            # timeout lost a fragment, and its attempt was retried or
+            # failed since: nothing will complete it.
+            pending, now = self._write_progress, self.env.now
+            stale = now - self.params.clib.slow_timeout_ns
+            while pending and next(iter(pending.values())).born < stale:
+                del pending[next(iter(pending))]
+            progress = pending[header.request_id] = _WriteProgress(
+                header.fragments, now)
 
         executed, _cached = self.retry_buffer.check(header.retry_of)
         result = None
@@ -275,13 +326,10 @@ class Board:
         else:
             result = yield from self.fast_path.execute(
                 header.pid, _WRITE_ACCESS, header.va, header.size,
-                data=packet.payload, wire_bytes=packet.wire_bytes,
-                traced=not lean)
+                data=packet.payload, wire_bytes=packet.wire_bytes)
         if epoch != self._epoch:
             # Crash wiped _write_progress; this fragment's work is lost.
             self.responses_discarded += 1
-            if lean and result is not None:
-                self.fast_path.trace(_WRITE_ACCESS, result)
             return
         if result is not None:
             progress.breakdown.merge(result.breakdown)
@@ -292,17 +340,15 @@ class Board:
 
         progress.remaining -= 1
         if progress.remaining > 0:
-            return result
+            return
         # Whole request done: remember it for retry dedup, ack once.
-        del self._write_progress[header.request_id]
+        self._write_progress.pop(header.request_id, None)
         self.requests_served += 1
         if progress.status is _OK:
             self._remember(header)
         self._send(header.src, header.request_id, _RESPONSE,
                    ResponseBody(progress.status, None, None, None,
-                                progress.breakdown), epoch=epoch,
-                   traced=result is None or not lean)
-        return result
+                                progress.breakdown), epoch=epoch)
 
     def _handle_batch(self, packet: Packet, epoch: int):
         """Unroll a multi-op frame through the fast path at II=1 per sub-op.

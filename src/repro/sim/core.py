@@ -100,10 +100,11 @@ class Event:
         inside the calling entry, with ``value``.
 
         For a gate whose outcome an already-scheduled entry decides (the
-        board's hit lane, :meth:`FastPath._lane`): resuming now is what
-        popping the entry the gate replaced would have done, and handing
-        the waiters to ``after`` skips a resume that would only have
-        waited on it.  The event itself never fires.
+        ack lane, :meth:`Transport._ack`, or the end of a fast-path access
+        :meth:`FastPath.execute` waits on): resuming now is what popping
+        the entry the gate replaced would have done, and handing the
+        waiters to ``after`` skips a resume that would only have waited on
+        it.  The event itself never fires.
         """
         callbacks, self.callbacks = self.callbacks, None
         if after is not None:

@@ -16,7 +16,8 @@ hook or a sweep must find:
 * **retry-ring-bound** — the dedup ring respects its byte budget (one of
   the MN's two bounded state guarantees).
 * **write-progress** — multi-fragment write bookkeeping never goes
-  negative or lingers at zero remaining.
+  negative or lingers at zero remaining, and holds no entry more than
+  ``slow_timeout_ns`` older than its newest (orphans are dropped).
 * **sync-mutual-exclusion** — at most one atomic ever held the unit
   (``AtomicUnit.max_active``), the paper's single-atomic-unit claim.
 * **inflight / fence** — the handler-chain count never goes negative.
@@ -106,11 +107,14 @@ def check_board(board) -> list[Violation]:
             f"{len(ring)} records / {ring.bytes_used} B exceed "
             f"{ring.max_records} records / {ring.capacity_bytes} B")
 
-    # Multi-fragment write bookkeeping.
-    for request_id, progress in board._write_progress.items():
-        if progress.remaining < 1:
-            bad("write-progress",
-                f"request {request_id} has remaining={progress.remaining}")
+    # Multi-fragment write bookkeeping: no entry is slow_timeout_ns older
+    # than the newest (orphans of lost fragments are dropped).
+    pending = list(board._write_progress.items())
+    for request_id, progress in pending:
+        age = pending[-1][1].born - progress.born
+        if progress.remaining < 1 or age > board.params.clib.slow_timeout_ns:
+            bad("write-progress", f"request {request_id} has remaining="
+                f"{progress.remaining}, {age} ns older than the newest")
 
     # The single atomic unit never admits two atomics at once.
     unit = board.atomic_unit

@@ -1,7 +1,10 @@
 """Integration tests for the assembled CBoard (packet path + local path)."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.cluster import ClioCluster
 from repro.core.addr import AccessType, Permission
 from repro.core.cboard import CBoard, ResponseBody
 from repro.core.pipeline import Status
@@ -10,6 +13,8 @@ from repro.net.packet import ClioHeader, Packet, PacketType
 from repro.net.switch import Topology
 from repro.params import ClioParams
 from repro.sim import Environment
+from repro.transport.clib_transport import RequestFailed
+from repro.verify import check_board
 
 MB = 1 << 20
 PAGE = 4 * MB
@@ -358,3 +363,177 @@ def test_board_serves_normally_after_crash_restart_cycle():
     send(env, topology, params, 231, PacketType.READ, va=va, size=4)
     env.run(until=env.now + 10 ** 7)
     assert collector.packets[-1].payload.data == b"back"
+
+
+@pytest.mark.parametrize("fault, orphans", [("loss_rate", 89),
+                                            ("corruption_rate", 77)])
+def test_a_write_that_lost_a_fragment_leaves_no_countdown_behind(fault,
+                                                                 orphans):
+    """A 4 KB write is three packets.  When one is lost, or NACKed as
+    corrupt before any handler sees it, that attempt's countdown never
+    reaches zero: the CN retries under a new request id.  The entry goes
+    once a new one is ``slow_timeout_ns`` younger."""
+    params = ClioParams.prototype()
+    params = replace(params, network=replace(params.network,
+                                             **{fault: 0.05}))
+    cluster = ClioCluster(params=params, seed=1, mn_capacity=256 * MB)
+    env, board = cluster.env, cluster.mn
+    thread = cluster.cn(0).process("mn0").thread()
+    seen = {}
+
+    def writes(va, count):
+        for _ in range(count):
+            try:
+                yield from thread.rwrite(va, b"x" * 4096)
+            except RequestFailed:
+                pass
+
+    def app():
+        va = yield from thread.ralloc(4 * MB)
+        yield from writes(va, 200)
+        yield env.timeout(params.clib.slow_timeout_ns)     # quiesce
+        seen["orphans"] = set(board._write_progress)
+        seen["quiet_at"] = env.now
+        yield env.timeout(1)
+        yield from writes(va, 1)
+
+    cluster.run(until=env.process(app()))
+    assert len(seen["orphans"]) == orphans
+    assert not seen["orphans"] & set(board._write_progress)
+    assert all(progress.born > seen["quiet_at"]
+               for progress in board._write_progress.values())
+    assert check_board(board) == []
+
+
+def _handled(board):
+    """Request ids that reach ``board._handle``, in arrival order; the
+    rest took the lane."""
+    handled, handle = [], board._handle
+
+    def spy(packet, path, epoch):
+        handled.append(packet.header.request_id)
+        return handle(packet, path, epoch)
+
+    board._handle = spy
+    return handled
+
+
+def test_only_one_packet_one_page_first_attempts_take_the_lane():
+    env, params, topology, board, collector = make_wired_board()
+    va = alloc_va(env, topology, params, board, collector)
+    handled = _handled(board)
+    requests = [
+        (400, PacketType.READ, dict(size=64)),
+        (401, PacketType.WRITE, dict(size=4, payload=b"lane")),
+        (402, PacketType.WRITE, dict(size=4, payload=b"lane", retry_of=401)),
+        (403, PacketType.READ, dict(va=va + PAGE - 2, size=4)),  # two pages
+        (405, PacketType.WRITE, dict(size=2, payload=b"ab", fragments=2)),
+        (405, PacketType.WRITE, dict(va=va + 2, size=2, payload=b"cd",
+                                     fragment=1, fragments=2)),
+        (406, PacketType.ATOMIC, dict(payload=AtomicOp(kind="faa", value=1))),
+    ]
+    for request_id, kind, fields in requests:
+        send(env, topology, params, request_id, kind,
+             **{"va": va, **fields})
+        env.run(until=env.now + 10 ** 7)
+    assert handled == [402, 403, 405, 405, 406]
+    assert board.retry_buffer.dedup_hits == 1     # the retry did not rerun
+    assert board._inflight == 0 and board._write_progress == {}
+
+
+def test_a_fence_waits_for_lane_requests_and_a_read_behind_it_waits():
+    env, params, topology, board, collector = make_wired_board()
+    va = alloc_va(env, topology, params, board, collector)
+    send(env, topology, params, 409, PacketType.WRITE, va=va, size=4,
+         payload=b"warm")
+    env.run(until=env.now + 10 ** 7)
+    handled = _handled(board)
+    order, original_send = [], board._send
+
+    def recording_send(dst, request_id, packet_type, body, **kwargs):
+        order.append(request_id)
+        original_send(dst, request_id, packet_type, body, **kwargs)
+
+    board._send = recording_send
+
+    def inject(request_id, kind, delay, size=0, payload=None):
+        yield env.timeout(delay)
+        header = ClioHeader("cn0", "mn0", request_id, kind, 1, va, size,
+                            size)
+        board.receive(Packet(header, payload, 64 + size))
+
+    env.process(inject(410, PacketType.READ, 0, size=1024))
+    env.process(inject(411, PacketType.WRITE, 0, size=4, payload=b"w411"))
+    env.process(inject(412, PacketType.FENCE, 10))
+    env.process(inject(413, PacketType.READ, 20, size=4))
+    env.run(until=env.now + 10 ** 8)
+    assert order == [411, 410, 412, 413]
+    assert handled == [412, 413]
+
+
+#: A fresh board and CN: ``(request id, status, when the MN sent the
+#: response, stages, total)`` of lane accesses that miss the TLB, fault
+#: a page in on first touch and fail the permission check, recorded when
+#: each one ran as three generators under ``Board._handle``.
+LANE_TIMINGS = [
+    (421, "ok", 110001523, (8, 60, 304, 12, 300), 684),
+    (422, "ok", 120001219, (4, 60, 0, 0, 300), 364),
+    (423, "ok", 130001524, (4, 60, 304, 12, 300), 680),
+    (424, "permission", 140001010, (8, 60, 0, 0, 0), 68),
+    (425, "permission", 150001223, (8, 60, 304, 0, 0), 372),
+    (426, "invalid_va", 160001233, (4, 60, 304, 0, 0), 368),
+]
+
+
+def test_lane_misses_faults_and_rejections_keep_their_timing():
+    env, params, topology, board, collector = make_wired_board()
+    va = alloc_va(env, topology, params, board, collector)
+    send(env, topology, params, 1002, PacketType.ALLOC, pid=1,
+         payload=(PAGE, Permission.READ, None))
+    env.run(until=env.now + 10 ** 7)
+    read_only = collector.packets[-1].payload.value.va
+    requests = [
+        (421, PacketType.WRITE, va, b"first"),      # miss + first touch
+        (422, PacketType.READ, va, None),           # hit
+        (423, PacketType.READ, read_only, None),    # miss + first touch
+        (424, PacketType.WRITE, read_only, b"nope"),   # hit, rejected
+        (425, PacketType.WRITE, read_only, b"nope"),   # miss, rejected
+        (426, PacketType.READ, 123 * PAGE, None),   # miss, no PTE
+    ]
+    for request_id, kind, address, payload in requests:
+        if request_id == 425:
+            board.tlb.flush()
+        send(env, topology, params, request_id, kind, va=address,
+             size=len(payload) if payload else 8, payload=payload)
+        env.run(until=env.now + 10 ** 7)
+    timings = []
+    for packet in collector.packets[-len(requests):]:
+        body = packet.payload
+        timings.append((packet.header.request_id, body.status.value,
+                        packet.sent_at, body.breakdown.stages(),
+                        body.breakdown.total_ns))
+    assert timings == LANE_TIMINGS
+    assert board.fast_path.faults == 2
+
+
+class CountingVerifier:
+    def __init__(self):
+        self.requests = 0
+
+    def on_board_request(self, board):
+        self.requests += 1
+
+
+def test_the_verifier_sees_each_lane_request_once():
+    env, params, topology, board, collector = make_wired_board()
+    va = alloc_va(env, topology, params, board, collector)
+    board.verifier = verifier = CountingVerifier()
+    for request_id in range(430, 436):
+        if request_id % 2:
+            send(env, topology, params, request_id, PacketType.READ, va=va,
+                 size=64)
+        else:
+            send(env, topology, params, request_id, PacketType.WRITE, va=va,
+                 size=4, payload=b"seen")
+    env.run(until=env.now + 10 ** 7)
+    assert verifier.requests == 6

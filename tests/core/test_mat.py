@@ -1,6 +1,7 @@
 """Tests for the Match-and-Action Table: Figure 2's type -> path table."""
 
 from repro.cluster import ClioCluster
+from repro.core.addr import AccessType
 from repro.core.mat import PATHS, Path
 from repro.net.packet import ClioHeader, Packet, PacketType
 
@@ -51,11 +52,26 @@ def _spied_board(run_handlers):
 
 
 def test_board_sends_every_served_type_down_its_path():
+    """Size-0 packets all take a handler; a real-size READ and WRITE skip
+    it and reach the fast path through the lane."""
     board, routed, _sent = _spied_board(run_handlers=False)
+    served, serve = [], board.fast_path.serve
+
+    def spy_serve(pid, access, *args):
+        served.append(access)
+        return serve(pid, access, *args)
+
+    board.fast_path.serve = spy_serve
     for request_id, packet_type in enumerate(PATHS):
         board.receive(_packet(packet_type, request_id))
+    assert served == []
+    for request_id, packet_type, payload in (
+            (100, PacketType.READ, None), (101, PacketType.WRITE, b"w" * 64)):
+        board.receive(Packet(ClioHeader("cn0", "mn0", request_id, packet_type,
+                                        1, 0, 64, 64), payload, 64 + 64))
     board.env.run(until=board.env.now + 100_000)
     assert routed == list(PATHS.items())
+    assert served == [AccessType.READ, AccessType.WRITE]
 
 
 def test_board_drops_every_unserved_type():

@@ -48,14 +48,22 @@ OPS = 50
 #: clock.  A direct data op is one CLib frame over ``_transact`` and its
 #: caller resumes once per attempt (the transport's ack lane); a fast-path
 #: TIMEOUT is cached per size, so ``params`` costs nothing per op.
+#: The board serves a one-page READ or WRITE as bare callbacks, from the
+#: port to ``Board._respond``, with no handler generator: rread64 core
+#: 31.32 -> 26.32 and sim 91.68 -> 71.68, rwrite64 core 41.32 -> 31.32
+#: and sim 90.68 -> 70.68.  ``FastPath.execute`` wraps that lane in a gate,
+#: so its one-page callers pay the lane's two callbacks and no longer the
+#: DRAM ``Timeout``: onboard_read64 core 20.04 -> 21.04 (one call more)
+#: and sim 23.24 -> 17.3; rwrite4k, three such fragments, core 107.84 ->
+#: 111.84 and sim 181.92 -> 164.92.
 BUDGET = {
-    "rread64": {"alloc": 0.32, "clib": 5.0, "core": 31.32, "net": 37.24,
-                "sim": 91.68, "transport": 37.76},
-    "rwrite64": {"alloc": 0.32, "clib": 7.0, "core": 41.32, "net": 37.24,
-                 "sim": 90.68, "transport": 38.76},
-    "onboard_read64": {"alloc": 0.04, "core": 20.04, "sim": 23.24},
-    "rwrite4k": {"alloc": 0.84, "clib": 7.0, "core": 107.84, "net": 75.42,
-                 "sim": 181.92, "transport": 46.88},
+    "rread64": {"alloc": 0.32, "clib": 5.0, "core": 26.32, "net": 37.24,
+                "sim": 71.68, "transport": 37.76},
+    "rwrite64": {"alloc": 0.32, "clib": 7.0, "core": 31.32, "net": 37.24,
+                 "sim": 70.68, "transport": 38.76},
+    "onboard_read64": {"alloc": 0.04, "core": 21.04, "sim": 17.3},
+    "rwrite4k": {"alloc": 0.84, "clib": 7.0, "core": 111.84, "net": 75.42,
+                 "sim": 164.92, "transport": 46.88},
     "ralloc_rfree": {"alloc": 6.4, "clib": 9.0, "core": 130.4,
                      "net": 68.38, "sim": 258.4, "transport": 74.0},
 }
@@ -65,14 +73,17 @@ BUDGET = {
 #: chain is one instance).  Timeouts are recycled, so none appear.  None
 #: of these classes is a frozen dataclass, and the per-packet ones are
 #: built positionally: a frozen, keyword-built ``ClioHeader`` cost ~2 µs.
+#: The echo's board side builds no handler (``_Spawned``), no fast-path
+#: gate (``Event``) and, for a one-packet write, no fragment countdown
+#: (``_WriteProgress`` and its ``Breakdown``).
 CONSTRUCTED = {
-    "rread64": {"Breakdown": 1.0, "ClioHeader": 2.0, "Event": 2.0,
+    "rread64": {"Breakdown": 1.0, "ClioHeader": 2.0, "Event": 1.0,
                 "FastPathResult": 1.0, "Packet": 2.0, "RequestOutcome": 1.0,
-                "ResponseBody": 1.0, "_Pending": 1.0, "_Spawned": 1.0},
-    "rwrite64": {"Breakdown": 2.0, "ClioHeader": 2.0, "Event": 2.0,
+                "ResponseBody": 1.0, "_Pending": 1.0},
+    "rwrite64": {"Breakdown": 1.0, "ClioHeader": 2.0, "Event": 1.0,
                  "FastPathResult": 1.0, "Packet": 2.0,
                  "RequestOutcome": 1.0, "ResponseBody": 1.0,
-                 "_Pending": 1.0, "_Spawned": 1.0, "_WriteProgress": 1.0},
+                 "_Pending": 1.0},
     "onboard_read64": {"Breakdown": 1.0, "Event": 1.0,
                        "FastPathResult": 1.0},
     "rwrite4k": {"Breakdown": 4.0, "ClioHeader": 4.0, "Event": 4.0,
@@ -94,6 +105,10 @@ CONSTRUCTED = {
 ENUM_LOADS = {"rread64": 0.0, "rwrite64": 0.0, "onboard_read64": 0.0,
               "rwrite4k": 0.0, "ralloc_rfree": 0.0}
 
+#: ``Enum.__hash__``, a Python function: a dict keyed by enum members runs
+#: it (and ``hash``) on every lookup.
+ENUM_HASH = enum.Enum.__hash__.__code__
+
 
 def _package(frame):
     """``repro`` package of the code running in ``frame``, or None."""
@@ -104,17 +119,18 @@ def _package(frame):
     return filename[index + len("/repro/"):].split("/")[0].removesuffix(".py")
 
 
-def measure() -> tuple[dict, dict, dict]:
-    """``(calls, constructed, enum_loads)`` over ``OPS`` primed ops each:
-    ``{op: Counter(package -> calls)}``, ``{op: Counter(class ->
-    instances)}`` and ``Counter(op -> enum member loads)``."""
+def measure() -> tuple[dict, dict, dict, dict]:
+    """``(calls, constructed, enum_loads, enum_hashes)`` over ``OPS``
+    primed ops each: ``{op: Counter(package -> calls)}``, ``{op:
+    Counter(class -> instances)}``, ``Counter(op -> enum member loads)``
+    and ``Counter(op -> Enum.__hash__ calls)``."""
     cluster = ClioCluster(params=ClioParams.prototype(), mn_capacity=512 * MB)
     env, board = cluster.env, cluster.mn
     thread = cluster.cn(0).process("mn0").thread()
     pid = thread.process.pid
     counts: dict = {}
     constructed: dict = {}
-    enum_loads = Counter()
+    enum_loads, enum_hashes = Counter(), Counter()
     measuring = None
 
     def count_load(cls, name):
@@ -129,6 +145,8 @@ def measure() -> tuple[dict, dict, dict]:
             code = frame.f_code
             if code is count_load.__code__:
                 return
+            if code is ENUM_HASH:
+                enum_hashes[measuring] += 1
             if code.co_name == "__init__":
                 cls = type(frame.f_locals[code.co_varnames[0]])
                 if getattr(cls.__init__, "__code__", None) is code:
@@ -185,14 +203,15 @@ def measure() -> tuple[dict, dict, dict]:
         env.run(until=env.process(app()))
     finally:
         gc.enable()
-    return counts, constructed, enum_loads
+    return counts, constructed, enum_loads, enum_hashes
 
 
 @functools.cache
-def _measured() -> tuple[dict, dict, dict, list]:
+def _measured() -> tuple[dict, dict, dict, list, Counter]:
     """One run's three tables, per op and rounded like the pinned ones,
-    plus the names of the frozen dataclasses among the records built."""
-    counts, constructed, enum_loads = measure()
+    the names of the frozen dataclasses among the records built, and the
+    ``Enum.__hash__`` calls per op."""
+    counts, constructed, enum_loads, enum_hashes = measure()
 
     def per_op(count):
         return round(count / OPS, 2)
@@ -207,7 +226,7 @@ def _measured() -> tuple[dict, dict, dict, list]:
     frozen = sorted({cls.__name__ for counter in constructed.values()
                      for cls in counter
                      if is_dataclass(cls) and cls.__dataclass_params__.frozen})
-    return calls, built, loads, frozen
+    return calls, built, loads, frozen, enum_hashes
 
 
 @pytest.fixture
@@ -249,3 +268,12 @@ def test_enum_member_loads_per_op(measured):
     assert loads == ENUM_LOADS, (
         f"enum member loads per op moved: {loads}. A hot-path load binds "
         "the member to a module constant instead")
+
+
+def test_the_echo_hashes_no_enum_member(measured):
+    """The board tests a READ's or WRITE's type by identity before the
+    MAT's dict lookup, which would hash the member: no ``__hash__`` runs.
+    ``PacketType`` keeps ``Enum``'s hash, so sets of members iterate in
+    the same order from run to run."""
+    hashes = measured[4]
+    assert hashes["rread64"] == hashes["rwrite64"] == 0, dict(hashes)

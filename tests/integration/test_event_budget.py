@@ -27,8 +27,8 @@ FORWARD = ("Switch._forward",
 INGEST = ("FastPath._lane",
           "pipeline ingest + fixed stages: the II=1 slot later packets "
           "queue behind; the TLB lookup and the DMA claim read board state "
-          "when it pops, and a hit hands the waiter to the DRAM entry")
-DRAM = ("Timeout -> FastPath.execute",
+          "when it pops, and a hit schedules the DRAM entry")
+DRAM = ("FastPath._access_dram",
         "DRAM access on the serialized DMA engine; a crash between the two "
         "discards the response")
 DONE = ("Transport._ack",

@@ -25,7 +25,7 @@ RECORD_FIELDS = {
     ResponseBody: ["status", "data", "value", "atomic", "breakdown"],
     FastPathResult: ["status", "data", "faulted", "tlb_missed", "breakdown"],
     RequestOutcome: ["body", "data", "rtt_ns", "retries", "request_id"],
-    _WriteProgress: ["remaining", "status", "breakdown"],
+    _WriteProgress: ["remaining", "born", "status", "breakdown"],
     Allocation: ["va", "size", "permission"],
     AllocationOutcome: ["allocation", "retries"],
 }

@@ -38,7 +38,12 @@ from tools.code_lines import ROOT, count_files
 #: -228 since: the partitioned engine is its scheduler (no lookahead
 #: edges, channels or stats), the MAT is Figure 2's type -> path table,
 #: and counters and gauges are views only.
-SRC_CEILING = 11_696
+#: +60 since: the board serves a one-page READ or WRITE as bare callbacks
+#: from the port to its response (``FastPath.serve``, ``Board._respond``),
+#: a host-rate change; the handlers' ``lean`` fork and the gated
+#: ``_lane`` are gone, and ``_write_progress`` drops orphaned entries,
+#: which the ``write-progress`` invariant bounds.
+SRC_CEILING = 11_756
 
 
 def test_src_stays_under_its_ceiling():

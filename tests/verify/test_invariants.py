@@ -7,6 +7,7 @@ need a sane board again.
 """
 
 from repro.cluster import ClioCluster
+from repro.core.cboard import _WriteProgress
 from repro.params import MB
 from repro.verify import (
     check_board,
@@ -103,6 +104,22 @@ def test_inflight_negative_detected():
     board._inflight = -1
     assert "inflight" in names(quick_check_board(board))
     assert "inflight" in names(check_board(board))
+
+
+def test_write_progress_span_is_bounded():
+    cluster = make_cluster()
+    run_workload(cluster)
+    board = cluster.mn
+    ttl = board.params.clib.slow_timeout_ns
+    board._write_progress.update({1: _WriteProgress(2, 0),
+                                  2: _WriteProgress(2, ttl)})
+    assert check_board(board) == []
+    board._write_progress[3] = _WriteProgress(2, ttl + 1)
+    violations = check_board(board)
+    assert names(violations) == ["write-progress"]
+    assert "request 1 has remaining=2, 100000001 ns older" in (
+        violations[0].describe())
+    board._write_progress.clear()
 
 
 def test_transport_window_mismatch_detected():
