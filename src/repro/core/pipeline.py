@@ -309,9 +309,10 @@ class FastPath:
         # change in between: charge them as one entry.
         breakdown.ingest_ns = ingest = self.ingest_delay_ns(wire_bytes)
         breakdown.pipeline_ns = fixed_ns = self._pipeline_fixed_ns
+        breakdown.total_ns = ingest + fixed_ns
         page_size = self.page_spec.page_size
         if (va & (page_size - 1)) + size <= page_size:
-            self.env.schedule_callback(ingest + fixed_ns, partial(
+            self.env.schedule_callback(breakdown.total_ns, partial(
                 self._lane, pid, access, va, size, data, serialize_dma,
                 result, done))
         else:
@@ -325,8 +326,6 @@ class FastPath:
         and, on a hit, the DRAM claim, whose entry ends the access.  A
         rejection ends it now; a miss walks the page table in
         :meth:`_pages`, started here."""
-        breakdown = result.breakdown
-        elapsed = breakdown.ingest_ns + breakdown.pipeline_ns
         page_size = self.page_spec.page_size
         ppn = self._lookup(pid, va >> self.page_spec.offset_bits, access)
         if ppn is None:
@@ -334,11 +333,11 @@ class FastPath:
                                        serialize_dma, result, done, True))
         elif ppn is _PERMISSION:
             result.status = ppn
-            breakdown.total_ns = elapsed
             done(result)
         else:
-            dram_ns = self._claim_dram(access, size, serialize_dma, breakdown)
-            breakdown.total_ns = elapsed + dram_ns
+            dram_ns = self._claim_dram(access, size, serialize_dma,
+                                       result.breakdown)
+            result.breakdown.total_ns += dram_ns
             self.env.schedule_callback(dram_ns, partial(
                 self._access_dram, ppn * page_size + (va & (page_size - 1)),
                 access, size, data, result, done))
@@ -362,9 +361,9 @@ class FastPath:
         breakdown = result.breakdown
         start = env.now
         if missed:
-            start -= breakdown.ingest_ns + breakdown.pipeline_ns
+            start -= breakdown.total_ns
         else:
-            yield env.timeout(breakdown.ingest_ns + breakdown.pipeline_ns)
+            yield env.timeout(breakdown.total_ns)
         # Translate every page the access touches into PA extents
         # (pa, offset in the request, length).
         page_size = self.page_spec.page_size

@@ -10,10 +10,10 @@ process-generator:
 
 * ``fast_path.serve(pid, access, va, size, data, wire_bytes,
   serialize_dma, done)`` runs a read or write and calls ``done(result)``
-  when it ends; the board calls it for one-page ones, whose TLB hit runs
-  no generator;
+  when it ends, with ``status``, ``data`` and ``breakdown``; a one-page
+  access whose TLB hits runs no generator;
 * ``fast_path.execute(pid, access, va, size, data=, wire_bytes=)``
-  returns a result with ``status``, ``data`` and ``breakdown``;
+  returns that result (a batch's sub-ops run it);
 * ``fast_path.translate_only(pid, access, va, wire_bytes)`` charges the
   request's fixed cost and returns ``(status, pa)``;
 * ``atomic_unit.execute(pa, op)`` returns an ``AtomicResult``;
@@ -41,7 +41,7 @@ from repro.core.retry_buffer import RetryBuffer
 from repro.core.sync import AtomicOp, AtomicResult
 from repro.net.packet import ClioHeader, Packet, PacketType, fragment_payload
 from repro.params import ClioParams
-from repro.sim import Environment
+from repro.sim import Environment, Event
 
 #: Members the handler chain tests, bound once: on CPython 3.11 every
 #: ``Enum.X`` load takes ``EnumType.__getattr__``'s slow hook.
@@ -50,6 +50,10 @@ _READ, _WRITE, _FENCE = PacketType.READ, PacketType.WRITE, PacketType.FENCE
 _ALLOC, _FREE = PacketType.ALLOC, PacketType.FREE
 _RESPONSE = PacketType.RESPONSE
 _READ_ACCESS, _WRITE_ACCESS = AccessType.READ, AccessType.WRITE
+
+#: The MAT keyed by member name: a ``str`` hashes in C, while a lookup by
+#: member runs ``Enum.__hash__`` (and ``hash``) on every packet.
+_PATH_OF = {kind._name_: path for kind, path in PATHS.items()}
 
 
 @dataclass(slots=True)
@@ -146,8 +150,7 @@ class Board:
         kind = header.packet_type
         # The lane: a one-packet, one-page read or first-attempt write
         # with no fence pending runs as bare callbacks, from here to
-        # _respond.  Its two types are tested by identity, before the MAT
-        # lookup hashes an enum member.
+        # _respond.  Its two types are tested by identity, before the MAT.
         if ((kind is _READ or kind is _WRITE and header.retry_of is None)
                 and header.fragments == 1 and header.size > 0
                 and self._fence_barrier is None
@@ -161,7 +164,7 @@ class Board:
             return
         # MAT dispatch: the request type picks the path; a type the board
         # does not serve is dropped.
-        path = PATHS.get(kind)
+        path = _PATH_OF.get(kind._name_)
         if path is None:
             return
         # Nobody waits on a handler and this is the delivery event's last
@@ -176,25 +179,19 @@ class Board:
         tracer = self.tracer
         discarded = epoch != self._epoch
         # A discarded request sends no response and a read whose data
-        # spans fragments sends several: their spans are not one row.
+        # spans fragments sends several: their spans are not one row, and
+        # the traversal's comes first, as its handler would record it.
         apart = tracer is not None and (discarded or kind is _READ and (
             result.status is _OK and header.size > self._mtu))
-        if discarded:
-            self.responses_discarded += 1
-        else:
-            self._reply(header, result, apart)
-            self._inflight -= 1
-            if self._inflight == 0:
-                while self._drain_events:
-                    self._drain_events.popleft().succeed()
-            if self.verifier is not None:
-                self.verifier.on_board_request(self)
+        if apart:
+            self.fast_path.trace(AccessType(kind.value), result)
+        self._reply(header, epoch, result, apart)
+        self._leave(epoch)
         if tracer is not None:
             # The handler and its traversal both began at delivery.
             now = self.env.now
             start = now - result.breakdown.total_ns
             if apart:
-                self.fast_path.trace(AccessType(kind.value), result)
                 tracer.complete(self._handler_sites[kind], start, now,
                                 header.request_id, header.src, discarded)
             else:
@@ -203,18 +200,33 @@ class Board:
                     start, now, header.request_id, start, now,
                     *result.breakdown.stages(), now, header.request_id)
 
-    def _send_nack(self, header: ClioHeader, epoch: Optional[int] = None) -> None:
-        if epoch is not None and epoch != self._epoch:
-            self.responses_discarded += 1
-            return
-        self.nacks_sent += 1
+    def _send_nack(self, header: ClioHeader, epoch: int) -> None:
+        # A crash since the corrupt packet arrived discards the NACK.
+        if epoch == self._epoch:
+            self.nacks_sent += 1
         self._send(header.src, header.request_id, PacketType.NACK,
                    ResponseBody(status=Status.OK), epoch=epoch)
+
+    def _leave(self, epoch: int, counted: bool = True) -> None:
+        """A request is done with the board: if it ``counted`` as in
+        flight it leaves the count, and the last one out lets a waiting
+        fence through; then the verifier checks the board.  A crash zeroed
+        the count, so a pre-crash request does neither."""
+        if epoch != self._epoch:
+            return
+        if counted:
+            self._inflight -= 1
+            if self._inflight == 0:
+                while self._drain_events:
+                    self._drain_events.popleft().succeed()
+        if self.verifier is not None:
+            self.verifier.on_board_request(self)
 
     def _handle(self, packet: Packet, path: Path, epoch: int):
         header = packet.header
         tracer = self.tracer
         start = self.env.now
+        counted = False
         try:
             # Fence barrier: anything arriving after a fence waits for the
             # drain.  (A crash resets the barrier without firing it, so
@@ -228,50 +240,37 @@ class Board:
                 return
 
             self._inflight += 1
-            try:
-                if path is _FAST:
-                    if header.packet_type is _READ:
-                        result = yield from self.fast_path.execute(
-                            header.pid, _READ_ACCESS, header.va, header.size,
-                            wire_bytes=packet.wire_bytes)
-                        if epoch == self._epoch:
-                            self._reply(header, result)
-                        else:
-                            self.responses_discarded += 1
-                    elif header.packet_type is _WRITE:
-                        yield from self._handle_write(packet, epoch)
-                    elif header.packet_type is PacketType.ATOMIC:
-                        yield from self._handle_atomic(packet, epoch)
-                    elif header.packet_type is PacketType.BATCH:
-                        yield from self._handle_batch(packet, epoch)
-                elif path is _SLOW:
-                    if header.packet_type is _ALLOC:
-                        size, permission, fixed_va = packet.payload
-                        yield from self._handle_once(
-                            header, epoch, self.slow_path.handle_alloc(
-                                header.pid, size, permission=permission,
-                                fixed_va=fixed_va))
-                    elif header.packet_type is _FREE:
-                        yield from self._handle_once(
-                            header, epoch, self.slow_path.handle_free(
-                                header.pid, header.va))
-                elif path is Path.EXTEND:
-                    name, args = packet.payload
+            counted = True
+            if path is _FAST:
+                if header.packet_type is _READ:
+                    result = yield self._traverse(packet, _READ_ACCESS)
+                    if tracer is not None:
+                        self.fast_path.trace(_READ_ACCESS, result)
+                    self._reply(header, epoch, result)
+                elif header.packet_type is _WRITE:
+                    yield from self._handle_write(packet, epoch)
+                elif header.packet_type is PacketType.ATOMIC:
+                    yield from self._handle_atomic(packet, epoch)
+                elif header.packet_type is PacketType.BATCH:
+                    yield from self._handle_batch(packet, epoch)
+            elif path is _SLOW:
+                if header.packet_type is _ALLOC:
+                    size, permission, fixed_va = packet.payload
                     yield from self._handle_once(
-                        header, epoch, self.extend_path.invoke(
-                            name, args, caller_pid=header.pid))
-            finally:
-                # A crash zeroed the in-flight count; a pre-crash handler
-                # must not decrement the new epoch's bookkeeping on its
-                # way out.
-                if epoch == self._epoch:
-                    self._inflight -= 1
-                    if self._inflight == 0:
-                        while self._drain_events:
-                            self._drain_events.popleft().succeed()
+                        header, epoch, self.slow_path.handle_alloc(
+                            header.pid, size, permission=permission,
+                            fixed_va=fixed_va))
+                elif header.packet_type is _FREE:
+                    yield from self._handle_once(
+                        header, epoch, self.slow_path.handle_free(
+                            header.pid, header.va))
+            elif path is Path.EXTEND:
+                name, args = packet.payload
+                yield from self._handle_once(
+                    header, epoch, self.extend_path.invoke(
+                        name, args, caller_pid=header.pid))
         finally:
-            if self.verifier is not None and epoch == self._epoch:
-                self.verifier.on_board_request(self)
+            self._leave(epoch, counted)
             if tracer is not None:
                 tracer.complete(self._handler_sites[header.packet_type],
                                 start, self.env.now, header.request_id,
@@ -279,9 +278,27 @@ class Board:
 
     # -- fast path handlers -----------------------------------------------------------
 
-    def _reply(self, header: ClioHeader, result, traced: bool = True) -> None:
+    def _traverse(self, packet: Packet, access: AccessType) -> Event:
+        """An event that fires with the result of ``packet``'s traversal
+        of the fast path: what a handler waits on, ``fast_path.execute``
+        without a generator frame of its own, and like it refusing a request
+        of no bytes."""
+        header, gate = packet.header, Event(self.env)
+        if header.size <= 0:
+            raise ValueError(f"size must be positive, got {header.size}")
+        self.fast_path.serve(header.pid, access, header.va, header.size,
+                             packet.payload, packet.wire_bytes, True,
+                             gate.resume_waiters)
+        return gate
+
+    def _reply(self, header: ClioHeader, epoch: int, result,
+               traced: bool = True) -> None:
         """Count a served read or one-packet write and send its response;
-        a read's data goes back in fragments of at most the MTU."""
+        a read's data goes back in fragments of at most the MTU.  A crash
+        since the request arrived discards it."""
+        if epoch != self._epoch:
+            self.responses_discarded += 1
+            return
         self.requests_served += 1
         status = result.status
         if status is _OK:
@@ -324,9 +341,9 @@ class Board:
             # again — re-executing could undo a newer write (section 4.5).
             yield self.env.timeout(self._netstack_ns)
         else:
-            result = yield from self.fast_path.execute(
-                header.pid, _WRITE_ACCESS, header.va, header.size,
-                data=packet.payload, wire_bytes=packet.wire_bytes)
+            result = yield self._traverse(packet, _WRITE_ACCESS)
+            if self.tracer is not None:
+                self.fast_path.trace(_WRITE_ACCESS, result)
         if epoch != self._epoch:
             # Crash wiped _write_progress; this fragment's work is lost.
             self.responses_discarded += 1
@@ -418,7 +435,6 @@ class Board:
                              epoch: int) -> None:
         """Ack a frame: status vector on fragment 0, read data fragmented."""
         fragments = fragment_payload(len(blob), self._mtu)
-        count = len(fragments)
         for index, (offset, size) in enumerate(fragments):
             body = ResponseBody(
                 status=next((s for s in statuses if s is not Status.OK),
@@ -426,7 +442,7 @@ class Board:
                 value=statuses if index == 0 else None,
                 data=blob[offset:offset + size])
             self._send(header.src, header.request_id, PacketType.RESPONSE,
-                       body, fragment=index, fragments=count,
+                       body, fragment=index, fragments=len(fragments),
                        payload_bytes=size, total_size=len(blob), epoch=epoch)
 
     def _handle_atomic(self, packet: Packet, epoch: int):
@@ -440,10 +456,8 @@ class Board:
             return
         status, pa = yield from self.fast_path.translate_only(
             header.pid, AccessType.ATOMIC, header.va, packet.wire_bytes)
-        if epoch != self._epoch:
-            self.responses_discarded += 1
-            return
-        if status is not Status.OK:
+        if status is not Status.OK or epoch != self._epoch:
+            # _send discards a response from before a crash.
             self._send(header.src, header.request_id, PacketType.RESPONSE,
                        ResponseBody(status=status), epoch=epoch)
             return

@@ -111,6 +111,20 @@ ACK = ("instant", "mn_response", 7,
 FRAGMENTED = [REQUEST, *FRAGMENT, *FRAGMENT, FRAGMENT[0], ACK, FRAGMENT[1],
               SETTLED]
 
+DATA = ("instant", "mn_response", 7,
+        "a read's data larger than the MTU goes back in fragments, each a "
+        "packet of its own")
+LARGE_READ = [
+    REQUEST,
+    ("complete", "fastpath:read", 10,
+     "the traversal, recorded when it ends, before any response is sent"),
+    DATA, DATA, DATA,
+    ("complete", "mn:read", 8,
+     "the board's part, once its last fragment is sent: several responses "
+     "do not share one row"),
+    SETTLED,
+]
+
 
 def expected(table, op):
     return [(method, label.format(op=op), cells)
@@ -166,3 +180,8 @@ def test_a_retried_attempt_is_a_row_of_its_own(primed):
 def test_a_fragmented_write_records_each_fragment(primed):
     assert primed(lambda thread, va: thread.rwrite(va, b"z" * 4096)) == (
         expected(FRAGMENTED, "write"))
+
+
+def test_a_read_larger_than_the_mtu_records_its_traversal_first(primed):
+    assert primed(lambda thread, va: thread.rread(va, 4096)) == (
+        expected(LARGE_READ, "read"))
