@@ -148,14 +148,13 @@ class Board:
             return
         header = packet.header
         kind = header.packet_type
-        # The lane: a one-packet, one-page read or first-attempt write
-        # with no fence pending runs as bare callbacks, from here to
-        # _respond.  Its two types are tested by identity, before the MAT.
+        # The lane: a one-packet read or first-attempt write with no
+        # fence pending goes straight to the fast path and ends in
+        # _respond; a one-page access runs there as bare callbacks.  Its
+        # two types are tested by identity, before the MAT.
         if ((kind is _READ or kind is _WRITE and header.retry_of is None)
                 and header.fragments == 1 and header.size > 0
-                and self._fence_barrier is None
-                and (header.va & (self.page_spec.page_size - 1))
-                + header.size <= self.page_spec.page_size):
+                and self._fence_barrier is None):
             self._inflight += 1
             self.fast_path.serve(
                 header.pid, _READ_ACCESS if kind is _READ else _WRITE_ACCESS,
@@ -306,19 +305,24 @@ class Board:
             if header.packet_type is _WRITE:
                 self._remember(header)
         if header.packet_type is _WRITE or status is not _OK:
-            self._send(header.src, header.request_id, _RESPONSE,
-                       ResponseBody(status, None, None, None,
-                                    result.breakdown), traced=traced)
+            data, size = None, 0
+        elif header.size <= self._mtu:
+            # One packet, built directly: no fragment list to walk.
+            data, size = result.data[:header.size], header.size
+        else:
+            fragments = fragment_payload(header.size, self._mtu)
+            for index, (offset, size) in enumerate(fragments):
+                self._send(header.src, header.request_id, _RESPONSE,
+                           ResponseBody(_OK, result.data[offset:offset + size],
+                                        None, None, result.breakdown
+                                        if index == 0 else None),
+                           fragment=index, fragments=len(fragments),
+                           payload_bytes=size, total_size=header.size,
+                           traced=traced)
             return
-        fragments = fragment_payload(header.size, self._mtu)
-        for index, (offset, size) in enumerate(fragments):
-            self._send(header.src, header.request_id, _RESPONSE,
-                       ResponseBody(_OK, result.data[offset:offset + size],
-                                    None, None,
-                                    result.breakdown if index == 0 else None),
-                       fragment=index, fragments=len(fragments),
-                       payload_bytes=size, total_size=header.size,
-                       traced=traced)
+        self._send(header.src, header.request_id, _RESPONSE,
+                   ResponseBody(status, data, None, None, result.breakdown),
+                   payload_bytes=size, traced=traced)
 
     def _handle_write(self, packet: Packet, epoch: int):
         header = packet.header

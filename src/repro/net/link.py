@@ -52,6 +52,12 @@ class Link:
         self.loss_rate = loss_rate
         self.corruption_rate = corruption_rate
         self.jitter_ns = jitter_ns
+        # rng.uniform_int(0, jitter_ns) as Random.randint draws it: a
+        # getrandbits rejection loop over the span's bit width.  The span,
+        # the width and the bound method are fixed, so bound once here.
+        self._jitter_span = jitter_ns + 1
+        self._jitter_bits = self._jitter_span.bit_length()
+        self._getrandbits = self.rng._rng.getrandbits
         self.up = True                          # fault injection: link state
         # Transmit-complete times of the packets still serializing or
         # queued as of the last send; the tail is when the serializer
@@ -131,14 +137,10 @@ class Link:
                 self.tracer.instant(self._corrupt_site, packet.header.dst)
         delay = done - now + self.propagation_ns
         if self.jitter_ns:
-            # rng.uniform_int(0, jitter_ns), inlined: the getrandbits
-            # rejection loop Random.randint runs — the same draws.
-            span = self.jitter_ns + 1
-            bits = span.bit_length()
-            getrandbits = rng._rng.getrandbits
-            jitter = getrandbits(bits)
+            span, bits = self._jitter_span, self._jitter_bits
+            jitter = self._getrandbits(bits)
             while jitter >= span:
-                jitter = getrandbits(bits)
+                jitter = self._getrandbits(bits)
             delay += jitter
         self.deliver_env.schedule_callback(delay, partial(self.deliver, packet))
 

@@ -2,14 +2,16 @@
 
 Time is an integer number of nanoseconds.  The scheduler is a binary heap
 keyed on ``(time, priority, sequence)`` so that simultaneous events fire in
-insertion order, which keeps every run bit-for-bit reproducible.
+insertion order, which keeps every run bit-for-bit reproducible.  The clock,
+``Environment.now``, is a plain slot that the drain loop writes on each pop.
 
 The engine is the hot path of every experiment, so the event classes are
 slotted, fully-processed :class:`Timeout` instances are recycled through a
 small pool, pure-delay work is a bare heap entry
-(:meth:`Environment.schedule_callback`) rather than an event object, and a
-handler nobody waits on starts inline (:meth:`Environment.spawn`) instead of
-paying for a :class:`Process`, its ``Initialize`` and its completion event.
+(:meth:`Environment.schedule_callback`, which pushes its own tuple) rather
+than an event object, and a handler nobody waits on starts inline
+(:meth:`Environment.spawn`) instead of paying for a :class:`Process`, its
+``Initialize`` and its completion event.
 
 Heap entries are ``(time, priority, seq, event, fn)``: exactly one of
 ``event`` / ``fn`` is set, and ``seq`` is unique, so neither is ever compared.
@@ -286,19 +288,16 @@ class _Spawned:
 class Environment:
     """The simulation driver: clock plus event queue."""
 
-    __slots__ = ("_now", "_queue", "_seq", "_timeout_pool")
+    __slots__ = ("now", "_queue", "_seq", "_timeout_pool")
 
     def __init__(self, initial_time: int = 0):
-        self._now = int(initial_time)
+        #: Current simulated time in nanoseconds: a plain slot that the
+        #: drain loop writes on each pop, so a read is not a call.
+        self.now = int(initial_time)
         self._queue: list[tuple[int, int, int, Optional[Event],
                                 Optional[Callable[[], None]]]] = []
         self._seq = 0
         self._timeout_pool: list[Timeout] = []
-
-    @property
-    def now(self) -> int:
-        """Current simulated time in nanoseconds."""
-        return self._now
 
     # -- event factories ---------------------------------------------------
 
@@ -311,12 +310,11 @@ class Environment:
             delay = int(delay)
             if delay < 0:
                 raise ValueError(f"negative delay {delay}")
+            # A Timeout never fails: its _ok and _exception never change,
+            # and _defused is read only for a failed event.
             timeout = pool.pop()
             timeout.callbacks = []
             timeout._value = value
-            timeout._exception = None
-            timeout._ok = True
-            timeout._defused = False
             timeout.delay = delay
             self._schedule(timeout, NORMAL, delay=delay)
             return timeout
@@ -333,7 +331,10 @@ class Environment:
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        self._schedule(None, NORMAL, delay, fn)
+        # _schedule, inlined: the entry the engine pops most often.
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._queue, (self.now + delay, NORMAL, seq, None, fn))
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
@@ -361,7 +362,7 @@ class Environment:
                   fn: Optional[Callable[[], None]] = None) -> None:
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._queue, (self._now + delay, priority, seq, event, fn))
+        heappush(self._queue, (self.now + delay, priority, seq, event, fn))
 
     def step(self) -> None:
         """Process one entry; raises :class:`SimulationError` when empty.
@@ -371,7 +372,7 @@ class Environment:
         if not self._queue:
             raise SimulationError("no scheduled events")
         when, _prio, _seq, event, fn = heappop(self._queue)
-        self._now = when
+        self.now = when
         if event is None:
             fn()
             return
@@ -402,14 +403,14 @@ class Environment:
                 return sentinel.value
         elif until is not None:
             deadline = int(until)
-            if deadline < self._now:
+            if deadline < self.now:
                 raise ValueError(
-                    f"until={deadline} is in the past (now={self._now})")
+                    f"until={deadline} is in the past (now={self.now})")
         queue = self._queue
         pool = self._timeout_pool
         while queue and (deadline is None or queue[0][0] <= deadline):
             when, _prio, _seq, event, fn = heappop(queue)
-            self._now = when
+            self.now = when
             if event is None:
                 fn()
             else:
@@ -434,5 +435,5 @@ class Environment:
             raise SimulationError(
                 "event queue drained before the awaited event fired")
         if deadline is not None:
-            self._now = deadline
+            self.now = deadline
         return None

@@ -38,11 +38,20 @@ from typing import Any, Callable, Optional
 
 from repro.sim.core import (
     _TIMEOUT_POOL_MAX,
+    NORMAL,
     Environment,
     Event,
     SimulationError,
     Timeout,
 )
+
+
+def _schedule_callback(self, delay: int, fn: Callable[[], None]) -> None:
+    """:meth:`Environment.schedule_callback` through ``_schedule``, whose
+    bound check a wheel of the partitioned engine must run."""
+    if delay < 0:
+        raise ValueError(f"negative delay {delay}")
+    self._schedule(None, NORMAL, delay, fn)
 
 
 class Partition(Environment):
@@ -58,21 +67,25 @@ class Partition(Environment):
     __slots__ = ("parent", "name")
 
     def __init__(self, parent: "PartitionedEnvironment", name: str):
-        Environment.__init__(self)
+        # Not Environment.__init__: the clock and the sequence counter
+        # are the parent's.
+        self._queue, self._timeout_pool = [], []
         self.parent = parent
         self.name = name
 
     @property
     def now(self) -> int:
         """Global simulated time (the parent's clock)."""
-        return self.parent._now
+        return self.parent.now
+
+    schedule_callback = _schedule_callback
 
     def _schedule(self, event: Optional[Event], priority: int, delay: int = 0,
                   fn: Optional[Callable[[], None]] = None) -> None:
         parent = self.parent
         seq = parent._seq
         parent._seq = seq + 1
-        entry = (parent._now + delay, priority, seq, event, fn)
+        entry = (parent.now + delay, priority, seq, event, fn)
         heappush(self._queue, entry)
         draining = parent._draining
         if draining is not None and draining is not self:
@@ -83,15 +96,12 @@ class Partition(Environment):
             if bound is None or entry < bound:
                 parent._bound_violated = True
 
-    def step(self) -> None:
-        raise SimulationError(
-            "partitions are driven by their PartitionedEnvironment; "
-            "call run() on the parent")
-
     def run(self, until=None):
         raise SimulationError(
             "partitions are driven by their PartitionedEnvironment; "
             "call run() on the parent")
+
+    step = run
 
 
 class PartitionedEnvironment(Environment):
@@ -131,11 +141,13 @@ class PartitionedEnvironment(Environment):
 
     # -- scheduling ----------------------------------------------------------
 
+    schedule_callback = _schedule_callback
+
     def _schedule(self, event: Optional[Event], priority: int, delay: int = 0,
                   fn: Optional[Callable[[], None]] = None) -> None:
         seq = self._seq
         self._seq = seq + 1
-        entry = (self._now + delay, priority, seq, event, fn)
+        entry = (self.now + delay, priority, seq, event, fn)
         heappush(self._queue, entry)
         draining = self._draining
         if draining is not None and draining is not self:
@@ -202,7 +214,7 @@ class PartitionedEnvironment(Environment):
                     # Drop the heap tuple: a surviving reference would hold
                     # the event at refcount 3 and defeat the pool check.
                     del entry
-                    self._now = when
+                    self.now = when
                     if event is None:
                         fn()
                     else:
@@ -236,9 +248,9 @@ class PartitionedEnvironment(Environment):
             self._drain(None, sentinel)
             return sentinel.value
         deadline = int(until)
-        if deadline < self._now:
+        if deadline < self.now:
             raise ValueError(
-                f"until={deadline} is in the past (now={self._now})")
+                f"until={deadline} is in the past (now={self.now})")
         self._drain(deadline, None)
-        self._now = deadline
+        self.now = deadline
         return None

@@ -300,21 +300,26 @@ class Transport:
         header_bytes = self.params.network.header_bytes
         mtu = self.params.network.mtu
         write = packet_type is _WRITE
-        if write and size > 0:
-            fragments = fragment_payload(size, mtu)
-        else:
-            fragments = [(0, 0)]
-        count = len(fragments)
-        for index, (offset, chunk) in enumerate(fragments):
-            body = payload
-            chunk_size = size if count == 1 else chunk
+        if not write or size <= mtu:
+            # One packet, built directly: every request but a write
+            # larger than the MTU.
             if write:
-                body = data[offset:offset + chunk] if data is not None else None
-                chunk_size = chunk
+                payload = data[:size] if data is not None else None
             # Positional: a keyword call to a class packs a kwargs dict.
             header = ClioHeader(self.node_name, mn, request_id, packet_type,
-                                pid, va + offset, chunk_size, size, index,
-                                count, retry_of)
+                                pid, va, size, size, 0, 1, retry_of)
+            self.topology.send(Packet(
+                header, payload,
+                header_bytes + (len(payload) if isinstance(payload, (bytes, bytearray)) else 0),
+                False, self.env.now))
+            return
+        fragments = fragment_payload(size, mtu)
+        count = len(fragments)
+        for index, (offset, chunk) in enumerate(fragments):
+            body = data[offset:offset + chunk] if data is not None else None
+            header = ClioHeader(self.node_name, mn, request_id, packet_type,
+                                pid, va + offset, chunk, size, index, count,
+                                retry_of)
             self.topology.send(Packet(
                 header, body,
                 header_bytes + (len(body) if isinstance(body, (bytes, bytearray)) else 0),

@@ -418,7 +418,7 @@ def _handled(board):
     return handled
 
 
-def test_only_one_packet_one_page_first_attempts_take_the_lane():
+def test_only_one_packet_first_attempts_take_the_lane():
     env, params, topology, board, collector = make_wired_board()
     va = alloc_va(env, topology, params, board, collector)
     handled = _handled(board)
@@ -436,7 +436,7 @@ def test_only_one_packet_one_page_first_attempts_take_the_lane():
         send(env, topology, params, request_id, kind,
              **{"va": va, **fields})
         env.run(until=env.now + 10 ** 7)
-    assert handled == [402, 403, 405, 405, 406]
+    assert handled == [402, 405, 405, 406]    # 403 spans two pages
     assert board.retry_buffer.dedup_hits == 1     # the retry did not rerun
     assert board._inflight == 0 and board._write_progress == {}
 
@@ -469,6 +469,41 @@ def test_a_fence_waits_for_lane_requests_and_a_read_behind_it_waits():
     env.run(until=env.now + 10 ** 8)
     assert order == [411, 410, 412, 413]
     assert handled == [412, 413]
+
+
+#: ``(request id, status, data, when the MN sent the response, stages,
+#: total)`` of one-packet accesses across a page boundary, recorded when
+#: ``Board.receive`` sent them to a handler: first touch of both pages,
+#: then TLB hits.
+TWO_PAGE_TIMINGS = [
+    (440, "ok", None, 100001977, (8, 60, 608, 24, 300), 1000),
+    (441, "ok", b"abcdefgh", 110001198, (4, 60, 0, 0, 300), 364),
+    (442, "ok", None, 120001231, (8, 60, 0, 0, 300), 368),
+    (443, "ok", b"ABCDEFGH", 130001208, (4, 60, 0, 0, 300), 364),
+]
+
+
+def test_one_packet_two_page_accesses_take_the_lane_with_their_timing():
+    env, params, topology, board, collector = make_wired_board()
+    va = alloc_va(env, topology, params, board, collector, size=2 * PAGE)
+    handled = _handled(board)
+    requests = [(440, PacketType.WRITE, b"abcdefgh"),
+                (441, PacketType.READ, None),
+                (442, PacketType.WRITE, b"ABCDEFGH"),
+                (443, PacketType.READ, None)]
+    for request_id, kind, payload in requests:
+        send(env, topology, params, request_id, kind, va=va + PAGE - 4,
+             size=8, payload=payload)
+        env.run(until=env.now + 10 ** 7)
+    timings = []
+    for packet in collector.packets[-len(requests):]:
+        body = packet.payload
+        timings.append((packet.header.request_id, body.status.value,
+                        body.data, packet.sent_at, body.breakdown.stages(),
+                        body.breakdown.total_ns))
+    assert timings == TWO_PAGE_TIMINGS
+    assert handled == [] and board.fast_path.faults == 2
+    assert (env.now, env._seq) == (140000000, 9385)
 
 
 #: A fresh board and CN: ``(request id, status, when the MN sent the

@@ -147,6 +147,36 @@ def test_link_jitter_can_reorder_delivery():
     assert received != sorted(received)   # out-of-order delivery occurred
 
 
+class _DelayRecorder:
+    """A delivery wheel that records each packet's delay, firing none."""
+
+    def __init__(self):
+        self.delays = []
+
+    def schedule_callback(self, delay, fn):
+        self.delays.append(delay)
+
+
+@pytest.mark.parametrize("jitter_ns", [1, 2, 3, 120, 127, 128, 2000])
+def test_link_jitter_draws_are_the_streams_uniform_ints(jitter_ns):
+    """The link binds its jitter span, bit width and ``getrandbits`` once;
+    its draws are still ``uniform_int(0, jitter_ns)``'s, rejection loop
+    included, at and around the powers of two."""
+    delays = {}
+    for jitter in (0, jitter_ns):
+        recorder = _DelayRecorder()
+        link = Link(Environment(), "l", rate_bps=100 * GBPS,
+                    propagation_ns=500, deliver=lambda packet: None,
+                    rng=RandomStream(7, "jitter"), jitter_ns=jitter,
+                    deliver_env=recorder)
+        for index in range(10_000):
+            link.send(make_packet(request_id=index))
+        delays[jitter] = recorder.delays
+    stream = RandomStream(7, "jitter")
+    assert [late - base for base, late in zip(delays[0], delays[jitter_ns])
+            ] == [stream.uniform_int(0, jitter_ns) for _ in range(10_000)]
+
+
 @pytest.mark.parametrize("kwargs", [
     {"loss_rate": -0.01},
     {"loss_rate": 1.01},

@@ -7,6 +7,8 @@ sequence-counter trajectory.  Everything downstream (golden fingerprints,
 chaos determinism, RNG draw order) rests on it.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.sim import Environment, PartitionedEnvironment, SimulationError
@@ -353,3 +355,86 @@ def test_partitioned_spawn_exception_surfaces_and_empty_spawn_is_free():
     assert env.now == 9
     with pytest.raises(ValueError):
         part.schedule_callback(-1, lambda: None)
+
+
+# -- the clock and bare entries on every wheel ----------------------------------
+
+
+def _wheels(kind):
+    """``(engine, wheel)``: the environment that runs, and the one its
+    callers schedule onto."""
+    if kind == "flat":
+        env = Environment()
+        return env, env
+    env = PartitionedEnvironment()
+    return env, env if kind == "partitioned" else env.partition("p0")
+
+
+@pytest.mark.parametrize("kind", ["flat", "partitioned", "partition"])
+def test_schedule_callback_rejects_negative_delays_and_keeps_insertion_order(
+        kind):
+    env, wheel = _wheels(kind)
+    with pytest.raises(ValueError, match="negative delay"):
+        wheel.schedule_callback(-1, lambda: None)
+    fired = []
+    for tag in range(6):
+        wheel.schedule_callback(7 if tag % 2 else 3,
+                                lambda tag=tag: fired.append((tag, env.now)))
+    wheel.schedule_callback(0, lambda: wheel.schedule_callback(
+        3, lambda: fired.append(("late", env.now))))
+    env.run()
+    assert fired == [(0, 3), (2, 3), (4, 3), ("late", 3), (1, 7), (3, 7),
+                     (5, 7)]
+    assert env._seq == 8 and not wheel._queue
+
+
+@pytest.mark.parametrize("target", ["partition", "control wheel"])
+def test_schedule_callback_onto_another_wheel_forces_a_repick(target):
+    """A bare entry scheduled onto another wheel, earlier than the
+    draining wheel's next one, runs first: the partitioned engine's
+    ``schedule_callback`` keeps ``_schedule``'s bound check."""
+    env = PartitionedEnvironment()
+    source = env.partition("source")
+    sink = env.partition("sink") if target == "partition" else env
+    fired = []
+
+    def first():
+        fired.append(("first", env.now))
+        sink.schedule_callback(1, lambda: fired.append(("sink", env.now)))
+
+    source.schedule_callback(5, first)
+    source.schedule_callback(10, lambda: fired.append(("last", env.now)))
+    env.run()
+    assert fired == [("first", 5), ("sink", 6), ("last", 10)]
+
+
+@pytest.mark.parametrize("partitioned", [False, True])
+def test_now_is_the_popped_entrys_time_inside_every_callback(partitioned):
+    """``Environment.now`` is a slot the drain loop writes on each pop; a
+    partition's ``now`` reads its parent's clock."""
+    env = PartitionedEnvironment() if partitioned else Environment()
+    wheels = ([env.partition("a"), env.partition("b"), env] if partitioned
+              else [env] * 3)
+    seen = []
+
+    def check(due, wheel, *_event):
+        seen.append((due, env.now, wheel.now, [w.now for w in wheels]))
+        if due < 40:
+            nxt, delay = wheels[due % 3], 1 + due % 5
+            nxt.schedule_callback(delay, partial(check, env.now + delay, nxt))
+
+    for index, delay in enumerate([5, 0, 17, 5, 3, 11]):
+        wheel = wheels[index % 3]
+        wheel.schedule_callback(delay, partial(check, delay, wheel))
+        wheel.timeout(delay + 1).callbacks.append(
+            partial(check, delay + 1, wheel))
+    env.run(until=30)
+    assert env.now == 30 and all(wheel.now == 30 for wheel in wheels)
+    env.run()
+    assert len(seen) > 20
+    for due, now, wheel_now, every in seen:
+        assert due == now == wheel_now and every == [now] * 3
+    if not partitioned:
+        env.schedule_callback(4, partial(check, env.now + 4, env))
+        env.step()
+        assert seen[-1][:2] == (env.now, env.now)

@@ -6,13 +6,14 @@ is known in advance: its shape, the alternation, the ratios and the
 exact sign test.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from tools.pairs import quartiles, sign_test_p
+from tools.pairs import quartiles, sign_test_p, steal_jiffies
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,6 +53,25 @@ def test_the_sign_test_is_exact():
     assert quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
 
 
+#: ``/proc/stat`` as Linux writes it: the aggregate ``cpu`` line's values
+#: are user, nice, system, idle, iowait, irq, softirq, steal, guest and
+#: guest_nice jiffies.
+PROC_STAT = """cpu  2255 34 2290 22625563 6290 127 456 9173 0 0
+cpu0 1132 34 1441 11311718 3675 127 438 4597 0 0
+cpu1 1123 0 849 11313845 2614 0 18 4576 0 0
+intr 114930548 113199788 3 0 5 263 0 4 [... 0 0 0]
+ctxt 1990473
+btime 1062191376
+"""
+
+
+def test_steal_is_read_from_the_aggregate_cpu_line():
+    assert steal_jiffies(PROC_STAT) == 9173
+    # A kernel before 2.6.11 wrote no steal column; no cpu line at all.
+    assert steal_jiffies("cpu  2255 34 2290 22625563 6290 127 456\n") is None
+    assert steal_jiffies("intr 1 2 3\nctxt 4\n") is None
+
+
 def test_pairs_alternate_and_report_every_metric(tmp_path):
     subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
     _commit(tmp_path, ops=100, rss=10)
@@ -62,6 +82,17 @@ def test_pairs_alternate_and_report_every_metric(tmp_path):
         cwd=tmp_path, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
+    # Each run's host noise: ten steal counts (or n/a) and CPU seconds
+    # per side, whatever the host did meanwhile.
+    noise = lines[5:11]
+    del lines[5:11]
+    assert noise[0] == "steal jiffies (host, over each run)"
+    assert noise[3] == "child CPU s (each run's own)"
+    for row, side, cell in ((1, "base", r"(\d+|n/a)"),
+                            (2, "change", r"(\d+|n/a)"),
+                            (4, "base", r"[\d.e+-]+"),
+                            (5, "change", r"[\d.e+-]+")):
+        assert re.fullmatch(rf"  {side:6}  {cell}( {cell}){{9}}", noise[row])
     assert lines[0].startswith("base    ") and lines[0].endswith("(HEAD~1)")
     assert lines[1].startswith("change  ") and lines[1].endswith("(HEAD)")
     rule = "  claim rule (10+ pairs, wins >= 9/10, median gap > base IQR): "

@@ -19,6 +19,14 @@ of each block says whether a gain may be claimed there
 (docs/performance.md): at least ten pairs ran, the change won at least
 nine tenths of them, and its median is better than the base's by more
 than the base's IQR.  The exit status is 1 when a run failed or reported a failed check.
+
+Before those blocks, two more show what a noisy neighbour did to each
+run, in pair order: the host's steal jiffies over the run (the ``cpu``
+line of ``/proc/stat``, read only; "n/a" where there is none) and the
+run's own CPU seconds (``getrusage(RUSAGE_CHILDREN)``).  A pair whose
+steal is high, or whose CPU seconds fall well short of its wall time,
+was disturbed.  They inform the reader; the claim rule does not use
+them.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import resource
 import statistics
 import subprocess
 import sys
@@ -48,21 +57,49 @@ def sign_test_p(wins: int, losses: int) -> float:
     return min(1.0, 2 * tail / 2 ** trials)
 
 
+def steal_jiffies(stat: str):
+    """The steal jiffies of ``/proc/stat`` text's aggregate ``cpu`` line
+    (its eighth value), or None when it has no such line or value."""
+    for line in stat.splitlines():
+        fields = line.split()
+        if fields and fields[0] == "cpu":
+            return int(fields[8]) if len(fields) > 8 else None
+    return None
+
+
+def _host_steal():
+    try:
+        return steal_jiffies(Path("/proc/stat").read_text())
+    except OSError:
+        return None
+
+
 def _git(repo: Path, *args: str) -> str:
     return subprocess.run(["git", "-C", str(repo), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run: its JSON line, or ``{"error": text}``."""
+    """One benchmark run: its JSON line, or ``{"error": text}``, with the
+    host's ``steal`` jiffies over it (None where unknown) and its
+    ``cpu_s``."""
+    steal = _host_steal()
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
     done = subprocess.run(
         [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
          "--seed", str(seed), "--trace", "0", "--seconds", str(seconds)],
         cwd=checkout, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    end_steal = _host_steal()
+    noise = {"steal": None if steal is None or end_steal is None
+             else end_steal - steal,
+             "cpu_s": after.ru_utime + after.ru_stime
+             - usage.ru_utime - usage.ru_stime}
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
-        return {"error": (done.stderr.strip() or "no output").splitlines()[-1]}
-    return json.loads(lines[-1])
+        return {"error": (done.stderr.strip() or "no output").splitlines()[-1],
+                **noise}
+    return {**json.loads(lines[-1]), **noise}
 
 
 def measure(repo: Path, shas: dict, workload: str, pairs: int,
@@ -93,6 +130,20 @@ def measure(repo: Path, shas: dict, workload: str, pairs: int,
 
 def _number(value: float) -> str:
     return f"{value:.6g}"
+
+
+def noise(records: list[dict]) -> list[str]:
+    """Each run's host steal jiffies and CPU seconds, in pair order."""
+    lines = []
+    for key, title in (("steal", "steal jiffies (host, over each run)"),
+                       ("cpu_s", "child CPU s (each run's own)")):
+        lines.append(title)
+        for side in ("base", "change"):
+            values = [record[side].get(key) for record in records]
+            lines.append(f"  {side:6}  " + " ".join(
+                "n/a" if value is None else _number(value)
+                for value in values))
+    return lines
 
 
 def report(records: list[dict], metrics: list[dict]) -> list[str]:
@@ -178,7 +229,7 @@ def main(argv=None) -> int:
                       + run.get("error", "a check failed"))
         print(f"{side} failed ops {sum(run.get('failed', 0) for run in runs)}"
               f" of {sum(run.get('attempted', 0) for run in runs)}")
-    print("\n".join(report(records, metrics)))
+    print("\n".join(noise(records) + report(records, metrics)))
     return 1 if broken else 0
 
 
