@@ -1,8 +1,8 @@
 """The memory node's wire protocol, written once for every board.
 
 Everything a CN can observe of an MN lives here: the thin netstack
-(alive check, NACK for corrupt arrivals), MAT dispatch, the fence
-barrier, retry dedup and replay (section 4.5), multi-fragment write
+(alive check, NACK for corrupt arrivals), the fence barrier, MAT
+dispatch, retry dedup and replay (section 4.5), multi-fragment write
 countdown, fragmenting read responses and header stamping.  A board is a
 :class:`Board` plus a memory model, reached only through the objects
 :class:`repro.core.cboard.CBoard` composes — each call but the first a
@@ -11,7 +11,10 @@ process-generator:
 * ``fast_path.serve(pid, access, va, size, data, wire_bytes,
   serialize_dma, done)`` runs a read or write and calls ``done(result)``
   when it ends, with ``status``, ``data`` and ``breakdown``; a one-page
-  access whose TLB hits runs no generator;
+  access whose TLB hits runs no generator.  Every READ and WRITE packet
+  takes it from :meth:`Board.receive`, and its ``done`` is the board's
+  answer, :meth:`Board._respond` or :meth:`Board._count_down`: no
+  handler generator runs for either;
 * ``fast_path.execute(pid, access, va, size, data=, wire_bytes=)``
   returns that result (a batch's sub-ops run it);
 * ``fast_path.translate_only(pid, access, va, wire_bytes)`` charges the
@@ -45,10 +48,10 @@ from repro.sim import Environment, Event
 
 #: Members the handler chain tests, bound once: on CPython 3.11 every
 #: ``Enum.X`` load takes ``EnumType.__getattr__``'s slow hook.
-_FAST, _SLOW, _OK = Path.FAST, Path.SLOW, Status.OK
+_OK, _RESPONSE = Status.OK, PacketType.RESPONSE
 _READ, _WRITE, _FENCE = PacketType.READ, PacketType.WRITE, PacketType.FENCE
+_ATOMIC, _BATCH = PacketType.ATOMIC, PacketType.BATCH
 _ALLOC, _FREE = PacketType.ALLOC, PacketType.FREE
-_RESPONSE = PacketType.RESPONSE
 _READ_ACCESS, _WRITE_ACCESS = AccessType.READ, AccessType.WRITE
 
 #: The MAT keyed by member name: a ``str`` hashes in C, while a lookup by
@@ -74,7 +77,7 @@ class _WriteProgress:
     An entry goes when its last fragment is served, or, for a request
     that lost or corrupted a fragment, once it is ``slow_timeout_ns``
     older than a new entry: by then the CN has retried or failed that
-    attempt (:meth:`Board._handle_write`).
+    attempt (:meth:`Board._progress`).
     """
 
     remaining: int
@@ -132,7 +135,13 @@ class Board:
 
     # -- network receive (the transportless MN stack) ------------------------------
 
-    def receive(self, packet: Packet) -> None:
+    def receive(self, packet: Packet, arrived: Optional[int] = None) -> None:
+        """The port: every request starts here, and one a fence held back
+        comes back here when the fence is answered, with the time it
+        ``arrived``.  A READ or WRITE goes straight to the fast path as
+        callbacks: a READ or a one-packet first attempt ends in
+        :meth:`_respond`, a write fragment or a retry in
+        :meth:`_count_down`.  Other types run a handler (:meth:`_handle`)."""
         # A crashed board's port is dark: requests die silently here, and
         # the CN's bounded retransmission surfaces RequestFailed.
         if not self.alive:
@@ -146,20 +155,40 @@ class Board:
                 self._netstack_ns,
                 partial(self._send_nack, packet.header, self._epoch))
             return
+        # The one fence wait: a request arriving while a fence drains,
+        # another FENCE too, parks on its barrier and is back here when it
+        # fires, in arrival order.  A crash drops the barrier unfired, so
+        # what parked on it is lost.
+        start = self.env.now if arrived is None else arrived
+        barrier = self._fence_barrier
+        if barrier is not None:
+            barrier.callbacks.append(partial(self._release, packet, start))
+            return
         header = packet.header
         kind = header.packet_type
-        # The lane: a one-packet read or first-attempt write with no
-        # fence pending goes straight to the fast path and ends in
-        # _respond; a one-page access runs there as bare callbacks.  Its
-        # two types are tested by identity, before the MAT.
-        if ((kind is _READ or kind is _WRITE and header.retry_of is None)
-                and header.fragments == 1 and header.size > 0
-                and self._fence_barrier is None):
+        # The two data types are tested by identity, before the MAT.
+        if kind is _READ or kind is _WRITE:
+            if header.size <= 0:
+                raise ValueError(f"size must be positive, got {header.size}")
             self._inflight += 1
+            if kind is _READ or (header.retry_of is None
+                                 and header.fragments == 1):
+                done = partial(self._respond, header, self._epoch, arrived)
+            else:
+                done = partial(self._count_down, header, self._epoch, start,
+                               self._write_progress.get(header.request_id)
+                               or self._progress(header))
+                if self.retry_buffer.check(header.retry_of)[0]:
+                    # A retried write whose original already executed must
+                    # not run again — re-executing could undo a newer
+                    # write (section 4.5).
+                    self.env.schedule_callback(self._netstack_ns,
+                                               partial(done, None))
+                    return
             self.fast_path.serve(
                 header.pid, _READ_ACCESS if kind is _READ else _WRITE_ACCESS,
                 header.va, header.size, packet.payload, packet.wire_bytes,
-                True, partial(self._respond, header, self._epoch))
+                True, done)
             return
         # MAT dispatch: the request type picks the path; a type the board
         # does not serve is dropped.
@@ -168,30 +197,39 @@ class Board:
             return
         # Nobody waits on a handler and this is the delivery event's last
         # act, so it starts inline: no Initialize, no completion event.
-        self.env.spawn(self._handle(packet, path, self._epoch))
+        self.env.spawn(self._handle(packet, path, self._epoch, start))
 
-    def _respond(self, header: ClioHeader, epoch: int, result) -> None:
-        """The end of a lane request: what ``_handle`` and the read or
-        write handler under it do, in their order.  Traced, the handler's
-        span, its one traversal and its one response are one row."""
+    def _release(self, packet: Packet, arrived: int, _barrier: Event) -> None:
+        """A request the fence held back, at the port again as the fence's
+        barrier fires: a board that crashed since drops it there."""
+        self.receive(packet, arrived)
+
+    def _respond(self, header: ClioHeader, epoch: int,
+                 arrived: Optional[int], result) -> None:
+        """The end of a READ or a one-packet first-attempt WRITE: answer
+        it and leave.  Traced, its ``mn:*`` span, its one traversal and its
+        one response are one row; the ``mn:*`` span begins when it
+        ``arrived`` if a fence held it back, else when its traversal did."""
         kind = header.packet_type
         tracer = self.tracer
         discarded = epoch != self._epoch
-        # A discarded request sends no response and a read whose data
-        # spans fragments sends several: their spans are not one row, and
-        # the traversal's comes first, as its handler would record it.
-        apart = tracer is not None and (discarded or kind is _READ and (
-            result.status is _OK and header.size > self._mtu))
+        # A discarded request sends no response, a read whose data spans
+        # fragments sends several, and a fenced request's span is longer
+        # than its traversal's: theirs are not one row, and the
+        # traversal's comes first.
+        apart = tracer is not None and (
+            discarded or arrived is not None or kind is _READ and (
+                result.status is _OK and header.size > self._mtu))
         if apart:
             self.fast_path.trace(AccessType(kind.value), result)
         self._reply(header, epoch, result, apart)
         self._leave(epoch)
         if tracer is not None:
-            # The handler and its traversal both began at delivery.
             now = self.env.now
             start = now - result.breakdown.total_ns
             if apart:
-                tracer.complete(self._handler_sites[kind], start, now,
+                tracer.complete(self._handler_sites[kind],
+                                start if arrived is None else arrived, now,
                                 header.request_id, header.src, discarded)
             else:
                 tracer.record(
@@ -221,48 +259,32 @@ class Board:
         if self.verifier is not None:
             self.verifier.on_board_request(self)
 
-    def _handle(self, packet: Packet, path: Path, epoch: int):
+    def _handle(self, packet: Packet, path: Path, epoch: int, start: int):
+        """Serve a FENCE, ATOMIC, BATCH, ALLOC, FREE or OFFLOAD that
+        arrived at ``start``; all but a FENCE count as in flight."""
         header = packet.header
+        kind = header.packet_type
         tracer = self.tracer
-        start = self.env.now
-        counted = False
-        try:
-            # Fence barrier: anything arriving after a fence waits for the
-            # drain.  (A crash resets the barrier without firing it, so
-            # pre-crash waiters park here forever — their responses are
-            # lost anyway.)
-            while self._fence_barrier is not None and header.packet_type is not _FENCE:
-                yield self._fence_barrier
-
-            if header.packet_type is _FENCE:
-                yield from self._handle_fence(packet, epoch)
-                return
-
+        counted = kind is not _FENCE
+        if counted:
             self._inflight += 1
-            counted = True
-            if path is _FAST:
-                if header.packet_type is _READ:
-                    result = yield self._traverse(packet, _READ_ACCESS)
-                    if tracer is not None:
-                        self.fast_path.trace(_READ_ACCESS, result)
-                    self._reply(header, epoch, result)
-                elif header.packet_type is _WRITE:
-                    yield from self._handle_write(packet, epoch)
-                elif header.packet_type is PacketType.ATOMIC:
-                    yield from self._handle_atomic(packet, epoch)
-                elif header.packet_type is PacketType.BATCH:
-                    yield from self._handle_batch(packet, epoch)
-            elif path is _SLOW:
-                if header.packet_type is _ALLOC:
-                    size, permission, fixed_va = packet.payload
-                    yield from self._handle_once(
-                        header, epoch, self.slow_path.handle_alloc(
-                            header.pid, size, permission=permission,
-                            fixed_va=fixed_va))
-                elif header.packet_type is _FREE:
-                    yield from self._handle_once(
-                        header, epoch, self.slow_path.handle_free(
-                            header.pid, header.va))
+        try:
+            if not counted:
+                yield from self._handle_fence(packet, epoch)
+            elif kind is _ATOMIC:
+                yield from self._handle_atomic(packet, epoch)
+            elif kind is _BATCH:
+                yield from self._handle_batch(packet, epoch)
+            elif kind is _ALLOC:
+                size, permission, fixed_va = packet.payload
+                yield from self._handle_once(
+                    header, epoch, self.slow_path.handle_alloc(
+                        header.pid, size, permission=permission,
+                        fixed_va=fixed_va))
+            elif kind is _FREE:
+                yield from self._handle_once(
+                    header, epoch, self.slow_path.handle_free(
+                        header.pid, header.va))
             elif path is Path.EXTEND:
                 name, args = packet.payload
                 yield from self._handle_once(
@@ -271,27 +293,14 @@ class Board:
         finally:
             self._leave(epoch, counted)
             if tracer is not None:
-                tracer.complete(self._handler_sites[header.packet_type],
-                                start, self.env.now, header.request_id,
-                                header.src, epoch != self._epoch)
+                tracer.complete(self._handler_sites[kind], start,
+                                self.env.now, header.request_id, header.src,
+                                epoch != self._epoch)
 
-    # -- fast path handlers -----------------------------------------------------------
-
-    def _traverse(self, packet: Packet, access: AccessType) -> Event:
-        """An event that fires with the result of ``packet``'s traversal
-        of the fast path: what a handler waits on, ``fast_path.execute``
-        without a generator frame of its own, and like it refusing a request
-        of no bytes."""
-        header, gate = packet.header, Event(self.env)
-        if header.size <= 0:
-            raise ValueError(f"size must be positive, got {header.size}")
-        self.fast_path.serve(header.pid, access, header.va, header.size,
-                             packet.payload, packet.wire_bytes, True,
-                             gate.resume_waiters)
-        return gate
+    # -- fast path: responses and the fragment countdown --------------------------
 
     def _reply(self, header: ClioHeader, epoch: int, result,
-               traced: bool = True) -> None:
+               traced: bool) -> None:
         """Count a served read or one-packet write and send its response;
         a read's data goes back in fragments of at most the MTU.  A crash
         since the request arrived discards it."""
@@ -324,52 +333,53 @@ class Board:
                    ResponseBody(status, data, None, None, result.breakdown),
                    payload_bytes=size, traced=traced)
 
-    def _handle_write(self, packet: Packet, epoch: int):
-        header = packet.header
-        progress = self._write_progress.get(header.request_id)
-        if progress is None:
-            # Entries are in arrival order.  One older than the CN's longest
-            # timeout lost a fragment, and its attempt was retried or
-            # failed since: nothing will complete it.
-            pending, now = self._write_progress, self.env.now
-            stale = now - self.params.clib.slow_timeout_ns
-            while pending and next(iter(pending.values())).born < stale:
-                del pending[next(iter(pending))]
-            progress = pending[header.request_id] = _WriteProgress(
-                header.fragments, now)
+    def _progress(self, header: ClioHeader) -> _WriteProgress:
+        """A new countdown for the write whose first packet ``header``
+        is: a fragment or a retry."""
+        # Entries are in arrival order.  One older than the CN's longest
+        # timeout lost a fragment, and its attempt was retried or failed
+        # since: nothing will complete it.
+        pending, now = self._write_progress, self.env.now
+        stale = now - self.params.clib.slow_timeout_ns
+        while pending and next(iter(pending.values())).born < stale:
+            del pending[next(iter(pending))]
+        pending[header.request_id] = progress = _WriteProgress(
+            header.fragments, now)
+        return progress
 
-        executed, _cached = self.retry_buffer.check(header.retry_of)
-        result = None
-        if executed:
-            # A retried write whose original already executed must not run
-            # again — re-executing could undo a newer write (section 4.5).
-            yield self.env.timeout(self._netstack_ns)
-        else:
-            result = yield self._traverse(packet, _WRITE_ACCESS)
-            if self.tracer is not None:
-                self.fast_path.trace(_WRITE_ACCESS, result)
+    def _count_down(self, header: ClioHeader, epoch: int, start: int,
+                    progress: _WriteProgress, result) -> None:
+        """The end of a write fragment or retry that arrived at ``start``:
+        its traversal's ``result``, or None for a retry whose original ran.
+        The last packet of the write acks it once."""
+        tracer = self.tracer
+        if tracer is not None and result is not None:
+            self.fast_path.trace(_WRITE_ACCESS, result)
         if epoch != self._epoch:
             # Crash wiped _write_progress; this fragment's work is lost.
             self.responses_discarded += 1
-            return
-        if result is not None:
-            progress.breakdown.merge(result.breakdown)
-            if result.status is not _OK:
-                progress.status = result.status
-            else:
-                self.bytes_served += header.size
-
-        progress.remaining -= 1
-        if progress.remaining > 0:
-            return
-        # Whole request done: remember it for retry dedup, ack once.
-        self._write_progress.pop(header.request_id, None)
-        self.requests_served += 1
-        if progress.status is _OK:
-            self._remember(header)
-        self._send(header.src, header.request_id, _RESPONSE,
-                   ResponseBody(progress.status, None, None, None,
-                                progress.breakdown), epoch=epoch)
+        else:
+            if result is not None:
+                progress.breakdown.merge(result.breakdown)
+                if result.status is not _OK:
+                    progress.status = result.status
+                else:
+                    self.bytes_served += header.size
+            progress.remaining -= 1
+            if progress.remaining == 0:
+                # Whole request done: remember it for retry dedup, ack once.
+                self._write_progress.pop(header.request_id, None)
+                self.requests_served += 1
+                if progress.status is _OK:
+                    self._remember(header)
+                self._send(header.src, header.request_id, _RESPONSE,
+                           ResponseBody(progress.status, None, None, None,
+                                        progress.breakdown))
+        self._leave(epoch)
+        if tracer is not None:
+            tracer.complete(self._handler_sites[_WRITE], start, self.env.now,
+                            header.request_id, header.src,
+                            epoch != self._epoch)
 
     def _handle_batch(self, packet: Packet, epoch: int):
         """Unroll a multi-op frame through the fast path at II=1 per sub-op.
@@ -475,15 +485,10 @@ class Board:
                    ResponseBody(status=Status.OK, atomic=result), epoch=epoch)
 
     def _handle_fence(self, packet: Packet, epoch: int):
+        """Hold every later request at the port (:meth:`receive`) until
+        those in flight drain, then answer and let them through."""
         header = packet.header
-        # Chain behind any fence already draining.
-        while self._fence_barrier is not None:
-            yield self._fence_barrier
-            if epoch != self._epoch:
-                self.responses_discarded += 1
-                return
-        barrier = self.env.event()
-        self._fence_barrier = barrier
+        barrier = self._fence_barrier = self.env.event()
         while self._inflight > 0:
             drain = self.env.event()
             self._drain_events.append(drain)

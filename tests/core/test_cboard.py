@@ -1,6 +1,8 @@
 """Integration tests for the assembled CBoard (packet path + local path)."""
 
 from dataclasses import replace
+from functools import partial
+from zlib import crc32
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.net.packet import ClioHeader, Packet, PacketType
 from repro.net.switch import Topology
 from repro.params import ClioParams
 from repro.sim import Environment
+from repro.telemetry.spans import Tracer
 from repro.transport.clib_transport import RequestFailed
 from repro.verify import check_board
 
@@ -407,18 +410,20 @@ def test_a_write_that_lost_a_fragment_leaves_no_countdown_behind(fault,
 
 def _handled(board):
     """Request ids that reach ``board._handle``, in arrival order; the
-    rest took the lane."""
+    rest went from the port to the fast path."""
     handled, handle = [], board._handle
 
-    def spy(packet, path, epoch):
+    def spy(packet, path, epoch, start):
         handled.append(packet.header.request_id)
-        return handle(packet, path, epoch)
+        return handle(packet, path, epoch, start)
 
     board._handle = spy
     return handled
 
 
-def test_only_one_packet_first_attempts_take_the_lane():
+def test_every_read_and_write_skips_the_handler():
+    """Retries and write fragments too: a READ or WRITE never reaches
+    ``Board._handle``, and a retry whose original ran does not rerun."""
     env, params, topology, board, collector = make_wired_board()
     va = alloc_va(env, topology, params, board, collector)
     handled = _handled(board)
@@ -436,7 +441,7 @@ def test_only_one_packet_first_attempts_take_the_lane():
         send(env, topology, params, request_id, kind,
              **{"va": va, **fields})
         env.run(until=env.now + 10 ** 7)
-    assert handled == [402, 405, 405, 406]    # 403 spans two pages
+    assert handled == [406]
     assert board.retry_buffer.dedup_hits == 1     # the retry did not rerun
     assert board._inflight == 0 and board._write_progress == {}
 
@@ -468,7 +473,7 @@ def test_a_fence_waits_for_lane_requests_and_a_read_behind_it_waits():
     env.process(inject(413, PacketType.READ, 20, size=4))
     env.run(until=env.now + 10 ** 8)
     assert order == [411, 410, 412, 413]
-    assert handled == [412, 413]
+    assert handled == [412]
 
 
 #: ``(request id, status, data, when the MN sent the response, stages,
@@ -572,3 +577,285 @@ def test_the_verifier_sees_each_lane_request_once():
                  size=4, payload=b"seen")
     env.run(until=env.now + 10 ** 7)
     assert verifier.requests == 6
+
+
+# -- requests behind a fence, fragments and retries -----------------------------
+#
+# Each table below was recorded when write fragments, retries and anything
+# behind a fence ran as generators under ``Board._handle``; the board now
+# serves them as callbacks from the port, and every value must hold.
+
+def _arrive(env, board, delay, request_id, kind, va, size=0, payload=None,
+            fragment=0, fragments=1, retry_of=None):
+    """Put a packet on the board's port ``delay`` ns from now, with no
+    network in between, so arrival order is exact."""
+    header = ClioHeader("cn0", "mn0", request_id, kind, 1, va, size, size,
+                        fragment, fragments, retry_of)
+    env.schedule_callback(delay, partial(
+        board.receive, Packet(header, payload, 64 + size)))
+
+
+def _arrive_write(env, board, delay, request_id, va, data, mtu,
+                  retry_of=None, skip=()):
+    """A write of ``data`` as the fragments a CN sends, but those in
+    ``skip``, one nanosecond apart."""
+    chunks = [(offset, data[offset:offset + mtu])
+              for offset in range(0, len(data), mtu)]
+    for index, (offset, chunk) in enumerate(chunks):
+        if index not in skip:
+            _arrive(env, board, delay + index, request_id, PacketType.WRITE,
+                    va + offset, len(chunk), chunk, index, len(chunks),
+                    retry_of)
+
+
+def _answers(collector, request_ids):
+    """``(request id, fragment, status, data's CRC-32 or None, when the MN
+    sent it, stages, total)`` of every response to ``request_ids``, in the
+    order they reached the CN; stages and total are on fragment 0 only."""
+    answers = []
+    for packet in collector.packets:
+        body = packet.payload
+        if packet.header.request_id in request_ids:
+            answers.append((
+                packet.header.request_id, packet.header.fragment,
+                body.status.value,
+                None if body.data is None else crc32(body.data),
+                packet.sent_at,
+                body.breakdown and body.breakdown.stages(),
+                body.breakdown and body.breakdown.total_ns))
+    return answers
+
+
+def _read_back(collector, request_id):
+    return b"".join(packet.payload.data for packet in collector.packets
+                    if packet.header.request_id == request_id)
+
+
+FENCED_ANSWERS = [
+    (500, 0, "ok", None, 110000496, (68, 60, 0, 0, 368), 496),
+    (501, 0, "ok", None, 110000496, None, None),
+    (502, 0, "ok", 2023723214, 110000868, (8, 60, 0, 0, 304), 372),
+    (503, 0, "ok", None, 110000872, (16, 60, 0, 0, 300), 376),
+    (504, 0, "ok", None, 110001172, (560, 180, 0, 0, 1104), 1844),
+    (505, 0, "ok", 3604821515, 110001606, (484, 60, 0, 0, 566), 1110),
+    (505, 1, "ok", 451121015, 110001606, None, None),
+    (505, 2, "ok", 3138104000, 110001606, None, None),
+]
+
+
+def test_requests_behind_a_fence_keep_their_bytes_and_timing():
+    """A one-packet READ and WRITE and a 3-fragment READ (its response)
+    and WRITE, all arriving while a fence drains a 1 KB write."""
+    env, params, topology, board, collector = make_wired_board()
+    va = alloc_va(env, topology, params, board, collector)
+    mtu = params.network.mtu
+    _arrive_write(env, board, 0, 499, va, bytes(range(256)) * 16, mtu)
+    env.run(until=env.now + 10 ** 7)
+    _arrive(env, board, 0, 500, PacketType.WRITE, va + 8192, 1024,
+            b"w" * 1024)
+    _arrive(env, board, 10, 501, PacketType.FENCE, va)
+    _arrive(env, board, 20, 502, PacketType.READ, va + 4, 64)
+    _arrive(env, board, 20, 503, PacketType.WRITE, va + 4096, 4, b"f503")
+    _arrive_write(env, board, 30, 504, va + 8192 + 1024,
+                  b"abc" * 1024, mtu)
+    _arrive(env, board, 40, 505, PacketType.READ, va + 8, 4000)
+    env.run(until=env.now + 10 ** 7)
+    assert _answers(collector, range(500, 506)) == FENCED_ANSWERS
+    written = bytes(range(256)) * 16
+    assert _read_back(collector, 502) == written[4:68]
+    assert _read_back(collector, 505) == written[8:4008]
+    assert board._inflight == 0 and board._write_progress == {}
+    assert (env.now, env._seq) == (120000000, 8078)
+
+
+RETRIED_ANSWERS = [
+    (510, 0, "ok", None, 100000684, (8, 60, 304, 12, 300), 684),
+    (511, 0, "ok", None, 110000368, (8, 60, 0, 0, 300), 368),
+    (512, 0, "ok", None, 120000016, (0, 0, 0, 0, 0), 0),
+    (513, 0, "ok", None, 130000694, (565, 180, 0, 0, 1166), 1911),
+    (514, 0, "ok", None, 140000018, (0, 0, 0, 0, 0), 0),
+    (515, 0, "ok", 3300236048, 150000890, (260, 60, 0, 0, 570), 890),
+    (515, 1, "ok", 184497729, 150000890, None, None),
+    (515, 2, "ok", 716968277, 150000890, None, None),
+]
+
+
+def test_retried_writes_whose_original_ran_are_answered_without_running():
+    env, params, topology, board, collector = make_wired_board()
+    va = alloc_va(env, topology, params, board, collector)
+    mtu = params.network.mtu
+    for request_id, payload, retry_of in ((510, b"v1!!", None),
+                                          (511, b"v2!!", None),
+                                          (512, b"v1!!", 510)):
+        _arrive(env, board, 0, request_id, PacketType.WRITE, va, 4, payload,
+                retry_of=retry_of)
+        env.run(until=env.now + 10 ** 7)
+    _arrive_write(env, board, 0, 513, va + 64, b"one!" * 1000, mtu)
+    env.run(until=env.now + 10 ** 7)
+    _arrive_write(env, board, 0, 514, va + 64, b"two!" * 1000, mtu,
+                  retry_of=513)
+    env.run(until=env.now + 10 ** 7)
+    _arrive(env, board, 0, 515, PacketType.READ, va, 4064)
+    env.run(until=env.now + 10 ** 7)
+    assert _answers(collector, range(510, 516)) == RETRIED_ANSWERS
+    assert _read_back(collector, 515) == b"v2!!" + bytes(60) + b"one!" * 1000
+    assert board.retry_buffer.dedup_hits == 4
+    assert board._inflight == 0 and board._write_progress == {}
+    assert (env.now, env._seq) == (160000000, 10732)
+
+
+RETRIED_FRAGMENTS_ANSWERS = [
+    (521, 0, "ok", None, 110000694, (565, 180, 0, 0, 1166), 1911),
+    (522, 0, "ok", 1248021163, 120000882, (256, 60, 0, 0, 566), 882),
+    (522, 1, "ok", 1248021163, 120000882, None, None),
+    (522, 2, "ok", 3144693507, 120000882, None, None),
+]
+
+
+def test_a_retried_multi_fragment_write_runs_when_its_original_did_not():
+    """The original lost its last fragment: no ack, and its countdown
+    stays until a newer one outlives it; the retry runs and is acked."""
+    env, params, topology, board, collector = make_wired_board()
+    va = alloc_va(env, topology, params, board, collector)
+    mtu = params.network.mtu
+    _arrive_write(env, board, 0, 520, va, b"old!" * 1000, mtu, skip={2})
+    env.run(until=env.now + 10 ** 7)
+    _arrive_write(env, board, 0, 521, va, b"new!" * 1000, mtu, retry_of=520)
+    env.run(until=env.now + 10 ** 7)
+    _arrive(env, board, 0, 522, PacketType.READ, va, 4000)
+    env.run(until=env.now + 10 ** 7)
+    assert _answers(collector, range(520, 523)) == RETRIED_FRAGMENTS_ANSWERS
+    assert _read_back(collector, 522) == b"new!" * 1000
+    assert board.retry_buffer.dedup_hits == 0
+    assert board._inflight == 0 and list(board._write_progress) == [520]
+    assert (env.now, env._seq) == (130000000, 8713)
+
+
+#: ``(name, start, end)`` of what a fenced READ records, and ``at`` for an
+#: instant, in write order.
+FENCED_READ_RECORDS = [
+    ("page_fault", 100000432, 100000444),
+    ("mn:write", 100000000, 100000812),
+    ("fastpath:write", 100000000, 100000812),
+    ("mn_response", 100000812),
+    ("mn_response", 100000812),
+    ("mn:fence", 100000010, 100000812),
+    ("fastpath:read", 100000812, 100001184),
+    ("mn_response", 100001184),
+    ("mn:read", 100000020, 100001184),
+]
+
+
+def test_a_traced_fenced_read_spans_its_wait_behind_the_fence():
+    env, params, topology, board, collector = make_wired_board()
+    va = alloc_va(env, topology, params, board, collector)
+    board.set_tracer(tracer := Tracer(env))
+    arrived = env.now + 20
+    _arrive(env, board, 0, 550, PacketType.WRITE, va, 1024, b"w" * 1024)
+    _arrive(env, board, 10, 551, PacketType.FENCE, va)
+    _arrive(env, board, 20, 552, PacketType.READ, va, 64)
+    env.run(until=env.now + 10 ** 7)
+    records = sorted(
+        [(span.seq, span.name, span.start_ns, span.end_ns)
+         for span in tracer.find_spans()]
+        + [(instant.seq, instant.name, instant.at_ns)
+           for instant in tracer.find_instants()])
+    assert [record[1:] for record in records] == FENCED_READ_RECORDS
+    read, = tracer.find_spans("mn:read")
+    assert read.start_ns == arrived and read.args["request_id"] == 552
+
+
+def test_a_crash_orphans_the_requests_parked_behind_a_fence():
+    env, params, topology, board, collector = make_wired_board()
+    va = alloc_va(env, topology, params, board, collector)
+    _arrive(env, board, 0, 0, PacketType.WRITE, va + 64, 4, b"kept")
+    env.run(until=env.now + 10 ** 7)
+    before = len(collector.packets)
+    _arrive(env, board, 0, 530, PacketType.WRITE, va + 4096, 1024,
+            b"w" * 1024)
+    _arrive(env, board, 10, 531, PacketType.FENCE, va)
+    _arrive(env, board, 20, 532, PacketType.READ, va, 64)
+    _arrive(env, board, 20, 533, PacketType.WRITE, va + 64, 4, b"lost")
+    _arrive(env, board, 20, 534, PacketType.FENCE, va)
+    env.schedule_callback(30, board.crash)
+    env.schedule_callback(1_000, board.restart)
+    env.run(until=env.now + 10 ** 7)
+    assert len(collector.packets) == before      # nothing parked answered
+    assert board._inflight == 0 and board._fence_barrier is None
+    _arrive(env, board, 0, 535, PacketType.FENCE, va)
+    _arrive(env, board, 10, 536, PacketType.READ, va + 64, 4)
+    env.run(until=env.now + 10 ** 7)
+    assert [(packet.header.request_id, packet.payload.data)
+            for packet in collector.packets[before:]] == [
+        (535, None), (536, b"kept")]
+    assert (env.now, env._seq) == (130000000, 8709)
+
+
+def test_a_crash_as_the_fence_answers_loses_what_it_held_back():
+    """The barrier fires after the fence's answer.  A crash in between
+    still loses what parked on it: it meets a dark port, nothing runs,
+    the in-flight count stays 0 and a later fence is answered."""
+    env, params, topology, board, collector = make_wired_board()
+    va = alloc_va(env, topology, params, board, collector)
+    _arrive(env, board, 0, 0, PacketType.WRITE, va + 64, 4, b"kept")
+    env.run(until=env.now + 10 ** 7)
+    original_send = board._send
+
+    def send_then_crash(dst, request_id, packet_type, body, **kwargs):
+        original_send(dst, request_id, packet_type, body, **kwargs)
+        if request_id == 571:
+            env.schedule_callback(0, board.crash)
+
+    board._send = send_then_crash
+    _arrive(env, board, 0, 570, PacketType.WRITE, va + 4096, 1024,
+            b"w" * 1024)
+    _arrive(env, board, 10, 571, PacketType.FENCE, va)
+    _arrive(env, board, 20, 572, PacketType.WRITE, va + 64, 4, b"lost")
+    _arrive(env, board, 20, 573, PacketType.READ, va, 64)
+    env.schedule_callback(10_000, board.restart)
+    env.run(until=env.now + 10 ** 7)
+    assert board.crashes == 1 and board._inflight == 0
+    assert board.packets_dropped_dead == 2
+    before = len(collector.packets)
+    _arrive(env, board, 0, 574, PacketType.FENCE, va)
+    _arrive(env, board, 10, 575, PacketType.READ, va + 64, 4)
+    env.run(until=env.now + 10 ** 7)
+    assert [(packet.header.request_id, packet.payload.data)
+            for packet in collector.packets[before:]] == [
+        (574, None), (575, b"kept")]
+
+
+def test_a_fence_behind_a_fence_answers_in_arrival_order():
+    env, params, topology, board, collector = make_wired_board()
+    va = alloc_va(env, topology, params, board, collector)
+    order, original_send = [], board._send
+
+    def recording_send(dst, request_id, packet_type, body, **kwargs):
+        order.append((request_id, env.now))
+        original_send(dst, request_id, packet_type, body, **kwargs)
+
+    board._send = recording_send
+    _arrive(env, board, 0, 540, PacketType.WRITE, va, 1024, b"w" * 1024)
+    _arrive(env, board, 10, 541, PacketType.FENCE, va)
+    _arrive(env, board, 15, 542, PacketType.FENCE, va)
+    _arrive(env, board, 20, 543, PacketType.READ, va, 64)
+    _arrive(env, board, 25, 544, PacketType.FENCE, va)
+    env.run(until=env.now + 10 ** 7)
+    assert order == [(540, 100000812), (541, 100000812), (542, 100000812),
+                     (543, 100001184), (544, 100001184)]
+    assert (env.now, env._seq) == (110000000, 7378)
+
+
+@pytest.mark.parametrize("kind, payload", [(PacketType.READ, None),
+                                           (PacketType.WRITE, b"")])
+def test_a_request_of_no_bytes_raises_at_the_port(kind, payload):
+    env, params, topology, board, collector = make_wired_board()
+    va = alloc_va(env, topology, params, board, collector)
+    header = ClioHeader("cn0", "mn0", 560, kind, 1, va, 0, 0)
+    with pytest.raises(ValueError, match="size must be positive"):
+        board.receive(Packet(header, payload, 64))
+    _arrive(env, board, 0, 561, PacketType.WRITE, va, 1024, b"w" * 1024)
+    _arrive(env, board, 10, 562, PacketType.FENCE, va)
+    _arrive(env, board, 20, 563, kind, va, 0, payload)
+    with pytest.raises(ValueError, match="size must be positive"):
+        env.run(until=env.now + 10 ** 7)

@@ -38,10 +38,10 @@ def _spied_board(run_handlers):
     routed, sent = [], []
     handle, send = board._handle, board._send
 
-    def spy_handle(packet, path, epoch):
+    def spy_handle(packet, path, epoch, start):
         routed.append((packet.header.packet_type, path))
         if run_handlers:
-            yield from handle(packet, path, epoch)
+            yield from handle(packet, path, epoch, start)
 
     def spy_send(*args, **kwargs):
         sent.append(args)
@@ -52,8 +52,8 @@ def _spied_board(run_handlers):
 
 
 def test_board_sends_every_served_type_down_its_path():
-    """Size-0 packets all take a handler; a real-size READ and WRITE skip
-    it and reach the fast path through the lane."""
+    """Every other served type takes a handler; a READ and a WRITE skip
+    it and go from the port to the fast path."""
     board, routed, _sent = _spied_board(run_handlers=False)
     served, serve = [], board.fast_path.serve
 
@@ -62,7 +62,9 @@ def test_board_sends_every_served_type_down_its_path():
         return serve(pid, access, *args)
 
     board.fast_path.serve = spy_serve
-    for request_id, packet_type in enumerate(PATHS):
+    handled = [(packet_type, path) for packet_type, path in PATHS.items()
+               if packet_type not in (PacketType.READ, PacketType.WRITE)]
+    for request_id, (packet_type, _path) in enumerate(handled):
         board.receive(_packet(packet_type, request_id))
     assert served == []
     for request_id, packet_type, payload in (
@@ -70,7 +72,7 @@ def test_board_sends_every_served_type_down_its_path():
         board.receive(Packet(ClioHeader("cn0", "mn0", request_id, packet_type,
                                         1, 0, 64, 64), payload, 64 + 64))
     board.env.run(until=board.env.now + 100_000)
-    assert routed == list(PATHS.items())
+    assert routed == handled
     assert served == [AccessType.READ, AccessType.WRITE]
 
 

@@ -54,9 +54,7 @@ OPS = 50
 #: and sim 90.68 -> 70.68.  ``FastPath.execute`` wraps that lane in a gate,
 #: so its one-page callers pay the lane's two callbacks and no longer the
 #: DRAM ``Timeout``: onboard_read64 core 20.04 -> 21.04 (one call more)
-#: and sim 23.24 -> 17.3.  A handler waits on that gate itself
-#: (``Board._traverse``), with no ``execute`` frame, and the MAT lookup
-#: hashes no enum member: rwrite4k, three fragments through a handler,
+#: and sim 23.24 -> 17.3.  The MAT lookup hashes no enum member: rwrite4k
 #: core 107.84 -> 105.84 and sim 181.92 -> 164.92.
 #: ``Environment.now`` is a slot, not a property, ``schedule_callback``
 #: pushes its own heap entry instead of calling ``_schedule``, a link
@@ -64,14 +62,17 @@ OPS = 50
 #: is built without ``fragment_payload``: rread64 sim 71.68 -> 50.68,
 #: net 37.24 -> 30.24, core 27.32 -> 26.32 and transport 37.76 -> 36.76;
 #: every other row of sim, net and transport fell too.
+#: Write fragments and retries run as callbacks from the port too, counted
+#: down in ``Board._count_down``, with no handler generator and no gate:
+#: rwrite4k core 105.84 -> 91.84 and sim 122.92 -> 83.92.
 BUDGET = {
     "rread64": {"alloc": 0.32, "clib": 5.0, "core": 26.32, "net": 30.24,
                 "sim": 50.68, "transport": 36.76},
     "rwrite64": {"alloc": 0.32, "clib": 7.0, "core": 32.32, "net": 30.24,
                  "sim": 50.68, "transport": 37.76},
     "onboard_read64": {"alloc": 0.04, "core": 21.04, "sim": 13.3},
-    "rwrite4k": {"alloc": 0.84, "clib": 7.0, "core": 105.84, "net": 67.42,
-                 "sim": 122.92, "transport": 46.88},
+    "rwrite4k": {"alloc": 0.84, "clib": 7.0, "core": 91.84, "net": 67.42,
+                 "sim": 83.92, "transport": 46.88},
     "ralloc_rfree": {"alloc": 6.4, "clib": 9.0, "core": 130.4,
                      "net": 60.38, "sim": 222.4, "transport": 72.0},
 }
@@ -81,9 +82,9 @@ BUDGET = {
 #: chain is one instance).  Timeouts are recycled, so none appear.  None
 #: of these classes is a frozen dataclass, and the per-packet ones are
 #: built positionally: a frozen, keyword-built ``ClioHeader`` cost ~2 µs.
-#: The echo's board side builds no handler (``_Spawned``), no fast-path
-#: gate (``Event``) and, for a one-packet write, no fragment countdown
-#: (``_WriteProgress`` and its ``Breakdown``).
+#: No READ or WRITE builds a handler (``_Spawned``) or a fast-path gate
+#: (``Event``) on the board; a one-packet write builds no fragment
+#: countdown (``_WriteProgress`` and its ``Breakdown``) either.
 CONSTRUCTED = {
     "rread64": {"Breakdown": 1.0, "ClioHeader": 2.0, "Event": 1.0,
                 "FastPathResult": 1.0, "Packet": 2.0, "RequestOutcome": 1.0,
@@ -94,10 +95,10 @@ CONSTRUCTED = {
                  "_Pending": 1.0},
     "onboard_read64": {"Breakdown": 1.0, "Event": 1.0,
                        "FastPathResult": 1.0},
-    "rwrite4k": {"Breakdown": 4.0, "ClioHeader": 4.0, "Event": 4.0,
+    "rwrite4k": {"Breakdown": 4.0, "ClioHeader": 4.0, "Event": 1.0,
                  "FastPathResult": 3.0, "Packet": 4.0,
                  "RequestOutcome": 1.0, "ResponseBody": 1.0,
-                 "_Pending": 1.0, "_Spawned": 3.0, "_WriteProgress": 1.0},
+                 "_Pending": 1.0, "_WriteProgress": 1.0},
     "ralloc_rfree": {"AllocResponse": 1.0, "Allocation": 1.0,
                      "AllocationOutcome": 1.0, "ClioHeader": 4.0,
                      "Event": 2.0, "FreeResponse": 1.0, "Packet": 4.0,
