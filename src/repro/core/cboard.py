@@ -218,7 +218,7 @@ class CBoard(Board):
         self._write_progress.clear()
         self._inflight = 0
         self._fence_barrier = None
-        self._drain_events.clear()
+        self._drain = None
         if self.verifier is not None:
             self.verifier.on_board_crash(self)
         if self.tracer is not None:

@@ -21,7 +21,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional
+from typing import Any, Optional
 
 from repro.core.addr import AccessType, PageSpec, Permission
 from repro.core.memory import DRAM
@@ -41,7 +41,7 @@ _NEEDS = (Permission.WRITE, Permission.READ)
 
 #: Members the pipeline tests, bound once: on CPython 3.11 every ``Enum.X``
 #: load takes ``EnumType.__getattr__``'s slow hook.
-_READ, _WRITE = AccessType.READ, AccessType.WRITE
+_READ, _WRITE, _ATOMIC = AccessType.READ, AccessType.WRITE, AccessType.ATOMIC
 _READ_WRITE = Permission.READ_WRITE
 
 
@@ -89,6 +89,7 @@ class FastPathResult:
     faulted: bool = False
     tlb_missed: bool = False
     breakdown: Breakdown = field(default_factory=Breakdown)
+    pa: Any = None   # an ATOMIC's word, translated only (CBoard: its PA)
 
 
 class FastPath:
@@ -300,7 +301,9 @@ class FastPath:
         A one-page access is the lane: bare entries that end ingest
         (:meth:`_lane`) and, on a TLB hit, the DRAM access
         (:meth:`_access_dram`).  A miss walks the page table in a
-        generator, as does an access across pages (:meth:`_pages`).
+        generator, as does an access across pages (:meth:`_pages`).  An
+        ATOMIC is translated only: it ends with its word's ``pa`` set, and
+        the atomic unit makes the access.
         """
         self.requests += 1
         result = FastPathResult(_OK)
@@ -333,6 +336,9 @@ class FastPath:
                                        serialize_dma, result, done, True))
         elif ppn is _PERMISSION:
             result.status = ppn
+            done(result)
+        elif access is _ATOMIC:
+            result.pa = ppn * page_size + (va & (page_size - 1))
             done(result)
         else:
             dram_ns = self._claim_dram(access, size, serialize_dma,
@@ -383,8 +389,11 @@ class FastPath:
             extents.append((ppn * page_size + page_off, offset, chunk))
             offset += chunk
         else:
-            yield env.timeout(self._claim_dram(access, size, serialize_dma,
-                                               breakdown))
+            if access is _ATOMIC:
+                result.pa = extents[0][0]
+            else:
+                yield env.timeout(self._claim_dram(access, size,
+                                                   serialize_dma, breakdown))
             if access is _READ:
                 result.data = b"".join([self.dram.read(pa, length)
                                         for pa, _, length in extents])
@@ -393,20 +402,3 @@ class FastPath:
                     self.dram.write(pa, data[req_off:req_off + length])
         breakdown.total_ns = env.now - start
         done(result)
-
-    def translate_only(self, pid: int, access: AccessType, va: int,
-                       wire_bytes: int):
-        """Translate a single address without a data access (atomics path),
-        after the fixed pipeline cost: ingest plus the stages.
-
-        Returns ``(status, pa)``.
-        """
-        yield self.env.timeout(self.ingest_delay_ns(wire_bytes)
-                               + self._pipeline_fixed_ns)
-        vpn = self.page_spec.page_number(va)
-        ppn = self._lookup(pid, vpn, access)
-        if ppn is None:
-            ppn = yield from self._walk(pid, vpn, access, FastPathResult(_OK))
-        if isinstance(ppn, Status):
-            return ppn, None
-        return _OK, ppn * self.page_spec.page_size + self.page_spec.page_offset(va)

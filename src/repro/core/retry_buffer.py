@@ -2,10 +2,10 @@
 
 CLib gives every retry a fresh request ID and tags it with the ID of the
 failed original.  The MN remembers the IDs of recently executed writes and
-atomics (plus atomic results) in a small ring sized ``3 x TIMEOUT x
-bandwidth`` (30 KB in the paper's setting): long enough to recognize two
-retries of any request, small enough to be one of only two pieces of
-state the MN keeps.
+other once-only requests (plus the response each answered with) in a
+small ring sized ``3 x TIMEOUT x bandwidth`` (30 KB in the paper's
+setting): long enough to recognize two retries of any request, small
+enough to be one of only two pieces of state the MN keeps.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class RetryBuffer:
 
         Returns ``(already_executed, cached_result)``; a hit means the MN
         must not re-execute (a stale retried write could undo a newer one)
-        and should respond with the cached result for atomics.
+        and answers with the cached response, where there is one.
         """
         if original_request_id is None:
             return False, None

@@ -109,8 +109,9 @@ class FlatMemory:
     def serve(self, pid: int, access: AccessType, va: int, size: int,
               data: Optional[bytes], _wire_bytes: int, _serialize_dma: bool,
               done) -> None:
-        """A read or write that calls ``done(result)`` after the delay;
-        ``wire_bytes`` and ``serialize_dma`` only time CBoard's pipeline."""
+        """A read, write or atomic that calls ``done(result)`` after the
+        delay; ``wire_bytes`` and ``serialize_dma`` only time CBoard's
+        pipeline."""
         self.env.schedule_callback(self.service_ns, lambda: done(
             self._access(pid, access, va, size, data)))
 
@@ -119,6 +120,9 @@ class FlatMemory:
         extents = self._extents(pid, access, va, size)
         if isinstance(extents, Status):
             return FastPathResult(extents)
+        if access is AccessType.ATOMIC:
+            # The word's extents are its "physical address".
+            return FastPathResult(Status.OK, pa=extents)
         if access is AccessType.WRITE:
             _scatter(extents, data)
             return FastPathResult(Status.OK)
@@ -129,16 +133,6 @@ class FlatMemory:
         """Process-generator: :meth:`serve` for a caller that waits."""
         yield self.env.timeout(self.service_ns)
         return self._access(pid, access, va, size, data)
-
-    def translate_only(self, pid: int, access: AccessType, va: int,
-                       wire_bytes: int):
-        """Process-generator: ``(status, pa)`` of an atomic's word, where
-        ``pa`` is the word's extents."""
-        yield self.env.timeout(self.service_ns)
-        extents = self._extents(pid, access, va, ATOMIC_WIDTH)
-        if isinstance(extents, Status):
-            return extents, None
-        return Status.OK, extents
 
     def handle_alloc(self, pid: int, size: int,
                      permission: Permission = Permission.READ_WRITE,
@@ -172,8 +166,8 @@ class FlatMemory:
 
 
 class _FlatAtomicUnit:
-    """SimBoard's atomic unit: the read-modify-write of a word
-    :meth:`FlatMemory.translate_only` found, which charged the delay."""
+    """SimBoard's atomic unit: the read-modify-write of a word whose
+    extents :meth:`FlatMemory.serve` found, which charged the delay."""
 
     @staticmethod
     def execute(pa, op: AtomicOp):

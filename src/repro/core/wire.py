@@ -3,22 +3,22 @@
 Everything a CN can observe of an MN lives here: the thin netstack
 (alive check, NACK for corrupt arrivals), the fence barrier, MAT
 dispatch, retry dedup and replay (section 4.5), multi-fragment write
-countdown, fragmenting read responses and header stamping.  A board is a
+countdown, fragmenting responses and header stamping.  A board is a
 :class:`Board` plus a memory model, reached only through the objects
 :class:`repro.core.cboard.CBoard` composes — each call but the first a
 process-generator:
 
 * ``fast_path.serve(pid, access, va, size, data, wire_bytes,
-  serialize_dma, done)`` runs a read or write and calls ``done(result)``
-  when it ends, with ``status``, ``data`` and ``breakdown``; a one-page
-  access whose TLB hits runs no generator.  Every READ and WRITE packet
-  takes it from :meth:`Board.receive`, and its ``done`` is the board's
-  answer, :meth:`Board._respond` or :meth:`Board._count_down`: no
-  handler generator runs for either;
+  serialize_dma, done)`` runs a request through the pipeline and calls
+  ``done(result)`` when it ends, with ``status``, ``data`` and
+  ``breakdown``; a one-page access whose TLB hits runs no generator.
+  Every READ and WRITE packet takes it from :meth:`Board.receive`, and
+  its ``done`` is the board's answer, :meth:`Board._respond` or
+  :meth:`Board._count_down`: no handler generator runs for either.  An
+  ATOMIC takes it too, and is only translated: its ``result.pa`` is the
+  word the atomic unit then accesses;
 * ``fast_path.execute(pid, access, va, size, data=, wire_bytes=)``
   returns that result (a batch's sub-ops run it);
-* ``fast_path.translate_only(pid, access, va, wire_bytes)`` charges the
-  request's fixed cost and returns ``(status, pa)``;
 * ``atomic_unit.execute(pa, op)`` returns an ``AtomicResult``;
 * ``slow_path.handle_alloc(pid, size, permission=, fixed_va=)`` and
   ``slow_path.handle_free(pid, va)`` return an ``AllocResponse`` /
@@ -32,7 +32,6 @@ CBoard answers them with the hardware pipeline and the ARM slow path;
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Optional
@@ -41,7 +40,7 @@ from repro.core.addr import AccessType
 from repro.core.mat import PATHS, Path
 from repro.core.pipeline import Breakdown, Status
 from repro.core.retry_buffer import RetryBuffer
-from repro.core.sync import AtomicOp, AtomicResult
+from repro.core.sync import ATOMIC_WIDTH, AtomicResult
 from repro.net.packet import ClioHeader, Packet, PacketType, fragment_payload
 from repro.params import ClioParams
 from repro.sim import Environment, Event
@@ -53,6 +52,7 @@ _READ, _WRITE, _FENCE = PacketType.READ, PacketType.WRITE, PacketType.FENCE
 _ATOMIC, _BATCH = PacketType.ATOMIC, PacketType.BATCH
 _ALLOC, _FREE = PacketType.ALLOC, PacketType.FREE
 _READ_ACCESS, _WRITE_ACCESS = AccessType.READ, AccessType.WRITE
+_ATOMIC_ACCESS = AccessType.ATOMIC
 
 #: The MAT keyed by member name: a ``str`` hashes in C, while a lookup by
 #: member runs ``Enum.__hash__`` (and ``hash``) on every packet.
@@ -107,10 +107,11 @@ class Board:
         self._netstack_ns = netstack_ns
         self._mtu = params.network.mtu
 
-        # Fence state: all future requests block until in-flight ones drain.
+        # Fence state: all future requests block until in-flight ones
+        # drain; the one fence waiting for that waits on ``_drain``.
         self._inflight = 0
         self._fence_barrier = None
-        self._drain_events: deque = deque()
+        self._drain: Optional[Event] = None
 
         self.requests_served = 0
         self.batch_subops_served = 0
@@ -253,23 +254,31 @@ class Board:
             return
         if counted:
             self._inflight -= 1
-            if self._inflight == 0:
-                while self._drain_events:
-                    self._drain_events.popleft().succeed()
+            if self._inflight == 0 and self._drain is not None:
+                drain, self._drain = self._drain, None
+                drain.succeed()
         if self.verifier is not None:
             self.verifier.on_board_request(self)
 
     def _handle(self, packet: Packet, path: Path, epoch: int, start: int):
         """Serve a FENCE, ATOMIC, BATCH, ALLOC, FREE or OFFLOAD that
-        arrived at ``start``; all but a FENCE count as in flight."""
+        arrived at ``start``; all but a FENCE count as in flight.
+
+        The one replay rule: a retry whose original ran gets the body the
+        original was answered with and runs nothing, since running it
+        again could undo a newer write or double-apply an atomic or an
+        allocation (section 4.5)."""
         header = packet.header
         kind = header.packet_type
         tracer = self.tracer
         counted = kind is not _FENCE
         if counted:
             self._inflight += 1
+        replay = self.retry_buffer.check(header.retry_of)[1]
         try:
-            if not counted:
+            if replay is not None:
+                self._send_body(header, replay, epoch)
+            elif not counted:
                 yield from self._handle_fence(packet, epoch)
             elif kind is _ATOMIC:
                 yield from self._handle_atomic(packet, epoch)
@@ -301,9 +310,9 @@ class Board:
 
     def _reply(self, header: ClioHeader, epoch: int, result,
                traced: bool) -> None:
-        """Count a served read or one-packet write and send its response;
-        a read's data goes back in fragments of at most the MTU.  A crash
-        since the request arrived discards it."""
+        """Count a served read or one-packet write and send its response,
+        a read's data in fragments of at most the MTU.  A crash since the
+        request arrived discards it."""
         if epoch != self._epoch:
             self.responses_discarded += 1
             return
@@ -319,15 +328,9 @@ class Board:
             # One packet, built directly: no fragment list to walk.
             data, size = result.data[:header.size], header.size
         else:
-            fragments = fragment_payload(header.size, self._mtu)
-            for index, (offset, size) in enumerate(fragments):
-                self._send(header.src, header.request_id, _RESPONSE,
-                           ResponseBody(_OK, result.data[offset:offset + size],
-                                        None, None, result.breakdown
-                                        if index == 0 else None),
-                           fragment=index, fragments=len(fragments),
-                           payload_bytes=size, total_size=header.size,
-                           traced=traced)
+            self._send_body(header, ResponseBody(
+                _OK, result.data, None, None, result.breakdown),
+                traced=traced)
             return
         self._send(header.src, header.request_id, _RESPONSE,
                    ResponseBody(status, data, None, None, result.breakdown),
@@ -392,13 +395,6 @@ class Board:
         per-sub-op status vector and the concatenated read data.
         """
         header = packet.header
-        executed, cached = self.retry_buffer.check(header.retry_of)
-        if executed and cached is not None:
-            # A retried frame containing writes must not re-execute
-            # (section 4.5); replay the remembered status vector + data.
-            statuses, blob = cached
-            self._send_batch_response(header, statuses, blob, epoch)
-            return
         subop_header = self.params.network.subop_header_bytes
         # Unroll the frame *pipelined*: every sub-op enters the fast path
         # as its own in-flight request, in frame order.  The pipeline's
@@ -437,62 +433,54 @@ class Board:
                     parts.append(result.data)
         self.requests_served += 1
         statuses = tuple(statuses)
-        blob = b"".join(parts)
+        body = ResponseBody(next((s for s in statuses if s is not _OK), _OK),
+                            b"".join(parts), statuses)
         if contains_write:
             # Read-only frames are idempotent and re-execute freely on
             # retry; remembering only write-bearing frames keeps the
             # bounded dedup ring small, exactly like single WRITEs.
-            self._remember(header, (statuses, blob))
-        self._send_batch_response(header, statuses, blob, epoch)
-
-    def _send_batch_response(self, header: ClioHeader, statuses, blob: bytes,
-                             epoch: int) -> None:
-        """Ack a frame: status vector on fragment 0, read data fragmented."""
-        fragments = fragment_payload(len(blob), self._mtu)
-        for index, (offset, size) in enumerate(fragments):
-            body = ResponseBody(
-                status=next((s for s in statuses if s is not Status.OK),
-                            Status.OK),
-                value=statuses if index == 0 else None,
-                data=blob[offset:offset + size])
-            self._send(header.src, header.request_id, PacketType.RESPONSE,
-                       body, fragment=index, fragments=len(fragments),
-                       payload_bytes=size, total_size=len(blob), epoch=epoch)
+            self._remember(header, body)
+        self._send_body(header, body, epoch)
 
     def _handle_atomic(self, packet: Packet, epoch: int):
+        """Translate the word through the fast path, then read-modify-write
+        it in the atomic unit.  A word not aligned to its width is refused
+        first: across a page boundary it would reach into whatever
+        physical page follows."""
         header = packet.header
-        op: AtomicOp = packet.payload
-        executed, cached = self.retry_buffer.check(header.retry_of)
-        if executed:
-            self._send(header.src, header.request_id, PacketType.RESPONSE,
-                       ResponseBody(status=Status.OK, atomic=cached),
-                       epoch=epoch)
+        if header.va % ATOMIC_WIDTH:
+            self._send(header.src, header.request_id, _RESPONSE,
+                       ResponseBody(Status.INVALID_VA), epoch=epoch)
             return
-        status, pa = yield from self.fast_path.translate_only(
-            header.pid, AccessType.ATOMIC, header.va, packet.wire_bytes)
-        if status is not Status.OK or epoch != self._epoch:
+        gate = Event(self.env)
+        self.fast_path.serve(header.pid, _ATOMIC_ACCESS, header.va,
+                             ATOMIC_WIDTH, None, packet.wire_bytes, False,
+                             gate.resume_waiters)
+        translated = yield gate
+        if translated.status is not _OK or epoch != self._epoch:
             # _send discards a response from before a crash.
-            self._send(header.src, header.request_id, PacketType.RESPONSE,
-                       ResponseBody(status=status), epoch=epoch)
+            self._send(header.src, header.request_id, _RESPONSE,
+                       ResponseBody(translated.status), epoch=epoch)
             return
-        result = yield from self.atomic_unit.execute(pa, op)
+        result = yield from self.atomic_unit.execute(translated.pa,
+                                                     packet.payload)
         if epoch != self._epoch:
             self.responses_discarded += 1
             return
         self.requests_served += 1
-        self._remember(header, result)
-        self._send(header.src, header.request_id, PacketType.RESPONSE,
-                   ResponseBody(status=Status.OK, atomic=result), epoch=epoch)
+        body = ResponseBody(_OK, None, None, result)
+        self._remember(header, body)
+        self._send(header.src, header.request_id, _RESPONSE, body,
+                   epoch=epoch)
 
     def _handle_fence(self, packet: Packet, epoch: int):
         """Hold every later request at the port (:meth:`receive`) until
         those in flight drain, then answer and let them through."""
         header = packet.header
         barrier = self._fence_barrier = self.env.event()
-        while self._inflight > 0:
-            drain = self.env.event()
-            self._drain_events.append(drain)
-            yield drain
+        if self._inflight > 0:
+            self._drain = self.env.event()
+            yield self._drain
             if epoch != self._epoch:
                 # Crash reset the barrier; ours must not resurface.
                 self.responses_discarded += 1
@@ -514,17 +502,8 @@ class Board:
 
     def _handle_once(self, header: ClioHeader, epoch: int, run):
         """Serve an alloc, free or offload: ``run`` (its not-yet-started
-        process-generator) executes at most once per request.
-
-        Re-executing a retry of one that already ran would double-allocate
-        or double-apply side effects, so it gets the same dedup treatment
-        as writes/atomics: the remembered response is replayed instead.
-        """
-        executed, cached = self.retry_buffer.check(header.retry_of)
-        if executed and isinstance(cached, ResponseBody):
-            self._send(header.src, header.request_id, _RESPONSE,
-                       cached, epoch=epoch)
-            return
+        process-generator) executes, and its answer is remembered for a
+        retry to replay (:meth:`_handle`)."""
         outcome = yield from run
         if epoch != self._epoch:
             # Page-table updates survive the crash (durable state), but the
@@ -539,6 +518,26 @@ class Board:
                    epoch=epoch)
 
     # -- response generation -----------------------------------------------------------
+
+    def _send_body(self, header: ClioHeader, body: ResponseBody,
+                   epoch: Optional[int] = None, traced: bool = True) -> None:
+        """Answer ``header`` with ``body``, whose data may exceed the MTU:
+        every fragment carries the status, and the first alone the value,
+        atomic result and breakdown."""
+        data = body.data
+        size = 0 if data is None else len(data)
+        if size <= self._mtu:
+            self._send(header.src, header.request_id, _RESPONSE, body,
+                       payload_bytes=size, epoch=epoch, traced=traced)
+            return
+        fragments = fragment_payload(size, self._mtu)
+        first = body.value, body.atomic, body.breakdown
+        for index, (offset, length) in enumerate(fragments):
+            self._send(header.src, header.request_id, _RESPONSE,
+                       ResponseBody(body.status, data[offset:offset + length],
+                                    *first),
+                       index, len(fragments), length, size, epoch, traced)
+            first = None, None, None
 
     def _send(self, dst: str, request_id: int, packet_type: PacketType,
               body: ResponseBody, fragment: int = 0, fragments: int = 1,

@@ -1,6 +1,6 @@
 """Integration tests for the assembled CBoard (packet path + local path)."""
 
-from dataclasses import replace
+from dataclasses import astuple, is_dataclass, replace
 from functools import partial
 from zlib import crc32
 
@@ -11,7 +11,7 @@ from repro.core.addr import AccessType, Permission
 from repro.core.cboard import CBoard, ResponseBody
 from repro.core.pipeline import Status
 from repro.core.sync import AtomicOp
-from repro.net.packet import ClioHeader, Packet, PacketType
+from repro.net.packet import BatchSubOp, ClioHeader, Packet, PacketType
 from repro.net.switch import Topology
 from repro.params import ClioParams
 from repro.sim import Environment
@@ -859,3 +859,226 @@ def test_a_request_of_no_bytes_raises_at_the_port(kind, payload):
     _arrive(env, board, 20, 563, kind, va, 0, payload)
     with pytest.raises(ValueError, match="size must be positive"):
         env.run(until=env.now + 10 ** 7)
+
+
+# -- atomics, batches and once-only requests, pinned -------------------------------
+#
+# Each table below was recorded when every handler replayed its own retry,
+# answered its own fragments and an atomic was translated by a second copy
+# of the fast path's TLB stage and walk; every value must hold.
+
+def _plain(value):
+    """A response's ``value`` or ``atomic`` as plain data: a batch's
+    status vector as names, a record as its fields."""
+    if isinstance(value, tuple):
+        return tuple(status.value for status in value)
+    return astuple(value) if is_dataclass(value) else value
+
+
+def _replies(collector, request_ids):
+    """``(request id, fragment, fragments, total size, status, data's
+    CRC-32 or None, value, atomic, when the MN sent it)`` of every response
+    to ``request_ids``, in the order they reached the CN."""
+    return [(packet.header.request_id, packet.header.fragment,
+             packet.header.fragments, packet.header.total_size,
+             packet.payload.status.value,
+             None if packet.payload.data is None
+             else crc32(packet.payload.data),
+             _plain(packet.payload.value), _plain(packet.payload.atomic),
+             packet.sent_at)
+            for packet in collector.packets
+            if packet.header.request_id in request_ids]
+
+
+ATOMIC_ANSWERS = [
+    (600, 0, 1, 0, "ok", None, None, (0, True), 110000980),
+    (601, 0, 1, 0, "ok", None, None, (5, True), 120000664),
+    (602, 0, 1, 0, "ok", None, None, (7, True), 130000968),
+    (603, 0, 1, 0, "permission", None, None, None, 140000368),
+    (604, 0, 1, 8, "ok", 1696784233, None, None, 150000684),
+    (605, 0, 1, 0, "permission", None, None, None, 160000064),
+    (606, 0, 1, 0, "ok", None, None, (0, True), 170000000),
+    (607, 0, 1, 8, "ok", 2054014018, None, None, 180000368),
+]
+
+
+def test_atomics_keep_their_answers_and_timing():
+    """First touch (a walk and a fault), a TLB hit, a miss on a present
+    page, a permission rejection on a miss and on a hit, and a retry whose
+    original ran, which replays the original's answer."""
+    env, params, topology, board, collector = make_wired_board()
+    va = alloc_va(env, topology, params, board, collector)
+    send(env, topology, params, 1002, PacketType.ALLOC, pid=1,
+         payload=(PAGE, Permission.READ, None))
+    env.run(until=env.now + 10 ** 7)
+    read_only = collector.packets[-1].payload.value.va
+    faa, cas = partial(AtomicOp, "faa"), partial(AtomicOp, "cas")
+    requests = [(600, va, faa(value=5), None),            # miss + fault
+                (601, va, faa(value=2), None),            # hit
+                (602, va, cas(expected=7, value=9), None),  # miss, present
+                (603, read_only, faa(value=1), None),     # miss, rejected
+                (605, read_only, faa(value=1), None),     # hit, rejected
+                (606, va, faa(value=100), 600)]           # replayed
+    for request_id, address, op, retry_of in requests:
+        if request_id == 602:
+            board.tlb.flush()
+        if request_id == 605:
+            _arrive(env, board, 0, 604, PacketType.READ, read_only, 8)
+            env.run(until=env.now + 10 ** 7)
+        _arrive(env, board, 0, request_id, PacketType.ATOMIC, address,
+                payload=op, retry_of=retry_of)
+        env.run(until=env.now + 10 ** 7)
+    _arrive(env, board, 0, 607, PacketType.READ, va, 8)
+    env.run(until=env.now + 10 ** 7)
+    assert _replies(collector, range(600, 608)) == ATOMIC_ANSWERS
+    assert _read_back(collector, 607) == (9).to_bytes(8, "little")
+    assert board.retry_buffer.dedup_hits == 1
+    assert board.atomic_unit.operations == 3
+    assert board._inflight == 0
+    assert (env.now, env._seq) == (190000000, 12748)
+
+
+def test_a_crash_between_an_atomics_translation_and_its_rmw_skips_it():
+    """The crash lands while the atomic's TLB miss fetches the page's
+    bucket: the word is not changed and nothing is answered."""
+    env, params, topology, board, collector = make_wired_board()
+    va = alloc_va(env, topology, params, board, collector)
+    _arrive(env, board, 0, 610, PacketType.WRITE, va, 8, b"\x07" * 8)
+    env.run(until=env.now + 10 ** 7)
+    board.tlb.flush()
+    before, operations = len(collector.packets), board.atomic_unit.operations
+    _arrive(env, board, 0, 611, PacketType.ATOMIC, va,
+            payload=AtomicOp("faa", value=1))
+    # Ingest and the fixed stages take 64 ns, the bucket fetch 304 more.
+    env.schedule_callback(200, board.crash)
+    env.schedule_callback(1_000, board.restart)
+    env.run(until=env.now + 10 ** 7)
+    assert len(collector.packets) == before
+    assert board.atomic_unit.operations == operations
+    assert board.responses_discarded == 1 and board._inflight == 0
+    _arrive(env, board, 0, 612, PacketType.READ, va, 8)
+    env.run(until=env.now + 10 ** 7)
+    assert _read_back(collector, 612) == b"\x07" * 8
+    assert (env.now, env._seq) == (130000000, 8699)
+
+
+BATCH_ANSWERS = [
+    (620, 0, 2, 2048, "invalid_va", 1505770200,
+     ("ok", "ok", "ok", "invalid_va"), None, 110000736),
+    (620, 1, 2, 2048, "invalid_va", 222252368, None, None, 110000736),
+    (622, 0, 2, 2048, "invalid_va", 1505770200,
+     ("ok", "ok", "ok", "invalid_va"), None, 130000000),
+    (622, 1, 2, 2048, "invalid_va", 222252368, None, None, 130000000),
+]
+
+
+def test_a_write_bearing_batch_and_its_retry_answer_alike():
+    """A frame that writes and reads 2 KB, more than the MTU, answered in
+    two fragments; its retry replays them though the memory changed."""
+    env, params, topology, board, collector = make_wired_board()
+    va = alloc_va(env, topology, params, board, collector)
+    _arrive(env, board, 0, 619, PacketType.WRITE, va + 4096, 1024,
+            bytes(range(256)) * 4)
+    env.run(until=env.now + 10 ** 7)
+    subs = (BatchSubOp(PacketType.WRITE, va, 16, b"batched-write!!!"),
+            BatchSubOp(PacketType.READ, va + 4096, 1024),
+            BatchSubOp(PacketType.READ, va + 8, 1024),
+            BatchSubOp(PacketType.READ, 123 * PAGE, 8))
+    wire = params.network.header_bytes + 16 + len(subs) * (
+        params.network.subop_header_bytes)
+    for request_id, retry_of in ((620, None), (622, 620)):
+        header = ClioHeader("cn0", "mn0", request_id, PacketType.BATCH, 1,
+                            va, len(subs), len(subs), 0, 1, retry_of)
+        env.schedule_callback(0, partial(board.receive,
+                                         Packet(header, subs, wire)))
+        env.run(until=env.now + 10 ** 7)
+        _arrive(env, board, 0, 621, PacketType.WRITE, va + 4096, 4, b"new!")
+        env.run(until=env.now + 10 ** 7)
+    assert _replies(collector, (620, 622)) == BATCH_ANSWERS
+    assert _read_back(collector, 622) == _read_back(collector, 620)
+    assert board.retry_buffer.dedup_hits == 1
+    assert board._inflight == 0
+    assert (env.now, env._seq) == (150000000, 10064)
+
+
+ONCE_ANSWERS = [
+    (630, 0, 1, 0, "ok", None, (True, PAGE, PAGE, 0, None), None, 7000),
+    (631, 0, 1, 0, "ok", None, (True, PAGE, PAGE, 0, None), None, 100000000),
+    (632, 0, 1, 0, "ok", None, (True, 0, None), None, 200007000),
+    (633, 0, 1, 0, "ok", None, (True, 0, None), None, 300000000),
+    (634, 0, 1, 0, "ok", None, (True, 1, None), None, 400000100),
+    (635, 0, 1, 0, "ok", None, (True, 1, None), None, 500000000),
+]
+
+
+def test_retried_allocs_frees_and_offloads_replay_without_running():
+    env, params, topology, board, collector = make_wired_board()
+    calls = []
+
+    def bump(ctx, args):
+        calls.append(args)
+        yield ctx.env.timeout(100)
+        return len(calls)
+
+    board.extend_path.register("bump", bump)
+    grant = (PAGE, Permission.READ_WRITE, None)
+    requests = [(630, PacketType.ALLOC, 0, grant, None),
+                (631, PacketType.ALLOC, 0, grant, 630),
+                (632, PacketType.FREE, None, None, None),
+                (633, PacketType.FREE, None, None, 632),
+                (634, PacketType.OFFLOAD, 0, ("bump", 1), None),
+                (635, PacketType.OFFLOAD, 0, ("bump", 2), 634)]
+    granted = None
+    for request_id, kind, address, payload, retry_of in requests:
+        _arrive(env, board, 0, request_id, kind,
+                granted if address is None else address, payload=payload,
+                retry_of=retry_of)
+        env.run(until=env.now + 10 ** 8)
+        if request_id == 630:
+            granted = collector.packets[-1].payload.value.va
+    assert _replies(collector, range(630, 636)) == ONCE_ANSWERS
+    assert calls == [1] and board.slow_path.allocs == 1
+    assert board.slow_path.frees == 1
+    assert board.retry_buffer.dedup_hits == 3
+    assert board._inflight == 0
+    assert (env.now, env._seq) == (600000000, 40035)
+
+
+def test_a_misaligned_atomic_is_refused_before_it_reaches_another_page():
+    """An atomic word across a page boundary would reach into the next
+    *physical* page, here another process's: the board refuses a word not
+    aligned to its width, at once, and remembers nothing."""
+    env = Environment()
+    params = ClioParams.prototype()
+    topology = Topology(env, params.network)
+    board = CBoard(env, params, dram_capacity=256 * MB, page_size=4096)
+    board.attach(topology)
+    collector = Collector()
+    topology.add_node("cn0", collector)
+    mine = alloc_va(env, topology, params, board, collector, pid=11,
+                    size=4096)
+    theirs = alloc_va(env, topology, params, board, collector, pid=22,
+                      size=4096)
+
+    def arrive(request_id, kind, pid, va, size=0, payload=None):
+        header = ClioHeader("cn0", "mn0", request_id, kind, pid, va, size,
+                            size)
+        env.schedule_callback(0, partial(board.receive,
+                                         Packet(header, payload, 64 + size)))
+        env.run(until=env.now + 10 ** 7)
+
+    arrive(640, PacketType.WRITE, 11, mine, 4, b"mine")
+    arrive(641, PacketType.WRITE, 22, theirs, 8, b"theirs!!")
+    assert (board.page_table.lookup(22, theirs // 4096).ppn
+            == board.page_table.lookup(11, mine // 4096).ppn + 1)
+    remembered = len(board.retry_buffer)
+    arrived = env.now
+    arrive(642, PacketType.ATOMIC, 11, mine + 4092,
+           payload=AtomicOp("faa", value=1 << 40))
+    answer = collector.packets[-1]
+    assert answer.header.request_id == 642
+    assert answer.payload.status is Status.INVALID_VA
+    assert answer.payload.atomic is None and answer.sent_at == arrived
+    assert len(board.retry_buffer) == remembered and board._inflight == 0
+    arrive(643, PacketType.READ, 22, theirs, 8)
+    assert _read_back(collector, 643) == b"theirs!!"

@@ -240,17 +240,23 @@ def test_oom_when_no_physical_pages_left():
     assert result.status is Status.OOM
 
 
-def test_translate_only_returns_physical_address():
-    env, fast, table, _ = make_fast_path()
+def test_an_atomic_is_served_its_physical_address():
+    """An ATOMIC's traversal only translates: on a TLB hit and after a
+    walk it ends with its word's ``pa`` and claims no DRAM."""
+    env, fast, table, tlb = make_fast_path()
     table.insert(1, 1, Permission.READ_WRITE)
     run(env, fast.execute(1, AccessType.WRITE, PAGE, 4, data=b"abcd"))
     ppn = table.lookup(1, 1).ppn
-
-    def probe():
-        status, pa = yield from fast.translate_only(1, AccessType.READ,
-                                                    PAGE + 100, 64)
-        return status, pa
-
-    status, pa = run(env, probe())
-    assert status is Status.OK
-    assert pa == ppn * PAGE + 100
+    results = []
+    for flush in (False, True):
+        if flush:
+            tlb.flush()
+        fast.serve(1, AccessType.ATOMIC, PAGE + 104, 8, None, 64, False,
+                   results.append)
+        env.run(until=env.now + 10 ** 6)
+    hit, miss = results
+    assert hit.status is miss.status is Status.OK
+    assert hit.pa == miss.pa == ppn * PAGE + 104
+    assert not hit.tlb_missed and miss.tlb_missed
+    assert hit.data is miss.data is None
+    assert hit.breakdown.dram_ns == miss.breakdown.dram_ns == 0

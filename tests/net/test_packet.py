@@ -23,7 +23,8 @@ RECORD_FIELDS = {
                  "size", "total_size", "fragment", "fragments", "retry_of"],
     Packet: ["header", "payload", "wire_bytes", "corrupt", "sent_at"],
     ResponseBody: ["status", "data", "value", "atomic", "breakdown"],
-    FastPathResult: ["status", "data", "faulted", "tlb_missed", "breakdown"],
+    FastPathResult: ["status", "data", "faulted", "tlb_missed", "breakdown",
+                     "pa"],
     RequestOutcome: ["body", "data", "rtt_ns", "retries", "request_id"],
     _WriteProgress: ["remaining", "born", "status", "breakdown"],
     Allocation: ["va", "size", "permission"],

@@ -82,17 +82,25 @@ def test_pairs_alternate_and_report_every_metric(tmp_path):
         cwd=tmp_path, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    # Each run's host noise: ten steal counts (or n/a) and CPU seconds
-    # per side, whatever the host did meanwhile.
-    noise = lines[5:11]
-    del lines[5:11]
+    # Each run's host noise: ten steal counts (or n/a), CPU seconds and
+    # ops per CPU second per side, whatever the host did meanwhile.
+    noise = lines[5:14]
+    del lines[5:14]
     assert noise[0] == "steal jiffies (host, over each run)"
     assert noise[3] == "child CPU s (each run's own)"
+    assert noise[6] == "ops per child CPU s (attempted / cpu_s)"
     for row, side, cell in ((1, "base", r"(\d+|n/a)"),
                             (2, "change", r"(\d+|n/a)"),
                             (4, "base", r"[\d.e+-]+"),
-                            (5, "change", r"[\d.e+-]+")):
+                            (5, "change", r"[\d.e+-]+"),
+                            (7, "base", r"[\d.e+-]+"),
+                            (8, "change", r"[\d.e+-]+")):
         assert re.fullmatch(rf"  {side:6}  {cell}( {cell}){{9}}", noise[row])
+    # Each run attempted 10 ops: its rate per CPU second is 10 / cpu_s.
+    for cpu_row, rate_row in ((4, 7), (5, 8)):
+        for cpu_s, rate in zip(noise[cpu_row].split()[1:],
+                               noise[rate_row].split()[1:]):
+            assert float(rate) == pytest.approx(10 / float(cpu_s), rel=1e-4)
     assert lines[0].startswith("base    ") and lines[0].endswith("(HEAD~1)")
     assert lines[1].startswith("change  ") and lines[1].endswith("(HEAD)")
     rule = "  claim rule (10+ pairs, wins >= 9/10, median gap > base IQR): "

@@ -20,13 +20,14 @@ of each block says whether a gain may be claimed there
 nine tenths of them, and its median is better than the base's by more
 than the base's IQR.  The exit status is 1 when a run failed or reported a failed check.
 
-Before those blocks, two more show what a noisy neighbour did to each
+Before those blocks, three more show what a noisy neighbour did to each
 run, in pair order: the host's steal jiffies over the run (the ``cpu``
-line of ``/proc/stat``, read only; "n/a" where there is none) and the
-run's own CPU seconds (``getrusage(RUSAGE_CHILDREN)``).  A pair whose
-steal is high, or whose CPU seconds fall well short of its wall time,
-was disturbed.  They inform the reader; the claim rule does not use
-them.
+line of ``/proc/stat``, read only; "n/a" where there is none), the run's
+own CPU seconds (``getrusage(RUSAGE_CHILDREN)``) and its ops per CPU
+second (``attempted / cpu_s``).  A pair whose steal is high, or whose
+CPU seconds fall well short of its wall time, was disturbed; a run that
+got less CPU loses its pair on ops/s while its ops per CPU second
+holds.  They inform the reader; the claim rule does not use them.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ def _git(repo: Path, *args: str) -> str:
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run: its JSON line, or ``{"error": text}``, with the
-    host's ``steal`` jiffies over it (None where unknown) and its
-    ``cpu_s``."""
+    host's ``steal`` jiffies over it (None where unknown), its ``cpu_s``
+    and, for a run that reported ops, ``ops_per_cpu_s``."""
     steal = _host_steal()
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
     done = subprocess.run(
@@ -99,7 +100,10 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if done.returncode != 0 or not lines:
         return {"error": (done.stderr.strip() or "no output").splitlines()[-1],
                 **noise}
-    return {**json.loads(lines[-1]), **noise}
+    run = {**json.loads(lines[-1]), **noise}
+    if run.get("attempted") and run["cpu_s"]:
+        run["ops_per_cpu_s"] = run["attempted"] / run["cpu_s"]
+    return run
 
 
 def measure(repo: Path, shas: dict, workload: str, pairs: int,
@@ -133,10 +137,13 @@ def _number(value: float) -> str:
 
 
 def noise(records: list[dict]) -> list[str]:
-    """Each run's host steal jiffies and CPU seconds, in pair order."""
+    """Each run's host steal jiffies, CPU seconds and ops per CPU second,
+    in pair order."""
     lines = []
     for key, title in (("steal", "steal jiffies (host, over each run)"),
-                       ("cpu_s", "child CPU s (each run's own)")):
+                       ("cpu_s", "child CPU s (each run's own)"),
+                       ("ops_per_cpu_s",
+                        "ops per child CPU s (attempted / cpu_s)")):
         lines.append(title)
         for side in ("base", "change"):
             values = [record[side].get(key) for record in records]
