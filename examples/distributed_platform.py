@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
 """A distributed memory platform: global controller, migration, and a
-transparent cache — the paper's section 3.3 extensions, running together.
+transparent cache — the paper's section 3.3 extensions.
 
 Three CBoards behind one ToR.  A global controller places coarse regions
 on the least-utilized board and migrates them away when a board crosses
-its memory-pressure threshold (LegoOS-style two-level management).  On
-top, a transparent local cache serves a scan workload without explicit
-rread/rwrite calls.
+its memory-pressure threshold (LegoOS-style two-level management).  Then,
+on a second cluster built with the caching layer, a CN-side write-back
+cache serves a scan's plain rread/rwrite calls from local memory and
+fills only its misses from the board.
 
 Run:  python examples/distributed_platform.py
 """
 
-from repro import ClioCluster
-from repro.clib.transparent import TransparentMemory
+from dataclasses import replace
+
+from repro import ClioCluster, ClioParams
 from repro.distributed import DistributedAddressSpace, GlobalController
+from repro.params import CacheParams
 
 KB = 1 << 10
 MB = 1 << 20
@@ -58,24 +61,31 @@ def main() -> None:
     cluster.run(until=cluster.env.process(app()))
     assert state.get("platform_ok")
 
-    # --- transparent interface on one board --------------------------------
-    thread = cluster.cn(0).process("mn0").thread()
-    tmem = TransparentMemory(thread, 8 * MB, cache_pages=16,
-                             cache_page_size=64 * KB)
+    # --- transparent interface: the caching layer on one board ------------
+    params = replace(ClioParams.prototype(), cache=CacheParams(
+        policy="back", line_bytes=64 * KB, capacity_lines=16))
+    cached = ClioCluster(params=params, num_cns=1, num_mns=1,
+                         mn_capacity=64 * MB, layers=("caching",))
+    thread = cached.cn(0).process("mn0").thread()
+    cache = cached.cn(0).cache
 
     def scan_app():
-        yield from tmem.attach()
+        base = yield from thread.ralloc(8 * MB)
         # Sequential scan, three passes: first pass misses, rest hit.
         for _ in range(3):
             for offset in range(0, 1 * MB, 64 * KB):
-                yield from tmem.write(offset, b"%08d" % offset)
-                yield from tmem.read(offset, 8)
-        yield from tmem.flush()
+                yield from thread.rwrite(base + offset, b"%08d" % offset)
+                yield from thread.rread(base + offset, 8)
+        yield from cache.shutdown()
 
-    cluster.run(until=cluster.env.process(scan_app()))
+    cached.run(until=cached.env.process(scan_app()))
+    counts = cached.metrics.snapshot("cache.cn0")
+    hits = counts["cache.cn0.hits"] + counts["cache.cn0.write_hits"]
+    misses = counts["cache.cn0.misses"] + counts["cache.cn0.write_fills"]
     print("\n== Transparent cache over mn0 ==")
-    print(f"hits={tmem.hits} misses={tmem.misses} "
-          f"hit rate={tmem.hit_rate:.0%}, writebacks={tmem.writebacks}")
+    print(f"hits={hits} misses={misses} "
+          f"hit rate={hits / (hits + misses):.0%}, "
+          f"writebacks={counts['cache.cn0.writebacks']}")
     print("\nUnmodified CBoards support explicit, transparent, and")
     print("federated usage — the CN side decides (paper §3.3).")
 

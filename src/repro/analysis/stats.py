@@ -8,7 +8,10 @@ from repro.params import SEC
 
 
 def percentile(samples: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile; ``fraction`` in [0, 1]."""
+    """The sorted samples' entry at index ``round(fraction * (n - 1))``
+    (half to even); ``fraction`` in [0, 1].  Not nearest-rank: at
+    n = 100 the 0.5 point is the 51st value, where nearest-rank gives
+    the 50th."""
     if not samples:
         raise ValueError("no samples")
     if not 0.0 <= fraction <= 1.0:

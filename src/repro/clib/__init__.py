@@ -19,7 +19,6 @@ from repro.clib.client import (
     RemoteAccessError,
 )
 from repro.clib.handles import AsyncHandle
-from repro.clib.transparent import TransparentMemory
 
 __all__ = [
     "AsyncHandle",
@@ -27,5 +26,4 @@ __all__ = [
     "ClioThread",
     "ComputeNode",
     "RemoteAccessError",
-    "TransparentMemory",
 ]

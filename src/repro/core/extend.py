@@ -144,9 +144,6 @@ class ExtendPath:
     def names(self) -> list[str]:
         return sorted(self._offloads)
 
-    def context(self, name: str) -> OffloadContext:
-        return self._offloads[name][1]
-
     def caller_aware(self, name: str) -> bool:
         return self._offloads[name][2]
 

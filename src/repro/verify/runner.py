@@ -50,7 +50,9 @@ def verify_params() -> ClioParams:
 
 
 def p99(samples: list[int]) -> int:
-    """Nearest-rank 99th percentile (0 for no samples)."""
+    """The sorted samples' entry at index ``floor(0.99 * n)``, clamped to
+    the last (0 for no samples).  Not nearest-rank: at n = 100 this is
+    the maximum, where nearest-rank gives the 99th value."""
     if not samples:
         return 0
     ordered = sorted(samples)

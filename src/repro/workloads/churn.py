@@ -112,7 +112,11 @@ class ChurnReport:
         return self.ops_attempted - self.ops_failed
 
     def percentile(self, p: float) -> int:
-        """p-th percentile of simulated allocation latency (ns)."""
+        """p-th percentile of simulated allocation latency (ns): the
+        sorted entry at index ``floor(p / 100 * n)``, clamped to the last
+        (0 for no samples).  This is :func:`repro.verify.runner.p99`'s
+        rule at ``p``; at p = 50 and p = 99 the indices match it for
+        every n up to 2 000 000."""
         if not self.alloc_latencies_ns:
             return 0
         ordered = sorted(self.alloc_latencies_ns)

@@ -77,3 +77,20 @@ def test_percentile_always_in_sample_range(samples, fraction):
     value = percentile(samples, fraction)
     assert min(samples) <= value <= max(samples)
     assert value in samples
+
+
+def test_percentile_rules_at_one_hundred_samples():
+    """Both index rules, pinned where they differ from nearest-rank.
+    The floor rule (``runner.p99``, ``ChurnReport.percentile``) computes
+    the scenarios' ``pre_p99_ns`` and ``victim_*_p99_ns`` goldens, so
+    changing either rule is a deliberate re-pin."""
+    from repro.verify.runner import p99 as floor_p99
+    from repro.workloads.churn import ChurnReport
+
+    samples = list(range(100, 0, -1))          # 1..100, unsorted
+    churn = ChurnReport("x", "freelist", "first-fit", 0,
+                        alloc_latencies_ns=samples)
+    assert floor_p99(samples) == churn.percentile(99) == 100
+    assert churn.percentile(50) == 51
+    assert percentile(samples, 0.99) == 99
+    assert percentile(samples, 0.5) == 51

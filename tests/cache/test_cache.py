@@ -439,6 +439,40 @@ def test_migration_recalls_cached_lines():
     assert cluster.cache_dir.freezes == 1
 
 
+# -- transparent use (paper section 3.3) ---------------------------------------
+
+
+def test_transparent_scan_hits_locally_and_writes_back():
+    """The scan ``examples/distributed_platform.py`` runs: plain
+    ``rwrite``/``rread`` over a write-back cache, 16 lines of 64 KB,
+    three passes over 1 MB.  Only the first pass's writes go to the MN
+    (fetch-on-write fills), and ``shutdown()`` flushes each line once."""
+    cluster = make_cached_cluster(policy="back", num_cns=1,
+                                  capacity_lines=16, line_bytes=64 * KB)
+    thread = cluster.cn(0).process("mn0").thread()
+    cache = cluster.cn(0).cache
+    offsets = range(0, 1 * MB, 64 * KB)
+    out = {"scan": [], "after": []}
+
+    def app():
+        base = yield from thread.ralloc(8 * MB)
+        for _ in range(3):
+            for offset in offsets:
+                yield from thread.rwrite(base + offset, b"%08d" % offset)
+                out["scan"].append((yield from thread.rread(base + offset, 8)))
+        yield from cache.shutdown()
+        # Detached: these reads go to the MN, which holds the flushed lines.
+        for offset in offsets:
+            out["after"].append((yield from thread.rread(base + offset, 8)))
+
+    run_app(cluster, app())
+    expected = [b"%08d" % offset for offset in offsets]
+    assert out["scan"] == expected * 3
+    assert out["after"] == expected
+    assert (cache.hits, cache.write_hits, cache.misses, cache.write_fills,
+            cache.writebacks) == (48, 32, 0, 16, 16)
+
+
 # -- golden fingerprints -------------------------------------------------------
 
 #: Two CNs, one shared 64 KB region, deterministic 120-op mix each,

@@ -1,11 +1,12 @@
 """Every definition nothing outside ``tests/`` reaches is kept on purpose.
 
 ``tools/reach.py`` lists the functions and classes of ``src/repro`` that
-no path from an entry point reaches: starting from the words of
-``benchmarks/``, ``examples/``, ``tools/`` and ``src/repro/__main__.py``,
-a named definition is reached and adds the words of its body (a method
-only once its class is reached), and a module's first reached definition
-adds its top-level statements.  Imports and ``__init__.py`` files add
+no path from an entry point reaches: starting from the words the code of
+``benchmarks/``, ``examples/``, ``tools/`` and ``src/repro/__main__.py``
+names, a named definition is reached and adds the words of its code (a
+method only once its class is reached), and a module's first reached
+definition adds its top-level statements.  Comments and docstrings are
+prose and add nothing.  Imports and ``__init__.py`` files add
 nothing, so a re-export or a definition naming itself reaches nothing.
 Each unreached definition must be a row below, with the reason it stays;
 the table is pinned exactly like ``SRC_CEILING``.  A new unreached
@@ -23,22 +24,38 @@ from tools.reach import unreached
 
 THREAD_API = "public ClioThread API"
 ACCESSOR = "accessor tests observe through"
+SIMBOARD = ("the reference model that BoardDiff and test_simboard.py "
+            "compare CBoard against (paper section 5)")
 
 #: ``(file under src/repro, name) -> reason it stays``.
 KEPT = {
     ("alloc/pa_strategies.py", "alloc_run"):
         "buddy runs drive split/coalesce in test_alloc_stateful",
+    ("clib/batch.py", "issue_vector"): THREAD_API,
+    ("clib/batch.py", "pending_ops"): THREAD_API,
+    ("clib/client.py", "batcher"): THREAD_API,
     ("clib/client.py", "disable_batching"): THREAD_API,
+    ("clib/client.py", "ralloc_async"): THREAD_API,
     ("clib/client.py", "rcas"): THREAD_API,
-    ("clib/transparent.py", "cached_bytes"): ACCESSOR,
+    ("clib/client.py", "rfree_async"): THREAD_API,
+    ("clib/client.py", "rreadv"): THREAD_API,
+    ("clib/client.py", "rreadv_async"): THREAD_API,
+    ("clib/client.py", "rwritev"): THREAD_API,
+    ("clib/client.py", "rwritev_async"): THREAD_API,
     ("core/addr.py", "page_base"): ACCESSOR,
+    ("core/addr.py", "required_permission"): SIMBOARD,
     ("core/extend.py", "caller_aware"): ACCESSOR,
     ("core/memory.py", "resident_bytes"): ACCESSOR,
     ("core/pa_allocator.py", "return_unused"):
         "async-buffer API the allocator stateful tests drive",
     ("core/page_table.py", "entries_for_pid"): ACCESSOR,
-    ("core/simboard.py", "register_offload"):
-        "SimBoard's offload API, which test_simboard.py drives",
+    ("core/simboard.py", "FlatMemory"): SIMBOARD,
+    ("core/simboard.py", "SimBoard"): SIMBOARD,
+    ("core/simboard.py", "_FlatAtomicUnit"): SIMBOARD,
+    ("core/simboard.py", "_SimAllocation"): SIMBOARD,
+    ("core/simboard.py", "_SimSpace"): SIMBOARD,
+    ("core/simboard.py", "_gather"): SIMBOARD,
+    ("core/simboard.py", "_scatter"): SIMBOARD,
     ("core/va_allocator.py", "allocated_bytes"): ACCESSOR,
     ("faults/schedule.py", "restart_board"):
         "scripts the orphan restart FaultSchedule.validate must reject",
@@ -91,7 +108,18 @@ TREE = {
         TABLE = {"row": from_top_level}
 
         def entry(kind):
-            return used_in_body()
+            '''Mentions only_in_docstring.'''
+            # Mentions only_in_comment.
+            return used_in_body(), "in only_in_string"
+
+        def only_in_docstring():
+            return 1
+
+        def only_in_comment():
+            return 1
+
+        def only_in_string():
+            return 1
 
         def used_in_body():
             return 1
@@ -153,8 +181,21 @@ def test_a_method_is_reached_only_when_named(synthetic):
     assert ("api.py", "never_called") in synthetic
 
 
+def test_a_docstring_mention_reaches_nothing(synthetic):
+    assert ("api.py", "only_in_docstring") in synthetic
+
+
+def test_a_comment_mention_reaches_nothing(synthetic):
+    assert ("api.py", "only_in_comment") in synthetic
+
+
+def test_a_word_in_a_non_docstring_string_reaches(synthetic):
+    assert ("api.py", "only_in_string") not in synthetic
+
+
 def test_dunders_and_members_of_listed_classes_are_never_listed(synthetic):
     assert synthetic == {
         ("exported.py", "only_exported"), ("api.py", "names_itself"),
         ("imported.py", "only_imported"), ("api.py", "only_in_lazy_getattr"),
-        ("api.py", "never_called"), ("api.py", "Unused")}
+        ("api.py", "never_called"), ("api.py", "Unused"),
+        ("api.py", "only_in_docstring"), ("api.py", "only_in_comment")}

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.verify import SUITES, run_scenario, scenario
+from repro.cluster import ClioCluster
+from repro.params import MB
+from repro.verify import SUITES, run_scenario, scenario, spans_near
 
 
 @pytest.mark.parametrize("crash", [False, True],
@@ -54,6 +56,34 @@ def test_verified_chaos_wrapper():
                           seed=1234)
     assert result.report
     assert result.problems() == []
+
+
+def test_spans_near_lists_the_spans_around_an_instant():
+    """The context ``repro verify`` prints beside a violation: the spans
+    within ``window_ns`` of an instant, in record order, at most
+    ``limit``; an open span counts as running up to the instant."""
+    cluster = ClioCluster(seed=1, mn_capacity=256 * MB, layers=("tracing",))
+    thread = cluster.cn(0).process("mn0", pid=7).thread()
+    alloc = cluster.env.process(thread.ralloc(4 * MB))
+    cluster.run(until=alloc)
+    cluster.env.process(thread.rread(alloc.value, 64))
+    cluster.run(until=cluster.env.now + 1_000)      # the read is in flight
+    tracer, now = cluster.tracer, cluster.env.now
+    alloc_span = tracer.find_spans("request:alloc")[0]
+    gap = now - alloc_span.end_ns
+
+    def names(**kwargs):
+        return [line.split()[1] for line in spans_near(tracer, now, **kwargs)]
+
+    assert names(window_ns=gap) == ["request:alloc", "request:read"]
+    assert names(window_ns=gap - 1) == ["request:read"]
+    assert len(spans_near(tracer, now, window_ns=now)) == 5
+    assert names(window_ns=now, limit=2) == ["request:alloc",
+                                             "slowpath:alloc"]
+    assert spans_near(tracer, now, window_ns=0) == [
+        f"  span request:read [cn0] {alloc_span.end_ns}..None "
+        f"{{'mn': 'mn0', 'pid': 7, 'va': {alloc.value}, 'size': 64}}"]
+    assert spans_near(None, now) == []
 
 
 def test_cli_verify_clean(capsys):
