@@ -55,6 +55,29 @@ def _parse_size(text: str) -> int:
     return size
 
 
+#: Each ``goodput`` thread writes in one region of this many bytes.
+GOODPUT_REGION = 8 * MB
+
+
+def _goodput_size(text: str) -> int:
+    """A ``goodput`` write size: a byte count under :data:`GOODPUT_REGION`."""
+    size = _parse_size(text)
+    if size >= GOODPUT_REGION:
+        raise argparse.ArgumentTypeError(
+            f"size must be under the {GOODPUT_REGION // MB}MB region each "
+            f"thread writes in, got {text!r}")
+    return size
+
+
+def _count(text: str) -> int:
+    """A count of ops, threads, keys, clients, boards or ToRs: a positive
+    integer, or a usage error."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive count, got {text!r}")
+    return int(text)
+
+
 def _profile(name: str) -> ClioParams:
     return PROFILES[name]()
 
@@ -103,8 +126,8 @@ def cmd_goodput(args) -> int:
         for index in range(args.threads):
             thread = cluster.cn(index % len(cluster.cns)).process(
                 "mn0").thread()
-            va = yield from thread.ralloc(8 * MB)
-            for offset in range(0, 8 * MB, 64 * KB):
+            va = yield from thread.ralloc(GOODPUT_REGION)
+            for offset in range(0, GOODPUT_REGION, 64 * KB):
                 yield from thread.rwrite(va + offset, b"\0" * 64)
             ready.append((thread, va))
 
@@ -116,7 +139,7 @@ def cmd_goodput(args) -> int:
         outstanding = []
         page = 64 * KB
         for index in range(args.ops):
-            offset = (index * page) % (8 * MB - size)
+            offset = (index * page) % (GOODPUT_REGION - size)
             if args.asynchronous:
                 handle = yield from thread.rwrite_async(va + offset, payload)
                 outstanding.append(handle)
@@ -209,23 +232,6 @@ def cmd_alloc(args) -> int:
     return 0
 
 
-def _determinism_problems(args, scenario, result, what: str = "") -> list:
-    """--check-determinism: rerun on the *other* engine — the
-    single-process partitioned scheduler must match the flat engine bit
-    for bit."""
-    from repro.verify import same_on_other_engine
-
-    if not args.check_determinism:
-        return []
-    if same_on_other_engine(scenario, result, seed=args.seed,
-                            partitioned=args.pdes):
-        print(f"determinism: flat and partitioned {what}fingerprints "
-              "bit-identical")
-        return []
-    return [f"partitioned/flat engines disagree on the same-seed {what}"
-            "fingerprint"]
-
-
 def _verdict(problems: list, label: str, all_clear: str) -> int:
     """Print every problem (exit 1) or the all-clear line (exit 0)."""
     for problem in problems:
@@ -244,11 +250,9 @@ def _cmd_alloc_churn(args) -> int:
     points = [scenario(f"alloc-{strategy}", mix=args.churn, va_policy=policy,
                        ops=args.ops, verify=False)
               for strategy in strategies]
-    results = [run_scenario(point, seed=args.seed, partitioned=args.pdes)
-               for point in points]
+    results = [run_scenario(point, seed=args.seed) for point in points]
     print(render_table(
-        f"churn scenario '{args.churn}' (seed {args.seed}"
-        + (", pdes" if args.pdes else "") + ")",
+        f"churn scenario '{args.churn}' (seed {args.seed})",
         ["strategy", "va policy", "ops", "failed", "p50 us", "p99 us",
          "retries", "retry max", "crossings", "frag", "violations",
          "fingerprint"],
@@ -259,10 +263,7 @@ def _cmd_alloc_churn(args) -> int:
           r.extras["fragmentation"], len(r.violations),
           r.extras["fingerprint"][:12]]
          for strategy, r in zip(strategies, results)]))
-    problems = []
-    for strategy, point, result in zip(strategies, points, results):
-        problems += result.problems() + _determinism_problems(
-            args, point, result, f"{strategy}/{policy} ")
+    problems = [problem for r in results for problem in r.problems()]
     return _verdict(problems, "VIOLATION",
                     f"churn: {len(results)} strategies clean")
 
@@ -311,9 +312,8 @@ def cmd_chaos(args) -> int:
         # each other's lines.
         sizes.update(cached="back", region_bytes=64 * KB)
     point = scenario("chaos", schedule=args.scenario, **sizes)
-    result = run_scenario(point, seed=args.seed, partitioned=args.pdes)
+    result = run_scenario(point, seed=args.seed)
     extras = result.extras
-    problems = result.problems()
     statuses = [op[-1] for op in extras["ops"]]
     ok = statuses.count("ok")
     print(render_table(
@@ -341,8 +341,8 @@ def cmd_chaos(args) -> int:
               directory["recalls"], directory["downgrades"],
               directory["inval_retries"],
               sum(c["flush_retries"] for c in nodes)]]))
-    problems += _determinism_problems(args, point, result)
-    return _verdict(problems, "INVARIANT VIOLATED", "invariants: all hold")
+    return _verdict(result.problems(), "INVARIANT VIOLATED",
+                    "invariants: all hold")
 
 
 def cmd_verify(args) -> int:
@@ -369,12 +369,10 @@ def cmd_verify(args) -> int:
         if suite not in ("core", "chaos", *args.suites):
             continue
         for point in build(sizes):
-            result = run_scenario(point, seed=args.seed,
-                                  partitioned=args.pdes)
+            result = run_scenario(point, seed=args.seed)
             if result.violations:
                 # Runs are deterministic: replay traced for span context.
-                result = run_scenario(point, seed=args.seed,
-                                      partitioned=args.pdes, trace=True)
+                result = run_scenario(point, seed=args.seed, trace=True)
             problems = result.problems()
             undecided = result.lin is not None and result.lin.ok is None
             status = ("VIOLATED" if problems else
@@ -410,7 +408,7 @@ def cmd_rack(args) -> int:
     script = None if args.scenario == "none" else args.scenario
     point = scenario("rack", boards=args.boards, tors=args.tors,
                      clients=args.clients, ops=args.ops, script=script)
-    result = run_scenario(point, seed=args.seed, partitioned=args.pdes)
+    result = run_scenario(point, seed=args.seed)
     extras = result.extras
     span_s = extras["span_ns"] / 1e9
     ops_per_s = extras["ops_ok"] / span_s if span_s else 0.0
@@ -426,9 +424,7 @@ def cmd_rack(args) -> int:
           f"{extras['recovery_ratio']:.2f}x" if extras["pre_p99_ns"]
           else "n/a",
           extras["migrations"], extras["evictions"], extras["epoch"]]]))
-    problems = result.problems() + _determinism_problems(args, point, result,
-                                                         "rack ")
-    return _verdict(problems, "VIOLATION",
+    return _verdict(result.problems(), "VIOLATION",
                     "rack: oracle clean, history linearizable"
                     + (", tail recovered" if script is not None else ""))
 
@@ -489,39 +485,25 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=tuple(PROFILES),
                         help="parameter profile (default: prototype)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cprofile", action="store_true",
-                        help="wrap the run in cProfile and print the top-25 "
-                             "cumulative entries (perf work starts from data)")
     sub = parser.add_subparsers(dest="command", required=True)
-    # Engine options, declared once and shared by every command that
-    # runs scenarios.
-    engine = argparse.ArgumentParser(add_help=False)
-    engine.add_argument("--pdes", action="store_true",
-                        help="run on the single-process partitioned "
-                             "engine (one event wheel per board/CN/ToR)")
-    determinism = argparse.ArgumentParser(add_help=False)
-    determinism.add_argument("--check-determinism", action="store_true",
-                             help="rerun on the other engine (flat vs "
-                                  "partitioned) and compare fingerprints "
-                                  "bit-for-bit")
 
     latency = sub.add_parser("latency", help="Clio latency distribution")
     latency.add_argument("--size", default="16", type=_parse_size)
-    latency.add_argument("--ops", type=int, default=2000)
+    latency.add_argument("--ops", type=_count, default=2000)
     latency.add_argument("--write", action="store_true")
     latency.set_defaults(func=cmd_latency)
 
     goodput = sub.add_parser("goodput", help="Clio end-to-end goodput")
-    goodput.add_argument("--size", default="1KB", type=_parse_size)
-    goodput.add_argument("--threads", type=int, default=4)
-    goodput.add_argument("--ops", type=int, default=150)
+    goodput.add_argument("--size", default="1KB", type=_goodput_size)
+    goodput.add_argument("--threads", type=_count, default=4)
+    goodput.add_argument("--ops", type=_count, default=150)
     goodput.add_argument("--async", dest="asynchronous",
                          action="store_true")
     goodput.set_defaults(func=cmd_goodput)
 
     compare = sub.add_parser("compare", help="latency across systems")
     compare.add_argument("--size", default="16", type=_parse_size)
-    compare.add_argument("--ops", type=int, default=400)
+    compare.add_argument("--ops", type=_count, default=400)
     compare.add_argument("--backends", default="all", type=_backend_names,
                          help="comma-separated backend names, or 'all' "
                               f"({', '.join(BACKEND_NAMES)})")
@@ -530,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.set_defaults(func=cmd_compare)
 
     alloc = sub.add_parser(
-        "alloc", parents=[engine, determinism],
+        "alloc",
         help="allocation cost comparison, or --churn for the "
              "strategy/fragmentation scenario suite")
     alloc.add_argument("--size", default="64MB", type=_parse_size)
@@ -542,22 +524,21 @@ def build_parser() -> argparse.ArgumentParser:
     alloc.add_argument("--va-policy", default=None,
                        choices=tuple(VA_POLICIES),
                        help="VA search policy for --churn")
-    alloc.add_argument("--ops", type=int, default=None,
+    alloc.add_argument("--ops", type=_count, default=None,
                        help="override the scenario's allocation count")
     alloc.set_defaults(func=cmd_alloc)
 
     ycsb = sub.add_parser("ycsb", help="Clio-KV under YCSB")
     ycsb.add_argument("--workload", default="B", type=str.upper,
                       choices=tuple(YCSB_WORKLOADS))
-    ycsb.add_argument("--keys", type=int, default=500)
-    ycsb.add_argument("--ops", type=int, default=500)
+    ycsb.add_argument("--keys", type=_count, default=500)
+    ycsb.add_argument("--ops", type=_count, default=500)
     ycsb.set_defaults(func=cmd_ycsb)
 
-    chaos = sub.add_parser("chaos", parents=[engine, determinism],
-                           help="fault-injection scenario")
+    chaos = sub.add_parser("chaos", help="fault-injection scenario")
     chaos.add_argument("--scenario", default="board-crash",
                        choices=tuple(CHAOS_SCRIPTS), help="fault script")
-    chaos.add_argument("--ops", type=int, default=1200,
+    chaos.add_argument("--ops", type=_count, default=1200,
                        help="operations per worker")
     chaos.add_argument("--cache", action="store_true",
                        help="run with the CN hot-page cache on "
@@ -566,16 +547,16 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.set_defaults(func=cmd_chaos)
 
     verify = sub.add_parser(
-        "verify", parents=[engine],
+        "verify",
         help="runtime correctness checks: oracle, invariants, "
              "linearizability (docs/correctness.md)")
     extra_suites = ", ".join(s for s in SUITES if s not in ("core", "chaos"))
     verify.add_argument("suites", nargs="*", metavar="SUITE",
                         help="extra suites to run beside the core and "
                              f"chaos rows: {extra_suites}")
-    verify.add_argument("--ops", type=int, default=30,
+    verify.add_argument("--ops", type=_count, default=30,
                         help="atomic/KV ops per client (chaos runs 10x)")
-    verify.add_argument("--clients", type=int, default=3,
+    verify.add_argument("--clients", type=_count, default=3,
                         help="CNs hammering the shared atomic word")
     verify.add_argument("--scenario", default="board-crash",
                         choices=tuple(CHAOS_SCRIPTS),
@@ -585,16 +566,16 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     rack = sub.add_parser(
-        "rack", parents=[engine, determinism],
+        "rack",
         help="sharded rack tier: zipfian YCSB with live migration and "
              "elastic membership")
-    rack.add_argument("--boards", type=int, default=16,
+    rack.add_argument("--boards", type=_count, default=16,
                       help="CBoards in service (default: 16)")
-    rack.add_argument("--tors", type=int, default=2,
+    rack.add_argument("--tors", type=_count, default=2,
                       help="top-of-rack switches (default: 2)")
-    rack.add_argument("--clients", type=int, default=256,
+    rack.add_argument("--clients", type=_count, default=256,
                       help="zipfian client threads (default: 256)")
-    rack.add_argument("--ops", type=int, default=4,
+    rack.add_argument("--ops", type=_count, default=4,
                       help="operations per client (default: 4)")
     rack.add_argument("--scenario", default="drain",
                       choices=(*RACK_SCENARIOS, "none"),
@@ -604,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics = sub.add_parser(
         "metrics", help="instrumented run with dashboard + trace export")
     metrics.add_argument("--size", default="64", type=_parse_size)
-    metrics.add_argument("--ops", type=int, default=200)
+    metrics.add_argument("--ops", type=_count, default=200)
     metrics.add_argument("--interval-us", type=int, default=0,
                          help="sample the registry every N us of sim time "
                               "(0 = no timeseries)")
@@ -620,19 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.cprofile:
-        import cProfile
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            return args.func(args)
-        finally:
-            profiler.disable()
-            pstats.Stats(profiler).sort_stats("cumulative").print_stats(25)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -47,7 +47,6 @@ from repro.verify.runner import (
     oplog_digest,
     p99,
     run_scenario,
-    same_on_other_engine,
 )
 from repro.verify.scenarios import (
     ALLOC_STRATEGIES,
@@ -87,7 +86,6 @@ __all__ = [
     "p99",
     "quick_check_board",
     "run_scenario",
-    "same_on_other_engine",
     "scenario",
     "spans_near",
 ]

@@ -61,7 +61,7 @@ def p99(samples: list[int]) -> int:
 
 def oplog_digest(records: Iterable) -> str:
     """blake2b-128 over an op log: ``bytes`` records verbatim, anything
-    else by ``repr`` — same seed, same digest, flat or partitioned."""
+    else by ``repr`` — same seed, same digest."""
     digest = blake2b(digest_size=16)
     for record in records:
         digest.update(record if isinstance(record, bytes)
@@ -121,7 +121,8 @@ class Workload:
     #: ``setup(ctx)`` generator run to completion before the clients
     #: start; ``None`` skips the phase (and its events) entirely.
     setup = None
-    #: Set by a workload that owns its cluster and loop outright.
+    #: ``run_external(scenario, seed)``, set by a workload that owns its
+    #: cluster and loop outright; it reads no ``Scenario.cluster``.
     run_external = None
 
     def clients(self, ctx) -> list:
@@ -140,7 +141,8 @@ class Scenario:
 
     name: str
     workload: Workload
-    #: ClioCluster keyword arguments: the cluster's shape.
+    #: ClioCluster keyword arguments: the cluster's shape, and its
+    #: engine (``partitioned``).
     cluster: dict = field(default_factory=dict)
     #: Carries the layers' configuration too (``params.cache``,
     #: ``params.qos``).
@@ -179,8 +181,7 @@ class RunContext(SimpleNamespace):
         return True
 
 
-def run_scenario(scenario: Scenario, *, seed: int, partitioned: bool = False,
-                 trace: bool = False,
+def run_scenario(scenario: Scenario, *, seed: int, trace: bool = False,
                  mutate: Optional[Callable] = None) -> VerifyRunResult:
     """Execute ``scenario`` and return its verdict.
 
@@ -189,15 +190,14 @@ def run_scenario(scenario: Scenario, *, seed: int, partitioned: bool = False,
     """
     workload = scenario.workload
     if workload.run_external is not None:
-        return workload.run_external(scenario, seed, partitioned)
+        return workload.run_external(scenario, seed)
 
     layers = scenario.layers
     if scenario.verify:
         layers += ("verification",)
     if trace:
         layers += ("tracing",)
-    cluster = ClioCluster(params=scenario.params, seed=seed,
-                          partitioned=partitioned, layers=layers,
+    cluster = ClioCluster(params=scenario.params, seed=seed, layers=layers,
                           **scenario.cluster)
     if cluster.rack is not None:
         cluster.rack.start()
@@ -336,10 +336,3 @@ def _drain_caches(cluster, deadline_ns: int, extras: dict) -> list[str]:
         notes.append("cache drain did not settle before the deadline")
     return notes
 
-
-def same_on_other_engine(scenario: Scenario, result: VerifyRunResult, *,
-                         seed: int, partitioned: bool) -> bool:
-    """Cross-engine determinism: rerun on the *other* engine and compare
-    fingerprints bit for bit."""
-    other = run_scenario(scenario, seed=seed, partitioned=not partitioned)
-    return other.extras["fingerprint"] == result.extras["fingerprint"]

@@ -517,12 +517,11 @@ class AllocChurn(Workload):
     va_policy: str
     ops: Optional[int]
 
-    def run_external(self, scenario, seed: int,
-                     partitioned: bool) -> VerifyRunResult:
+    def run_external(self, scenario, seed: int) -> VerifyRunResult:
         from repro.workloads.churn import run_churn
         report = run_churn(self.mix, pa_strategy=self.strategy,
                            va_policy=self.va_policy, seed=seed, ops=self.ops,
-                           partitioned=partitioned, verify=scenario.verify)
+                           verify=scenario.verify)
         extras = dict(report.summary())
         extras["sim_now_ns"] = report.now_ns
         extras["events"] = report.events
@@ -613,8 +612,8 @@ class ChaosMix(Workload):
             "boards": {board.name: board.metrics.snapshot()
                        for board in ctx.cluster.mns},
             "recovery": _recovery(ops, window),
-            # Must be bit-identical for the same seed, on either engine
-            # and with verification on or off.
+            # Must be bit-identical for the same seed, with verification
+            # on or off.
             "fingerprint": (
                 self.schedule, ctx.seed, ctx.finished, ctx.env.now, ops,
                 ctx.faults, tuple(sorted((name, tuple(sorted(c.items())))

@@ -154,7 +154,6 @@ class ChurnReport:
 def run_churn(scenario: str | ChurnScenario = "small-churn", *,
               pa_strategy: str = "freelist", va_policy: str = "first-fit",
               seed: int = 0, ops: Optional[int] = None,
-              partitioned: bool = False,
               verify: bool = False) -> ChurnReport:
     """Run one churn scenario; returns the :class:`ChurnReport`.
 
@@ -171,7 +170,7 @@ def run_churn(scenario: str | ChurnScenario = "small-churn", *,
     params = replace(ClioParams.prototype(), alloc=AllocParams(
         pa_strategy=pa_strategy, va_policy=va_policy))
     cluster = ClioCluster(params=params, seed=seed, mn_capacity=MN_CAPACITY,
-                          page_size=PAGE_SIZE, partitioned=partitioned,
+                          page_size=PAGE_SIZE,
                           layers=("verification",) if verify else ())
     verifier = cluster.verifier
     board = cluster.mn

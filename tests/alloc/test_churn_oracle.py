@@ -11,6 +11,7 @@ partitioned PDES engine included.
 import pytest
 
 from repro.verify import ALLOC_STRATEGIES, run_scenario, scenario
+from tests.engines import run_partitioned
 
 OPS = 60  # enough to cycle arenas/slabs/buddy splits, small enough for CI
 
@@ -39,8 +40,8 @@ def test_churn_same_seed_bit_identical(strategy):
 @pytest.mark.parametrize("strategy", ALLOC_STRATEGIES)
 def test_churn_flat_matches_partitioned(strategy):
     point = scenario(f"alloc-{strategy}", ops=OPS)
-    flat = run_scenario(point, seed=7, partitioned=False)
-    pdes = run_scenario(point, seed=7, partitioned=True)
+    flat = run_scenario(point, seed=7)
+    pdes = run_partitioned(point, seed=7)
     assert flat.ok and pdes.ok, (flat.problems(), pdes.problems())
     assert flat.extras["fingerprint"] == pdes.extras["fingerprint"]
     assert flat.extras["sim_now_ns"] == pdes.extras["sim_now_ns"]

@@ -18,14 +18,15 @@ import hashlib
 
 from repro.params import KB
 from repro.verify import run_scenario, scenario
+from tests.engines import run_partitioned
 
 CACHED = dict(region_bytes=64 * KB, ops=400)
 
 
 def chaos(schedule, seed, cached, verify=False, partitioned=False):
-    return run_scenario(scenario("chaos", schedule=schedule, cached=cached,
-                                 verify=verify, **CACHED),
-                        seed=seed, partitioned=partitioned)
+    run = run_partitioned if partitioned else run_scenario
+    return run(scenario("chaos", schedule=schedule, cached=cached,
+                        verify=verify, **CACHED), seed=seed)
 
 
 def test_board_crash_while_cached_dirty_verifies_clean():

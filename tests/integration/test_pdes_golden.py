@@ -8,6 +8,7 @@ without.
 """
 
 from repro.verify import run_scenario, scenario
+from tests.engines import run_partitioned
 from tests.faults.test_chaos import GOLDEN_NO_FAULT, no_fault_fingerprint
 
 
@@ -20,7 +21,7 @@ def test_partitioned_chaos_fingerprint_matches_flat():
     on the same event sequence under per-board wheels."""
     point = scenario("chaos", schedule="board-crash", ops=250, verify=False)
     flat = run_scenario(point, seed=1234)
-    part = run_scenario(point, seed=1234, partitioned=True)
+    part = run_partitioned(point, seed=1234)
     assert part.extras["fingerprint"] == flat.extras["fingerprint"]
 
 

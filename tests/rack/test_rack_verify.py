@@ -13,6 +13,7 @@ import pytest
 
 from repro.cli import main
 from repro.verify import RACK_SCENARIOS, run_scenario, scenario
+from tests.engines import run_partitioned
 
 
 def test_rack_ycsb_clean_run_is_oracle_clean_and_linearizable():
@@ -44,7 +45,7 @@ def test_rack_ycsb_survives_membership_chaos(script):
 def test_rack_ycsb_bit_identical_flat_vs_partitioned(name):
     point = scenario(name, clients=24, ops=4)
     flat = run_scenario(point, seed=11)
-    pdes = run_scenario(point, seed=11, partitioned=True)
+    pdes = run_partitioned(point, seed=11)
     assert flat.ok and pdes.ok
     assert flat.extras["fingerprint"] == pdes.extras["fingerprint"]
     assert flat.extras["placement"] == pdes.extras["placement"]
@@ -87,6 +88,6 @@ def test_rack_64_boards_1024_clients_acceptance():
                      ops=2)
     flat = run_scenario(point, seed=0)
     assert flat.ok, flat.problems()
-    pdes = run_scenario(point, seed=0, partitioned=True)
+    pdes = run_partitioned(point, seed=0)
     assert pdes.ok, pdes.problems()
     assert flat.extras["fingerprint"] == pdes.extras["fingerprint"]

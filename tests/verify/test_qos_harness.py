@@ -13,6 +13,7 @@ Two properties ride on the noisy-neighbor harness scenario:
 import pytest
 
 from repro.verify import run_scenario, scenario
+from tests.engines import run_partitioned
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +50,7 @@ def test_unshaped_run_has_no_shapers(unshaped):
 
 
 def test_flat_matches_partitioned(shaped):
-    partitioned = run_scenario(scenario("qos-shaped"), seed=7,
-                               partitioned=True)
+    partitioned = run_partitioned(scenario("qos-shaped"), seed=7)
     assert partitioned.extras["fingerprint"] == shaped.extras["fingerprint"]
     assert partitioned.ok
 

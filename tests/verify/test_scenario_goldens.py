@@ -21,6 +21,7 @@ presentation.
 import pytest
 
 from repro.verify import run_scenario, scenario
+from tests.engines import run_partitioned
 
 # (registry name, sizes, partitioned,
 #  result.name, history_len, lin.ok, read_mismatches, len(violations),
@@ -209,8 +210,8 @@ GOLDENS = [('sync', {'clients': 2, 'ops': 12}, False, 'sync-unit', 24, True, 0, 
 def test_scenario_matches_parent_commit_golden(golden):
     (name, sizes, partitioned, result_name, history_len, lin_ok,
      read_mismatches, violations, extras, notes) = golden
-    result = run_scenario(scenario(name, **sizes), seed=0,
-                          partitioned=partitioned)
+    run = run_partitioned if partitioned else run_scenario
+    result = run(scenario(name, **sizes), seed=0)
     assert result.problems() == []
     assert result.name == result_name
     assert result.history_len == history_len
