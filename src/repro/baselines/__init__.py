@@ -10,7 +10,7 @@
 * :mod:`repro.baselines.herd` — HERD RPC key-value over RDMA, on a host
   CPU or on a BlueField SmartNIC (chip-crossing penalty).
 * :mod:`repro.baselines.cxl` — a CXL 2.0-style pooled load/store device
-  with a coherence directory and per-tenant quotas and port shares.
+  with a coherence directory and one shared port.
 * :mod:`repro.baselines.api` — the four verbs every model above (and Clio)
   answers, ``create_backend`` by name and ``sample_latencies``, the one
   timing loop of Figures 7, 10 and 11 and ``repro compare``.

@@ -84,7 +84,7 @@ def create_backend(name: str, params: Optional[ClioParams] = None,
     """Build the ready model registered as ``name`` on its own environment.
 
     ``params.backend`` supplies the setup knobs (capacity, Clover slot
-    count, CXL tenant), so one params bundle drives a whole comparison.
+    count), so one params bundle drives a whole comparison.
     """
     if name not in BACKEND_NAMES:
         raise ValueError(
@@ -94,8 +94,7 @@ def create_backend(name: str, params: Optional[ClioParams] = None,
         return ClioMemory(params, seed)
     env = Environment()
     if name == "cxl":
-        return CXLPool(env, params).host("host0",
-                                         tenant=params.backend.tenant)
+        return CXLPool(env, params).host("host0")
     rng = RandomStream(seed, name.removesuffix("-bf"))
     if name == "rdma":
         return RDMAMemoryNode(env, params, rng=rng)

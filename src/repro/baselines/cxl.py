@@ -17,21 +17,13 @@ What the model keeps, because the comparison turns on it:
 * **Line granularity.** Every access moves whole 64 B lines.  Bulk moves
   pipeline extra lines at ``line_pipeline_ns`` but still pay per-line
   port occupancy, so large transfers lose to Clio's streamed RPC frames.
-* **Coherence is not free.** With ``coherence=True`` (the pooled,
-  multi-host configuration) a directory tracks which host holds each
+* **Coherence is not free.** A directory tracks which host holds each
   line.  Touching a line another host wrote costs a back-invalidation
   (recall the dirty copy); touching a clean remote line on a store costs
   a snoop.  Write-heavy sharing ping-pongs lines and erases the latency
   advantage — the churn benchmark pins this directionally.
-* **Pooling needs QoS.** The pool is multi-tenant: per-tenant capacity
-  quotas (a :class:`~repro.distributed.tenancy.TenantLedger`, the same
-  accounting the global controller uses;
-  :class:`~repro.distributed.tenancy.TenantQuotaExceeded` on breach) and
-  per-tenant bandwidth reservations at the pool port.  ``shaping=False``
-  shares one port serializer (one tenant's burst queues everyone);
-  ``shaping=True`` gives each tenant a private serializer at ``share x
-  port_rate`` — congestion isolation by construction, at the cost of
-  work conservation.
+* **One port.** Every host's lines serialize onto the one pool port, so
+  one host's bulk stores queue everyone else's loads behind them.
 
 Determinism: the model is pure integer arithmetic over seeded state (no
 RNG at all), so same-seed runs are bit-identical and the conformance
@@ -45,7 +37,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.memory import DRAM
-from repro.distributed.tenancy import TenantLedger
 from repro.params import ClioParams, SEC
 from repro.sim import Environment
 
@@ -65,7 +56,6 @@ class HDMRegion:
 
     region_id: int
     host: str
-    tenant: str
     base_pa: int          # device physical address
     size: int
 
@@ -73,16 +63,15 @@ class HDMRegion:
 class CXLHost:
     """One host attached to the pool: the load/store issue side.
 
-    A host belongs to one tenant.  All methods are process-generators on
-    ``env``, the pool's environment; they are the four comparison verbs
-    of :mod:`repro.baselines.api`.
+    All methods are process-generators on ``env``, the pool's
+    environment; they are the four comparison verbs of
+    :mod:`repro.baselines.api`.
     """
 
-    def __init__(self, pool: "CXLPool", name: str, tenant: str):
+    def __init__(self, pool: "CXLPool", name: str):
         self.pool = pool
         self.env = pool.env
         self.name = name
-        self.tenant = tenant
         self.loads = 0
         self.stores = 0
 
@@ -111,11 +100,10 @@ class CXLHost:
 
 
 class CXLPool:
-    """The pooled device + fabric: capacity, coherence, port, tenants."""
+    """The pooled device + fabric: capacity, coherence and the one port."""
 
     def __init__(self, env: Environment, params: ClioParams,
-                 capacity: Optional[int] = None, registry=None,
-                 scope: str = "cxl", shaping: bool = False):
+                 capacity: Optional[int] = None):
         self.env = env
         self.params = params
         self.cxl = params.cxl
@@ -130,69 +118,24 @@ class CXLPool:
         self._regions: dict[int, HDMRegion] = {}
         # Coherence directory: line index -> (owner host, dirty).
         self._directory: dict[int, tuple[str, bool]] = {}
-        # Port serializers (absolute ns timestamps).
+        # The port serializer (absolute ns timestamp) and one line's time
+        # on it.
         self._port_free_at = 0
-        self._tenant_free_at: dict[str, int] = {}
-        #: Give each tenant a private serializer at its reserved rate.
-        self.shaping = shaping
-        # Tenancy: quotas/shares from params.qos; hosts default to the
-        # catch-all tenant with full share and no quota.
-        self._shares = {tenant.name: tenant.share
-                        for tenant in params.qos.tenants}
-        self.tenants = TenantLedger(params.qos, registry,
-                                    scope=f"{scope}.tenant")
+        self._line_wire_ns = max(
+            1, (self.cxl.line_bytes * 8 * SEC) // self.cxl.port_rate_bps)
         self._hosts: dict[str, CXLHost] = {}
-        # Counters (also exported through the metrics registry).
         self.loads = 0
         self.stores = 0
         self.lines_moved = 0
         self.snoops = 0
         self.back_invalidations = 0
         self.port_wait_ns = 0
-        self._tenant_bytes: dict[str, int] = {}
-        self._tenant_wait_ns: dict[str, int] = {}
-        if registry is not None:
-            self._register_metrics(registry, scope)
 
-    # -- wiring ---------------------------------------------------------------------
-
-    def _register_metrics(self, registry, scope: str) -> None:
-        pool = registry.scope(f"{scope}.pool")
-        pool.counter("loads", "line-granular loads served", fn=lambda: self.loads)
-        pool.counter("stores", "line-granular stores served",
-                     fn=lambda: self.stores)
-        pool.counter("lines_moved", "64B lines moved over the port",
-                     fn=lambda: self.lines_moved)
-        pool.counter("snoops", "clean remote copies probed",
-                     fn=lambda: self.snoops)
-        pool.counter("back_invalidations", "dirty remote lines recalled",
-                     fn=lambda: self.back_invalidations)
-        pool.counter("port_wait_ns", "total wait for the pool port",
-                     unit="ns", fn=lambda: self.port_wait_ns)
-        pool.gauge("used_bytes", "allocated device capacity",
-                   unit="bytes", fn=self.tenants.total)
-        for name in self._shares:
-            tenant_scope = registry.scope(f"{scope}.tenant.{name}")
-            tenant_scope.counter(
-                "bytes_moved", "payload bytes moved for this tenant",
-                unit="bytes",
-                fn=lambda name=name: self._tenant_bytes.get(name, 0))
-            tenant_scope.counter(
-                "port_wait_ns", "port wait attributed to this tenant",
-                unit="ns",
-                fn=lambda name=name: self._tenant_wait_ns.get(name, 0))
-
-    def host(self, name: str, tenant: str = "default") -> CXLHost:
-        """Attach (or look up) a host under ``tenant``."""
-        existing = self._hosts.get(name)
-        if existing is not None:
-            if existing.tenant != tenant:
-                raise CXLError(
-                    f"host {name!r} already attached as tenant "
-                    f"{existing.tenant!r}")
-            return existing
-        host = CXLHost(self, name, tenant)
-        self._hosts[name] = host
+    def host(self, name: str) -> CXLHost:
+        """Attach (or look up) a host."""
+        host = self._hosts.get(name)
+        if host is None:
+            host = self._hosts[name] = CXLHost(self, name)
         return host
 
     # -- capacity -------------------------------------------------------------------
@@ -220,20 +163,17 @@ class CXLPool:
         # Round to whole lines: the HDM decoder maps line-aligned windows.
         line = self.cxl.line_bytes
         size = -(-size // line) * line
-        self.tenants.check(host.tenant, size)
         base = self._carve(size)
-        self.tenants.charge(host.tenant, size)
         # Programming an HDM decoder entry is a slow config-space write.
         yield self.env.timeout(self.cxl.hdm_program_ns)
         region = HDMRegion(region_id=next(self._region_ids), host=host.name,
-                           tenant=host.tenant, base_pa=base, size=size)
+                           base_pa=base, size=size)
         self._regions[region.region_id] = region
         return region
 
     def _free(self, host: CXLHost, region: HDMRegion):
         if self._regions.pop(region.region_id, None) is None:
             raise CXLError(f"region {region.region_id} not allocated")
-        self.tenants.credit(region.tenant, region.size)
         self._free_ranges.append((region.base_pa, region.size))
         line = self.cxl.line_bytes
         first = region.base_pa // line
@@ -244,17 +184,9 @@ class CXLPool:
 
     # -- the load/store path ----------------------------------------------------------
 
-    def _line_wire_ns(self, tenant: str) -> int:
-        rate = self.cxl.port_rate_bps
-        if self.shaping:
-            rate = max(1, int(rate * self._shares.get(tenant, 1.0)))
-        return max(1, (self.cxl.line_bytes * 8 * SEC) // rate)
-
     def _coherence_ns(self, host: CXLHost, first: int, last: int,
                       store: bool) -> int:
         """Directory cost of touching lines [first, last] from ``host``."""
-        if not self.cxl.coherence:
-            return 0
         recalls = 0
         snoops = 0
         for index in range(first, last + 1):
@@ -305,21 +237,13 @@ class CXLPool:
                 + (lines - 1) * self.cxl.line_pipeline_ns)
         base += self._coherence_ns(host, first, last, store)
 
-        # Port occupancy: whole lines serialize onto the pool port (or
-        # onto the tenant's reserved slice of it when shaping).
+        # Port occupancy: whole lines serialize onto the pool port.
         now = self.env.now
-        occupancy = lines * self._line_wire_ns(host.tenant)
-        if self.shaping:
-            free_at = self._tenant_free_at.get(host.tenant, 0)
-            start = max(now, free_at)
-            self._tenant_free_at[host.tenant] = start + occupancy
-        else:
-            start = max(now, self._port_free_at)
-            self._port_free_at = start + occupancy
+        occupancy = lines * self._line_wire_ns
+        start = max(now, self._port_free_at)
+        self._port_free_at = start + occupancy
         wait = start - now
         self.port_wait_ns += wait
-        self._tenant_wait_ns[host.tenant] = (
-            self._tenant_wait_ns.get(host.tenant, 0) + wait)
 
         latency = base + wait + occupancy
         if store:
@@ -327,8 +251,6 @@ class CXLPool:
         else:
             self.loads += 1
         self.lines_moved += lines
-        self._tenant_bytes[host.tenant] = (
-            self._tenant_bytes.get(host.tenant, 0) + lines * line)
 
         yield self.env.timeout(latency)
         if store:

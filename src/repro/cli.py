@@ -78,6 +78,15 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _interval(text: str) -> int:
+    """A sampling interval in us: a non-negative integer (0 = off), or a
+    usage error."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _profile(name: str) -> ClioParams:
     return PROFILES[name]()
 
@@ -586,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics", help="instrumented run with dashboard + trace export")
     metrics.add_argument("--size", default="64", type=_parse_size)
     metrics.add_argument("--ops", type=_count, default=200)
-    metrics.add_argument("--interval-us", type=int, default=0,
+    metrics.add_argument("--interval-us", type=_interval, default=0,
                          help="sample the registry every N us of sim time "
                               "(0 = no timeseries)")
     metrics.add_argument("--prefix", default="",
@@ -601,7 +610,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # Every rack script but ``add`` acts on mn1, a second board in service.
+    if getattr(args, "boards", 2) < 2 and args.scenario not in ("add",
+                                                                 "none"):
+        parser.error(f"--scenario {args.scenario} acts on mn1, so it needs "
+                     "--boards 2 or more")
     return args.func(args)
 
 

@@ -13,14 +13,10 @@ This subpackage implements that sketch over unmodified CBoards.
 from repro.distributed.controller import (
     GlobalController,
     LeaseLost,
+    PlacementError,
     RegionLease,
 )
 from repro.distributed.space import DistributedAddressSpace
-from repro.distributed.tenancy import (
-    PlacementError,
-    TenantLedger,
-    TenantQuotaExceeded,
-)
 
 __all__ = [
     "DistributedAddressSpace",
@@ -28,6 +24,4 @@ __all__ = [
     "LeaseLost",
     "PlacementError",
     "RegionLease",
-    "TenantLedger",
-    "TenantQuotaExceeded",
 ]

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 from repro.core.cboard import CBoard
-from repro.distributed.tenancy import PlacementError, TenantLedger
 from repro.sim import Environment
 
 #: Controller bookkeeping cost per request (it is off the data path).
@@ -42,6 +41,10 @@ CONTROLLER_NS = 2_000
 FENCE_SETTLE_NS = 10_000
 
 
+class PlacementError(Exception):
+    """No MN can host the requested region."""
+
+
 @dataclass
 class RegionLease:
     """One coarse-grained region: a VA range on a specific MN."""
@@ -52,7 +55,6 @@ class RegionLease:
     size: int
     pid: int                # PID used on the backing board
     generation: int = 0     # bumped on every migration
-    tenant: str = "default"  # tenant charged for the capacity
 
 
 class LeaseLost(Exception):
@@ -84,16 +86,10 @@ class GlobalController:
 
     With a ``shard`` ring attached, placement follows the ring's
     preference walk (see module docstring).
-
-    Capacity QoS: every allocation is charged to a tenant on the
-    :class:`~repro.distributed.tenancy.TenantLedger` ``tenants``, whose
-    quota table comes from ``qos`` (a :class:`~repro.params.QoSParams`;
-    ``None`` = nobody is capped).
     """
 
     def __init__(self, env: Environment, boards: list[CBoard],
-                 pressure_threshold: float = 0.85, health=None, shard=None,
-                 qos=None, registry=None):
+                 pressure_threshold: float = 0.85, health=None, shard=None):
         if not boards:
             raise ValueError("need at least one board")
         if not 0.0 < pressure_threshold <= 1.0:
@@ -119,29 +115,13 @@ class GlobalController:
         self.failed_migrations = 0
         self.aborted_migrations = 0            # source died mid-copy
         # Runtime correctness checking (repro.verify); when set, the
-        # shadow oracle follows regions across migrations.
+        # shadow oracle clears a region on allocation and free (both are
+        # board-side, so no CLib hook fires) and follows it across
+        # migrations.
         self.verifier = None
         # Cache coherence (repro.cache); when set, migration and free
         # recall every cached copy of the region before touching it.
         self.cache_directory = None
-        self.tenants = TenantLedger(qos, registry)
-        if registry is not None:
-            self._register_tenant_metrics(registry)
-
-    def _register_tenant_metrics(self, registry) -> None:
-        registry.scope("tenant").counter(
-            "quota_rejections", "allocations refused by a tenant quota",
-            fn=lambda: self.tenants.rejections)
-        for name, quota in self.tenants.quotas.items():
-            tenant_scope = registry.scope(f"tenant.{name}")
-            tenant_scope.gauge("quota_bytes",
-                              "capacity ceiling (0 = uncapped)",
-                              unit="bytes",
-                              fn=lambda q=quota: q or 0)
-            tenant_scope.gauge("regions", "regions owned by the tenant",
-                              fn=lambda n=name: sum(
-                                  1 for lease in self._leases.values()
-                                  if lease.tenant == n))
 
     # -- board registry ----------------------------------------------------------------
 
@@ -231,18 +211,9 @@ class GlobalController:
                 return name
         return None
 
-    def allocate(self, pid: int, size: int, tenant: str = "default"):
-        """Process-generator: place and allocate a region; returns a lease.
-
-        ``tenant`` is charged for the region's capacity.  A tenant whose
-        :class:`~repro.params.TenantConfig` pins ``quota_bytes`` is
-        refused with :class:`TenantQuotaExceeded` once the request would
-        push it past the ceiling; the check runs before placement so a
-        capped tenant cannot even transiently claim board capacity.
-        Usage is charged at the board's page-rounded grant.
-        """
+    def allocate(self, pid: int, size: int):
+        """Process-generator: place and allocate a region; returns a lease."""
         yield self.env.timeout(CONTROLLER_NS)
-        self.tenants.check(tenant, size)
         region_id = next(self._region_ids)
         name = self._pick(self._order(region_id), size)
         if name is None:
@@ -253,10 +224,10 @@ class GlobalController:
             raise PlacementError(
                 f"{name} rejected a {size}-byte region: {response.error}")
         lease = RegionLease(region_id=region_id, mn=name,
-                            va=response.va, size=response.size, pid=pid,
-                            tenant=tenant)
+                            va=response.va, size=response.size, pid=pid)
         self._leases[lease.region_id] = lease
-        self.tenants.charge(tenant, response.size)
+        if self.verifier is not None:
+            self.verifier.on_region_cleared(lease)
         return lease
 
     def free(self, region_id: int):
@@ -290,9 +261,10 @@ class GlobalController:
                 frozen = yield from self.cache_directory.freeze_region(
                     lease.pid, lease.mn, lease.va, lease.size)
             del self._leases[region_id]
-            self.tenants.credit(lease.tenant, lease.size)
             yield from self._boards[lease.mn].slow_path.handle_free(
                 lease.pid, lease.va)
+            if self.verifier is not None:
+                self.verifier.on_region_cleared(lease)
         finally:
             self._freeing.discard(region_id)
             if frozen is not None:

@@ -332,27 +332,23 @@ class AllocParams(Bounded):
 
 
 # ---------------------------------------------------------------------------
-# Multi-tenant QoS parameters (repro.net.qos + controller quotas)
+# Multi-tenant QoS parameters (repro.net.qos)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TenantConfig(Bounded):
-    """One tenant of a pooled memory deployment.
+    """One tenant of the switch's egress shaper.
 
-    ``clients`` are CN node names (``"cn0"``): the switch-egress shaper
-    classifies packets by their source node, so a tenant is the set of
-    compute nodes it runs on.  ``share`` is the fraction of the shaped
-    egress port (or of the CXL pool port) reserved for the tenant;
-    ``quota_bytes`` caps the tenant's allocated capacity (``None`` =
-    uncapped) wherever capacity QoS is enforced (the global controller,
-    the CXL pool allocator).
+    ``clients`` are CN node names (``"cn0"``): the shaper classifies
+    packets by their source node, so a tenant is the set of compute
+    nodes it runs on.  ``share`` is the fraction of each shaped MN
+    downlink reserved for the tenant.
     """
 
     name: str
     clients: tuple = ()
     share: float = fraction(1.0, "(0, 1]")
-    quota_bytes: int | None = positive(None)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -366,10 +362,9 @@ class QoSParams(Bounded):
 
     ``tenants`` is the one tenant table: the ``"qos"`` cluster layer
     (``ClioCluster(layers=("qos",))``) builds an egress shaper in front
-    of every MN downlink from it, and the capacity ledgers of the rack's
-    global controller and the CXL pool take their quotas from it.  With
-    no tenants (the default) nothing is shaped or capped, no extra event
-    is scheduled, and runs stay bit-identical to the pre-QoS goldens.
+    of every MN downlink from it.  Without that layer nothing is shaped,
+    no extra event is scheduled, and runs stay bit-identical to the
+    pre-QoS goldens.
 
     ``burst_bytes`` is the token-bucket depth per tenant at a shaped
     egress queue: how far a tenant may exceed its reserved rate before
@@ -426,7 +421,6 @@ class CXLParams(Bounded):
     line_pipeline_ns: int = 40             # per extra line, pipelined
     port_rate_bps: int = positive(64 * GBPS)  # x8 CXL 2.0 link
     hdm_program_ns: int = 500              # decoder reprogram on alloc
-    coherence: bool = True                 # track cross-host line sharing
     snoop_ns: int = 180                    # probe a clean remote copy
     back_invalidate_ns: int = 500          # recall a dirty remote line
     back_invalidate_pipelined_ns: int = 200  # per extra recalled line
@@ -455,7 +449,6 @@ class BackendParams(Bounded):
 
     dram_capacity: int | None = positive(None)  # None = CBoardParams default
     capacity_slots: int = positive(1 << 16)  # Clover: value slots in the MR
-    tenant: str = "default"                # CXL: tenant the backend runs as
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,7 @@ class RackTier:
         # Its ``health`` is the cluster's monitor, handed over when the
         # cluster wires its layers; the sweep reads beliefs through it.
         self.controller = GlobalController(
-            cluster.env, cluster.mns[:config.boards], shard=self.ring,
-            qos=cluster.params.qos, registry=cluster.metrics)
+            cluster.env, cluster.mns[:config.boards], shard=self.ring)
         self.epoch = 0
         self.evictions = 0            # regions re-homed off dead boards
         self.drains = 0               # boards drained out

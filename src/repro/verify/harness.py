@@ -137,6 +137,11 @@ class ClusterVerifier:
         if board is not None:
             self._record(check_board(board))
 
+    def on_region_cleared(self, lease) -> None:
+        """The controller allocated or freed ``lease``'s region: like
+        :meth:`alloc_done`/:meth:`free_done`, the range reads as zero."""
+        self.oracle.region_cleared(lease.mn, lease.pid, lease.va, lease.size)
+
     def on_region_migrated(self, lease, old_mn: str, old_va: int) -> None:
         self.oracle.region_remapped(lease.pid, old_mn, old_va,
                                     lease.mn, lease.va, lease.size)

@@ -232,7 +232,6 @@ class SharedYcsb(Workload):
             ctx.lease = SimpleNamespace(mn="mn0", va=va)
         else:
             ctx.lease = yield from ctx.controller.allocate(self.PID, size)
-            _clear_shadow(ctx, ctx.lease)
 
     def client(self, ctx, index: int):
         env, lease = ctx.env, ctx.lease
@@ -259,14 +258,6 @@ def _threads_per_board(ctx, pid: int) -> list[dict]:
     under them."""
     return [{board.name: node.process(board.name, pid=pid).thread()
              for board in ctx.cluster.mns} for node in ctx.cluster.cns]
-
-
-def _clear_shadow(ctx, lease) -> None:
-    """Controller allocations are board-side (no CLib alloc hook fires);
-    clear the shadow region by hand."""
-    if ctx.verifier is not None:
-        ctx.verifier.oracle.region_cleared(lease.mn, lease.pid, lease.va,
-                                           lease.size)
 
 
 @dataclass(frozen=True)
@@ -298,7 +289,6 @@ class RackYcsb(Workload):
         ctx.region_ids = []
         for _ in range(self.regions):
             lease = yield from ctx.controller.allocate(self.PID, self.PAGE)
-            _clear_shadow(ctx, lease)
             ctx.region_ids.append(lease.region_id)
 
     def clients(self, ctx):

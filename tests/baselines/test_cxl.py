@@ -1,4 +1,4 @@
-"""CXL pool unit tests: latency model, coherence, capacity QoS.
+"""CXL pool unit tests: latency model, coherence, the shared port.
 
 The latency constants are pinned arithmetic, not measurements: a 64B
 load is decode + hop + device load + one line on the port, and every
@@ -8,24 +8,16 @@ expectation deliberately.
 
 import pytest
 
-from repro.baselines.api import create_backend
 from repro.baselines.cxl import CXLAccessError, CXLError, CXLPool
-from repro.distributed.tenancy import TenantQuotaExceeded
-from repro.params import SEC, ClioParams, CXLParams, QoSParams, TenantConfig
+from repro.params import SEC, ClioParams, CXLParams
 from repro.sim import Environment
 
 MB = 1 << 20
 
 
-def make_pool(qos=None, cxl=None, capacity=64 * MB, shaping=False):
-    params = ClioParams.prototype()
-    from dataclasses import replace
-    if qos is not None:
-        params = replace(params, qos=qos)
-    if cxl is not None:
-        params = replace(params, cxl=cxl)
+def make_pool(capacity=64 * MB):
     env = Environment()
-    return env, CXLPool(env, params, capacity=capacity, shaping=shaping)
+    return env, CXLPool(env, ClioParams.prototype(), capacity=capacity)
 
 
 def test_zero_capacity_is_rejected_not_defaulted():
@@ -192,21 +184,6 @@ def test_store_snoops_clean_remote_copy():
     assert pool.back_invalidations == 0
 
 
-def test_coherence_off_is_free():
-    env, pool = make_pool(cxl=CXLParams(coherence=False))
-    a = pool.host("h0")
-    b = pool.host("h1")
-
-    def app():
-        region = yield from a.alloc(4096)
-        yield from a.store(region, 0, b"\x66" * 64)
-        yield from b.load(region, 0, 64)
-
-    run(env, app())
-    assert pool.back_invalidations == 0
-    assert pool.snoops == 0
-
-
 def test_ping_pong_recalls_every_round():
     env, pool = make_pool()
     a = pool.host("h0")
@@ -223,118 +200,42 @@ def test_ping_pong_recalls_every_round():
     assert pool.back_invalidations == 19
 
 
-# -- tenancy: quotas and shaping ----------------------------------------------
+# -- the shared port -----------------------------------------------------------
 
 
-TENANTS = QoSParams(tenants=(
-    TenantConfig(name="gold", clients=("h0",), share=0.6,
-                 quota_bytes=1 * MB),
-    TenantConfig(name="best-effort", clients=("h1",), share=0.4),
-))
-
-
-def test_quota_rejects_over_allocation():
-    env, pool = make_pool(qos=TENANTS)
-    host = pool.host("h0", tenant="gold")
-
-    def app():
-        region = yield from host.alloc(768 * 1024)
-        with pytest.raises(TenantQuotaExceeded, match="gold"):
-            yield from host.alloc(512 * 1024)
-        yield from host.free(region)
-        # Freed capacity is creditable again.
-        again = yield from host.alloc(1 * MB)
-        yield from host.free(again)
-
-    run(env, app())
-    assert pool.tenants.usage("gold") == 0
-    assert pool.tenants.rejections == 1
-
-
-def test_unquotaed_tenant_is_uncapped():
-    env, pool = make_pool(qos=TENANTS)
-    host = pool.host("h1", tenant="best-effort")
+def test_load_waits_on_the_one_port_behind_another_hosts_stores():
+    """Every host's lines serialize onto the one pool port: a 64 B load
+    issued 200 ns into another host's 4 KB store waits out the rest of
+    that store's 64 lines, then pays its own line."""
+    env, pool = make_pool()
+    reader = pool.host("h0")
+    writer = pool.host("h1")
+    cxl = pool.cxl
+    wire = line_wire_ns(cxl)
 
     def app():
-        region = yield from host.alloc(8 * MB)
-        yield from host.free(region)
+        mine = yield from reader.alloc(4096)
+        theirs = yield from writer.alloc(64 * 1024)
 
-    run(env, app())
+        def stream():
+            for index in range(4):
+                yield from writer.store(theirs, index * 4096,
+                                        b"\xaa" * 4096)
 
+        streaming = env.process(stream())
+        yield env.timeout(200)
+        _, latency = yield from reader.load(mine, 0, 64)
+        yield streaming
+        return latency
 
-def test_host_cannot_switch_tenants():
-    env, pool = make_pool(qos=TENANTS)
-    pool.host("h0", tenant="gold")
-    with pytest.raises(CXLError, match="already attached"):
-        pool.host("h0", tenant="best-effort")
-
-
-def test_shaping_isolates_port_serialization():
-    """Unshaped, two tenants serialize on one port; shaped, each runs on
-    its own slice — the victim's wait drops, the aggressor pays its
-    reserved (smaller) rate."""
-
-    def contention(shaped):
-        env, pool = make_pool(qos=TENANTS, shaping=shaped)
-        gold = pool.host("h0", tenant="gold")
-        noisy = pool.host("h1", tenant="best-effort")
-        out = {}
-
-        def app():
-            mine = yield from gold.alloc(64 * 1024)
-            theirs = yield from noisy.alloc(64 * 1024)
-
-            def flood():
-                for _ in range(50):
-                    yield from noisy.store(theirs, 0, b"\xaa" * 4096)
-
-            env.process(flood())
-            yield env.timeout(200)
-            _, latency = yield from gold.load(mine, 0, 64)
-            out["latency"] = latency
-
-        env.run(until=env.process(app()))
-        return out["latency"]
-
-    assert contention(shaped=True) < contention(shaped=False)
-
-
-def test_backend_tenant_comes_from_params():
-    from dataclasses import replace
-
-    from repro.params import BackendParams
-
-    params = replace(ClioParams.prototype(), qos=TENANTS,
-                     backend=BackendParams(tenant="gold"))
-    host = create_backend("cxl", params=params)
-
-    def app():
-        region = yield from host.alloc(4096)
-        yield from host.store(region, 0, b"\x01" * 64)
-        yield from host.free(region)
-        return region
-
-    region = host.env.run(until=host.env.process(app()))
-    assert host.tenant == region.tenant == "gold"
-
-
-def test_pool_metrics_registered():
-    from repro.telemetry.metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
-    from dataclasses import replace
-    params = replace(ClioParams.prototype(), qos=TENANTS)
-    env = Environment()
-    pool = CXLPool(env, params, capacity=16 * MB, registry=registry)
-    host = pool.host("h0", tenant="gold")
-
-    def app():
-        region = yield from host.alloc(4096)
-        yield from host.store(region, 0, b"\x02" * 64)
-
-    env.run(until=env.process(app()))
-    snapshot = registry.snapshot()
-    assert snapshot["cxl.pool.stores"] == 1
-    assert snapshot["cxl.tenant.gold.used_bytes"] == 4096
-    assert snapshot["cxl.tenant.gold.bytes_moved"] == 64
-    assert "cxl.tenant.best-effort.used_bytes" in snapshot
+    latency = run(env, app())
+    wait = 64 * wire - 200
+    assert wait > 0
+    assert latency == (cxl.hdm_decode_ns + cxl.switch_hop_ns + cxl.load_ns
+                       + wait + wire)
+    # The writer's next store issues after its previous one finished, so
+    # the load's wait is the only one.
+    assert pool.port_wait_ns == wait
+    assert (pool.loads, pool.stores) == (1, 4)
+    assert pool.lines_moved == 4 * 64 + 1
+    assert pool.snoops == pool.back_invalidations == 0

@@ -126,3 +126,32 @@ def test_migration_with_detached_verifier_unaffected():
     cluster.run(until=cluster.env.process(app()))
     assert result["data"] == b"plain"
     assert controller.migrations >= 1
+
+
+def test_controller_free_and_reallocate_clear_the_shadow():
+    """Controller allocations and frees run on the board's slow path, so
+    no CLib ``alloc_done``/``free_done`` fires for them: the controller
+    tells the verifier itself, and a region reallocated at a freed VA
+    reads back as zeros without a mismatch."""
+    cluster = ClioCluster(num_cns=1, num_mns=2, mn_capacity=64 * MB,
+                          layers=("verification",))
+    controller = GlobalController(cluster.env, cluster.mns)
+    controller.verifier = cluster.verifier
+    pid = 4242
+    result = {}
+
+    def app():
+        first = yield from controller.allocate(pid, 4096)
+        thread = cluster.cn(0).process(first.mn, pid=pid).thread()
+        yield from thread.rwrite(first.va, b"\xab")
+        yield from controller.free(first.region_id)
+        again = yield from controller.allocate(pid, 4096)
+        result["places"] = (first.mn, first.va, again.mn, again.va)
+        result["data"] = yield from thread.rread(again.va, 1)
+
+    cluster.run(until=cluster.env.process(app()))
+    assert result["places"] == ("mn0", 0x400000, "mn0", 0x400000)
+    assert result["data"] == b"\x00"
+    report = cluster.verifier.report()
+    assert report["reads_checked"] == 1
+    assert report["read_mismatches"] == 0, report["mismatch_details"]

@@ -37,13 +37,30 @@ def test_bad_size_is_a_usage_error(command, size, capsys):
 @pytest.mark.parametrize("argv", [
     "goodput --size 8MB", "goodput --size 9MB", "goodput --threads 0",
     "latency --ops 0", "compare --ops 0", "ycsb --keys 0",
-    "rack --clients 0", "chaos --ops 0"])
+    "rack --clients 0", "chaos --ops 0", "rack --boards 1",
+    "rack --boards 1 --scenario crash-mid-migration",
+    "rack --boards 1 --scenario evict", "metrics --interval-us -1"])
 def test_input_that_runs_nothing_or_crashes_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(argv.split())
     assert exit_info.value.code == 2
-    assert ("size must be under the 8MB region" if "--size" in argv
-            else "must be a positive count") in capsys.readouterr().err
+    if "--size" in argv:
+        message = "size must be under the 8MB region"
+    elif "--boards 1" in argv:
+        message = "acts on mn1, so it needs --boards 2 or more"
+    elif "--interval-us" in argv:
+        message = "must be a non-negative integer"
+    else:
+        message = "must be a positive count"
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", ["add", "none"])
+def test_rack_runs_on_one_board_when_the_script_spares_mn1(scenario,
+                                                           capsys):
+    assert main(["rack", "--boards", "1", "--clients", "8", "--ops", "2",
+                 "--scenario", scenario]) == 0
+    assert "rack: 1 boards" in capsys.readouterr().out
 
 
 #: Every settable option of every subcommand ("" is ``repro`` itself), in

@@ -102,7 +102,6 @@ def test_cxl_params_defaults():
     cxl = CXLParams()
     assert cxl.line_bytes == 64
     assert cxl.load_ns == 350 and cxl.store_ns == 300
-    assert cxl.coherence
     with pytest.raises(ValueError):
         CXLParams(line_bytes=48)          # not a power of two
 
@@ -112,7 +111,6 @@ def test_backend_params_defaults_and_validation():
 
     backend = BackendParams()
     assert backend.dram_capacity is None
-    assert backend.tenant == "default"
     with pytest.raises(ValueError):
         BackendParams(dram_capacity=0)
     with pytest.raises(ValueError):
@@ -126,16 +124,13 @@ def test_backend_params_defaults_and_validation():
 def test_tenant_config_validation():
     from repro.params import TenantConfig
 
-    tenant = TenantConfig(name="gold", clients=("cn0",), share=0.5,
-                          quota_bytes=1 << 20)
-    assert tenant.quota_bytes == 1 << 20
+    from dataclasses import fields
+
+    assert [field.name for field in fields(TenantConfig)] == [
+        "name", "clients", "share"]
     with pytest.raises(ValueError):
         TenantConfig(name="", clients=("cn0",), share=0.5)
-    # Empty clients is allowed: a capacity-only tenant (controller
-    # quotas) has no CNs to classify at the switch.
     assert TenantConfig(name="x", share=0.5).clients == ()
-    with pytest.raises(ValueError):
-        TenantConfig(name="x", clients=("cn0",), share=0.5, quota_bytes=-1)
 
 
 @pytest.mark.parametrize("params_cls, field, typo", [
@@ -226,7 +221,6 @@ def test_defaults_and_profiles_are_in_range():
     (AllocParams, "arena_buffer_depth", 0),              # [BufferBank]
     (TenantConfig, "share", 0.0),
     (TenantConfig, "share", 1.5),
-    (TenantConfig, "quota_bytes", 0),
     (QoSParams, "burst_bytes", 0),
     (CXLParams, "line_bytes", 48),
     (CXLParams, "line_bytes", 4),
