@@ -7,18 +7,14 @@ access, and MR registration + MR-cache pressure grow with the client
 count.
 """
 
-from bench_common import GB, backend_params, make_cluster, mean, run_app
+from bench_common import GB, backend_params, make_cluster, mean
 
 from dataclasses import replace
 
 from repro.analysis.report import render_series
-from repro.apps.image_compression import (
-    ImageCompressionClient,
-    RDMAImageCompressionClient,
-)
-from repro.baselines.rdma import RDMAMemoryNode
+from repro.apps.image_compression import ImageCompressionClient
+from repro.baselines.api import ClioMemory, create_backend
 from repro.params import ClioParams
-from repro.sim import Environment
 from repro.sim.rng import RandomStream
 
 CLIENTS = [1, 2, 4, 8]
@@ -26,57 +22,49 @@ OPERATIONS = 2
 IMAGE_SIDE = 32
 
 
-def clio_runtime_us(num_clients: int) -> float:
+def clio_memories(num_clients: int) -> list:
+    """One Clio process per client, spread over four CNs."""
     cluster = make_cluster(num_cns=4, mn_capacity=2 * GB)
-    rng = RandomStream(11, "fig15")
-    runtimes = []
-    procs = []
-    for index in range(num_clients):
-        thread = cluster.cn(index % 4).process("mn0").thread()
-        client = ImageCompressionClient(thread, rng.fork(f"c{index}"),
-                                        image_side=IMAGE_SIDE, slots=2)
-
-        def workload(client=client):
-            started = cluster.env.now
-            yield from client.setup()    # allocation + upload
-            yield from client.run_workload(OPERATIONS)
-            runtimes.append(cluster.env.now - started)
-
-        procs.append(cluster.env.process(workload()))
-    cluster.run(until=cluster.env.all_of(procs))
-    return mean(runtimes) / 1000
+    return [ClioMemory(cluster.cn(index % 4).process("mn0").thread())
+            for index in range(num_clients)]
 
 
-def rdma_runtime_us(num_clients: int) -> float:
-    env = Environment()
-    # A small MR cache pressured by per-client MRs (each client needs its
-    # own MR for protection; with many clients the cache thrashes).
+def rdma_memories(num_clients: int) -> list:
+    """Every client on one RDMA host, each registering its own MR (and
+    QP): with many clients a small MR cache thrashes."""
     params = ClioParams.prototype()
     params = replace(params, rdma=replace(params.rdma, mr_cache_entries=4,
                                           pte_cache_entries=64))
-    node = RDMAMemoryNode(env, backend_params(params, dram_capacity=2 * GB))
-    rng = RandomStream(11, "fig15-rdma")
+    node = create_backend("rdma", backend_params(params,
+                                                 dram_capacity=2 * GB))
+    return [node] * num_clients
+
+
+def runtime_us(memories: list, stream: str) -> float:
+    """Mean per-client runtime (allocation, upload and the workload), one
+    client per memory, all running at once."""
+    env = memories[0].env
+    rng = RandomStream(11, stream)
     runtimes = []
-    procs = []
-    for index in range(num_clients):
-        client = RDMAImageCompressionClient(env, node, rng.fork(f"c{index}"),
-                                            image_side=IMAGE_SIDE, slots=2)
 
-        def workload(client=client):
-            started = env.now
-            yield from client.setup()       # includes MR registration
-            yield from client.run_workload(OPERATIONS)
-            runtimes.append(env.now - started)
+    def workload(client):
+        started = env.now
+        yield from client.setup()    # allocation + upload
+        yield from client.run_workload(OPERATIONS)
+        runtimes.append(env.now - started)
 
-        procs.append(env.process(workload()))
-    env.run(until=env.all_of(procs))
+    env.run(until=env.all_of([
+        env.process(workload(ImageCompressionClient(
+            memory, rng.fork(f"c{index}"), image_side=IMAGE_SIDE, slots=2)))
+        for index, memory in enumerate(memories)]))
     return mean(runtimes) / 1000
 
 
 def run_experiment():
     return {
-        "clio": [clio_runtime_us(n) for n in CLIENTS],
-        "rdma": [rdma_runtime_us(n) for n in CLIENTS],
+        "clio": [runtime_us(clio_memories(n), "fig15") for n in CLIENTS],
+        "rdma": [runtime_us(rdma_memories(n), "fig15-rdma")
+                 for n in CLIENTS],
     }
 
 

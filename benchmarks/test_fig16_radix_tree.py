@@ -6,17 +6,11 @@ each level's pointer chase at the MN (one RTT per level); RDMA also
 scales worse as the tree grows.
 """
 
-from bench_common import GB, backend_params, make_cluster, mean, run_app
+from bench_common import GB, backend_params, make_cluster, mean
 
 from repro.analysis.report import render_series
-from repro.apps.radix_tree import (
-    ClioRadixTree,
-    RDMARadixTree,
-    register_chase_offload,
-)
-from repro.baselines.rdma import RDMAMemoryNode
-from repro.params import ClioParams
-from repro.sim import Environment
+from repro.apps.radix_tree import ClioRadixTree, RadixTree, register_chase_offload
+from repro.baselines.api import create_backend
 
 TREE_SIZES = [128, 512, 2048]
 PROBES = 24
@@ -28,39 +22,26 @@ def tree_keys(count: int) -> list[bytes]:
     return [b"%03x-key" % index for index in range(count)]
 
 
-def clio_search_us(count: int) -> float:
+def clio_tree() -> ClioRadixTree:
     cluster = make_cluster(mn_capacity=1 * GB)
     register_chase_offload(cluster.mn.extend_path)
-    thread = cluster.cn(0).process("mn0").thread()
-    tree = ClioRadixTree(thread)
+    return ClioRadixTree(cluster.cn(0).process("mn0").thread())
+
+
+def rdma_tree() -> RadixTree:
+    return RadixTree(create_backend("rdma",
+                                    backend_params(dram_capacity=1 * GB)))
+
+
+def search_us(tree: RadixTree, count: int) -> float:
+    """Mean search latency over ``PROBES`` keys of a ``count``-key tree."""
+    env = tree.memory.env
     keys = tree_keys(count)
     probes = keys[:: max(1, count // PROBES)][:PROBES]
     latencies = []
 
     def app():
         yield from tree.setup(capacity_nodes=1 << 16)
-        for index, key in enumerate(keys):
-            yield from tree.insert(key, index + 1)
-        for probe in probes:
-            start = cluster.env.now
-            value = yield from tree.search(probe)
-            assert value is not None
-            latencies.append(cluster.env.now - start)
-
-    run_app(cluster, app())
-    return mean(latencies) / 1000
-
-
-def rdma_search_us(count: int) -> float:
-    env = Environment()
-    node = RDMAMemoryNode(env, backend_params(dram_capacity=1 * GB))
-    tree = RDMARadixTree(env, node, capacity_nodes=1 << 16)
-    keys = tree_keys(count)
-    probes = keys[:: max(1, count // PROBES)][:PROBES]
-    latencies = []
-
-    def app():
-        yield from tree.setup()
         for index, key in enumerate(keys):
             yield from tree.insert(key, index + 1)
         for probe in probes:
@@ -75,8 +56,8 @@ def rdma_search_us(count: int) -> float:
 
 def run_experiment():
     return {
-        "clio": [clio_search_us(count) for count in TREE_SIZES],
-        "rdma": [rdma_search_us(count) for count in TREE_SIZES],
+        "clio": [search_us(clio_tree(), count) for count in TREE_SIZES],
+        "rdma": [search_us(rdma_tree(), count) for count in TREE_SIZES],
     }
 
 

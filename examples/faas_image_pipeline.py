@@ -12,9 +12,8 @@ Run:  python examples/faas_image_pipeline.py
 
 from repro import ClioCluster
 from repro.apps.image_compression import ImageCompressionClient
+from repro.baselines.api import ClioMemory
 from repro.sim.rng import RandomStream
-
-MB = 1 << 20
 
 
 def run_scale(num_clients: int, operations: int = 3) -> float:
@@ -27,7 +26,8 @@ def run_scale(num_clients: int, operations: int = 3) -> float:
     for index in range(num_clients):
         node = cluster.cn(index % len(cluster.cns))
         thread = node.process("mn0").thread()
-        client = ImageCompressionClient(thread, rng.fork(f"client{index}"),
+        client = ImageCompressionClient(ClioMemory(thread),
+                                        rng.fork(f"client{index}"),
                                         image_side=64, slots=2)
 
         def workload(client=client):

@@ -10,52 +10,39 @@ This is the paper's Figure 16 experiment at example scale.
 Run:  python examples/pointer_chasing.py
 """
 
-from repro import ClioCluster
-from repro.apps.radix_tree import ClioRadixTree, RDMARadixTree, register_chase_offload
-from repro.baselines.rdma import RDMAMemoryNode
 from dataclasses import replace
 
+from repro import ClioCluster
+from repro.apps.radix_tree import ClioRadixTree, RadixTree, register_chase_offload
+from repro.baselines.api import create_backend
 from repro.params import BackendParams, ClioParams
-from repro.sim import Environment
-
-MB = 1 << 20
 
 
 def build_keys(count: int) -> list[bytes]:
     return [b"key-%06d" % index for index in range(count)]
 
 
-def clio_search_us(keys: list[bytes], probes: list[bytes]) -> float:
+def clio_tree() -> ClioRadixTree:
+    """A tree on Clio, its sibling walks offloaded to the MN."""
     cluster = ClioCluster(mn_capacity=1 << 30)
     register_chase_offload(cluster.mn.extend_path)
-    thread = cluster.cn(0).process("mn0").thread()
-    tree = ClioRadixTree(thread)
+    return ClioRadixTree(cluster.cn(0).process("mn0").thread())
+
+
+def rdma_tree() -> RadixTree:
+    """The same tree on native RDMA, walked node by node from the client."""
+    params = replace(ClioParams.prototype(),
+                     backend=BackendParams(dram_capacity=1 << 30))
+    return RadixTree(create_backend("rdma", params))
+
+
+def search_us(tree: RadixTree, keys: list[bytes],
+              probes: list[bytes]) -> float:
+    env = tree.memory.env
     latencies: list[int] = []
 
     def app():
         yield from tree.setup(capacity_nodes=1 << 17)
-        for index, key in enumerate(keys):
-            yield from tree.insert(key, index + 1)
-        for probe in probes:
-            start = cluster.env.now
-            value = yield from tree.search(probe)
-            assert value is not None
-            latencies.append(cluster.env.now - start)
-
-    cluster.run(until=cluster.env.process(app()))
-    return sum(latencies) / len(latencies) / 1000
-
-
-def rdma_search_us(keys: list[bytes], probes: list[bytes]) -> float:
-    env = Environment()
-    params = replace(ClioParams.prototype(),
-                     backend=BackendParams(dram_capacity=1 << 30))
-    node = RDMAMemoryNode(env, params)
-    tree = RDMARadixTree(env, node, capacity_nodes=1 << 17)
-    latencies: list[int] = []
-
-    def app():
-        yield from tree.setup()
         for index, key in enumerate(keys):
             yield from tree.insert(key, index + 1)
         for probe in probes:
@@ -75,8 +62,8 @@ def main() -> None:
     for count in (64, 256, 1024):
         keys = build_keys(count)
         probes = keys[:: max(1, count // 16)][:16]
-        clio = clio_search_us(keys, probes)
-        rdma = rdma_search_us(keys, probes)
+        clio = search_us(clio_tree(), keys, probes)
+        rdma = search_us(rdma_tree(), keys, probes)
         print(f"{count:>6} | {clio:>10.1f} | {rdma:>10.1f} | "
               f"{rdma / clio:>7.1f}x")
     print("\nClio pays one round trip per tree level (the chase runs at the")

@@ -1,10 +1,12 @@
 """FaaS-style image compression utility (paper section 6, Figure 15).
 
-Each client (think: one user's photo collection) runs as its *own
-process* so collections are isolated from each other — on Clio this is
-free (a PID per client), while on RDMA every client needs its own MR for
-protection, which is exactly what makes RDMA's Figure 15 curve grow with
-the client count.
+Each client (think: one user's photo collection) keeps its originals and
+their compressed copies in one allocation of its own, so collections are
+isolated from each other — on Clio this is free (a PID per client), while
+on RDMA every client needs its own MR (and QP) for protection, which is
+exactly what makes RDMA's Figure 15 curve grow with the client count.
+The client is written once over the four comparison verbs
+(:mod:`repro.baselines.api`), so the same code runs on every backend.
 
 The compressor is a real byte-level RLE codec, and images are synthetic
 grayscale rasters with run structure, so the workload moves real bytes
@@ -13,10 +15,6 @@ through the remote-memory path and verifies them.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.baselines.rdma import RDMAMemoryNode
-from repro.clib.client import ClioThread
 from repro.sim.rng import RandomStream
 
 #: CN-side compute cost of the codec, per input byte (a few cycles/byte).
@@ -65,59 +63,61 @@ def rle_decompress(data: bytes) -> bytes:
 
 
 class ImageCompressionClient:
-    """One client of the utility on Clio: two remote arrays + the codec."""
+    """One client of the utility: its slots of originals, then its slots of
+    compressed copies, in one allocation on ``memory`` (any backend)."""
 
-    def __init__(self, thread: ClioThread, rng: RandomStream,
-                 image_side: int = 256, slots: int = 16):
-        self.thread = thread
-        self.env = thread.env
+    def __init__(self, memory, rng: RandomStream, image_side: int = 256,
+                 slots: int = 16):
+        self.memory = memory
+        self.env = memory.env
         self.rng = rng
         self.image_side = image_side
         self.image_bytes = image_side * image_side
         self.slots = slots
         # Compressed slots get 2x room (RLE can expand adversarial input).
         self.compressed_slot = 2 * self.image_bytes
-        self.original_va: Optional[int] = None
-        self.compressed_va: Optional[int] = None
+        self.region = None
         self.images_processed = 0
 
     def setup(self):
-        """Process-generator: allocate the two arrays and upload originals."""
-        self.original_va = yield from self.thread.ralloc(
-            self.slots * self.image_bytes)
-        self.compressed_va = yield from self.thread.ralloc(
-            self.slots * self.compressed_slot)
+        """Process-generator: allocate the client's region and upload the
+        originals."""
+        self.region = yield from self.memory.alloc(
+            self.slots * (self.image_bytes + self.compressed_slot))
         for slot in range(self.slots):
             image = synthetic_image(self.rng, self.image_side)
-            yield from self.thread.rwrite(
-                self.original_va + slot * self.image_bytes, image)
+            yield from self.memory.store(self.region,
+                                         slot * self.image_bytes, image)
+
+    def _compressed_offset(self, slot: int) -> int:
+        return self.slots * self.image_bytes + slot * self.compressed_slot
 
     def compress_one(self, slot: int):
-        """Process-generator: rread original -> compress -> rwrite back.
+        """Process-generator: load original -> compress -> store back.
 
         Returns the compressed size.
         """
-        image = yield from self.thread.rread(
-            self.original_va + slot * self.image_bytes, self.image_bytes)
+        image, _ = yield from self.memory.load(
+            self.region, slot * self.image_bytes, self.image_bytes)
         yield self.env.timeout(int(len(image) * COMPRESS_NS_PER_BYTE))
         compressed = rle_compress(image)
         header = len(compressed).to_bytes(4, "little")
-        yield from self.thread.rwrite(
-            self.compressed_va + slot * self.compressed_slot,
-            header + compressed)
+        yield from self.memory.store(self.region,
+                                     self._compressed_offset(slot),
+                                     header + compressed)
         self.images_processed += 1
         return len(compressed)
 
     def decompress_one(self, slot: int):
-        """Process-generator: read compressed, decode, verify roundtrip.
+        """Process-generator: load compressed, decode.
 
         Returns the decoded image.
         """
-        header = yield from self.thread.rread(
-            self.compressed_va + slot * self.compressed_slot, 4)
+        offset = self._compressed_offset(slot)
+        header, _ = yield from self.memory.load(self.region, offset, 4)
         length = int.from_bytes(header, "little")
-        compressed = yield from self.thread.rread(
-            self.compressed_va + slot * self.compressed_slot + 4, length)
+        compressed, _ = yield from self.memory.load(self.region, offset + 4,
+                                                    length)
         yield self.env.timeout(int(self.image_bytes * DECOMPRESS_NS_PER_BYTE))
         self.images_processed += 1
         return rle_decompress(compressed)
@@ -127,66 +127,6 @@ class ImageCompressionClient:
 
         Returns total runtime in ns.
         """
-        start = self.env.now
-        for index in range(operations):
-            slot = index % self.slots
-            yield from self.compress_one(slot)
-            yield from self.decompress_one(slot)
-        return self.env.now - start
-
-
-class RDMAImageCompressionClient:
-    """The same utility on native RDMA: one MR per client (protection)."""
-
-    def __init__(self, env, node: RDMAMemoryNode, rng: RandomStream,
-                 image_side: int = 256, slots: int = 16):
-        self.env = env
-        self.node = node
-        self.rng = rng
-        self.image_side = image_side
-        self.image_bytes = image_side * image_side
-        self.slots = slots
-        self.compressed_slot = 2 * self.image_bytes
-        self.qp = node.create_qp()
-        self.region = None
-
-    def setup(self):
-        """Process-generator: register this client's MR + upload originals.
-
-        The per-client MR is mandatory — clients' photos must be protected
-        from each other, and the MR is RDMA's only protection domain.
-        """
-        size = self.slots * (self.image_bytes + self.compressed_slot)
-        self.region = yield from self.node.register_mr(size, pinned=True)
-        for slot in range(self.slots):
-            image = synthetic_image(self.rng, self.image_side)
-            yield from self.node.write(self.qp, self.region,
-                                       slot * self.image_bytes, image)
-
-    def _compressed_offset(self, slot: int) -> int:
-        return self.slots * self.image_bytes + slot * self.compressed_slot
-
-    def compress_one(self, slot: int):
-        image, _ = yield from self.node.read(
-            self.qp, self.region, slot * self.image_bytes, self.image_bytes)
-        yield self.env.timeout(int(len(image) * COMPRESS_NS_PER_BYTE))
-        compressed = rle_compress(image)
-        header = len(compressed).to_bytes(4, "little")
-        yield from self.node.write(self.qp, self.region,
-                                   self._compressed_offset(slot),
-                                   header + compressed)
-        return len(compressed)
-
-    def decompress_one(self, slot: int):
-        header, _ = yield from self.node.read(
-            self.qp, self.region, self._compressed_offset(slot), 4)
-        length = int.from_bytes(header, "little")
-        compressed, _ = yield from self.node.read(
-            self.qp, self.region, self._compressed_offset(slot) + 4, length)
-        yield self.env.timeout(int(self.image_bytes * DECOMPRESS_NS_PER_BYTE))
-        return rle_decompress(compressed)
-
-    def run_workload(self, operations: int):
         start = self.env.now
         for index in range(operations):
             slot = index % self.slots

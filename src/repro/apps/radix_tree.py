@@ -3,24 +3,26 @@
 The tree indexes byte-string keys.  Each level is a **linked list** of
 sibling nodes (one per distinct byte at that depth); matching a byte means
 walking the sibling list, and descending means following the child
-pointer.  On Clio, the sibling walk runs *at the MN* through an extended
-pointer-chasing API deployed in the FPGA: it compares a value at each
-chased node and returns on match or null — one network round trip per
-level.  On RDMA the client walks node by node: one round trip per *node*.
+pointer.  :class:`RadixTree` is written once over the four comparison
+verbs (:mod:`repro.baselines.api`), so it runs on any backend: the client
+walks node by node, one round trip per *node*.  :class:`ClioRadixTree`
+runs the sibling walk *at the MN* through an extended pointer-chasing API
+deployed in the FPGA, which compares a value at each chased node and
+returns on match or null — one network round trip per level.
 
-Node layout (32 bytes, all fields little-endian u64):
+All nodes live in the tree's one allocation; a pointer is a node's offset
+in it, and offset 0 (never a node) is null.  Node layout (32 bytes, all
+fields little-endian u64):
 
     +0   key byte of this node (low 8 bits used)
-    +8   child pointer (VA of first node of the next level; 0 = leaf)
-    +16  sibling pointer (VA of next node in this level's list; 0 = end)
+    +8   child pointer (offset of first node of the next level; 0 = leaf)
+    +16  sibling pointer (offset of next node in this level's list; 0 = end)
     +24  value (payload for leaves; 0 otherwise)
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.baselines.rdma import RDMAMemoryNode
+from repro.baselines.api import ClioMemory
 from repro.clib.client import ClioThread
 from repro.core.extend import ExtendPath, OffloadContext
 
@@ -47,19 +49,20 @@ def unpack_node(blob: bytes) -> tuple[int, int, int, int]:
 def chase_offload(ctx: OffloadContext, args, caller_pid: int):
     """Extended pointer-chasing API (deployed in FPGA at the MN).
 
-    ``args`` = (start_va, wanted_byte).  Walks the sibling list from
-    ``start_va`` *in the caller's RAS* (the tree was built by the client
-    with ordinary rwrite), comparing each node's key byte; returns the
-    matching node's (child_ptr, value) or (0, 0) when the list ends.
+    ``args`` = (region_va, start, wanted_byte).  Walks the sibling list
+    from node offset ``start`` of the tree at ``region_va`` *in the
+    caller's RAS* (the tree was built by the client with ordinary rwrite),
+    comparing each node's key byte; returns the matching node's
+    (child, value) or (0, 0) when the list ends.
     """
-    node_va, wanted = args
-    while node_va != 0:
-        blob = yield from ctx.read(node_va, NODE_BYTES, pid=caller_pid)
+    base, node, wanted = args
+    while node != 0:
+        blob = yield from ctx.read(base + node, NODE_BYTES, pid=caller_pid)
         key_byte, child, sibling, value = unpack_node(blob)
         yield from ctx._compute(CHASE_STEP_CYCLES)
         if key_byte == wanted:
             return child, value
-        node_va = sibling
+        node = sibling
     return 0, 0
 
 
@@ -69,158 +72,49 @@ def register_chase_offload(extend_path: ExtendPath,
     extend_path.register(name, chase_offload, on_fpga=True)
 
 
-class _BumpAllocator:
-    """CN-side bump allocator over one big remote allocation."""
+class RadixTree:
+    """The radix tree over any backend's four verbs: inserts and searches
+    from the client, one round trip per node visited."""
 
-    def __init__(self, base_va: int, capacity: int):
-        self.base_va = base_va
-        self.capacity = capacity
-        self.used = NODE_BYTES   # VA base is reserved so 0 stays "null"
-
-    def take(self) -> int:
-        if self.used + NODE_BYTES > self.capacity:
-            raise MemoryError("radix tree region exhausted")
-        va = self.base_va + self.used
-        self.used += NODE_BYTES
-        return va
-
-
-class ClioRadixTree:
-    """Radix tree over Clio: inserts from the CN, searches via the offload."""
-
-    def __init__(self, thread: ClioThread, offload_name: str = "radix-chase"):
-        self.thread = thread
-        self.offload_name = offload_name
-        self._alloc: Optional[_BumpAllocator] = None
-        self._root_head = 0   # VA of first node at depth 0
+    def __init__(self, memory):
+        self.memory = memory
+        self.region = None
+        self._capacity = 0
+        self._used = NODE_BYTES     # offset 0 stays "null"
+        self._root_head = 0         # offset of the first node at depth 0
         self.key_count = 0
 
     def setup(self, capacity_nodes: int = 1 << 16):
         """Process-generator: allocate the node region."""
-        size = capacity_nodes * NODE_BYTES
-        base = yield from self.thread.ralloc(size)
-        self._alloc = _BumpAllocator(base, size)
-
-    # -- building --------------------------------------------------------------------
-
-    def _read_node(self, va: int):
-        blob = yield from self.thread.rread(va, NODE_BYTES)
-        return unpack_node(blob)
-
-    def _write_node(self, va: int, key_byte: int, child: int, sibling: int,
-                    value: int):
-        yield from self.thread.rwrite(
-            va, pack_node(key_byte, child, sibling, value))
-
-    def insert(self, key: bytes, value: int):
-        """Process-generator: insert key -> value (value must be != 0)."""
-        if self._alloc is None:
-            raise RuntimeError("call setup() first")
-        if value == 0:
-            raise ValueError("value 0 is reserved for 'absent'")
-        if not key:
-            raise ValueError("empty keys unsupported")
-        head_va = self._root_head
-        parent_va = None          # node whose child pointer leads to head
-        for depth, byte in enumerate(key):
-            found_va = 0
-            last_va = 0
-            node_va = head_va
-            while node_va != 0:
-                key_byte, child, sibling, node_value = yield from self._read_node(node_va)
-                if key_byte == byte:
-                    found_va = node_va
-                    break
-                last_va = node_va
-                node_va = sibling
-            if found_va == 0:
-                new_va = self._alloc.take()
-                is_leaf = depth == len(key) - 1
-                yield from self._write_node(
-                    new_va, byte, 0, 0, value if is_leaf else 0)
-                if last_va:
-                    # Append to this level's sibling list.
-                    k, c, _, v = yield from self._read_node(last_va)
-                    yield from self._write_node(last_va, k, c, new_va, v)
-                elif parent_va is not None:
-                    k, _, s, v = yield from self._read_node(parent_va)
-                    yield from self._write_node(parent_va, k, new_va, s, v)
-                else:
-                    self._root_head = new_va
-                found_va = new_va
-            key_byte, child, sibling, node_value = yield from self._read_node(found_va)
-            if depth == len(key) - 1:
-                if node_value != value:
-                    yield from self._write_node(found_va, key_byte, child,
-                                                sibling, value)
-                self.key_count += 1
-                return
-            parent_va = found_va
-            head_va = child
-
-    # -- searching ----------------------------------------------------------------------
-
-    def search(self, key: bytes):
-        """Process-generator: offloaded search; returns value or None.
-
-        One offload invocation (one RTT) per key byte — the Clio
-        advantage Figure 16 measures.
-        """
-        head_va = self._root_head
-        value = 0
-        for depth, byte in enumerate(key):
-            if head_va == 0:
-                return None
-            child, value = yield from self.thread.invoke_offload(
-                self.offload_name, (head_va, byte))
-            if child == 0 and value == 0:
-                return None
-            head_va = child
-        return value if value != 0 else None
-
-
-class RDMARadixTree:
-    """The same tree over native RDMA: every node hop is a round trip."""
-
-    def __init__(self, env, node: RDMAMemoryNode,
-                 capacity_nodes: int = 1 << 16):
-        self.env = env
-        self.node = node
-        self.qp = node.create_qp()
-        self.capacity = capacity_nodes * NODE_BYTES
-        self.region = None
-        self._used = NODE_BYTES
-        self._root_head = 0
-        self.key_count = 0
-
-    def setup(self):
-        self.region = yield from self.node.register_mr(self.capacity,
-                                                       pinned=True)
+        self._capacity = capacity_nodes * NODE_BYTES
+        self.region = yield from self.memory.alloc(self._capacity)
 
     def _take(self) -> int:
-        if self._used + NODE_BYTES > self.capacity:
+        if self._used + NODE_BYTES > self._capacity:
             raise MemoryError("radix tree region exhausted")
         offset = self._used
         self._used += NODE_BYTES
         return offset
 
     def _read_node(self, offset: int):
-        blob, _ = yield from self.node.read(self.qp, self.region, offset,
-                                            NODE_BYTES)
+        blob, _ = yield from self.memory.load(self.region, offset, NODE_BYTES)
         return unpack_node(blob)
 
     def _write_node(self, offset: int, key_byte: int, child: int,
                     sibling: int, value: int):
-        yield from self.node.write(self.qp, self.region, offset,
-                                   pack_node(key_byte, child, sibling, value))
+        yield from self.memory.store(self.region, offset,
+                                     pack_node(key_byte, child, sibling, value))
 
     def insert(self, key: bytes, value: int):
+        """Process-generator: insert key -> value (value must be != 0)."""
         if self.region is None:
             raise RuntimeError("call setup() first")
         if value == 0:
             raise ValueError("value 0 is reserved for 'absent'")
+        if not key:
+            raise ValueError("empty keys unsupported")
         head = self._root_head
-        parent = None
+        parent = None               # node whose child pointer leads to head
         for depth, byte in enumerate(key):
             found = 0
             last = 0
@@ -238,6 +132,7 @@ class RDMARadixTree:
                 yield from self._write_node(new_offset, byte, 0, 0,
                                             value if is_leaf else 0)
                 if last:
+                    # Append to this level's sibling list.
                     k, c, _, v = yield from self._read_node(last)
                     yield from self._write_node(last, k, c, new_offset, v)
                 elif parent is not None:
@@ -257,21 +152,37 @@ class RDMARadixTree:
             head = child
 
     def search(self, key: bytes):
-        """Process-generator: client-side walk — one RTT per *node* visited."""
-        head = self._root_head
+        """Process-generator: the value stored at ``key``, or None."""
+        head, value = self._root_head, 0
         for byte in key:
             if head == 0:
                 return None
-            found = 0
-            offset = head
-            value = 0
-            while offset != 0:
-                key_byte, child, sibling, value = yield from self._read_node(offset)
-                if key_byte == byte:
-                    found = offset
-                    break
-                offset = sibling
-            if found == 0:
+            head, value = yield from self._find(head, byte)
+            if head == 0 and value == 0:
                 return None
-            head = child
         return value if value != 0 else None
+
+    def _find(self, head: int, byte: int):
+        """Process-generator: walk one level's sibling list from ``head``
+        for ``byte``; returns the match's (child, value), or (0, 0)."""
+        offset = head
+        while offset != 0:
+            key_byte, child, sibling, value = yield from self._read_node(offset)
+            if key_byte == byte:
+                return child, value
+            offset = sibling
+        return 0, 0
+
+
+class ClioRadixTree(RadixTree):
+    """The tree on Clio, each level's sibling walk offloaded to the MN:
+    one offload invocation (one RTT) per key byte, the Clio advantage
+    Figure 16 measures."""
+
+    def __init__(self, thread: ClioThread, offload_name: str = "radix-chase"):
+        super().__init__(ClioMemory(thread))
+        self.offload_name = offload_name
+
+    def _find(self, head: int, byte: int):
+        return (yield from self.memory.thread.invoke_offload(
+            self.offload_name, (self.region, head, byte)))

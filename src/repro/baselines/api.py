@@ -16,12 +16,15 @@ last store left at that range (Clover, a KV store underneath: for ranges
 stored as a unit), and an access outside a live allocation raises a
 ``ValueError``.  The native APIs -- ``read/write(qp, region, ...)``,
 ``read/write(pid, va, ...)``, ``put/get`` -- stay for the figures that
-need model internals.
+need model internals.  The section 6 apps (:mod:`repro.apps`) are
+written once over the four verbs too.
 
 :func:`create_backend` builds one ready model by name and
 :func:`sample_latencies` is the one timing loop that Figures 7, 10 and 11
-and ``repro compare`` share.  Only Clio needs a shim here:
-``ClioThread``'s ``ralloc/rread/rwrite/rfree`` are the paper's API.
+and ``repro compare`` share.  Only Clio needs a shim here,
+:class:`ClioMemory` over one ``ClioThread``, whose
+``ralloc/rread/rwrite/rfree`` are the paper's API; ``create_backend``
+gives it a one-CN/one-MN cluster of its own.
 """
 
 from __future__ import annotations
@@ -43,15 +46,12 @@ REGION_BYTES = 4 * MB
 
 
 class ClioMemory:
-    """Clio under the four verbs: one CLib thread on a one-CN/one-MN
-    cluster; a region is the VA ``ralloc`` returned."""
+    """Clio under the four verbs, on a caller's CLib thread; a region is
+    the VA ``ralloc`` returned."""
 
-    def __init__(self, params: ClioParams, seed: int):
-        capacity = params.backend.dram_capacity or params.cboard.dram_capacity
-        self.cluster = ClioCluster(params=params, seed=seed,
-                                   mn_capacity=capacity)
-        self.env = self.cluster.env
-        self.thread = self.cluster.cn(0).process("mn0").thread()
+    def __init__(self, thread):
+        self.thread = thread
+        self.env = thread.env
         self._sizes: dict[int, int] = {}     # live VA -> allocated bytes
 
     def alloc(self, size: int):
@@ -91,7 +91,10 @@ def create_backend(name: str, params: Optional[ClioParams] = None,
             f"unknown backend {name!r}; expected one of {BACKEND_NAMES}")
     params = params or ClioParams.prototype()
     if name == "clio":
-        return ClioMemory(params, seed)
+        capacity = (params.backend.dram_capacity
+                    or params.cboard.dram_capacity)
+        cluster = ClioCluster(params=params, seed=seed, mn_capacity=capacity)
+        return ClioMemory(cluster.cn(0).process("mn0").thread())
     env = Environment()
     if name == "cxl":
         return CXLPool(env, params).host("host0")

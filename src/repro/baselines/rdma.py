@@ -16,7 +16,8 @@ measures:
 
 The node also answers the four comparison verbs (``alloc / free / load /
 store``, see :mod:`repro.baselines.api`): an allocation is a pinned MR,
-and loads/stores are one-sided verbs on the node's own client QP.
+and loads/stores are one-sided verbs on the QP registered with it, so
+each allocation costs a connection as well as an MR.
 
 Latency jitter follows a light base distribution with a rare heavy tail
 (host/NIC queueing), giving RDMA its long CDF tail in Figure 7.
@@ -82,6 +83,11 @@ class _LRUCache:
 
 
 @dataclass
+class QueuePair:
+    qp_id: int
+
+
+@dataclass
 class MemoryRegion:
     """A registered MR: the RDMA protection domain unit."""
 
@@ -89,12 +95,8 @@ class MemoryRegion:
     base_pa: int
     size: int
     pinned: bool            # pinned at registration vs ODP
+    qp: QueuePair           # the connection the four verbs reach it over
     touched_pages: set = field(default_factory=set)
-
-
-@dataclass
-class QueuePair:
-    qp_id: int
 
 
 class RDMAMemoryNode:
@@ -125,8 +127,6 @@ class RDMAMemoryNode:
         self.page_faults = 0
         # Energy accounting: host CPU cycles burned serving the MN side.
         self.mn_cpu_busy_ns = 0
-        # The client connection behind load/store (0: never a counter id).
-        self._qp = QueuePair(qp_id=0)
 
     # -- connection setup ---------------------------------------------------------
 
@@ -163,7 +163,7 @@ class RDMAMemoryNode:
             # (the paper does the same to scale the MR count on 2 GB).
             self._next_pa = 0
         region = MemoryRegion(mr_id=next(self._mr_ids), base_pa=self._next_pa,
-                              size=size, pinned=pinned)
+                              size=size, pinned=pinned, qp=self.create_qp())
         self._next_pa += size
         self._mrs[region.mr_id] = region
         return region
@@ -271,7 +271,7 @@ class RDMAMemoryNode:
     free = deregister_mr
 
     def load(self, region: MemoryRegion, offset: int, size: int):
-        return (yield from self.read(self._qp, region, offset, size))
+        return (yield from self.read(region.qp, region, offset, size))
 
     def store(self, region: MemoryRegion, offset: int, data: bytes):
-        return (yield from self.write(self._qp, region, offset, data))
+        return (yield from self.write(region.qp, region, offset, data))

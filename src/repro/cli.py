@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from repro.analysis.report import render_table
 from repro.analysis.stats import LatencyRecorder, percentile, rate_gbps
 from repro.cluster import ClioCluster
-from repro.params import BACKEND_NAMES, GB, KB, MB, ClioParams
+from repro.params import BACKEND_NAMES, GB, KB, MB, SEC, ClioParams
 
 #: ``--profile`` name -> parameter bundle.
 PROFILES = {
@@ -438,11 +438,37 @@ def cmd_rack(args) -> int:
                     + (", tail recovered" if script is not None else ""))
 
 
+#: DRAM of the one board ``metrics`` instruments.
+METRICS_BOARD = 1 * GB
+
+
+def _size_bound(args) -> Optional[int]:
+    """The largest ``--size`` ``latency``, ``compare`` or ``metrics`` runs,
+    from the board it builds (every ``compare`` backend sizes its memory
+    as Clio's board): half its DRAM, and half what its port moves in the
+    CN's longest request timeout -- near either limit a ralloc's VA
+    search, or the one request that moves ``--size`` bytes, outlasts that
+    timeout and fails.  Clover holds a value in one slot.  None for the
+    other commands."""
+    if args.func not in (cmd_latency, cmd_compare, cmd_metrics):
+        return None
+    from repro.baselines.clover import CloverStore
+
+    params = _profile(args.profile)
+    dram = (METRICS_BOARD if args.func is cmd_metrics else
+            params.backend.dram_capacity or params.cboard.dram_capacity)
+    port = (params.network.mn_port_rate_bps * params.clib.slow_timeout_ns
+            // (8 * SEC))
+    if args.func is cmd_compare and "clover" in args.backends:
+        return min(dram // 2, port // 2, CloverStore.VALUE_SLOT)
+    return min(dram, port) // 2
+
+
 def cmd_metrics(args) -> int:
     from repro.telemetry import render_dashboard, write_chrome_trace
 
     cluster = ClioCluster(params=_profile(args.profile), seed=args.seed,
-                          mn_capacity=1 * GB, layers=("tracing",))
+                          mn_capacity=METRICS_BOARD, layers=("tracing",))
     tracer = cluster.tracer
     if args.interval_us:
         cluster.metrics.start_sampling(cluster.env,
@@ -617,6 +643,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                                                  "none"):
         parser.error(f"--scenario {args.scenario} acts on mn1, so it needs "
                      "--boards 2 or more")
+    bound = _size_bound(args)
+    if bound is not None and args.size > bound:
+        parser.error(f"size must be at most {bound} bytes, what every "
+                     f"memory this command builds holds and moves in one "
+                     f"request, got {args.size}")
     return args.func(args)
 
 

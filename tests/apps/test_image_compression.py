@@ -5,19 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.image_compression import (
-    ImageCompressionClient,
-    RDMAImageCompressionClient,
     rle_compress,
     rle_decompress,
     synthetic_image,
 )
-from repro.baselines.rdma import RDMAMemoryNode
-from repro.cluster import ClioCluster
-from repro.params import BackendParams, ClioParams
-from repro.sim import Environment
 from repro.sim.rng import RandomStream
 
-MB = 1 << 20
+from tests.apps.backends import BACKENDS, image_clients
 
 
 def test_rle_roundtrip_simple():
@@ -61,79 +55,51 @@ def test_synthetic_image_shape_and_determinism():
     assert a == b
 
 
-def test_clio_client_compress_decompress_verifies():
-    cluster = ClioCluster(mn_capacity=512 * MB)
-    thread = cluster.cn(0).process("mn0").thread()
-    client = ImageCompressionClient(thread, RandomStream(2, "photos"),
-                                    image_side=32, slots=2)
-    result = {}
+def run(env, generator):
+    return env.run(until=env.process(generator))
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_compress_decompress_verifies(name):
+    env, [client] = image_clients(name, 1, RandomStream(2, "photos"),
+                                  image_side=32, slots=2)
+    memory = client.memory
 
     def app():
         yield from client.setup()
         size = yield from client.compress_one(0)
-        result["compressed_size"] = size
         image = yield from client.decompress_one(0)
-        result["image"] = image
-        original = yield from thread.rread(client.original_va,
-                                           client.image_bytes)
-        result["original"] = original
+        original, _ = yield from memory.load(client.region, 0,
+                                             client.image_bytes)
+        return size, image, original
 
-    cluster.run(until=cluster.env.process(app()))
-    assert result["image"] == result["original"]
-    assert 0 < result["compressed_size"] < client.image_bytes
+    size, image, original = run(env, app())
+    assert image == original
+    assert 0 < size < client.image_bytes
 
 
-def test_clio_workload_counts_operations():
-    cluster = ClioCluster(mn_capacity=512 * MB)
-    thread = cluster.cn(0).process("mn0").thread()
-    client = ImageCompressionClient(thread, RandomStream(3, "photos"),
-                                    image_side=32, slots=2)
+@pytest.mark.parametrize("name", BACKENDS)
+def test_workload_counts_operations(name):
+    env, [client] = image_clients(name, 1, RandomStream(3, "photos"),
+                                  image_side=32, slots=2)
 
     def app():
         yield from client.setup()
-        runtime = yield from client.run_workload(4)
-        assert runtime > 0
+        return (yield from client.run_workload(4))
 
-    cluster.run(until=cluster.env.process(app()))
+    assert run(env, app()) > 0
     assert client.images_processed == 8   # 4 compress + 4 decompress
 
 
-def test_rdma_client_matches_content_semantics():
-    env = Environment()
-    from dataclasses import replace
-    node = RDMAMemoryNode(env, replace(
-        ClioParams.prototype(), backend=BackendParams(dram_capacity=512 * MB)))
-    client = RDMAImageCompressionClient(env, node, RandomStream(4, "photos"),
-                                        image_side=32, slots=2)
-    result = {}
-
-    def app():
-        yield from client.setup()
-        yield from client.compress_one(0)
-        image = yield from client.decompress_one(0)
-        original, _ = yield from node.read(client.qp, client.region, 0,
-                                           client.image_bytes)
-        result["match"] = image == original
-
-    env.run(until=env.process(app()))
-    assert result["match"]
-
-
 def test_each_rdma_client_needs_its_own_mr():
-    env = Environment()
-    from dataclasses import replace
-    node = RDMAMemoryNode(env, replace(
-        ClioParams.prototype(), backend=BackendParams(dram_capacity=512 * MB)))
-    clients = [
-        RDMAImageCompressionClient(env, node, RandomStream(index, "photos"),
-                                   image_side=32, slots=1)
-        for index in range(3)
-    ]
+    """RDMA isolates clients only by giving each its own MR (and QP)."""
+    env, clients = image_clients("rdma", 3, RandomStream(4, "photos"),
+                                 image_side=32, slots=1)
 
     def setup_all():
         for client in clients:
             yield from client.setup()
 
-    env.run(until=env.process(setup_all()))
-    mr_ids = {client.region.mr_id for client in clients}
-    assert len(mr_ids) == 3
+    run(env, setup_all())
+    assert len({client.region.mr_id for client in clients}) == 3
+    assert len({client.region.qp.qp_id for client in clients}) == 3

@@ -1,12 +1,10 @@
-"""Model-based testing: the Clio radix tree versus a plain dict."""
+"""Model-based testing: the radix tree on every backend versus a plain
+dict."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.radix_tree import ClioRadixTree, register_chase_offload
-from repro.cluster import ClioCluster
-
-MB = 1 << 20
+from tests.apps.backends import BACKENDS, radix_tree
 
 keys = st.binary(min_size=1, max_size=6)
 operation = st.one_of(
@@ -16,18 +14,15 @@ operation = st.one_of(
 )
 
 
-@given(st.lists(operation, min_size=1, max_size=25))
-@settings(max_examples=20, deadline=None)
-def test_radix_tree_matches_dict(ops):
-    cluster = ClioCluster(mn_capacity=512 * MB)
-    register_chase_offload(cluster.mn.extend_path)
-    thread = cluster.cn(0).process("mn0").thread()
-    tree = ClioRadixTree(thread)
+def observe(name: str, ops) -> list:
+    """Run ``ops`` on a tree on backend ``name``; returns (key, got,
+    expected) for every search, then for every key ever inserted and a
+    probe miss."""
+    env, tree = radix_tree(name)
     reference: dict[bytes, int] = {}
     observations = []
 
     def app():
-        yield from tree.setup(capacity_nodes=4096)
         for op in ops:
             if op[0] == "insert":
                 _, key, value = op
@@ -37,13 +32,19 @@ def test_radix_tree_matches_dict(ops):
                 _, key = op
                 got = yield from tree.search(key)
                 observations.append((key, got, reference.get(key)))
-        # Final sweep over every key ever inserted plus a probe miss.
         for key in list(reference):
             got = yield from tree.search(key)
             observations.append((key, got, reference[key]))
         got = yield from tree.search(b"\xff-definitely-absent")
         observations.append((b"absent", got, None))
 
-    cluster.run(until=cluster.env.process(app()))
-    for key, got, expected in observations:
-        assert got == expected, key
+    env.run(until=env.process(app()))
+    return observations
+
+
+@given(st.lists(operation, min_size=1, max_size=25))
+@settings(max_examples=20, deadline=None)
+def test_radix_tree_matches_dict(ops):
+    for name in BACKENDS:
+        for key, got, expected in observe(name, ops):
+            assert got == expected, (name, key)

@@ -1,21 +1,17 @@
-"""Tests for the radix tree and its pointer-chasing offload."""
+"""Tests for the radix tree, on every backend, and its pointer-chasing
+offload on Clio."""
 
 import pytest
 
 from repro.apps.radix_tree import (
-    NODE_BYTES,
     ClioRadixTree,
-    RDMARadixTree,
     pack_node,
     register_chase_offload,
     unpack_node,
 )
-from repro.baselines.rdma import RDMAMemoryNode
 from repro.cluster import ClioCluster
-from repro.params import BackendParams, ClioParams
-from repro.sim import Environment
 
-MB = 1 << 20
+from tests.apps.backends import BACKENDS, MB, radix_tree
 
 
 def test_node_pack_unpack_roundtrip():
@@ -25,107 +21,118 @@ def test_node_pack_unpack_roundtrip():
         unpack_node(b"short")
 
 
-def make_clio_tree():
-    cluster = ClioCluster(mn_capacity=512 * MB)
-    register_chase_offload(cluster.mn.extend_path)
-    thread = cluster.cn(0).process("mn0").thread()
-    tree = ClioRadixTree(thread)
-    return cluster, tree
+def run(env, generator):
+    return env.run(until=env.process(generator))
 
 
-def test_clio_insert_and_search():
-    cluster, tree = make_clio_tree()
+@pytest.mark.parametrize("name", BACKENDS)
+def test_insert_and_search(name):
+    env, tree = radix_tree(name)
     result = {}
 
     def app():
-        yield from tree.setup(capacity_nodes=4096)
         yield from tree.insert(b"cat", 1)
         yield from tree.insert(b"car", 2)
         yield from tree.insert(b"dog", 3)
-        result["cat"] = yield from tree.search(b"cat")
-        result["car"] = yield from tree.search(b"car")
-        result["dog"] = yield from tree.search(b"dog")
-        result["cow"] = yield from tree.search(b"cow")
-        result["ca"] = yield from tree.search(b"ca")
+        for key in (b"cat", b"car", b"dog", b"cow", b"ca"):
+            result[key] = yield from tree.search(key)
 
-    cluster.run(until=cluster.env.process(app()))
-    assert result == {"cat": 1, "car": 2, "dog": 3, "cow": None, "ca": None}
+    run(env, app())
+    assert result == {b"cat": 1, b"car": 2, b"dog": 3, b"cow": None,
+                      b"ca": None}
+    assert tree.key_count == 3
 
 
-def test_clio_update_existing_key():
-    cluster, tree = make_clio_tree()
-    result = {}
+@pytest.mark.parametrize("name", BACKENDS)
+def test_update_existing_key(name):
+    env, tree = radix_tree(name)
 
     def app():
-        yield from tree.setup(capacity_nodes=1024)
         yield from tree.insert(b"key", 10)
         yield from tree.insert(b"key", 20)
-        result["value"] = yield from tree.search(b"key")
+        return (yield from tree.search(b"key"))
 
-    cluster.run(until=cluster.env.process(app()))
-    assert result["value"] == 20
-
-
-def test_clio_search_uses_one_offload_rtt_per_level():
-    cluster, tree = make_clio_tree()
-    invocations_before = cluster.mn.extend_path.invocations
-
-    def app():
-        yield from tree.setup(capacity_nodes=1024)
-        yield from tree.insert(b"abc", 7)
-        value = yield from tree.search(b"abc")
-        assert value == 7
-
-    cluster.run(until=cluster.env.process(app()))
-    # Exactly one pointer-chase invocation per key byte.
-    assert cluster.mn.extend_path.invocations - invocations_before == 3
+    assert run(env, app()) == 20
 
 
-def test_clio_rejects_reserved_value_and_empty_key():
-    cluster, tree = make_clio_tree()
+@pytest.mark.parametrize("name", BACKENDS)
+def test_rejects_reserved_value_and_empty_key(name):
+    env, tree = radix_tree(name)
 
     def app():
-        yield from tree.setup(capacity_nodes=64)
+        yield from tree.insert(b"k", 5)
         with pytest.raises(ValueError):
             yield from tree.insert(b"k", 0)
         with pytest.raises(ValueError):
             yield from tree.insert(b"", 5)
+        return (yield from tree.search(b""))
 
-    cluster.run(until=cluster.env.process(app()))
-
-
-def make_rdma_tree():
-    env = Environment()
-    from dataclasses import replace
-    node = RDMAMemoryNode(env, replace(
-        ClioParams.prototype(), backend=BackendParams(dram_capacity=512 * MB)))
-    tree = RDMARadixTree(env, node, capacity_nodes=4096)
-    return env, node, tree
+    assert run(env, app()) is None
+    assert tree.key_count == 1
 
 
-def test_rdma_tree_semantics_match():
-    env, node, tree = make_rdma_tree()
-    result = {}
+@pytest.mark.parametrize("name", BACKENDS)
+def test_search_of_an_empty_tree_misses(name):
+    env, tree = radix_tree(name)
 
     def app():
-        yield from tree.setup()
-        yield from tree.insert(b"cat", 1)
-        yield from tree.insert(b"car", 2)
-        result["cat"] = yield from tree.search(b"cat")
-        result["car"] = yield from tree.search(b"car")
-        result["missing"] = yield from tree.search(b"cow")
+        empty = yield from tree.search(b"")
+        return empty, (yield from tree.search(b"a"))
 
-    env.run(until=env.process(app()))
-    assert result == {"cat": 1, "car": 2, "missing": None}
+    assert run(env, app()) == (None, None)
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_full_region_raises_memory_error(name):
+    env, tree = radix_tree(name, capacity_nodes=4)
+
+    def app():
+        yield from tree.insert(b"abc", 1)     # offset 0 is null: 3 nodes fit
+        with pytest.raises(MemoryError):
+            yield from tree.insert(b"x", 2)
+
+    run(env, app())
+
+
+def test_trees_agree_on_larger_key_set():
+    keys = [f"k{index:03d}".encode() for index in range(40)]
+
+    def app(tree):
+        for index, key in enumerate(keys):
+            yield from tree.insert(key, index + 1)
+        values = []
+        for key in keys:
+            values.append((yield from tree.search(key)))
+        return values
+
+    for name in BACKENDS:
+        env, tree = radix_tree(name, capacity_nodes=8192)
+        assert run(env, app(tree)) == list(range(1, 41)), name
+
+
+def test_clio_search_uses_one_offload_rtt_per_level():
+    cluster = ClioCluster(mn_capacity=512 * MB)
+    register_chase_offload(cluster.mn.extend_path)
+    tree = ClioRadixTree(cluster.cn(0).process("mn0").thread())
+
+    def app():
+        yield from tree.setup(capacity_nodes=1024)
+        yield from tree.insert(b"abc", 7)
+        before = cluster.mn.extend_path.invocations
+        assert (yield from tree.search(b"abc")) == 7
+        return cluster.mn.extend_path.invocations - before
+
+    # Exactly one pointer-chase invocation per key byte.
+    assert run(cluster.env, app()) == 3
 
 
 def test_rdma_search_pays_rtt_per_node():
     """RDMA walks node-by-node over the network — many more verb ops than
     Clio's one offload call per level."""
-    env, node, tree = make_rdma_tree()
+    env, tree = radix_tree("rdma")
+    node = tree.memory
 
     def app():
-        yield from tree.setup()
         for index in range(8):
             yield from tree.insert(bytes([65 + index]) + b"xy", index + 1)
         ops_before = node.ops
@@ -133,36 +140,5 @@ def test_rdma_search_pays_rtt_per_node():
         assert value == 8
         return node.ops - ops_before
 
-    verb_ops = env.run(until=env.process(app()))
     # Walking to the 8th sibling plus two levels: well above 3 reads.
-    assert verb_ops >= 8
-
-
-def test_trees_agree_on_larger_key_set():
-    cluster, clio_tree = make_clio_tree()
-    env, node, rdma_tree = make_rdma_tree()
-    keys = [f"k{index:03d}".encode() for index in range(40)]
-
-    def build_clio():
-        yield from clio_tree.setup(capacity_nodes=8192)
-        for index, key in enumerate(keys):
-            yield from clio_tree.insert(key, index + 1)
-        values = []
-        for key in keys:
-            values.append((yield from clio_tree.search(key)))
-        return values
-
-    def build_rdma():
-        yield from rdma_tree.setup()
-        for index, key in enumerate(keys):
-            yield from rdma_tree.insert(key, index + 1)
-        values = []
-        for key in keys:
-            values.append((yield from rdma_tree.search(key)))
-        return values
-
-    clio_values = cluster.run(until=cluster.env.process(build_clio()))
-    rdma_values = env.run(until=env.process(build_rdma()))
-    expected = list(range(1, 41))
-    assert clio_values == expected
-    assert rdma_values == expected
+    assert run(env, app()) >= 8

@@ -10,7 +10,8 @@ drifting silently.
 
 import pytest
 
-from repro.baselines.api import BACKEND_NAMES, create_backend
+from repro.baselines.api import BACKEND_NAMES, ClioMemory, create_backend
+from repro.cluster import ClioCluster
 from repro.params import BackendParams, ClioParams
 
 MB = 1 << 20
@@ -128,10 +129,21 @@ def test_backend_params_route_capacity():
 
 
 def test_clio_backend_shares_existing_cluster():
-    """Clio's verbs run on the thread of the cluster the backend holds."""
-    memory = create_backend("clio", seed=3)
-    assert memory.env is memory.cluster.env
-    assert memory.thread.process.node is memory.cluster.cn(0)
+    """Clio's verbs run on the caller's thread, on the caller's cluster."""
+    cluster = ClioCluster(mn_capacity=64 * MB)
+    thread = cluster.cn(0).process("mn0").thread()
+    memory = ClioMemory(thread)
+    assert memory.thread is thread
+    assert memory.env is cluster.env
+
+    def app():
+        region = yield from memory.alloc(4096)
+        yield from memory.store(region, 8, b"shared")
+        return region, (yield from thread.rread(region + 8, 6))
+
+    region, data = run(memory, app())
+    assert data == b"shared"
+    assert cluster.mn.va_allocator.lookup(thread.process.pid, region)
 
 
 def test_herd_bf_is_slower_than_herd():

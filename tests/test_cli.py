@@ -39,13 +39,19 @@ def test_bad_size_is_a_usage_error(command, size, capsys):
     "latency --ops 0", "compare --ops 0", "ycsb --keys 0",
     "rack --clients 0", "chaos --ops 0", "rack --boards 1",
     "rack --boards 1 --scenario crash-mid-migration",
-    "rack --boards 1 --scenario evict", "metrics --interval-us -1"])
+    "rack --boards 1 --scenario evict", "metrics --interval-us -1",
+    "latency --size 1.9GB --ops 1", "latency --size 100MB --ops 1",
+    "metrics --ops 1 --size 1GB", "compare --size 3GB --backends rdma",
+    "compare --size 3GB --backends legoos", "compare --size 3GB --backends cxl",
+    "compare --size 4KB"])
 def test_input_that_runs_nothing_or_crashes_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(argv.split())
     assert exit_info.value.code == 2
-    if "--size" in argv:
+    if "goodput --size" in argv:
         message = "size must be under the 8MB region"
+    elif "--size" in argv:
+        message = "size must be at most"
     elif "--boards 1" in argv:
         message = "acts on mn1, so it needs --boards 2 or more"
     elif "--interval-us" in argv:

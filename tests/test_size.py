@@ -69,7 +69,11 @@ from tools.code_lines import ROOT, count_files
 #: shaper, coherence switch and registry export are gone.  The
 #: controller's verifier hook and the CLI's one-board and interval
 #: checks are inside that figure.
-SRC_CEILING = 11_451
+#: -115 since: the radix tree and the image-compression client are written
+#: once over the four comparison verbs; their RDMA copies and the tree's
+#: CN-side bump allocator are gone.  The CLI's size bound for
+#: ``latency``, ``compare`` and ``metrics`` is inside that figure.
+SRC_CEILING = 11_336
 
 
 def test_src_stays_under_its_ceiling():
