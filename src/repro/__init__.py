@@ -23,23 +23,28 @@ Quickstart::
     cluster.run(until=cluster.env.process(app()))
 """
 
-from repro.clib import AsyncHandle, ClioProcess, ClioThread, ComputeNode, RemoteAccessError
-from repro.cluster import ClioCluster
-from repro.core import CBoard
-from repro.core.addr import Permission
-from repro.params import ClioParams
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AsyncHandle",
-    "CBoard",
-    "ClioCluster",
-    "ClioParams",
-    "ClioProcess",
-    "ClioThread",
-    "ComputeNode",
-    "Permission",
-    "RemoteAccessError",
-    "__version__",
-]
+#: Each root export and the module it lives in.  They load on first use,
+#: so ``import repro.sim`` (the bare engine) compiles no model code.
+_EXPORTS = {
+    "AsyncHandle": "repro.clib",
+    "CBoard": "repro.core",
+    "ClioCluster": "repro.cluster",
+    "ClioParams": "repro.params",
+    "ClioProcess": "repro.clib",
+    "ClioThread": "repro.clib",
+    "ComputeNode": "repro.clib",
+    "Permission": "repro.core.addr",
+    "RemoteAccessError": "repro.clib",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(_EXPORTS[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

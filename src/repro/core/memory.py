@@ -1,7 +1,11 @@
 """On-board DRAM model: byte-addressable content plus access timing.
 
-The store is sparse (lazily-allocated chunks) so a simulated 2 GB--4 TB
-device costs host memory proportional only to the bytes actually written.
+The store is sparse.  Content lives in 4 KB pieces (``DRAM.CHUNK``: the
+host's page, and the smallest of the board's ``PAGE_SIZES``), each made on
+the first write into it and dropped when a freed page is zeroed.  So a
+simulated 2 GB--4 TB device costs host memory for the 4 KB pieces a run
+has written into and not yet freed: one written byte costs one piece, and
+a freed board page of 4 KB or more drops whole pieces.
 Timing follows a simple latency + bandwidth model: every access pays the
 controller's fixed access latency, plus serialization of the payload at
 the DRAM stream bandwidth.
@@ -20,7 +24,7 @@ class DRAM:
     throughput for large transfers.
     """
 
-    CHUNK = 1 << 16  # 64 KB backing chunks
+    CHUNK = 1 << 12  # 4 KB backing pieces
 
     def __init__(self, capacity: int, access_ns: int, bandwidth_bps: int):
         if capacity <= 0:
@@ -49,57 +53,62 @@ class DRAM:
         self.reads += 1
         self.bytes_read += size
         chunk_idx, offset = divmod(pa, self.CHUNK)
-        if offset + size <= self.CHUNK:     # one chunk: one slice
+        if offset + size <= self.CHUNK:     # one piece: one slice
             chunk = self._chunks.get(chunk_idx)
             return (bytes(chunk[offset:offset + size]) if chunk is not None
                     else bytes(size))               # never written: zeros
         out = bytearray(size)
         pos = 0
         while pos < size:
-            chunk_idx, offset = divmod(pa + pos, self.CHUNK)
             take = min(size - pos, self.CHUNK - offset)
             chunk = self._chunks.get(chunk_idx)
             if chunk is not None:
                 out[pos:pos + take] = chunk[offset:offset + take]
-            pos += take
+            chunk_idx, offset, pos = chunk_idx + 1, 0, pos + take
         return bytes(out)
 
     def write(self, pa: int, data: bytes) -> None:
         """Store ``data`` at physical address ``pa``."""
-        self._check_range(pa, len(data))
-        self.writes += 1
-        self.bytes_written += len(data)
-        pos = 0
         size = len(data)
+        self._check_range(pa, size)
+        self.writes += 1
+        self.bytes_written += size
+        chunk_idx, offset = divmod(pa, self.CHUNK)
+        if offset + size <= self.CHUNK:     # one piece: one slice
+            chunk = self._chunks.get(chunk_idx)
+            if chunk is None:
+                chunk = self._chunks[chunk_idx] = bytearray(self.CHUNK)
+            chunk[offset:offset + size] = data
+            return
+        pos = 0
         while pos < size:
-            chunk_idx, offset = divmod(pa + pos, self.CHUNK)
             take = min(size - pos, self.CHUNK - offset)
             chunk = self._chunks.get(chunk_idx)
             if chunk is None:
-                chunk = bytearray(self.CHUNK)
-                self._chunks[chunk_idx] = chunk
+                chunk = self._chunks[chunk_idx] = bytearray(self.CHUNK)
             chunk[offset:offset + take] = data[pos:pos + take]
-            pos += take
+            chunk_idx, offset, pos = chunk_idx + 1, 0, pos + take
 
     def zero(self, pa: int, size: int) -> None:
         """Clear a range (used when recycling freed physical pages).
 
         Counts as one write of ``size`` bytes but materialises nothing: a
-        chunk the range covers whole is dropped (a missing chunk reads as
-        zeros) and an edge chunk is cleared only if it already exists.
+        piece the range covers whole is dropped (a missing piece reads as
+        zeros) and an edge piece is cleared only if it already exists.
         """
         self._check_range(pa, size)
         self.writes += 1
         self.bytes_written += size
-        pos = 0
-        while pos < size:
-            chunk_idx, offset = divmod(pa + pos, self.CHUNK)
-            take = min(size - pos, self.CHUNK - offset)
-            if take == self.CHUNK:
-                self._chunks.pop(chunk_idx, None)
-            elif chunk_idx in self._chunks:
-                self._chunks[chunk_idx][offset:offset + take] = bytes(take)
-            pos += take
+        chunks, piece, end = self._chunks, self.CHUNK, pa + size
+        whole = range(-(-pa // piece), end // piece)
+        for chunk_idx in {pa // piece, (end - 1) // piece}:
+            chunk = chunks.get(chunk_idx)
+            if chunk is not None and chunk_idx not in whole:
+                base = chunk_idx * piece
+                low, high = max(pa - base, 0), min(end - base, piece)
+                chunk[low:high] = bytes(high - low)
+        for chunk_idx in whole:
+            chunks.pop(chunk_idx, None)
 
     # -- timing ---------------------------------------------------------------
 

@@ -496,6 +496,11 @@ class Transport:
             # TIMEOUT is a scheduled callback that triggers ``state.done``
             # itself — no per-attempt Timeout event or condition to race.
             attempt_timeout = min(timeout_ns << attempt, clib.slow_timeout_ns)
+            if attempt_timeout < timeout_ns:
+                # The ceiling never cuts below the request's own first
+                # budget: a transfer whose wire time alone outlasts
+                # ``slow_timeout_ns`` still gets attempts it can finish in.
+                attempt_timeout = timeout_ns
 
             def send() -> None:
                 # Kernel-bypass raw Ethernet send, then arm the TIMEOUT.

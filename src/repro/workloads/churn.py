@@ -29,6 +29,8 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+import repro.cluster
+from repro.clib.client import RemoteAccessError
 from repro.params import (KB, MB, AllocParams, Bounded, ClioParams, fraction,
                           positive)
 from repro.sim.rng import RandomStream
@@ -161,17 +163,16 @@ def run_churn(scenario: str | ChurnScenario = "small-churn", *,
     per-metadata-op invariant sweeps); it adds no events, so a verified
     run keeps the unverified run's fingerprint.
     """
-    from repro.cluster import ClioCluster
-    from repro.clib.client import RemoteAccessError
-
     spec = (scenario if isinstance(scenario, ChurnScenario)
             else CHURN_SCENARIOS[scenario])
     total_ops = ops if ops is not None else spec.ops
     params = replace(ClioParams.prototype(), alloc=AllocParams(
         pa_strategy=pa_strategy, va_policy=va_policy))
-    cluster = ClioCluster(params=params, seed=seed, mn_capacity=MN_CAPACITY,
-                          page_size=PAGE_SIZE,
-                          layers=("verification",) if verify else ())
+    # Looked up on the module per call, so a patched ``ClioCluster`` (the
+    # partitioned engine, in the flat-vs-partitioned tests) is the one built.
+    cluster = repro.cluster.ClioCluster(
+        params=params, seed=seed, mn_capacity=MN_CAPACITY, page_size=PAGE_SIZE,
+        layers=("verification",) if verify else ())
     verifier = cluster.verifier
     board = cluster.mn
     report = ChurnReport(scenario=spec.name, pa_strategy=pa_strategy,

@@ -147,23 +147,55 @@ def test_roundtrip_property(pa, data):
     assert dram.read(pa, len(data)) == data
 
 
-@given(st.lists(st.tuples(st.integers(0, 4 * DRAM.CHUNK - 1),
-                          st.binary(min_size=1, max_size=300)), max_size=6),
-       st.integers(0, 4 * DRAM.CHUNK - 1), st.integers(1, 3 * DRAM.CHUNK))
-@settings(max_examples=60)
-def test_zero_equals_writing_zero_bytes(writes, pa, size):
-    """The sparse zero against the reference it replaced:
-    ``write(pa, bytes(size))``."""
-    capacity = 4 * DRAM.CHUNK
-    size = min(size, capacity - pa)
-    sparse, reference = make_dram(capacity), make_dram(capacity)
-    for at, data in writes:
-        data = data[:capacity - at]
-        sparse.write(at, data)
-        reference.write(at, data)
-    sparse.zero(pa, size)
-    reference.write(pa, bytes(size))
-    assert sparse.read(0, capacity) == reference.read(0, capacity)
-    assert (sparse.writes, sparse.bytes_written) == (
-        reference.writes, reference.bytes_written)
-    assert sparse.resident_bytes <= reference.resident_bytes
+#: Four pieces; addresses fall near a piece boundary as often as not.
+CAPACITY = 4 * DRAM.CHUNK
+near_boundary = st.builds(
+    lambda index, delta: min(max(index * DRAM.CHUNK + delta, 0), CAPACITY - 1),
+    st.integers(0, 4), st.integers(-8, 8))
+
+
+@given(st.lists(st.tuples(
+    st.sampled_from(("write", "read", "zero")),
+    st.one_of(near_boundary, st.integers(0, CAPACITY - 1)),
+    st.one_of(st.integers(1, 16), st.integers(1, 3 * DRAM.CHUNK)),
+    st.integers(0, 255)), max_size=30))
+@settings(max_examples=150)
+def test_zero_equals_writing_zero_bytes(ops):
+    """Writes, reads and zeroes that straddle pieces, against a flat
+    ``bytearray``: a zero reads back and counts as the ``write(pa,
+    bytes(size))`` it replaced, and the pieces resident are exactly those
+    written into and not since zeroed whole."""
+    dram, model = make_dram(CAPACITY), bytearray(CAPACITY)
+    pattern = bytes(range(256)) * (3 * DRAM.CHUNK // 256 + 2)
+    piece, written, writes, bytes_written = DRAM.CHUNK, set(), 0, 0
+    for op, pa, size, fill in ops:
+        size = min(size, CAPACITY - pa)
+        if op == "read":
+            assert dram.read(pa, size) == model[pa:pa + size]
+            continue
+        writes, bytes_written = writes + 1, bytes_written + size
+        if op == "write":
+            data = pattern[fill:fill + size]
+            dram.write(pa, data)
+            model[pa:pa + size] = data
+            written.update(range(pa // piece, (pa + size - 1) // piece + 1))
+        else:
+            dram.zero(pa, size)
+            model[pa:pa + size] = bytes(size)
+            written.difference_update(
+                range(-(-pa // piece), (pa + size) // piece))
+        assert dram.resident_bytes == len(written) * piece
+    assert dram.read(0, CAPACITY) == model
+    assert (dram.writes, dram.bytes_written) == (writes, bytes_written)
+
+
+def test_first_touches_cost_one_piece_each():
+    """The churn's first touch writes one byte per 64 KB page: each costs
+    one 4 KB piece of host memory, not a 64 KB chunk."""
+    dram = make_dram(capacity=64 * MB)
+    touches = 100
+    for page in range(touches):
+        dram.write(page * 64 * 1024 + page % 7, bytes([page + 1]))
+    assert dram.resident_bytes == touches * 4096
+    dram.zero(0, 64 * 1024)                 # free the first 64 KB page
+    assert dram.resident_bytes == (touches - 1) * 4096

@@ -73,7 +73,14 @@ from tools.code_lines import ROOT, count_files
 #: once over the four comparison verbs; their RDMA copies and the tree's
 #: CN-side bump allocator are gone.  The CLI's size bound for
 #: ``latency``, ``compare`` and ``metrics`` is inside that figure.
-SRC_CEILING = 11_336
+#: +7 since, raised on purpose: the DRAM store is backed in 4 KB pieces
+#: (``core/memory.py`` +5: a write that fits one piece takes one slice,
+#: and ``zero`` clears its two edge pieces and drops the pieces between
+#: without a ``divmod`` per piece), and a transfer longer than
+#: ``slow_timeout_ns`` keeps its own first timeout on every attempt
+#: (``transport/clib_transport.py`` +2).  The root package's lazy exports
+#: are net zero.
+SRC_CEILING = 11_343
 
 
 def test_src_stays_under_its_ceiling():

@@ -299,3 +299,25 @@ def test_outstanding_limited_by_cwnd():
     cluster.run(until=cluster.env.all_of(procs))
     assert max_outstanding <= int(cluster.params.clib.cwnd_max)
     assert max_outstanding >= 1
+
+
+def test_a_transfer_longer_than_the_slow_timeout_completes():
+    """The backoff ceiling never cuts an attempt below the request's own
+    first budget: a 2 MB write takes ~1.7 ms on the 10 Gbps MN port, so a
+    1 ms ``slow_timeout_ns`` ceiling would time out every attempt."""
+    base = ClioParams.prototype()
+    params = replace(base, clib=replace(base.clib, slow_timeout_ns=1_000_000))
+    cluster = ClioCluster(params=params, mn_capacity=256 * MB)
+    thread = cluster.cn(0).process("mn0").thread()
+    payload = bytes(range(256)) * (2 * MB // 256)
+    got = {}
+
+    def app():
+        va = yield from thread.ralloc(2 * MB)
+        yield from thread.rwrite(va, payload)
+        got["data"] = yield from thread.rread(va, len(payload))
+
+    cluster.run(until=cluster.env.process(app()))
+    assert got["data"] == payload
+    transport = cluster.cn(0).transport
+    assert transport.requests_failed == 0 and transport.total_retries == 0
