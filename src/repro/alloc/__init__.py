@@ -9,10 +9,6 @@ implementations — and adds swappable alternatives: a board's
 takes a :class:`VAPolicy`:
 
 * :class:`FreeListStrategy` — the paper's FIFO free-list (default).
-* :class:`SlabStrategy` — size-class slabs with per-class free lists and
-  occupancy accounting.
-* :class:`BuddyStrategy` — binary buddy with split/coalesce and a
-  measurable external-fragmentation ratio.
 * :class:`ArenaStrategy` — jemalloc-style per-process arenas that batch
   global-pool crossings (the metric the ARM slow path pays for).
 
@@ -24,12 +20,10 @@ that skips buckets it has already seen overflow.
 from repro.alloc.pa_strategies import (
     PA_STRATEGIES,
     ArenaStrategy,
-    BuddyStrategy,
     DoubleFreeError,
     FreeListStrategy,
     OutOfMemoryError,
     PAStrategy,
-    SlabStrategy,
     make_pa_strategy,
 )
 from repro.alloc.va_policies import (
@@ -47,7 +41,6 @@ __all__ = [
     "VA_POLICIES",
     "ArenaStrategy",
     "BestFitPolicy",
-    "BuddyStrategy",
     "DoubleFreeError",
     "FirstFitPolicy",
     "FreeListStrategy",
@@ -55,7 +48,6 @@ __all__ = [
     "NextFitPolicy",
     "OutOfMemoryError",
     "PAStrategy",
-    "SlabStrategy",
     "VAPolicy",
     "make_pa_strategy",
     "make_va_policy",

@@ -10,11 +10,11 @@ model surfaces explicitly.
 
 The free-page bookkeeping itself is a pluggable
 :class:`~repro.alloc.pa_strategies.PAStrategy`: the default FIFO
-free-list is bit-identical to the paper's allocator, while slab / buddy /
-per-process-arena strategies trade fragmentation against ARM slow-path
-crossings.  The board's buffers are one :class:`BufferBank`: a shared
-buffer and, in arena mode, one more per process, so fault-path pops
-stop contending on one shared queue.
+free-list is bit-identical to the paper's allocator, while per-process
+arenas trade pages fenced in stashes against ARM slow-path crossings.
+The board's buffers are one :class:`BufferBank`: a shared buffer and,
+in arena mode, one more per process, so fault-path pops stop
+contending on one shared queue.
 """
 
 from __future__ import annotations

@@ -317,8 +317,6 @@ class AllocParams(Bounded):
 
     pa_strategy: str = one_of(PA_STRATEGIES, "freelist")
     va_policy: str = one_of(VA_POLICIES, "first-fit")
-    slab_pages: int = positive(64)         # contiguous pages per slab
-    slab_classes: int = positive(4)        # size classes (pids hash onto these)
     arena_batch_pages: int = positive(16)  # global-pool pages per arena refill
     arena_stash_max: int = 64              # stash size triggering a lazy spill
     arena_buffer_depth: int = positive(32)  # per-process async free-page buf

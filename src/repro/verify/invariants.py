@@ -82,8 +82,8 @@ def check_board(board) -> list[Violation]:
         bad("pa-free-while-mapped",
             f"PPNs both mapped and on the free list: "
             f"{sorted(overlap)[:8]}")
-    # Strategy-internal audit: slab occupancy, buddy coalesce/alignment,
-    # arena stash accounting, freelist duplicate detection.
+    # Strategy-internal audit: freelist duplicate detection, arena stash
+    # accounting.
     for tag, detail in allocator.check():
         bad(f"alloc-{tag}", detail)
 

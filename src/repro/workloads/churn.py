@@ -7,11 +7,10 @@ storm shaped to stress a different allocator pathology:
   processes: the mix where per-process arenas amortize ARM slow-path
   crossings (the acceptance bar is a >=2x crossing cut vs the free
   list).
-* ``small-large-mix`` — 80/20 single-page vs multi-page objects, the
-  classic external-fragmentation driver for buddy/slab comparisons.
+* ``small-large-mix`` — 80/20 single-page vs multi-page objects, whose
+  frees leave gaps of mixed sizes in each process's VA range.
 * ``ephemeral-longlived`` — half the objects die almost immediately,
-  half pin the address space for most of the run, stranding partial
-  slabs and splitting buddy blocks.
+  half pin the address space for most of the run.
 * ``retry-storm`` — the hash page table is pre-loaded to high occupancy
   first, so every further allocation probes near-full buckets: the
   Fig. 13 retry storms the retry-aware ``jump`` VA policy exists for.

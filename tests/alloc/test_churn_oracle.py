@@ -13,7 +13,7 @@ import pytest
 from repro.verify import ALLOC_STRATEGIES, run_scenario, scenario
 from tests.engines import run_partitioned
 
-OPS = 60  # enough to cycle arenas/slabs/buddy splits, small enough for CI
+OPS = 60  # enough to cycle arena refills and spills, small enough for CI
 
 
 @pytest.mark.parametrize("strategy", ALLOC_STRATEGIES)

@@ -2,8 +2,8 @@
 
 Each strategy is exercised directly — no cluster, no simulation — so
 these tests pin the bookkeeping contracts the board-level invariant
-sweeps later rely on: conservation, double-free rejection, coalescing,
-occupancy accounting, and crossing amortization.
+sweeps later rely on: conservation, double-free rejection, FIFO
+recycling, and crossing amortization.
 """
 
 import pytest
@@ -11,11 +11,9 @@ import pytest
 from repro.alloc import (
     PA_STRATEGIES,
     ArenaStrategy,
-    BuddyStrategy,
     DoubleFreeError,
     FreeListStrategy,
     OutOfMemoryError,
-    SlabStrategy,
     make_pa_strategy,
 )
 from repro.params import AllocParams
@@ -108,124 +106,6 @@ def test_freelist_every_op_is_a_crossing():
     for _ in range(4):
         s.free(s.allocate())
     assert s.slow_crossings == 8
-
-
-# -- slab ---------------------------------------------------------------------
-
-
-def test_slab_classes_get_disjoint_slabs():
-    s = SlabStrategy(64, slab_pages=16, classes=4)
-    a = drain(s, 4, pid=0)   # class 0
-    b = drain(s, 4, pid=1)   # class 1
-    # Different classes draw from different slabs (disjoint 16-page runs).
-    assert {p // 16 for p in a}.isdisjoint({p // 16 for p in b})
-    occ = s.occupancy()
-    assert occ[0]["used"] == 4 and occ[1]["used"] == 4
-    assert occ[0]["allocs"] == 4 and occ[0]["slabs"] == 1
-
-
-def test_slab_fully_free_slab_returns_to_reserve():
-    s = SlabStrategy(32, slab_pages=8, classes=2)
-    held = drain(s, 3, pid=0)
-    assert s.occupancy()[0]["slabs"] == 1
-    for ppn in held:
-        s.free(ppn, pid=0)
-    # The slab drained: it detaches from class 0 back to the reserve.
-    assert s.occupancy()[0]["slabs"] == 0
-    assert s.fragmentation == 0.0
-    assert s.check() == []
-
-
-def test_slab_borrows_instead_of_false_oom():
-    s = SlabStrategy(8, slab_pages=4, classes=2)
-    drain(s, 4, pid=0)  # class 0 owns slab 0
-    drain(s, 3, pid=1)  # class 1 owns slab 1, one page left
-    # Class 0 has no partial slab and the reserve is empty: borrow.
-    ppn = s.allocate(pid=0)
-    assert ppn in range(4, 8)
-    assert s.borrows == 1
-    with pytest.raises(OutOfMemoryError):
-        s.allocate(pid=0)
-
-
-def test_slab_short_tail_slab_still_usable():
-    # 20 pages with 8-page slabs -> slabs of 8, 8, 4.
-    s = SlabStrategy(20, slab_pages=8, classes=1)
-    got = drain(s, 20, pid=0)
-    assert sorted(got) == list(range(20))
-    for ppn in got:
-        s.free(ppn, pid=0)
-    assert s.free_pages == 20
-    assert s.check() == []
-
-
-def test_slab_fragmentation_counts_stranded_pages():
-    s = SlabStrategy(32, slab_pages=8, classes=2)
-    held = drain(s, 8, pid=0)
-    s.free(held[0], pid=0)
-    # 1 page free inside a class-0 slab, 24 free in reserve slabs.
-    assert s.fragmentation == pytest.approx(1 / 25)
-
-
-# -- buddy --------------------------------------------------------------------
-
-
-def test_buddy_full_coalesce_restores_single_block():
-    s = BuddyStrategy(256)
-    held = drain(s, 256)
-    assert s.largest_free_block == 0
-    for ppn in held:
-        s.free(ppn)
-    assert s.largest_free_block == 256
-    assert s.fragmentation == 0.0
-    assert s.check() == []
-
-
-def test_buddy_split_lowest_first():
-    s = BuddyStrategy(16)
-    assert s.allocate() == 0
-    assert s.allocate() == 1
-    assert s.allocate() == 2
-
-
-def test_buddy_alloc_run_aligned_and_freeable():
-    s = BuddyStrategy(64)
-    base = s.alloc_run(5)  # rounds to 8 pages, self-aligned
-    assert base % 8 == 0
-    assert s.free_pages == 56
-    s.free(base)
-    assert s.free_pages == 64
-    assert s.largest_free_block == 64
-
-
-def test_buddy_fragmentation_reflects_split_pool():
-    s = BuddyStrategy(64)
-    held = drain(s, 64)
-    for ppn in held[::2]:  # free alternating pages: nothing can merge
-        s.free(ppn)
-    assert s.largest_free_block == 1
-    assert s.fragmentation == pytest.approx(1 - 1 / 32)
-
-
-def test_buddy_non_power_of_two_pool():
-    # 100 = 64 + 32 + 4: three self-aligned top blocks.
-    s = BuddyStrategy(100)
-    assert s.free_pages == 100
-    got = drain(s, 100)
-    assert sorted(got) == list(range(100))
-    for ppn in got:
-        s.free(ppn)
-    assert s.free_pages == 100
-    assert s.check() == []
-    assert s.largest_free_block == 64
-
-
-def test_buddy_freeing_non_base_rejected():
-    s = BuddyStrategy(16)
-    base = s.alloc_run(4)
-    with pytest.raises(DoubleFreeError):
-        s.free(base + 1)  # interior page, not the block base
-    s.free(base)
 
 
 # -- arena --------------------------------------------------------------------

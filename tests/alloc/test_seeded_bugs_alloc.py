@@ -39,49 +39,6 @@ def names(violations):
     return [violation.invariant for violation in violations]
 
 
-def test_buddy_lost_coalesce_detected():
-    """Seeded bug: two free sibling buddy blocks left unmerged.
-
-    Split a free block by hand — remove an order-k block, insert its two
-    order-(k-1) halves — exactly the state a broken coalesce leaves
-    behind.  The sweep must flag it; conservation still holds, so only
-    the coalesce audit can catch this.
-    """
-    cluster, board = make_board("buddy")
-    strategy = board.pa_allocator
-    assert check_board(board) == []  # control: healthy after real traffic
-
-    order = next(o for o in range(strategy.max_order, 0, -1)
-                 if strategy._free_lists[o])
-    base = strategy._free_lists[order][0]
-    strategy._remove_block(base, order)
-    half = 1 << (order - 1)
-    strategy._insert_block(base, order - 1)
-    strategy._insert_block(base + half, order - 1)
-
-    found = names(check_board(board))
-    assert "alloc-buddy-lost-coalesce" in found, found
-
-
-def test_slab_double_free_detected():
-    """Seeded bug: one page pushed twice onto a slab free stack.
-
-    The duplicate silently inflates the free count — the double-free
-    shadow set would have rejected the second ``free()``, so the bug is
-    planted below it, the way a raw pointer bug would corrupt the stack.
-    """
-    cluster, board = make_board("slab")
-    strategy = board.pa_allocator
-    assert check_board(board) == []
-
-    idx, stack = next((i, s) for i, s in enumerate(strategy._slab_free) if s)
-    stack.append(stack[0])
-    strategy._free_count += 1
-
-    found = names(check_board(board))
-    assert "alloc-slab-duplicate-free" in found, found
-
-
 def test_arena_double_account_detected():
     """Seeded bug: a stashed page also returned to the global pool.
 
@@ -97,6 +54,42 @@ def test_arena_double_account_detected():
 
     found = names(check_board(board))
     assert "alloc-arena-double-account" in found, found
+
+
+def test_arena_duplicate_stash_detected():
+    """Seeded bug: one page sits in two arenas' stashes at once.
+
+    The stash set still tracks it once, so the count stays right and
+    only the per-stash walk sees that two processes could both be
+    handed the page.
+    """
+    cluster, board = make_board("arena")
+    strategy = board.pa_allocator
+    assert check_board(board) == []
+
+    stash = next(s for s in strategy._stash.values() if s)
+    strategy._stash.setdefault(PID + 1, []).append(stash[0])
+
+    found = names(check_board(board))
+    assert "alloc-arena-duplicate-stash" in found, found
+
+
+def test_arena_set_drift_detected():
+    """Seeded bug: a page leaves the stash set but stays on its stash.
+
+    The membership probe now calls a stashed page allocated, so a free
+    of it would be accepted twice; the audit must see the set and the
+    stashes disagree.
+    """
+    cluster, board = make_board("arena")
+    strategy = board.pa_allocator
+    assert check_board(board) == []
+
+    stash = next(s for s in strategy._stash.values() if s)
+    strategy._stashed_set.discard(stash[0])
+
+    found = names(check_board(board))
+    assert "alloc-arena-set-drift" in found, found
 
 
 def test_freelist_duplicate_entry_detected():

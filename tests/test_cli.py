@@ -43,7 +43,7 @@ def test_bad_size_is_a_usage_error(command, size, capsys):
     "latency --size 1.9GB --ops 1", "latency --size 100MB --ops 1",
     "metrics --ops 1 --size 1GB", "compare --size 3GB --backends rdma",
     "compare --size 3GB --backends legoos", "compare --size 3GB --backends cxl",
-    "compare --size 4KB"])
+    "compare --size 4KB", "alloc --strategy buddy"])
 def test_input_that_runs_nothing_or_crashes_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(argv.split())
@@ -56,6 +56,8 @@ def test_input_that_runs_nothing_or_crashes_is_a_usage_error(argv, capsys):
         message = "acts on mn1, so it needs --boards 2 or more"
     elif "--interval-us" in argv:
         message = "must be a non-negative integer"
+    elif "--strategy" in argv:
+        message = "invalid choice: 'buddy'"
     else:
         message = "must be a positive count"
     assert message in capsys.readouterr().err

@@ -136,6 +136,8 @@ def test_tenant_config_validation():
 @pytest.mark.parametrize("params_cls, field, typo", [
     (CLibParams, "cc_algorithm", "swfit"),
     (AllocParams, "pa_strategy", "slabs"),
+    (AllocParams, "pa_strategy", "slab"),
+    (AllocParams, "pa_strategy", "buddy"),
     (AllocParams, "va_policy", "firstfit"),
 ])
 def test_registry_names_are_checked_at_construction(params_cls, field, typo):
@@ -215,8 +217,6 @@ def test_defaults_and_profiles_are_in_range():
     (CacheParams, "hit_ns", 0),
     (CacheParams, "dir_process_ns", 0),
     (CacheParams, "flush_retry_ns", 0),
-    (AllocParams, "slab_pages", 0),
-    (AllocParams, "slab_classes", 0),
     (AllocParams, "arena_batch_pages", 0),
     (AllocParams, "arena_buffer_depth", 0),              # [BufferBank]
     (TenantConfig, "share", 0.0),

@@ -29,8 +29,6 @@ SIMBOARD = ("the reference model that BoardDiff and test_simboard.py "
 
 #: ``(file under src/repro, name) -> reason it stays``.
 KEPT = {
-    ("alloc/pa_strategies.py", "alloc_run"):
-        "buddy runs drive split/coalesce in test_alloc_stateful",
     ("clib/batch.py", "issue_vector"): THREAD_API,
     ("clib/batch.py", "pending_ops"): THREAD_API,
     ("clib/client.py", "batcher"): THREAD_API,

@@ -141,20 +141,6 @@ GOLDENS = [('sync', {'clients': 2, 'ops': 12}, False, 'sync-unit', 24, True, 0, 
    'sim_now_ns': 1014118},
   ['40/40 allocs ok, 40 frees, 0 VA retries, 680 slow-path crossings, frag '
    '0.000 (peak 0.000)']),
- ('alloc-slab', {'ops': 40}, False,
-  'alloc-churn[small-large-mix/slab/first-fit]', 80, None, 0, 0,
-  {'events': 2976,
-   'fingerprint': 'f13117cbca01875d53cab9b9372f1e40',
-   'sim_now_ns': 1014118},
-  ['40/40 allocs ok, 40 frees, 0 VA retries, 680 slow-path crossings, frag '
-   '0.299 (peak 0.302)']),
- ('alloc-buddy', {'ops': 40}, False,
-  'alloc-churn[small-large-mix/buddy/first-fit]', 80, None, 0, 0,
-  {'events': 2976,
-   'fingerprint': 'f13117cbca01875d53cab9b9372f1e40',
-   'sim_now_ns': 1014118},
-  ['40/40 allocs ok, 40 frees, 0 VA retries, 680 slow-path crossings, frag '
-   '0.533 (peak 0.535)']),
  ('alloc-arena', {'ops': 40}, False,
   'alloc-churn[small-large-mix/arena/first-fit]', 80, None, 0, 0,
   {'events': 3271,
