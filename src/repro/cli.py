@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from repro.analysis.report import render_table
 from repro.analysis.stats import LatencyRecorder, percentile, rate_gbps
 from repro.cluster import ClioCluster
-from repro.params import BACKEND_NAMES, GB, KB, MB, SEC, ClioParams
+from repro.params import BACKEND_NAMES, GB, KB, MB, ClioParams
 
 #: ``--profile`` name -> parameter bundle.
 PROFILES = {
@@ -445,11 +445,10 @@ METRICS_BOARD = 1 * GB
 def _size_bound(args) -> Optional[int]:
     """The largest ``--size`` ``latency``, ``compare`` or ``metrics`` runs,
     from the board it builds (every ``compare`` backend sizes its memory
-    as Clio's board): half its DRAM, and half what its port moves in the
-    CN's longest request timeout -- near either limit a ralloc's VA
-    search, or the one request that moves ``--size`` bytes, outlasts that
-    timeout and fails.  Clover holds a value in one slot.  None for the
-    other commands."""
+    as Clio's board): half its DRAM -- near that, a ralloc's VA search
+    outlasts the CN's longest request timeout and fails.  The transfer
+    itself is not bounded: an attempt's timeout grows with its wire time.
+    Clover holds a value in one slot.  None for the other commands."""
     if args.func not in (cmd_latency, cmd_compare, cmd_metrics):
         return None
     from repro.baselines.clover import CloverStore
@@ -457,11 +456,9 @@ def _size_bound(args) -> Optional[int]:
     params = _profile(args.profile)
     dram = (METRICS_BOARD if args.func is cmd_metrics else
             params.backend.dram_capacity or params.cboard.dram_capacity)
-    port = (params.network.mn_port_rate_bps * params.clib.slow_timeout_ns
-            // (8 * SEC))
     if args.func is cmd_compare and "clover" in args.backends:
-        return min(dram // 2, port // 2, CloverStore.VALUE_SLOT)
-    return min(dram, port) // 2
+        return min(dram // 2, CloverStore.VALUE_SLOT)
+    return dram // 2
 
 
 def cmd_metrics(args) -> int:

@@ -177,24 +177,27 @@ class CBoard(Board):
             return
         self._handler_sites = tracer.sites(
             "mn:", "cboard", self.name, ("request_id", "src", "discarded"))
-        self._served_sites = Sites(self._register_served)
+        self._served_rows = Sites(self._register_served)
         self._response_site = tracer.site("mn_response", "cboard", self.name,
                                           ("request_id", "type", "dst"))
         self._crash_site = tracer.site("crashed", "fault", self.name)
 
-    def _register_served(self, member: tuple) -> int:
-        """The row of one (packet type, CN, status) request served by one
-        traversal and one response: handler, traversal, response."""
+    def _register_served(self, member: tuple):
+        """The row of one (packet type, CN, status) request — by value —
+        served by one traversal and one response: handler, traversal,
+        response, over the cells ``start, end, request_id`` and the five
+        stage times, which the three share."""
         kind, src, status = member
         tracer = self.tracer
         return tracer.group(
-            (COMPLETE, tracer.site("mn:" + kind.value, "cboard", self.name, {
-                "request_id": int, "src": src, "discarded": False})),
-            (COMPLETE, self.fast_path.stage_sites[AccessType(kind.value),
-                                                  status]),
+            (COMPLETE, tracer.site("mn:" + kind, "cboard", self.name, {
+                "request_id": int, "src": src, "discarded": False}),
+             0, 1, 2),
+            (COMPLETE, self.fast_path.stage_sites[kind, status],
+             0, 1, 3, 4, 5, 6, 7),
             (INSTANT, tracer.site("mn_response", "cboard", self.name, {
                 "request_id": int, "type": PacketType.RESPONSE.value,
-                "dst": src})))
+                "dst": src}), 1, 2))
 
     # -- failure model ------------------------------------------------------------
 

@@ -136,10 +136,11 @@ class FastPath:
         self.tracer = tracer
         if tracer is None:
             return
-        # One typed site per (access, status): a record is the five stages.
+        # One typed site per (access, status) value: a record is the five
+        # stages.  Keyed by value, a lookup hashes no enum member.
         self.stage_sites = Sites(lambda member: tracer.site(
-            "fastpath:" + member[0].value, "pipeline", track,
-            {"status": member[1].value, "ingest_ns": int, "pipeline_ns": int,
+            "fastpath:" + member[0], "pipeline", track,
+            {"status": member[1], "ingest_ns": int, "pipeline_ns": int,
              "tlb_miss_ns": int, "fault_ns": int, "dram_ns": int}))
         self._fault_site = tracer.site("page_fault", "pipeline", track,
                                        ("pid", "vpn"))
@@ -225,7 +226,8 @@ class FastPath:
         """Record the traversal that just returned ``result`` as one
         complete span carrying the breakdown args."""
         now = self.env.now
-        self.tracer.complete(self.stage_sites[access, result.status],
+        self.tracer.complete(self.stage_sites[access._value_,
+                                              result.status._value_],
                              now - result.breakdown.total_ns, now,
                              *result.breakdown.stages())
 

@@ -222,21 +222,24 @@ class Board:
             discarded or arrived is not None or kind is _READ and (
                 result.status is _OK and header.size > self._mtu))
         if apart:
-            self.fast_path.trace(AccessType(kind.value), result)
+            self.fast_path.trace(AccessType(kind._value_), result)
         self._reply(header, epoch, result, apart)
         self._leave(epoch)
         if tracer is not None:
             now = self.env.now
-            start = now - result.breakdown.total_ns
+            breakdown = result.breakdown
+            start = now - breakdown.total_ns
             if apart:
-                tracer.complete(self._handler_sites[kind],
+                tracer.complete(self._handler_sites[kind._value_],
                                 start if arrived is None else arrived, now,
                                 header.request_id, header.src, discarded)
             else:
-                tracer.record(
-                    self._served_sites[kind, header.src, result.status],
-                    start, now, header.request_id, start, now,
-                    *result.breakdown.stages(), now, header.request_id)
+                # Rows keyed by value: a lookup hashes no enum member.
+                tracer.stamp(self._served_rows[
+                    kind._value_, header.src, result.status._value_](
+                        start, now, header.request_id, breakdown.ingest_ns,
+                        breakdown.pipeline_ns, breakdown.tlb_miss_ns,
+                        breakdown.fault_ns, breakdown.dram_ns))
 
     def _send_nack(self, header: ClioHeader, epoch: int) -> None:
         # A crash since the corrupt packet arrived discards the NACK.
@@ -302,7 +305,7 @@ class Board:
         finally:
             self._leave(epoch, counted)
             if tracer is not None:
-                tracer.complete(self._handler_sites[kind], start,
+                tracer.complete(self._handler_sites[kind._value_], start,
                                 self.env.now, header.request_id, header.src,
                                 epoch != self._epoch)
 
@@ -380,8 +383,8 @@ class Board:
                                         progress.breakdown))
         self._leave(epoch)
         if tracer is not None:
-            tracer.complete(self._handler_sites[_WRITE], start, self.env.now,
-                            header.request_id, header.src,
+            tracer.complete(self._handler_sites[_WRITE._value_], start,
+                            self.env.now, header.request_id, header.src,
                             epoch != self._epoch)
 
     def _handle_batch(self, packet: Packet, epoch: int):

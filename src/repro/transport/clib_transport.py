@@ -186,7 +186,7 @@ class Transport:
         self.tracer = tracer
         if tracer is None:
             return
-        self._trace_sites = Sites(self._register_sites)
+        self._trace_rows = Sites(self._register_sites)
         self._attempt_sites = tracer.sites(
             "attempt:", "transport", self.node_name,
             ("request_id", "mn", "retry_of", "outcome"))
@@ -194,24 +194,25 @@ class Transport:
                                        "rtt_ns")
         self._end_failed = tracer.end_site("outcome", "retries", "reason")
 
-    def _register_sites(self, member: tuple) -> tuple[int, int]:
-        """Typed sites of one (packet type, MN): the request's BEGIN, and
-        the row that settles it when its first attempt is acked."""
+    def _register_sites(self, member: tuple) -> tuple:
+        """The rows of one (packet type's value, MN): the request's BEGIN,
+        and the row that settles it when its first attempt is acked, over
+        the cells ``sent, acked, request_id, handle, now, rtt``."""
         kind, mn = member
         tracer, node = self.tracer, self.node_name
-        args = ({"batch_size": int} if kind is PacketType.BATCH
+        args = ({"batch_size": int} if kind == PacketType.BATCH.value
                 else {"va": int, "size": int})
         return (
-            tracer.site("request:" + kind.value, "transport", node,
-                        {"mn": mn, "pid": int, **args}),
+            tracer.opening(tracer.site("request:" + kind, "transport", node,
+                                       {"mn": mn, "pid": int, **args})),
             tracer.group(
                 (COMPLETE, tracer.site(
-                    "attempt:" + kind.value, "transport", node,
+                    "attempt:" + kind, "transport", node,
                     {"request_id": int, "mn": mn, "retry_of": None,
-                     "outcome": "ok"})),
+                     "outcome": "ok"}), 0, 1, 2),
                 (END, tracer.site(None, None, None, {
                     "outcome": "ok", "retries": 0, "request_id": int,
-                    "rtt_ns": int}))))
+                    "rtt_ns": int}), 3, 4, 2, 5)))
 
     def congestion(self, mn: str) -> CongestionController:
         controller = self._congestion.get(mn)
@@ -344,9 +345,10 @@ class Transport:
     #: Request types handled off the fast path: they get the long timeout.
     #: CACHE_REQ is here because a directory request can legitimately wait
     #: behind a held write transaction (recalls to other CNs in flight).
-    SLOW_TYPES = frozenset({PacketType.ALLOC, PacketType.FREE,
-                            PacketType.OFFLOAD, PacketType.FENCE,
-                            PacketType.CACHE_REQ})
+    #: A tuple: ``in`` tests it by identity, where a set runs
+    #: ``Enum.__hash__``.
+    SLOW_TYPES = (PacketType.ALLOC, PacketType.FREE, PacketType.OFFLOAD,
+                  PacketType.FENCE, PacketType.CACHE_REQ)
 
     def request(self, mn: str, packet_type: PacketType, pid: int = 0,
                 va: int = 0, size: int = 0, data: Optional[bytes] = None,
@@ -464,8 +466,9 @@ class Transport:
         tracer = self.tracer
         request_span = None
         if tracer is not None:
-            request_site, settled_site = self._trace_sites[packet_type, mn]
-            request_span = tracer.begin(request_site, *trace_values)
+            request_row, settled_row = self._trace_rows[
+                packet_type._value_, mn]
+            request_span = tracer.open(request_row, trace_values)
             # An attempt starts when send() below runs.
             send_delay = clib.request_overhead_ns // 2
 
@@ -526,14 +529,15 @@ class Transport:
                     sent = state.sent_at + send_delay
                     acked = state.sent_at + rtt
                     if retries:
-                        tracer.complete(self._attempt_sites[packet_type], sent,
-                                        acked, request_id, mn, retry_of, "ok")
+                        tracer.complete(
+                            self._attempt_sites[packet_type._value_], sent,
+                            acked, request_id, mn, retry_of, "ok")
                         tracer.end(request_span, self._end_ok, "ok", retries,
                                    request_id, rtt)
                     else:
-                        tracer.record(settled_site, sent, acked, request_id,
-                                      request_span or 0, self.env.now,
-                                      request_id, rtt)
+                        tracer.stamp(settled_row(
+                            sent, acked, request_id, request_span or 0,
+                            self.env.now, rtt))
                 return RequestOutcome(body, response_data, rtt, retries,
                                       request_id)
 
@@ -547,7 +551,7 @@ class Transport:
             else:
                 last_reason = "timeout"
             if tracer is not None:
-                tracer.complete(self._attempt_sites[packet_type],
+                tracer.complete(self._attempt_sites[packet_type._value_],
                                 state.sent_at + send_delay, now,
                                 request_id, mn, retry_of, last_reason)
             if not state.timed_out:

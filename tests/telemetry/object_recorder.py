@@ -4,8 +4,9 @@
 Kept as the reference the row log is compared against
 (``test_differential.py``).  It takes the same calls as ``Tracer`` —
 ``site`` ints in, handles out — and nothing else of it is shared.  A
-completion-time ``record`` is its naive expansion: one ``complete``,
-``instant`` or ``end`` per part of the group, in order.
+completion-time ``stamp`` is its naive expansion: one ``complete``,
+``instant`` or ``end`` per part of the group, in order, each from the
+cells it names (or the next ones in turn).
 """
 
 from collections.abc import Mapping
@@ -26,7 +27,6 @@ class ObjectRecorder:
         self._seq = 0
         # (name, category, track, keys of the values passed, constant args)
         self._sites = [(None, None, None, (), {})]
-        self._groups = []
 
     def site(self, name, category, track, keys=()):
         """Untyped names, or a typed mapping: ``int`` args are passed,
@@ -47,8 +47,7 @@ class ObjectRecorder:
         return self.site(None, None, None, keys)
 
     def group(self, *parts):
-        self._groups.append(parts)
-        return -len(self._groups)
+        return lambda *cells: (parts, cells)
 
     def _args(self, site, values):
         keys, template = self._sites[site][3:]
@@ -76,6 +75,12 @@ class ObjectRecorder:
     def begin(self, site, *values, at_ns=None):
         return self._record(Span, self.spans, site, at_ns, values)
 
+    def opening(self, site):
+        return site
+
+    def open(self, site, values):
+        return self.begin(site, *values)
+
     def complete(self, site, start_ns, end_ns, *values):
         return self._record(Span, self.spans, site, start_ns, values,
                             end_ns=end_ns)
@@ -91,25 +96,26 @@ class ObjectRecorder:
         if args:
             span.args = {**(span.args or {}), **args}
 
-    def record(self, group, *cells):
-        parts = self._groups[-group - 1]
-        cells = iter(cells)
-
-        def take(count):
-            return [next(cells) for _ in range(count)]
-
+    def stamp(self, row):
+        parts, cells = row
         # All of the row's records or none; an END is never refused.
-        room = self._room(sum(kind != END for kind, _ in parts))
-        for kind, site in parts:
-            head = take(1 if kind == INSTANT else 2)
-            values = take(len(self._sites[site][3]))
+        room = self._room(sum(kind != END for kind, *_ in parts))
+        used = set()
+        for kind, site, *positions in parts:
+            lead = 1 if kind == INSTANT else 2
+            if not positions:           # the next cells, in turn
+                positions = range(len(used),
+                                  len(used) + lead + len(self._sites[site][3]))
+            used.update(positions)
+            head = [cells[cell] for cell in positions[:lead]]
+            values = [cells[cell] for cell in positions[lead:]]
             if kind == END:
                 self.end(head[0], site, *values, at_ns=head[1])
             elif room and kind == COMPLETE:
                 self.complete(site, *head, *values)
             elif room:
                 self.instant(site, *values, at_ns=head[0])
-        assert not list(cells)
+        assert used == set(range(len(cells)))
 
     def clear(self):
         self.spans.clear()

@@ -298,8 +298,8 @@ def test_any_call_sequence_round_trips(sequence, max_records):
                 # Closes one of the held handles, if its group has an END.
                 group, cells = group[arity % 3]
                 handle = held.pop(which % len(held)) if held else None
-                recorder.record(group, *cells(handle or 0, at_ns,
-                                              at_ns + which, *ints))
+                recorder.stamp(group(*cells(handle or 0, at_ns,
+                                            at_ns + which, *ints)))
             elif method == "begin":
                 held.append(recorder.begin(site[arity], *row, at_ns=at_ns))
             elif method == "complete":

@@ -1,6 +1,7 @@
 """Edge cases of the tracer's row storage: admission, stale handles, the
 read-only views, and the memory it is allowed to hold."""
 
+import struct
 import tracemalloc
 
 import pytest
@@ -8,15 +9,18 @@ import pytest
 from repro.cluster import ClioCluster
 from repro.sim import Environment
 from repro.telemetry.export import chrome_trace
-from repro.telemetry.spans import (COMPLETE, END, INSTANT, STAGE_RECORDS,
+from repro.telemetry.spans import (COMPLETE, END, INSTANT, STAGE_ROWS,
                                    Span, Tracer)
 
 MB = 1 << 20
 #: What a record may cost in the log, index included: a primed 64 B echo
-#: is 3 rows of 33 cells plus 6 index cells for its 5 records, 62.4 B
-#: each (tests/telemetry/test_hook_budget.py lists the rows).  The Span /
-#: dict / boxed-int objects the log replaced held ~440 B per record.
-BYTES_PER_RECORD = 64
+#: is 3 rows of 22 cells (a row's head names its site and kind, its seq
+#: is its place in the log, and the board's three records share their
+#: times and request id) plus 11 index cells for its 5 records, 52.8 B
+#: each (tests/telemetry/test_hook_budget.py lists the rows).  It was 3
+#: rows of 33 cells and 6 index cells, 62.4 B.  The Span / dict /
+#: boxed-int objects the log replaced held ~440 B per record.
+BYTES_PER_RECORD = 53
 
 
 def test_end_rows_are_never_refused_or_counted():
@@ -96,16 +100,16 @@ def test_reads_follow_the_log_across_chunks():
     site, tail = tracer.site("s", "t", "x", ("n",)), tracer.end_site("m")
     first = tracer.begin(site, -1)
     assert tracer.spans[0].open
-    for n in range(3 * STAGE_RECORDS):
+    for n in range(3 * STAGE_ROWS):
         tracer.complete(site, n, n, n)
-    assert len(tracer.spans) == 3 * STAGE_RECORDS + 1
-    assert tracer.spans[-1].args == {"n": 3 * STAGE_RECORDS - 1}
+    assert len(tracer.spans) == 3 * STAGE_ROWS + 1
+    assert tracer.spans[-1].args == {"n": 3 * STAGE_ROWS - 1}
     env.run(until=9)
     tracer.end(first, tail, "late")
     assert tracer.spans[0].end_ns == 9
     assert tracer.spans[0].args == {"n": -1, "m": "late"}
     assert [span.seq for span in tracer.spans] == list(
-        range(1, 3 * STAGE_RECORDS + 2))
+        range(1, 3 * STAGE_ROWS + 2))
 
 
 def typed_sites(tracer):
@@ -125,8 +129,8 @@ def test_group_row_is_its_parts_in_order():
     group = tracer.group((COMPLETE, span), (INSTANT, point), (END, close))
     held = tracer.begin(tracer.site("outer", "t", "x"))
     before = tracer.nbytes
-    tracer.record(group, 3, 9, 7, 9, 7, held, 12, 5)
-    assert tracer.nbytes - before == 8 * 11         # 3 head + 8 cells
+    tracer.stamp(group(3, 9, 7, 9, 7, held, 12, 5))
+    assert tracer.nbytes - before == 8 * 9          # the head + 8 cells
     outer, work = tracer.spans
     done, = tracer.instants
     assert (outer.end_ns, outer.args) == (12, {"outcome": "ok", "rtt": 5})
@@ -142,7 +146,7 @@ def test_group_row_over_capacity_still_ends_its_span():
     span, point, close = typed_sites(tracer)
     group = tracer.group((COMPLETE, span), (INSTANT, point), (END, close))
     held = tracer.begin(tracer.site("outer", "t", "x"))
-    tracer.record(group, 3, 9, 7, 9, 7, held, 12, 5)    # room for one
+    tracer.stamp(group(3, 9, 7, 9, 7, held, 12, 5))    # room for one
     assert tracer.dropped == 2 and len(tracer) == 1
     outer, = tracer.spans
     assert (outer.end_ns, outer.args) == (12, {"outcome": "ok", "rtt": 5})
@@ -155,10 +159,10 @@ def test_group_row_ignores_refused_and_stale_handles():
     stale = tracer.begin(tracer.site("outer", "t", "x"))
     tracer.clear()
     fresh = tracer.begin(tracer.site("outer", "t", "x"))
-    tracer.record(group, 0, 1, 1, stale, 1, 1)
-    tracer.record(group, 0, 2, 2, 0, 2, 2)          # 0: a refused begin
+    tracer.stamp(group(0, 1, 1, stale, 1, 1))
+    tracer.stamp(group(0, 2, 2, 0, 2, 2))          # 0: a refused begin
     assert tracer.spans[0].open and len(tracer.spans) == 3
-    tracer.record(group, 0, 3, 3, fresh, 3, 3)
+    tracer.stamp(group(0, 3, 3, fresh, 3, 3))
     assert tracer.spans[0].end_ns == 3
 
 
@@ -175,21 +179,68 @@ def test_typed_cells_hold_any_int64_and_nothing_else():
         tracer.instant(site, n)
     assert [i.args["n"] for i in tracer.instants] == [2**62, -2**63,
                                                       2**63 - 1]
-    tracer.instant(site, 2**63)
+    # Checked when the row is packed, at the call, which stages nothing.
     with pytest.raises(OverflowError):
-        tracer.instants[:]
-    tracer.clear()
-    tracer.instant(site, "text")
+        tracer.instant(site, 2**63)
     with pytest.raises(TypeError):
-        tracer.instants[:]
+        tracer.instant(site, "text")
+    assert len(tracer.instants) == 3
+    row = tracer.group((INSTANT, site))
+    with pytest.raises(struct.error):
+        tracer.stamp(row(0, 2**63))
 
 
 def test_wrong_value_count_names_the_site():
+    """A call checks its values and stages nothing when they do not fit;
+    so does a group's row, as ``struct`` packs it."""
     tracer = Tracer(Environment())
-    tracer.begin(tracer.site("s", "t", "x", ("a", "b")), 1)
-    for _ in range(2):                  # and keeps saying so
-        with pytest.raises(ValueError, match="'s', 't', 'x'"):
-            tracer.spans[:]
+    untyped = tracer.site("s", "t", "x", ("a", "b"))
+    typed = tracer.site("u", "t", "x", {"n": int})
+    for call in (lambda: tracer.begin(untyped, 1),
+                 lambda: tracer.complete(untyped, 0, 1, 1, 2, 3),
+                 lambda: tracer.end(tracer.begin(untyped, 1, 2), untyped),
+                 lambda: tracer.instant(typed)):
+        with pytest.raises(ValueError, match="'[su]', 't', 'x'"):
+            call()
+    assert len(tracer.spans) == 1 and tracer.spans[0].open
+    with pytest.raises(struct.error):
+        tracer.stamp(tracer.group((INSTANT, typed))(1))
+    assert len(tracer) == 1
+
+
+def test_open_is_begin_with_its_values_in_one_tuple():
+    env = Environment()
+    tracer = Tracer(env, max_records=2)
+    site = tracer.site("s", "t", "x", {"mn": "mn0", "n": int})
+    row = tracer.opening(site)
+    env.run(until=4)
+    assert tracer.open(row, (7,)) == 1 and tracer.begin(site, 8) == 2
+    assert tracer.open(row, (9,)) is None and tracer.dropped == 1
+    assert [(span.start_ns, span.args) for span in tracer.spans] == [
+        (4, {"mn": "mn0", "n": 7}), (4, {"mn": "mn0", "n": 8})]
+    with pytest.raises(ValueError, match="not typed"):
+        tracer.opening(tracer.site("u", "t", "x", ("n",)))
+
+
+def test_group_parts_read_shared_cells():
+    """A part names the cells it reads; one cell can serve several."""
+    tracer = Tracer(Environment())
+    span, point, close = typed_sites(tracer)
+    group = tracer.group((COMPLETE, span, 0, 1, 2), (INSTANT, point, 1, 2),
+                         (END, close, 3, 1, 4))
+    held = tracer.begin(tracer.site("outer", "t", "x"))
+    before = tracer.nbytes
+    tracer.stamp(group(3, 9, 7, held, 5))
+    assert tracer.nbytes - before == 8 * 6          # the head + 5 cells
+    outer, work = tracer.spans
+    done, = tracer.instants
+    assert (outer.end_ns, outer.args) == (9, {"outcome": "ok", "rtt": 5})
+    assert (work.start_ns, work.end_ns, work.args["n"]) == (3, 9, 7)
+    assert (done.at_ns, done.args["n"], done.seq) == (9, 7, 3)
+    with pytest.raises(ValueError, match="reads 3 cells"):
+        tracer.group((COMPLETE, span, 0, 1))
+    with pytest.raises(ValueError, match="unread"):
+        tracer.group((INSTANT, point, 0, 2))
 
 
 def primed_echo(ops):

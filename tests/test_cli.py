@@ -40,7 +40,7 @@ def test_bad_size_is_a_usage_error(command, size, capsys):
     "rack --clients 0", "chaos --ops 0", "rack --boards 1",
     "rack --boards 1 --scenario crash-mid-migration",
     "rack --boards 1 --scenario evict", "metrics --interval-us -1",
-    "latency --size 1.9GB --ops 1", "latency --size 100MB --ops 1",
+    "latency --size 1.9GB --ops 1",
     "metrics --ops 1 --size 1GB", "compare --size 3GB --backends rdma",
     "compare --size 3GB --backends legoos", "compare --size 3GB --backends cxl",
     "compare --size 4KB", "alloc --strategy buddy"])
