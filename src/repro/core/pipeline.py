@@ -222,12 +222,12 @@ class FastPath:
         breakdown.dram_ns = dram_ns
         return dram_ns
 
-    def trace(self, access: AccessType, result: FastPathResult) -> None:
-        """Record the traversal that just returned ``result`` as one
-        complete span carrying the breakdown args."""
+    def trace(self, access: str, result: FastPathResult) -> None:
+        """Record the traversal that just returned ``result``, an
+        ``access`` by its :class:`AccessType` value, as one complete span
+        carrying the breakdown args."""
         now = self.env.now
-        self.tracer.complete(self.stage_sites[access._value_,
-                                              result.status._value_],
+        self.tracer.complete(self.stage_sites[access, result.status._value_],
                              now - result.breakdown.total_ns, now,
                              *result.breakdown.stages())
 
@@ -291,7 +291,7 @@ class FastPath:
                    serialize_dma, gate.resume_waiters)
         result = yield gate
         if self.tracer is not None:
-            self.trace(access, result)
+            self.trace(access._value_, result)
         return result
 
     def serve(self, pid: int, access: AccessType, va: int, size: int,

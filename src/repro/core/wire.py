@@ -222,7 +222,7 @@ class Board:
             discarded or arrived is not None or kind is _READ and (
                 result.status is _OK and header.size > self._mtu))
         if apart:
-            self.fast_path.trace(AccessType(kind._value_), result)
+            self.fast_path.trace(kind._value_, result)
         self._reply(header, epoch, result, apart)
         self._leave(epoch)
         if tracer is not None:
@@ -360,7 +360,7 @@ class Board:
         The last packet of the write acks it once."""
         tracer = self.tracer
         if tracer is not None and result is not None:
-            self.fast_path.trace(_WRITE_ACCESS, result)
+            self.fast_path.trace(_WRITE_ACCESS._value_, result)
         if epoch != self._epoch:
             # Crash wiped _write_progress; this fragment's work is lost.
             self.responses_discarded += 1

@@ -216,8 +216,8 @@ class Tracer:
         self._width: list[int] = []
         self._site_ids: dict[str, int] = {}
         # Per row head: (parts, width in cells, records, instants); a part
-        # is (kind, site, which of the row's seqs is its own, the positions
-        # of its times, its args as (key, constant or type, position)).
+        # is (kind, site, the positions of its times, its args as (key,
+        # constant or type, position)).
         self._layouts = Sites(self._plain_layout)
         # Per packed head: its row's records | instants << _FIELD.
         self._weights = Sites(self._weight)
@@ -301,21 +301,18 @@ class Tracer:
         of the row's cells — ``start_ns, end_ns, ints...`` for a COMPLETE
         span, ``at_ns, ints...`` for an INSTANT, and ``handle, end_ns,
         ints...`` for the END of a span from :meth:`begin` — as positions
-        among them, so parts can share a cell.  A part that names none
-        takes the next ones in turn.
+        among them, so parts can share a cell.
         """
         layout, used, records, instants = [], set(), 0, 0
         for kind, site, *cells in parts:
             if self._width[site] < 0:
                 raise ValueError(f"site {self._sites[site]} is not typed")
             size = 2 - (kind == INSTANT) + self._arity[site]
-            if not cells:
-                cells = range(len(used), len(used) + size)
-            elif len(cells) != size:
+            if len(cells) != size:
                 raise ValueError(f"site {self._sites[site]} reads {size} "
                                  f"cells, not {cells}")
             used.update(cells)
-            layout.append(self._part(kind, site, records,
+            layout.append(self._part(kind, site,
                                      [1 + cell for cell in cells]))
             if kind != END:
                 records += 1
@@ -328,20 +325,19 @@ class Tracer:
             self._most, self._mark = records, 0     # recount at the next call
         return partial(self._packers[1 + len(used)], group)
 
-    def _part(self, kind: int, site: int, rank: int,
-              positions: list) -> tuple:
+    def _part(self, kind: int, site: int, positions: list) -> tuple:
         """One part of a row layout: where its times and its args are."""
         lead = 1 if kind == INSTANT else 2
         cells = iter(positions[lead:])
         plan = tuple((key, how, next(cells) if how is int or how is Any
                       else None) for key, how in self._sites[site][3])
-        return kind, site, rank, tuple(positions[:lead]), plan
+        return kind, site, tuple(positions[:lead]), plan
 
     def _plain_layout(self, head: int) -> tuple:
         """The layout of a row one call wrote (:class:`Sites` fills it)."""
         kind, site = head & (1 << _KIND_BITS) - 1, head >> _KIND_BITS
         width = 3 - (kind == INSTANT) + self._arity[site]
-        return ((self._part(kind, site, 0, list(range(1, width))),), width,
+        return ((self._part(kind, site, list(range(1, width))),), width,
                 int(kind != END), int(kind == INSTANT))
 
     # -- recording -----------------------------------------------------------------
@@ -417,8 +413,9 @@ class Tracer:
         CPython's generic call path, at ~8 times the cost (3.11)."""
         if len(self._stage) >= self._mark and not self._pass_mark():
             return None
-        self._begun = slot = self._begun + 1
+        slot = self._begun + 1
         self._stage.append(row(self.env.now, slot, *values))
+        self._begun = slot
         return slot
 
     def end(self, handle: Optional[int], site: int = 0, *values: Any,
@@ -474,7 +471,8 @@ class Tracer:
                 stage[:] = self._admit()
                 weight = sum(map(self._weights.__getitem__,
                                  map(_head, stage)))
-            self._chunks.append(array("q", b"".join(stage)))
+            if stage:
+                self._chunks.append(array("q", b"".join(stage)))
             self._seq += weight & _COUNT
             self._instant_count += weight >> _FIELD
             stage.clear()
@@ -490,8 +488,8 @@ class Tracer:
 
     def _admit(self) -> list:
         """The stage's rows that fit, in order: a row that would pass the
-        capacity is refused whole, but an END in it becomes a row of its
-        own."""
+        capacity is refused whole, but an END in it that :meth:`end` would
+        keep becomes a row of its own."""
         rows, room = [], self._floor + self.max_records - self._seq
         for packed in self._stage:
             row = array("q", packed)
@@ -501,8 +499,8 @@ class Tracer:
                 room -= records
                 continue
             self._dropped += records
-            for kind, site, _, times, plan in parts:
-                if kind == END:
+            for kind, site, times, plan in parts:
+                if kind == END and row[times[0]] > self._begun_floor:
                     end = [site << _KIND_BITS | END, row[times[0]],
                            row[times[1]]]
                     end += (row[cell] for _, _, cell in plan
@@ -547,7 +545,7 @@ class Tracer:
             while offset < size:
                 parts, width, _, _ = layouts[chunk[offset]]
                 address = number << _SHIFT | offset
-                for part, (kind, _, _, times, _) in enumerate(parts):
+                for part, (kind, _, times, _) in enumerate(parts):
                     if kind == END:
                         slot = (chunk[offset + times[0]]
                                 - self._begun_floor - 1)
@@ -583,7 +581,7 @@ class Tracer:
     def _derive(self, rank: int):
         """The :class:`Span` or :class:`Instant` ``rank`` records after
         the first since :meth:`clear`."""
-        chunk, offset, (kind, site, _, times, plan) = self._locate(
+        chunk, offset, (kind, site, times, plan) = self._locate(
             self._addresses[rank])
         name, category, track, _ = self._sites[site]
         seq = self._floor + 1 + rank
@@ -599,7 +597,7 @@ class Tracer:
         end = self._end_rows[chunk[offset + times[1]]
                              - self._begun_floor - 1]
         if end >= 0:
-            chunk, offset, (_, _, _, times, plan) = self._locate(end)
+            chunk, offset, (_, _, times, plan) = self._locate(end)
             end_ns = chunk[offset + times[1]]
             args.update(self._args(chunk, offset, plan))
         return Span(name, category, track, start_ns, end_ns, args or None,

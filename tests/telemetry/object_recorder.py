@@ -6,7 +6,7 @@ Kept as the reference the row log is compared against
 ``site`` ints in, handles out — and nothing else of it is shared.  A
 completion-time ``stamp`` is its naive expansion: one ``complete``,
 ``instant`` or ``end`` per part of the group, in order, each from the
-cells it names (or the next ones in turn).
+cells it names.
 """
 
 from collections.abc import Mapping
@@ -103,9 +103,7 @@ class ObjectRecorder:
         used = set()
         for kind, site, *positions in parts:
             lead = 1 if kind == INSTANT else 2
-            if not positions:           # the next cells, in turn
-                positions = range(len(used),
-                                  len(used) + lead + len(self._sites[site][3]))
+            assert len(positions) == lead + len(self._sites[site][3])
             used.update(positions)
             head = [cells[cell] for cell in positions[:lead]]
             values = [cells[cell] for cell in positions[lead:]]

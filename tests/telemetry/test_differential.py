@@ -16,7 +16,7 @@ import itertools
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.clib.client import RemoteAccessError
 from repro.cluster import ClioCluster
@@ -251,10 +251,10 @@ values = st.one_of(
 int64 = st.one_of(st.integers(-4, 4), st.integers(-2**63, 2**63 - 1),
                   st.sampled_from([2**62 - 1, 2**62, -2**62 - 1, 2**63 - 1,
                                    -2**63]))
-#: (method, site / end-site / group number, handle number, timestamp,
-#: values of an untyped site, ints of a group row)
+#: (method, arity of the site / end-site, handle and group number,
+#: timestamp, values of an untyped site, ints of a typed one or a group row)
 calls = st.lists(st.tuples(
-    st.sampled_from(["begin", "end", "complete", "instant", "record",
+    st.sampled_from(["begin", "open", "end", "complete", "instant", "record",
                      "clear"]),
     st.integers(0, 3), st.integers(0, 40), st.integers(0, 10**12),
     st.lists(values, min_size=3, max_size=3),
@@ -262,24 +262,58 @@ calls = st.lists(st.tuples(
 
 
 def typed_groups(recorder):
-    """Three group sites over typed sites, and the cells of a row of each
-    from ``(handle, at_ns, later_ns, three ints)``."""
+    """Group sites over typed sites, and the cells of a row of each from
+    ``(handle, at_ns, later_ns, three ints)``.  The last two share cells
+    as the hot path's rows do: a CN's settled ``attempt:*`` + the END of
+    its ``request:*``, and a board's ``mn:*`` + ``fastpath:*`` +
+    ``mn_response``."""
     span = recorder.site("typed", "c", "t0", {"a": int, "k": "const",
                                               "n": None})
     point = recorder.site("point", "c", "t1", {"flag": True, "b": int})
     close = recorder.site(None, None, None, {"why": "done", "x": int})
+    attempt = recorder.site("attempt", "c", "t0", {
+        "request_id": int, "mn": "mn0", "retry_of": None, "outcome": "ok"})
+    settle = recorder.site(None, None, None, {
+        "outcome": "ok", "retries": 0, "request_id": int, "rtt_ns": int})
+    handler = recorder.site("mn", "c", "t1", {
+        "request_id": int, "src": "cn0", "discarded": False})
+    stages = recorder.site("fastpath", "c", "t1",
+                           {f"stage{n}": int for n in range(5)})
+    response = recorder.site("mn_response", "c", "t1", {
+        "request_id": int, "type": "response", "dst": "cn0"})
     return [
-        (recorder.group((COMPLETE, span), (INSTANT, point)),
+        (recorder.group((COMPLETE, span, 0, 1, 2), (INSTANT, point, 3, 4)),
          lambda handle, at, later, i, j, k: (at, later, i, at, j)),
-        (recorder.group((COMPLETE, span), (END, close)),
+        (recorder.group((COMPLETE, span, 0, 1, 2), (END, close, 3, 4, 5)),
          lambda handle, at, later, i, j, k: (at, later, i, handle, later, j)),
-        (recorder.group((INSTANT, point), (END, close), (COMPLETE, span)),
+        (recorder.group((INSTANT, point, 0, 1), (END, close, 2, 3, 4),
+                        (COMPLETE, span, 5, 6, 7)),
          lambda handle, at, later, i, j, k: (at, i, handle, at, j, at, later,
                                              k)),
+        (recorder.group((COMPLETE, attempt, 0, 1, 2),
+                        (END, settle, 3, 4, 2, 5)),
+         lambda handle, at, later, i, j, k: (at, later, i, handle, later, j)),
+        (recorder.group((COMPLETE, handler, 0, 1, 2),
+                        (COMPLETE, stages, 0, 1, 3, 4, 5, 6, 7),
+                        (INSTANT, response, 1, 2)),
+         lambda handle, at, later, i, j, k: (at, later, i, j, k, at, later,
+                                             i)),
     ]
 
 
+#: Full after one ``open`` and four COMPLETEs, then refused rows: a
+#: settled one that still ends the open span, a board's, and one that ends
+#: handle 0, as a hot hook stamps past capacity.
+FULL_THEN_REFUSED = [("open", 2, 0, 0, [0] * 3, [7, 8, 9])] + [
+    ("complete", 0, 1, 10, [0] * 3, [0] * 3)] * 4 + [
+    ("record", 0, 3, 20, [0] * 3, [1, 2, 3]),
+    ("open", 1, 0, 25, [0] * 3, [4, 5, 6]),
+    ("record", 0, 4, 30, [0] * 3, [4, 5, 6]),
+    ("record", 0, 1, 40, [0] * 3, [7, 8, 9])]
+
+
 @given(calls, st.sampled_from([5, 1_000_000]))
+@example(FULL_THEN_REFUSED, 5)
 def test_any_call_sequence_round_trips(sequence, max_records):
     env = Environment()
     recorders = [Tracer(env, max_records), ObjectRecorder(env, max_records)]
@@ -289,19 +323,26 @@ def test_any_call_sequence_round_trips(sequence, max_records):
     end_sites = [[recorder.end_site(*(f"e{i}" for i in range(arity)))
                   for arity in range(4)] for recorder in recorders]
     groups = [typed_groups(recorder) for recorder in recorders]
+    openings = [[recorder.opening(recorder.site(
+        f"o{arity}", "c", f"t{arity % 2}",
+        {"mn": "mn0", **{f"n{i}": int for i in range(arity)}}))
+        for arity in range(4)] for recorder in recorders]
     handles = [[], []]
     for method, arity, which, at_ns, row, ints in sequence:
         row = row[:arity]
-        for recorder, site, end_site, group, held in zip(
-                recorders, sites, end_sites, groups, handles):
+        for recorder, site, end_site, group, opening, held in zip(
+                recorders, sites, end_sites, groups, openings, handles):
             if method == "record":
                 # Closes one of the held handles, if its group has an END.
-                group, cells = group[arity % 3]
+                group, cells = group[which % len(group)]
                 handle = held.pop(which % len(held)) if held else None
                 recorder.stamp(group(*cells(handle or 0, at_ns,
                                             at_ns + which, *ints)))
             elif method == "begin":
                 held.append(recorder.begin(site[arity], *row, at_ns=at_ns))
+            elif method == "open":
+                held.append(recorder.open(opening[arity],
+                                          tuple(ints[:arity])))
             elif method == "complete":
                 recorder.complete(site[arity], at_ns, at_ns + which, *row)
             elif method == "instant":

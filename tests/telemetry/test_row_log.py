@@ -126,7 +126,8 @@ def test_group_row_is_its_parts_in_order():
     env = Environment()
     tracer = Tracer(env)
     span, point, close = typed_sites(tracer)
-    group = tracer.group((COMPLETE, span), (INSTANT, point), (END, close))
+    group = tracer.group((COMPLETE, span, 0, 1, 2), (INSTANT, point, 3, 4),
+                         (END, close, 5, 6, 7))
     held = tracer.begin(tracer.site("outer", "t", "x"))
     before = tracer.nbytes
     tracer.stamp(group(3, 9, 7, 9, 7, held, 12, 5))
@@ -144,7 +145,8 @@ def test_group_row_is_its_parts_in_order():
 def test_group_row_over_capacity_still_ends_its_span():
     tracer = Tracer(Environment(), max_records=2)
     span, point, close = typed_sites(tracer)
-    group = tracer.group((COMPLETE, span), (INSTANT, point), (END, close))
+    group = tracer.group((COMPLETE, span, 0, 1, 2), (INSTANT, point, 3, 4),
+                         (END, close, 5, 6, 7))
     held = tracer.begin(tracer.site("outer", "t", "x"))
     tracer.stamp(group(3, 9, 7, 9, 7, held, 12, 5))    # room for one
     assert tracer.dropped == 2 and len(tracer) == 1
@@ -152,10 +154,53 @@ def test_group_row_over_capacity_still_ends_its_span():
     assert (outer.end_ns, outer.args) == (12, {"outcome": "ok", "rtt": 5})
 
 
+def test_refused_row_keeps_no_end_of_a_refused_handle():
+    """Past capacity, ``open`` hands out no handle and a hot hook stamps
+    0 in its place: the refused row it then writes leaves nothing behind,
+    so the log stays bounded however long the run goes on."""
+    tracer = Tracer(Environment(), max_records=1)
+    span, _point, close = typed_sites(tracer)
+    row = tracer.opening(tracer.site("outer", "t", "x", {"n": int}))
+    group = tracer.group((COMPLETE, span, 0, 1, 2), (END, close, 3, 1, 4))
+    tracer.open(row, (1,))
+    held = tracer.nbytes
+    tracemalloc.start()
+    try:
+        for n in range(1000):
+            handle = tracer.open(row, (n,))
+            tracer.stamp(group(0, n, n, handle or 0, n))
+        grown, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tracer.nbytes == held and tracer.dropped == 2000
+    assert grown < 2048     # a kept END row or empty chunk: ~90 B each
+    assert len(tracer) == 1 and tracer.spans[0].open
+
+
+def test_open_that_raises_leaves_later_spans_paired():
+    """Values ``open``'s row cannot pack take no slot: the spans opened
+    after them still pair with their ENDs."""
+    env = Environment()
+    tracer = Tracer(env)
+    site = tracer.site("s", "t", "x", {"n": int})
+    row, close = tracer.opening(site), tracer.end_site("m")
+    first = tracer.open(row, (1,))
+    for values in ((1, 2), (2**63,), ("text",)):
+        with pytest.raises(struct.error):
+            tracer.open(row, values)
+    second = tracer.open(row, (3,))
+    assert second == first + 1
+    env.run(until=5)
+    tracer.end(second, close, "b")
+    tracer.end(first, close, "a")
+    assert [(span.end_ns, span.args) for span in tracer.spans] == [
+        (5, {"n": 1, "m": "a"}), (5, {"n": 3, "m": "b"})]
+
+
 def test_group_row_ignores_refused_and_stale_handles():
     tracer = Tracer(Environment())
     span, _point, close = typed_sites(tracer)
-    group = tracer.group((COMPLETE, span), (END, close))
+    group = tracer.group((COMPLETE, span, 0, 1, 2), (END, close, 3, 4, 5))
     stale = tracer.begin(tracer.site("outer", "t", "x"))
     tracer.clear()
     fresh = tracer.begin(tracer.site("outer", "t", "x"))
@@ -169,7 +214,7 @@ def test_group_row_ignores_refused_and_stale_handles():
 def test_group_parts_must_be_typed():
     tracer = Tracer(Environment())
     with pytest.raises(ValueError, match="not typed"):
-        tracer.group((COMPLETE, tracer.site("s", "t", "x", ("n",))))
+        tracer.group((COMPLETE, tracer.site("s", "t", "x", ("n",)), 0, 1, 2))
 
 
 def test_typed_cells_hold_any_int64_and_nothing_else():
@@ -185,7 +230,7 @@ def test_typed_cells_hold_any_int64_and_nothing_else():
     with pytest.raises(TypeError):
         tracer.instant(site, "text")
     assert len(tracer.instants) == 3
-    row = tracer.group((INSTANT, site))
+    row = tracer.group((INSTANT, site, 0, 1))
     with pytest.raises(struct.error):
         tracer.stamp(row(0, 2**63))
 
@@ -204,7 +249,7 @@ def test_wrong_value_count_names_the_site():
             call()
     assert len(tracer.spans) == 1 and tracer.spans[0].open
     with pytest.raises(struct.error):
-        tracer.stamp(tracer.group((INSTANT, typed))(1))
+        tracer.stamp(tracer.group((INSTANT, typed, 0, 1))(1))
     assert len(tracer) == 1
 
 
@@ -239,6 +284,8 @@ def test_group_parts_read_shared_cells():
     assert (done.at_ns, done.args["n"], done.seq) == (9, 7, 3)
     with pytest.raises(ValueError, match="reads 3 cells"):
         tracer.group((COMPLETE, span, 0, 1))
+    with pytest.raises(ValueError, match="reads 2 cells"):
+        tracer.group((INSTANT, point))          # a part names its cells
     with pytest.raises(ValueError, match="unread"):
         tracer.group((INSTANT, point, 0, 2))
 
