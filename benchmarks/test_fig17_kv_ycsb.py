@@ -14,7 +14,7 @@ from bench_common import GB, MB, backend_params, make_cluster, mean, run_app
 from repro.analysis.report import render_table
 from repro.apps.kv_store import ClioKV, register_kv_offload
 from repro.baselines.clover import CloverStore
-from repro.baselines.herd import HERDServer
+from repro.baselines.served import ServedMemoryNode
 from repro.params import ClioParams
 from repro.sim import Environment
 from repro.sim.rng import RandomStream
@@ -112,9 +112,10 @@ def run_experiment():
     return {
         "Clio-KV": clio_kv_latencies(),
         "Clover": baseline_latencies(lambda env: CloverStore(env, params)),
-        "HERD": baseline_latencies(lambda env: HERDServer(env, params)),
+        "HERD": baseline_latencies(
+            lambda env: ServedMemoryNode(env, params, "herd")),
         "HERD-BF": baseline_latencies(
-            lambda env: HERDServer(env, params, on_bluefield=True)),
+            lambda env: ServedMemoryNode(env, params, "herd-bf")),
     }
 
 

@@ -13,7 +13,7 @@ from bench_common import GB, MB, backend_params, make_cluster, run_app
 from repro.analysis.report import render_table
 from repro.apps.kv_store import ClioKV, register_kv_offload
 from repro.baselines.clover import CloverStore
-from repro.baselines.herd import HERDServer
+from repro.baselines.served import ServedMemoryNode
 from repro.energy.power import default_profiles
 from repro.params import ClioParams
 from repro.sim import Environment
@@ -105,9 +105,10 @@ def run_experiment():
     runtimes = {
         "Clio": clio_runtime_ns(),
         "Clover": baseline_runtime_ns(lambda env: CloverStore(env, kv)),
-        "HERD": baseline_runtime_ns(lambda env: HERDServer(env, kv)),
+        "HERD": baseline_runtime_ns(
+            lambda env: ServedMemoryNode(env, kv, "herd")),
         "HERD-BF": baseline_runtime_ns(
-            lambda env: HERDServer(env, kv, on_bluefield=True)),
+            lambda env: ServedMemoryNode(env, kv, "herd-bf")),
     }
     profiles = default_profiles(params.energy, cn_threads=CN_CORES)
     reports = {name: profiles[name].energy(runtime)

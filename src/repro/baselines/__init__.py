@@ -3,12 +3,12 @@
 * :mod:`repro.baselines.rdma` — native one-sided RDMA on a commodity RNIC,
   with its finite QP/PTE/MR caches, PCIe miss penalties, MR registration,
   and the 16.8 ms ODP page-fault path.
-* :mod:`repro.baselines.legoos` — LegoOS-style software virtual memory at
-  the MN (thread pool + hash lookup) over RDMA.
+* :mod:`repro.baselines.served` — memory nodes built from regular
+  servers: HERD on host CPU cores, HERD-BF on a BlueField SmartNIC
+  (chip-crossing penalty) and LegoOS (a software thread pool) are one
+  ``ServedMemoryNode`` with a cost row per system.
 * :mod:`repro.baselines.clover` — Clover adapted as passive disaggregated
   memory (PDM): no MN processing, client-side management, >= 2 RTT writes.
-* :mod:`repro.baselines.herd` — HERD RPC key-value over RDMA, on a host
-  CPU or on a BlueField SmartNIC (chip-crossing penalty).
 * :mod:`repro.baselines.cxl` — a CXL 2.0-style pooled load/store device
   with a coherence directory and one shared port.
 * :mod:`repro.baselines.api` — the four verbs every model above (and Clio)
@@ -24,19 +24,17 @@ first-class here.
 from repro.baselines.api import BACKEND_NAMES, create_backend, sample_latencies
 from repro.baselines.clover import CloverStore
 from repro.baselines.cxl import CXLPool
-from repro.baselines.herd import HERDServer
-from repro.baselines.legoos import LegoOSMemoryNode
 from repro.baselines.rdma import MRRegistrationError, RDMAMemoryNode, MemoryRegion
+from repro.baselines.served import ServedMemoryNode
 
 __all__ = [
     "BACKEND_NAMES",
     "CXLPool",
     "CloverStore",
-    "HERDServer",
-    "LegoOSMemoryNode",
     "MRRegistrationError",
     "MemoryRegion",
     "RDMAMemoryNode",
+    "ServedMemoryNode",
     "create_backend",
     "sample_latencies",
 ]

@@ -15,8 +15,7 @@ Allocations read as zeros until written, a load returns the bytes the
 last store left at that range (Clover, a KV store underneath: for ranges
 stored as a unit), and an access outside a live allocation raises a
 ``ValueError``.  The native APIs -- ``read/write(qp, region, ...)``,
-``read/write(pid, va, ...)``, ``put/get`` -- stay for the figures that
-need model internals.  The section 6 apps (:mod:`repro.apps`) are
+HERD's ``put/get`` -- stay for the figures that need model internals.  The section 6 apps (:mod:`repro.apps`) are
 written once over the four verbs too.
 
 :func:`create_backend` builds one ready model by name and
@@ -33,9 +32,8 @@ from typing import Optional, Sequence
 
 from repro.baselines.clover import CloverStore
 from repro.baselines.cxl import CXLPool
-from repro.baselines.herd import HERDServer
-from repro.baselines.legoos import LegoOSMemoryNode
 from repro.baselines.rdma import RDMAMemoryNode, check_access
+from repro.baselines.served import ServedMemoryNode
 from repro.cluster import ClioCluster
 from repro.params import BACKEND_NAMES, MB, ClioParams
 from repro.sim import Environment
@@ -101,13 +99,11 @@ def create_backend(name: str, params: Optional[ClioParams] = None,
     rng = RandomStream(seed, name.removesuffix("-bf"))
     if name == "rdma":
         return RDMAMemoryNode(env, params, rng=rng)
-    if name == "legoos":
-        return LegoOSMemoryNode(env, params, rng=rng)
     if name == "clover":
         store = CloverStore(env, params, rng=rng)
         env.run(until=env.process(store.setup()))
         return store
-    return HERDServer(env, params, on_bluefield=name == "herd-bf", rng=rng)
+    return ServedMemoryNode(env, params, name, rng=rng)
 
 
 def sample_latencies(name: str, sizes: Sequence[int], ops: int, write: bool,

@@ -10,18 +10,23 @@ clients.  Consequences the model reproduces:
 * the CN burns extra cycles on space management — which is why Clover's
   *energy* lands slightly above Clio's despite the passive MN (Figure 18).
 
+A version takes ``ceil(len / VALUE_SLOT)`` contiguous 1 KB slots of the
+registered region: fresh slots first, then those a replaced version
+gave back.
+
 For the comparison verbs (:mod:`repro.baselines.api`) the store is
 driven as memory: an allocation is a client-side ``(base, size)``
 extent, and each written range is one key, ``(base, offset)``.  A read
-of a range written as a unit returns those bytes (out of the 1 KB
-version slot); a never-written range reads as zeros.
+of a range written as a unit returns those bytes (out of its version's
+slots); a never-written range reads as zeros.  ``free`` drops the
+extent's versions.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.baselines.rdma import RDMAMemoryNode, check_access
+from repro.baselines.rdma import Extents, RDMAMemoryNode
 from repro.params import ClioParams
 from repro.sim import Environment
 from repro.sim.rng import RandomStream
@@ -44,13 +49,13 @@ class CloverStore:
         self._setup_done = False
         self._qp = None
         self._region = None
-        # Client-side metadata: key -> slot index of the newest version.
-        self._index: dict[bytes, int] = {}
-        self._next_slot = 0
-        self._next_base = 0
-        self._extents: set[tuple[int, int]] = set()
-        self.gets = 0
-        self.puts = 0
+        # Client-side metadata: key -> (first slot, slots) of the newest
+        # version; the verbs' extents, and the keys written in each.
+        slots = params.backend.capacity_slots
+        self._index: dict[bytes, tuple[int, int]] = {}
+        self._slots = Extents(slots)
+        self._extents = Extents(slots * self.VALUE_SLOT)
+        self._written: dict[tuple[int, int], set[bytes]] = {}
         self.extra_chases = 0
         # Energy accounting: CN-side management cycles.
         self.cn_mgmt_busy_ns = 0
@@ -79,26 +84,26 @@ class CloverStore:
         """
         if not self._setup_done:
             raise RuntimeError("call setup() first")
-        if len(value) > self.VALUE_SLOT:
-            raise ValueError(f"value exceeds slot size {self.VALUE_SLOT}")
         start = self.env.now
-        self.puts += 1
         yield self.env.timeout(self._management_ns())
-        slot = self._next_slot
-        self._next_slot = (self._next_slot + 1) % (
-            self._region.size // self.VALUE_SLOT)
+        version = self._slots.take(max(1, -(-len(value) // self.VALUE_SLOT)))
+        offset = version[0] * self.VALUE_SLOT
         # RTT 1: write the new version out of place.
-        yield from self.rdma_node.write(self._qp, self._region,
-                                        slot * self.VALUE_SLOT, value)
-        # RTT 2 (+ more under contention): CAS the metadata pointer.
+        yield from self.rdma_node.write(self._qp, self._region, offset, value)
+        # RTT 2 (+ more under contention): CAS the metadata pointer.  The
+        # pointer itself is the client's index, so the CAS swaps a word
+        # for itself and leaves the version's bytes as written.
         extra_rtts = self.clover.write_round_trips - 2
         if self.rng.chance(self.clover.cursor_chase_probability):
             extra_rtts += 1
             self.extra_chases += 1
         for _ in range(1 + max(0, extra_rtts)):
             yield from self.rdma_node.atomic_cas(
-                self._qp, self._region, slot * self.VALUE_SLOT, 0, 1)
-        self._index[bytes(key)] = slot
+                self._qp, self._region, offset, 0, 0)
+        replaced = self._index.get(key := bytes(key))
+        self._index[key] = version
+        if replaced is not None:
+            self._slots.release(replaced)
         return self.env.now - start
 
     def get(self, key: bytes):
@@ -109,18 +114,19 @@ class CloverStore:
         if not self._setup_done:
             raise RuntimeError("call setup() first")
         start = self.env.now
-        self.gets += 1
         yield self.env.timeout(self._management_ns())
-        slot = self._index.get(bytes(key))
-        if slot is None:
+        version = self._index.get(bytes(key))
+        if version is None:
             return None, self.env.now - start
+        slot, slots = version
         if self.rng.chance(self.clover.cursor_chase_probability):
             # Stale cursor: one extra chase read.
             self.extra_chases += 1
             yield from self.rdma_node.read(self._qp, self._region,
                                            slot * self.VALUE_SLOT, 8)
         data, _ = yield from self.rdma_node.read(
-            self._qp, self._region, slot * self.VALUE_SLOT, self.VALUE_SLOT)
+            self._qp, self._region, slot * self.VALUE_SLOT,
+            slots * self.VALUE_SLOT)
         return data, self.env.now - start
 
     # -- the comparison verbs: one key per written range ---------------------------------
@@ -128,20 +134,20 @@ class CloverStore:
     def alloc(self, size: int):
         """Process-generator: passive memory, so allocation is client-side
         bookkeeping; returns a ``(base, size)`` extent."""
-        extent = (self._next_base, size)
-        self._next_base += size
-        self._extents.add(extent)
+        extent = self._extents.take(size)
+        self._written[extent] = set()
         yield self.env.timeout(0)
         return extent
 
     def free(self, extent: tuple[int, int]):
-        self._extents.remove(extent)
+        self._extents.release(extent)
+        for key in self._written.pop(extent):
+            self._slots.release(self._index.pop(key))
         yield self.env.timeout(0)
 
     def _range_key(self, extent: tuple[int, int], offset: int,
                    size: int) -> bytes:
-        check_access(extent in self._extents, f"extent {extent[0]:#x}",
-                     extent[1], offset, size)
+        self._extents.address(extent, offset, size)   # a live range
         return b"%d:%d" % (extent[0], offset)
 
     def load(self, extent: tuple[int, int], offset: int, size: int):
@@ -152,5 +158,7 @@ class CloverStore:
         return value[:size].ljust(size, b"\0"), latency
 
     def store(self, extent: tuple[int, int], offset: int, data: bytes):
-        return (yield from self.put(
-            self._range_key(extent, offset, len(data)), data))
+        key = self._range_key(extent, offset, len(data))
+        latency = yield from self.put(key, data)
+        self._written[extent].add(key)
+        return latency

@@ -175,6 +175,7 @@ class CXLPool:
         if self._regions.pop(region.region_id, None) is None:
             raise CXLError(f"region {region.region_id} not allocated")
         self._free_ranges.append((region.base_pa, region.size))
+        self.dram.zero(region.base_pa, region.size)
         line = self.cxl.line_bytes
         first = region.base_pa // line
         last = (region.base_pa + region.size - 1) // line

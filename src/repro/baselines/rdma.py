@@ -25,6 +25,7 @@ Latency jitter follows a light base distribution with a rare heavy tail
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -56,6 +57,67 @@ def check_access(allocated: bool, what: str, length: int, offset: int,
         raise RemoteAccessError(
             f"access [{offset}, {offset + size}) outside {what} of "
             f"{length} bytes")
+
+
+class Extents:
+    """The live ``(base, size)`` extents of a ``capacity``-unit space.
+
+    ``take`` carves fresh space until the end is reached, then the first
+    freed hole that fits (freed neighbours merge), and raises
+    ``MemoryError`` when nothing fits.  Fresh space first keeps a run that
+    never frees at the addresses a plain bump allocator gives.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._end = 0                          # fresh space starts here
+        self._holes: list[list[int]] = []      # freed [base, size], by base
+        self._live: set[tuple[int, int]] = set()
+
+    def take(self, size: int) -> tuple[int, int]:
+        if size <= 0:
+            raise ValueError(f"size must be positive, got {size}")
+        if self._end + size <= self.capacity:
+            base = self._end
+            self._end += size
+        else:
+            if self._end < self.capacity:      # the end is reached
+                self._hole(self._end, self.capacity - self._end)
+                self._end = self.capacity
+            hole = next((hole for hole in self._holes if hole[1] >= size),
+                        None)
+            if hole is None:
+                raise MemoryError(f"no free extent of {size} in "
+                                  f"{self.capacity}")
+            base = hole[0]
+            hole[0] += size
+            hole[1] -= size
+            if not hole[1]:
+                self._holes.remove(hole)
+        extent = (base, size)
+        self._live.add(extent)
+        return extent
+
+    def release(self, extent: tuple[int, int]) -> None:
+        self._live.remove(extent)
+        self._hole(*extent)
+
+    def _hole(self, base: int, size: int) -> None:
+        holes = self._holes
+        index = bisect.bisect(holes, [base])
+        if index < len(holes) and holes[index][0] == base + size:
+            size += holes.pop(index)[1]
+        if index and sum(holes[index - 1]) == base:
+            holes[index - 1][1] += size
+        else:
+            holes.insert(index, [base, size])
+
+    def address(self, extent: tuple[int, int], offset: int,
+                size: int) -> int:
+        """Where ``[offset, offset + size)`` of a live extent starts."""
+        check_access(extent in self._live, f"extent {extent[0]:#x}",
+                     extent[1], offset, size)
+        return extent[0] + offset
 
 
 class _LRUCache:
@@ -122,7 +184,7 @@ class RDMAMemoryNode:
         # MR registration runs through the host kernel (pin_user_pages
         # under mmap_sem) — concurrent registrations serialize.
         self._registration_lock = Resource(env, capacity=1)
-        self._next_pa = 0
+        self._extents = Extents(capacity)
         self.ops = 0
         self.page_faults = 0
         # Energy accounting: host CPU cycles burned serving the MN side.
@@ -158,19 +220,17 @@ class RDMAMemoryNode:
         finally:
             self._registration_lock.release(token)
         self.mn_cpu_busy_ns += cost
-        if self._next_pa + size > self.dram.capacity:
-            # Wrap: benchmarks map many MRs over the same physical memory
-            # (the paper does the same to scale the MR count on 2 GB).
-            self._next_pa = 0
-        region = MemoryRegion(mr_id=next(self._mr_ids), base_pa=self._next_pa,
+        base_pa, _ = self._extents.take(size)
+        region = MemoryRegion(mr_id=next(self._mr_ids), base_pa=base_pa,
                               size=size, pinned=pinned, qp=self.create_qp())
-        self._next_pa += size
         self._mrs[region.mr_id] = region
         return region
 
     def deregister_mr(self, region: MemoryRegion):
         yield self.env.timeout(self.rdma.mr_register_base_ns // 2)
-        self._mrs.pop(region.mr_id, None)
+        if self._mrs.pop(region.mr_id, None) is not None:
+            self._extents.release((region.base_pa, region.size))
+            self.dram.zero(region.base_pa, region.size)
         self.mr_cache.invalidate(region.mr_id)
 
     # -- one-sided verbs ----------------------------------------------------------------

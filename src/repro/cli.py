@@ -448,16 +448,12 @@ def _size_bound(args) -> Optional[int]:
     as Clio's board): half its DRAM -- near that, a ralloc's VA search
     outlasts the CN's longest request timeout and fails.  The transfer
     itself is not bounded: an attempt's timeout grows with its wire time.
-    Clover holds a value in one slot.  None for the other commands."""
+    None for the other commands."""
     if args.func not in (cmd_latency, cmd_compare, cmd_metrics):
         return None
-    from repro.baselines.clover import CloverStore
-
     params = _profile(args.profile)
     dram = (METRICS_BOARD if args.func is cmd_metrics else
             params.backend.dram_capacity or params.cboard.dram_capacity)
-    if args.func is cmd_compare and "clover" in args.backends:
-        return min(dram // 2, CloverStore.VALUE_SLOT)
     return dram // 2
 
 

@@ -390,7 +390,7 @@ class Transport:
 
         return self._transact(
             mn, packet_type, emit, expected_response_bytes, timeout_ns,
-            va=va, trace_values=(pid, va, size))
+            va, (pid, va, size))
 
     def request_batch(self, mn: str, pid: int, sub_ops,
                       timeout_ns: Optional[int] = None):
@@ -440,8 +440,7 @@ class Transport:
 
         outcome = yield from self._transact(
             mn, PacketType.BATCH, emit, expected_response_bytes, timeout_ns,
-            va=sub_ops[0].va, trace_values=(pid, len(sub_ops)),
-            rtt_scale=len(sub_ops))
+            sub_ops[0].va, (pid, len(sub_ops)), len(sub_ops))
         self.batch_subops_completed += len(sub_ops)
         return BatchOutcome(statuses=tuple(outcome.body.value),
                             data=outcome.data or b"",

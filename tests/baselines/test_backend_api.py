@@ -8,12 +8,15 @@ design; the pinned fingerprints keep each backend's latency model from
 drifting silently.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines.api import BACKEND_NAMES, ClioMemory, create_backend
 from repro.cluster import ClioCluster
 from repro.params import BackendParams, ClioParams
 
+KB = 1 << 10
 MB = 1 << 20
 
 
@@ -114,6 +117,51 @@ def test_access_after_free_raises(name):
             yield from memory.load(region, 0, 6)
         with pytest.raises(ValueError, match="not (allocated|mapped)"):
             yield from memory.store(region, 0, b"x")
+
+    run(memory, app())
+
+
+@pytest.mark.parametrize("name", BACKEND_NAMES)
+def test_freed_memory_is_reused(name):
+    """Five rounds of alloc(24 MB), a store to its last 64 B and free on
+    a 64 MB memory: what was freed is handed out again."""
+    params = replace(ClioParams.prototype(),
+                     backend=BackendParams(dram_capacity=64 * MB))
+    memory = create_backend(name, params)
+
+    def app():
+        for _ in range(5):
+            region = yield from memory.alloc(24 * MB)
+            yield from memory.store(region, 24 * MB - 64, b"\x77" * 64)
+            yield from memory.free(region)
+
+    run(memory, app())
+
+
+@pytest.mark.parametrize("name", BACKEND_NAMES)
+def test_reused_memory_reads_zeros_and_spares_live_allocations(name):
+    """Three 320 KB allocations on 1 MB, the middle one freed: the next
+    allocation reads as zeros, and writing it leaves the others' bytes."""
+    params = ClioParams.prototype()
+    params = replace(params,
+                     cboard=replace(params.cboard, default_page_size=64 * KB),
+                     backend=BackendParams(dram_capacity=MB,
+                                           capacity_slots=MB // KB))
+    memory = create_backend(name, params)
+
+    def app():
+        regions = []
+        for byte in b"abc":
+            regions.append((yield from memory.alloc(320 * KB)))
+            yield from memory.store(regions[-1], 0, bytes([byte]) * 64)
+        yield from memory.free(regions[1])
+        fresh = yield from memory.alloc(320 * KB)
+        data, _ = yield from memory.load(fresh, 0, 64)
+        assert data == bytes(64)
+        yield from memory.store(fresh, 0, b"d" * 64)
+        for region, byte in zip((regions[0], regions[2], fresh), b"acd"):
+            data, _ = yield from memory.load(region, 0, 64)
+            assert data == bytes([byte]) * 64
 
     run(memory, app())
 

@@ -43,7 +43,7 @@ def test_bad_size_is_a_usage_error(command, size, capsys):
     "latency --size 1.9GB --ops 1",
     "metrics --ops 1 --size 1GB", "compare --size 3GB --backends rdma",
     "compare --size 3GB --backends legoos", "compare --size 3GB --backends cxl",
-    "compare --size 4KB", "alloc --strategy buddy"])
+    "alloc --strategy buddy"])
 def test_input_that_runs_nothing_or_crashes_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(argv.split())
@@ -135,6 +135,11 @@ def test_compare_command(capsys):
     for backend in ("clio", "cxl", "rdma", "herd", "herd-bf", "legoos",
                     "clover"):
         assert backend in out
+
+
+def test_compare_runs_a_value_over_one_clover_slot(capsys):
+    assert main(["compare", "--size", "4KB", "--ops", "20"]) == 0
+    assert "clover" in capsys.readouterr().out
 
 
 def test_compare_backend_subset_and_write(capsys):

@@ -89,7 +89,11 @@ from tools.code_lines import ROOT, count_files
 #: the per-head layouts and weights, refusing a stamped row at flush);
 #: the site lookups are keyed by value (``core/`` +4, ``transport/`` +1).
 #: The CLI's size bound lost its port half (-2).
-SRC_CEILING = 11_118
+#: -63 since: HERD, HERD-BF and LegoOS are one ``ServedMemoryNode`` with
+#: a cost row each; LegoOS's page-table faces and the unread counters
+#: went.  The shared ``Extents`` records (freed memory comes back) and
+#: Clover's multi-slot versions are in the count.
+SRC_CEILING = 11_055
 
 
 def test_src_stays_under_its_ceiling():
