@@ -36,6 +36,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.baselines.rdma import Extents
 from repro.core.memory import DRAM
 from repro.params import ClioParams, SEC
 from repro.sim import Environment
@@ -113,8 +114,7 @@ class CXLPool:
         self.dram = DRAM(capacity, access_ns=100,
                          bandwidth_bps=params.cboard.dram_bandwidth_bps)
         self._region_ids = itertools.count(1)
-        self._next_pa = 0
-        self._free_ranges: list[tuple[int, int]] = []   # (base, size)
+        self._extents = Extents(capacity)
         self._regions: dict[int, HDMRegion] = {}
         # Coherence directory: line index -> (owner host, dirty).
         self._directory: dict[int, tuple[str, bool]] = {}
@@ -140,30 +140,17 @@ class CXLPool:
 
     # -- capacity -------------------------------------------------------------------
 
-    def _carve(self, size: int) -> int:
-        for index, (base, range_size) in enumerate(self._free_ranges):
-            if range_size >= size:
-                if range_size == size:
-                    self._free_ranges.pop(index)
-                else:
-                    self._free_ranges[index] = (base + size,
-                                                range_size - size)
-                return base
-        if self._next_pa + size > self.dram.capacity:
-            raise CXLError(
-                f"pool exhausted: {size} bytes requested, "
-                f"{self.dram.capacity - self._next_pa} contiguous left")
-        base = self._next_pa
-        self._next_pa += size
-        return base
-
     def _alloc(self, host: CXLHost, size: int):
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
         # Round to whole lines: the HDM decoder maps line-aligned windows.
         line = self.cxl.line_bytes
         size = -(-size // line) * line
-        base = self._carve(size)
+        try:
+            base, _ = self._extents.take(size)
+        except MemoryError:
+            raise CXLError(f"pool exhausted: {size} bytes requested, "
+                           "no free range holds them") from None
         # Programming an HDM decoder entry is a slow config-space write.
         yield self.env.timeout(self.cxl.hdm_program_ns)
         region = HDMRegion(region_id=next(self._region_ids), host=host.name,
@@ -174,7 +161,7 @@ class CXLPool:
     def _free(self, host: CXLHost, region: HDMRegion):
         if self._regions.pop(region.region_id, None) is None:
             raise CXLError(f"region {region.region_id} not allocated")
-        self._free_ranges.append((region.base_pa, region.size))
+        self._extents.release((region.base_pa, region.size))
         self.dram.zero(region.base_pa, region.size)
         line = self.cxl.line_bytes
         first = region.base_pa // line

@@ -204,7 +204,8 @@ def cmd_alloc(args) -> int:
 
     size = args.size
     params = _profile(args.profile)
-    cluster = ClioCluster(params=params, seed=args.seed, mn_capacity=8 * GB)
+    cluster = ClioCluster(params=params, seed=args.seed,
+                          mn_capacity=ALLOC_NODE)
     board = cluster.mn
     timings = {}
 
@@ -225,7 +226,7 @@ def cmd_alloc(args) -> int:
 
     env = Environment()
     node = RDMAMemoryNode(
-        env, replace(params, backend=BackendParams(dram_capacity=8 * GB)))
+        env, replace(params, backend=BackendParams(dram_capacity=ALLOC_NODE)))
 
     def rdma_app():
         start = env.now
@@ -440,20 +441,31 @@ def cmd_rack(args) -> int:
 
 #: DRAM of the one board ``metrics`` instruments.
 METRICS_BOARD = 1 * GB
+#: DRAM of ``alloc``'s Clio board and of its RDMA node.
+ALLOC_NODE = 8 * GB
 
 
 def _size_bound(args) -> Optional[int]:
-    """The largest ``--size`` ``latency``, ``compare`` or ``metrics`` runs,
-    from the board it builds (every ``compare`` backend sizes its memory
-    as Clio's board): half its DRAM -- near that, a ralloc's VA search
-    outlasts the CN's longest request timeout and fails.  The transfer
-    itself is not bounded: an attempt's timeout grows with its wire time.
-    None for the other commands."""
+    """The largest ``--size`` a command runs.  ``latency``, ``compare``
+    and ``metrics``: half the DRAM of the board they build (every
+    ``compare`` backend but Clover sizes its memory as Clio's) -- near that,
+    a ralloc's VA search outlasts the CN's longest request timeout and
+    fails.  The transfer itself is not bounded: an attempt's timeout
+    grows with its wire time.  Clover holds a value in its slots, and an
+    overwrite keeps the old version's until the new one is in: half of
+    them.  ``alloc``: its ``ALLOC_NODE`` nodes.  None for the others."""
+    if args.func is cmd_alloc:
+        return ALLOC_NODE
     if args.func not in (cmd_latency, cmd_compare, cmd_metrics):
         return None
     params = _profile(args.profile)
     dram = (METRICS_BOARD if args.func is cmd_metrics else
             params.backend.dram_capacity or params.cboard.dram_capacity)
+    if args.func is cmd_compare and "clover" in args.backends:
+        from repro.baselines.clover import CloverStore
+
+        return min(dram, params.backend.capacity_slots
+                   * CloverStore.VALUE_SLOT) // 2
     return dram // 2
 
 

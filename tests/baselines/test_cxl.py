@@ -94,17 +94,35 @@ def test_multi_line_read_pipelines():
 
 
 def test_alloc_rounds_to_lines_and_reuses_freed_ranges():
-    env, pool = make_pool()
+    """Windows are whole lines, carved from fresh space first; once the
+    pool's end is reached, a freed range is handed out again."""
+    env, pool = make_pool(capacity=1 * MB)
     host = pool.host("h0")
 
     def app():
         region = yield from host.alloc(100)
         assert region.size == 128          # two 64B lines
-        base = region.base_pa
         yield from host.free(region)
+        rest = yield from host.alloc(1 * MB - 128)
+        assert rest.base_pa == 128         # fresh space first
         again = yield from host.alloc(128)
-        assert again.base_pa == base       # first-fit reuse
-        yield from host.free(again)
+        assert again.base_pa == region.base_pa
+
+    run(env, app())
+
+
+def test_freed_neighbours_merge():
+    """Two freed neighbours hold one window of their joint size."""
+    env, pool = make_pool(capacity=1 * MB)
+    host = pool.host("h0")
+
+    def app():
+        first = yield from host.alloc(MB // 2)
+        second = yield from host.alloc(MB // 2)
+        yield from host.free(first)
+        yield from host.free(second)
+        whole = yield from host.alloc(1 * MB)
+        assert whole.base_pa == 0
 
     run(env, app())
 

@@ -43,7 +43,8 @@ def test_bad_size_is_a_usage_error(command, size, capsys):
     "latency --size 1.9GB --ops 1",
     "metrics --ops 1 --size 1GB", "compare --size 3GB --backends rdma",
     "compare --size 3GB --backends legoos", "compare --size 3GB --backends cxl",
-    "alloc --strategy buddy"])
+    "compare --size 33MB", "compare --size 65MB --backends clover",
+    "alloc --size 9GB", "alloc --strategy buddy"])
 def test_input_that_runs_nothing_or_crashes_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(argv.split())

@@ -93,7 +93,9 @@ from tools.code_lines import ROOT, count_files
 #: a cost row each; LegoOS's page-table faces and the unread counters
 #: went.  The shared ``Extents`` records (freed memory comes back) and
 #: Clover's multi-slot versions are in the count.
-SRC_CEILING = 11_055
+#: -4 since: the CXL pool's range list is ``Extents`` too (-13); the CLI
+#: bounds ``compare``'s Clover slots and ``alloc``'s RDMA node (+9).
+SRC_CEILING = 11_051
 
 
 def test_src_stays_under_its_ceiling():
